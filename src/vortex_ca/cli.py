@@ -8,7 +8,6 @@ Exit codes: 0 clean, 1 error, 2 body overlap occurred.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import json
 import math
@@ -232,16 +231,6 @@ def cmd_run(scenario_path: str, outdir: str) -> int:
         return EXIT_ERROR
 
 
-def _sweep_workers(n_cells: int) -> int:
-    env = os.environ.get("VORTEX_CA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(n_cells, os.cpu_count() or 1))
-
-
 def _cell_metrics(log: TrajectoryLog, metrics: Sequence[str]) -> dict[str, Any]:
     values: dict[str, Any] = {}
     for metric in metrics:
@@ -286,9 +275,7 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
             row["error"] = str(exc)
         return row
 
-    workers = _sweep_workers(len(cells))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(run_cell, cells))
+    rows = [run_cell(cell) for cell in cells]
 
     os.makedirs(outdir, exist_ok=True)
     header = axis_paths + list(spec.metrics) + ["error"]

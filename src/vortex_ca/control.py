@@ -32,6 +32,13 @@ class WheelSpeeds(NamedTuple):
     omega_left: float
 
 
+def force_heading(fx: float, fy: float) -> float | None:
+    """Direction of the force (fx, fy), or None when it is numerically zero."""
+    if math.hypot(fx, fy) <= EPS_FORCE:
+        return None
+    return math.atan2(fy, fx)
+
+
 def desired_heading(force: ForceCommand) -> float | None:
     """Direction of the commanded force, or None when the force is numerically zero.
 
@@ -39,9 +46,7 @@ def desired_heading(force: ForceCommand) -> float | None:
     mathematically valid heading solutions.  Gains scale force magnitudes
     only, so the result is invariant under positive scaling of the force.
     """
-    if force.force.norm() <= EPS_FORCE:
-        return None
-    return math.atan2(force.force.y, force.force.x)
+    return force_heading(force.force.x, force.force.y)
 
 
 def heading_controller(phi: float, phi_des: float, params: PFParams) -> float:

@@ -6,22 +6,39 @@ Updates are simultaneous (Jacobi-style): every engagement and force in a step
 is computed from the pre-step snapshot, never from partially updated robots.
 This is what makes the reciprocal-force identity hold exactly in discrete
 time and makes runs invariant to the ordering of robots in the scenario file.
+
+The step works on plain float lists, one entry per robot or per pair, and
+evaluates the force laws through the same float kernels as the public object
+functions (``engagement``, ``vortex_repulsive_force``, ``saturate``,
+``propagate``), in the same order, so its results are bit-identical to
+theirs.  Objects are built only at the edges: ``step`` returns them, ``run``
+logs floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
-from .control import ControlOutput, desired_heading, heading_controller, wheel_speeds
-from .fields import ForceCommand, ForceSource, PFParams, total_force_from_engagements
+from .control import ControlOutput, force_heading, heading_controller, wheel_speeds
+from .fields import (
+    ForceCommand,
+    ForceSource,
+    PFParams,
+    attractive_components,
+    repulsive_components,
+)
 from .kinematics import (
     BehaviorKind,
+    CollisionSingularity,
     EngagementState,
     PlanarVector,
     RobotState,
-    engagement,
-    propagate,
+    SimulationFault,
+    advance_pose,
+    check_finite,
+    engagement_terms,
 )
 
 
@@ -52,8 +69,12 @@ class Scenario:
             errors.append("scenario has no robots")
         if not self.dt > 0.0:
             errors.append("dt must be > 0")
+        elif not math.isfinite(self.dt):
+            errors.append("dt must be finite")
         if not self.t_max > 0.0:
             errors.append("t_max must be > 0")
+        elif not math.isfinite(self.t_max):
+            errors.append("t_max must be finite")
         if self.record_stride < 1:
             errors.append("record_stride must be >= 1")
         if self.d_wheel <= 0.0:
@@ -148,58 +169,148 @@ class StepResult(NamedTuple):
     repulsive: dict[int, PlanarVector]
 
 
-def _evaluate_snapshot(
-    world: tuple[RobotState, ...],
-    params: PFParams,
-    phi_des_held: dict[int, float],
-    d_wheel: float,
-    r_wheel: float,
-) -> tuple[
-    dict[int, ControlOutput],
-    dict[tuple[int, int], EngagementState],
-    dict[int, ForceCommand],
-    dict[int, PlanarVector],
-]:
-    # Engagements once per unordered pair; each robot sees its own orientation
-    # through an exact flip, which keeps reciprocal repulsive inputs exact
-    # negations in floating point.
-    pair_engs: dict[tuple[int, int], EngagementState] = {}
-    for a_idx in range(len(world)):
-        for b_idx in range(a_idx + 1, len(world)):
-            a, b = world[a_idx], world[b_idx]
-            pair_engs[(a.id, b.id)] = engagement(a, b, params.eps_v)
+class _Swarm:
+    """Flat float state of a world: per-robot lists in id order and per-pair
+    lists in upper-triangle order ((0, 1), (0, 2), ..., (1, 2), ...).
 
-    controls: dict[int, ControlOutput] = {}
-    forces: dict[int, ForceCommand] = {}
-    repulsive: dict[int, PlanarVector] = {}
-    for robot in world:
-        others = [r for r in world if r.id != robot.id]
-        view = {}
-        for other in others:
-            key = (min(robot.id, other.id), max(robot.id, other.id))
-            eng = pair_engs[key]
-            view[other.id] = eng if eng.i == robot.id else eng.flipped()
+    ``evaluate`` computes every engagement once per pair, then every robot's
+    force and turn rate, from the frozen snapshot; ``advance`` propagates
+    every robot.  Together they are the one simultaneous-update step that
+    ``run`` and ``step`` share.  Robot j sees pair (i, j) through the exact
+    negation of its LOS cosines, so reciprocal inputs stay exact negations in
+    floating point.
+    """
 
-        if robot.active and robot.behavior is not BehaviorKind.STATIONARY:
-            command, rep = total_force_from_engagements(robot, others, view, params)
-        else:
-            command = ForceCommand(PlanarVector(0.0, 0.0), ForceSource.SUM)
-            rep = PlanarVector(0.0, 0.0)
+    def __init__(self, robots: tuple[RobotState, ...], params: PFParams):
+        self.robots = robots
+        self.params = params
+        n = len(robots)
+        self.ids = [robot.id for robot in robots]
+        self.x = [robot.position.x for robot in robots]
+        self.y = [robot.position.y for robot in robots]
+        self.phi = [robot.heading for robot in robots]
+        self.speed = [robot.speed for robot in robots]
+        self.active = [robot.active for robot in robots]
+        index = {rid: i for i, rid in enumerate(self.ids)}
+        # Index of each attacker's target among the *other* robots; None when
+        # it is missing, which is an error once the attacker is steered.
+        self.target = [
+            index.get(robot.attack_target) if robot.attack_target != robot.id else None
+            for robot in robots
+        ]
+        self.pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        # Robot i's pairs in ascending id of the other robot: first those
+        # where i is the second robot (LOS reversed), then those where it is
+        # the first.
+        self.lower: list[list[int]] = [[] for _ in range(n)]
+        self.upper: list[list[int]] = [[] for _ in range(n)]
+        for p, (a, b) in enumerate(self.pairs):
+            self.upper[a].append(p)
+            self.lower[b].append(p)
+        n_pairs = len(self.pairs)
+        self.r = [0.0] * n_pairs
+        self.ux = [0.0] * n_pairs
+        self.uy = [0.0] * n_pairs
+        self.vr = [0.0] * n_pairs
+        self.vth = [0.0] * n_pairs
+        self.vrel = [0.0] * n_pairs
+        self.trig = [False] * n_pairs
+        self.fx = [0.0] * n
+        self.fy = [0.0] * n
+        self.rep_x = [0.0] * n
+        self.rep_y = [0.0] * n
+        self.omega = [0.0] * n
+        self.phi_des: list[float | None] = [None] * n
 
-        phi_des = desired_heading(command)
-        if phi_des is None:
-            phi_des = phi_des_held.get(robot.id, robot.heading)
-        phi_des_held[robot.id] = phi_des
+    def steered(self, i: int) -> BehaviorKind | None:
+        """Behavior of robot i if it is active and not stationary, else None."""
+        kind = self.robots[i].behavior
+        if self.active[i] and kind is not BehaviorKind.STATIONARY:
+            return kind
+        return None
 
-        if robot.active and robot.behavior is not BehaviorKind.STATIONARY:
-            omega = heading_controller(robot.heading, phi_des, params)
-        else:
-            omega = 0.0
-        wheels = wheel_speeds(robot.speed, omega, d_wheel, r_wheel)
-        controls[robot.id] = ControlOutput(phi_des, omega, wheels.v_right, wheels.v_left)
-        forces[robot.id] = command
-        repulsive[robot.id] = rep
-    return controls, pair_engs, forces, repulsive
+    def evaluate(self) -> None:
+        """Engagements, forces, desired headings and turn rates of the snapshot."""
+        params = self.params
+        eps_v = params.eps_v
+        kappa = params.kappa
+        ids, x, y, phi = self.ids, self.x, self.y, self.phi
+        r, ux, uy, vr, vth, vrel, trig = (
+            self.r, self.ux, self.uy, self.vr, self.vth, self.vrel, self.trig
+        )
+        vx = [v * math.cos(h) for v, h in zip(self.speed, phi)]
+        vy = [v * math.sin(h) for v, h in zip(self.speed, phi)]
+        for p, (a, b) in enumerate(self.pairs):
+            terms = engagement_terms(x[b] - x[a], y[b] - y[a], vx[b] - vx[a], vy[b] - vy[a], eps_v)
+            if terms is None:
+                raise CollisionSingularity(f"robots {ids[a]} and {ids[b]} at identical positions")
+            r[p], ux[p], uy[p], vr[p], vth[p], vrel[p], trig[p] = terms
+
+        for i, robot in enumerate(self.robots):
+            kind = self.steered(i)
+            fx = fy = rep_x = rep_y = omega = 0.0
+            phi_des = None
+            if kind is BehaviorKind.COOPERATIVE:
+                if robot.goal is None:
+                    raise ValueError(f"robot {robot.id} has no goal to be attracted to")
+                fx, fy = attractive_components(x[i], y[i], robot.goal.x, robot.goal.y, kappa)
+                for p in self.lower[i]:
+                    if trig[p]:
+                        tx, ty = repulsive_components(
+                            r[p], -ux[p], -uy[p], vr[p], vth[p], vrel[p], params
+                        )
+                        rep_x += tx
+                        rep_y += ty
+                for p in self.upper[i]:
+                    if trig[p]:
+                        tx, ty = repulsive_components(
+                            r[p], ux[p], uy[p], vr[p], vth[p], vrel[p], params
+                        )
+                        rep_x += tx
+                        rep_y += ty
+                fx += rep_x
+                fy += rep_y
+                check_finite(fx, fy)
+                check_finite(rep_x, rep_y)
+                phi_des = force_heading(fx, fy)
+            elif kind is BehaviorKind.ATTACKING:
+                t = self.target[i]
+                if t is None:
+                    raise ValueError(
+                        f"robot {robot.id}: attack target {robot.attack_target} not in world"
+                    )
+                fx, fy = attractive_components(x[i], y[i], x[t], y[t], kappa)
+                phi_des = force_heading(fx, fy)
+            # A numerically zero force holds the previous desired heading.
+            if phi_des is None:
+                phi_des = self.phi_des[i]
+                if phi_des is None:
+                    phi_des = phi[i]
+            self.phi_des[i] = phi_des
+            if kind is not None:
+                omega = heading_controller(phi[i], phi_des, params)
+            self.fx[i] = fx
+            self.fy[i] = fy
+            self.rep_x[i] = rep_x
+            self.rep_y[i] = rep_y
+            self.omega[i] = omega
+
+    def advance(self, dt: float) -> None:
+        """Propagate every active robot by one RK4 step at its commanded rate."""
+        x, y, phi, speed, active = self.x, self.y, self.phi, self.speed, self.active
+        dt_finite = math.isfinite(dt)
+        for i, omega in enumerate(self.omega):
+            if not (math.isfinite(omega) and dt_finite):
+                raise SimulationFault(f"robot {self.ids[i]}: non-finite propagation input")
+            if dt <= 0.0:
+                raise ValueError("dt must be > 0")
+            if active[i]:
+                x[i], y[i], phi[i] = advance_pose(x[i], y[i], phi[i], speed[i], omega, dt)
+
+    def theta(self, p: int) -> float:
+        """LOS angle of pair p, from its first robot to its second."""
+        a, b = self.pairs[p]
+        return math.atan2(self.y[b] - self.y[a], self.x[b] - self.x[a])
 
 
 def step(
@@ -219,18 +330,59 @@ def step(
     snapshot = tuple(sorted(world, key=lambda r: r.id))
     if phi_des_held is None:
         phi_des_held = {}
-    controls, engs, forces, repulsive = _evaluate_snapshot(
-        snapshot, params, phi_des_held, d_wheel, r_wheel
+    swarm = _Swarm(snapshot, params)
+    swarm.phi_des = [phi_des_held.get(robot.id) for robot in snapshot]
+    swarm.evaluate()
+
+    ids = swarm.ids
+    engagements: dict[tuple[int, int], EngagementState] = {}
+    for p, (a, b) in enumerate(swarm.pairs):
+        vr, vrel = swarm.vr[p], swarm.vrel[p]
+        engagements[(ids[a], ids[b])] = EngagementState(
+            i=ids[a],
+            j=ids[b],
+            r=swarm.r[p],
+            theta=swarm.theta(p),
+            ux=swarm.ux[p],
+            uy=swarm.uy[p],
+            vr=vr,
+            vth=swarm.vth[p],
+            vrel=vrel,
+            cos_gamma=vr / vrel if vrel > params.eps_v else None,
+            triggered=swarm.trig[p],
+        )
+
+    controls: dict[int, ControlOutput] = {}
+    forces: dict[int, ForceCommand] = {}
+    repulsive: dict[int, PlanarVector] = {}
+    for i, robot in enumerate(snapshot):
+        omega = swarm.omega[i]
+        wheels = wheel_speeds(robot.speed, omega, d_wheel, r_wheel)
+        controls[robot.id] = ControlOutput(swarm.phi_des[i], omega, wheels.v_right, wheels.v_left)
+        phi_des_held[robot.id] = swarm.phi_des[i]
+        kind = swarm.steered(i)
+        triggered: tuple[tuple[int, int], ...] = ()
+        at_goal = False
+        if kind is BehaviorKind.COOPERATIVE:
+            view = [(p, swarm.pairs[p][0]) for p in swarm.lower[i]]
+            view += [(p, swarm.pairs[p][1]) for p in swarm.upper[i]]
+            triggered = tuple((robot.id, ids[j]) for p, j in view if swarm.trig[p])
+            at_goal = robot.position == robot.goal
+        elif kind is BehaviorKind.ATTACKING:
+            at_goal = robot.position == snapshot[swarm.target[i]].position
+        forces[robot.id] = ForceCommand(
+            PlanarVector(swarm.fx[i], swarm.fy[i]), ForceSource.SUM, triggered, at_goal
+        )
+        repulsive[robot.id] = PlanarVector(swarm.rep_x[i], swarm.rep_y[i])
+
+    swarm.advance(dt)
+    new_world = tuple(
+        replace(robot, position=PlanarVector(swarm.x[i], swarm.y[i]), heading=swarm.phi[i])
+        if robot.active
+        else robot
+        for i, robot in enumerate(snapshot)
     )
-    new_world = tuple(propagate(r, controls[r.id].omega, dt) for r in snapshot)
-    return StepResult(new_world, controls, engs, forces, repulsive)
-
-
-def _goal_point(robot: RobotState, world: tuple[RobotState, ...]) -> PlanarVector | None:
-    if robot.behavior is BehaviorKind.ATTACKING:
-        target = next((r for r in world if r.id == robot.attack_target), None)
-        return target.position if target is not None else None
-    return robot.goal
+    return StepResult(new_world, controls, engagements, forces, repulsive)
 
 
 def _termination_gated(robot: RobotState) -> bool:
@@ -247,82 +399,84 @@ def run(scenario: Scenario) -> TrajectoryLog:
     every ``record_stride``-th step plus the terminal state is logged.
     """
     scenario.validate()
-    params = scenario.params
+    goal_tol = scenario.params.goal_tol
     dt = scenario.dt
-    world = scenario.sorted_robots()
+    robots = scenario.sorted_robots()
+    swarm = _Swarm(robots, scenario.params)
+    ids, x, y, active = swarm.ids, swarm.x, swarm.y, swarm.active
 
     log = TrajectoryLog(scenario=scenario)
-    for robot in world:
-        log.robots[robot.id] = RobotTrace()
-    for a_idx in range(len(world)):
-        for b_idx in range(a_idx + 1, len(world)):
-            log.pairs[(world[a_idx].id, world[b_idx].id)] = PairTrace()
+    traces = [RobotTrace() for _ in robots]
+    log.robots = dict(zip(ids, traces))
+    pair_keys = [(ids[a], ids[b]) for a, b in swarm.pairs]
+    pair_traces = [PairTrace() for _ in pair_keys]
+    log.pairs = dict(zip(pair_keys, pair_traces))
 
-    phi_des_held: dict[int, float] = {}
-    overlapping: dict[tuple[int, int], bool] = {key: False for key in log.pairs}
-    radius = {r.id: r.body_radius for r in world}
-    contact = {key: radius[key[0]] + radius[key[1]] for key in log.pairs}
+    contact = [robots[a].body_radius + robots[b].body_radius for a, b in swarm.pairs]
+    overlapping = [False] * len(pair_keys)
+    gated = [i for i, robot in enumerate(robots) if _termination_gated(robot)]
     n_steps = int(round(scenario.t_max / dt))
 
-    def record(t: float, controls, engs, forces, repulsive, snapshot) -> None:
+    def record(t: float) -> None:
         log.t.append(t)
-        for robot in snapshot:
-            trace = log.robots[robot.id]
-            trace.x.append(robot.position.x)
-            trace.y.append(robot.position.y)
-            trace.phi.append(robot.heading)
-            trace.omega.append(controls[robot.id].omega)
-            trace.fx.append(forces[robot.id].force.x)
-            trace.fy.append(forces[robot.id].force.y)
-            trace.rep_fx.append(repulsive[robot.id].x)
-            trace.rep_fy.append(repulsive[robot.id].y)
-            trace.active.append(robot.active)
-        for key, eng in engs.items():
-            trace = log.pairs[key]
-            trace.r.append(eng.r)
-            trace.theta.append(eng.theta)
-            trace.vr.append(eng.vr)
-            trace.vth.append(eng.vth)
-            trace.vrel.append(eng.vrel)
-            trace.triggered.append(eng.triggered)
+        for i, trace in enumerate(traces):
+            trace.x.append(x[i])
+            trace.y.append(y[i])
+            trace.phi.append(swarm.phi[i])
+            trace.omega.append(swarm.omega[i])
+            trace.fx.append(swarm.fx[i])
+            trace.fy.append(swarm.fy[i])
+            trace.rep_fx.append(swarm.rep_x[i])
+            trace.rep_fy.append(swarm.rep_y[i])
+            trace.active.append(active[i])
+        for p, trace in enumerate(pair_traces):
+            trace.r.append(swarm.r[p])
+            trace.theta.append(swarm.theta(p))
+            trace.vr.append(swarm.vr[p])
+            trace.vth.append(swarm.vth[p])
+            trace.vrel.append(swarm.vrel[p])
+            trace.triggered.append(swarm.trig[p])
 
     for k in range(n_steps + 1):
         t = k * dt
-        controls, engs, forces, repulsive = _evaluate_snapshot(
-            world, params, phi_des_held, scenario.d_wheel, scenario.r_wheel
-        )
+        swarm.evaluate()
 
         # Body-overlap events fire on entry; the run continues regardless.
-        for key, eng in engs.items():
-            inside = eng.r < contact[key]
-            if inside and not overlapping[key]:
-                log.events.append(Event(t, EVENT_OVERLAP, key))
-            overlapping[key] = inside
+        inside = [r < c for r, c in zip(swarm.r, contact)]
+        if inside != overlapping:
+            for p, now in enumerate(inside):
+                if now and not overlapping[p]:
+                    log.events.append(Event(t, EVENT_OVERLAP, pair_keys[p]))
+            overlapping = inside
 
-        gated = [r for r in world if _termination_gated(r)]
-        done = k == n_steps or (bool(gated) and all(not r.active for r in gated))
+        done = k == n_steps or (bool(gated) and not any(active[i] for i in gated))
         if done or k % scenario.record_stride == 0:
-            record(t, controls, engs, forces, repulsive, world)
+            record(t)
         if done:
             break
 
-        world = tuple(propagate(r, controls[r.id].omega, dt) for r in world)
+        swarm.advance(dt)
 
         # Stop rule: first entry inside goal_tol zeroes the speed for good.
         t_next = (k + 1) * dt
-        stopped: list[RobotState] = []
-        for robot in world:
-            if not robot.active or robot.behavior is BehaviorKind.STATIONARY:
-                stopped.append(robot)
+        for i, robot in enumerate(robots):
+            if not active[i] or robot.behavior is BehaviorKind.STATIONARY:
                 continue
-            goal_point = _goal_point(robot, world)
-            if goal_point is not None and (robot.position - goal_point).norm() <= params.goal_tol:
-                log.events.append(Event(t_next, EVENT_GOAL, (robot.id,)))
-                log.events.append(Event(t_next, EVENT_STOPPED, (robot.id,)))
-                stopped.append(robot.stopped())
+            if robot.behavior is BehaviorKind.ATTACKING:
+                target = swarm.target[i]
+                dx = x[i] - x[target]
+                dy = y[i] - y[target]
+            elif robot.goal is not None:
+                dx = x[i] - robot.goal.x
+                dy = y[i] - robot.goal.y
             else:
-                stopped.append(robot)
-        world = tuple(stopped)
+                continue
+            check_finite(dx, dy)
+            if math.hypot(dx, dy) <= goal_tol:
+                log.events.append(Event(t_next, EVENT_GOAL, (ids[i],)))
+                log.events.append(Event(t_next, EVENT_STOPPED, (ids[i],)))
+                swarm.speed[i] = 0.0
+                active[i] = False
 
     return log
 

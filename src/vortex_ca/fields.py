@@ -26,7 +26,9 @@ from .kinematics import (
     PlanarVector,
     RobotState,
     ZERO_VECTOR,
+    check_finite,
     engagement,
+    engagement_terms,
 )
 
 
@@ -107,6 +109,21 @@ class ForceCommand:
     at_goal: bool = False
 
 
+def attractive_components(
+    x: float, y: float, tx: float, ty: float, kappa: float
+) -> tuple[float, float]:
+    """Attractive pull of size kappa from (x, y) toward (tx, ty); zero on the target."""
+    dx = tx - x
+    dy = ty - y
+    r = math.hypot(dx, dy)
+    if r == 0.0:
+        return 0.0, 0.0
+    fx = kappa * dx / r
+    fy = kappa * dy / r
+    check_finite(fx, fy)
+    return fx, fy
+
+
 def attractive_force(
     robot: RobotState, params: PFParams, target: PlanarVector | None = None
 ) -> ForceCommand:
@@ -121,27 +138,27 @@ def attractive_force(
         target = robot.goal
     if target is None:
         raise ValueError(f"robot {robot.id} has no goal to be attracted to")
-    dx = target.x - robot.position.x
-    dy = target.y - robot.position.y
-    r = math.hypot(dx, dy)
-    if r == 0.0:
-        return ForceCommand(ZERO_VECTOR, ForceSource.ATTRACTIVE, at_goal=True)
-    return ForceCommand(
-        PlanarVector(params.kappa * dx / r, params.kappa * dy / r),
-        ForceSource.ATTRACTIVE,
-    )
+    pos = robot.position
+    fx, fy = attractive_components(pos.x, pos.y, target.x, target.y, params.kappa)
+    return ForceCommand(PlanarVector(fx, fy), ForceSource.ATTRACTIVE, at_goal=target == pos)
+
+
+def repulsive_gradient(
+    r: float, ux: float, uy: float, vr: float, vth: float, vrel: float, lam: float
+) -> tuple[float, float]:
+    """Gradient of the repulsive scalar field with respect to the relative
+    position, holding relative velocity fixed.
+
+    Only valid for a triggered engagement view (r > 0 and vrel > 0).
+    """
+    coef = lam * vr / (vrel * r * r)
+    return -coef * (2.0 * vth * uy + vr * ux), coef * (2.0 * vth * ux - vr * uy)
 
 
 def _repulsive_gradient(eng: EngagementState, lam: float) -> tuple[float, float]:
-    # Gradient of the repulsive scalar field with respect to the relative
-    # position, holding relative velocity fixed.  Only valid when triggered
-    # (vrel > 0 guaranteed by the trigger rule).
     if eng.r <= 0.0:
         raise CollisionSingularity(f"pair ({eng.i},{eng.j}): r <= 0")
-    coef = lam * eng.vr / (eng.vrel * eng.r * eng.r)
-    gx = -coef * (2.0 * eng.vth * eng.uy + eng.vr * eng.ux)
-    gy = coef * (2.0 * eng.vth * eng.ux - eng.vr * eng.uy)
-    return gx, gy
+    return repulsive_gradient(eng.r, eng.ux, eng.uy, eng.vr, eng.vth, eng.vrel, lam)
 
 
 def vortex_repulsive_force(eng: EngagementState, params: PFParams) -> ForceCommand:
@@ -187,6 +204,15 @@ def _sign(x: float) -> float:
     return 0.0
 
 
+def saturated_components(
+    ux: float, uy: float, vr: float, vth: float, f_lim: float
+) -> tuple[float, float]:
+    """Per-component bound -f_lim * sign(bracket) on the vortex numerators."""
+    bx = 2.0 * vr * vth * ux - vr * vr * uy
+    by = 2.0 * vr * vth * uy + vr * vr * ux
+    return -f_lim * _sign(bx), -f_lim * _sign(by)
+
+
 def saturate(force: ForceCommand, eng: EngagementState, params: PFParams) -> ForceCommand:
     """Bound a repulsive input per component once the pair is closer than r_star.
 
@@ -198,10 +224,9 @@ def saturate(force: ForceCommand, eng: EngagementState, params: PFParams) -> For
     """
     if not eng.triggered or math.isinf(params.f_lim) or eng.r > params.r_star:
         return force
-    bx = 2.0 * eng.vr * eng.vth * eng.ux - eng.vr * eng.vr * eng.uy
-    by = 2.0 * eng.vr * eng.vth * eng.uy + eng.vr * eng.vr * eng.ux
+    fx, fy = saturated_components(eng.ux, eng.uy, eng.vr, eng.vth, params.f_lim)
     return ForceCommand(
-        PlanarVector(-params.f_lim * _sign(bx), -params.f_lim * _sign(by)),
+        PlanarVector(fx, fy),
         ForceSource.SATURATED,
         triggered_pairs=force.triggered_pairs,
     )
@@ -214,6 +239,25 @@ def repulsive_force(eng: EngagementState, params: PFParams) -> ForceCommand:
     else:
         raw = nonvortex_repulsive_force(eng, params)
     return saturate(raw, eng, params)
+
+
+def repulsive_components(
+    r: float, ux: float, uy: float, vr: float, vth: float, vrel: float, params: PFParams
+) -> tuple[float, float]:
+    """``repulsive_force`` on the terms of one triggered engagement view.
+
+    The unsaturated input is formed and checked before saturation replaces
+    it, exactly as the object path does.
+    """
+    gx, gy = repulsive_gradient(r, ux, uy, vr, vth, vrel, params.lam)
+    if params.vortex:
+        fx, fy = -gy, gx
+    else:
+        fx, fy = -gx, -gy
+    check_finite(fx, fy)
+    if r > params.r_star or math.isinf(params.f_lim):
+        return fx, fy
+    return saturated_components(ux, uy, vr, vth, params.f_lim)
 
 
 def total_force_from_engagements(
@@ -315,16 +359,13 @@ class CurlDiagnostic:
 
 
 def _vortex_force_at(rel_pos: PlanarVector, rel_vel: PlanarVector, params: PFParams) -> tuple[float, float]:
-    r = rel_pos.norm()
-    ux = rel_pos.x / r
-    uy = rel_pos.y / r
-    vr = rel_vel.x * ux + rel_vel.y * uy
-    vth = -rel_vel.x * uy + rel_vel.y * ux
-    vrel = math.hypot(vr, vth)
-    if vrel <= params.eps_v or vr >= 0.0:
+    r, ux, uy, vr, vth, vrel, triggered = engagement_terms(
+        rel_pos.x, rel_pos.y, rel_vel.x, rel_vel.y, params.eps_v
+    )
+    if not triggered:
         return 0.0, 0.0
-    coef = -params.lam * vr / (vrel * r * r)
-    return coef * (2.0 * vth * ux - vr * uy), coef * (2.0 * vth * uy + vr * ux)
+    gx, gy = repulsive_gradient(r, ux, uy, vr, vth, vrel, params.lam)
+    return -gy, gx
 
 
 def field_curl_diagnostic(

@@ -28,6 +28,12 @@ class SimulationFault(RuntimeError):
     """Non-finite state or input reached the integrator; the run must abort."""
 
 
+def check_finite(x: float, y: float) -> None:
+    """Raise SimulationFault unless both vector components are finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise SimulationFault(f"non-finite vector components ({x}, {y})")
+
+
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to (-pi, pi].
 
@@ -48,8 +54,7 @@ class PlanarVector:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise SimulationFault(f"non-finite vector components ({self.x}, {self.y})")
+        check_finite(self.x, self.y)
 
     def __add__(self, other: "PlanarVector") -> "PlanarVector":
         return PlanarVector(self.x + other.x, self.y + other.y)
@@ -160,6 +165,24 @@ class EngagementState:
         )
 
 
+def advance_pose(
+    x: float, y: float, phi: float, speed: float, omega: float, dt: float
+) -> tuple[float, float, float]:
+    """One classical RK4 step of the unicycle pose with ``omega`` held over ``dt``.
+
+    Returns the new position and the new heading, wrapped to (-pi, pi].  The
+    caller checks the inputs; a non-finite result raises SimulationFault.
+    """
+    a2 = phi + 0.5 * omega * dt
+    a4 = phi + omega * dt
+    c2 = math.cos(a2)
+    s2 = math.sin(a2)
+    nx = x + speed * dt * (math.cos(phi) + 2.0 * c2 + 2.0 * c2 + math.cos(a4)) / 6.0
+    ny = y + speed * dt * (math.sin(phi) + 2.0 * s2 + 2.0 * s2 + math.sin(a4)) / 6.0
+    check_finite(nx, ny)
+    return nx, ny, wrap_angle(a4)
+
+
 def propagate(state: RobotState, omega: float, dt: float) -> RobotState:
     """Advance a unicycle state by one fixed step of classical 4th-order Runge-Kutta.
 
@@ -174,20 +197,30 @@ def propagate(state: RobotState, omega: float, dt: float) -> RobotState:
         raise ValueError("dt must be > 0")
     if not state.active:
         return state
-
-    v = state.speed
-    phi = state.heading
-    a1 = phi
-    a2 = phi + 0.5 * omega * dt
-    a3 = a2
-    a4 = phi + omega * dt
-    dx = v * dt * (math.cos(a1) + 2.0 * math.cos(a2) + 2.0 * math.cos(a3) + math.cos(a4)) / 6.0
-    dy = v * dt * (math.sin(a1) + 2.0 * math.sin(a2) + 2.0 * math.sin(a3) + math.sin(a4)) / 6.0
-    return replace(
-        state,
-        position=PlanarVector(state.position.x + dx, state.position.y + dy),
-        heading=wrap_angle(phi + omega * dt),
+    x, y, heading = advance_pose(
+        state.position.x, state.position.y, state.heading, state.speed, omega, dt
     )
+    return replace(state, position=PlanarVector(x, y), heading=heading)
+
+
+def engagement_terms(
+    dx: float, dy: float, rvx: float, rvy: float, eps_v: float
+) -> tuple[float, float, float, float, float, float, bool] | None:
+    """Polar engagement terms from relative position and relative velocity.
+
+    Returns ``(r, ux, uy, vr, vth, vrel, triggered)``, or None when the
+    separation is exactly zero (the geometry is undefined).  The LOS angle is
+    left to the caller: it is ``atan2(dy, dx)`` and only logging needs it.
+    """
+    r = math.hypot(dx, dy)
+    if r == 0.0:
+        return None
+    ux = dx / r
+    uy = dy / r
+    vr = rvx * ux + rvy * uy
+    vth = -rvx * uy + rvy * ux
+    vrel = math.hypot(vr, vth)
+    return r, ux, uy, vr, vth, vrel, vrel > eps_v and vr < 0.0
 
 
 def engagement(a: RobotState, b: RobotState, eps_v: float = EPS_V_DEFAULT) -> EngagementState:
@@ -201,22 +234,16 @@ def engagement(a: RobotState, b: RobotState, eps_v: float = EPS_V_DEFAULT) -> En
     """
     dx = b.position.x - a.position.x
     dy = b.position.y - a.position.y
-    r = math.hypot(dx, dy)
-    if r == 0.0:
+    terms = engagement_terms(
+        dx,
+        dy,
+        b.speed * math.cos(b.heading) - a.speed * math.cos(a.heading),
+        b.speed * math.sin(b.heading) - a.speed * math.sin(a.heading),
+        eps_v,
+    )
+    if terms is None:
         raise CollisionSingularity(f"robots {a.id} and {b.id} at identical positions")
-    ux = dx / r
-    uy = dy / r
-    rvx = b.speed * math.cos(b.heading) - a.speed * math.cos(a.heading)
-    rvy = b.speed * math.sin(b.heading) - a.speed * math.sin(a.heading)
-    vr = rvx * ux + rvy * uy
-    vth = -rvx * uy + rvy * ux
-    vrel = math.hypot(vr, vth)
-    if vrel > eps_v:
-        cos_gamma = vr / vrel
-        triggered = vr < 0.0
-    else:
-        cos_gamma = None
-        triggered = False
+    r, ux, uy, vr, vth, vrel, triggered = terms
     return EngagementState(
         i=a.id,
         j=b.id,
@@ -227,7 +254,7 @@ def engagement(a: RobotState, b: RobotState, eps_v: float = EPS_V_DEFAULT) -> En
         vr=vr,
         vth=vth,
         vrel=vrel,
-        cos_gamma=cos_gamma,
+        cos_gamma=vr / vrel if vrel > eps_v else None,
         triggered=triggered,
     )
 

@@ -38,6 +38,10 @@ def params_from_dict(data: dict[str, Any], errors: list[str], max_speed: float) 
         lam = float(data.get("lambda", 10.0))
         f_lim = _opt_inf(data.get("f_lim"), "params.f_lim", errors)
         r_star = data.get("r_star")
+        vortex = data.get("vortex", True)
+        if not isinstance(vortex, bool):
+            errors.append(f"params.vortex: expected true or false, got {vortex!r}")
+            vortex = True
         if r_star is None:
             r_star = default_r_star(lam, max_speed, f_lim)
         return PFParams(
@@ -49,7 +53,7 @@ def params_from_dict(data: dict[str, Any], errors: list[str], max_speed: float) 
             goal_tol=float(data.get("goal_tol", 0.2)),
             eps_v=float(data.get("eps_v", 1e-6)),
             omega_max=_opt_inf(data.get("omega_max"), "params.omega_max", errors),
-            vortex=bool(data.get("vortex", True)),
+            vortex=vortex,
         )
     except (TypeError, ValueError) as exc:
         errors.append(f"params: {exc}")

@@ -173,6 +173,25 @@ def test_cmd_run_exit_codes(tmp_path):
     assert main(["run", "no_such_preset", "-o", str(tmp_path / "x")]) == 1
 
 
+def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
+    # json accepts the non-standard Infinity literal; run must not overflow on it
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(dict(MINIMAL, t_max=float("inf"), dt=float("inf"))))
+    assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: t_max must be finite" in err
+    assert "error: dt must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cmd_run_rejects_non_boolean_vortex(tmp_path, capsys):
+    path = tmp_path / "vortex.json"
+    path.write_text(json.dumps(dict(MINIMAL, params={"vortex": "false"})))
+    assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert "error: params.vortex: expected true or false, got 'false'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
@@ -195,7 +214,7 @@ def test_cmd_sweep_lambda_axis(tmp_path):
     assert seps[0] < seps[1] < seps[2]
 
 
-def test_cmd_sweep_is_deterministic_under_thread_cap(tmp_path, monkeypatch):
+def test_cmd_sweep_repeats_byte_identical(tmp_path):
     spec = {
         "base_scenario": "attractive_only",
         "axes": [{"path": "params.kp", "values": [2.0, 5.0]}],
@@ -204,9 +223,7 @@ def test_cmd_sweep_is_deterministic_under_thread_cap(tmp_path, monkeypatch):
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps(spec))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("VORTEX_CA_THREADS", "1")
     assert main(["sweep", str(spec_path), "-o", str(out_a)]) == 0
-    monkeypatch.setenv("VORTEX_CA_THREADS", "4")
     assert main(["sweep", str(spec_path), "-o", str(out_b)]) == 0
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
