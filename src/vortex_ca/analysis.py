@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -431,52 +432,52 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> list[LyapunovReport]
                 )
         values[k] = total
         derivs[k] = dtotal
+    return _lyapunov_reports(log, values, derivs, RegimeKind.MULTI_ROBOT)
 
+
+def _lyapunov_reports(
+    log: TrajectoryLog, values: np.ndarray, derivs: np.ndarray, regime: RegimeKind
+) -> list[LyapunovReport]:
+    """One report per recorded step, with a central-difference derivative of
+    the value series (one-sided at the ends)."""
     t = np.asarray(log.t)
-    numeric = np.gradient(values, t) if n > 1 else np.zeros(n)
+    numeric = np.gradient(values, t) if len(t) > 1 else np.zeros(len(t))
     return [
-        LyapunovReport(
-            t=float(t[k]),
-            value=float(values[k]),
-            derivative_analytic=float(derivs[k]),
-            derivative_numeric=float(numeric[k]),
-            regime=RegimeKind.MULTI_ROBOT,
-        )
-        for k in range(n)
+        LyapunovReport(float(t[k]), float(values[k]), float(derivs[k]), float(numeric[k]), regime)
+        for k in range(len(t))
     ]
+
+
+def _lyapunov_series(
+    log: TrajectoryLog, regime: RegimeKind, r: Sequence[float], vr: Sequence[float],
+    vth: Sequence[float], vrel: Sequence[float], params: PFParams,
+) -> list[LyapunovReport]:
+    """The regime's Lyapunov value and analytic derivative on the given relative states."""
+    n = len(log.t)
+    values, derivs = np.empty(n), np.empty(n)
+    for k in range(n):
+        values[k], derivs[k] = lyapunov(
+            regime, float(r[k]), float(vr[k]), float(vth[k]), float(vrel[k]), params
+        )
+    return _lyapunov_reports(log, values, derivs, regime)
 
 
 def pair_lyapunov_series(
-    log: TrajectoryLog,
-    pair: tuple[int, int],
-    regime: RegimeKind,
-    params: PFParams,
+    log: TrajectoryLog, pair: tuple[int, int], regime: RegimeKind, params: PFParams
 ) -> list[LyapunovReport]:
     """Per-step Lyapunov value/derivatives for one logged pair under a regime."""
-    key = (min(pair), max(pair))
-    trace = log.pairs[key]
-    t = np.asarray(log.t)
-    n = len(t)
-    values = np.empty(n)
-    derivs = np.empty(n)
-    for k in range(n):
-        vrel = trace.vrel[k]
-        if vrel <= 0.0:
-            vrel = params.eps_v
-        value, deriv = lyapunov(regime, trace.r[k], trace.vr[k], trace.vth[k], vrel, params)
-        values[k] = value
-        derivs[k] = deriv
-    numeric = np.gradient(values, t) if n > 1 else np.zeros(n)
-    return [
-        LyapunovReport(
-            t=float(t[k]),
-            value=float(values[k]),
-            derivative_analytic=float(derivs[k]),
-            derivative_numeric=float(numeric[k]),
-            regime=regime,
-        )
-        for k in range(n)
-    ]
+    trace = log.pairs[(min(pair), max(pair))]
+    vrel = [params.eps_v if v <= 0.0 else v for v in trace.vrel]
+    return _lyapunov_series(log, regime, trace.r, trace.vr, trace.vth, vrel, params)
+
+
+def attractive_only_lyapunov(log: TrajectoryLog) -> list[LyapunovReport]:
+    """Attractive-only Lyapunov series of the lowest-id robot about its own goal."""
+    rid = log.robot_ids()[0]
+    robot = next(r for r in log.scenario.robots if r.id == rid)
+    r, _, vr, vth = goal_engagement_series(log, rid)
+    speed = [robot.speed if a else 0.0 for a in log.robots[rid].active]
+    return _lyapunov_series(log, RegimeKind.ATTRACTIVE_ONLY, r, vr, vth, speed, log.scenario.params)
 
 
 def goal_engagement_series(

@@ -13,12 +13,15 @@ import json
 import math
 import os
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-import numpy as np
-
-from . import analysis
-from .analysis import RegimeKind, analyze_log, multi_lyapunov, pair_lyapunov_series
+from .analysis import (
+    RegimeKind,
+    analyze_log,
+    attractive_only_lyapunov,
+    multi_lyapunov,
+    pair_lyapunov_series,
+)
 from .engine import (
     EVENT_GOAL,
     EVENT_OVERLAP,
@@ -58,63 +61,69 @@ def _pair_tag(key: tuple[int, int]) -> str:
 # Run output writers / readers
 
 
-def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
-    ids = log.robot_ids()
-    header = ["t"]
-    for rid in ids:
-        header += [
-            f"r{rid}_{col}"
-            for col in ("x", "y", "phi", "omega", "fx", "fy", "repfx", "repfy", "active")
-        ]
+class Column(NamedTuple):
+    """One per-robot or per-pair CSV column: header suffix, trace attribute, 0/1 flag."""
+
+    suffix: str
+    attr: str
+    flag: bool = False
+
+
+# The column contract of trajectory.csv (per robot, after ``t``) and pairs.csv
+# (per pair, after ``t``); headers, writers, read_run and plotdata use these.
+ROBOT_COLUMNS = (
+    Column("x", "x"), Column("y", "y"), Column("phi", "phi"), Column("omega", "omega"),
+    Column("fx", "fx"), Column("fy", "fy"), Column("repfx", "rep_fx"), Column("repfy", "rep_fy"),
+    Column("active", "active", flag=True),
+)
+PAIR_COLUMNS = (
+    Column("r", "r"), Column("theta", "theta"), Column("vr", "vr"), Column("vth", "vth"),
+    Column("vrel", "vrel"), Column("trig", "triggered", flag=True),
+)
+
+FLOAT = "%.17g"  # byte-identical to _fmt
+FLAG = "%d"
+
+
+class RunFormatError(ValueError):
+    """A run directory file does not follow the documented format."""
+
+
+def _write_table(path: str, columns: Sequence[tuple[str, str, Sequence[Any]]]) -> None:
+    """Write a CSV from (header name, %-format code, values) columns, one %-operation per row."""
+    row = ",".join(code for _, code, _ in columns) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for k in range(len(log.t)):
-            row = [_fmt(log.t[k])]
-            for rid in ids:
-                trace = log.robots[rid]
-                row += [
-                    _fmt(trace.x[k]),
-                    _fmt(trace.y[k]),
-                    _fmt(trace.phi[k]),
-                    _fmt(trace.omega[k]),
-                    _fmt(trace.fx[k]),
-                    _fmt(trace.fy[k]),
-                    _fmt(trace.rep_fx[k]),
-                    _fmt(trace.rep_fy[k]),
-                    "1" if trace.active[k] else "0",
-                ]
-            handle.write(",".join(row) + "\n")
+        handle.write(",".join(name for name, _, _ in columns) + "\n")
+        handle.writelines(row % cells for cells in zip(*(values for _, _, values in columns)))
+
+
+def _traced_columns(tag: str, trace: Any, columns: Sequence[Column]) -> list[tuple[str, str, Any]]:
+    return [
+        (f"{tag}_{col.suffix}", FLAG if col.flag else FLOAT, getattr(trace, col.attr))
+        for col in columns
+    ]
+
+
+def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
+    columns = [("t", FLOAT, log.t)]
+    for rid in log.robot_ids():
+        columns += _traced_columns(f"r{rid}", log.robots[rid], ROBOT_COLUMNS)
+    _write_table(path, columns)
 
 
 def write_pairs_csv(log: TrajectoryLog, path: str) -> None:
-    keys = log.pair_ids()
-    header = ["t"]
-    for key in keys:
-        tag = _pair_tag(key)
-        header += [f"{tag}_{col}" for col in ("r", "theta", "vr", "vth", "vrel", "trig")]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for k in range(len(log.t)):
-            row = [_fmt(log.t[k])]
-            for key in keys:
-                trace = log.pairs[key]
-                row += [
-                    _fmt(trace.r[k]),
-                    _fmt(trace.theta[k]),
-                    _fmt(trace.vr[k]),
-                    _fmt(trace.vth[k]),
-                    _fmt(trace.vrel[k]),
-                    "1" if trace.triggered[k] else "0",
-                ]
-            handle.write(",".join(row) + "\n")
+    columns = [("t", FLOAT, log.t)]
+    for key in log.pair_ids():
+        columns += _traced_columns(_pair_tag(key), log.pairs[key], PAIR_COLUMNS)
+    _write_table(path, columns)
 
 
 def write_events_csv(log: TrajectoryLog, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("t,kind,ids\n")
-        for event in log.events:
-            ids = ":".join(str(i) for i in event.ids)
-            handle.write(f"{_fmt(event.t)},{event.kind},{ids}\n")
+    _write_table(path, [
+        ("t", FLOAT, [event.t for event in log.events]),
+        ("kind", "%s", [event.kind for event in log.events]),
+        ("ids", "%s", [":".join(str(i) for i in event.ids) for event in log.events]),
+    ])
 
 
 def _goal_times(log: TrajectoryLog) -> dict[str, float | None]:
@@ -152,61 +161,94 @@ def write_run_outputs(log: TrajectoryLog, outdir: str) -> int:
     return int(summary["exit_code"])
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_table(path: str) -> dict[str, list[str]]:
+    """Cell strings of a CSV file by header name, one list per column.
+
+    Blank lines are skipped; every other line must have the header's cell count.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+        lines = handle.read().splitlines()
+    rows = [line for line in lines if line.strip()]
+    if not rows:
+        raise RunFormatError(f"{path}: no header line")
+    header = rows.pop(0).split(",")
+    width = len(header)
+    if len(set(header)) != width:
+        raise RunFormatError(f"{path}: duplicate column names in the header")
+    commas = list(map(str.count, rows, itertools.repeat(",")))
+    if commas.count(width - 1) != len(rows):
+        # the first ragged row: an equal earlier line would be ragged too, so index() is exact
+        bad = next(row for row, n in zip(rows, commas) if n != width - 1)
+        raise RunFormatError(
+            f"{path}: line {lines.index(bad) + 1} has {bad.count(',') + 1} cells, "
+            f"the header has {width}"
+        )
+    body = ",".join(rows)
+    del lines, rows  # keep one copy of the text while it is split
+    cells = body.split(",") if body else []
+    return {name: cells[j::width] for j, name in enumerate(header)}
+
+
+_parse_flag = {"0": False, "1": True}.__getitem__  # KeyError on anything but 0 or 1
+
+
+def _parse_ids(cell: str) -> tuple[int, ...]:
+    return tuple(map(int, cell.split(":"))) if cell else ()
+
+
+def _column(path: str, table: dict, name: str, parse: Callable[[str], Any] = float) -> list:
+    """Parse every cell of one column of ``table``."""
+    if name not in table:
+        raise RunFormatError(f"{path}: missing column {name!r}")
+    try:
+        return list(map(parse, table[name]))
+    except (KeyError, ValueError) as exc:
+        raise RunFormatError(f"{path}: column {name!r}: bad cell ({exc})") from None
+
+
+def _trace_fields(path: str, table: dict, tag: str, columns: Sequence[Column]) -> dict:
+    parsers = {False: float, True: _parse_flag}
+    return {c.attr: _column(path, table, f"{tag}_{c.suffix}", parsers[c.flag]) for c in columns}
 
 
 def read_run(outdir: str) -> TrajectoryLog:
-    """Reconstruct a TrajectoryLog from a run output directory."""
-    with open(os.path.join(outdir, "summary.json"), "r", encoding="utf-8") as handle:
+    """Reconstruct a TrajectoryLog from a run output directory; a file that does not
+    follow docs/formats.md raises RunFormatError naming the file and the line or column."""
+    path = os.path.join(outdir, "summary.json")
+    with open(path, "r", encoding="utf-8") as handle:
         summary = json.load(handle)
+    if not isinstance(summary, dict) or not isinstance(summary.get("scenario"), dict):
+        raise RunFormatError(f"{path}: expected an object with a 'scenario' object")
     scenario = scenario_from_dict(summary["scenario"])
     log = TrajectoryLog(scenario=scenario)
-
-    header, rows = _read_csv(os.path.join(outdir, "trajectory.csv"))
-    column = {name: idx for idx, name in enumerate(header)}
     ids = sorted(r.id for r in scenario.robots)
+
+    path = os.path.join(outdir, "trajectory.csv")
+    table = _read_table(path)
+    log.t = _column(path, table, "t")
+    if not log.t:  # the initial state is always recorded
+        raise RunFormatError(f"{path}: no data rows")
     for rid in ids:
-        log.robots[rid] = RobotTrace()
-    for row in rows:
-        log.t.append(float(row[0]))
-        for rid in ids:
-            trace = log.robots[rid]
-            trace.x.append(float(row[column[f"r{rid}_x"]]))
-            trace.y.append(float(row[column[f"r{rid}_y"]]))
-            trace.phi.append(float(row[column[f"r{rid}_phi"]]))
-            trace.omega.append(float(row[column[f"r{rid}_omega"]]))
-            trace.fx.append(float(row[column[f"r{rid}_fx"]]))
-            trace.fy.append(float(row[column[f"r{rid}_fy"]]))
-            trace.rep_fx.append(float(row[column[f"r{rid}_repfx"]]))
-            trace.rep_fy.append(float(row[column[f"r{rid}_repfy"]]))
-            trace.active.append(row[column[f"r{rid}_active"]] == "1")
+        log.robots[rid] = RobotTrace(**_trace_fields(path, table, f"r{rid}", ROBOT_COLUMNS))
+    t_cells = table["t"]
+    del table  # release this file's cells before the next one is read
 
-    header, rows = _read_csv(os.path.join(outdir, "pairs.csv"))
-    column = {name: idx for idx, name in enumerate(header)}
-    keys = [(ids[a], ids[b]) for a in range(len(ids)) for b in range(a + 1, len(ids))]
-    for key in keys:
-        log.pairs[key] = PairTrace()
-    for row in rows:
-        for key in keys:
-            tag = _pair_tag(key)
-            trace = log.pairs[key]
-            trace.r.append(float(row[column[f"{tag}_r"]]))
-            trace.theta.append(float(row[column[f"{tag}_theta"]]))
-            trace.vr.append(float(row[column[f"{tag}_vr"]]))
-            trace.vth.append(float(row[column[f"{tag}_vth"]]))
-            trace.vrel.append(float(row[column[f"{tag}_vrel"]]))
-            trace.triggered.append(row[column[f"{tag}_trig"]] == "1")
+    path = os.path.join(outdir, "pairs.csv")
+    table = _read_table(path)
+    if table.get("t") != t_cells:
+        raise RunFormatError(f"{path}: column 't' differs from trajectory.csv")
+    for key in itertools.combinations(ids, 2):
+        log.pairs[key] = PairTrace(**_trace_fields(path, table, _pair_tag(key), PAIR_COLUMNS))
 
-    events_path = os.path.join(outdir, "events.csv")
-    if os.path.exists(events_path):
-        _, rows = _read_csv(events_path)
-        for row in rows:
-            ids_tuple = tuple(int(token) for token in row[2].split(":")) if row[2] else ()
-            log.events.append(Event(float(row[0]), row[1], ids_tuple))
+    path = os.path.join(outdir, "events.csv")
+    if os.path.exists(path):
+        table = _read_table(path)
+        log.events = list(map(
+            Event,
+            _column(path, table, "t"),
+            _column(path, table, "kind", str),
+            _column(path, table, "ids", _parse_ids),
+        ))
     return log
 
 
@@ -294,40 +336,21 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
 
 
 def _write_lyapunov_csv(reports, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("t,value,d_analytic,d_numeric,regime\n")
-        for report in reports:
-            handle.write(
-                f"{_fmt(report.t)},{_fmt(report.value)},{_fmt(report.derivative_analytic)},"
-                f"{_fmt(report.derivative_numeric)},{report.regime.value}\n"
-            )
+    _write_table(path, [
+        ("t", FLOAT, [report.t for report in reports]),
+        ("value", FLOAT, [report.value for report in reports]),
+        ("d_analytic", FLOAT, [report.derivative_analytic for report in reports]),
+        ("d_numeric", FLOAT, [report.derivative_numeric for report in reports]),
+        ("regime", "%s", [report.regime.value for report in reports]),
+    ])
 
 
-def _attractive_only_lyapunov(log: TrajectoryLog):
-    rid = log.robot_ids()[0]
-    robot = next(r for r in log.scenario.robots if r.id == rid)
-    r, _, vr, vth = analysis.goal_engagement_series(log, rid)
-    speeds = [robot.speed if a else 0.0 for a in log.robots[rid].active]
-    values = []
-    derivs = []
-    for k in range(len(log.t)):
-        value, deriv = analysis.lyapunov(
-            RegimeKind.ATTRACTIVE_ONLY, float(r[k]), float(vr[k]), float(vth[k]),
-            speeds[k], log.scenario.params,
-        )
-        values.append(value)
-        derivs.append(deriv)
-    numeric = np.gradient(np.asarray(values), np.asarray(log.t)) if len(log.t) > 1 else [0.0]
-    return [
-        analysis.LyapunovReport(
-            t=log.t[k],
-            value=values[k],
-            derivative_analytic=derivs[k],
-            derivative_numeric=float(numeric[k]),
-            regime=RegimeKind.ATTRACTIVE_ONLY,
-        )
-        for k in range(len(log.t))
-    ]
+def _read_run_or_report(rundir: str) -> TrajectoryLog | None:
+    try:
+        return read_run(rundir)
+    except (OSError, ValueError) as exc:  # RunFormatError, ScenarioError, bad JSON or UTF-8
+        print(f"error: cannot read run directory {rundir}: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_analyze(rundir: str, regime_name: str) -> int:
@@ -338,10 +361,8 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
         )
         return EXIT_ERROR
     regime = REGIME_NAMES[regime_name]
-    try:
-        log = read_run(rundir)
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
-        print(f"error: cannot read run directory {rundir}: {exc}", file=sys.stderr)
+    log = _read_run_or_report(rundir)
+    if log is None:
         return EXIT_ERROR
 
     params = log.scenario.params
@@ -352,7 +373,7 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
         return EXIT_ERROR
 
     if regime is RegimeKind.ATTRACTIVE_ONLY:
-        reports = _attractive_only_lyapunov(log)
+        reports = attractive_only_lyapunov(log)
     elif regime is RegimeKind.MULTI_ROBOT:
         reports = multi_lyapunov(log, params)
     else:
@@ -368,52 +389,30 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
 
 
 def cmd_plotdata(rundir: str) -> int:
-    try:
-        log = read_run(rundir)
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
-        print(f"error: cannot read run directory {rundir}: {exc}", file=sys.stderr)
+    log = _read_run_or_report(rundir)
+    if log is None:
         return EXIT_ERROR
 
-    ids = log.robot_ids()
-    speeds = {r.id: r.speed for r in log.scenario.robots}
-
-    path = os.path.join(rundir, "xy_paths.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        header = ["t"] + [f"r{rid}_{c}" for rid in ids for c in ("x", "y")]
-        handle.write(",".join(header) + "\n")
-        for k in range(len(log.t)):
-            row = [_fmt(log.t[k])]
-            for rid in ids:
-                row += [_fmt(log.robots[rid].x[k]), _fmt(log.robots[rid].y[k])]
-            handle.write(",".join(row) + "\n")
-
-    keys = log.pair_ids()
-    path = os.path.join(rundir, "vrvth.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        header = ["t"]
-        for key in keys:
-            tag = _pair_tag(key)
-            header += [f"{tag}_vr_norm", f"{tag}_vth_norm", f"{tag}_trig"]
-        handle.write(",".join(header) + "\n")
-        for k in range(len(log.t)):
-            row = [_fmt(log.t[k])]
-            for key in keys:
-                scale = max(speeds[key[0]], speeds[key[1]], 1e-30)
-                trace = log.pairs[key]
-                row += [
-                    _fmt(trace.vr[k] / scale),
-                    _fmt(trace.vth[k] / scale),
-                    "1" if trace.triggered[k] else "0",
-                ]
-            handle.write(",".join(row) + "\n")
-
-    path = os.path.join(rundir, "separation.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        header = ["t"] + [f"{_pair_tag(key)}_r" for key in keys]
-        handle.write(",".join(header) + "\n")
-        for k in range(len(log.t)):
-            row = [_fmt(log.t[k])] + [_fmt(log.pairs[key].r[k]) for key in keys]
-            handle.write(",".join(row) + "\n")
+    xy = [col for col in ROBOT_COLUMNS if col.suffix in ("x", "y")]
+    r, vr, vth, trig = (
+        next(col for col in PAIR_COLUMNS if col.suffix == suffix)
+        for suffix in ("r", "vr", "vth", "trig")
+    )
+    speeds = {robot.id: robot.speed for robot in log.scenario.robots}
+    paths, vrvth, separation = ([("t", FLOAT, log.t)] for _ in range(3))
+    for rid in log.robot_ids():
+        paths += _traced_columns(f"r{rid}", log.robots[rid], xy)
+    for key in log.pair_ids():
+        tag, trace = _pair_tag(key), log.pairs[key]
+        scale = max(speeds[key[0]], speeds[key[1]], 1e-30)
+        for col in (vr, vth):
+            normed = [v / scale for v in getattr(trace, col.attr)]
+            vrvth.append((f"{tag}_{col.suffix}_norm", FLOAT, normed))
+        vrvth += _traced_columns(tag, trace, [trig])
+        separation += _traced_columns(tag, trace, [r])
+    _write_table(os.path.join(rundir, "xy_paths.csv"), paths)
+    _write_table(os.path.join(rundir, "vrvth.csv"), vrvth)
+    _write_table(os.path.join(rundir, "separation.csv"), separation)
     return EXIT_OK
 
 

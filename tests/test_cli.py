@@ -1,9 +1,15 @@
+import functools
 import json
+import math
 import os
+import random
+import shutil
+import struct
 
 import pytest
 
-from vortex_ca.cli import main, read_run
+from vortex_ca import cli
+from vortex_ca.cli import PAIR_COLUMNS, ROBOT_COLUMNS, main, read_run, write_run_outputs
 from vortex_ca.engine import ScenarioError, run
 from vortex_ca.scenarios import (
     PRESETS,
@@ -144,17 +150,129 @@ def test_golden_csv_headers(headon_rundir):
         assert handle.readline().strip() == "t,kind,ids"
 
 
-def test_read_run_round_trips_exactly(headon_rundir):
-    # 17 significant digits keep every float bit-exact through the text layer
-    log = run(load_scenario("coop_headon"))
-    restored = read_run(headon_rundir)
+@functools.lru_cache(maxsize=None)
+def _preset_log(name):
+    return run(load_scenario(name))
+
+
+def _assert_logs_equal(restored, log):
     assert restored.t == log.t
+    assert restored.robot_ids() == log.robot_ids()
     for rid in log.robot_ids():
-        assert restored.robots[rid].x == log.robots[rid].x
-        assert restored.robots[rid].rep_fy == log.robots[rid].rep_fy
+        for col in ROBOT_COLUMNS:
+            assert getattr(restored.robots[rid], col.attr) == getattr(log.robots[rid], col.attr)
+    assert restored.pair_ids() == log.pair_ids()
     for key in log.pair_ids():
-        assert restored.pairs[key].vr == log.pairs[key].vr
-    assert [e.kind for e in restored.events] == [e.kind for e in log.events]
+        for col in PAIR_COLUMNS:
+            assert getattr(restored.pairs[key], col.attr) == getattr(log.pairs[key], col.attr)
+    assert restored.events == log.events
+
+
+def test_read_run_round_trips_exactly(headon_rundir, tmp_path):
+    # 17 significant digits keep every float bit-exact through the text layer
+    _assert_logs_equal(read_run(headon_rundir), _preset_log("coop_headon"))
+    for name in ("coop_triangle", "saturated_headon"):
+        log = _preset_log(name)
+        write_run_outputs(log, str(tmp_path / name))
+        _assert_logs_equal(read_run(str(tmp_path / name)), log)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_run_files_rewrite_byte_identical(tmp_path, name):
+    first, second = tmp_path / "first", tmp_path / "second"
+    write_run_outputs(_preset_log(name), str(first))
+    write_run_outputs(read_run(str(first)), str(second))
+    for filename in ("trajectory.csv", "pairs.csv", "events.csv", "summary.json"):
+        assert (first / filename).read_bytes() == (second / filename).read_bytes(), filename
+
+
+def test_float_format_matches_fmt_bit_for_bit():
+    # the writers format a row with one %-operation; it must print exactly what _fmt prints
+    rng = random.Random(5)
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 0.1]
+    values += [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(20000)]
+    assert [cli.FLOAT % v for v in values] == [cli._fmt(v) for v in values]
+
+
+def _replace_in(filename, old, new, count=1):
+    def edit(rundir):
+        path = rundir / filename
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, count))
+    return edit
+
+
+def _write(filename, text):
+    return lambda rundir: (rundir / filename).write_text(text)
+
+
+def _ragged_row(rundir):
+    path = rundir / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    lines[4] += ",0"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _non_numeric_cell(rundir):
+    path = rundir / "pairs.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2] = "fast"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+MALFORMED_RUNS = {
+    "ragged_row": (_ragged_row, "trajectory.csv: line 5 has 20 cells, the header has 19"),
+    "renamed_column": (_replace_in("trajectory.csv", "r1_phi", "r1_heading"), "'r1_phi'"),
+    "non_numeric_cell": (_non_numeric_cell, "pairs.csv: column 'p1_2_theta'"),
+    "bad_flag": (_replace_in("pairs.csv", ",0\n", ",no\n"), "column 'p1_2_trig': bad cell ('no')"),
+    "empty_pairs": (_write("pairs.csv", ""), "pairs.csv: no header line"),
+    "header_only_pairs": (
+        _write("pairs.csv", "t,p1_2_r,p1_2_theta,p1_2_vr,p1_2_vth,p1_2_vrel,p1_2_trig\n"),
+        "pairs.csv: column 't' differs from trajectory.csv",
+    ),
+    "header_only_trajectory": (
+        _write("trajectory.csv", "t,r1_x\n"), "trajectory.csv: no data rows"
+    ),
+    "empty_summary": (_write("summary.json", "{}"), "summary.json: expected an object"),
+    "non_object_summary": (_write("summary.json", "[1, 2]"), "summary.json: expected an object"),
+    "bad_event_ids": (_replace_in("events.csv", ",1\n", ",1:x\n"), "events.csv: column 'ids': bad cell"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RUNS))
+def test_malformed_run_directory_exits_1(headon_rundir, tmp_path, capsys, case):
+    corrupt, message = MALFORMED_RUNS[case]
+    rundir = tmp_path / "run"
+    shutil.copytree(headon_rundir, rundir)
+    corrupt(rundir)
+    capsys.readouterr()
+    for argv in (["analyze", str(rundir), "--regime", "coop_pair"], ["plotdata", str(rundir)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read run directory {rundir}: ")
+        assert message in err
+
+
+def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
+    # the benchmark tracer wraps these module-level bindings; a refactor that
+    # bypasses them would silently empty the read and write spans
+    calls = {"read_run": 0, "write_trajectory_csv": 0, "write_pairs_csv": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    out = str(tmp_path / "run")
+    assert main(["run", "coop_headon", "-o", out]) == 2
+    assert main(["analyze", out, "--regime", "coop_pair"]) == 0
+    assert main(["plotdata", out]) == 0
+    assert calls == {"read_run": 2, "write_trajectory_csv": 1, "write_pairs_csv": 1}
 
 
 def test_summary_contents(headon_rundir):
