@@ -49,10 +49,6 @@ EXIT_OVERLAP = 2
 REGIME_NAMES = {kind.value: kind for kind in RegimeKind}
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _pair_tag(key: tuple[int, int]) -> str:
     return f"p{key[0]}_{key[1]}"
 
@@ -81,7 +77,7 @@ PAIR_COLUMNS = (
     Column("vrel", "vrel"), Column("trig", "triggered", flag=True),
 )
 
-FLOAT = "%.17g"  # byte-identical to _fmt
+FLOAT = "%.17g"  # prints exactly what f"{value:.17g}" prints
 FLAG = "%d"
 
 
@@ -219,7 +215,10 @@ def read_run(outdir: str) -> TrajectoryLog:
         summary = json.load(handle)
     if not isinstance(summary, dict) or not isinstance(summary.get("scenario"), dict):
         raise RunFormatError(f"{path}: expected an object with a 'scenario' object")
-    scenario = scenario_from_dict(summary["scenario"])
+    try:
+        scenario = scenario_from_dict(summary["scenario"])
+    except ScenarioError as exc:
+        raise RunFormatError(f"{path}: scenario: {exc}") from None
     log = TrajectoryLog(scenario=scenario)
     ids = sorted(r.id for r in scenario.robots)
 
@@ -290,6 +289,10 @@ def _cell_metrics(log: TrajectoryLog, metrics: Sequence[str]) -> dict[str, Any]:
     return values
 
 
+def _sweep_cell(value: Any) -> str:
+    return FLOAT % value if isinstance(value, float) else str(value)
+
+
 def cmd_sweep(spec_path: str, outdir: str) -> int:
     try:
         spec = load_sweep(spec_path)
@@ -324,14 +327,7 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
     with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            cells_out = []
-            for name in header:
-                value = row.get(name, "")
-                if isinstance(value, float):
-                    cells_out.append(_fmt(value))
-                else:
-                    cells_out.append(str(value))
-            handle.write(",".join(cells_out) + "\n")
+            handle.write(",".join(map(_sweep_cell, (row.get(name, "") for name in header))) + "\n")
     return EXIT_OK
 
 
@@ -393,13 +389,11 @@ def cmd_plotdata(rundir: str) -> int:
     if log is None:
         return EXIT_ERROR
 
-    xy = [col for col in ROBOT_COLUMNS if col.suffix in ("x", "y")]
-    r, vr, vth, trig = (
-        next(col for col in PAIR_COLUMNS if col.suffix == suffix)
-        for suffix in ("r", "vr", "vth", "trig")
-    )
+    xy = ROBOT_COLUMNS[:2]
+    r, _, vr, vth, _, trig = PAIR_COLUMNS
     speeds = {robot.id: robot.speed for robot in log.scenario.robots}
-    paths, vrvth, separation = ([("t", FLOAT, log.t)] for _ in range(3))
+    t_column = ("t", FLOAT, log.t)
+    paths, vrvth, separation = [t_column], [t_column], [t_column]
     for rid in log.robot_ids():
         paths += _traced_columns(f"r{rid}", log.robots[rid], xy)
     for key in log.pair_ids():

@@ -17,7 +17,7 @@ from typing import Any, Callable
 from .analysis import RegimeKind, attacker_standoff, required_accel
 from .engine import Scenario, ScenarioError
 from .fields import PFParams, default_r_star
-from .kinematics import BehaviorKind, PlanarVector, RobotState
+from .kinematics import BehaviorKind, PlanarVector, RobotState, SimulationFault
 
 _BEHAVIOR_NAMES = {kind.value: kind for kind in BehaviorKind}
 
@@ -34,6 +34,9 @@ def _opt_inf(value: Any, field: str, errors: list[str]) -> float:
 
 
 def params_from_dict(data: dict[str, Any], errors: list[str], max_speed: float) -> PFParams | None:
+    if not isinstance(data, dict):
+        errors.append(f"params: expected an object, got {data!r}")
+        return None
     try:
         lam = float(data.get("lambda", 10.0))
         f_lim = _opt_inf(data.get("f_lim"), "params.f_lim", errors)
@@ -76,6 +79,9 @@ def params_to_dict(params: PFParams) -> dict[str, Any]:
 
 def _robot_from_dict(data: dict[str, Any], index: int, errors: list[str]) -> RobotState | None:
     where = f"robots[{index}]"
+    if not isinstance(data, dict):
+        errors.append(f"{where}: expected an object, got {data!r}")
+        return None
     try:
         behavior_name = str(data.get("behavior", "cooperative"))
         behavior = _BEHAVIOR_NAMES.get(behavior_name)
@@ -98,7 +104,7 @@ def _robot_from_dict(data: dict[str, Any], index: int, errors: list[str]) -> Rob
         )
     except KeyError as exc:
         errors.append(f"{where}: missing field {exc}")
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError, SimulationFault) as exc:
         errors.append(f"{where}: {exc}")
     return None
 
@@ -121,6 +127,8 @@ def _robot_to_dict(robot: RobotState) -> dict[str, Any]:
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     """Build and fully validate a Scenario; every problem found is reported."""
+    if not isinstance(data, dict):
+        raise ScenarioError([f"scenario: expected an object, got {data!r}"])
     errors: list[str] = []
     robots_data = data.get("robots")
     if not isinstance(robots_data, list) or not robots_data:
@@ -146,7 +154,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
             name=str(data.get("name", "scenario")),
         )
         errors.extend(scenario.validation_errors())
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         errors.append(str(exc))
     if errors:
         raise ScenarioError(errors)

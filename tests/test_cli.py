@@ -186,12 +186,13 @@ def test_run_files_rewrite_byte_identical(tmp_path, name):
         assert (first / filename).read_bytes() == (second / filename).read_bytes(), filename
 
 
-def test_float_format_matches_fmt_bit_for_bit():
-    # the writers format a row with one %-operation; it must print exactly what _fmt prints
+def test_float_format_matches_17g_bit_for_bit():
+    # the writers format a row with one %-operation; it must print exactly what
+    # f"{v:.17g}" prints, so every float survives the text layer bit-exact
     rng = random.Random(5)
     values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 0.1]
     values += [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(20000)]
-    assert [cli.FLOAT % v for v in values] == [cli._fmt(v) for v in values]
+    assert [cli.FLOAT % v for v in values] == [f"{v:.17g}" for v in values]
 
 
 def _replace_in(filename, old, new, count=1):
@@ -238,6 +239,18 @@ MALFORMED_RUNS = {
     ),
     "empty_summary": (_write("summary.json", "{}"), "summary.json: expected an object"),
     "non_object_summary": (_write("summary.json", "[1, 2]"), "summary.json: expected an object"),
+    "non_object_robot": (
+        _write("summary.json", '{"scenario": {"robots": [1]}}'),
+        "summary.json: scenario: robots[0]: expected an object, got 1",
+    ),
+    "non_object_params": (
+        _replace_in("summary.json", '"params": {', '"params": [], "unused": {'),
+        "summary.json: scenario: params: expected an object, got []",
+    ),
+    "non_finite_position": (
+        _replace_in("summary.json", '"x": -1.5', '"x": NaN'),
+        "summary.json: scenario: robots[0]: non-finite vector components",
+    ),
     "bad_event_ids": (_replace_in("events.csv", ",1\n", ",1:x\n"), "events.csv: column 'ids': bad cell"),
 }
 
@@ -299,6 +312,21 @@ def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: t_max must be finite" in err
     assert "error: dt must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ([MINIMAL], "error: scenario: expected an object"),
+    ({"robots": [1]}, "error: robots[0]: expected an object, got 1"),
+    (dict(MINIMAL, params=[]), "error: params: expected an object, got []"),
+    ({"robots": [dict(MINIMAL["robots"][0], id=float("inf"))]}, "error: robots[0]: cannot convert"),
+    ({"robots": [dict(MINIMAL["robots"][0], x=float("nan"))]}, "error: robots[0]: non-finite"),
+], ids=["list", "robot_int", "params_list", "id_inf", "x_nan"])
+def test_cmd_run_rejects_malformed_scenario_entries(tmp_path, capsys, scenario, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
