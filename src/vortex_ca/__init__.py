@@ -17,20 +17,9 @@ from .analysis import (
     turn_radius,
     verify_closed_loop,
 )
-from .control import ControlOutput, desired_heading, heading_controller, wheel_speeds
+from .control import ControlOutput, heading_controller, wheel_speeds
 from .engine import Scenario, ScenarioError, TrajectoryLog, min_separation, run, step
-from .fields import (
-    ForceCommand,
-    ForceSource,
-    GridSpec,
-    PFParams,
-    attractive_force,
-    field_curl_diagnostic,
-    nonvortex_repulsive_force,
-    saturate,
-    total_force,
-    vortex_repulsive_force,
-)
+from .fields import GridSpec, PFParams, field_curl_diagnostic
 from .kinematics import (
     BehaviorKind,
     CollisionSingularity,
@@ -53,8 +42,6 @@ __all__ = [
     "CollisionSingularity",
     "ControlOutput",
     "EngagementState",
-    "ForceCommand",
-    "ForceSource",
     "GridSpec",
     "InfeasibleGeometry",
     "LyapunovReport",
@@ -68,10 +55,8 @@ __all__ = [
     "SimulationFault",
     "TrajectoryLog",
     "attacker_standoff",
-    "attractive_force",
     "closed_loop_rhs",
     "collision_course",
-    "desired_heading",
     "engagement",
     "field_curl_diagnostic",
     "grazing_separation",
@@ -80,19 +65,15 @@ __all__ = [
     "lyapunov",
     "min_separation",
     "multi_lyapunov",
-    "nonvortex_repulsive_force",
     "propagate",
     "relative_speed_from_headings",
     "required_accel",
     "run",
-    "saturate",
     "save_scenario",
     "simulate_closed_loop",
     "step",
-    "total_force",
     "turn_radius",
     "verify_closed_loop",
-    "vortex_repulsive_force",
     "wheel_speeds",
     "wrap_angle",
 ]

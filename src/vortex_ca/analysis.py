@@ -127,6 +127,10 @@ def lyapunov(
         return value, -vrel * (params.kappa - vth * vth / r)
     if vrel <= 0.0:
         raise ValueError("repulsive regimes need vrel > 0")
+    if regime is RegimeKind.MULTI_ROBOT:
+        if n_active < 1:
+            raise ValueError("multi-robot regime needs n_active >= 1")
+        return _multi_robot_term(r, vr, vth, vrel, params.lam, n_active)
     alpha = params.lam / (vrel * r * r)
     if regime is RegimeKind.COOP_PAIR:
         value = r + 0.5 * (vth * vth + vr * vr)
@@ -143,12 +147,16 @@ def lyapunov(
         value = r + 0.5 * vth * vth + 0.5 * (vr + vrel) ** 2
         f_r, f_th = closed_loop_rhs(regime, r, vr, vth, vrel, params)
         return value, vr + vth * f_th + (vr + vrel) * f_r
-    if regime is RegimeKind.MULTI_ROBOT:
-        if n_active < 1:
-            raise ValueError("multi-robot regime needs n_active >= 1")
-        value = r + 0.5 * (vth * vth + vr * vr)
-        return value, -abs(vr) * (1.0 + 3.0 * n_active * alpha * vr * vth)
     raise ValueError(f"unknown regime {regime}")
+
+
+def _multi_robot_term(
+    r: float, vr: float, vth: float, vrel: float, lam: float, n_active: int
+) -> tuple[float, float]:
+    """One triggered pair's multi-robot Lyapunov value and analytic derivative,
+    with ``n_active`` cooperative robots applying repulsive inputs."""
+    value = r + 0.5 * (vth * vth + vr * vr)
+    return value, -abs(vr) * (1.0 + 3.0 * n_active * lam * vr * vth / (vrel * r * r))
 
 
 # ---------------------------------------------------------------------------
@@ -406,30 +414,30 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> list[LyapunovReport]
     difference of the value series (one-sided at the ends).
     """
     n = len(log.t)
-    pair_keys = log.pair_ids()
+    pairs = [(key, log.pairs[key]) for key in log.pair_ids()]
     coop_ids = [
         rid for rid in log.robot_ids() if _behavior_of(log, rid) is BehaviorKind.COOPERATIVE
     ]
+    lam = params.lam
     values = np.zeros(n)
     derivs = np.zeros(n)
     for k in range(n):
-        triggered_pairs = [key for key in pair_keys if log.pairs[key].triggered[k]]
+        triggered_pairs = [(key, trace) for key, trace in pairs if trace.triggered[k]]
         engaged = {
             rid
             for rid in coop_ids
-            if any(rid in key for key in triggered_pairs) and log.robots[rid].active[k]
+            if any(rid in key for key, _ in triggered_pairs) and log.robots[rid].active[k]
         }
         n_active = len(engaged)
         total = 0.0
         dtotal = 0.0
-        for key in triggered_pairs:
-            trace = log.pairs[key]
-            r, vr, vth, vrel = trace.r[k], trace.vr[k], trace.vth[k], trace.vrel[k]
-            total += r + 0.5 * (vth * vth + vr * vr)
+        for _, trace in triggered_pairs:
+            value, deriv = _multi_robot_term(
+                trace.r[k], trace.vr[k], trace.vth[k], trace.vrel[k], lam, n_active
+            )
+            total += value
             if n_active >= 1:
-                dtotal += -abs(vr) * (
-                    1.0 + 3.0 * n_active * params.lam * vr * vth / (vrel * r * r)
-                )
+                dtotal += deriv
         values[k] = total
         derivs[k] = dtotal
     return _lyapunov_reports(log, values, derivs, RegimeKind.MULTI_ROBOT)
@@ -675,7 +683,9 @@ def _attacker_checks(log: TrajectoryLog, params: PFParams) -> list[CheckResult]:
     for k in range(len(log.t)):
         if not pair.triggered[k] or pair.vth[k] < 0.0:
             continue
-        deriv = 3.0 * params.lam * pair.vr[k] ** 2 * pair.vth[k] / (pair.vrel[k] * pair.r[k] ** 2)
+        _, deriv = lyapunov(
+            RegimeKind.COOP_VS_ATTACKER, pair.r[k], pair.vr[k], pair.vth[k], pair.vrel[k], params
+        )
         worst = min(worst, deriv)
     results.append(
         _check(

@@ -1,5 +1,5 @@
-"""Heading extraction from force commands, proportional heading control, and
-differential-drive wheel speed conversion."""
+"""Heading extraction from a commanded force, proportional heading control,
+and differential-drive wheel speed conversion."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fields import ForceCommand, PFParams
+from .fields import PFParams
 from .kinematics import wrap_angle
 
 #: Force magnitude below which the desired heading is undefined and the
@@ -33,20 +33,15 @@ class WheelSpeeds(NamedTuple):
 
 
 def force_heading(fx: float, fy: float) -> float | None:
-    """Direction of the force (fx, fy), or None when it is numerically zero."""
-    if math.hypot(fx, fy) <= EPS_FORCE:
-        return None
-    return math.atan2(fy, fx)
-
-
-def desired_heading(force: ForceCommand) -> float | None:
-    """Direction of the commanded force, or None when the force is numerically zero.
+    """Direction of the force (fx, fy), or None when it is numerically zero.
 
     The four-quadrant arctangent picks the attracting branch of the two
     mathematically valid heading solutions.  Gains scale force magnitudes
     only, so the result is invariant under positive scaling of the force.
     """
-    return force_heading(force.force.x, force.force.y)
+    if math.hypot(fx, fy) <= EPS_FORCE:
+        return None
+    return math.atan2(fy, fx)
 
 
 def heading_controller(phi: float, phi_des: float, params: PFParams) -> float:

@@ -8,11 +8,12 @@ This is what makes the reciprocal-force identity hold exactly in discrete
 time and makes runs invariant to the ordering of robots in the scenario file.
 
 The step works on plain float lists, one entry per robot or per pair, and
-evaluates the force laws through the same float kernels as the public object
-functions (``engagement``, ``vortex_repulsive_force``, ``saturate``,
-``propagate``), in the same order, so its results are bit-identical to
-theirs.  Objects are built only at the edges: ``step`` returns them, ``run``
-logs floats.
+evaluates the laws through the float kernels (``engagement_terms``,
+``attractive_components``, ``repulsive_components``, ``force_heading``,
+``heading_controller``, ``advance_pose``), the same ones that the object
+functions ``engagement`` and ``propagate`` use, so its results are
+bit-identical to theirs.  Objects are built only at the edges: ``step``
+returns them, ``run`` logs floats.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
 from .control import ControlOutput, force_heading, heading_controller, wheel_speeds
-from .fields import (
-    ForceCommand,
-    ForceSource,
-    PFParams,
-    attractive_components,
-    repulsive_components,
-)
+from .fields import PFParams, attractive_components, repulsive_components
 from .kinematics import (
     BehaviorKind,
     CollisionSingularity,
@@ -165,7 +160,7 @@ class StepResult(NamedTuple):
     world: tuple[RobotState, ...]
     controls: dict[int, ControlOutput]
     engagements: dict[tuple[int, int], EngagementState]
-    forces: dict[int, ForceCommand]
+    forces: dict[int, PlanarVector]
     repulsive: dict[int, PlanarVector]
 
 
@@ -337,7 +332,6 @@ def step(
     ids = swarm.ids
     engagements: dict[tuple[int, int], EngagementState] = {}
     for p, (a, b) in enumerate(swarm.pairs):
-        vr, vrel = swarm.vr[p], swarm.vrel[p]
         engagements[(ids[a], ids[b])] = EngagementState(
             i=ids[a],
             j=ids[b],
@@ -345,34 +339,21 @@ def step(
             theta=swarm.theta(p),
             ux=swarm.ux[p],
             uy=swarm.uy[p],
-            vr=vr,
+            vr=swarm.vr[p],
             vth=swarm.vth[p],
-            vrel=vrel,
-            cos_gamma=vr / vrel if vrel > params.eps_v else None,
+            vrel=swarm.vrel[p],
             triggered=swarm.trig[p],
         )
 
     controls: dict[int, ControlOutput] = {}
-    forces: dict[int, ForceCommand] = {}
+    forces: dict[int, PlanarVector] = {}
     repulsive: dict[int, PlanarVector] = {}
     for i, robot in enumerate(snapshot):
         omega = swarm.omega[i]
         wheels = wheel_speeds(robot.speed, omega, d_wheel, r_wheel)
         controls[robot.id] = ControlOutput(swarm.phi_des[i], omega, wheels.v_right, wheels.v_left)
         phi_des_held[robot.id] = swarm.phi_des[i]
-        kind = swarm.steered(i)
-        triggered: tuple[tuple[int, int], ...] = ()
-        at_goal = False
-        if kind is BehaviorKind.COOPERATIVE:
-            view = [(p, swarm.pairs[p][0]) for p in swarm.lower[i]]
-            view += [(p, swarm.pairs[p][1]) for p in swarm.upper[i]]
-            triggered = tuple((robot.id, ids[j]) for p, j in view if swarm.trig[p])
-            at_goal = robot.position == robot.goal
-        elif kind is BehaviorKind.ATTACKING:
-            at_goal = robot.position == snapshot[swarm.target[i]].position
-        forces[robot.id] = ForceCommand(
-            PlanarVector(swarm.fx[i], swarm.fy[i]), ForceSource.SUM, triggered, at_goal
-        )
+        forces[robot.id] = PlanarVector(swarm.fx[i], swarm.fy[i])
         repulsive[robot.id] = PlanarVector(swarm.rep_x[i], swarm.rep_y[i])
 
     swarm.advance(dt)

@@ -69,9 +69,6 @@ class PlanarVector:
         return math.hypot(self.x, self.y)
 
 
-ZERO_VECTOR = PlanarVector(0.0, 0.0)
-
-
 class BehaviorKind(Enum):
     """How a robot chooses its inputs.
 
@@ -132,8 +129,6 @@ class EngagementState:
     ``ux``/``uy`` are the LOS direction cosines from i to j (cos/sin of
     ``theta``); they are carried explicitly so a flipped view negates them
     exactly, which keeps the reciprocal-force identity bit-exact.
-    ``cos_gamma`` is None when the relative speed is below ``eps_v`` (the
-    approach angle is undefined for parallel motion).
     """
 
     i: int
@@ -145,7 +140,6 @@ class EngagementState:
     vr: float
     vth: float
     vrel: float
-    cos_gamma: float | None
     triggered: bool
 
     def flipped(self) -> "EngagementState":
@@ -160,7 +154,6 @@ class EngagementState:
             vr=self.vr,
             vth=self.vth,
             vrel=self.vrel,
-            cos_gamma=self.cos_gamma,
             triggered=self.triggered,
         )
 
@@ -254,7 +247,6 @@ def engagement(a: RobotState, b: RobotState, eps_v: float = EPS_V_DEFAULT) -> En
         vr=vr,
         vth=vth,
         vrel=vrel,
-        cos_gamma=vr / vrel if vrel > eps_v else None,
         triggered=triggered,
     )
 

@@ -25,12 +25,22 @@ SWEEP_METRICS = ("min_separation", "time_to_goal", "body_overlap", "max_lyap_der
 
 
 def _opt_inf(value: Any, field: str, errors: list[str]) -> float:
+    """A positive bound, or math.inf for null; anything else is an error."""
     if value is None:
         return math.inf
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0.0:
         return float(value)
-    errors.append(f"{field}: expected a number or null, got {value!r}")
+    errors.append(f"{field}: expected a positive number or null, got {value!r}")
     return math.inf
+
+
+def _integer(value: Any, field: str) -> int:
+    """An integer field; booleans and numbers with a fractional part are rejected."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and math.isfinite(value) and not value.is_integer()
+    ):
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def params_from_dict(data: dict[str, Any], errors: list[str], max_speed: float) -> PFParams | None:
@@ -93,14 +103,14 @@ def _robot_from_dict(data: dict[str, Any], index: int, errors: list[str]) -> Rob
         target = data.get("target")
         default_speed = 0.0 if behavior is BehaviorKind.STATIONARY else 0.17
         return RobotState(
-            id=int(data["id"]),
+            id=_integer(data["id"], "id"),
             position=PlanarVector(float(data["x"]), float(data["y"])),
             heading=float(data.get("heading", 0.0)),
             speed=float(data.get("speed", default_speed)),
             body_radius=float(data.get("radius", 0.175)),
             behavior=behavior,
             goal=goal_vec,
-            attack_target=int(target) if target is not None else None,
+            attack_target=_integer(target, "target") if target is not None else None,
         )
     except KeyError as exc:
         errors.append(f"{where}: missing field {exc}")
@@ -150,7 +160,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
             t_max=float(data.get("t_max", 60.0)),
             d_wheel=float(data.get("d_wheel", 0.35)),
             r_wheel=float(data.get("r_wheel", 0.04)),
-            record_stride=int(data.get("record_stride", 1)),
+            record_stride=_integer(data.get("record_stride", 1), "record_stride"),
             name=str(data.get("name", "scenario")),
         )
         errors.extend(scenario.validation_errors())

@@ -23,8 +23,7 @@ from vortex_ca.analysis import (
 )
 from vortex_ca.cli import main, read_run
 from vortex_ca.engine import EVENT_GOAL, EVENT_OVERLAP, EVENT_STOPPED, min_separation, run
-from vortex_ca.fields import PFParams, vortex_repulsive_force
-from vortex_ca.kinematics import EngagementState
+from vortex_ca.fields import PFParams, repulsive_components
 from vortex_ca.scenarios import load_scenario, scenario_to_dict
 
 V = 0.17
@@ -293,15 +292,11 @@ def test_criterion_10_gradient_consistency():
         if math.hypot(vx, vy) < 1e-3 or vr >= -1e-3:
             continue
         vth = -vx * uy + vy * ux
-        eng = EngagementState(
-            i=1, j=2, r=r, theta=math.atan2(y, x), ux=ux, uy=uy, vr=vr, vth=vth,
-            vrel=math.hypot(vr, vth), cos_gamma=vr / math.hypot(vx, vy), triggered=True,
-        )
-        force = vortex_repulsive_force(eng, params).force
+        fx, fy = repulsive_components(r, ux, uy, vr, vth, math.hypot(vr, vth), params)
         gx = (field_value(x + h, y, vx, vy) - field_value(x - h, y, vx, vy)) / (2 * h)
         gy = (field_value(x, y + h, vx, vy) - field_value(x, y - h, vx, vy)) / (2 * h)
         scale = max(abs(gx), abs(gy), 1e-12)
-        worst = max(worst, abs(force.x - (-gy)) / scale, abs(force.y - gx) / scale)
+        worst = max(worst, abs(fx - (-gy)) / scale, abs(fy - gx) / scale)
         count += 1
     report(10, worst < 1e-5, f"analytic vs central-difference gradients over "
            f"{count} random triggered states: max rel err {worst:.3e} (< 1e-5)")

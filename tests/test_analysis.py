@@ -34,7 +34,6 @@ def eng(vr, vth, r=2.0):
     vrel = math.hypot(vr, vth)
     return EngagementState(
         i=1, j=2, r=r, theta=0.0, ux=1.0, uy=0.0, vr=vr, vth=vth, vrel=vrel,
-        cos_gamma=vr / vrel if vrel > 1e-6 else None,
         triggered=vrel > 1e-6 and vr < 0.0,
     )
 

@@ -5,6 +5,7 @@ import os
 import random
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -321,7 +322,26 @@ def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
     (dict(MINIMAL, params=[]), "error: params: expected an object, got []"),
     ({"robots": [dict(MINIMAL["robots"][0], id=float("inf"))]}, "error: robots[0]: cannot convert"),
     ({"robots": [dict(MINIMAL["robots"][0], x=float("nan"))]}, "error: robots[0]: non-finite"),
-], ids=["list", "robot_int", "params_list", "id_inf", "x_nan"])
+    (dict(MINIMAL, params={"f_lim": 0}),
+     "error: params.f_lim: expected a positive number or null, got 0"),
+    (dict(MINIMAL, params={"f_lim": -1}),
+     "error: params.f_lim: expected a positive number or null, got -1"),
+    (dict(MINIMAL, params={"f_lim": True}),
+     "error: params.f_lim: expected a positive number or null, got True"),
+    (dict(MINIMAL, params={"omega_max": 0}),
+     "error: params.omega_max: expected a positive number or null, got 0"),
+    ({"robots": [dict(MINIMAL["robots"][0], id=1.9)]},
+     "error: robots[0]: id: expected an integer, got 1.9"),
+    ({"robots": [dict(MINIMAL["robots"][0], id=True)]},
+     "error: robots[0]: id: expected an integer, got True"),
+    ({"robots": [MINIMAL["robots"][0],
+                 {"id": 2, "x": 1.0, "y": 0.0, "behavior": "attacking", "target": 1.5}]},
+     "error: robots[1]: target: expected an integer, got 1.5"),
+    (dict(MINIMAL, record_stride=2.7), "error: record_stride: expected an integer, got 2.7"),
+    (dict(MINIMAL, record_stride=True), "error: record_stride: expected an integer, got True"),
+], ids=["list", "robot_int", "params_list", "id_inf", "x_nan", "f_lim_0", "f_lim_negative",
+        "f_lim_true", "omega_max_0", "id_fraction", "id_true", "target_fraction",
+        "stride_fraction", "stride_true"])
 def test_cmd_run_rejects_malformed_scenario_entries(tmp_path, capsys, scenario, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))
@@ -421,7 +441,7 @@ def test_cmd_sweep_records_cell_errors(tmp_path):
 def test_cmd_analyze_coop_pair_passes(headon_rundir):
     assert main(["analyze", headon_rundir, "--regime", "coop_pair"]) == 0
     assert os.path.exists(os.path.join(headon_rundir, "lyapunov.csv"))
-    report = open(os.path.join(headon_rundir, "verification.txt")).read()
+    report = Path(headon_rundir, "verification.txt").read_text()
     assert "PASS reciprocity" in report
     with open(os.path.join(headon_rundir, "lyapunov.csv")) as handle:
         assert handle.readline().strip() == "t,value,d_analytic,d_numeric,regime"
@@ -454,7 +474,7 @@ def test_cmd_analyze_attacker_below_standoff_warns(tmp_path):
     out = tmp_path / "run"
     main(["run", str(path), "-o", str(out)])
     main(["analyze", str(out), "--regime", "coop_vs_attacker"])
-    report = open(out / "verification.txt").read()
+    report = (out / "verification.txt").read_text()
     assert "WARN standoff_bound" in report
 
 
@@ -494,8 +514,7 @@ def test_plotdata_stationary_obstacle_is_single_point(tmp_path):
 
 
 def test_separation_trace_has_single_minimum(headon_rundir):
-    lines = (os.path.join(headon_rundir, "separation.csv"))
-    rows = open(lines).read().splitlines()[1:]
+    rows = Path(headon_rundir, "separation.csv").read_text().splitlines()[1:]
     rs = [float(r.split(",")[1]) for r in rows]
     k_min = rs.index(min(rs))
     # strictly decreasing into the minimum and increasing out of it

@@ -4,37 +4,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortex_ca.control import desired_heading, heading_controller, wheel_speeds
-from vortex_ca.fields import ForceCommand, ForceSource, PFParams, attractive_force
-from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState, wrap_angle
-
-
-def force(x, y):
-    return ForceCommand(PlanarVector(x, y), ForceSource.SUM)
+from vortex_ca.control import force_heading, heading_controller, wheel_speeds
+from vortex_ca.fields import PFParams, attractive_components
+from vortex_ca.kinematics import wrap_angle
 
 
 def test_desired_heading_along_x():
-    assert desired_heading(force(10.0, 0.0)) == 0.0
+    assert force_heading(10.0, 0.0) == 0.0
 
 
 def test_desired_heading_matches_goal_los():
-    robot = RobotState(
-        id=1, position=PlanarVector(0.0, 0.0), heading=0.0, speed=0.17,
-        body_radius=0.175, behavior=BehaviorKind.COOPERATIVE, goal=PlanarVector(2.0, 1.0),
-    )
-    cmd = attractive_force(robot, PFParams())
-    assert desired_heading(cmd) == pytest.approx(math.atan2(1.0, 2.0))
+    fx, fy = attractive_components(0.0, 0.0, 2.0, 1.0, PFParams().kappa)
+    assert force_heading(fx, fy) == pytest.approx(math.atan2(1.0, 2.0))
 
 
 def test_desired_heading_scale_invariant():
-    base = desired_heading(force(3.0, -4.0))
+    base = force_heading(3.0, -4.0)
     for c in (0.1, 1.0, 10.0):
-        assert desired_heading(force(3.0 * c, -4.0 * c)) == pytest.approx(base, abs=1e-12)
+        assert force_heading(3.0 * c, -4.0 * c) == pytest.approx(base, abs=1e-12)
 
 
 def test_desired_heading_sentinel_on_zero_force():
-    assert desired_heading(force(0.0, 0.0)) is None
-    assert desired_heading(force(1e-13, 0.0)) is None
+    assert force_heading(0.0, 0.0) is None
+    assert force_heading(1e-13, 0.0) is None
 
 
 def test_heading_controller_equilibrium():

@@ -2,17 +2,19 @@
 
 The reference is the object-level loop the flat engine replaced: per step it
 builds an ``EngagementState`` per pair and its flipped view per robot, sums
-``total_force_from_engagements``, steers with ``desired_heading`` and
-``heading_controller``, propagates with ``propagate`` and applies the stop
-rule.  The engine must reproduce it bit for bit, so every comparison below is
-``==``: any reordering of the floating-point arithmetic fails here.
+each robot's force with ``total_force_from_engagements`` below (the force
+kernels, called once per engagement view in ascending id order), steers with
+``force_heading`` and ``heading_controller``, propagates with ``propagate``
+and applies the stop rule.  The engine must reproduce it bit for bit, so
+every comparison below is ``==``: any reordering of the floating-point
+arithmetic fails here.
 """
 
 import math
 
 import pytest
 
-from vortex_ca.control import ControlOutput, desired_heading, heading_controller, wheel_speeds
+from vortex_ca.control import ControlOutput, force_heading, heading_controller, wheel_speeds
 from vortex_ca.engine import (
     EVENT_GOAL,
     EVENT_OVERLAP,
@@ -26,14 +28,49 @@ from vortex_ca.engine import (
     step,
 )
 from vortex_ca.fields import (
-    ForceCommand,
-    ForceSource,
     PFParams,
+    attractive_components,
     default_r_star,
-    total_force_from_engagements,
+    repulsive_components,
 )
 from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState, engagement, propagate
 from vortex_ca.scenarios import PRESETS
+
+ZERO = PlanarVector(0.0, 0.0)
+
+
+def total_force_from_engagements(robot, others, engagements, params):
+    """Behavior-dispatched total steering force of a steered robot, plus its
+    repulsive-only part.
+
+    ``engagements`` maps other-robot id to the engagement viewed from
+    ``robot``.  Cooperative robots sum the attractive pull with one saturated
+    repulsive term per triggered pair; non-cooperative robots command nothing;
+    attacking robots apply only the attractive law aimed at their target's
+    current position (never saturated, never repulsive).
+    """
+    pos = robot.position
+    if robot.behavior is BehaviorKind.NON_COOPERATIVE:
+        return ZERO, ZERO
+    if robot.behavior is BehaviorKind.ATTACKING:
+        target = next((o for o in others if o.id == robot.attack_target), None)
+        if target is None:
+            raise ValueError(f"robot {robot.id}: attack target {robot.attack_target} not in world")
+        fx, fy = attractive_components(
+            pos.x, pos.y, target.position.x, target.position.y, params.kappa
+        )
+        return PlanarVector(fx, fy), ZERO
+    fx, fy = attractive_components(pos.x, pos.y, robot.goal.x, robot.goal.y, params.kappa)
+    rep_x = rep_y = 0.0
+    for other in sorted(others, key=lambda o: o.id):
+        eng = engagements[other.id]
+        if eng.triggered:
+            tx, ty = repulsive_components(
+                eng.r, eng.ux, eng.uy, eng.vr, eng.vth, eng.vrel, params
+            )
+            rep_x += tx
+            rep_y += ty
+    return PlanarVector(fx + rep_x, fy + rep_y), PlanarVector(rep_x, rep_y)
 
 
 def reference_evaluate(world, params, phi_des_held, d_wheel, r_wheel):
@@ -53,12 +90,11 @@ def reference_evaluate(world, params, phi_des_held, d_wheel, r_wheel):
 
         steered = robot.active and robot.behavior is not BehaviorKind.STATIONARY
         if steered:
-            command, rep = total_force_from_engagements(robot, others, view, params)
+            force, rep = total_force_from_engagements(robot, others, view, params)
         else:
-            command = ForceCommand(PlanarVector(0.0, 0.0), ForceSource.SUM)
-            rep = PlanarVector(0.0, 0.0)
+            force, rep = ZERO, ZERO
 
-        phi_des = desired_heading(command)
+        phi_des = force_heading(force.x, force.y)
         if phi_des is None:
             phi_des = phi_des_held.get(robot.id, robot.heading)
         phi_des_held[robot.id] = phi_des
@@ -66,7 +102,7 @@ def reference_evaluate(world, params, phi_des_held, d_wheel, r_wheel):
         omega = heading_controller(robot.heading, phi_des, params) if steered else 0.0
         wheels = wheel_speeds(robot.speed, omega, d_wheel, r_wheel)
         controls[robot.id] = ControlOutput(phi_des, omega, wheels.v_right, wheels.v_left)
-        forces[robot.id] = command
+        forces[robot.id] = force
         repulsive[robot.id] = rep
     return controls, pair_engs, forces, repulsive
 
@@ -111,8 +147,8 @@ def reference_run(scenario):
                 trace.y.append(robot.position.y)
                 trace.phi.append(robot.heading)
                 trace.omega.append(controls[robot.id].omega)
-                trace.fx.append(forces[robot.id].force.x)
-                trace.fy.append(forces[robot.id].force.y)
+                trace.fx.append(forces[robot.id].x)
+                trace.fy.append(forces[robot.id].y)
                 trace.rep_fx.append(repulsive[robot.id].x)
                 trace.rep_fy.append(repulsive[robot.id].y)
                 trace.active.append(robot.active)

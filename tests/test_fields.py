@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortex_ca.engine import step
 from vortex_ca.fields import (
-    ForceSource,
     GridSpec,
     PFParams,
-    attractive_force,
+    attractive_components,
     default_r_star,
     field_curl_diagnostic,
-    nonvortex_repulsive_force,
-    saturate,
-    total_force,
-    vortex_repulsive_force,
+    repulsive_components,
 )
 from vortex_ca.kinematics import (
     BehaviorKind,
@@ -46,9 +43,27 @@ def eng_from_polar(r, theta, vr, vth, i=1, j=2):
     vrel = math.hypot(vr, vth)
     return EngagementState(
         i=i, j=j, r=r, theta=theta, ux=ux, uy=uy, vr=vr, vth=vth, vrel=vrel,
-        cos_gamma=vr / vrel if vrel > 1e-6 else None,
         triggered=vrel > 1e-6 and vr < 0.0,
     )
+
+
+def repulsive(eng, params):
+    # the repulsive kernel on one triggered engagement view
+    assert eng.triggered
+    return PlanarVector(
+        *repulsive_components(eng.r, eng.ux, eng.uy, eng.vr, eng.vth, eng.vrel, params)
+    )
+
+
+def relative_world(r, theta, vr, vth):
+    # robot 1 parked at the origin facing its goal, robot 2 moving so that
+    # the pair has the given polar relative state
+    ux, uy = math.cos(theta), math.sin(theta)
+    vx, vy = vr * ux - vth * uy, vr * uy + vth * ux
+    a = make_robot(1, 0.0, 0.0, 0.0, speed=0.0, goal=(-3.0, 0.0))
+    b = make_robot(2, r * ux, r * uy, math.atan2(vy, vx), speed=math.hypot(vx, vy),
+                   behavior=BehaviorKind.NON_COOPERATIVE, goal=(0.0, 0.0))
+    return [a, b]
 
 
 def field_value(x, y, vx, vy, lam):
@@ -87,30 +102,24 @@ def test_default_r_star_continuity_point():
 
 
 def test_attractive_force_along_x():
-    robot = make_robot(1, 0.0, 0.0, 0.0, goal=(5.0, 0.0))
-    cmd = attractive_force(robot, PFParams())
-    assert (cmd.force.x, cmd.force.y) == (pytest.approx(10.0), pytest.approx(0.0))
+    fx, fy = attractive_components(0.0, 0.0, 5.0, 0.0, PFParams().kappa)
+    assert (fx, fy) == (pytest.approx(10.0), pytest.approx(0.0))
 
 
 def test_attractive_force_along_y():
-    robot = make_robot(1, 0.0, 0.0, 0.0, goal=(0.0, 2.0))
-    cmd = attractive_force(robot, PFParams(kappa=10.0))
-    assert (cmd.force.x, cmd.force.y) == (pytest.approx(0.0), pytest.approx(10.0))
+    fx, fy = attractive_components(0.0, 0.0, 0.0, 2.0, 10.0)
+    assert (fx, fy) == (pytest.approx(0.0), pytest.approx(10.0))
 
 
 def test_attractive_force_unit_los_oracle():
     # oracle: kappa times the normalized displacement toward the goal
-    robot = make_robot(1, 1.0, 1.0, 0.0, goal=(0.0, 0.0))
-    cmd = attractive_force(robot, PFParams(kappa=1.0))
-    assert cmd.force.x == pytest.approx(-math.sqrt(2) / 2)
-    assert cmd.force.y == pytest.approx(-math.sqrt(2) / 2)
+    fx, fy = attractive_components(1.0, 1.0, 0.0, 0.0, 1.0)
+    assert fx == pytest.approx(-math.sqrt(2) / 2)
+    assert fy == pytest.approx(-math.sqrt(2) / 2)
 
 
 def test_attractive_force_at_goal_flag():
-    robot = make_robot(1, 2.0, -1.0, 0.0, goal=(2.0, -1.0))
-    cmd = attractive_force(robot, PFParams())
-    assert cmd.at_goal
-    assert cmd.force.x == 0.0 and cmd.force.y == 0.0
+    assert attractive_components(2.0, -1.0, 2.0, -1.0, 10.0) == (0.0, 0.0)
 
 
 @given(st.floats(0.1, 10.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
@@ -118,9 +127,8 @@ def test_attractive_force_at_goal_flag():
 def test_attractive_magnitude_is_kappa(kappa, gx, gy):
     if math.hypot(gx, gy) < 1e-6:
         return
-    robot = make_robot(1, 0.0, 0.0, 0.0, goal=(gx, gy))
-    cmd = attractive_force(robot, PFParams(kappa=kappa))
-    assert cmd.force.norm() == pytest.approx(kappa, rel=1e-12)
+    fx, fy = attractive_components(0.0, 0.0, gx, gy, kappa)
+    assert math.hypot(fx, fy) == pytest.approx(kappa, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -130,33 +138,33 @@ def test_attractive_magnitude_is_kappa(kappa, gx, gy):
 def test_vortex_head_on_turns_self_right():
     # head-on at 2 m: pure downward push on the robot heading +x
     eng = eng_from_polar(2.0, 0.0, -2 * V, 0.0)
-    cmd = vortex_repulsive_force(eng, PFParams(lam=10.0))
-    assert cmd.force.x == pytest.approx(0.0, abs=1e-15)
-    assert cmd.force.y == pytest.approx(-0.85)
+    force = repulsive(eng, PFParams(lam=10.0))
+    assert force.x == pytest.approx(0.0, abs=1e-15)
+    assert force.y == pytest.approx(-0.85)
 
     # oracle: finite-difference gradient of the scalar field, then swap
     h = 1e-7
     vx, vy = -2 * V, 0.0
     gx = (field_value(2.0 + h, 0.0, vx, vy, 10.0) - field_value(2.0 - h, 0.0, vx, vy, 10.0)) / (2 * h)
     gy = (field_value(2.0, h, vx, vy, 10.0) - field_value(2.0, -h, vx, vy, 10.0)) / (2 * h)
-    assert cmd.force.x == pytest.approx(-gy, abs=1e-6)
-    assert cmd.force.y == pytest.approx(gx, abs=1e-6)
+    assert force.x == pytest.approx(-gy, abs=1e-6)
+    assert force.y == pytest.approx(gx, abs=1e-6)
 
 
 def test_vortex_opposite_view_negates():
     eng = eng_from_polar(2.0, 0.0, -2 * V, 0.0)
     params = PFParams(lam=10.0)
-    f_self = vortex_repulsive_force(eng, params).force
-    f_other = vortex_repulsive_force(eng.flipped(), params).force
+    f_self = repulsive(eng, params)
+    f_other = repulsive(eng.flipped(), params)
     assert f_other.x == -f_self.x
     assert f_other.y == -f_self.y
     assert f_other.y == pytest.approx(0.85)
 
 
 def test_vortex_zero_when_receding():
-    eng = eng_from_polar(2.0, 0.0, +0.1, 0.05)
-    cmd = vortex_repulsive_force(eng, PFParams())
-    assert cmd.force.x == 0.0 and cmd.force.y == 0.0
+    result = step(relative_world(2.0, 0.0, +0.1, 0.05), PFParams(), 0.01)
+    assert not result.engagements[(1, 2)].triggered
+    assert result.repulsive[1] == PlanarVector(0.0, 0.0)
 
 
 @given(
@@ -167,13 +175,16 @@ def test_vortex_zero_when_receding():
 )
 @settings(max_examples=300)
 def test_trigger_soundness(r, theta, vr, vth):
-    # exactly zero force whenever receding or relative speed below threshold
-    eng = eng_from_polar(r, theta, vr, vth)
-    cmd = vortex_repulsive_force(eng, PFParams())
-    if vr >= 0.0 or math.hypot(vr, vth) <= 1e-6:
-        assert cmd.force.x == 0.0 and cmd.force.y == 0.0
+    # exactly zero force whenever receding or relative speed below threshold,
+    # the kernel's force otherwise
+    params = PFParams()
+    result = step(relative_world(r, theta, vr, vth), params, 0.01)
+    eng = result.engagements[(1, 2)]
+    assert eng.triggered == (eng.vr < 0.0 and eng.vrel > params.eps_v)
+    if eng.triggered:
+        assert result.repulsive[1] == repulsive(eng, params)
     else:
-        assert cmd.triggered_pairs == ((1, 2),)
+        assert result.repulsive[1] == PlanarVector(0.0, 0.0)
 
 
 @given(
@@ -186,8 +197,8 @@ def test_trigger_soundness(r, theta, vr, vth):
 def test_reciprocity(r, theta, vr, vth):
     eng = eng_from_polar(r, theta, vr, vth)
     params = PFParams()
-    f_i = vortex_repulsive_force(eng, params).force
-    f_j = vortex_repulsive_force(eng.flipped(), params).force
+    f_i = repulsive(eng, params)
+    f_j = repulsive(eng.flipped(), params)
     assert abs(f_i.x + f_j.x) <= 1e-12
     assert abs(f_i.y + f_j.y) <= 1e-12
 
@@ -196,13 +207,13 @@ def test_vortex_magnitude_law():
     lam = 10.0
     r, vr, vth = 1.7, -0.21, 0.13
     eng = eng_from_polar(r, 0.9, vr, vth)
-    cmd = vortex_repulsive_force(eng, PFParams(lam=lam))
+    force = repulsive(eng, PFParams(lam=lam))
     vrel = math.hypot(vr, vth)
     expected = lam * abs(vr) * math.sqrt(4 * vth**2 + vr**2) / (vrel * r**2)
-    assert cmd.force.norm() == pytest.approx(expected, rel=1e-12)
+    assert force.norm() == pytest.approx(expected, rel=1e-12)
     # doubling the separation quarters the magnitude at fixed velocities
-    far = vortex_repulsive_force(eng_from_polar(2 * r, 0.9, vr, vth), PFParams(lam=lam))
-    assert far.force.norm() == pytest.approx(expected / 4.0, rel=1e-12)
+    far = repulsive(eng_from_polar(2 * r, 0.9, vr, vth), PFParams(lam=lam))
+    assert far.norm() == pytest.approx(expected / 4.0, rel=1e-12)
 
 
 def test_gradient_consistency_spot_check():
@@ -225,12 +236,12 @@ def test_gradient_consistency_spot_check():
             continue
         vth = -vx * uy + vy * ux
         eng = eng_from_polar(r, math.atan2(y, x), vr, vth)
-        cmd = vortex_repulsive_force(eng, PFParams(lam=lam))
+        force = repulsive(eng, PFParams(lam=lam))
         gx = (field_value(x + h, y, vx, vy, lam) - field_value(x - h, y, vx, vy, lam)) / (2 * h)
         gy = (field_value(x, y + h, vx, vy, lam) - field_value(x, y - h, vx, vy, lam)) / (2 * h)
         scale = max(abs(gx), abs(gy))
-        assert abs(cmd.force.x - (-gy)) / scale < 1e-5
-        assert abs(cmd.force.y - gx) / scale < 1e-5
+        assert abs(force.x - (-gy)) / scale < 1e-5
+        assert abs(force.y - gx) / scale < 1e-5
         checked += 1
 
 
@@ -240,18 +251,18 @@ def test_gradient_consistency_spot_check():
 
 def test_nonvortex_head_on_is_collinear_with_los():
     eng = eng_from_polar(2.0, 0.0, -2 * V, 0.0)
-    cmd = nonvortex_repulsive_force(eng, PFParams(lam=10.0))
+    force = repulsive(eng, PFParams(lam=10.0, vortex=False))
     # with no transverse motion the command never leaves the LOS axis, which
     # is precisely why the baseline cannot make head-on robots turn
-    assert cmd.force.y == 0.0
+    assert force.y == 0.0
     expected_x = 10.0 * (2 * V) ** 2 / ((2 * V) * 4.0)
-    assert cmd.force.x == pytest.approx(expected_x)
+    assert force.x == pytest.approx(expected_x)
 
 
 def test_nonvortex_untriggered_zero():
-    eng = eng_from_polar(2.0, 0.0, 0.2, 0.1)
-    cmd = nonvortex_repulsive_force(eng, PFParams())
-    assert cmd.force.x == 0.0 and cmd.force.y == 0.0
+    result = step(relative_world(2.0, 0.0, 0.2, 0.1), PFParams(vortex=False), 0.01)
+    assert not result.engagements[(1, 2)].triggered
+    assert result.repulsive[1] == PlanarVector(0.0, 0.0)
 
 
 def test_nonvortex_crossing_matches_negative_gradient():
@@ -265,104 +276,106 @@ def test_nonvortex_crossing_matches_negative_gradient():
     vr = vx * ux + vy * uy
     vth = -vx * uy + vy * ux
     eng = eng_from_polar(r, math.atan2(y, x), vr, vth)
-    cmd = nonvortex_repulsive_force(eng, PFParams(lam=lam))
+    force = repulsive(eng, PFParams(lam=lam, vortex=False))
     gx = (field_value(x + h, y, vx, vy, lam) - field_value(x - h, y, vx, vy, lam)) / (2 * h)
     gy = (field_value(x, y + h, vx, vy, lam) - field_value(x, y - h, vx, vy, lam)) / (2 * h)
-    assert cmd.force.x == pytest.approx(-gx, abs=1e-6)
-    assert cmd.force.y == pytest.approx(-gy, abs=1e-6)
-    assert abs(cmd.force.y) > 1e-3
+    assert force.x == pytest.approx(-gx, abs=1e-6)
+    assert force.y == pytest.approx(-gy, abs=1e-6)
+    assert abs(force.y) > 1e-3
 
 
 # ---------------------------------------------------------------------------
 # saturation
 
 
+UNBOUNDED = PFParams(lam=10.0)
+
+
 def test_saturate_passthrough_outside_switch():
     params = PFParams(lam=10.0, f_lim=0.5, r_star=1.0)
     eng = eng_from_polar(2.0, 0.0, -2 * V, 0.0)
-    raw = vortex_repulsive_force(eng, params)
-    assert saturate(raw, eng, params) is raw
+    assert repulsive(eng, params) == repulsive(eng, UNBOUNDED)
 
 
 def test_saturate_head_on_inside_switch():
     params = PFParams(lam=10.0, f_lim=0.5, r_star=1.0)
     eng = eng_from_polar(0.5, 0.0, -2 * V, 0.0)
-    cmd = saturate(vortex_repulsive_force(eng, params), eng, params)
-    assert cmd.source is ForceSource.SATURATED
+    force = repulsive(eng, params)
     # x bracket is exactly zero head-on, so sign(0) = 0 keeps the component 0
-    assert cmd.force.x == 0.0
-    assert cmd.force.y == -0.5
+    assert force.x == 0.0
+    assert force.y == -0.5
 
 
 def test_saturate_unbounded_passthrough():
     params = PFParams(lam=10.0, f_lim=math.inf, r_star=5.0)
     eng = eng_from_polar(0.5, 0.0, -2 * V, 0.0)
-    raw = vortex_repulsive_force(eng, params)
-    assert saturate(raw, eng, params) is raw
+    assert repulsive(eng, params) == repulsive(eng, UNBOUNDED)
 
 
 def test_saturate_components_bounded():
     params = PFParams(lam=10.0, f_lim=0.3, r_star=2.0)
     eng = eng_from_polar(0.7, 1.1, -0.2, 0.15)
-    cmd = saturate(vortex_repulsive_force(eng, params), eng, params)
-    for component in (cmd.force.x, cmd.force.y):
+    force = repulsive(eng, params)
+    for component in (force.x, force.y):
         assert component in (0.0, params.f_lim, -params.f_lim)
 
 
 def test_saturate_preserves_unsaturated_signs():
     params = PFParams(lam=10.0, f_lim=0.3, r_star=2.0)
     eng = eng_from_polar(0.7, 1.1, -0.2, 0.15)
-    raw = vortex_repulsive_force(eng, params).force
-    sat = saturate(vortex_repulsive_force(eng, params), eng, params).force
+    raw = repulsive(eng, UNBOUNDED)
+    sat = repulsive(eng, params)
     assert math.copysign(1, sat.x) == math.copysign(1, raw.x)
     assert math.copysign(1, sat.y) == math.copysign(1, raw.y)
 
 
 # ---------------------------------------------------------------------------
-# superposition and dispatch
+# superposition and dispatch (the engine's step sums the kernels per robot)
 
 
 def test_total_force_single_robot_is_attractive():
     world = [make_robot(1, 0.0, 0.0, 0.0, goal=(3.0, 0.0))]
-    cmd = total_force(1, world, PFParams())
-    assert cmd.force.x == pytest.approx(10.0)
-    assert cmd.triggered_pairs == ()
+    result = step(world, PFParams(), 0.01)
+    assert result.forces[1].x == pytest.approx(10.0)
+    assert result.engagements == {}
+    assert result.repulsive[1] == PlanarVector(0.0, 0.0)
 
 
 def test_total_force_pair_vortex_terms_negate():
     params = PFParams()
     a = make_robot(1, -1.0, 0.0, 0.0, goal=(1.0, 0.0))
     b = make_robot(2, 1.0, 0.0, math.pi, goal=(-1.0, 0.0))
-    f_a = total_force(1, [a, b], params)
-    f_b = total_force(2, [a, b], params)
-    att_a = attractive_force(a, params).force
-    att_b = attractive_force(b, params).force
-    rep_a = (f_a.force.x - att_a.x, f_a.force.y - att_a.y)
-    rep_b = (f_b.force.x - att_b.x, f_b.force.y - att_b.y)
+    result = step([a, b], params, 0.01)
+    f_a, f_b = result.forces[1], result.forces[2]
+    att_a = PlanarVector(*attractive_components(-1.0, 0.0, 1.0, 0.0, params.kappa))
+    att_b = PlanarVector(*attractive_components(1.0, 0.0, -1.0, 0.0, params.kappa))
+    rep_a = (f_a.x - att_a.x, f_a.y - att_a.y)
+    rep_b = (f_b.x - att_b.x, f_b.y - att_b.y)
     assert rep_a[0] == pytest.approx(-rep_b[0], abs=1e-12)
     assert rep_a[1] == pytest.approx(-rep_b[1], abs=1e-12)
-    assert f_a.triggered_pairs == ((1, 2),)
+    assert result.engagements[(1, 2)].triggered
+    assert result.repulsive[1].norm() > 0.0
 
 
 def test_total_force_noncooperative_is_zero():
     a = make_robot(1, -1.0, 0.0, 0.0, behavior=BehaviorKind.NON_COOPERATIVE, goal=(1.0, 0.0))
     b = make_robot(2, 1.0, 0.0, math.pi, goal=(-1.0, 0.0))
-    cmd = total_force(1, [a, b], PFParams())
-    assert cmd.force.x == 0.0 and cmd.force.y == 0.0
+    result = step([a, b], PFParams(), 0.01)
+    assert result.forces[1] == PlanarVector(0.0, 0.0)
 
 
 def test_total_force_attacker_aims_at_target():
     atk = make_robot(1, 0.0, 0.0, 0.0, behavior=BehaviorKind.ATTACKING, target=2)
     tgt = make_robot(2, 3.0, 4.0, 0.0, goal=(0.0, 0.0))
-    cmd = total_force(1, [atk, tgt], PFParams(kappa=10.0))
-    assert cmd.force.x == pytest.approx(10.0 * 0.6)
-    assert cmd.force.y == pytest.approx(10.0 * 0.8)
+    result = step([atk, tgt], PFParams(kappa=10.0), 0.01)
+    assert result.forces[1].x == pytest.approx(10.0 * 0.6)
+    assert result.forces[1].y == pytest.approx(10.0 * 0.8)
 
 
 def test_total_force_attacker_missing_target():
     atk = make_robot(1, 0.0, 0.0, 0.0, behavior=BehaviorKind.ATTACKING, target=9)
     with pytest.raises(ValueError):
-        total_force(1, [atk], PFParams())
+        step([atk], PFParams(), 0.01)
 
 
 # ---------------------------------------------------------------------------

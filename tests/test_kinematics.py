@@ -127,7 +127,6 @@ def test_engagement_head_on():
     assert eng.vr == pytest.approx(-0.34)
     assert eng.vth == pytest.approx(0.0, abs=1e-15)
     assert eng.vrel == pytest.approx(0.34)
-    assert eng.cos_gamma == pytest.approx(-1.0)
     assert eng.triggered
 
 
@@ -136,7 +135,6 @@ def test_engagement_parallel_motion_not_triggered():
     b = make_robot(2, 2.0, 0.0, 0.0)
     eng = engagement(a, b)
     assert eng.vrel < 1e-12
-    assert eng.cos_gamma is None
     assert not eng.triggered
 
 
