@@ -186,14 +186,12 @@ def simulate_closed_loop(
     dt: float = 1e-4,
     t_max: float = 20.0,
     r_floor: float = 0.05,
-    stop_on_release: bool = True,
 ) -> RelativeTrace:
     """Integrate the regime's closed-loop relative dynamics with fixed-step RK4.
 
     Integration stops at ``t_max``, when the separation falls to ``r_floor``,
-    or (for repulsive regimes, when ``stop_on_release``) when the closing
-    condition Vr < 0 is lost, so the returned window has a single constant
-    regime throughout.
+    or (for repulsive regimes) when the closing condition Vr < 0 is lost, so
+    the returned window has a single constant regime throughout.
     """
     if r0 <= 0.0:
         raise ValueError("r0 must be > 0")
@@ -228,7 +226,7 @@ def simulate_closed_loop(
         vths.append(state[2])
         if state[0] <= r_floor:
             break
-        if repulsive and stop_on_release and state[1] >= 0.0:
+        if repulsive and state[1] >= 0.0:
             break
     return RelativeTrace(
         regime=regime,
@@ -249,11 +247,7 @@ class ClosedLoopReport:
     n_points: int
 
 
-def verify_closed_loop(
-    trace: RelativeTrace,
-    params: PFParams,
-    regime: RegimeKind | None = None,
-) -> ClosedLoopReport:
+def verify_closed_loop(trace: RelativeTrace, params: PFParams) -> ClosedLoopReport:
     """Compare central finite differences of Vr(t), Vth(t) against the analytic
     right-hand sides at every interior sample.
 
@@ -261,8 +255,7 @@ def verify_closed_loop(
     component over the window, so the report is meaningful across the zero
     crossings every engagement passes through.
     """
-    if regime is None:
-        regime = trace.regime
+    regime = trace.regime
     t, r, vr, vth = trace.t, trace.r, trace.vr, trace.vth
     if len(t) < 3:
         raise ValueError("need at least 3 samples for a central difference")
@@ -291,12 +284,16 @@ def verify_closed_loop(
     )
 
 
+# Samples dropped at each end of a triggered window, next to the trigger
+# switching on or off.
+_BOUNDARY_SKIP = 2
+
+
 def closed_loop_errors_from_log(
     log: TrajectoryLog,
     pair: tuple[int, int],
     regime: RegimeKind,
     params: PFParams,
-    boundary_skip: int = 2,
 ) -> ClosedLoopReport | None:
     """Descriptive comparison of a logged engine pair against the idealized
     closed loop, restricted to the interior of triggered intervals.
@@ -309,12 +306,12 @@ def closed_loop_errors_from_log(
     trace = log.pairs[key]
     triggered = np.asarray(trace.triggered, dtype=bool)
     idx = np.flatnonzero(triggered)
-    if len(idx) < 2 * boundary_skip + 3:
+    if len(idx) < 2 * _BOUNDARY_SKIP + 3:
         return None
     # Use the longest contiguous triggered window.
     splits = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
     window = max(splits, key=len)
-    window = window[boundary_skip : len(window) - boundary_skip]
+    window = window[_BOUNDARY_SKIP : len(window) - _BOUNDARY_SKIP]
     if len(window) < 3:
         return None
     sub = RelativeTrace(
@@ -324,7 +321,7 @@ def closed_loop_errors_from_log(
         vr=np.asarray(trace.vr)[window],
         vth=np.asarray(trace.vth)[window],
     )
-    return verify_closed_loop(sub, params, regime)
+    return verify_closed_loop(sub, params)
 
 
 # ---------------------------------------------------------------------------

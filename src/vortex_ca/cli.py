@@ -296,7 +296,6 @@ def _sweep_cell(value: Any) -> str:
 def cmd_sweep(spec_path: str, outdir: str) -> int:
     try:
         spec = load_sweep(spec_path)
-        base_dict = scenario_to_dict(load_scenario(spec.base_scenario))
     except ScenarioError as exc:
         for error in exc.errors:
             print(f"error: {error}", file=sys.stderr)
@@ -308,7 +307,7 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
     def run_cell(cell_values: tuple[Any, ...]) -> dict[str, Any]:
         row: dict[str, Any] = dict(zip(axis_paths, cell_values))
         try:
-            cell_dict = json.loads(json.dumps(base_dict))
+            cell_dict = json.loads(json.dumps(spec.base))
             for path, value in zip(axis_paths, cell_values):
                 set_by_path(cell_dict, path, value)
             log = run(scenario_from_dict(cell_dict))

@@ -266,7 +266,6 @@ class _Swarm:
                 fx += rep_x
                 fy += rep_y
                 check_finite(fx, fy)
-                check_finite(rep_x, rep_y)
                 phi_des = force_heading(fx, fy)
             elif kind is BehaviorKind.ATTACKING:
                 t = self.target[i]
@@ -292,13 +291,13 @@ class _Swarm:
 
     def advance(self, dt: float) -> None:
         """Propagate every active robot by one RK4 step at its commanded rate."""
+        if dt <= 0.0:
+            raise ValueError("dt must be > 0")
         x, y, phi, speed, active = self.x, self.y, self.phi, self.speed, self.active
         dt_finite = math.isfinite(dt)
         for i, omega in enumerate(self.omega):
             if not (math.isfinite(omega) and dt_finite):
                 raise SimulationFault(f"robot {self.ids[i]}: non-finite propagation input")
-            if dt <= 0.0:
-                raise ValueError("dt must be > 0")
             if active[i]:
                 x[i], y[i], phi[i] = advance_pose(x[i], y[i], phi[i], speed[i], omega, dt)
 

@@ -339,14 +339,31 @@ def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
      "error: robots[1]: target: expected an integer, got 1.5"),
     (dict(MINIMAL, record_stride=2.7), "error: record_stride: expected an integer, got 2.7"),
     (dict(MINIMAL, record_stride=True), "error: record_stride: expected an integer, got True"),
+    ({"robots": [dict(MINIMAL["robots"][0], x=True)]},
+     "error: robots[0]: x: expected a number, got True"),
+    ({"robots": [dict(MINIMAL["robots"][0], y="0.5")]},
+     "error: robots[0]: y: expected a number, got '0.5'"),
+    (dict(MINIMAL, params={"kappa": True}), "error: params.kappa: expected a number, got True"),
+    (dict(MINIMAL, dt="0.01"), "error: dt: expected a number, got '0.01'"),
+    (dict(MINIMAL, params={"lambda": -1, "f_lim": 1}), "error: params: lambda must be >= 0"),
 ], ids=["list", "robot_int", "params_list", "id_inf", "x_nan", "f_lim_0", "f_lim_negative",
         "f_lim_true", "omega_max_0", "id_fraction", "id_true", "target_fraction",
-        "stride_fraction", "stride_true"])
+        "stride_fraction", "stride_true", "x_true", "y_string", "kappa_true", "dt_string",
+        "lambda_negative"])
 def test_cmd_run_rejects_malformed_scenario_entries(tmp_path, capsys, scenario, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))
     assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "too_deep"])
+def test_cmd_run_rejects_unreadable_json(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: parse error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -394,6 +411,37 @@ def test_cmd_sweep_repeats_byte_identical(tmp_path):
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
+def test_cmd_sweep_rows_match_runs_of_their_cells(tmp_path):
+    # The base leaves r_star out, so each cell resolves it from its own lambda.
+    base = {
+        "t_max": 30.0,
+        "params": {"f_lim": 1.0},
+        "robots": [
+            {"id": 1, "x": -1.5, "y": 0.0, "goal": [1.5, 0.0]},
+            {"id": 2, "x": 1.5, "y": 0.0, "heading": math.pi, "goal": [-1.5, 0.0]},
+        ],
+    }
+    base_path = tmp_path / "base.json"
+    base_path.write_text(json.dumps(base))
+    lambdas = [10.0, 40.0]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base_scenario": str(base_path),
+        "axes": [{"path": "params.lambda", "values": lambdas}],
+        "metrics": ["min_separation"],
+    }))
+    assert main(["sweep", str(spec_path), "-o", str(tmp_path / "sweep")]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "sweep" / "results.csv").read_text().splitlines()[1:]]
+    for lam, row in zip(lambdas, rows, strict=True):
+        cell_path = tmp_path / f"cell_{lam}.json"
+        cell_path.write_text(json.dumps(dict(base, params=dict(base["params"], **{"lambda": lam}))))
+        rundir = tmp_path / f"run_{lam}"
+        assert main(["run", str(cell_path), "-o", str(rundir)]) in (0, 2)
+        summary = json.loads((rundir / "summary.json").read_text())
+        assert float(row[1]) == summary["min_separation_overall"], f"lambda {lam}"
+
+
 def test_sweep_validation_errors(tmp_path):
     empty_axes = tmp_path / "empty.json"
     empty_axes.write_text(json.dumps({"base_scenario": "coop_headon", "axes": []}))
@@ -416,6 +464,29 @@ def test_sweep_validation_errors(tmp_path):
     }))
     with pytest.raises(ScenarioError):
         load_sweep(str(bad_path))
+
+
+def _axis_spec(path, **extra):
+    return dict({"base_scenario": "coop_headon", "axes": [{"path": path, "values": [1.0]}]},
+                **extra)
+
+
+@pytest.mark.parametrize("spec", [
+    [1],
+    {"base_scenario": "coop_headon", "axes": 3},
+    _axis_spec("params.kappa", metrics=3),
+    _axis_spec("robots.5.speed"),
+    _axis_spec("robots.x.speed"),
+    _axis_spec("name.c"),
+    _axis_spec("params.kappa.x"),
+], ids=["list", "axes_int", "metrics_int", "index_past_end", "index_not_int", "into_string",
+        "into_number"])
+def test_cmd_sweep_rejects_malformed_specs(tmp_path, capsys, spec):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_sweep_records_cell_errors(tmp_path):

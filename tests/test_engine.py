@@ -13,7 +13,7 @@ from vortex_ca.engine import (
     step,
 )
 from vortex_ca.fields import PFParams
-from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState
+from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState, SimulationFault
 from vortex_ca.scenarios import load_scenario
 
 V = 0.17
@@ -75,6 +75,15 @@ def test_step_wheel_speeds_consistent():
     ctl = result.controls[1]
     assert (ctl.wheel_right + ctl.wheel_left) / 2 == pytest.approx(V, abs=1e-12)
     assert (ctl.wheel_right - ctl.wheel_left) / 0.35 == pytest.approx(ctl.omega, abs=1e-12)
+
+
+@pytest.mark.parametrize("dt, error", [
+    (0.0, ValueError), (-0.01, ValueError), (math.inf, SimulationFault), (math.nan, SimulationFault),
+])
+def test_step_rejects_bad_dt(dt, error):
+    robot = coop(1, 0.0, 0.0, 0.0, (5.0, 0.0))
+    with pytest.raises(error):
+        step([robot], PFParams(), dt)
 
 
 # ---------------------------------------------------------------------------

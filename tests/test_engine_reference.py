@@ -34,7 +34,7 @@ from vortex_ca.fields import (
     repulsive_components,
 )
 from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState, engagement, propagate
-from vortex_ca.scenarios import PRESETS
+from vortex_ca.scenarios import PRESETS, load_scenario
 
 ZERO = PlanarVector(0.0, 0.0)
 
@@ -239,7 +239,7 @@ def assert_logs_equal(log, ref):
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_run_matches_reference_on_presets(preset):
-    scenario = PRESETS[preset]()
+    scenario = load_scenario(preset)
     assert_logs_equal(run(scenario), reference_run(scenario))
 
 
