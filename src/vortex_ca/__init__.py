@@ -17,8 +17,8 @@ from .analysis import (
     turn_radius,
     verify_closed_loop,
 )
-from .control import ControlOutput, heading_controller, wheel_speeds
-from .engine import Scenario, ScenarioError, TrajectoryLog, min_separation, run, step
+from .control import heading_controller, wheel_speeds
+from .engine import Scenario, ScenarioError, TrajectoryLog, min_separation, run
 from .fields import GridSpec, PFParams, field_curl_diagnostic
 from .kinematics import (
     BehaviorKind,
@@ -40,7 +40,6 @@ __all__ = [
     "BehaviorKind",
     "ClosedLoopReport",
     "CollisionSingularity",
-    "ControlOutput",
     "EngagementState",
     "GridSpec",
     "InfeasibleGeometry",
@@ -71,7 +70,6 @@ __all__ = [
     "run",
     "save_scenario",
     "simulate_closed_loop",
-    "step",
     "turn_radius",
     "verify_closed_loop",
     "wheel_speeds",

@@ -37,6 +37,7 @@ from .kinematics import CollisionSingularity, SimulationFault
 from .scenarios import (
     load_scenario,
     load_sweep,
+    read_json,
     scenario_from_dict,
     scenario_to_dict,
     set_by_path,
@@ -211,8 +212,10 @@ def read_run(outdir: str) -> TrajectoryLog:
     """Reconstruct a TrajectoryLog from a run output directory; a file that does not
     follow docs/formats.md raises RunFormatError naming the file and the line or column."""
     path = os.path.join(outdir, "summary.json")
-    with open(path, "r", encoding="utf-8") as handle:
-        summary = json.load(handle)
+    try:
+        summary = read_json(path)
+    except ScenarioError as exc:  # not JSON, not UTF-8, or nested too deep
+        raise RunFormatError(str(exc)) from None
     if not isinstance(summary, dict) or not isinstance(summary.get("scenario"), dict):
         raise RunFormatError(f"{path}: expected an object with a 'scenario' object")
     try:

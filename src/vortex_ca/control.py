@@ -4,7 +4,6 @@ and differential-drive wheel speed conversion."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fields import PFParams
@@ -13,16 +12,6 @@ from .kinematics import wrap_angle
 #: Force magnitude below which the desired heading is undefined and the
 #: previous command is held (exact goal overlap or perfectly cancelled fields).
 EPS_FORCE = 1e-12
-
-
-@dataclass(frozen=True)
-class ControlOutput:
-    """Desired heading, commanded angular rate, and the wheel speeds realizing them."""
-
-    phi_des: float
-    omega: float
-    wheel_right: float
-    wheel_left: float
 
 
 class WheelSpeeds(NamedTuple):

@@ -2,6 +2,9 @@
 snapshot, heading control, propagation, trigger bookkeeping, the goal-stop
 rule, body-overlap detection, and trajectory logging.
 
+``run`` is the one entry point: it validates a scenario and returns its
+trajectory log.
+
 Updates are simultaneous (Jacobi-style): every engagement and force in a step
 is computed from the pre-step snapshot, never from partially updated robots.
 This is what makes the reciprocal-force identity hold exactly in discrete
@@ -12,23 +15,20 @@ evaluates the laws through the float kernels (``engagement_terms``,
 ``attractive_components``, ``repulsive_components``, ``force_heading``,
 ``heading_controller``, ``advance_pose``), the same ones that the object
 functions ``engagement`` and ``propagate`` use, so its results are
-bit-identical to theirs.  Objects are built only at the edges: ``step``
-returns them, ``run`` logs floats.
+bit-identical to theirs.  The log records floats; no per-step object is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .control import ControlOutput, force_heading, heading_controller, wheel_speeds
+from .control import force_heading, heading_controller
 from .fields import PFParams, attractive_components, repulsive_components
 from .kinematics import (
     BehaviorKind,
     CollisionSingularity,
-    EngagementState,
-    PlanarVector,
     RobotState,
     SimulationFault,
     advance_pose,
@@ -72,9 +72,9 @@ class Scenario:
             errors.append("t_max must be finite")
         if self.record_stride < 1:
             errors.append("record_stride must be >= 1")
-        if self.d_wheel <= 0.0:
+        if not self.d_wheel > 0.0:
             errors.append("d_wheel must be > 0")
-        if self.r_wheel <= 0.0:
+        if not self.r_wheel > 0.0:
             errors.append("r_wheel must be > 0")
         ids = [r.id for r in self.robots]
         if len(set(ids)) != len(ids):
@@ -156,22 +156,15 @@ class TrajectoryLog:
         return any(e.kind == kind for e in self.events)
 
 
-class StepResult(NamedTuple):
-    world: tuple[RobotState, ...]
-    controls: dict[int, ControlOutput]
-    engagements: dict[tuple[int, int], EngagementState]
-    forces: dict[int, PlanarVector]
-    repulsive: dict[int, PlanarVector]
-
-
 class _Swarm:
     """Flat float state of a world: per-robot lists in id order and per-pair
     lists in upper-triangle order ((0, 1), (0, 2), ..., (1, 2), ...).
 
     ``evaluate`` computes every engagement once per pair, then every robot's
     force and turn rate, from the frozen snapshot; ``advance`` propagates
-    every robot.  Together they are the one simultaneous-update step that
-    ``run`` and ``step`` share.  Robot j sees pair (i, j) through the exact
+    every robot.  Together they are the simultaneous-update step that ``run``
+    repeats; ``run`` validates the scenario first, so every goal and attack
+    target the step reads exists.  Robot j sees pair (i, j) through the exact
     negation of its LOS cosines, so reciprocal inputs stay exact negations in
     floating point.
     """
@@ -187,12 +180,8 @@ class _Swarm:
         self.speed = [robot.speed for robot in robots]
         self.active = [robot.active for robot in robots]
         index = {rid: i for i, rid in enumerate(self.ids)}
-        # Index of each attacker's target among the *other* robots; None when
-        # it is missing, which is an error once the attacker is steered.
-        self.target = [
-            index.get(robot.attack_target) if robot.attack_target != robot.id else None
-            for robot in robots
-        ]
+        # Index of each attacker's target; None for robots that attack nothing.
+        self.target = [index.get(robot.attack_target) for robot in robots]
         self.pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         # Robot i's pairs in ascending id of the other robot: first those
         # where i is the second robot (LOS reversed), then those where it is
@@ -246,8 +235,6 @@ class _Swarm:
             fx = fy = rep_x = rep_y = omega = 0.0
             phi_des = None
             if kind is BehaviorKind.COOPERATIVE:
-                if robot.goal is None:
-                    raise ValueError(f"robot {robot.id} has no goal to be attracted to")
                 fx, fy = attractive_components(x[i], y[i], robot.goal.x, robot.goal.y, kappa)
                 for p in self.lower[i]:
                     if trig[p]:
@@ -269,10 +256,6 @@ class _Swarm:
                 phi_des = force_heading(fx, fy)
             elif kind is BehaviorKind.ATTACKING:
                 t = self.target[i]
-                if t is None:
-                    raise ValueError(
-                        f"robot {robot.id}: attack target {robot.attack_target} not in world"
-                    )
                 fx, fy = attractive_components(x[i], y[i], x[t], y[t], kappa)
                 phi_des = force_heading(fx, fy)
             # A numerically zero force holds the previous desired heading.
@@ -291,12 +274,9 @@ class _Swarm:
 
     def advance(self, dt: float) -> None:
         """Propagate every active robot by one RK4 step at its commanded rate."""
-        if dt <= 0.0:
-            raise ValueError("dt must be > 0")
         x, y, phi, speed, active = self.x, self.y, self.phi, self.speed, self.active
-        dt_finite = math.isfinite(dt)
         for i, omega in enumerate(self.omega):
-            if not (math.isfinite(omega) and dt_finite):
+            if not math.isfinite(omega):
                 raise SimulationFault(f"robot {self.ids[i]}: non-finite propagation input")
             if active[i]:
                 x[i], y[i], phi[i] = advance_pose(x[i], y[i], phi[i], speed[i], omega, dt)
@@ -305,64 +285,6 @@ class _Swarm:
         """LOS angle of pair p, from its first robot to its second."""
         a, b = self.pairs[p]
         return math.atan2(self.y[b] - self.y[a], self.x[b] - self.x[a])
-
-
-def step(
-    world: Iterable[RobotState],
-    params: PFParams,
-    dt: float,
-    phi_des_held: dict[int, float] | None = None,
-    d_wheel: float = 0.35,
-    r_wheel: float = 0.04,
-) -> StepResult:
-    """Advance every robot by one step of simultaneous-update simulation.
-
-    All engagements and forces come from the pre-step snapshot; each robot is
-    then propagated with its freshly commanded angular rate held constant for
-    ``dt``.  Identical inputs produce bit-identical outputs.
-    """
-    snapshot = tuple(sorted(world, key=lambda r: r.id))
-    if phi_des_held is None:
-        phi_des_held = {}
-    swarm = _Swarm(snapshot, params)
-    swarm.phi_des = [phi_des_held.get(robot.id) for robot in snapshot]
-    swarm.evaluate()
-
-    ids = swarm.ids
-    engagements: dict[tuple[int, int], EngagementState] = {}
-    for p, (a, b) in enumerate(swarm.pairs):
-        engagements[(ids[a], ids[b])] = EngagementState(
-            i=ids[a],
-            j=ids[b],
-            r=swarm.r[p],
-            theta=swarm.theta(p),
-            ux=swarm.ux[p],
-            uy=swarm.uy[p],
-            vr=swarm.vr[p],
-            vth=swarm.vth[p],
-            vrel=swarm.vrel[p],
-            triggered=swarm.trig[p],
-        )
-
-    controls: dict[int, ControlOutput] = {}
-    forces: dict[int, PlanarVector] = {}
-    repulsive: dict[int, PlanarVector] = {}
-    for i, robot in enumerate(snapshot):
-        omega = swarm.omega[i]
-        wheels = wheel_speeds(robot.speed, omega, d_wheel, r_wheel)
-        controls[robot.id] = ControlOutput(swarm.phi_des[i], omega, wheels.v_right, wheels.v_left)
-        phi_des_held[robot.id] = swarm.phi_des[i]
-        forces[robot.id] = PlanarVector(swarm.fx[i], swarm.fy[i])
-        repulsive[robot.id] = PlanarVector(swarm.rep_x[i], swarm.rep_y[i])
-
-    swarm.advance(dt)
-    new_world = tuple(
-        replace(robot, position=PlanarVector(swarm.x[i], swarm.y[i]), heading=swarm.phi[i])
-        if robot.active
-        else robot
-        for i, robot in enumerate(snapshot)
-    )
-    return StepResult(new_world, controls, engagements, forces, repulsive)
 
 
 def _termination_gated(robot: RobotState) -> bool:

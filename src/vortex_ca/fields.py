@@ -52,11 +52,11 @@ class PFParams:
     vortex: bool = True
 
     def __post_init__(self) -> None:
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:
             raise ValueError("kappa must be >= 0")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError("lambda must be >= 0")
-        if self.r_star < 0.0:
+        if not self.r_star >= 0.0:
             raise ValueError("r_star must be >= 0")
         if not self.f_lim > 0.0:
             raise ValueError("f_lim must be > 0 (math.inf disables saturation)")

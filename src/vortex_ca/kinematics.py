@@ -56,14 +56,8 @@ class PlanarVector:
     def __post_init__(self) -> None:
         check_finite(self.x, self.y)
 
-    def __add__(self, other: "PlanarVector") -> "PlanarVector":
-        return PlanarVector(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "PlanarVector") -> "PlanarVector":
         return PlanarVector(self.x - other.x, self.y - other.y)
-
-    def scaled(self, factor: float) -> "PlanarVector":
-        return PlanarVector(factor * self.x, factor * self.y)
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -109,7 +103,7 @@ class RobotState:
             raise SimulationFault(f"robot {self.id}: non-finite heading or speed")
         if self.speed < 0.0:
             raise ValueError(f"robot {self.id}: speed must be >= 0")
-        if self.body_radius < 0.0:
+        if not self.body_radius >= 0.0:
             raise ValueError(f"robot {self.id}: body radius must be >= 0")
         if self.behavior is BehaviorKind.STATIONARY and self.speed != 0.0:
             raise ValueError(f"robot {self.id}: stationary behavior requires speed 0")

@@ -237,7 +237,8 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     }
 
 
-def _read_json(path: str) -> Any:
+def read_json(path: str) -> Any:
+    """The JSON document in ``path``; a file that does not parse raises ScenarioError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -248,7 +249,7 @@ def _read_json(path: str) -> Any:
 def scenario_document(path_or_name: str) -> Any:
     """The JSON document of a scenario file, or of a bundled preset by name."""
     if os.path.isfile(path_or_name):
-        return _read_json(path_or_name)
+        return read_json(path_or_name)
     if path_or_name in PRESETS:
         return copy.deepcopy(PRESETS[path_or_name])
     raise ScenarioError(
@@ -430,7 +431,7 @@ def _slot(node: Any, token: str, path: str) -> str | int:
 
 
 def load_sweep(path: str) -> SweepSpec:
-    data = _read_json(path)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ScenarioError([f"{path}: expected an object, got {data!r}"])
     errors: list[str] = []

@@ -240,6 +240,7 @@ MALFORMED_RUNS = {
     ),
     "empty_summary": (_write("summary.json", "{}"), "summary.json: expected an object"),
     "non_object_summary": (_write("summary.json", "[1, 2]"), "summary.json: expected an object"),
+    "deep_summary": (_write("summary.json", "[" * 100_000), "summary.json: parse error: "),
     "non_object_robot": (
         _write("summary.json", '{"scenario": {"robots": [1]}}'),
         "summary.json: scenario: robots[0]: expected an object, got 1",
@@ -346,10 +347,18 @@ def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
     (dict(MINIMAL, params={"kappa": True}), "error: params.kappa: expected a number, got True"),
     (dict(MINIMAL, dt="0.01"), "error: dt: expected a number, got '0.01'"),
     (dict(MINIMAL, params={"lambda": -1, "f_lim": 1}), "error: params: lambda must be >= 0"),
+    (dict(MINIMAL, params={"kappa": math.nan}), "error: params: kappa must be >= 0"),
+    (dict(MINIMAL, params={"lambda": math.nan}), "error: params: lambda must be >= 0"),
+    (dict(MINIMAL, params={"r_star": math.nan}), "error: params: r_star must be >= 0"),
+    ({"robots": [dict(MINIMAL["robots"][0], radius=math.nan)]},
+     "error: robots[0]: robot 1: body radius must be >= 0"),
+    (dict(MINIMAL, d_wheel=math.nan), "error: d_wheel must be > 0"),
+    (dict(MINIMAL, r_wheel=math.nan), "error: r_wheel must be > 0"),
 ], ids=["list", "robot_int", "params_list", "id_inf", "x_nan", "f_lim_0", "f_lim_negative",
         "f_lim_true", "omega_max_0", "id_fraction", "id_true", "target_fraction",
         "stride_fraction", "stride_true", "x_true", "y_string", "kappa_true", "dt_string",
-        "lambda_negative"])
+        "lambda_negative", "kappa_nan", "lambda_nan", "r_star_nan", "radius_nan", "d_wheel_nan",
+        "r_wheel_nan"])
 def test_cmd_run_rejects_malformed_scenario_entries(tmp_path, capsys, scenario, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))

@@ -10,10 +10,9 @@ from vortex_ca.engine import (
     ScenarioError,
     min_separation,
     run,
-    step,
 )
 from vortex_ca.fields import PFParams
-from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState, SimulationFault
+from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState
 from vortex_ca.scenarios import load_scenario
 
 V = 0.17
@@ -38,25 +37,30 @@ def two_robot_scenario(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# stepping
+# one step of a run: index 0 of each trace is the t = 0 evaluation, index 1
+# the state after one step
+
+
+def one_step(robots, params=PFParams()):
+    return run(Scenario(robots=tuple(robots), params=params, dt=0.01, t_max=0.01))
 
 
 def test_step_straight_toward_goal():
-    robot = coop(1, 0.0, 0.0, 0.0, (5.0, 0.0))
-    result = step([robot], PFParams(), 0.01)
-    assert result.world[0].position.x == pytest.approx(V * 0.01)
-    assert result.world[0].position.y == 0.0
-    assert result.controls[1].omega == 0.0
+    log = one_step([coop(1, 0.0, 0.0, 0.0, (5.0, 0.0))])
+    trace = log.robots[1]
+    assert trace.x[1] == pytest.approx(V * 0.01)
+    assert trace.y[1] == 0.0
+    assert trace.omega[0] == 0.0
 
 
 def test_step_head_on_pair_turns_same_direction():
     a = coop(1, -1.5, 0.0, 0.0, (1.5, 0.0))
     b = coop(2, 1.5, 0.0, math.pi, (-1.5, 0.0))
-    result = step([a, b], PFParams(), 0.01)
-    o1, o2 = result.controls[1].omega, result.controls[2].omega
+    log = one_step([a, b])
+    o1, o2 = log.robots[1].omega[0], log.robots[2].omega[0]
     # vortex sign convention turns both robots to their right
     assert o1 < 0.0 and o2 < 0.0
-    assert result.engagements[(1, 2)].triggered
+    assert log.pairs[(1, 2)].triggered[0]
 
 
 def test_step_stationary_robot_unchanged():
@@ -64,26 +68,16 @@ def test_step_stationary_robot_unchanged():
         id=3, position=PlanarVector(1.0, 1.0), heading=0.4, speed=0.0,
         body_radius=0.175, behavior=BehaviorKind.STATIONARY,
     )
-    result = step([obstacle], PFParams(), 0.01)
-    assert result.world[0].position == obstacle.position
-    assert result.world[0].heading == obstacle.heading
+    trace = one_step([obstacle]).robots[3]
+    assert (trace.x[1], trace.y[1]) == (obstacle.position.x, obstacle.position.y)
+    assert trace.phi[1] == obstacle.heading
 
 
-def test_step_wheel_speeds_consistent():
-    robot = coop(1, 0.0, 0.0, 0.5, (5.0, 5.0))
-    result = step([robot], PFParams(), 0.01, d_wheel=0.35)
-    ctl = result.controls[1]
-    assert (ctl.wheel_right + ctl.wheel_left) / 2 == pytest.approx(V, abs=1e-12)
-    assert (ctl.wheel_right - ctl.wheel_left) / 0.35 == pytest.approx(ctl.omega, abs=1e-12)
-
-
-@pytest.mark.parametrize("dt, error", [
-    (0.0, ValueError), (-0.01, ValueError), (math.inf, SimulationFault), (math.nan, SimulationFault),
-])
-def test_step_rejects_bad_dt(dt, error):
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, math.nan])
+def test_run_rejects_bad_dt(dt):
     robot = coop(1, 0.0, 0.0, 0.0, (5.0, 0.0))
-    with pytest.raises(error):
-        step([robot], PFParams(), dt)
+    with pytest.raises(ScenarioError, match="dt must be"):
+        run(Scenario(robots=(robot,), params=PFParams(), dt=dt, t_max=1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from vortex_ca.control import ControlOutput, force_heading, heading_controller, wheel_speeds
+from vortex_ca.control import force_heading, heading_controller
 from vortex_ca.engine import (
     EVENT_GOAL,
     EVENT_OVERLAP,
@@ -25,7 +25,6 @@ from vortex_ca.engine import (
     Scenario,
     TrajectoryLog,
     run,
-    step,
 )
 from vortex_ca.fields import (
     PFParams,
@@ -73,14 +72,14 @@ def total_force_from_engagements(robot, others, engagements, params):
     return PlanarVector(fx + rep_x, fy + rep_y), PlanarVector(rep_x, rep_y)
 
 
-def reference_evaluate(world, params, phi_des_held, d_wheel, r_wheel):
+def reference_evaluate(world, params, phi_des_held):
     pair_engs = {}
     for a_idx in range(len(world)):
         for b_idx in range(a_idx + 1, len(world)):
             a, b = world[a_idx], world[b_idx]
             pair_engs[(a.id, b.id)] = engagement(a, b, params.eps_v)
 
-    controls, forces, repulsive = {}, {}, {}
+    omegas, forces, repulsive = {}, {}, {}
     for robot in world:
         others = [r for r in world if r.id != robot.id]
         view = {}
@@ -99,12 +98,10 @@ def reference_evaluate(world, params, phi_des_held, d_wheel, r_wheel):
             phi_des = phi_des_held.get(robot.id, robot.heading)
         phi_des_held[robot.id] = phi_des
 
-        omega = heading_controller(robot.heading, phi_des, params) if steered else 0.0
-        wheels = wheel_speeds(robot.speed, omega, d_wheel, r_wheel)
-        controls[robot.id] = ControlOutput(phi_des, omega, wheels.v_right, wheels.v_left)
+        omegas[robot.id] = heading_controller(robot.heading, phi_des, params) if steered else 0.0
         forces[robot.id] = force
         repulsive[robot.id] = rep
-    return controls, pair_engs, forces, repulsive
+    return omegas, pair_engs, forces, repulsive
 
 
 def reference_run(scenario):
@@ -128,9 +125,7 @@ def reference_run(scenario):
 
     for k in range(n_steps + 1):
         t = k * dt
-        controls, engs, forces, repulsive = reference_evaluate(
-            world, params, phi_des_held, scenario.d_wheel, scenario.r_wheel
-        )
+        omegas, engs, forces, repulsive = reference_evaluate(world, params, phi_des_held)
         for key, eng in engs.items():
             inside = eng.r < contact[key]
             if inside and not overlapping[key]:
@@ -146,7 +141,7 @@ def reference_run(scenario):
                 trace.x.append(robot.position.x)
                 trace.y.append(robot.position.y)
                 trace.phi.append(robot.heading)
-                trace.omega.append(controls[robot.id].omega)
+                trace.omega.append(omegas[robot.id])
                 trace.fx.append(forces[robot.id].x)
                 trace.fy.append(forces[robot.id].y)
                 trace.rep_fx.append(repulsive[robot.id].x)
@@ -163,7 +158,7 @@ def reference_run(scenario):
         if done:
             break
 
-        world = tuple(propagate(r, controls[r.id].omega, dt) for r in world)
+        world = tuple(propagate(r, omegas[r.id], dt) for r in world)
 
         t_next = (k + 1) * dt
         stopped = []
@@ -256,23 +251,3 @@ def test_run_matches_reference_on_mixed_scenario():
     kinds = {event.kind for event in log.events}
     assert {EVENT_GOAL, EVENT_STOPPED, EVENT_OVERLAP} <= kinds
     assert_logs_equal(log, reference_run(scenario))
-
-
-def test_step_matches_reference_on_mixed_scenario():
-    scenario = mixed_scenario()
-    world = scenario.sorted_robots()
-    held, ref_held = {}, {}
-    for _ in range(40):
-        result = step(world, scenario.params, scenario.dt, held, scenario.d_wheel,
-                      scenario.r_wheel)
-        controls, engs, forces, repulsive = reference_evaluate(
-            world, scenario.params, ref_held, scenario.d_wheel, scenario.r_wheel
-        )
-        assert result.controls == controls
-        assert result.engagements == engs
-        assert result.forces == forces
-        assert result.repulsive == repulsive
-        assert held == ref_held
-        ref_world = tuple(propagate(r, controls[r.id].omega, scenario.dt) for r in world)
-        assert result.world == ref_world
-        world = result.world

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortex_ca.engine import step
+from vortex_ca.engine import Scenario, ScenarioError, run
 from vortex_ca.fields import (
     GridSpec,
     PFParams,
@@ -19,9 +19,11 @@ from vortex_ca.kinematics import (
     EngagementState,
     PlanarVector,
     RobotState,
+    engagement,
 )
 
 V = 0.17
+ZERO = PlanarVector(0.0, 0.0)
 
 
 def make_robot(idx, x, y, heading, speed=V, behavior=BehaviorKind.COOPERATIVE,
@@ -64,6 +66,30 @@ def relative_world(r, theta, vr, vth):
     b = make_robot(2, r * ux, r * uy, math.atan2(vy, vx), speed=math.hypot(vx, vy),
                    behavior=BehaviorKind.NON_COOPERATIVE, goal=(0.0, 0.0))
     return [a, b]
+
+
+def one_step(world, params):
+    # index 0 of each trace is the t = 0 evaluation, index 1 the state after one step
+    return run(Scenario(robots=tuple(world), params=params, dt=0.01, t_max=0.01))
+
+
+def start_force(log, rid):
+    trace = log.robots[rid]
+    return PlanarVector(trace.fx[0], trace.fy[0])
+
+
+def start_repulsive(log, rid):
+    trace = log.robots[rid]
+    return PlanarVector(trace.rep_fx[0], trace.rep_fy[0])
+
+
+def start_engagement(log, world, params):
+    # the t = 0 engagement of robots 1 and 2, which the log must match bit for bit
+    eng = engagement(world[0], world[1], params.eps_v)
+    pair = log.pairs[(1, 2)]
+    logged = (pair.r[0], pair.theta[0], pair.vr[0], pair.vth[0], pair.vrel[0], pair.triggered[0])
+    assert logged == (eng.r, eng.theta, eng.vr, eng.vth, eng.vrel, eng.triggered)
+    return eng
 
 
 def field_value(x, y, vx, vy, lam):
@@ -162,9 +188,10 @@ def test_vortex_opposite_view_negates():
 
 
 def test_vortex_zero_when_receding():
-    result = step(relative_world(2.0, 0.0, +0.1, 0.05), PFParams(), 0.01)
-    assert not result.engagements[(1, 2)].triggered
-    assert result.repulsive[1] == PlanarVector(0.0, 0.0)
+    world, params = relative_world(2.0, 0.0, +0.1, 0.05), PFParams()
+    log = one_step(world, params)
+    assert not start_engagement(log, world, params).triggered
+    assert start_repulsive(log, 1) == ZERO
 
 
 @given(
@@ -178,13 +205,14 @@ def test_trigger_soundness(r, theta, vr, vth):
     # exactly zero force whenever receding or relative speed below threshold,
     # the kernel's force otherwise
     params = PFParams()
-    result = step(relative_world(r, theta, vr, vth), params, 0.01)
-    eng = result.engagements[(1, 2)]
+    world = relative_world(r, theta, vr, vth)
+    log = one_step(world, params)
+    eng = start_engagement(log, world, params)
     assert eng.triggered == (eng.vr < 0.0 and eng.vrel > params.eps_v)
     if eng.triggered:
-        assert result.repulsive[1] == repulsive(eng, params)
+        assert start_repulsive(log, 1) == repulsive(eng, params)
     else:
-        assert result.repulsive[1] == PlanarVector(0.0, 0.0)
+        assert start_repulsive(log, 1) == ZERO
 
 
 @given(
@@ -260,9 +288,10 @@ def test_nonvortex_head_on_is_collinear_with_los():
 
 
 def test_nonvortex_untriggered_zero():
-    result = step(relative_world(2.0, 0.0, 0.2, 0.1), PFParams(vortex=False), 0.01)
-    assert not result.engagements[(1, 2)].triggered
-    assert result.repulsive[1] == PlanarVector(0.0, 0.0)
+    world, params = relative_world(2.0, 0.0, 0.2, 0.1), PFParams(vortex=False)
+    log = one_step(world, params)
+    assert not start_engagement(log, world, params).triggered
+    assert start_repulsive(log, 1) == ZERO
 
 
 def test_nonvortex_crossing_matches_negative_gradient():
@@ -330,52 +359,51 @@ def test_saturate_preserves_unsaturated_signs():
 
 
 # ---------------------------------------------------------------------------
-# superposition and dispatch (the engine's step sums the kernels per robot)
+# superposition and dispatch (the engine sums the kernels per robot)
 
 
 def test_total_force_single_robot_is_attractive():
-    world = [make_robot(1, 0.0, 0.0, 0.0, goal=(3.0, 0.0))]
-    result = step(world, PFParams(), 0.01)
-    assert result.forces[1].x == pytest.approx(10.0)
-    assert result.engagements == {}
-    assert result.repulsive[1] == PlanarVector(0.0, 0.0)
+    log = one_step([make_robot(1, 0.0, 0.0, 0.0, goal=(3.0, 0.0))], PFParams())
+    assert start_force(log, 1).x == pytest.approx(10.0)
+    assert log.pairs == {}
+    assert start_repulsive(log, 1) == ZERO
 
 
 def test_total_force_pair_vortex_terms_negate():
     params = PFParams()
     a = make_robot(1, -1.0, 0.0, 0.0, goal=(1.0, 0.0))
     b = make_robot(2, 1.0, 0.0, math.pi, goal=(-1.0, 0.0))
-    result = step([a, b], params, 0.01)
-    f_a, f_b = result.forces[1], result.forces[2]
+    log = one_step([a, b], params)
+    f_a, f_b = start_force(log, 1), start_force(log, 2)
     att_a = PlanarVector(*attractive_components(-1.0, 0.0, 1.0, 0.0, params.kappa))
     att_b = PlanarVector(*attractive_components(1.0, 0.0, -1.0, 0.0, params.kappa))
     rep_a = (f_a.x - att_a.x, f_a.y - att_a.y)
     rep_b = (f_b.x - att_b.x, f_b.y - att_b.y)
     assert rep_a[0] == pytest.approx(-rep_b[0], abs=1e-12)
     assert rep_a[1] == pytest.approx(-rep_b[1], abs=1e-12)
-    assert result.engagements[(1, 2)].triggered
-    assert result.repulsive[1].norm() > 0.0
+    assert start_engagement(log, [a, b], params).triggered
+    assert start_repulsive(log, 1).norm() > 0.0
 
 
 def test_total_force_noncooperative_is_zero():
     a = make_robot(1, -1.0, 0.0, 0.0, behavior=BehaviorKind.NON_COOPERATIVE, goal=(1.0, 0.0))
     b = make_robot(2, 1.0, 0.0, math.pi, goal=(-1.0, 0.0))
-    result = step([a, b], PFParams(), 0.01)
-    assert result.forces[1] == PlanarVector(0.0, 0.0)
+    log = one_step([a, b], PFParams())
+    assert start_force(log, 1) == ZERO
 
 
 def test_total_force_attacker_aims_at_target():
     atk = make_robot(1, 0.0, 0.0, 0.0, behavior=BehaviorKind.ATTACKING, target=2)
     tgt = make_robot(2, 3.0, 4.0, 0.0, goal=(0.0, 0.0))
-    result = step([atk, tgt], PFParams(kappa=10.0), 0.01)
-    assert result.forces[1].x == pytest.approx(10.0 * 0.6)
-    assert result.forces[1].y == pytest.approx(10.0 * 0.8)
+    force = start_force(one_step([atk, tgt], PFParams(kappa=10.0)), 1)
+    assert force.x == pytest.approx(10.0 * 0.6)
+    assert force.y == pytest.approx(10.0 * 0.8)
 
 
 def test_total_force_attacker_missing_target():
     atk = make_robot(1, 0.0, 0.0, 0.0, behavior=BehaviorKind.ATTACKING, target=9)
-    with pytest.raises(ValueError):
-        step([atk], PFParams(), 0.01)
+    with pytest.raises(ScenarioError, match="attack target 9 does not exist"):
+        one_step([atk], PFParams())
 
 
 # ---------------------------------------------------------------------------
