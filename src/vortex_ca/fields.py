@@ -68,6 +68,11 @@ class PFParams:
             raise ValueError("eps_v must be > 0")
         if not self.omega_max > 0.0:
             raise ValueError("omega_max must be > 0")
+        # f_lim and omega_max take inf as "unbounded"; the gains may not.
+        for name, value in (("kappa", self.kappa), ("lambda", self.lam), ("kp", self.kp),
+                            ("goal_tol", self.goal_tol), ("eps_v", self.eps_v)):
+            if math.isinf(value):
+                raise ValueError(f"{name} must be finite")
 
 
 def default_r_star(lam: float, speed: float, f_lim: float) -> float:
@@ -102,16 +107,31 @@ def attractive_components(
     return fx, fy
 
 
-def repulsive_gradient(
-    r: float, ux: float, uy: float, vr: float, vth: float, vrel: float, lam: float
-) -> tuple[float, float]:
-    """Gradient of the repulsive scalar field with respect to the relative
-    position, holding relative velocity fixed.
+def repulsive_view(r, ux, uy, vr, vth, vrel, lam, vortex):
+    """Unsaturated, unchecked repulsive input of triggered engagement views.
 
-    Only valid for a triggered engagement view (r > 0 and vrel > 0).
+    The repulsive scalar field's gradient with respect to the relative
+    position, holding relative velocity fixed, is ``(gx, gy)``; it is only
+    valid for a triggered view (r > 0 and vrel > 0).  The vortex law swaps
+    the negative gradient, F = (-dU/dy_rel, +dU/dx_rel); the swap direction
+    is the same for every robot, so a reciprocal pair turns the same way and
+    its inputs are exact negations of each other.  With ``vortex`` off it is
+    the plain negative gradient, the baseline that never turns on an exact
+    head-on course.  Pure IEEE arithmetic: it gives the same bits on floats
+    and, element-wise, on numpy arrays.
     """
     coef = lam * vr / (vrel * r * r)
-    return -coef * (2.0 * vth * uy + vr * ux), coef * (2.0 * vth * ux - vr * uy)
+    gx = -coef * (2.0 * vth * uy + vr * ux)
+    gy = coef * (2.0 * vth * ux - vr * uy)
+    if vortex:
+        return -gy, gx
+    return -gx, -gy
+
+
+def saturation_brackets(ux, uy, vr, vth):
+    """The vortex numerators whose signs the saturated input keeps; floats
+    or numpy arrays, same bits."""
+    return 2.0 * vr * vth * ux - vr * vr * uy, 2.0 * vr * vth * uy + vr * vr * ux
 
 
 def _sign(x: float) -> float:
@@ -126,8 +146,7 @@ def saturated_components(
     ux: float, uy: float, vr: float, vth: float, f_lim: float
 ) -> tuple[float, float]:
     """Per-component bound -f_lim * sign(bracket) on the vortex numerators."""
-    bx = 2.0 * vr * vth * ux - vr * vr * uy
-    by = 2.0 * vr * vth * uy + vr * vr * ux
+    bx, by = saturation_brackets(ux, uy, vr, vth)
     return -f_lim * _sign(bx), -f_lim * _sign(by)
 
 
@@ -136,23 +155,14 @@ def repulsive_components(
 ) -> tuple[float, float]:
     """Repulsive input of one triggered engagement view, with saturation.
 
-    The vortex law swaps the negative gradient, F = (-dU/dy_rel, +dU/dx_rel);
-    the swap direction is the same for every robot, so a reciprocal pair
-    turns the same way and its inputs are exact negations of each other.
-    With ``params.vortex`` off it is the plain negative gradient, the
-    baseline that never turns on an exact head-on course.  The caller skips
-    untriggered views, whose input is exactly zero.
-
-    The unsaturated input is formed and checked first.  Once the pair is
-    closer than ``r_star`` (and ``f_lim`` is finite) each component is
-    replaced by -f_lim * sign(bracket) of the vortex numerators, so the sign
-    pattern is preserved and exactly-zero components stay zero.
+    The law is ``repulsive_view``.  The caller skips untriggered views, whose
+    input is exactly zero.  The unsaturated input is formed and checked
+    first.  Once the pair is closer than ``r_star`` (and ``f_lim`` is finite)
+    each component is replaced by -f_lim * sign(bracket) of the vortex
+    numerators, so the sign pattern is preserved and exactly-zero components
+    stay zero.
     """
-    gx, gy = repulsive_gradient(r, ux, uy, vr, vth, vrel, params.lam)
-    if params.vortex:
-        fx, fy = -gy, gx
-    else:
-        fx, fy = -gx, -gy
+    fx, fy = repulsive_view(r, ux, uy, vr, vth, vrel, params.lam, params.vortex)
     check_finite(fx, fy)
     if r > params.r_star or math.isinf(params.f_lim):
         return fx, fy

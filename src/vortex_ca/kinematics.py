@@ -190,6 +190,19 @@ def propagate(state: RobotState, omega: float, dt: float) -> RobotState:
     return replace(state, position=PlanarVector(x, y), heading=heading)
 
 
+def los_components(dx, dy, r, rvx, rvy):
+    """LOS direction cosines and radial/transverse relative speeds
+    ``(ux, uy, vr, vth)`` of a relative position at separation ``r > 0``.
+
+    Pure IEEE arithmetic, so it gives the same bits on floats and,
+    element-wise, on numpy arrays; the engine's array pair stage calls it
+    on whole pair arrays.
+    """
+    ux = dx / r
+    uy = dy / r
+    return ux, uy, rvx * ux + rvy * uy, -rvx * uy + rvy * ux
+
+
 def engagement_terms(
     dx: float, dy: float, rvx: float, rvy: float, eps_v: float
 ) -> tuple[float, float, float, float, float, float, bool] | None:
@@ -202,10 +215,7 @@ def engagement_terms(
     r = math.hypot(dx, dy)
     if r == 0.0:
         return None
-    ux = dx / r
-    uy = dy / r
-    vr = rvx * ux + rvy * uy
-    vth = -rvx * uy + rvy * ux
+    ux, uy, vr, vth = los_components(dx, dy, r, rvx, rvy)
     vrel = math.hypot(vr, vth)
     return r, ux, uy, vr, vth, vrel, vrel > eps_v and vr < 0.0
 

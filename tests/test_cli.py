@@ -354,11 +354,16 @@ def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
      "error: robots[0]: robot 1: body radius must be >= 0"),
     (dict(MINIMAL, d_wheel=math.nan), "error: d_wheel must be > 0"),
     (dict(MINIMAL, r_wheel=math.nan), "error: r_wheel must be > 0"),
+    (dict(MINIMAL, params={"eps_v": math.inf}), "error: params: eps_v must be finite"),
+    (dict(MINIMAL, params={"goal_tol": math.inf}), "error: params: goal_tol must be finite"),
+    (dict(MINIMAL, params={"kp": math.inf}), "error: params: kp must be finite"),
+    (dict(MINIMAL, params={"lambda": math.inf}), "error: params: lambda must be finite"),
+    (dict(MINIMAL, params={"kappa": math.inf}), "error: params: kappa must be finite"),
 ], ids=["list", "robot_int", "params_list", "id_inf", "x_nan", "f_lim_0", "f_lim_negative",
         "f_lim_true", "omega_max_0", "id_fraction", "id_true", "target_fraction",
         "stride_fraction", "stride_true", "x_true", "y_string", "kappa_true", "dt_string",
         "lambda_negative", "kappa_nan", "lambda_nan", "r_star_nan", "radius_nan", "d_wheel_nan",
-        "r_wheel_nan"])
+        "r_wheel_nan", "eps_v_inf", "goal_tol_inf", "kp_inf", "lambda_inf", "kappa_inf"])
 def test_cmd_run_rejects_malformed_scenario_entries(tmp_path, capsys, scenario, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))

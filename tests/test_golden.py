@@ -1,10 +1,13 @@
 """Golden-output gate: every preset through ``run``, ``analyze`` and
-``plotdata`` reproduces the pinned SHA-256 of each file it writes.
+``plotdata``, and the benchmark's 32-robot ring through ``run``, reproduce the
+pinned SHA-256 of each file they write.
 
 The digests are the benchmark's own (``benchmarks/digests.json``, the
-``full`` ``preset_pipeline`` entry); this test only reads them.  A change that
-alters any output byte, in the run files, ``lyapunov.csv``,
-``verification.txt`` or the ``plotdata`` panels, fails here.
+``full`` ``preset_pipeline`` and ``ring_swarm`` entries); these tests only
+read them.  A change that alters any output byte, in the run files,
+``lyapunov.csv``, ``verification.txt`` or the ``plotdata`` panels, fails here.
+The ring runs on the numpy pair stage, so it pins that stage byte for byte
+against digests the scalar engine made.
 """
 
 import hashlib
@@ -13,7 +16,8 @@ from pathlib import Path
 
 from vortex_ca.cli import main
 
-DIGESTS = Path(__file__).resolve().parents[1] / "benchmarks" / "digests.json"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+DIGESTS = BENCHMARKS / "digests.json"
 
 # Preset -> (analyze regime, expected `run` exit code), as in the benchmark's
 # PRESETS map (benchmarks/bench.py).
@@ -41,3 +45,18 @@ def test_preset_pipeline_outputs_match_pinned_digests(tmp_path):
     assert sorted(digests) == sorted(pinned)
     changed = sorted(key for key in pinned if digests[key] != pinned[key])
     assert not changed, f"outputs differ from the pinned digests: {changed}"
+
+
+def test_ring_swarm_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import bench
+
+    pinned = json.loads(DIGESTS.read_text())["full"]["ring_swarm"]
+    ring = bench.RingSwarm(tmp_path, bench.DEFAULT_SEED, fast=False)
+    rundir = tmp_path / "ring"
+    assert main(["run", str(ring.scenario_path), "-o", str(rundir)]) in (0, 2)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(rundir.iterdir())
+    }
+    assert digests == pinned
