@@ -11,6 +11,10 @@ pointwise; the quantitative finite-difference cross-check therefore runs on
 direct integrations of the equations themselves (integration and
 differentiation as independent routes), while log-based checks assert the
 qualitative certificates.
+
+numpy is imported inside the functions that work on arrays, not at module
+import: the CLI imports this module for every command, and only ``analyze``
+and the ``max_lyap_derivative`` sweep metric need arrays.
 """
 
 from __future__ import annotations
@@ -18,13 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .engine import EVENT_OVERLAP, EVENT_STOPPED, TrajectoryLog
 from .fields import PFParams
 from .kinematics import BehaviorKind, EngagementState, wrap_angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InfeasibleGeometry(ValueError):
@@ -174,6 +179,8 @@ class RelativeTrace:
     vth: np.ndarray
 
     def vrel(self) -> np.ndarray:
+        import numpy as np
+
         return np.hypot(self.vr, self.vth)
 
 
@@ -193,6 +200,8 @@ def simulate_closed_loop(
     or (for repulsive regimes) when the closing condition Vr < 0 is lost, so
     the returned window has a single constant regime throughout.
     """
+    import numpy as np
+
     if r0 <= 0.0:
         raise ValueError("r0 must be > 0")
 
@@ -255,6 +264,8 @@ def verify_closed_loop(trace: RelativeTrace, params: PFParams) -> ClosedLoopRepo
     component over the window, so the report is meaningful across the zero
     crossings every engagement passes through.
     """
+    import numpy as np
+
     regime = trace.regime
     t, r, vr, vth = trace.t, trace.r, trace.vr, trace.vth
     if len(t) < 3:
@@ -302,6 +313,8 @@ def closed_loop_errors_from_log(
     velocity, so this error does not shrink with dt; it is reported for
     inspection, never asserted.
     """
+    import numpy as np
+
     key = (min(pair), max(pair))
     trace = log.pairs[key]
     triggered = np.asarray(trace.triggered, dtype=bool)
@@ -383,6 +396,8 @@ def attacker_standoff(lam: float, speed: float) -> float:
 
 def fit_circle(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     """Least-squares circle fit (algebraic/Kasa); returns (cx, cy, radius)."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) < 3:
@@ -410,6 +425,8 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> list[LyapunovReport]
     contribute an empty sum (value 0).  The numeric derivative is a central
     difference of the value series (one-sided at the ends).
     """
+    import numpy as np
+
     n = len(log.t)
     pairs = [(key, log.pairs[key]) for key in log.pair_ids()]
     coop_ids = [
@@ -445,6 +462,8 @@ def _lyapunov_reports(
 ) -> list[LyapunovReport]:
     """One report per recorded step, with a central-difference derivative of
     the value series (one-sided at the ends)."""
+    import numpy as np
+
     t = np.asarray(log.t)
     numeric = np.gradient(values, t) if len(t) > 1 else np.zeros(len(t))
     return [
@@ -458,6 +477,8 @@ def _lyapunov_series(
     vth: Sequence[float], vrel: Sequence[float], params: PFParams,
 ) -> list[LyapunovReport]:
     """The regime's Lyapunov value and analytic derivative on the given relative states."""
+    import numpy as np
+
     n = len(log.t)
     values, derivs = np.empty(n), np.empty(n)
     for k in range(n):
@@ -489,6 +510,8 @@ def goal_engagement_series(
     log: TrajectoryLog, robot_id: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(r, theta, vr, vth) of a robot relative to its own stationary goal."""
+    import numpy as np
+
     robot = next(r for r in log.scenario.robots if r.id == robot_id)
     if robot.goal is None:
         raise ValueError(f"robot {robot_id} has no goal")
@@ -764,6 +787,8 @@ def _nonvortex_checks(log: TrajectoryLog) -> list[CheckResult]:
 
 
 def _attractive_only_checks(log: TrajectoryLog) -> list[CheckResult]:
+    import numpy as np
+
     robot_id = log.robot_ids()[0]
     robot = next(r for r in log.scenario.robots if r.id == robot_id)
     r, theta, vr, _ = goal_engagement_series(log, robot_id)

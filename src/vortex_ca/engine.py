@@ -30,15 +30,19 @@ neighbour column at a time in the scalar order, never by a numpy reduction
 or matrix product (their pairwise summation reorders the additions).  It
 raises every fault the scalar stage raises, with the same class and
 message, at the same point of the step.
+
+numpy is imported, and the array stage's index arrays (pair endpoints and
+view order) are built, on the array stage's first call, not when the module
+is imported or a swarm is built: a run of fewer than ``_ARRAY_MIN_ROBOTS``
+robots never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from .control import force_heading, heading_controller
 from .fields import (
@@ -201,10 +205,12 @@ class _Swarm:
     negations in floating point, and each robot adds its views in ascending
     id of the other robot, starting from +0.0.  It has two implementations
     with the same bits: scalar loops, and a numpy stage that swarms of at
-    least ``_ARRAY_MIN_ROBOTS`` robots use (see ``_array_pair_stage``).  A
-    repulsive view that fails its finite check is not raised by the pair
-    stage but kept in ``fault``; the robot stage raises it after that
-    robot's attractive term, so faults surface robot by robot in id order.
+    least ``_ARRAY_MIN_ROBOTS`` robots use (see ``_array_pair_stage``); it
+    leaves ``ux`` and ``uy``, which no later stage reads, as numpy arrays.
+    A repulsive view that fails its finite check, or divides by zero, is not
+    raised by the pair stage but kept in ``fault`` as a ``SimulationFault``;
+    the robot stage raises it after that robot's attractive term, so faults
+    surface robot by robot in id order.
 
     The robot stage has one implementation: the attractive term, the finite
     check, the desired heading and the turn rate of each robot in id order.
@@ -251,23 +257,30 @@ class _Swarm:
         self.pair_stage = (
             self._array_pair_stage if n >= _ARRAY_MIN_ROBOTS else self._scalar_pair_stage
         )
-        # Pair endpoints, and every view (robot, pair, LOS sign, column) in
-        # the order the scalar stage adds them: by robot, then by ascending
-        # id of the other robot, which is also the column.
-        self._a = np.array([a for a, _ in self.pairs], dtype=np.intp)
-        self._b = np.array([b for _, b in self.pairs], dtype=np.intp)
+
+    @cached_property
+    def _view_index(self):
+        """Index arrays of the array stage, built on its first call: the pair
+        endpoints, and every view (robot, pair, LOS sign, column) in the
+        order the scalar stage adds them: by robot, then by ascending id of
+        the other robot, which is also the column."""
+        import numpy as np
+
         views = [
             (i, p, sign, col)
-            for i in range(n)
+            for i in range(len(self.ids))
             for col, (p, sign) in enumerate(
                 [(p, -1.0) for p in self.lower[i]] + [(p, 1.0) for p in self.upper[i]]
             )
         ]
-        self._view_robot = np.array([v[0] for v in views], dtype=np.intp)
-        self._view_pair = np.array([v[1] for v in views], dtype=np.intp)
-        self._view_sign = np.array([v[2] for v in views])
-        self._view_col = np.array([v[3] for v in views], dtype=np.intp)
-
+        return (
+            np.array([a for a, _ in self.pairs], dtype=np.intp),
+            np.array([b for _, b in self.pairs], dtype=np.intp),
+            np.array([v[0] for v in views], dtype=np.intp),
+            np.array([v[1] for v in views], dtype=np.intp),
+            np.array([v[2] for v in views]),
+            np.array([v[3] for v in views], dtype=np.intp),
+        )
 
     def _scalar_pair_stage(self) -> None:
         """The pair stage as float loops: one ``engagement_terms`` per pair,
@@ -306,8 +319,14 @@ class _Swarm:
                             )
                             rep_x += tx
                             rep_y += ty
-                except (SimulationFault, ZeroDivisionError) as exc:
+                except SimulationFault as exc:
                     fault = exc
+                except ZeroDivisionError:
+                    # vrel * r * r underflowed to 0.0 on a closing pair
+                    fault = SimulationFault(
+                        f"robot {ids[i]}: repulsive input divides by zero at separation "
+                        f"{r[p]!r} m"
+                    )
             self.rep_x[i] = rep_x
             self.rep_y[i] = rep_y
             self.fault[i] = fault
@@ -332,11 +351,13 @@ class _Swarm:
         in pair order.  If any view is not finite, the scalar stage redoes
         the step, so every fault keeps its class, message and order.
         """
+        import numpy as np
+
         params = self.params
         n = len(self.ids)
         n_pairs = len(self.pairs)
+        a, b, view_robot, view_pair, view_sign, view_col = self._view_index
         with np.errstate(all="ignore"):
-            a, b = self._a, self._b
             x = np.fromiter(self.x, float, n)
             y = np.fromiter(self.y, float, n)
             speed = np.fromiter(self.speed, float, n)
@@ -357,9 +378,9 @@ class _Swarm:
             trig = (vrel > params.eps_v) & (vr < 0.0)
 
             coop = np.fromiter(self.cooperative, bool, n) & np.fromiter(self.active, bool, n)
-            live = coop[self._view_robot] & trig[self._view_pair]
-            pv = self._view_pair[live]
-            sign = self._view_sign[live]
+            live = coop[view_robot] & trig[view_pair]
+            pv = view_pair[live]
+            sign = view_sign[live]
             r_v, ux_v, uy_v, vr_v, vth_v = r[pv], ux[pv] * sign, uy[pv] * sign, vr[pv], vth[pv]
             fx, fy = repulsive_view(r_v, ux_v, uy_v, vr_v, vth_v, vrel[pv], params.lam,
                                     params.vortex)
@@ -373,12 +394,14 @@ class _Swarm:
                     # np.sign keeps a NaN bracket that _sign maps to 0.
                     finite = np.isfinite(fx).all() and np.isfinite(fy).all()
             if not finite:
+                # The scalar stage writes Python floats into lists.
+                self.ux, self.uy = [0.0] * n_pairs, [0.0] * n_pairs
                 self._scalar_pair_stage()
                 return
 
             cols = np.zeros((n - 1, 2, n))
-            rows = self._view_robot[live]
-            col = self._view_col[live]
+            rows = view_robot[live]
+            col = view_col[live]
             cols[col, 0, rows] = fx
             cols[col, 1, rows] = fy
             rep = np.zeros((2, n))
@@ -386,8 +409,8 @@ class _Swarm:
                 rep += column
 
         self.r = r_list
-        self.ux = ux.tolist()
-        self.uy = uy.tolist()
+        self.ux = ux  # read by no later stage, so left as arrays
+        self.uy = uy
         self.vr = vr.tolist()
         self.vth = vth.tolist()
         self.vrel = vrel_list

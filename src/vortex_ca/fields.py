@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .kinematics import EPS_V_DEFAULT, PlanarVector, check_finite, engagement_terms
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -229,6 +230,8 @@ def field_curl_diagnostic(
     fields of known curl).  The grid must stay outside the ``r_min`` guard
     band around the origin.
     """
+    import numpy as np
+
     xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
     ys = np.linspace(grid.y_min, grid.y_max, grid.ny)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")

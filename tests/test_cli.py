@@ -389,6 +389,22 @@ def test_cmd_run_rejects_non_boolean_vortex(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cmd_run_reports_underflowing_repulsion(tmp_path, capsys):
+    # vrel * r * r underflows to 0.0 below r of about 1e-162 m; the closing
+    # pair must end in an error line and exit 1, not a ZeroDivisionError.
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps({"robots": [
+        {"id": 1, "x": 0.0, "y": 0.0, "heading": 0.0, "goal": [1.5, 0.0]},
+        {"id": 2, "x": 1e-170, "y": 0.0, "heading": math.pi, "goal": [-1.5, 0.0]},
+    ]}))
+    assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: simulation aborted: robot 1: repulsive input divides by zero "
+        "at separation 1e-170 m\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 

@@ -1,0 +1,109 @@
+"""Which commands load numpy, each checked in a fresh interpreter.
+
+The engine uses numpy only on the array pair stage (swarms of at least
+``engine._ARRAY_MIN_ROBOTS`` robots), and ``analysis`` only in the functions
+that work on arrays.  ``run`` and ``sweep`` on smaller swarms, and
+``plotdata``, must therefore start and finish without importing it; the
+commands that need arrays load it on first use and exit as before.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from vortex_ca.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Preset -> expected `run` exit code (as in tests/test_golden.py).
+RUN_CODES = {
+    "coop_headon": 2,
+    "coop_triangle": 0,
+    "noncoop_headon": 2,
+    "attacker": 2,
+    "nonvortex_headon": 2,
+    "attractive_only": 0,
+    "saturated_headon": 0,
+}
+
+PROBE = """
+import json, sys
+from vortex_ca.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def fresh_main(*argvs):
+    """Exit codes of ``main`` over ``argvs`` in one new interpreter, and
+    whether numpy was imported by the end."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps([[str(a) for a in argv] for argv in argvs])],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    return result["codes"], result["numpy"]
+
+
+def ring_scenario(path, n):
+    """n cooperative robots on a 3 m circle, each bound for the antipodal point."""
+    robots = []
+    for k in range(n):
+        angle = 2.0 * math.pi * k / n
+        x, y = 3.0 * math.cos(angle), 3.0 * math.sin(angle)
+        robots.append({"id": k + 1, "x": x, "y": y, "heading": angle + math.pi,
+                       "goal": [-x, -y]})
+    path.write_text(json.dumps({"name": f"ring{n}", "t_max": 0.5, "robots": robots}))
+    return path
+
+
+def test_small_swarm_commands_never_load_numpy(tmp_path):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "base_scenario": "coop_triangle",
+        "axes": [{"path": "params.lambda", "values": [30.0, 40.0]}],
+        "metrics": ["min_separation", "time_to_goal", "body_overlap"],
+    }))
+    ring = ring_scenario(tmp_path / "ring11.json", 11)
+    names = sorted(RUN_CODES)
+    codes, numpy_loaded = fresh_main(
+        *(["run", name, "-o", tmp_path / name] for name in names),
+        *(["plotdata", tmp_path / name] for name in names),
+        ["sweep", spec, "-o", tmp_path / "sweep_out"],
+        ["run", ring, "-o", tmp_path / "ring11"],
+    )
+    ring_code = main(["run", str(ring), "-o", str(tmp_path / "ring11_again")])
+    assert codes == [RUN_CODES[name] for name in names] + [0] * len(names) + [0, ring_code]
+    assert not numpy_loaded
+    assert (tmp_path / "sweep_out" / "results.csv").read_text().count("\n") == 3
+
+
+def test_array_commands_load_numpy_on_first_use(tmp_path):
+    ring = ring_scenario(tmp_path / "ring12.json", 12)
+    codes, numpy_loaded = fresh_main(["run", ring, "-o", tmp_path / "ring12"])
+    assert codes == [main(["run", str(ring), "-o", str(tmp_path / "ring12_again")])]
+    assert numpy_loaded
+    for name in ("trajectory.csv", "pairs.csv", "events.csv", "summary.json"):
+        fresh = (tmp_path / "ring12" / name).read_bytes()
+        assert fresh == (tmp_path / "ring12_again" / name).read_bytes(), name
+
+    assert main(["run", "coop_headon", "-o", str(tmp_path / "headon")]) == 2
+    codes, numpy_loaded = fresh_main(["analyze", tmp_path / "headon", "--regime", "coop_pair"])
+    assert codes == [0]
+    assert numpy_loaded
+
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "base_scenario": "coop_triangle",
+        "axes": [{"path": "params.lambda", "values": [40.0]}],
+        "metrics": ["max_lyap_derivative"],
+    }))
+    codes, numpy_loaded = fresh_main(["sweep", spec, "-o", tmp_path / "sweep_out"])
+    assert codes == [0]
+    assert numpy_loaded

@@ -173,6 +173,22 @@ def test_overflowing_views_raise_the_same_error(monkeypatch):
     assert any(fault is not None for fault in swarm.fault)
 
 
+def test_underflowing_views_raise_the_same_error(monkeypatch):
+    # Robots 3 and 9 meet head-on 1e-170 m apart at the ring's centre, where
+    # vrel * r * r underflows to 0.0: both stages report it as robot 3's fault.
+    base = ring(16)
+    robots = list(base.robots)
+    for rid, x, heading in ((3, 0.0, 0.0), (9, 1e-170, math.pi)):
+        robots[rid - 1] = RobotState(
+            id=rid, position=PlanarVector(x, 0.0), heading=heading, speed=0.17,
+            body_radius=0.1, behavior=BehaviorKind.COOPERATIVE, goal=PlanarVector(-x, 2.0),
+        )
+    scalar, array = run_both(monkeypatch, Scenario(robots=tuple(robots), params=base.params))
+    assert scalar == array == (
+        SimulationFault, "robot 3: repulsive input divides by zero at separation 1e-170 m"
+    )
+
+
 def test_parallel_ring_runs_without_numpy_warnings(monkeypatch):
     scenario = ring(16, heading=0.4, t_max=1.0)
     with warnings.catch_warnings():
