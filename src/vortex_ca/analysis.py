@@ -425,17 +425,14 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> list[LyapunovReport]
     contribute an empty sum (value 0).  The numeric derivative is a central
     difference of the value series (one-sided at the ends).
     """
-    import numpy as np
-
-    n = len(log.t)
     pairs = [(key, log.pairs[key]) for key in log.pair_ids()]
     coop_ids = [
         rid for rid in log.robot_ids() if _behavior_of(log, rid) is BehaviorKind.COOPERATIVE
     ]
     lam = params.lam
-    values = np.zeros(n)
-    derivs = np.zeros(n)
-    for k in range(n):
+    values: list[float] = []
+    derivs: list[float] = []
+    for k in range(len(log.t)):
         triggered_pairs = [(key, trace) for key, trace in pairs if trace.triggered[k]]
         engaged = {
             rid
@@ -452,23 +449,22 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> list[LyapunovReport]
             total += value
             if n_active >= 1:
                 dtotal += deriv
-        values[k] = total
-        derivs[k] = dtotal
+        values.append(total)
+        derivs.append(dtotal)
     return _lyapunov_reports(log, values, derivs, RegimeKind.MULTI_ROBOT)
 
 
 def _lyapunov_reports(
-    log: TrajectoryLog, values: np.ndarray, derivs: np.ndarray, regime: RegimeKind
+    log: TrajectoryLog, values: list[float], derivs: list[float], regime: RegimeKind
 ) -> list[LyapunovReport]:
     """One report per recorded step, with a central-difference derivative of
     the value series (one-sided at the ends)."""
     import numpy as np
 
-    t = np.asarray(log.t)
-    numeric = np.gradient(values, t) if len(t) > 1 else np.zeros(len(t))
+    t = log.t
+    numeric = np.gradient(values, t).tolist() if len(t) > 1 else [0.0] * len(t)
     return [
-        LyapunovReport(float(t[k]), float(values[k]), float(derivs[k]), float(numeric[k]), regime)
-        for k in range(len(t))
+        LyapunovReport(*sample, regime) for sample in zip(t, values, derivs, numeric, strict=True)
     ]
 
 
@@ -477,14 +473,12 @@ def _lyapunov_series(
     vth: Sequence[float], vrel: Sequence[float], params: PFParams,
 ) -> list[LyapunovReport]:
     """The regime's Lyapunov value and analytic derivative on the given relative states."""
-    import numpy as np
-
-    n = len(log.t)
-    values, derivs = np.empty(n), np.empty(n)
-    for k in range(n):
-        values[k], derivs[k] = lyapunov(
-            regime, float(r[k]), float(vr[k]), float(vth[k]), float(vrel[k]), params
-        )
+    values: list[float] = []
+    derivs: list[float] = []
+    for state in zip(r, vr, vth, vrel, strict=True):
+        value, deriv = lyapunov(regime, *state, params)
+        values.append(value)
+        derivs.append(deriv)
     return _lyapunov_reports(log, values, derivs, regime)
 
 
@@ -501,7 +495,7 @@ def attractive_only_lyapunov(log: TrajectoryLog) -> list[LyapunovReport]:
     """Attractive-only Lyapunov series of the lowest-id robot about its own goal."""
     rid = log.robot_ids()[0]
     robot = next(r for r in log.scenario.robots if r.id == rid)
-    r, _, vr, vth = goal_engagement_series(log, rid)
+    r, _, vr, vth = (series.tolist() for series in goal_engagement_series(log, rid))
     speed = [robot.speed if a else 0.0 for a in log.robots[rid].active]
     return _lyapunov_series(log, RegimeKind.ATTRACTIVE_ONLY, r, vr, vth, speed, log.scenario.params)
 
@@ -616,9 +610,8 @@ def _reciprocity_check(log: TrajectoryLog, tol: float = 1e-12) -> CheckResult:
     )
 
 
-def _instability_certificate(log: TrajectoryLog, params: PFParams) -> CheckResult:
+def _instability_certificate(log: TrajectoryLog, series: list[LyapunovReport]) -> CheckResult:
     pair = log.pair_ids()[0]
-    series = pair_lyapunov_series(log, pair, RegimeKind.COOP_PAIR, params)
     numeric = [s.derivative_numeric for s in series]
     rs = log.pairs[pair].r
     sign_change_at = None
@@ -878,11 +871,42 @@ def _multi_checks(log: TrajectoryLog, params: PFParams) -> list[CheckResult]:
     return results
 
 
-def analyze_log(log: TrajectoryLog, regime: RegimeKind, params: PFParams) -> list[CheckResult]:
-    """Run every applicable invariant check for the regime against a log."""
+_PAIR_STATE = frozenset({"r", "vr", "vth", "vrel"})
+
+# The trace attributes (RobotTrace and PairTrace field names) that each
+# regime's checks above and its Lyapunov series read; ``analyze`` parses only
+# these columns of a run directory.  A check that reads another column must
+# add it here.
+REGIME_COLUMNS: dict[RegimeKind, frozenset[str]] = {
+    RegimeKind.ATTRACTIVE_ONLY: _PAIR_STATE | {"x", "y", "phi", "active"},
+    RegimeKind.COOP_PAIR: _PAIR_STATE | {"triggered", "rep_fx", "rep_fy"},
+    RegimeKind.COOP_VS_NONCOOP: _PAIR_STATE | {"x", "y", "phi"},
+    RegimeKind.COOP_VS_ATTACKER: _PAIR_STATE | {"triggered"},
+    RegimeKind.NONVORTEX_PAIR: _PAIR_STATE,
+    RegimeKind.MULTI_ROBOT: _PAIR_STATE | {"triggered", "rep_fx", "rep_fy", "omega", "active"},
+}
+
+
+def require_regime(log: TrajectoryLog, regime: RegimeKind) -> None:
+    """Raise ValueError when the log cannot belong to the regime."""
     mismatch = regime_mismatch(log, regime)
     if mismatch is not None:
         raise ValueError(f"regime mismatch: {mismatch}")
+
+
+def analyze_log(
+    log: TrajectoryLog,
+    regime: RegimeKind,
+    params: PFParams,
+    series: list[LyapunovReport] | None = None,
+) -> list[CheckResult]:
+    """Run every applicable invariant check for the regime against a log.
+
+    ``series`` is the regime's Lyapunov series (what ``analyze`` writes to
+    lyapunov.csv) from a caller that has computed it already; the checks
+    that read it compute it when it is None.
+    """
+    require_regime(log, regime)
     results: list[CheckResult] = []
     monotone = all(b > a for a, b in zip(log.t, log.t[1:]))
     results.append(_check("time_monotone", monotone, "recorded times strictly increase"))
@@ -893,7 +917,9 @@ def analyze_log(log: TrajectoryLog, regime: RegimeKind, params: PFParams) -> lis
         results.extend(_attractive_only_checks(log))
     elif regime is RegimeKind.COOP_PAIR:
         results.append(_reciprocity_check(log))
-        results.append(_instability_certificate(log, params))
+        if series is None:
+            series = pair_lyapunov_series(log, log.pair_ids()[0], regime, params)
+        results.append(_instability_certificate(log, series))
         results.append(_no_retrigger_check(log))
         grazing = _grazing_geometry_check(log, params)
         if grazing is not None:

@@ -13,14 +13,17 @@ import json
 import math
 import os
 import sys
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .analysis import (
+    REGIME_COLUMNS,
+    LyapunovReport,
     RegimeKind,
     analyze_log,
     attractive_only_lyapunov,
     multi_lyapunov,
     pair_lyapunov_series,
+    require_regime,
 )
 from .engine import (
     EVENT_GOAL,
@@ -193,24 +196,50 @@ def _parse_ids(cell: str) -> tuple[int, ...]:
     return tuple(map(int, cell.split(":"))) if cell else ()
 
 
-def _column(path: str, table: dict, name: str, parse: Callable[[str], Any] = float) -> list:
-    """Parse every cell of one column of ``table``."""
+def _cells(path: str, table: dict, name: str) -> list[str]:
+    """The cell strings of one column of ``table``."""
     if name not in table:
         raise RunFormatError(f"{path}: missing column {name!r}")
+    return table[name]
+
+
+def _column(path: str, table: dict, name: str, parse: Callable[[str], Any] = float) -> list:
+    """Parse every cell of one column of ``table``."""
     try:
-        return list(map(parse, table[name]))
+        return list(map(parse, _cells(path, table, name)))
     except (KeyError, ValueError) as exc:
         raise RunFormatError(f"{path}: column {name!r}: bad cell ({exc})") from None
 
 
-def _trace_fields(path: str, table: dict, tag: str, columns: Sequence[Column]) -> dict:
-    parsers = {False: float, True: _parse_flag}
-    return {c.attr: _column(path, table, f"{tag}_{c.suffix}", parsers[c.flag]) for c in columns}
+def _trace_fields(
+    path: str, table: dict, tag: str, columns: Sequence[Column],
+    parse: Collection[str] | None, text: Collection[str],
+) -> dict:
+    """Trace attributes from ``table`` as ``read_run`` documents them."""
+    fields = {}
+    for col in columns:
+        name = f"{tag}_{col.suffix}"
+        cells = _cells(path, table, name)  # present even when it is not read
+        if col.attr in text or parse is None or col.attr in parse:
+            values = _column(path, table, name, _parse_flag if col.flag else float)
+            fields[col.attr] = cells if col.attr in text else values
+        else:
+            fields[col.attr] = None
+    return fields
 
 
-def read_run(outdir: str) -> TrajectoryLog:
+def read_run(
+    outdir: str, parse: Collection[str] | None = None, text: Collection[str] = ()
+) -> TrajectoryLog:
     """Reconstruct a TrajectoryLog from a run output directory; a file that does not
-    follow docs/formats.md raises RunFormatError naming the file and the line or column."""
+    follow docs/formats.md raises RunFormatError naming the file and the line or column.
+
+    ``parse`` names the trace attributes (RobotTrace and PairTrace fields) to
+    parse, all of them when None.  An attribute or ``t`` named in ``text``
+    holds its cell strings instead, after they are checked to parse.  Every
+    other trace attribute is None, and its cells are not checked.  ``t`` is
+    always read and the events always parsed.
+    """
     path = os.path.join(outdir, "summary.json")
     try:
         summary = read_json(path)
@@ -228,10 +257,14 @@ def read_run(outdir: str) -> TrajectoryLog:
     path = os.path.join(outdir, "trajectory.csv")
     table = _read_table(path)
     log.t = _column(path, table, "t")
+    if "t" in text:
+        log.t = table["t"]
     if not log.t:  # the initial state is always recorded
         raise RunFormatError(f"{path}: no data rows")
     for rid in ids:
-        log.robots[rid] = RobotTrace(**_trace_fields(path, table, f"r{rid}", ROBOT_COLUMNS))
+        log.robots[rid] = RobotTrace(
+            **_trace_fields(path, table, f"r{rid}", ROBOT_COLUMNS, parse, text)
+        )
     t_cells = table["t"]
     del table  # release this file's cells before the next one is read
 
@@ -240,7 +273,9 @@ def read_run(outdir: str) -> TrajectoryLog:
     if table.get("t") != t_cells:
         raise RunFormatError(f"{path}: column 't' differs from trajectory.csv")
     for key in itertools.combinations(ids, 2):
-        log.pairs[key] = PairTrace(**_trace_fields(path, table, _pair_tag(key), PAIR_COLUMNS))
+        log.pairs[key] = PairTrace(
+            **_trace_fields(path, table, _pair_tag(key), PAIR_COLUMNS, parse, text)
+        )
 
     path = os.path.join(outdir, "events.csv")
     if os.path.exists(path):
@@ -293,7 +328,11 @@ def _cell_metrics(log: TrajectoryLog, metrics: Sequence[str]) -> dict[str, Any]:
 
 
 def _sweep_cell(value: Any) -> str:
-    return FLOAT % value if isinstance(value, float) else str(value)
+    """One results.csv cell, quoted as RFC 4180 says only where its text needs it."""
+    text = FLOAT % value if isinstance(value, float) else str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def cmd_sweep(spec_path: str, outdir: str) -> int:
@@ -326,10 +365,9 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
 
     os.makedirs(outdir, exist_ok=True)
     header = axis_paths + list(spec.metrics) + ["error"]
-    with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(map(_sweep_cell, (row.get(name, "") for name in header))) + "\n")
+    with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8", newline="") as handle:
+        for cells in [header] + [[row.get(name, "") for name in header] for row in rows]:
+            handle.write(",".join(map(_sweep_cell, cells)) + "\n")
     return EXIT_OK
 
 
@@ -343,12 +381,24 @@ def _write_lyapunov_csv(reports, path: str) -> None:
     ])
 
 
-def _read_run_or_report(rundir: str) -> TrajectoryLog | None:
+def _read_run_or_report(
+    rundir: str, parse: Collection[str], text: Collection[str] = ()
+) -> TrajectoryLog | None:
     try:
-        return read_run(rundir)
+        return read_run(rundir, parse, text)
     except (OSError, ValueError) as exc:  # RunFormatError, ScenarioError, bad JSON or UTF-8
         print(f"error: cannot read run directory {rundir}: {exc}", file=sys.stderr)
         return None
+
+
+def regime_lyapunov(log: TrajectoryLog, regime: RegimeKind) -> list[LyapunovReport]:
+    """The Lyapunov series ``analyze`` writes to lyapunov.csv for the regime."""
+    params = log.scenario.params
+    if regime is RegimeKind.ATTRACTIVE_ONLY:
+        return attractive_only_lyapunov(log)
+    if regime is RegimeKind.MULTI_ROBOT:
+        return multi_lyapunov(log, params)
+    return pair_lyapunov_series(log, log.pair_ids()[0], regime, params)
 
 
 def cmd_analyze(rundir: str, regime_name: str) -> int:
@@ -359,23 +409,17 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
         )
         return EXIT_ERROR
     regime = REGIME_NAMES[regime_name]
-    log = _read_run_or_report(rundir)
+    log = _read_run_or_report(rundir, REGIME_COLUMNS[regime])
     if log is None:
         return EXIT_ERROR
 
-    params = log.scenario.params
     try:
-        checks = analyze_log(log, regime, params)
+        require_regime(log, regime)
+        reports = regime_lyapunov(log, regime)
+        checks = analyze_log(log, regime, log.scenario.params, reports)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    if regime is RegimeKind.ATTRACTIVE_ONLY:
-        reports = attractive_only_lyapunov(log)
-    elif regime is RegimeKind.MULTI_ROBOT:
-        reports = multi_lyapunov(log, params)
-    else:
-        reports = pair_lyapunov_series(log, log.pair_ids()[0], regime, params)
     _write_lyapunov_csv(reports, os.path.join(rundir, "lyapunov.csv"))
 
     lines = [f"{check.status} {check.name}: {check.detail}" for check in checks]
@@ -386,26 +430,38 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
     return EXIT_ERROR if any(check.failed for check in checks) else EXIT_OK
 
 
+# plotdata re-formats only the normalized speeds.  It copies the cells of the
+# other panel columns as read_run checked them, since '%.17g' % float(cell)
+# gives back every cell the writers produce.
+PLOT_PARSED = ("vr", "vth")
+PLOT_COPIED = ("t", "x", "y", "r", "triggered")
+TEXT = "%s"
+
+
+def _copied_columns(tag: str, trace: Any, columns: Sequence[Column]) -> list[tuple[str, str, Any]]:
+    return [(f"{tag}_{col.suffix}", TEXT, getattr(trace, col.attr)) for col in columns]
+
+
 def cmd_plotdata(rundir: str) -> int:
-    log = _read_run_or_report(rundir)
+    log = _read_run_or_report(rundir, PLOT_PARSED, PLOT_COPIED)
     if log is None:
         return EXIT_ERROR
 
     xy = ROBOT_COLUMNS[:2]
     r, _, vr, vth, _, trig = PAIR_COLUMNS
     speeds = {robot.id: robot.speed for robot in log.scenario.robots}
-    t_column = ("t", FLOAT, log.t)
+    t_column = ("t", TEXT, log.t)
     paths, vrvth, separation = [t_column], [t_column], [t_column]
     for rid in log.robot_ids():
-        paths += _traced_columns(f"r{rid}", log.robots[rid], xy)
+        paths += _copied_columns(f"r{rid}", log.robots[rid], xy)
     for key in log.pair_ids():
         tag, trace = _pair_tag(key), log.pairs[key]
         scale = max(speeds[key[0]], speeds[key[1]], 1e-30)
         for col in (vr, vth):
             normed = [v / scale for v in getattr(trace, col.attr)]
             vrvth.append((f"{tag}_{col.suffix}_norm", FLOAT, normed))
-        vrvth += _traced_columns(tag, trace, [trig])
-        separation += _traced_columns(tag, trace, [r])
+        vrvth += _copied_columns(tag, trace, [trig])
+        separation += _copied_columns(tag, trace, [r])
     _write_table(os.path.join(rundir, "xy_paths.csv"), paths)
     _write_table(os.path.join(rundir, "vrvth.csv"), vrvth)
     _write_table(os.path.join(rundir, "separation.csv"), separation)

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from vortex_ca import cli
+from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind, analyze_log
 from vortex_ca.cli import PAIR_COLUMNS, ROBOT_COLUMNS, main, read_run, write_run_outputs
 from vortex_ca.engine import ScenarioError, run
 from vortex_ca.scenarios import (
@@ -216,19 +218,21 @@ def _ragged_row(rundir):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _non_numeric_cell(rundir):
-    path = rundir / "pairs.csv"
-    lines = path.read_text().splitlines()
-    cells = lines[3].split(",")
-    cells[2] = "fast"
-    lines[3] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+def _non_numeric_cell(index):
+    def edit(rundir):
+        path = rundir / "pairs.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[index] = "fast"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return edit
 
 
 MALFORMED_RUNS = {
     "ragged_row": (_ragged_row, "trajectory.csv: line 5 has 20 cells, the header has 19"),
     "renamed_column": (_replace_in("trajectory.csv", "r1_phi", "r1_heading"), "'r1_phi'"),
-    "non_numeric_cell": (_non_numeric_cell, "pairs.csv: column 'p1_2_theta'"),
+    "non_numeric_cell": (_non_numeric_cell(3), "pairs.csv: column 'p1_2_vr'"),
     "bad_flag": (_replace_in("pairs.csv", ",0\n", ",no\n"), "column 'p1_2_trig': bad cell ('no')"),
     "empty_pairs": (_write("pairs.csv", ""), "pairs.csv: no header line"),
     "header_only_pairs": (
@@ -269,6 +273,21 @@ def test_malformed_run_directory_exits_1(headon_rundir, tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read run directory {rundir}: ")
         assert message in err
+
+
+def test_bad_cell_in_a_column_no_command_reads_is_ignored(headon_rundir, tmp_path):
+    # neither analyze nor plotdata reads theta, so its cells are never parsed
+    outputs = ("lyapunov.csv", "verification.txt", "xy_paths.csv", "vrvth.csv", "separation.csv")
+    clean, corrupt = tmp_path / "clean", tmp_path / "corrupt"
+    shutil.copytree(headon_rundir, clean)
+    shutil.copytree(headon_rundir, corrupt)
+    _non_numeric_cell(2)(corrupt)
+    assert (corrupt / "pairs.csv").read_text().splitlines()[0].split(",")[2] == "p1_2_theta"
+    for rundir in (clean, corrupt):
+        assert main(["analyze", str(rundir), "--regime", "coop_pair"]) == 0
+        assert main(["plotdata", str(rundir)]) == 0
+    for filename in outputs:
+        assert (corrupt / filename).read_bytes() == (clean / filename).read_bytes(), filename
 
 
 def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
@@ -407,6 +426,32 @@ def test_cmd_run_reports_underflowing_repulsion(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # sweep command
+
+
+def test_cmd_sweep_quotes_cells_that_need_it(tmp_path):
+    # the duplicate-id message has a comma, the name value every special character
+    spec = {
+        "base_scenario": "coop_headon",
+        "axes": [{"path": "robots.1.id", "values": [1, 2]},
+                 {"path": "name", "values": ['a,"b"\r\nc', "plain"]}],
+        "metrics": ["min_separation", "time_to_goal"],
+    }
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
+    with open(out / "results.csv", encoding="utf-8", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert header == ["robots.1.id", "name", "min_separation", "time_to_goal", "error"]
+    assert [len(row) for row in rows] == [len(header)] * 4
+    assert [row[:2] for row in rows] == [
+        ["1", 'a,"b"\r\nc'], ["1", "plain"], ["2", 'a,"b"\r\nc'], ["2", "plain"]
+    ]
+    assert [row[-1] for row in rows] == ["duplicate robot ids: [1, 1]"] * 2 + ["", ""]
+    # a row that needs no quoting is written as before
+    assert "\n2,plain,0.30753106136603786,16.949999999999999,\n" in (
+        (out / "results.csv").read_text(encoding="utf-8")
+    )
 
 
 def test_cmd_sweep_lambda_axis(tmp_path):
@@ -612,6 +657,64 @@ def test_plotdata_stationary_obstacle_is_single_point(tmp_path):
     xs = {line.split(",")[3] for line in lines}
     ys = {line.split(",")[4] for line in lines}
     assert xs == {"1.5"} and ys == {"0.40000000000000002"}
+
+
+# Preset -> the regime it is analyzed under (as in tests/test_golden.py).
+PRESET_REGIMES = {
+    "coop_headon": RegimeKind.COOP_PAIR,
+    "coop_triangle": RegimeKind.MULTI_ROBOT,
+    "noncoop_headon": RegimeKind.COOP_VS_NONCOOP,
+    "attacker": RegimeKind.COOP_VS_ATTACKER,
+    "nonvortex_headon": RegimeKind.NONVORTEX_PAIR,
+    "attractive_only": RegimeKind.ATTRACTIVE_ONLY,
+    "saturated_headon": RegimeKind.COOP_PAIR,
+}
+
+
+def _reference_panels(log):
+    """plotdata's panels from a fully parsed log, every cell formatted as the writers do."""
+    def table(columns):
+        lines = [",".join(columns)] + [",".join(row) for row in zip(*columns.values())]
+        return "\n".join(lines) + "\n"
+
+    def floats(values):
+        return [f"{v:.17g}" for v in values]
+
+    speeds = {robot.id: robot.speed for robot in log.scenario.robots}
+    paths, vrvth, separation = ({"t": floats(log.t)} for _ in range(3))
+    for rid in log.robot_ids():
+        paths[f"r{rid}_x"] = floats(log.robots[rid].x)
+        paths[f"r{rid}_y"] = floats(log.robots[rid].y)
+    for (i, j) in log.pair_ids():
+        trace, tag = log.pairs[(i, j)], f"p{i}_{j}"
+        scale = max(speeds[i], speeds[j], 1e-30)
+        vrvth[f"{tag}_vr_norm"] = floats(v / scale for v in trace.vr)
+        vrvth[f"{tag}_vth_norm"] = floats(v / scale for v in trace.vth)
+        vrvth[f"{tag}_trig"] = [str(int(flag)) for flag in trace.triggered]
+        separation[f"{tag}_r"] = floats(trace.r)
+    return {"xy_paths.csv": table(paths), "vrvth.csv": table(vrvth),
+            "separation.csv": table(separation)}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_REGIMES))
+def test_commands_read_every_column_they_use(tmp_path, name):
+    # An unread trace attribute is None, so a check or a panel that reads a
+    # column its command does not ask for raises here.
+    regime = PRESET_REGIMES[name]
+    rundir = tmp_path / name
+    write_run_outputs(_preset_log(name), str(rundir))
+    full = read_run(str(rundir))
+    part = read_run(str(rundir), REGIME_COLUMNS[regime])
+    for trace in [*part.robots.values(), *part.pairs.values()]:
+        for attr, values in vars(trace).items():
+            assert (values is None) == (attr not in REGIME_COLUMNS[regime]), attr
+    params = full.scenario.params
+    assert analyze_log(part, regime, params) == analyze_log(full, regime, params)
+    assert cli.regime_lyapunov(part, regime) == cli.regime_lyapunov(full, regime)
+
+    assert main(["plotdata", str(rundir)]) == 0
+    for filename, text in _reference_panels(full).items():
+        assert (rundir / filename).read_text() == text, filename
 
 
 def test_separation_trace_has_single_minimum(headon_rundir):
