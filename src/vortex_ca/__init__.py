@@ -4,7 +4,7 @@ potential fields, with analytic verification tooling and a scenario CLI."""
 from .analysis import (
     ClosedLoopReport,
     InfeasibleGeometry,
-    LyapunovReport,
+    LyapunovSeries,
     RegimeKind,
     attacker_standoff,
     closed_loop_rhs,
@@ -43,7 +43,7 @@ __all__ = [
     "EngagementState",
     "GridSpec",
     "InfeasibleGeometry",
-    "LyapunovReport",
+    "LyapunovSeries",
     "PFParams",
     "PRESETS",
     "PlanarVector",

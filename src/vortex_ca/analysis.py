@@ -14,7 +14,11 @@ qualitative certificates.
 
 numpy is imported inside the functions that work on arrays, not at module
 import: the CLI imports this module for every command, and only ``analyze``
-and the ``max_lyap_derivative`` sweep metric need arrays.
+in the ``coop_pair`` and ``attractive_only`` regimes needs arrays (the
+closed-loop window fit and the goal engagement series).  The Lyapunov series
+are columns of plain floats, and their numeric derivative is numpy's
+``gradient`` rewritten with the same operation order, so the
+``max_lyap_derivative`` sweep metric and the other regimes never load numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from itertools import repeat
+from operator import sub, truediv
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .engine import EVENT_OVERLAP, EVENT_STOPPED, TrajectoryLog
 from .fields import PFParams
@@ -56,13 +62,18 @@ _REPULSIVE_REGIMES = (
 
 
 @dataclass(frozen=True)
-class LyapunovReport:
-    """One sample of a Lyapunov value with its analytic and numeric derivatives."""
+class LyapunovSeries:
+    """A regime's Lyapunov value with its analytic and numeric derivatives, one
+    column entry per recorded step (``t`` is the log's recorded times).
 
-    t: float
-    value: float
-    derivative_analytic: float
-    derivative_numeric: float
+    A dataclass, not a tuple, so ``len(series)`` and ``for s in series`` fail
+    instead of running over the columns.
+    """
+
+    t: list[float]
+    value: list[float]
+    derivative_analytic: list[float]
+    derivative_numeric: list[float]
     regime: RegimeKind
 
 
@@ -413,36 +424,35 @@ def fit_circle(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
 # Log-based Lyapunov series
 
 
-def _behavior_of(log: TrajectoryLog, robot_id: int) -> BehaviorKind:
-    return next(r.behavior for r in log.scenario.robots if r.id == robot_id)
-
-
-def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> list[LyapunovReport]:
+def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> LyapunovSeries:
     """Summed Lyapunov value over all currently triggered pairs, per recorded step.
 
     The analytic derivative scales with the per-step count of cooperative
-    robots that are actively applying repulsive inputs; untriggered steps
+    robots that are actively applying repulsive inputs: the active
+    cooperative endpoints of the triggered pairs.  Untriggered steps
     contribute an empty sum (value 0).  The numeric derivative is a central
     difference of the value series (one-sided at the ends).
     """
-    pairs = [(key, log.pairs[key]) for key in log.pair_ids()]
-    coop_ids = [
-        rid for rid in log.robot_ids() if _behavior_of(log, rid) is BehaviorKind.COOPERATIVE
-    ]
+    keys = log.pair_ids()
+    traces = [log.pairs[key] for key in keys]
+    # Per pair, the active columns of its cooperative endpoints, with their ids.
+    coop = {r.id for r in log.scenario.robots if r.behavior is BehaviorKind.COOPERATIVE}
+    ends = [[(rid, log.robots[rid].active) for rid in key if rid in coop] for key in keys]
     lam = params.lam
     values: list[float] = []
     derivs: list[float] = []
-    for k in range(len(log.t)):
-        triggered_pairs = [(key, trace) for key, trace in pairs if trace.triggered[k]]
-        engaged = {
-            rid
-            for rid in coop_ids
-            if any(rid in key for key, _ in triggered_pairs) and log.robots[rid].active[k]
-        }
-        n_active = len(engaged)
+    steps = zip(*(trace.triggered for trace in traces)) if traces else repeat((), len(log.t))
+    for k, triggered in enumerate(steps):
+        if not any(triggered):
+            values.append(0.0)
+            derivs.append(0.0)
+            continue
+        on = [p for p, flag in enumerate(triggered) if flag]
+        n_active = len({rid for p in on for rid, active in ends[p] if active[k]})
         total = 0.0
         dtotal = 0.0
-        for _, trace in triggered_pairs:
+        for p in on:
+            trace = traces[p]
             value, deriv = _multi_robot_term(
                 trace.r[k], trace.vr[k], trace.vth[k], trace.vrel[k], lam, n_active
             )
@@ -451,27 +461,71 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> list[LyapunovReport]
                 dtotal += deriv
         values.append(total)
         derivs.append(dtotal)
-    return _lyapunov_reports(log, values, derivs, RegimeKind.MULTI_ROBOT)
+    return _lyapunov_columns(log, values, derivs, RegimeKind.MULTI_ROBOT)
 
 
-def _lyapunov_reports(
+def _ieee_div(a: float, b: float) -> float:
+    """``a / b`` as IEEE division, as numpy divides: a zero divisor gives a
+    signed infinity or nan instead of raising."""
+    if b:
+        return a / b
+    if a != a or not a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def numeric_derivative(f: Sequence[float], t: Sequence[float]) -> list[float]:
+    """``np.gradient(f, t).tolist()`` in plain floats, bit for bit.
+
+    It keeps numpy's operation order: second-order central differences
+    inside, ``(f[k+1] - f[k-1]) / (2h)`` when every step of ``t`` equals
+    the first and numpy's three-point weights otherwise, and one-sided
+    differences at the two ends.  One sample gives ``[0.0]``.  A zero
+    divisor (a repeated time, or a weight whose denominator underflows)
+    gives inf or nan as in numpy, not an exception.
+    """
+    n = len(f)
+    if n != len(t):
+        raise ValueError(f"{n} values for {len(t)} times")
+    if n < 2:
+        return [0.0] * n
+    try:
+        return _central_differences(f, t, truediv)
+    except ZeroDivisionError:
+        return _central_differences(f, t, _ieee_div)
+
+
+def _central_differences(
+    f: Sequence[float], t: Sequence[float], div: Callable[[float, float], float]
+) -> list[float]:
+    dx = list(map(sub, t[1:], t[:-1]))
+    h = dx[0]
+    if all(d == h for d in dx):
+        h2 = 2.0 * h
+        inner = [div(f2 - f0, h2) for f0, f2 in zip(f, f[2:])]
+        first = last = h
+    else:
+        inner = [
+            div(-d2, d1 * (d1 + d2)) * f0 + div(d2 - d1, d1 * d2) * f1
+            + div(d1, d2 * (d1 + d2)) * f2
+            for d1, d2, f0, f1, f2 in zip(dx, dx[1:], f, f[1:], f[2:])
+        ]
+        first, last = dx[0], dx[-1]
+    return [div(f[1] - f[0], first), *inner, div(f[-1] - f[-2], last)]
+
+
+def _lyapunov_columns(
     log: TrajectoryLog, values: list[float], derivs: list[float], regime: RegimeKind
-) -> list[LyapunovReport]:
-    """One report per recorded step, with a central-difference derivative of
-    the value series (one-sided at the ends)."""
-    import numpy as np
-
-    t = log.t
-    numeric = np.gradient(values, t).tolist() if len(t) > 1 else [0.0] * len(t)
-    return [
-        LyapunovReport(*sample, regime) for sample in zip(t, values, derivs, numeric, strict=True)
-    ]
+) -> LyapunovSeries:
+    """The series over the log's recorded steps, with a central-difference
+    derivative of the value series (one-sided at the ends)."""
+    return LyapunovSeries(log.t, values, derivs, numeric_derivative(values, log.t), regime)
 
 
 def _lyapunov_series(
     log: TrajectoryLog, regime: RegimeKind, r: Sequence[float], vr: Sequence[float],
     vth: Sequence[float], vrel: Sequence[float], params: PFParams,
-) -> list[LyapunovReport]:
+) -> LyapunovSeries:
     """The regime's Lyapunov value and analytic derivative on the given relative states."""
     values: list[float] = []
     derivs: list[float] = []
@@ -479,19 +533,19 @@ def _lyapunov_series(
         value, deriv = lyapunov(regime, *state, params)
         values.append(value)
         derivs.append(deriv)
-    return _lyapunov_reports(log, values, derivs, regime)
+    return _lyapunov_columns(log, values, derivs, regime)
 
 
 def pair_lyapunov_series(
     log: TrajectoryLog, pair: tuple[int, int], regime: RegimeKind, params: PFParams
-) -> list[LyapunovReport]:
+) -> LyapunovSeries:
     """Per-step Lyapunov value/derivatives for one logged pair under a regime."""
     trace = log.pairs[(min(pair), max(pair))]
     vrel = [params.eps_v if v <= 0.0 else v for v in trace.vrel]
     return _lyapunov_series(log, regime, trace.r, trace.vr, trace.vth, vrel, params)
 
 
-def attractive_only_lyapunov(log: TrajectoryLog) -> list[LyapunovReport]:
+def attractive_only_lyapunov(log: TrajectoryLog) -> LyapunovSeries:
     """Attractive-only Lyapunov series of the lowest-id robot about its own goal."""
     rid = log.robot_ids()[0]
     robot = next(r for r in log.scenario.robots if r.id == rid)
@@ -610,9 +664,9 @@ def _reciprocity_check(log: TrajectoryLog, tol: float = 1e-12) -> CheckResult:
     )
 
 
-def _instability_certificate(log: TrajectoryLog, series: list[LyapunovReport]) -> CheckResult:
+def _instability_certificate(log: TrajectoryLog, series: LyapunovSeries) -> CheckResult:
     pair = log.pair_ids()[0]
-    numeric = [s.derivative_numeric for s in series]
+    numeric = series.derivative_numeric
     rs = log.pairs[pair].r
     sign_change_at = None
     for k in range(1, len(numeric)):
@@ -898,7 +952,7 @@ def analyze_log(
     log: TrajectoryLog,
     regime: RegimeKind,
     params: PFParams,
-    series: list[LyapunovReport] | None = None,
+    series: LyapunovSeries | None = None,
 ) -> list[CheckResult]:
     """Run every applicable invariant check for the regime against a log.
 

@@ -17,7 +17,7 @@ from typing import Any, Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .analysis import (
     REGIME_COLUMNS,
-    LyapunovReport,
+    LyapunovSeries,
     RegimeKind,
     analyze_log,
     attractive_only_lyapunov,
@@ -323,7 +323,7 @@ def _cell_metrics(log: TrajectoryLog, metrics: Sequence[str]) -> dict[str, Any]:
             values[metric] = int(log.has_event(EVENT_OVERLAP))
         elif metric == "max_lyap_derivative":
             series = multi_lyapunov(log, log.scenario.params)
-            values[metric] = max((s.derivative_analytic for s in series), default=math.nan)
+            values[metric] = max(series.derivative_analytic, default=math.nan)
     return values
 
 
@@ -371,13 +371,13 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
     return EXIT_OK
 
 
-def _write_lyapunov_csv(reports, path: str) -> None:
+def _write_lyapunov_csv(series: LyapunovSeries, path: str) -> None:
     _write_table(path, [
-        ("t", FLOAT, [report.t for report in reports]),
-        ("value", FLOAT, [report.value for report in reports]),
-        ("d_analytic", FLOAT, [report.derivative_analytic for report in reports]),
-        ("d_numeric", FLOAT, [report.derivative_numeric for report in reports]),
-        ("regime", "%s", [report.regime.value for report in reports]),
+        ("t", FLOAT, series.t),
+        ("value", FLOAT, series.value),
+        ("d_analytic", FLOAT, series.derivative_analytic),
+        ("d_numeric", FLOAT, series.derivative_numeric),
+        ("regime", "%s", [series.regime.value] * len(series.t)),
     ])
 
 
@@ -391,7 +391,7 @@ def _read_run_or_report(
         return None
 
 
-def regime_lyapunov(log: TrajectoryLog, regime: RegimeKind) -> list[LyapunovReport]:
+def regime_lyapunov(log: TrajectoryLog, regime: RegimeKind) -> LyapunovSeries:
     """The Lyapunov series ``analyze`` writes to lyapunov.csv for the regime."""
     params = log.scenario.params
     if regime is RegimeKind.ATTRACTIVE_ONLY:
@@ -415,12 +415,12 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
 
     try:
         require_regime(log, regime)
-        reports = regime_lyapunov(log, regime)
-        checks = analyze_log(log, regime, log.scenario.params, reports)
+        series = regime_lyapunov(log, regime)
+        checks = analyze_log(log, regime, log.scenario.params, series)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _write_lyapunov_csv(reports, os.path.join(rundir, "lyapunov.csv"))
+    _write_lyapunov_csv(series, os.path.join(rundir, "lyapunov.csv"))
 
     lines = [f"{check.status} {check.name}: {check.detail}" for check in checks]
     with open(os.path.join(rundir, "verification.txt"), "w", encoding="utf-8") as handle:

@@ -16,6 +16,10 @@ evaluates the laws through the float kernels (``engagement_terms``,
 ``heading_controller``, ``advance_pose``), the same ones that the object
 functions ``engagement`` and ``propagate`` use, so its results are
 bit-identical to theirs.  The log records floats; no per-step object is built.
+The loop keeps only the state the step needs: the LOS angle of each pair,
+which nothing in the step reads, is formed after the loop from the logged
+positions (``atan2`` on the same floats), and the overlap scan runs only
+while some pair is, or comes, inside its contact distance.
 
 Each step is a pair stage (every engagement and every robot's summed
 repulsive input, O(N^2)) and then a robot stage (attractive term, finite
@@ -40,6 +44,7 @@ robots never loads numpy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -465,11 +470,6 @@ class _Swarm:
             if active[i]:
                 x[i], y[i], phi[i] = advance_pose(x[i], y[i], phi[i], speed[i], omega, dt)
 
-    def theta(self, p: int) -> float:
-        """LOS angle of pair p, from its first robot to its second."""
-        a, b = self.pairs[p]
-        return math.atan2(self.y[b] - self.y[a], self.x[b] - self.x[a])
-
 
 def _termination_gated(robot: RobotState) -> bool:
     return robot.behavior in (BehaviorKind.COOPERATIVE, BehaviorKind.ATTACKING)
@@ -503,6 +503,14 @@ def run(scenario: Scenario) -> TrajectoryLog:
     gated = [i for i, robot in enumerate(robots) if _termination_gated(robot)]
     # The run ends once every gated robot has stopped (if there is one).
     gated_active = sum(active[i] for i in gated)
+    # The robots the stop rule checks, in id order: index, target index (an
+    # attacker's) or None, goal point (anyone else's), and whether it is gated.
+    movers = []
+    for i, robot in enumerate(robots):
+        if robot.behavior is BehaviorKind.ATTACKING:
+            movers.append((i, swarm.target[i], None, None, True))
+        elif robot.behavior is not BehaviorKind.STATIONARY and robot.goal is not None:
+            movers.append((i, None, robot.goal.x, robot.goal.y, _termination_gated(robot)))
     n_steps = int(round(scenario.t_max / dt))
 
     def record(t: float) -> None:
@@ -519,7 +527,6 @@ def run(scenario: Scenario) -> TrajectoryLog:
             trace.active.append(active[i])
         for p, trace in enumerate(pair_traces):
             trace.r.append(swarm.r[p])
-            trace.theta.append(swarm.theta(p))
             trace.vr.append(swarm.vr[p])
             trace.vth.append(swarm.vth[p])
             trace.vrel.append(swarm.vrel[p])
@@ -532,12 +539,13 @@ def run(scenario: Scenario) -> TrajectoryLog:
         robot_stage()
 
         # Body-overlap events fire on entry; the run continues regardless.
-        inside = [r < c for r, c in zip(swarm.r, contact)]
-        if inside != overlapping:
-            for p, now in enumerate(inside):
-                if now and not overlapping[p]:
-                    log.events.append(Event(t, EVENT_OVERLAP, pair_keys[p]))
-            overlapping = inside
+        if any(overlapping) or any(map(operator.lt, swarm.r, contact)):
+            inside = [r < c for r, c in zip(swarm.r, contact)]
+            if inside != overlapping:
+                for p, now in enumerate(inside):
+                    if now and not overlapping[p]:
+                        log.events.append(Event(t, EVENT_OVERLAP, pair_keys[p]))
+                overlapping = inside
 
         done = k == n_steps or (bool(gated) and gated_active == 0)
         if done or k % scenario.record_stride == 0:
@@ -549,27 +557,32 @@ def run(scenario: Scenario) -> TrajectoryLog:
 
         # Stop rule: first entry inside goal_tol zeroes the speed for good.
         t_next = (k + 1) * dt
-        for i, robot in enumerate(robots):
-            if not active[i] or robot.behavior is BehaviorKind.STATIONARY:
+        for i, target, goal_x, goal_y, gates in movers:
+            if not active[i]:
                 continue
-            if robot.behavior is BehaviorKind.ATTACKING:
-                target = swarm.target[i]
+            if target is None:
+                dx = x[i] - goal_x
+                dy = y[i] - goal_y
+            else:
                 dx = x[i] - x[target]
                 dy = y[i] - y[target]
-            elif robot.goal is not None:
-                dx = x[i] - robot.goal.x
-                dy = y[i] - robot.goal.y
-            else:
-                continue
             check_finite(dx, dy)
             if math.hypot(dx, dy) <= goal_tol:
                 log.events.append(Event(t_next, EVENT_GOAL, (ids[i],)))
                 log.events.append(Event(t_next, EVENT_STOPPED, (ids[i],)))
                 swarm.speed[i] = 0.0
                 active[i] = False
-                if _termination_gated(robot):
+                if gates:
                     gated_active -= 1
 
+    # LOS angle of every pair, from its first robot to its second, on the
+    # logged positions.
+    for (a, b), trace in zip(swarm.pairs, pair_traces):
+        trace.theta = list(map(
+            math.atan2,
+            map(operator.sub, traces[b].y, traces[a].y),
+            map(operator.sub, traces[b].x, traces[a].x),
+        ))
     return log
 
 

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortex_ca.analysis import (
     InfeasibleGeometry,
@@ -14,6 +17,7 @@ from vortex_ca.analysis import (
     grazing_separation,
     lyapunov,
     multi_lyapunov,
+    numeric_derivative,
     pair_lyapunov_series,
     regime_mismatch,
     required_accel,
@@ -308,23 +312,67 @@ def test_multi_lyapunov_reduces_to_pair_coefficients(coop_headon_log):
     pair = log.pairs[(1, 2)]
     for k in range(0, len(log.t), 100):
         if not pair.triggered[k]:
-            assert series[k].value == 0.0
+            assert series.value[k] == 0.0
             continue
         _, expected = lyapunov(
             RegimeKind.MULTI_ROBOT, pair.r[k], pair.vr[k], pair.vth[k], pair.vrel[k],
             params, n_active=2,
         )
-        assert series[k].derivative_analytic == pytest.approx(expected, rel=1e-12)
+        assert series.derivative_analytic[k] == pytest.approx(expected, rel=1e-12)
 
 
 def test_pair_lyapunov_series_instability_certificate(coop_headon_log):
     series = pair_lyapunov_series(coop_headon_log, (1, 2), RegimeKind.COOP_PAIR,
                                   coop_headon_log.scenario.params)
-    numeric = [s.derivative_numeric for s in series]
+    numeric = series.derivative_numeric
     # the value dips while closing, then grows after the reciprocal turn
     sign_change = any(a < 0.0 < b for a, b in zip(numeric, numeric[1:]))
     assert sign_change
     assert min(coop_headon_log.pairs[(1, 2)].r) > 0.0
+
+
+def same_bits(a, b):
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@st.composite
+def sampled_series(draw):
+    """(values, times) of 2-40 samples: engine-like times k * h, irregular
+    increasing times, or times with repeated, backward and tiny steps (whose
+    products underflow to zero)."""
+    n = draw(st.integers(2, 40))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["uniform", "irregular", "degenerate"]))
+    if kind == "uniform":
+        h = draw(st.floats(1e-4, 1.0))
+        return values, [k * h for k in range(n)]
+    if kind == "irregular":
+        steps = draw(st.lists(st.floats(1e-4, 10.0), min_size=n - 1, max_size=n - 1))
+    else:
+        steps = draw(st.lists(st.sampled_from([0.0, 0.01, -0.01, 0.02, 1e-170]),
+                              min_size=n - 1, max_size=n - 1))
+    times = [draw(st.floats(-100.0, 100.0))]
+    for step in steps:
+        times.append(times[-1] + step)
+    return values, times
+
+
+@settings(max_examples=500, deadline=None)
+@given(sampled_series())
+def test_numeric_derivative_matches_numpy_gradient_bit_for_bit(series):
+    values, times = series
+    with np.errstate(all="ignore"):  # repeated times divide by zero in both
+        expected = np.gradient(values, times).tolist()
+    got = numeric_derivative(values, times)
+    assert len(got) == len(expected)
+    assert all(map(same_bits, got, expected)), (got, expected)
+
+
+def test_numeric_derivative_of_one_sample_is_zero():
+    assert numeric_derivative([3.0], [0.5]) == [0.0]
+    assert numeric_derivative([], []) == []
+    with pytest.raises(ValueError):
+        numeric_derivative([1.0, 2.0], [0.0])
 
 
 def test_regime_mismatch_detection(coop_headon_log):

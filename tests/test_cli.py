@@ -290,6 +290,25 @@ def test_bad_cell_in_a_column_no_command_reads_is_ignored(headon_rundir, tmp_pat
         assert (corrupt / filename).read_bytes() == (clean / filename).read_bytes(), filename
 
 
+def test_analyze_reports_a_repeated_time_as_a_failed_check(headon_rundir, tmp_path, capsys):
+    # the numeric derivative divides by a zero time step there, which gives
+    # nan in lyapunov.csv (as numpy's gradient does), not an exception
+    rundir = tmp_path / "run"
+    shutil.copytree(headon_rundir, rundir)
+    for name in ("trajectory.csv", "pairs.csv"):
+        path = rundir / name
+        lines = path.read_text().splitlines()
+        lines[3] = lines[2].split(",")[0] + lines[3][lines[3].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", str(rundir), "--regime", "coop_pair"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL time_monotone" in out and err == ""
+    rows = (rundir / "lyapunov.csv").read_text().splitlines()
+    assert [row.split(",")[3] for row in rows[2:4]] == ["nan", "nan"]
+    assert "nan" not in rows[1] + rows[4]
+
+
 def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     # the benchmark tracer wraps these module-level bindings; a refactor that
     # bypasses them would silently empty the read and write spans

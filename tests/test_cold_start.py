@@ -2,9 +2,11 @@
 
 The engine uses numpy only on the array pair stage (swarms of at least
 ``engine._ARRAY_MIN_ROBOTS`` robots), and ``analysis`` only in the functions
-that work on arrays.  ``run`` and ``sweep`` on smaller swarms, and
-``plotdata``, must therefore start and finish without importing it; the
-commands that need arrays load it on first use and exit as before.
+that work on arrays; the Lyapunov series and their numeric derivative are
+plain floats.  ``run`` and ``sweep`` (every metric) on smaller swarms,
+``plotdata``, and ``analyze`` in the regimes whose checks use no arrays,
+must therefore start and finish without importing it; the commands that
+need arrays load it on first use and exit as before.
 """
 
 import json
@@ -27,6 +29,16 @@ RUN_CODES = {
     "nonvortex_headon": 2,
     "attractive_only": 0,
     "saturated_headon": 0,
+}
+
+# Preset -> the `analyze` regime whose checks use no arrays.  coop_pair
+# (the closed-loop window fit) and attractive_only (the goal engagement
+# series) use numpy.
+ARRAY_FREE_REGIMES = {
+    "coop_triangle": "multi_robot",
+    "noncoop_headon": "coop_vs_noncoop",
+    "attacker": "coop_vs_attacker",
+    "nonvortex_headon": "nonvortex_pair",
 }
 
 PROBE = """
@@ -70,18 +82,33 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
         "axes": [{"path": "params.lambda", "values": [30.0, 40.0]}],
         "metrics": ["min_separation", "time_to_goal", "body_overlap"],
     }))
+    lyap_spec = tmp_path / "lyap_sweep.json"
+    lyap_spec.write_text(json.dumps({
+        "base_scenario": "coop_triangle",
+        "axes": [{"path": "params.lambda", "values": [40.0]}],
+        "metrics": ["max_lyap_derivative"],
+    }))
     ring = ring_scenario(tmp_path / "ring11.json", 11)
     names = sorted(RUN_CODES)
     codes, numpy_loaded = fresh_main(
         *(["run", name, "-o", tmp_path / name] for name in names),
         *(["plotdata", tmp_path / name] for name in names),
+        *(["analyze", tmp_path / name, "--regime", regime]
+          for name, regime in sorted(ARRAY_FREE_REGIMES.items())),
         ["sweep", spec, "-o", tmp_path / "sweep_out"],
+        ["sweep", lyap_spec, "-o", tmp_path / "lyap_out"],
         ["run", ring, "-o", tmp_path / "ring11"],
     )
     ring_code = main(["run", str(ring), "-o", str(tmp_path / "ring11_again")])
-    assert codes == [RUN_CODES[name] for name in names] + [0] * len(names) + [0, ring_code]
+    assert codes == (
+        [RUN_CODES[name] for name in names] + [0] * (len(names) + len(ARRAY_FREE_REGIMES))
+        + [0, 0, ring_code]
+    )
     assert not numpy_loaded
     assert (tmp_path / "sweep_out" / "results.csv").read_text().count("\n") == 3
+    assert main(["sweep", str(lyap_spec), "-o", str(tmp_path / "lyap_again")]) == 0
+    fresh = (tmp_path / "lyap_out" / "results.csv").read_bytes()
+    assert fresh == (tmp_path / "lyap_again" / "results.csv").read_bytes()
 
 
 def test_array_commands_load_numpy_on_first_use(tmp_path):
@@ -95,15 +122,5 @@ def test_array_commands_load_numpy_on_first_use(tmp_path):
 
     assert main(["run", "coop_headon", "-o", str(tmp_path / "headon")]) == 2
     codes, numpy_loaded = fresh_main(["analyze", tmp_path / "headon", "--regime", "coop_pair"])
-    assert codes == [0]
-    assert numpy_loaded
-
-    spec = tmp_path / "sweep.json"
-    spec.write_text(json.dumps({
-        "base_scenario": "coop_triangle",
-        "axes": [{"path": "params.lambda", "values": [40.0]}],
-        "metrics": ["max_lyap_derivative"],
-    }))
-    codes, numpy_loaded = fresh_main(["sweep", spec, "-o", tmp_path / "sweep_out"])
     assert codes == [0]
     assert numpy_loaded

@@ -251,3 +251,78 @@ def test_run_matches_reference_on_mixed_scenario():
     kinds = {event.kind for event in log.events}
     assert {EVENT_GOAL, EVENT_STOPPED, EVENT_OVERLAP} <= kinds
     assert_logs_equal(log, reference_run(scenario))
+
+
+def contact_scenario():
+    """Five robots: a cooperative robot driving past a wide stationary
+    obstacle, inside its contact distance, and meeting a slow
+    non-cooperative robot there; and an attacker that catches a cooperative
+    robot while that robot keeps moving.  Contact forces are weak (lambda 5),
+    so the bodies overlap."""
+
+    def robot(idx, x, y, behavior, goal=None, heading=None, speed=0.17, radius=0.12,
+              target=None):
+        if heading is None:
+            heading = math.atan2(goal[1] - y, goal[0] - x)
+        return RobotState(
+            id=idx, position=PlanarVector(x, y), heading=heading, speed=speed,
+            body_radius=radius, behavior=behavior,
+            goal=None if goal is None else PlanarVector(*goal), attack_target=target,
+        )
+
+    coop = BehaviorKind.COOPERATIVE
+    robots = (
+        robot(1, -1.5, 0.0, coop, (1.5, 0.0)),
+        robot(2, 0.0, 0.35, BehaviorKind.STATIONARY, heading=0.0, speed=0.0, radius=0.32),
+        robot(3, 1.3, 0.0, BehaviorKind.NON_COOPERATIVE, (-1.5, 0.0), speed=0.09),
+        robot(4, 0.0, -1.5, coop, (0.0, -4.0)),
+        robot(5, 0.6, -0.9, BehaviorKind.ATTACKING, heading=-1.5, speed=0.25, target=4),
+    )
+    return Scenario(robots=robots, params=PFParams(lam=5.0, kp=5.0), dt=0.01, t_max=25.0,
+                    name="contact")
+
+
+def test_run_matches_reference_on_contact_scenario():
+    scenario = contact_scenario()
+    log = run(scenario)
+    radius = {r.id: r.body_radius for r in scenario.robots}
+    inside = {
+        key: [r < radius[key[0]] + radius[key[1]] for r in trace.r]
+        for key, trace in log.pairs.items()
+    }
+    # Every step is logged, so step k is at log.t[k].
+    entries = [(log.t.index(e.t), e.ids) for e in log.events if e.kind == EVENT_OVERLAP]
+    # A pair enters contact while another pair stays in contact.
+    assert any(
+        inside[other][k - 1] and inside[other][k]
+        for k, key in entries
+        for other in inside
+        if other != key
+    )
+    # The attacker stops while its target is still moving.
+    caught = next(e.t for e in log.events if e.kind == EVENT_GOAL and e.ids == (5,))
+    k = log.t.index(caught)
+    target = log.robots[4]
+    assert target.active[k] and (target.x[k - 1], target.y[k - 1]) != (target.x[k], target.y[k])
+    assert_logs_equal(log, reference_run(scenario))
+
+
+def test_run_matches_reference_on_contact_re_entry():
+    # A cooperative robot whose turn rate is too low to settle on its goal
+    # circles it and passes a stationary obstacle twice: the pair leaves
+    # contact while nothing else is in contact, and enters it again.
+    robots = (
+        RobotState(id=1, position=PlanarVector(-1.0, 0.0), heading=0.0, speed=0.17,
+                   body_radius=0.12, behavior=BehaviorKind.COOPERATIVE,
+                   goal=PlanarVector(0.0, 0.0)),
+        RobotState(id=2, position=PlanarVector(-0.3, 0.3), heading=0.0, speed=0.0,
+                   body_radius=0.12, behavior=BehaviorKind.STATIONARY),
+    )
+    scenario = Scenario(robots=robots, params=PFParams(lam=5.0, omega_max=0.3), dt=0.01,
+                        t_max=40.0, name="orbit")
+    log = run(scenario)
+    assert [e.kind for e in log.events] == [EVENT_OVERLAP, EVENT_OVERLAP]
+    first, second = (log.t.index(e.t) for e in log.events)
+    inside = [r < 0.24 for r in log.pairs[(1, 2)].r]
+    assert inside[first] and not all(inside[first:second]) and inside[second]
+    assert_logs_equal(log, reference_run(scenario))

@@ -1,13 +1,15 @@
 """Golden-output gate: every preset through ``run``, ``analyze`` and
-``plotdata``, and the benchmark's 32-robot ring through ``run``, reproduce the
-pinned SHA-256 of each file they write.
+``plotdata``, the benchmark's 32-robot ring through ``run`` and its
+``coop_triangle`` parameter sweep through ``sweep`` reproduce the pinned
+SHA-256 of each file they write.
 
 The digests are the benchmark's own (``benchmarks/digests.json``, the
-``full`` ``preset_pipeline`` and ``ring_swarm`` entries); these tests only
-read them.  A change that alters any output byte, in the run files,
-``lyapunov.csv``, ``verification.txt`` or the ``plotdata`` panels, fails here.
-The ring runs on the numpy pair stage, so it pins that stage byte for byte
-against digests the scalar engine made.
+``full`` ``preset_pipeline``, ``ring_swarm`` and ``param_sweep`` entries);
+these tests only read them.  A change that alters any output byte, in the
+run files, ``lyapunov.csv``, ``verification.txt``, the ``plotdata`` panels
+or the sweep's ``results.csv``, fails here.  The ring runs on the numpy
+pair stage, so it pins that stage byte for byte against digests the scalar
+engine made.
 """
 
 import hashlib
@@ -58,5 +60,20 @@ def test_ring_swarm_outputs_match_pinned_digests(tmp_path, monkeypatch):
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(rundir.iterdir())
+    }
+    assert digests == pinned
+
+
+def test_param_sweep_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import bench
+
+    pinned = json.loads(DIGESTS.read_text())["full"]["param_sweep"]
+    sweep = bench.ParamSweep(tmp_path, bench.DEFAULT_SEED, fast=False)
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", str(sweep.spec_path), "-o", str(outdir)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(outdir.iterdir())
     }
     assert digests == pinned
