@@ -12,27 +12,29 @@ direct integrations of the equations themselves (integration and
 differentiation as independent routes), while log-based checks assert the
 qualitative certificates.
 
-numpy is imported inside the functions that work on arrays, not at module
-import: the CLI imports this module for every command, and only ``analyze``
-in the ``coop_pair`` and ``attractive_only`` regimes needs arrays (the
-closed-loop window fit and the goal engagement series).  The Lyapunov series
-are columns of plain floats, and their numeric derivative is numpy's
-``gradient`` rewritten with the same operation order, so the
-``max_lyap_derivative`` sweep metric and the other regimes never load numpy.
+The CLI imports this module on first use, in ``analyze`` and in the
+``max_lyap_derivative`` sweep metric; ``run``, ``plotdata`` and the other
+sweeps never load it.  ``RegimeKind`` lives in ``kinematics`` and is
+re-exported here.  numpy is imported inside the functions that work on
+arrays, not at module import: only ``analyze`` in the ``coop_pair`` and
+``attractive_only`` regimes needs arrays (the closed-loop window fit and the
+goal engagement series).  The Lyapunov series are columns of plain floats,
+and their numeric derivative is numpy's ``gradient`` rewritten with the same
+operation order, so the ``max_lyap_derivative`` sweep metric and the other
+regimes never load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import repeat
 from operator import sub, truediv
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .engine import EVENT_OVERLAP, EVENT_STOPPED, TrajectoryLog
 from .fields import PFParams
-from .kinematics import BehaviorKind, EngagementState, wrap_angle
+from .kinematics import BehaviorKind, EngagementState, RegimeKind, wrap_angle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,17 +42,6 @@ if TYPE_CHECKING:
 
 class InfeasibleGeometry(ValueError):
     """No acceleration bound lets the robots avoid grazing at this geometry."""
-
-
-class RegimeKind(Enum):
-    """Which closed-loop engagement a trajectory or equation set belongs to."""
-
-    ATTRACTIVE_ONLY = "attractive_only"
-    COOP_PAIR = "coop_pair"
-    COOP_VS_NONCOOP = "coop_vs_noncoop"
-    COOP_VS_ATTACKER = "coop_vs_attacker"
-    NONVORTEX_PAIR = "nonvortex_pair"
-    MULTI_ROBOT = "multi_robot"
 
 
 _REPULSIVE_REGIMES = (

@@ -13,18 +13,8 @@ import json
 import math
 import os
 import sys
-from typing import Any, Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, NamedTuple, Sequence
 
-from .analysis import (
-    REGIME_COLUMNS,
-    LyapunovSeries,
-    RegimeKind,
-    analyze_log,
-    attractive_only_lyapunov,
-    multi_lyapunov,
-    pair_lyapunov_series,
-    require_regime,
-)
 from .engine import (
     EVENT_GOAL,
     EVENT_OVERLAP,
@@ -36,7 +26,7 @@ from .engine import (
     min_separation,
     run,
 )
-from .kinematics import CollisionSingularity, SimulationFault
+from .kinematics import CollisionSingularity, RegimeKind, SimulationFault
 from .scenarios import (
     load_scenario,
     load_sweep,
@@ -45,6 +35,10 @@ from .scenarios import (
     scenario_to_dict,
     set_by_path,
 )
+
+if TYPE_CHECKING:
+    from .analysis import CheckResult, LyapunovSeries
+    from .fields import PFParams
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -290,6 +284,34 @@ def read_run(
 
 
 # ---------------------------------------------------------------------------
+# Analysis, imported on first use: `run`, `plotdata` and sweeps without
+# max_lyap_derivative never compile or execute it.  The commands call these
+# three analysis functions through the module-level bindings below.
+
+
+def analyze_log(
+    log: TrajectoryLog, regime: RegimeKind, params: PFParams, series: LyapunovSeries | None = None
+) -> list[CheckResult]:
+    from . import analysis
+
+    return analysis.analyze_log(log, regime, params, series)
+
+
+def pair_lyapunov_series(
+    log: TrajectoryLog, pair: tuple[int, int], regime: RegimeKind, params: PFParams
+) -> LyapunovSeries:
+    from . import analysis
+
+    return analysis.pair_lyapunov_series(log, pair, regime, params)
+
+
+def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> LyapunovSeries:
+    from . import analysis
+
+    return analysis.multi_lyapunov(log, params)
+
+
+# ---------------------------------------------------------------------------
 # Commands
 
 
@@ -393,9 +415,11 @@ def _read_run_or_report(
 
 def regime_lyapunov(log: TrajectoryLog, regime: RegimeKind) -> LyapunovSeries:
     """The Lyapunov series ``analyze`` writes to lyapunov.csv for the regime."""
+    from . import analysis
+
     params = log.scenario.params
     if regime is RegimeKind.ATTRACTIVE_ONLY:
-        return attractive_only_lyapunov(log)
+        return analysis.attractive_only_lyapunov(log)
     if regime is RegimeKind.MULTI_ROBOT:
         return multi_lyapunov(log, params)
     return pair_lyapunov_series(log, log.pair_ids()[0], regime, params)
@@ -408,13 +432,15 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
+    from . import analysis
+
     regime = REGIME_NAMES[regime_name]
-    log = _read_run_or_report(rundir, REGIME_COLUMNS[regime])
+    log = _read_run_or_report(rundir, analysis.REGIME_COLUMNS[regime])
     if log is None:
         return EXIT_ERROR
 
     try:
-        require_regime(log, regime)
+        analysis.require_regime(log, regime)
         series = regime_lyapunov(log, regime)
         checks = analyze_log(log, regime, log.scenario.params, series)
     except ValueError as exc:

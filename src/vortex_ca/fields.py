@@ -16,12 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
 
-from .kinematics import EPS_V_DEFAULT, PlanarVector, check_finite, engagement_terms
-
-if TYPE_CHECKING:
-    import numpy as np
+from .kinematics import EPS_V_DEFAULT, check_finite
 
 
 @dataclass(frozen=True)
@@ -169,101 +165,3 @@ def repulsive_components(
         return fx, fy
     return saturated_components(ux, uy, vr, vth, params.f_lim)
 
-
-# ---------------------------------------------------------------------------
-# Curl diagnostic over relative-position space
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular sampling grid over relative-position space."""
-
-    x_min: float
-    x_max: float
-    nx: int
-    y_min: float
-    y_max: float
-    ny: int
-    r_min: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.nx < 3 or self.ny < 3:
-            raise ValueError("grid needs at least 3 nodes per axis for the curl stencil")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError("grid extents must be increasing")
-
-
-@dataclass
-class CurlDiagnostic:
-    """Sampled force components and their central-difference curl."""
-
-    x: np.ndarray
-    y: np.ndarray
-    fx: np.ndarray
-    fy: np.ndarray
-    curl: np.ndarray
-
-
-def _repulsive_at(rel_pos: PlanarVector, rel_vel: PlanarVector, params: PFParams) -> tuple[float, float]:
-    r, ux, uy, vr, vth, vrel, triggered = engagement_terms(
-        rel_pos.x, rel_pos.y, rel_vel.x, rel_vel.y, params.eps_v
-    )
-    if not triggered:
-        return 0.0, 0.0
-    return repulsive_components(r, ux, uy, vr, vth, vrel, params)
-
-
-def field_curl_diagnostic(
-    grid: GridSpec,
-    rel_velocity: PlanarVector,
-    params: PFParams,
-    force_fn: Callable[[PlanarVector], tuple[float, float]] | None = None,
-    out_path: str | None = None,
-) -> CurlDiagnostic:
-    """Sample the repulsive law over relative positions and report its numerical curl.
-
-    The curl (dFy/dx - dFx/dy) is computed with a second-order central
-    stencil on interior nodes; boundary nodes are NaN.  This is a diagnostic
-    for inspection and plotting, not an assertion about the field.  The law is
-    the one ``params`` configures (the vortex field by default).  A custom
-    ``force_fn`` may replace it (used to sanity-check the stencil against
-    fields of known curl).  The grid must stay outside the ``r_min`` guard
-    band around the origin.
-    """
-    import numpy as np
-
-    xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
-    ys = np.linspace(grid.y_min, grid.y_max, grid.ny)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    rg = np.hypot(xg, yg)
-    if float(rg.min()) < grid.r_min:
-        raise ValueError(
-            f"grid enters the r_min guard band (min r = {rg.min():g} < {grid.r_min:g})"
-        )
-    if force_fn is None:
-        force_fn = lambda p: _repulsive_at(p, rel_velocity, params)
-
-    fx = np.empty_like(xg)
-    fy = np.empty_like(xg)
-    for ix in range(grid.nx):
-        for iy in range(grid.ny):
-            fx[ix, iy], fy[ix, iy] = force_fn(PlanarVector(float(xs[ix]), float(ys[iy])))
-
-    dx = xs[1] - xs[0]
-    dy = ys[1] - ys[0]
-    curl = np.full_like(fx, np.nan)
-    curl[1:-1, 1:-1] = (fy[2:, 1:-1] - fy[:-2, 1:-1]) / (2.0 * dx) - (
-        fx[1:-1, 2:] - fx[1:-1, :-2]
-    ) / (2.0 * dy)
-
-    result = CurlDiagnostic(x=xs, y=ys, fx=fx, fy=fy, curl=curl)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write("x_rel,y_rel,Fx,Fy,curl\n")
-            for ix in range(grid.nx):
-                for iy in range(grid.ny):
-                    handle.write(
-                        f"{xs[ix]:.17g},{ys[iy]:.17g},{fx[ix, iy]:.17g},"
-                        f"{fy[ix, iy]:.17g},{curl[ix, iy]:.17g}\n"
-                    )
-    return result

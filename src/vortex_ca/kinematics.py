@@ -78,6 +78,17 @@ class BehaviorKind(Enum):
     ATTACKING = "attacking"
 
 
+class RegimeKind(Enum):
+    """Which closed-loop engagement a trajectory or equation set belongs to."""
+
+    ATTRACTIVE_ONLY = "attractive_only"
+    COOP_PAIR = "coop_pair"
+    COOP_VS_NONCOOP = "coop_vs_noncoop"
+    COOP_VS_ATTACKER = "coop_vs_attacker"
+    NONVORTEX_PAIR = "nonvortex_pair"
+    MULTI_ROBOT = "multi_robot"
+
+
 @dataclass(frozen=True)
 class RobotState:
     """Pose, heading, speed, behavior, goal, and body radius for one robot.

@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-from .analysis import RegimeKind, attacker_standoff, required_accel
 from .engine import Scenario, ScenarioError
 from .fields import PFParams, default_r_star
 from .kinematics import BehaviorKind, PlanarVector, RobotState, SimulationFault
@@ -311,11 +310,14 @@ _COOP_HEADON = {
     "robots": [_coop(1, -1.5, 0.0, (1.5, 0.0)), _coop(2, 1.5, 0.0, (-1.5, 0.0))],
 }
 
+# The two analysis bounds the presets use are literals, so that loading a
+# preset does not import analysis; tests/test_analysis.py checks each against
+# its formula.
 # attacker: the sufficient standoff separation, rounded up to the centimeter grid.
-_ATTACKER_R0 = math.ceil(attacker_standoff(PFParams.lam, _V) * 100.0) / 100.0
+_ATTACKER_R0 = 2.26
 
 # saturated_headon: the grazing requirement at half separation 0.5 m, with a 10% margin.
-_SATURATED_F_LIM = 1.1 * required_accel(RegimeKind.COOP_PAIR, _R_BODY, _V, 0.5)
+_SATURATED_F_LIM = 0.05071908831908833
 
 PRESETS: dict[str, dict[str, Any]] = {
     "coop_headon": _COOP_HEADON,
@@ -412,7 +414,7 @@ class SweepSpec:
 
 
 def set_by_path(data: dict[str, Any], path: str, value: Any) -> None:
-    """Set a dotted path (list indices as numeric tokens) in a scenario dict;
+    """Set a dotted path (list indices as ASCII digit tokens) in a scenario dict;
     a path that does not resolve raises KeyError."""
     *parents, last = path.split(".")
     node: Any = data
@@ -425,7 +427,7 @@ def _slot(node: Any, token: str, path: str) -> str | int:
     """The key or list index that ``token`` names in ``node``."""
     if isinstance(node, dict) and token in node:
         return token
-    if isinstance(node, list) and token.isdigit() and int(token) < len(node):
+    if isinstance(node, list) and token.isascii() and token.isdigit() and int(token) < len(node):
         return int(token)
     raise KeyError(f"path {path!r}: no such field {token!r}")
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortex_ca import scenarios
 from vortex_ca.analysis import (
     InfeasibleGeometry,
     RegimeKind,
@@ -282,6 +283,15 @@ def test_attacker_standoff_values():
     assert attacker_standoff(10.0, 0.17) == pytest.approx(2.2583, abs=1e-4)
     assert attacker_standoff(1e-9, 0.17) == pytest.approx(0.0, abs=1e-4)
     assert attacker_standoff(3.0, 1.0 / 3.0) == pytest.approx(math.sqrt(3.0))
+
+
+def test_preset_constants_equal_their_formulas():
+    # scenarios writes them as literals so that loading a preset does not
+    # import analysis; the literals must be exactly what the formulas give
+    r0 = math.ceil(attacker_standoff(PFParams.lam, scenarios._V) * 100.0) / 100.0
+    f_lim = 1.1 * required_accel(RegimeKind.COOP_PAIR, scenarios._R_BODY, scenarios._V, 0.5)
+    assert scenarios._ATTACKER_R0 == r0
+    assert scenarios._SATURATED_F_LIM == f_lim
 
 
 def test_fit_circle_recovers_synthetic_circle():

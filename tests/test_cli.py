@@ -311,8 +311,9 @@ def test_analyze_reports_a_repeated_time_as_a_failed_check(headon_rundir, tmp_pa
 
 def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     # the benchmark tracer wraps these module-level bindings; a refactor that
-    # bypasses them would silently empty the read and write spans
-    calls = {"read_run": 0, "write_trajectory_csv": 0, "write_pairs_csv": 0}
+    # bypasses them would silently empty the read, write and analysis spans
+    calls = {"read_run": 0, "write_trajectory_csv": 0, "write_pairs_csv": 0,
+             "analyze_log": 0, "pair_lyapunov_series": 0, "multi_lyapunov": 0}
     for name in calls:
         original = getattr(cli, name)
 
@@ -325,7 +326,20 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     assert main(["run", "coop_headon", "-o", out]) == 2
     assert main(["analyze", out, "--regime", "coop_pair"]) == 0
     assert main(["plotdata", out]) == 0
-    assert calls == {"read_run": 2, "write_trajectory_csv": 1, "write_pairs_csv": 1}
+    assert calls == {"read_run": 2, "write_trajectory_csv": 1, "write_pairs_csv": 1,
+                     "analyze_log": 1, "pair_lyapunov_series": 1, "multi_lyapunov": 0}
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "base_scenario": "coop_headon",
+        "axes": [{"path": "params.lambda", "values": [8.0, 10.0, 12.0]}],
+        "metrics": ["max_lyap_derivative"],
+    }))
+    assert main(["sweep", str(spec), "-o", str(tmp_path / "sweep")]) == 0
+    assert calls["multi_lyapunov"] == 3
+    out = str(tmp_path / "triangle")
+    assert main(["run", "coop_triangle", "-o", out]) == 0
+    assert main(["analyze", out, "--regime", "multi_robot"]) == 0
+    assert (calls["analyze_log"], calls["multi_lyapunov"]) == (2, 4)
 
 
 def test_summary_contents(headon_rundir):
@@ -573,8 +587,11 @@ def _axis_spec(path, **extra):
     _axis_spec("robots.x.speed"),
     _axis_spec("name.c"),
     _axis_spec("params.kappa.x"),
+    # str.isdigit() accepts both; int() rejects the first and reads the second as 1
+    _axis_spec("robots.\u00b2.x"),
+    _axis_spec("robots.\u0661.x"),
 ], ids=["list", "axes_int", "metrics_int", "index_past_end", "index_not_int", "into_string",
-        "into_number"])
+        "into_number", "index_superscript_two", "index_arabic_indic_one"])
 def test_cmd_sweep_rejects_malformed_specs(tmp_path, capsys, spec):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec))

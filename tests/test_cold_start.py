@@ -1,4 +1,5 @@
-"""Which commands load numpy, each checked in a fresh interpreter.
+"""Which commands load numpy and ``vortex_ca.analysis``, each checked in a
+fresh interpreter.
 
 The engine uses numpy only on the array pair stage (swarms of at least
 ``engine._ARRAY_MIN_ROBOTS`` robots), and ``analysis`` only in the functions
@@ -7,6 +8,10 @@ plain floats.  ``run`` and ``sweep`` (every metric) on smaller swarms,
 ``plotdata``, and ``analyze`` in the regimes whose checks use no arrays,
 must therefore start and finish without importing it; the commands that
 need arrays load it on first use and exit as before.
+
+``analysis`` is imported by ``analyze`` and the ``max_lyap_derivative`` sweep
+metric only: importing the package or the CLI, ``run``, ``plotdata`` and the
+other sweeps never compile or execute it.
 """
 
 import json
@@ -41,17 +46,30 @@ ARRAY_FREE_REGIMES = {
     "nonvortex_headon": "nonvortex_pair",
 }
 
+WATCHED = ("numpy", "vortex_ca.analysis")
+ANALYSIS = ["vortex_ca.analysis"]
+BOTH = list(WATCHED)
+
 PROBE = """
 import json, sys
+import vortex_ca, vortex_ca.cli
 from vortex_ca.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
-"""
+watched = {watched!r}
+unresolved = [name for name in vortex_ca.__all__ if not hasattr(vortex_ca, name)]
+loaded = [[name for name in watched if name in sys.modules]]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    codes.append(main(argv))
+    loaded.append([name for name in watched if name in sys.modules])
+print(json.dumps({{"codes": codes, "loaded": loaded, "unresolved": unresolved}}))
+""".format(watched=WATCHED)
 
 
 def fresh_main(*argvs):
-    """Exit codes of ``main`` over ``argvs`` in one new interpreter, and
-    whether numpy was imported by the end."""
+    """Run ``main`` over ``argvs`` in one new interpreter, after importing
+    ``vortex_ca`` and ``vortex_ca.cli`` and checking that every name in
+    ``vortex_ca.__all__`` resolves.  Returns the exit codes and, after the
+    imports and then after each command, which ``WATCHED`` modules are loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps([[str(a) for a in argv] for argv in argvs])],
@@ -60,7 +78,8 @@ def fresh_main(*argvs):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    return result["codes"], result["numpy"]
+    assert result["unresolved"] == []
+    return result["codes"], result["loaded"]
 
 
 def ring_scenario(path, n):
@@ -90,21 +109,26 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
     }))
     ring = ring_scenario(tmp_path / "ring11.json", 11)
     names = sorted(RUN_CODES)
-    codes, numpy_loaded = fresh_main(
+    # the commands that never load analysis come first, since nothing unloads it
+    plain = [
         *(["run", name, "-o", tmp_path / name] for name in names),
         *(["plotdata", tmp_path / name] for name in names),
+        ["sweep", spec, "-o", tmp_path / "sweep_out"],
+        ["run", ring, "-o", tmp_path / "ring11"],
+    ]
+    analyses = [
+        ["sweep", lyap_spec, "-o", tmp_path / "lyap_out"],
         *(["analyze", tmp_path / name, "--regime", regime]
           for name, regime in sorted(ARRAY_FREE_REGIMES.items())),
-        ["sweep", spec, "-o", tmp_path / "sweep_out"],
-        ["sweep", lyap_spec, "-o", tmp_path / "lyap_out"],
-        ["run", ring, "-o", tmp_path / "ring11"],
-    )
+    ]
+    codes, loaded = fresh_main(*plain, *analyses)
     ring_code = main(["run", str(ring), "-o", str(tmp_path / "ring11_again")])
     assert codes == (
-        [RUN_CODES[name] for name in names] + [0] * (len(names) + len(ARRAY_FREE_REGIMES))
-        + [0, 0, ring_code]
+        [RUN_CODES[name] for name in names] + [0] * len(names) + [0, ring_code]
+        + [0] * len(analyses)
     )
-    assert not numpy_loaded
+    # the imports, then the plain commands, leave both out; the sweep loads analysis
+    assert loaded == [[]] * (1 + len(plain)) + [ANALYSIS] * len(analyses)
     assert (tmp_path / "sweep_out" / "results.csv").read_text().count("\n") == 3
     assert main(["sweep", str(lyap_spec), "-o", str(tmp_path / "lyap_again")]) == 0
     fresh = (tmp_path / "lyap_out" / "results.csv").read_bytes()
@@ -113,14 +137,15 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
 
 def test_array_commands_load_numpy_on_first_use(tmp_path):
     ring = ring_scenario(tmp_path / "ring12.json", 12)
-    codes, numpy_loaded = fresh_main(["run", ring, "-o", tmp_path / "ring12"])
+    codes, loaded = fresh_main(["run", ring, "-o", tmp_path / "ring12"])
     assert codes == [main(["run", str(ring), "-o", str(tmp_path / "ring12_again")])]
-    assert numpy_loaded
+    assert loaded == [[], ["numpy"]]
     for name in ("trajectory.csv", "pairs.csv", "events.csv", "summary.json"):
         fresh = (tmp_path / "ring12" / name).read_bytes()
         assert fresh == (tmp_path / "ring12_again" / name).read_bytes(), name
 
     assert main(["run", "coop_headon", "-o", str(tmp_path / "headon")]) == 2
-    codes, numpy_loaded = fresh_main(["analyze", tmp_path / "headon", "--regime", "coop_pair"])
-    assert codes == [0]
-    assert numpy_loaded
+    argv = ["analyze", str(tmp_path / "headon"), "--regime", "coop_pair"]
+    codes, loaded = fresh_main(["plotdata", tmp_path / "headon"], argv)
+    assert codes == [0, main(argv)]
+    assert loaded == [[], [], BOTH]
