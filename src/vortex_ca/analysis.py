@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import sub, truediv
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -64,8 +65,14 @@ class LyapunovSeries:
     t: list[float]
     value: list[float]
     derivative_analytic: list[float]
-    derivative_numeric: list[float]
     regime: RegimeKind
+
+    @cached_property
+    def derivative_numeric(self) -> list[float]:
+        """Central-difference derivative of ``value`` over ``t`` (one-sided at
+        the ends), formed on first read: a sweep cell reads only the
+        analytic one."""
+        return numeric_derivative(self.value, self.t)
 
 
 def collision_course(eng: EngagementState, tol_vth: float = 1e-3) -> bool:
@@ -452,7 +459,7 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> LyapunovSeries:
                 dtotal += deriv
         values.append(total)
         derivs.append(dtotal)
-    return _lyapunov_columns(log, values, derivs, RegimeKind.MULTI_ROBOT)
+    return LyapunovSeries(log.t, values, derivs, RegimeKind.MULTI_ROBOT)
 
 
 def _ieee_div(a: float, b: float) -> float:
@@ -505,14 +512,6 @@ def _central_differences(
     return [div(f[1] - f[0], first), *inner, div(f[-1] - f[-2], last)]
 
 
-def _lyapunov_columns(
-    log: TrajectoryLog, values: list[float], derivs: list[float], regime: RegimeKind
-) -> LyapunovSeries:
-    """The series over the log's recorded steps, with a central-difference
-    derivative of the value series (one-sided at the ends)."""
-    return LyapunovSeries(log.t, values, derivs, numeric_derivative(values, log.t), regime)
-
-
 def _lyapunov_series(
     log: TrajectoryLog, regime: RegimeKind, r: Sequence[float], vr: Sequence[float],
     vth: Sequence[float], vrel: Sequence[float], params: PFParams,
@@ -524,7 +523,7 @@ def _lyapunov_series(
         value, deriv = lyapunov(regime, *state, params)
         values.append(value)
         derivs.append(deriv)
-    return _lyapunov_columns(log, values, derivs, regime)
+    return LyapunovSeries(log.t, values, derivs, regime)
 
 
 def pair_lyapunov_series(

@@ -56,10 +56,12 @@ def _pair_tag(key: tuple[int, int]) -> str:
 
 
 class Column(NamedTuple):
-    """One per-robot or per-pair CSV column: header suffix, trace attribute, 0/1 flag."""
+    """One per-robot or per-pair CSV column: header suffix, trace attribute
+    (None for the pair ``theta``, which the writer forms from the logged
+    positions with ``TrajectoryLog.pair_theta``), 0/1 flag."""
 
     suffix: str
-    attr: str
+    attr: str | None
     flag: bool = False
 
 
@@ -71,7 +73,7 @@ ROBOT_COLUMNS = (
     Column("active", "active", flag=True),
 )
 PAIR_COLUMNS = (
-    Column("r", "r"), Column("theta", "theta"), Column("vr", "vr"), Column("vth", "vth"),
+    Column("r", "r"), Column("theta", None), Column("vr", "vr"), Column("vth", "vth"),
     Column("vrel", "vrel"), Column("trig", "triggered", flag=True),
 )
 
@@ -91,9 +93,14 @@ def _write_table(path: str, columns: Sequence[tuple[str, str, Sequence[Any]]]) -
         handle.writelines(row % cells for cells in zip(*(values for _, _, values in columns)))
 
 
-def _traced_columns(tag: str, trace: Any, columns: Sequence[Column]) -> list[tuple[str, str, Any]]:
+def _traced_columns(
+    tag: str, trace: Any, columns: Sequence[Column], derived: Sequence[float] = ()
+) -> list[tuple[str, str, Any]]:
+    """Writer columns of one robot or pair; ``derived`` holds the values of
+    the column without a trace attribute."""
     return [
-        (f"{tag}_{col.suffix}", FLAG if col.flag else FLOAT, getattr(trace, col.attr))
+        (f"{tag}_{col.suffix}", FLAG if col.flag else FLOAT,
+         derived if col.attr is None else getattr(trace, col.attr))
         for col in columns
     ]
 
@@ -108,7 +115,8 @@ def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
 def write_pairs_csv(log: TrajectoryLog, path: str) -> None:
     columns = [("t", FLOAT, log.t)]
     for key in log.pair_ids():
-        columns += _traced_columns(_pair_tag(key), log.pairs[key], PAIR_COLUMNS)
+        columns += _traced_columns(_pair_tag(key), log.pairs[key], PAIR_COLUMNS,
+                                   log.pair_theta(key))
     _write_table(path, columns)
 
 
@@ -214,7 +222,10 @@ def _trace_fields(
     for col in columns:
         name = f"{tag}_{col.suffix}"
         cells = _cells(path, table, name)  # present even when it is not read
-        if col.attr in text or parse is None or col.attr in parse:
+        if col.attr is None:  # formed from the positions, so only checked
+            if parse is None:
+                _column(path, table, name)
+        elif col.attr in text or parse is None or col.attr in parse:
             values = _column(path, table, name, _parse_flag if col.flag else float)
             fields[col.attr] = cells if col.attr in text else values
         else:
@@ -232,7 +243,9 @@ def read_run(
     parse, all of them when None.  An attribute or ``t`` named in ``text``
     holds its cell strings instead, after they are checked to parse.  Every
     other trace attribute is None, and its cells are not checked.  ``t`` is
-    always read and the events always parsed.
+    always read and the events always parsed.  The pair ``theta`` cells are
+    checked only when ``parse`` is None and kept nowhere:
+    ``TrajectoryLog.pair_theta`` forms them again from the positions.
     """
     path = os.path.join(outdir, "summary.json")
     try:

@@ -16,29 +16,39 @@ evaluates the laws through the float kernels (``engagement_terms``,
 ``heading_controller``, ``advance_pose``), the same ones that the object
 functions ``engagement`` and ``propagate`` use, so its results are
 bit-identical to theirs.  The log records floats; no per-step object is built.
-The loop keeps only the state the step needs: the LOS angle of each pair,
-which nothing in the step reads, is formed after the loop from the logged
-positions (``atan2`` on the same floats), and the overlap scan runs only
-while some pair is, or comes, inside its contact distance.
+The loop keeps only the state the step needs: each robot's constants
+(behaviour, goal point, target) are read once, before the loop; the cosine
+and sine of each heading are formed once per step, for the pair stage and
+the propagation; the LOS angle of each pair, which nothing in the step
+reads, is not formed at all (``TrajectoryLog.pair_theta`` forms it from the
+logged positions for the writer); and the overlap scan runs only while some
+pair is, or comes, inside its contact distance.
 
 Each step is a pair stage (every engagement and every robot's summed
 repulsive input, O(N^2)) and then a robot stage (attractive term, finite
-check, desired heading, turn rate).  The pair stage runs as scalar loops
-below ``_ARRAY_MIN_ROBOTS`` robots and on numpy arrays from there on, where
-the arrays are faster; the threshold is the measured crossover, not a
-setting.  The array stage gives the same bits because it keeps the scalar
-arithmetic: the same kernels (``los_components``, ``repulsive_view``,
-``saturation_brackets``) on arrays, ``math.hypot`` through ``map``, views
-only where the scalar stage forms them, and per-robot sums added one
-neighbour column at a time in the scalar order, never by a numpy reduction
-or matrix product (their pairwise summation reorders the additions).  It
-raises every fault the scalar stage raises, with the same class and
-message, at the same point of the step.
+check, desired heading, turn rate).  The repulsive law is evaluated once per
+triggered pair: the pair's first robot adds the input and its second robot
+the negation, which is bit for bit what the second robot's own view gives
+(see ``_Swarm``).  The pair stage runs as scalar loops below
+``_ARRAY_MIN_ROBOTS`` robots and on numpy arrays from there on, where the
+arrays are faster; the threshold is the measured crossover, not a setting.
+The array stage gives the same bits because it keeps the scalar arithmetic:
+the same kernels (``los_components``, ``repulsive_view``,
+``saturation_brackets``) on arrays, ``math.hypot`` through ``map``, inputs
+only where the scalar stage forms them, and per-robot sums added by
+``np.add.accumulate`` one neighbour column at a time in the scalar order,
+never by a numpy reduction or matrix product (their pairwise summation
+reorders the additions).  It raises every fault the scalar stage raises,
+with the same class and message, at the same point of the step.
 
-numpy is imported, and the array stage's index arrays (pair endpoints and
-view order) are built, on the array stage's first call, not when the module
-is imported or a swarm is built: a run of fewer than ``_ARRAY_MIN_ROBOTS``
-robots never loads numpy.
+numpy is imported, and the array stage's index arrays (pair endpoints) are
+built, on the array stage's first call, not when the module is imported or
+a swarm is built: a run of fewer than ``_ARRAY_MIN_ROBOTS`` robots never
+loads numpy.
+
+``Scenario`` validation caps the step count (``MAX_STEPS``) and the values a
+log records (``MAX_RECORDED_VALUES``), so a run never starts that could not
+finish or fit in memory.
 """
 
 from __future__ import annotations
@@ -73,6 +83,18 @@ from .kinematics import (
 #: the two stages (2 CPUs, CPython 3.11, numpy 2.4): about 8 robots when
 #: every pair is closing and triggered, about 14 when none is.
 _ARRAY_MIN_ROBOTS = 12
+
+#: Caps on the size of a run, checked by scenario validation before anything
+#: is allocated: the physics steps (round(t_max / dt)), and the values a log
+#: at record_stride keeps, (steps // record_stride + 2) * (1 + 9 N + 6 P) for
+#: N robots and P pairs, one per cell of trajectory.csv and pairs.csv.  Each
+#: is over 100 times what the presets and the benchmark workloads use; the
+#: values cap keeps a log under about 1.6 GB of Python floats.
+MAX_STEPS = 10_000_000
+MAX_RECORDED_VALUES = 50_000_000
+
+_COOPERATIVE = BehaviorKind.COOPERATIVE
+_ATTACKING = BehaviorKind.ATTACKING
 
 
 class ScenarioError(ValueError):
@@ -110,6 +132,8 @@ class Scenario:
             errors.append("t_max must be finite")
         if self.record_stride < 1:
             errors.append("record_stride must be >= 1")
+        if not errors:
+            errors += self._size_errors()
         if not self.d_wheel > 0.0:
             errors.append("d_wheel must be > 0")
         if not self.r_wheel > 0.0:
@@ -130,6 +154,25 @@ class Scenario:
                 if robot.goal is None:
                     errors.append(f"robot {robot.id}: {robot.behavior.value} behavior needs a goal")
         return errors
+
+    def n_steps(self) -> int:
+        """Physics steps after the initial state: round(t_max / dt)."""
+        return int(round(self.t_max / self.dt))
+
+    def _size_errors(self) -> list[str]:
+        steps = self.t_max / self.dt
+        if not math.isfinite(steps):
+            return ["t_max / dt overflows"]
+        if round(steps) > MAX_STEPS:
+            return [f"t_max / dt gives {steps:.6g} steps (the cap is {MAX_STEPS})"]
+        n = len(self.robots)
+        values = (self.n_steps() // self.record_stride + 2) * (1 + 9 * n + 3 * n * (n - 1))
+        if values > MAX_RECORDED_VALUES:
+            return [
+                f"the log would record {values} values (the cap is {MAX_RECORDED_VALUES}); "
+                "use fewer steps or robots or a larger record_stride"
+            ]
+        return []
 
     def validate(self) -> None:
         errors = self.validation_errors()
@@ -166,8 +209,10 @@ class RobotTrace:
 
 @dataclass
 class PairTrace:
+    """A pair's recorded engagement; its LOS angle is not kept but formed
+    from the logged positions (``TrajectoryLog.pair_theta``)."""
+
     r: list[float] = field(default_factory=list)
-    theta: list[float] = field(default_factory=list)
     vr: list[float] = field(default_factory=list)
     vth: list[float] = field(default_factory=list)
     vrel: list[float] = field(default_factory=list)
@@ -193,6 +238,13 @@ class TrajectoryLog:
     def has_event(self, kind: str) -> bool:
         return any(e.kind == kind for e in self.events)
 
+    def pair_theta(self, key: tuple[int, int]) -> list[float]:
+        """LOS angle of a pair at every recorded step, from its first robot to
+        its second: ``atan2`` on the logged positions, the floats the step
+        used."""
+        a, b = self.robots[key[0]], self.robots[key[1]]
+        return list(map(math.atan2, map(operator.sub, b.y, a.y), map(operator.sub, b.x, a.x)))
+
 
 class _Swarm:
     """Flat float state of a world: per-robot lists in id order and per-pair
@@ -203,26 +255,39 @@ class _Swarm:
     simultaneous-update step that ``run`` repeats; ``run`` validates the
     scenario first, so every goal and attack target the step reads exists.
 
-    The pair stage fills every pair's engagement (``r``, ``ux``, ``uy``,
-    ``vr``, ``vth``, ``vrel``, ``trig``) and every cooperative robot's summed
-    repulsive input (``rep_x``, ``rep_y``).  Robot j sees pair (i, j) through
-    the exact negation of its LOS cosines, so reciprocal inputs stay exact
-    negations in floating point, and each robot adds its views in ascending
-    id of the other robot, starting from +0.0.  It has two implementations
-    with the same bits: scalar loops, and a numpy stage that swarms of at
-    least ``_ARRAY_MIN_ROBOTS`` robots use (see ``_array_pair_stage``); it
-    leaves ``ux`` and ``uy``, which no later stage reads, as numpy arrays.
-    A repulsive view that fails its finite check, or divides by zero, is not
-    raised by the pair stage but kept in ``fault`` as a ``SimulationFault``;
-    the robot stage raises it after that robot's attractive term, so faults
-    surface robot by robot in id order.
+    The pair stage forms the cosine and sine of every heading (``cos_phi``,
+    ``sin_phi``; ``advance`` reuses them), every pair's engagement (``r``,
+    ``ux``, ``uy``, ``vr``, ``vth``, ``vrel``, ``trig``) and every
+    cooperative robot's summed repulsive input (``rep_x``, ``rep_y``).  The
+    law is evaluated once per triggered pair that has a cooperative, active
+    endpoint, on the LOS from the pair's first robot to its second: the
+    first robot adds that input and the second robot its negation.  The
+    second robot's own view of the pair has the exactly negated LOS
+    cosines, and in IEEE round-to-nearest those negate every nonzero result
+    (unsaturated, or the saturated ``-f_lim * sign(bracket)``); only a zero
+    may come out with the other sign.  Each robot adds its inputs in
+    ascending id of the other robot, starting from +0.0: such a sum never is
+    -0.0, so the sign of a zero input cannot change it, and each robot gets
+    the sum its own views give.  The stage has two implementations with the
+    same bits: scalar loops, and a numpy stage that swarms of at least
+    ``_ARRAY_MIN_ROBOTS`` robots use (see ``_array_pair_stage``); it leaves
+    ``ux`` and ``uy``, which no later stage reads, as numpy arrays.
+    A pair whose input fails its finite check, or divides by zero, is
+    evaluated again from each cooperative endpoint's own view, so the fault
+    names that robot and its own values.  The pair stage does not raise it
+    but keeps each robot's first in ``fault`` as a ``SimulationFault``; the
+    robot stage raises it after that robot's attractive term, so faults
+    surface robot by robot in id order.  A faulted robot's sums are never
+    read.
 
     The robot stage has one implementation: the attractive term, the finite
     check, the desired heading and the turn rate of each robot in id order.
+    It reads each robot's constants from ``steering``, built once: index,
+    behaviour (None for a stationary robot), goal point (None, None without
+    a goal) and target index (None unless it attacks).
     """
 
     def __init__(self, robots: tuple[RobotState, ...], params: PFParams):
-        self.robots = robots
         self.params = params
         n = len(robots)
         self.ids = [robot.id for robot in robots]
@@ -233,17 +298,16 @@ class _Swarm:
         self.active = [robot.active for robot in robots]
         self.cooperative = [robot.behavior is BehaviorKind.COOPERATIVE for robot in robots]
         index = {rid: i for i, rid in enumerate(self.ids)}
-        # Index of each attacker's target; None for robots that attack nothing.
-        self.target = [index.get(robot.attack_target) for robot in robots]
+        self.steering = [
+            (
+                i,
+                None if robot.behavior is BehaviorKind.STATIONARY else robot.behavior,
+                *((None, None) if robot.goal is None else (robot.goal.x, robot.goal.y)),
+                index.get(robot.attack_target) if robot.behavior is _ATTACKING else None,
+            )
+            for i, robot in enumerate(robots)
+        ]
         self.pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        # Robot i's pairs in ascending id of the other robot: first those
-        # where i is the second robot (LOS reversed), then those where it is
-        # the first.
-        self.lower: list[list[int]] = [[] for _ in range(n)]
-        self.upper: list[list[int]] = [[] for _ in range(n)]
-        for p, (a, b) in enumerate(self.pairs):
-            self.upper[a].append(p)
-            self.lower[b].append(p)
         n_pairs = len(self.pairs)
         self.r = [0.0] * n_pairs
         self.ux = [0.0] * n_pairs
@@ -264,77 +328,79 @@ class _Swarm:
         )
 
     @cached_property
-    def _view_index(self):
-        """Index arrays of the array stage, built on its first call: the pair
-        endpoints, and every view (robot, pair, LOS sign, column) in the
-        order the scalar stage adds them: by robot, then by ascending id of
-        the other robot, which is also the column."""
+    def _pair_index(self):
+        """The pair endpoints as index arrays, built on the array stage's
+        first call."""
         import numpy as np
 
-        views = [
-            (i, p, sign, col)
-            for i in range(len(self.ids))
-            for col, (p, sign) in enumerate(
-                [(p, -1.0) for p in self.lower[i]] + [(p, 1.0) for p in self.upper[i]]
-            )
-        ]
         return (
             np.array([a for a, _ in self.pairs], dtype=np.intp),
             np.array([b for _, b in self.pairs], dtype=np.intp),
-            np.array([v[0] for v in views], dtype=np.intp),
-            np.array([v[1] for v in views], dtype=np.intp),
-            np.array([v[2] for v in views]),
-            np.array([v[3] for v in views], dtype=np.intp),
         )
+
+    def _view_fault(self, i: int, p: int, sign: float) -> SimulationFault | None:
+        """The fault of robot ``i``'s own view of pair ``p``, whose LOS
+        cosines are the pair's times ``sign``.  Called on a pair whose input
+        raised, so the view, which is its exact negation or itself, raises
+        too."""
+        try:
+            repulsive_components(
+                self.r[p], sign * self.ux[p], sign * self.uy[p], self.vr[p], self.vth[p],
+                self.vrel[p], self.params,
+            )
+        except SimulationFault as exc:
+            return exc
+        except ZeroDivisionError:
+            # vrel * r * r underflowed to 0.0 on a closing pair
+            return SimulationFault(
+                f"robot {self.ids[i]}: repulsive input divides by zero at separation "
+                f"{self.r[p]!r} m"
+            )
+        return None
 
     def _scalar_pair_stage(self) -> None:
         """The pair stage as float loops: one ``engagement_terms`` per pair,
-        one ``repulsive_components`` per triggered view."""
+        one ``repulsive_components`` per triggered pair with a cooperative,
+        active endpoint."""
         params = self.params
-        ids, x, y, active, cooperative = self.ids, self.x, self.y, self.active, self.cooperative
+        eps_v = params.eps_v
+        ids, x, y = self.ids, self.x, self.y
         r, ux, uy, vr, vth, vrel, trig = (
             self.r, self.ux, self.uy, self.vr, self.vth, self.vrel, self.trig
         )
-        vx = [v * math.cos(h) for v, h in zip(self.speed, self.phi)]
-        vy = [v * math.sin(h) for v, h in zip(self.speed, self.phi)]
+        self.cos_phi = cos_phi = list(map(math.cos, self.phi))
+        self.sin_phi = sin_phi = list(map(math.sin, self.phi))
+        vx = list(map(operator.mul, self.speed, cos_phi))
+        vy = list(map(operator.mul, self.speed, sin_phi))
+        live = list(map(operator.and_, self.active, self.cooperative))
+        n = len(ids)
+        rep_x = [0.0] * n
+        rep_y = [0.0] * n
+        fault: list[Exception | None] = [None] * n
         for p, (a, b) in enumerate(self.pairs):
-            terms = engagement_terms(
-                x[b] - x[a], y[b] - y[a], vx[b] - vx[a], vy[b] - vy[a], params.eps_v
-            )
+            terms = engagement_terms(x[b] - x[a], y[b] - y[a], vx[b] - vx[a], vy[b] - vy[a], eps_v)
             if terms is None:
                 raise CollisionSingularity(f"robots {ids[a]} and {ids[b]} at identical positions")
             r[p], ux[p], uy[p], vr[p], vth[p], vrel[p], trig[p] = terms
-
-        for i in range(len(ids)):
-            rep_x = rep_y = 0.0
-            fault = None
-            if active[i] and cooperative[i]:
+            if trig[p] and (live[a] or live[b]):
                 try:
-                    for p in self.lower[i]:
-                        if trig[p]:
-                            tx, ty = repulsive_components(
-                                r[p], -ux[p], -uy[p], vr[p], vth[p], vrel[p], params
-                            )
-                            rep_x += tx
-                            rep_y += ty
-                    for p in self.upper[i]:
-                        if trig[p]:
-                            tx, ty = repulsive_components(
-                                r[p], ux[p], uy[p], vr[p], vth[p], vrel[p], params
-                            )
-                            rep_x += tx
-                            rep_y += ty
-                except SimulationFault as exc:
-                    fault = exc
-                except ZeroDivisionError:
-                    # vrel * r * r underflowed to 0.0 on a closing pair
-                    fault = SimulationFault(
-                        f"robot {ids[i]}: repulsive input divides by zero at separation "
-                        f"{r[p]!r} m"
+                    fx, fy = repulsive_components(
+                        r[p], ux[p], uy[p], vr[p], vth[p], vrel[p], params
                     )
-            self.rep_x[i] = rep_x
-            self.rep_y[i] = rep_y
-            self.fault[i] = fault
+                except (SimulationFault, ZeroDivisionError):
+                    for i, sign in ((a, 1.0), (b, -1.0)):
+                        if live[i] and fault[i] is None:
+                            fault[i] = self._view_fault(i, p, sign)
+                    continue
+                if live[a]:
+                    rep_x[a] += fx
+                    rep_y[a] += fy
+                if live[b]:
+                    rep_x[b] -= fx
+                    rep_y[b] -= fy
+        self.rep_x = rep_x
+        self.rep_y = rep_y
+        self.fault = fault
 
     def _array_pair_stage(self) -> None:
         """The pair stage on numpy arrays, bit-identical to the scalar one.
@@ -343,17 +409,21 @@ class _Swarm:
         arithmetic kernels (``los_components``, ``repulsive_view``,
         ``saturation_brackets``) run unchanged on arrays.  ``math.hypot``
         runs through ``map`` over ``.tolist()``, since ``np.hypot`` may
-        differ in the last bit.  Views are formed only for triggered pairs
-        of cooperative steered robots, saturation keeps the scalar
-        ``-f_lim * sign(bracket)`` through ``np.where`` and ``np.sign``, and
-        each robot's views are added column by column in ascending id of the
-        other robot onto +0.0: an untriggered view adds +0.0, which leaves
-        a sum that never is -0.0 unchanged.  A numpy reduction or matrix
-        product could reorder the additions and is not used.
+        differ in the last bit.  The law runs once per triggered pair with a
+        cooperative, active endpoint, and saturation keeps the scalar
+        ``-f_lim * sign(bracket)`` through ``np.where`` and ``np.sign``.
+        Each input and its negation go into a ``(2, n, n + 1)`` matrix at
+        row (robot) and column (1 + the other robot's index), which
+        ``np.add.accumulate`` sums along the columns: the sum starts from
+        the zero first column and adds one column after the other in
+        ascending id of the other robot, as the scalar stage does.  An empty
+        entry adds +0.0, which leaves a sum that never is -0.0 unchanged.  A
+        numpy reduction or matrix product could reorder the additions and is
+        not used.
 
         numpy runs with its floating-point warnings off, as Python floats
         overflow silently too.  A zero separation is raised here, the first
-        in pair order.  If any view is not finite, the scalar stage redoes
+        in pair order.  If any input is not finite, the scalar stage redoes
         the step, so every fault keeps its class, message and order.
         """
         import numpy as np
@@ -361,13 +431,15 @@ class _Swarm:
         params = self.params
         n = len(self.ids)
         n_pairs = len(self.pairs)
-        a, b, view_robot, view_pair, view_sign, view_col = self._view_index
+        a, b = self._pair_index
+        self.cos_phi = cos_phi = list(map(math.cos, self.phi))
+        self.sin_phi = sin_phi = list(map(math.sin, self.phi))
         with np.errstate(all="ignore"):
             x = np.fromiter(self.x, float, n)
             y = np.fromiter(self.y, float, n)
             speed = np.fromiter(self.speed, float, n)
-            vx = speed * np.fromiter(map(math.cos, self.phi), float, n)
-            vy = speed * np.fromiter(map(math.sin, self.phi), float, n)
+            vx = speed * np.fromiter(cos_phi, float, n)
+            vy = speed * np.fromiter(sin_phi, float, n)
             dx = x[b] - x[a]
             dy = y[b] - y[a]
             r_list = list(map(math.hypot, dx.tolist(), dy.tolist()))
@@ -383,17 +455,15 @@ class _Swarm:
             trig = (vrel > params.eps_v) & (vr < 0.0)
 
             coop = np.fromiter(self.cooperative, bool, n) & np.fromiter(self.active, bool, n)
-            live = coop[view_robot] & trig[view_pair]
-            pv = view_pair[live]
-            sign = view_sign[live]
-            r_v, ux_v, uy_v, vr_v, vth_v = r[pv], ux[pv] * sign, uy[pv] * sign, vr[pv], vth[pv]
-            fx, fy = repulsive_view(r_v, ux_v, uy_v, vr_v, vth_v, vrel[pv], params.lam,
+            live = np.flatnonzero(trig & (coop[a] | coop[b]))
+            r_l, ux_l, uy_l, vr_l, vth_l = r[live], ux[live], uy[live], vr[live], vth[live]
+            fx, fy = repulsive_view(r_l, ux_l, uy_l, vr_l, vth_l, vrel[live], params.lam,
                                     params.vortex)
             finite = np.isfinite(fx).all() and np.isfinite(fy).all()
             if finite and not math.isinf(params.f_lim):
-                near = ~(r_v > params.r_star)
+                near = ~(r_l > params.r_star)
                 if near.any():
-                    bx, by = saturation_brackets(ux_v, uy_v, vr_v, vth_v)
+                    bx, by = saturation_brackets(ux_l, uy_l, vr_l, vth_l)
                     fx = np.where(near, -params.f_lim * np.sign(bx), fx)
                     fy = np.where(near, -params.f_lim * np.sign(by), fy)
                     # np.sign keeps a NaN bracket that _sign maps to 0.
@@ -404,14 +474,12 @@ class _Swarm:
                 self._scalar_pair_stage()
                 return
 
-            cols = np.zeros((n - 1, 2, n))
-            rows = view_robot[live]
-            col = view_col[live]
-            cols[col, 0, rows] = fx
-            cols[col, 1, rows] = fy
-            rep = np.zeros((2, n))
-            for column in cols:
-                rep += column
+            inputs = np.zeros((2, n, n + 1))
+            first, second = a[live], b[live]
+            inputs[:, first, second + 1] = fx, fy
+            inputs[:, second, first + 1] = -fx, -fy
+            rep = np.add.accumulate(inputs, axis=2)[:, :, -1]
+            rep[:, ~coop] = 0.0
 
         self.r = r_list
         self.ux = ux  # read by no later stage, so left as arrays
@@ -428,16 +496,14 @@ class _Swarm:
         """Each robot's total force, desired heading and turn rate, in id order."""
         params = self.params
         kappa = params.kappa
-        x, y, phi, active = self.x, self.y, self.phi, self.active
-        for i, robot in enumerate(self.robots):
-            # Active, non-stationary robots steer; kind is None for the rest.
-            kind = robot.behavior if active[i] else None
-            if kind is BehaviorKind.STATIONARY:
-                kind = None
+        x, y, phi, active, held = self.x, self.y, self.phi, self.active, self.phi_des
+        for i, kind, goal_x, goal_y, target in self.steering:
             fx = fy = omega = 0.0
             phi_des = None
-            if kind is BehaviorKind.COOPERATIVE:
-                fx, fy = attractive_components(x[i], y[i], robot.goal.x, robot.goal.y, kappa)
+            # Active, non-stationary robots steer.
+            steered = kind is not None and active[i]
+            if steered and kind is _COOPERATIVE:
+                fx, fy = attractive_components(x[i], y[i], goal_x, goal_y, kappa)
                 fault = self.fault[i]
                 if fault is not None:
                     raise fault
@@ -445,17 +511,16 @@ class _Swarm:
                 fy += self.rep_y[i]
                 check_finite(fx, fy)
                 phi_des = force_heading(fx, fy)
-            elif kind is BehaviorKind.ATTACKING:
-                t = self.target[i]
-                fx, fy = attractive_components(x[i], y[i], x[t], y[t], kappa)
+            elif steered and kind is _ATTACKING:
+                fx, fy = attractive_components(x[i], y[i], x[target], y[target], kappa)
                 phi_des = force_heading(fx, fy)
             # A numerically zero force holds the previous desired heading.
             if phi_des is None:
-                phi_des = self.phi_des[i]
+                phi_des = held[i]
                 if phi_des is None:
                     phi_des = phi[i]
-            self.phi_des[i] = phi_des
-            if kind is not None:
+            held[i] = phi_des
+            if steered:
                 omega = heading_controller(phi[i], phi_des, params)
             self.fx[i] = fx
             self.fy[i] = fy
@@ -464,15 +529,14 @@ class _Swarm:
     def advance(self, dt: float) -> None:
         """Propagate every active robot by one RK4 step at its commanded rate."""
         x, y, phi, speed, active = self.x, self.y, self.phi, self.speed, self.active
+        cos_phi, sin_phi = self.cos_phi, self.sin_phi
         for i, omega in enumerate(self.omega):
             if not math.isfinite(omega):
                 raise SimulationFault(f"robot {self.ids[i]}: non-finite propagation input")
             if active[i]:
-                x[i], y[i], phi[i] = advance_pose(x[i], y[i], phi[i], speed[i], omega, dt)
-
-
-def _termination_gated(robot: RobotState) -> bool:
-    return robot.behavior in (BehaviorKind.COOPERATIVE, BehaviorKind.ATTACKING)
+                x[i], y[i], phi[i] = advance_pose(
+                    x[i], y[i], phi[i], cos_phi[i], sin_phi[i], speed[i], omega, dt
+                )
 
 
 def run(scenario: Scenario) -> TrajectoryLog:
@@ -500,18 +564,17 @@ def run(scenario: Scenario) -> TrajectoryLog:
 
     contact = [robots[a].body_radius + robots[b].body_radius for a, b in swarm.pairs]
     overlapping = [False] * len(pair_keys)
-    gated = [i for i, robot in enumerate(robots) if _termination_gated(robot)]
-    # The run ends once every gated robot has stopped (if there is one).
-    gated_active = sum(active[i] for i in gated)
     # The robots the stop rule checks, in id order: index, target index (an
-    # attacker's) or None, goal point (anyone else's), and whether it is gated.
-    movers = []
-    for i, robot in enumerate(robots):
-        if robot.behavior is BehaviorKind.ATTACKING:
-            movers.append((i, swarm.target[i], None, None, True))
-        elif robot.behavior is not BehaviorKind.STATIONARY and robot.goal is not None:
-            movers.append((i, None, robot.goal.x, robot.goal.y, _termination_gated(robot)))
-    n_steps = int(round(scenario.t_max / dt))
+    # attacker's) or None, goal point (anyone else's), and whether the run
+    # waits for it: it ends once every gated robot has stopped (if there is one).
+    movers = [
+        (i, target, goal_x, goal_y, kind is _COOPERATIVE or kind is _ATTACKING)
+        for i, kind, goal_x, goal_y, target in swarm.steering
+        if kind is _ATTACKING or (kind is not None and goal_x is not None)
+    ]
+    gated = [i for i, _, _, _, gates in movers if gates]
+    gated_active = sum(active[i] for i in gated)
+    n_steps = scenario.n_steps()
 
     def record(t: float) -> None:
         log.t.append(t)
@@ -574,15 +637,6 @@ def run(scenario: Scenario) -> TrajectoryLog:
                 active[i] = False
                 if gates:
                     gated_active -= 1
-
-    # LOS angle of every pair, from its first robot to its second, on the
-    # logged positions.
-    for (a, b), trace in zip(swarm.pairs, pair_traces):
-        trace.theta = list(map(
-            math.atan2,
-            map(operator.sub, traces[b].y, traces[a].y),
-            map(operator.sub, traces[b].x, traces[a].x),
-        ))
     return log
 
 

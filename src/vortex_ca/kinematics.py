@@ -164,19 +164,22 @@ class EngagementState:
 
 
 def advance_pose(
-    x: float, y: float, phi: float, speed: float, omega: float, dt: float
+    x: float, y: float, phi: float, cos_phi: float, sin_phi: float, speed: float,
+    omega: float, dt: float,
 ) -> tuple[float, float, float]:
     """One classical RK4 step of the unicycle pose with ``omega`` held over ``dt``.
 
-    Returns the new position and the new heading, wrapped to (-pi, pi].  The
-    caller checks the inputs; a non-finite result raises SimulationFault.
+    ``cos_phi`` and ``sin_phi`` are ``math.cos(phi)`` and ``math.sin(phi)``,
+    which the caller has formed already.  Returns the new position and the
+    new heading, wrapped to (-pi, pi].  The caller checks the inputs; a
+    non-finite result raises SimulationFault.
     """
     a2 = phi + 0.5 * omega * dt
     a4 = phi + omega * dt
     c2 = math.cos(a2)
     s2 = math.sin(a2)
-    nx = x + speed * dt * (math.cos(phi) + 2.0 * c2 + 2.0 * c2 + math.cos(a4)) / 6.0
-    ny = y + speed * dt * (math.sin(phi) + 2.0 * s2 + 2.0 * s2 + math.sin(a4)) / 6.0
+    nx = x + speed * dt * (cos_phi + 2.0 * c2 + 2.0 * c2 + math.cos(a4)) / 6.0
+    ny = y + speed * dt * (sin_phi + 2.0 * s2 + 2.0 * s2 + math.sin(a4)) / 6.0
     check_finite(nx, ny)
     return nx, ny, wrap_angle(a4)
 
@@ -195,8 +198,10 @@ def propagate(state: RobotState, omega: float, dt: float) -> RobotState:
         raise ValueError("dt must be > 0")
     if not state.active:
         return state
+    phi = state.heading
     x, y, heading = advance_pose(
-        state.position.x, state.position.y, state.heading, state.speed, omega, dt
+        state.position.x, state.position.y, phi, math.cos(phi), math.sin(phi), state.speed,
+        omega, dt,
     )
     return replace(state, position=PlanarVector(x, y), heading=heading)
 

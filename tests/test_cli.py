@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from vortex_ca import cli
+from vortex_ca import cli, engine
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind, analyze_log
 from vortex_ca.cli import PAIR_COLUMNS, ROBOT_COLUMNS, main, read_run, write_run_outputs
 from vortex_ca.engine import ScenarioError, run
@@ -167,7 +167,10 @@ def _assert_logs_equal(restored, log):
     assert restored.pair_ids() == log.pair_ids()
     for key in log.pair_ids():
         for col in PAIR_COLUMNS:
-            assert getattr(restored.pairs[key], col.attr) == getattr(log.pairs[key], col.attr)
+            if col.attr is None:  # theta, formed from the positions by the writer
+                assert restored.pair_theta(key) == log.pair_theta(key)
+            else:
+                assert getattr(restored.pairs[key], col.attr) == getattr(log.pairs[key], col.attr)
     assert restored.events == log.events
 
 
@@ -367,6 +370,61 @@ def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
     assert "error: t_max must be finite" in err
     assert "error: dt must be finite" in err
     assert not (tmp_path / "out").exists()
+
+
+SIZE_CASES = {
+    # t_max / dt overflows to inf although both are finite
+    "overflowing_steps": ({"dt": 1e-300, "t_max": 1e300}, "t_max / dt overflows"),
+    "too_many_steps": (
+        {"dt": 1e-3, "t_max": 1e-3 * (engine.MAX_STEPS + 1)},
+        f"steps (the cap is {engine.MAX_STEPS})",
+    ),
+    # 150 robots record 1 + 9 * 150 + 6 * 11175 = 68401 values a row
+    "too_many_values": (
+        {"t_max": 10.0, "robots": [
+            {"id": k + 1, "x": 0.5 * k, "y": 0.0, "speed": 0.0, "behavior": "stationary"}
+            for k in range(150)
+        ]},
+        f"values (the cap is {engine.MAX_RECORDED_VALUES})",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIZE_CASES))
+def test_cmd_run_rejects_runs_over_the_size_caps(tmp_path, capsys, case):
+    fields, message = SIZE_CASES[case]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(MINIMAL, **fields)))
+    assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert all(line.startswith("error: ") for line in err.splitlines())
+    assert not (tmp_path / "out").exists()
+
+
+def test_size_caps_leave_wide_margins():
+    # the longest preset and the largest test scenario stay far below the caps
+    saturated = load_scenario("saturated_headon")
+    assert saturated.n_steps() == 8000 and 100 * 8001 < engine.MAX_STEPS
+    n = 32  # the benchmark ring, recording 7 rows
+    assert 100 * 7 * (1 + 9 * n + 3 * n * (n - 1)) < engine.MAX_RECORDED_VALUES
+
+
+def test_cmd_sweep_reports_size_caps_as_cell_errors(tmp_path):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base_scenario": "coop_headon",
+        "axes": [{"path": "t_max", "values": [1.0, 1e300]}, {"path": "dt", "values": [1e-300]}],
+        "metrics": ["min_separation"],
+    }))
+    out = tmp_path / "out"
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
+    with open(out / "results.csv", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [row[-1] for row in rows] == [
+        f"t_max / dt gives 1e+300 steps (the cap is {engine.MAX_STEPS})",
+        "t_max / dt overflows",
+    ]
 
 
 @pytest.mark.parametrize("scenario, message", [
@@ -598,6 +656,26 @@ def test_cmd_sweep_rejects_malformed_specs(tmp_path, capsys, spec):
     assert main(["sweep", str(path), "-o", str(tmp_path / "out")]) == 1
     assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_max_lyap_derivative_sweep_forms_no_numeric_derivative(tmp_path, monkeypatch):
+    from vortex_ca import analysis
+
+    def numeric_derivative(*args):
+        raise AssertionError("a sweep cell reads only the analytic derivative")
+
+    monkeypatch.setattr(analysis, "numeric_derivative", numeric_derivative)
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base_scenario": "coop_triangle",
+        "axes": [{"path": "params.lambda", "values": [30.0, 40.0]}],
+        "metrics": ["max_lyap_derivative"],
+    }))
+    out = tmp_path / "out"
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "results.csv").read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["", ""]
+    assert all(math.isfinite(float(row[1])) for row in rows)
 
 
 def test_cmd_sweep_records_cell_errors(tmp_path):

@@ -11,6 +11,7 @@ arithmetic fails here.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -36,6 +37,17 @@ from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState, engagem
 from vortex_ca.scenarios import PRESETS, load_scenario
 
 ZERO = PlanarVector(0.0, 0.0)
+
+
+@dataclass
+class ReferenceLog(TrajectoryLog):
+    """The reference's log, with every pair's LOS angle as ``engagement``
+    formed it (the engine's log forms it from the positions)."""
+
+    theta: dict = field(default_factory=dict)
+
+    def pair_theta(self, key):
+        return self.theta[key]
 
 
 def total_force_from_engagements(robot, others, engagements, params):
@@ -109,12 +121,14 @@ def reference_run(scenario):
     dt = scenario.dt
     world = scenario.sorted_robots()
 
-    log = TrajectoryLog(scenario=scenario)
+    log = ReferenceLog(scenario=scenario)
     for robot in world:
         log.robots[robot.id] = RobotTrace()
     for a_idx in range(len(world)):
         for b_idx in range(a_idx + 1, len(world)):
-            log.pairs[(world[a_idx].id, world[b_idx].id)] = PairTrace()
+            key = (world[a_idx].id, world[b_idx].id)
+            log.pairs[key] = PairTrace()
+            log.theta[key] = []
 
     phi_des_held = {}
     overlapping = {key: False for key in log.pairs}
@@ -150,7 +164,7 @@ def reference_run(scenario):
             for key, eng in engs.items():
                 trace = log.pairs[key]
                 trace.r.append(eng.r)
-                trace.theta.append(eng.theta)
+                log.theta[key].append(eng.theta)
                 trace.vr.append(eng.vr)
                 trace.vth.append(eng.vth)
                 trace.vrel.append(eng.vrel)
@@ -229,6 +243,8 @@ def assert_logs_equal(log, ref):
         assert log.robots[rid] == trace, f"robot {rid}"
     for key, trace in ref.pairs.items():
         assert log.pairs[key] == trace, f"pair {key}"
+        # the LOS angle the pairs.csv writer forms
+        assert log.pair_theta(key) == ref.pair_theta(key), f"pair {key} theta"
     assert log.events == ref.events
 
 

@@ -1,4 +1,5 @@
-"""The numpy pair stage against the scalar pair stage.
+"""The numpy pair stage against the scalar pair stage, and the scalar pair
+stage against a per-view reference.
 
 Swarms of at least ``engine._ARRAY_MIN_ROBOTS`` robots run the pair stage
 (engagements and summed repulsive inputs) on numpy arrays; smaller ones run
@@ -15,7 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from test_engine_reference import assert_logs_equal, mixed_scenario
+from test_engine_reference import (
+    assert_logs_equal,
+    mixed_scenario,
+    total_force_from_engagements,
+)
 from vortex_ca import engine
 from vortex_ca.engine import Scenario, _Swarm, run
 from vortex_ca.fields import PFParams
@@ -25,6 +30,7 @@ from vortex_ca.kinematics import (
     PlanarVector,
     RobotState,
     SimulationFault,
+    engagement,
 )
 from vortex_ca.scenarios import PRESETS, load_scenario
 
@@ -197,3 +203,168 @@ def test_parallel_ring_runs_without_numpy_warnings(monkeypatch):
     assert all(trace.vrel[0] == 0.0 for trace in array.pairs.values())
     assert not any(any(trace.triggered) for trace in array.pairs.values())
     assert_logs_equal(array, scalar)
+
+
+# ---------------------------------------------------------------------------
+# The pair rule against an independent oracle: each robot's own views summed
+# by the reference engine's total_force_from_engagements, one
+# repulsive_components call per triggered view, in ascending neighbour order.
+
+
+def reference_outcomes(robots, params):
+    """Per robot in id order: the hex of its summed repulsive input, or the
+    (class, message) of the fault its own views raise."""
+    pairs = {
+        (a.id, b.id): engagement(a, b, params.eps_v)
+        for k, a in enumerate(robots) for b in robots[k + 1:]
+    }
+    outcomes = []
+    for robot in robots:
+        if not (robot.active and robot.behavior is BehaviorKind.COOPERATIVE):
+            outcomes.append((0.0.hex(), 0.0.hex()))
+            continue
+        others = [other for other in robots if other is not robot]
+        views = {}
+        for other in others:
+            eng = pairs[(min(robot.id, other.id), max(robot.id, other.id))]
+            views[other.id] = eng if eng.i == robot.id else eng.flipped()
+        try:
+            _, rep = total_force_from_engagements(robot, others, views, params)
+        except SimulationFault as exc:
+            outcomes.append((SimulationFault, str(exc)))
+            continue
+        except ZeroDivisionError:
+            # the first triggered view whose vrel * r * r underflowed
+            r = next(eng.r for eng in (views[o.id] for o in others)
+                     if eng.triggered and eng.vrel * eng.r * eng.r == 0.0)
+            outcomes.append((SimulationFault, f"robot {robot.id}: repulsive input divides by "
+                                              f"zero at separation {r!r} m"))
+            continue
+        outcomes.append((rep.x.hex(), rep.y.hex()))
+    return outcomes
+
+
+def scalar_outcomes(robots, params):
+    swarm = _Swarm(robots, params)
+    swarm._scalar_pair_stage()
+    outcomes = []
+    for rep_x, rep_y, fault in zip(swarm.rep_x, swarm.rep_y, swarm.fault):
+        if fault is not None:
+            outcomes.append((type(fault), str(fault)))
+        elif not (math.isfinite(rep_x) and math.isfinite(rep_y)):
+            # finite inputs whose sum overflows: the robot stage's finite
+            # check reports the total, which is the sum itself at kappa = 0
+            outcomes.append((SimulationFault, f"non-finite vector components ({rep_x}, {rep_y})"))
+        else:
+            outcomes.append((rep_x.hex(), rep_y.hex()))
+    return outcomes
+
+
+@st.composite
+def oracle_worlds(draw):
+    n = draw(st.integers(2, 8))
+    robots = tuple(make_robot(*spec) for spec in draw(robot_specs(n)))
+    saturate = draw(st.booleans())
+    params = PFParams(
+        kappa=0.0,  # the reference's fault on an overflowing sum then names the sum alone
+        lam=draw(st.one_of(st.floats(0.0, 50.0), st.sampled_from([1e300, 1e307, 1e308]))),
+        vortex=draw(st.booleans()),
+        f_lim=draw(st.floats(0.1, 5.0)) if saturate else math.inf,
+        r_star=draw(st.floats(0.0, 4.0)) if saturate else 0.0,
+    )
+    return robots, params
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_worlds())
+def test_scalar_pair_stage_matches_per_view_reference(world):
+    robots, params = world
+    assert scalar_outcomes(robots, params) == reference_outcomes(robots, params)
+
+
+def robot_at(rid, x, y, heading, speed=0.17, behavior=BehaviorKind.COOPERATIVE):
+    if behavior is BehaviorKind.STATIONARY:
+        return RobotState(id=rid, position=PlanarVector(x, y), heading=heading, speed=0.0,
+                          body_radius=0.1, behavior=behavior)
+    return RobotState(id=rid, position=PlanarVector(x, y), heading=heading, speed=speed,
+                      body_radius=0.1, behavior=behavior, goal=PlanarVector(-x, -y))
+
+
+# Three robots: 1 and 2 head-on along the x axis, 3 closing on both from above.
+HEADON = (
+    robot_at(1, -0.4, 0.0, 0.0), robot_at(2, 0.4, 0.0, math.pi), robot_at(3, 0.1, 0.5, -1.4),
+)
+ORACLE_CASES = {
+    # robot 1 runs into robot 2 from behind along the x axis: vth and the x
+    # bracket are zero, so the saturated x input is -f_lim * 0.0 in both views
+    "saturated_zero_bracket": (
+        (robot_at(1, -0.4, 0.0, 0.0, speed=0.3), robot_at(2, 0.4, 0.0, 0.0)),
+        PFParams(kappa=0.0, f_lim=1.0, r_star=2.0),
+    ),
+    "non_vortex": (HEADON, PFParams(kappa=0.0, vortex=False)),
+    "one_sided": (
+        (
+            robot_at(1, -0.4, 0.0, 0.0),
+            robot_at(2, 0.4, 0.0, math.pi, behavior=BehaviorKind.NON_COOPERATIVE),
+            robot_at(3, 0.1, 0.5, -1.4, behavior=BehaviorKind.STATIONARY),
+            robot_at(4, 0.5, 0.6, -2.0),
+        ),
+        PFParams(kappa=0.0, f_lim=1.0, r_star=0.6),
+    ),
+    "overflowing_pair": (
+        (robot_at(1, -0.3, -0.2, 0.5), robot_at(2, 0.3, 0.2, math.pi + 0.3)),
+        PFParams(kappa=0.0, lam=1e308),
+    ),
+    "underflowing_pair": (
+        (robot_at(1, 0.0, 0.0, 0.0), robot_at(2, 1e-170, 0.0, math.pi),
+         robot_at(3, 0.1, 0.5, -1.4)),
+        PFParams(kappa=0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_scalar_pair_stage_matches_per_view_reference_on_edge_cases(case):
+    robots, params = ORACLE_CASES[case]
+    outcomes = scalar_outcomes(robots, params)
+    assert outcomes == reference_outcomes(robots, params)
+    swarm = _Swarm(robots, params)
+    swarm._scalar_pair_stage()
+    assert swarm.trig[0]  # pair (1, 2) is triggered in every case
+    if case == "saturated_zero_bracket":
+        assert swarm.r[0] <= params.r_star and swarm.vth[0] == 0.0
+        assert [outcome[0] for outcome in outcomes] == [0.0.hex(), 0.0.hex()]
+    if case == "overflowing_pair":
+        # both endpoints fault, each with its own view's values
+        assert [outcome[0] for outcome in outcomes] == [SimulationFault, SimulationFault]
+        assert outcomes[0][1] != outcomes[1][1]
+    if case == "underflowing_pair":
+        assert [outcome[1] for outcome in outcomes[:2]] == [
+            f"robot {rid}: repulsive input divides by zero at separation 1e-170 m"
+            for rid in (1, 2)
+        ]
+
+
+def test_repulsive_input_is_evaluated_once_per_triggered_pair(monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    original = engine.repulsive_components
+    monkeypatch.setattr(engine, "repulsive_components", counting)
+    scenario = load_scenario("coop_triangle")
+    assert scenario.record_stride == 1 and all(
+        robot.behavior is BehaviorKind.COOPERATIVE for robot in scenario.robots
+    )
+    log = run(scenario)
+    # every step is logged; a pair counts while either robot still steers
+    triggered = sum(
+        trig and (log.robots[i].active[k] or log.robots[j].active[k])
+        for (i, j), trace in log.pairs.items()
+        for k, trig in enumerate(trace.triggered)
+    )
+    assert triggered > 1000
+    assert calls == triggered
