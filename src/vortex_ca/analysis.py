@@ -1,16 +1,17 @@
-"""Analytic oracles and verification: the collision-course predicate, the
-closed-loop relative-acceleration right-hand sides for every engagement
-regime, the matching Lyapunov functions and derivatives, geometric bounds for
-bounded-input maneuvers, and post-hoc checks over trajectory logs.
+"""Analytic oracles and verification: the closed-loop relative-acceleration
+right-hand sides for every engagement regime, the matching Lyapunov functions
+and derivatives, geometric bounds for bounded-input maneuvers, and post-hoc
+checks over trajectory logs.
 
 The closed-loop equations describe the idealized engagement in relative polar
 coordinates, where commanded forces act directly as accelerations.  A
 constant-speed unicycle can only realize the force component perpendicular to
 its velocity, so engine trajectories track these equations qualitatively, not
-pointwise; the quantitative finite-difference cross-check therefore runs on
-direct integrations of the equations themselves (integration and
-differentiation as independent routes), while log-based checks assert the
-qualitative certificates.
+pointwise: ``closed_loop_errors_from_log`` reports the gap and nothing
+asserts it, while the log-based checks assert the qualitative certificates.
+The quantitative finite-difference cross-check (``verify_closed_loop``) runs
+in the tests on direct integrations of the equations themselves
+(integration and differentiation as independent routes).
 
 The CLI imports this module on first use, in ``analyze`` and in the
 ``max_lyap_derivative`` sweep metric; ``run``, ``plotdata`` and the other
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .engine import EVENT_OVERLAP, EVENT_STOPPED, TrajectoryLog
 from .fields import PFParams
-from .kinematics import BehaviorKind, EngagementState, RegimeKind, wrap_angle
+from .kinematics import BehaviorKind, RegimeKind, wrap_angle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,14 +44,6 @@ if TYPE_CHECKING:
 
 class InfeasibleGeometry(ValueError):
     """No acceleration bound lets the robots avoid grazing at this geometry."""
-
-
-_REPULSIVE_REGIMES = (
-    RegimeKind.COOP_PAIR,
-    RegimeKind.COOP_VS_NONCOOP,
-    RegimeKind.COOP_VS_ATTACKER,
-    RegimeKind.NONVORTEX_PAIR,
-)
 
 
 @dataclass(frozen=True)
@@ -73,16 +66,6 @@ class LyapunovSeries:
         the ends), formed on first read: a sweep cell reads only the
         analytic one."""
         return numeric_derivative(self.value, self.t)
-
-
-def collision_course(eng: EngagementState, tol_vth: float = 1e-3) -> bool:
-    """True iff the pair is closing with (numerically) zero transverse speed.
-
-    Closing with zero LOS rotation is necessary and sufficient for point
-    collision at constant velocities; ``tol_vth`` absorbs the fact that an
-    exact zero never holds in floating point.
-    """
-    return eng.vr < 0.0 and abs(eng.vth) <= tol_vth
 
 
 def closed_loop_rhs(
@@ -174,7 +157,7 @@ def _multi_robot_term(
 
 
 # ---------------------------------------------------------------------------
-# Closed-loop integration and the dual-route finite-difference check
+# Finite differences against the closed-loop equations
 
 
 @dataclass
@@ -186,73 +169,6 @@ class RelativeTrace:
     r: np.ndarray
     vr: np.ndarray
     vth: np.ndarray
-
-    def vrel(self) -> np.ndarray:
-        import numpy as np
-
-        return np.hypot(self.vr, self.vth)
-
-
-def simulate_closed_loop(
-    regime: RegimeKind,
-    r0: float,
-    vr0: float,
-    vth0: float,
-    params: PFParams,
-    dt: float = 1e-4,
-    t_max: float = 20.0,
-    r_floor: float = 0.05,
-) -> RelativeTrace:
-    """Integrate the regime's closed-loop relative dynamics with fixed-step RK4.
-
-    Integration stops at ``t_max``, when the separation falls to ``r_floor``,
-    or (for repulsive regimes) when the closing condition Vr < 0 is lost, so
-    the returned window has a single constant regime throughout.
-    """
-    import numpy as np
-
-    if r0 <= 0.0:
-        raise ValueError("r0 must be > 0")
-
-    def deriv(state: tuple[float, float, float]) -> tuple[float, float, float]:
-        r, vr, vth = state
-        vrel = math.hypot(vr, vth)
-        f_r, f_th = closed_loop_rhs(regime, r, vr, vth, vrel, params)
-        return vr, f_r, f_th
-
-    repulsive = regime in _REPULSIVE_REGIMES
-    ts = [0.0]
-    rs = [r0]
-    vrs = [vr0]
-    vths = [vth0]
-    state = (r0, vr0, vth0)
-    n_steps = int(round(t_max / dt))
-    for k in range(n_steps):
-        k1 = deriv(state)
-        s2 = tuple(state[m] + 0.5 * dt * k1[m] for m in range(3))
-        k2 = deriv(s2)
-        s3 = tuple(state[m] + 0.5 * dt * k2[m] for m in range(3))
-        k3 = deriv(s3)
-        s4 = tuple(state[m] + dt * k3[m] for m in range(3))
-        k4 = deriv(s4)
-        state = tuple(
-            state[m] + dt * (k1[m] + 2.0 * k2[m] + 2.0 * k3[m] + k4[m]) / 6.0 for m in range(3)
-        )
-        ts.append((k + 1) * dt)
-        rs.append(state[0])
-        vrs.append(state[1])
-        vths.append(state[2])
-        if state[0] <= r_floor:
-            break
-        if repulsive and state[1] >= 0.0:
-            break
-    return RelativeTrace(
-        regime=regime,
-        t=np.asarray(ts),
-        r=np.asarray(rs),
-        vr=np.asarray(vrs),
-        vth=np.asarray(vths),
-    )
 
 
 @dataclass(frozen=True)
@@ -401,21 +317,6 @@ def attacker_standoff(lam: float, speed: float) -> float:
     if lam < 0.0 or speed < 0.0:
         raise ValueError("lam and speed must be >= 0")
     return math.sqrt(3.0 * lam * speed)
-
-
-def fit_circle(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares circle fit (algebraic/Kasa); returns (cx, cy, radius)."""
-    import numpy as np
-
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) < 3:
-        raise ValueError("need at least 3 points to fit a circle")
-    a = np.column_stack([2.0 * xs, 2.0 * ys, np.ones_like(xs)])
-    b = xs * xs + ys * ys
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    cx, cy, c = sol
-    return float(cx), float(cy), float(math.sqrt(max(c + cx * cx + cy * cy, 0.0)))
 
 
 # ---------------------------------------------------------------------------

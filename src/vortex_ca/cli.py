@@ -379,7 +379,6 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
         return EXIT_ERROR
 
     axis_paths = [path for path, _ in spec.axes]
-    cells = list(itertools.product(*(values for _, values in spec.axes)))
 
     def run_cell(cell_values: tuple[Any, ...]) -> dict[str, Any]:
         row: dict[str, Any] = dict(zip(axis_paths, cell_values))
@@ -396,7 +395,7 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
             row["error"] = str(exc)
         return row
 
-    rows = [run_cell(cell) for cell in cells]
+    rows = [run_cell(cell) for cell in itertools.product(*(values for _, values in spec.axes))]
 
     os.makedirs(outdir, exist_ok=True)
     header = axis_paths + list(spec.metrics) + ["error"]

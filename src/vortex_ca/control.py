@@ -1,10 +1,8 @@
-"""Heading extraction from a commanded force, proportional heading control,
-and differential-drive wheel speed conversion."""
+"""Heading extraction from a commanded force and proportional heading control."""
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .fields import PFParams
 from .kinematics import wrap_angle
@@ -12,13 +10,6 @@ from .kinematics import wrap_angle
 #: Force magnitude below which the desired heading is undefined and the
 #: previous command is held (exact goal overlap or perfectly cancelled fields).
 EPS_FORCE = 1e-12
-
-
-class WheelSpeeds(NamedTuple):
-    v_right: float
-    v_left: float
-    omega_right: float
-    omega_left: float
 
 
 def force_heading(fx: float, fy: float) -> float | None:
@@ -45,18 +36,3 @@ def heading_controller(phi: float, phi_des: float, params: PFParams) -> float:
     if omega < -params.omega_max:
         return -params.omega_max
     return omega
-
-
-def wheel_speeds(speed: float, omega: float, wheel_base: float, wheel_radius: float) -> WheelSpeeds:
-    """Differential-drive wheel speeds for a body speed/turn-rate command.
-
-    Exact inverse of V = (v_R + v_L)/2 and omega = (v_R - v_L)/d; the wheel
-    angular rates divide the linear speeds by the wheel radius.
-    """
-    if wheel_base <= 0.0:
-        raise ValueError("wheel_base must be > 0")
-    if wheel_radius <= 0.0:
-        raise ValueError("wheel_radius must be > 0")
-    v_right = speed + 0.5 * omega * wheel_base
-    v_left = speed - 0.5 * omega * wheel_base
-    return WheelSpeeds(v_right, v_left, v_right / wheel_radius, v_left / wheel_radius)

@@ -13,9 +13,10 @@ time and makes runs invariant to the ordering of robots in the scenario file.
 The step works on plain float lists, one entry per robot or per pair, and
 evaluates the laws through the float kernels (``engagement_terms``,
 ``attractive_components``, ``repulsive_components``, ``force_heading``,
-``heading_controller``, ``advance_pose``), the same ones that the object
-functions ``engagement`` and ``propagate`` use, so its results are
-bit-identical to theirs.  The log records floats; no per-step object is built.
+``heading_controller``, ``advance_pose``).  The tests build an object-level
+reference engine on the same kernels (``tests/test_engine_reference.py``),
+and the engine's log must equal the reference's bit for bit.  The log records
+floats; no per-step object is built.
 The loop keeps only the state the step needs: each robot's constants
 (behaviour, goal point, target) are read once, before the loop; the cosine
 and sine of each heading are formed once per step, for the pair stage and

@@ -1,15 +1,17 @@
-"""Planar vector algebra, unicycle state propagation, and pairwise engagement states.
+"""Scenario input types, simulation errors, angle wrapping, and the float
+kernels of the engagement geometry and of unicycle propagation.
 
-Everything in this module is a pure function of its inputs; engagement states
-are expressed in polar line-of-sight coordinates (separation r, LOS angle,
-closing speed Vr, transverse speed Vth), the standard frame for analysing
-whether two constant-velocity agents are on a collision course.
+The kernels take and return plain floats, and the engine's step calls them;
+``los_components`` is pure IEEE arithmetic, so the array pair stage calls it
+on numpy arrays too.  The engagement terms are expressed in polar line-of-sight coordinates
+(separation r, closing speed Vr, transverse speed Vth), the standard frame
+for analysing whether two constant-velocity agents are on a collision course.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 TWO_PI = 2.0 * math.pi
@@ -55,12 +57,6 @@ class PlanarVector:
 
     def __post_init__(self) -> None:
         check_finite(self.x, self.y)
-
-    def __sub__(self, other: "PlanarVector") -> "PlanarVector":
-        return PlanarVector(self.x - other.x, self.y - other.y)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
 
 class BehaviorKind(Enum):
@@ -122,46 +118,6 @@ class RobotState:
             raise ValueError(f"robot {self.id}: attacking behavior requires a target id")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
-    def stopped(self) -> "RobotState":
-        """State after the stop transition: speed zeroed, inactive, radius kept."""
-        return replace(self, speed=0.0, active=False)
-
-
-@dataclass(frozen=True)
-class EngagementState:
-    """Pairwise relative state of robots i and j in polar LOS coordinates.
-
-    ``ux``/``uy`` are the LOS direction cosines from i to j (cos/sin of
-    ``theta``); they are carried explicitly so a flipped view negates them
-    exactly, which keeps the reciprocal-force identity bit-exact.
-    """
-
-    i: int
-    j: int
-    r: float
-    theta: float
-    ux: float
-    uy: float
-    vr: float
-    vth: float
-    vrel: float
-    triggered: bool
-
-    def flipped(self) -> "EngagementState":
-        """Same engagement seen from robot j (LOS rotated by pi)."""
-        return EngagementState(
-            i=self.j,
-            j=self.i,
-            r=self.r,
-            theta=wrap_angle(self.theta + math.pi),
-            ux=-self.ux,
-            uy=-self.uy,
-            vr=self.vr,
-            vth=self.vth,
-            vrel=self.vrel,
-            triggered=self.triggered,
-        )
-
 
 def advance_pose(
     x: float, y: float, phi: float, cos_phi: float, sin_phi: float, speed: float,
@@ -184,28 +140,6 @@ def advance_pose(
     return nx, ny, wrap_angle(a4)
 
 
-def propagate(state: RobotState, omega: float, dt: float) -> RobotState:
-    """Advance a unicycle state by one fixed step of classical 4th-order Runge-Kutta.
-
-    The angular rate ``omega`` is held constant across the step (zero-order
-    hold, matching the discrete controller), so the heading stages are exact
-    and the position update reduces to a Simpson-weighted average of the
-    velocity direction.  Inactive robots are returned unchanged.
-    """
-    if not (math.isfinite(omega) and math.isfinite(dt)):
-        raise SimulationFault(f"robot {state.id}: non-finite propagation input")
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    if not state.active:
-        return state
-    phi = state.heading
-    x, y, heading = advance_pose(
-        state.position.x, state.position.y, phi, math.cos(phi), math.sin(phi), state.speed,
-        omega, dt,
-    )
-    return replace(state, position=PlanarVector(x, y), heading=heading)
-
-
 def los_components(dx, dy, r, rvx, rvy):
     """LOS direction cosines and radial/transverse relative speeds
     ``(ux, uy, vr, vth)`` of a relative position at separation ``r > 0``.
@@ -225,8 +159,10 @@ def engagement_terms(
     """Polar engagement terms from relative position and relative velocity.
 
     Returns ``(r, ux, uy, vr, vth, vrel, triggered)``, or None when the
-    separation is exactly zero (the geometry is undefined).  The LOS angle is
-    left to the caller: it is ``atan2(dy, dx)`` and only logging needs it.
+    separation is exactly zero (the geometry is undefined).  The repulsive
+    trigger is live exactly when the pair is closing (Vr < 0) with a
+    resolvable relative speed (Vrel > eps_v).  The LOS angle is left to the
+    caller: it is ``atan2(dy, dx)`` and only logging needs it.
     """
     r = math.hypot(dx, dy)
     if r == 0.0:
@@ -234,49 +170,3 @@ def engagement_terms(
     ux, uy, vr, vth = los_components(dx, dy, r, rvx, rvy)
     vrel = math.hypot(vr, vth)
     return r, ux, uy, vr, vth, vrel, vrel > eps_v and vr < 0.0
-
-
-def engagement(a: RobotState, b: RobotState, eps_v: float = EPS_V_DEFAULT) -> EngagementState:
-    """Compute the polar engagement state of robot ``a`` (self) against ``b``.
-
-    Separation is the Euclidean distance, the LOS angle uses the
-    four-quadrant arctangent, and the radial/transverse relative velocities
-    generalize the equal-speed expressions to each robot's own speed.  The
-    repulsive trigger is live exactly when the pair is closing (Vr < 0) with
-    a resolvable relative speed (Vrel > eps_v).
-    """
-    dx = b.position.x - a.position.x
-    dy = b.position.y - a.position.y
-    terms = engagement_terms(
-        dx,
-        dy,
-        b.speed * math.cos(b.heading) - a.speed * math.cos(a.heading),
-        b.speed * math.sin(b.heading) - a.speed * math.sin(a.heading),
-        eps_v,
-    )
-    if terms is None:
-        raise CollisionSingularity(f"robots {a.id} and {b.id} at identical positions")
-    r, ux, uy, vr, vth, vrel, triggered = terms
-    return EngagementState(
-        i=a.id,
-        j=b.id,
-        r=r,
-        theta=math.atan2(dy, dx),
-        ux=ux,
-        uy=uy,
-        vr=vr,
-        vth=vth,
-        vrel=vrel,
-        triggered=triggered,
-    )
-
-
-def relative_speed_from_headings(speed: float, phi_i: float, phi_j: float) -> float:
-    """Relative speed of two robots moving at the same linear speed.
-
-    Equals sqrt(Vr^2 + Vth^2) for any equal-speed pair; vanishes exactly for
-    parallel motion.
-    """
-    if speed < 0.0:
-        raise ValueError("speed must be >= 0")
-    return speed * math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - math.cos(phi_i - phi_j)))

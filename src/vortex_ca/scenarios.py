@@ -26,6 +26,10 @@ _BEHAVIOR_NAMES = {kind.value: kind for kind in BehaviorKind}
 
 SWEEP_METRICS = ("min_separation", "time_to_goal", "body_overlap", "max_lyap_derivative")
 
+#: Most cells one sweep may run (the product of its axis lengths); a larger
+#: spec is a validation error, reported before any cell is built.
+MAX_SWEEP_CELLS = 100_000
+
 # Defaults of a robot entry, from the reference differential-drive platform:
 # 0.17 m/s set speed (0 for a stationary robot) and a 0.35 m body diameter.
 _V = 0.17  # m/s
@@ -261,12 +265,6 @@ def load_scenario(path_or_name: str) -> Scenario:
     return scenario_from_dict(scenario_document(path_or_name))
 
 
-def save_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scenario_to_dict(scenario), handle, indent=2)
-        handle.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Bundled presets (desk-scale reconstructions, 3.5 x 3.5 m workspace)
 #
@@ -453,14 +451,24 @@ def load_sweep(path: str) -> SweepSpec:
         if not isinstance(values, list) or not values:
             errors.append(f"axes[{entry['path']}]: values must be a non-empty list")
             continue
-        axes.append((str(entry["path"]), tuple(values)))
+        axis_path = str(entry["path"])
+        if any(axis_path == seen for seen, _ in axes):
+            errors.append(f"axes[{axis_path}]: path listed more than once")
+            continue
+        axes.append((axis_path, tuple(values)))
+    n_cells = math.prod(len(values) for _, values in axes)
+    if n_cells > MAX_SWEEP_CELLS:
+        lengths = " x ".join(str(len(values)) for _, values in axes)
+        errors.append(f"axes: {lengths} = {n_cells} cells, more than the {MAX_SWEEP_CELLS} allowed")
     metrics = data.get("metrics", ["min_separation"])
     if not isinstance(metrics, list):
         errors.append(f"metrics: expected a list, got {metrics!r}")
         metrics = []
-    for metric in metrics:
+    for k, metric in enumerate(metrics):
         if metric not in SWEEP_METRICS:
             errors.append(f"metrics: unknown metric {metric!r} (known: {', '.join(SWEEP_METRICS)})")
+        elif metric in metrics[:k]:
+            errors.append(f"metrics: {metric!r} listed more than once")
     if errors:
         raise ScenarioError(errors)
     document = scenario_document(base)

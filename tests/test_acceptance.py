@@ -12,14 +12,13 @@ import math
 import numpy as np
 import pytest
 
+from test_analysis import fit_circle, simulate_closed_loop
 from vortex_ca.analysis import (
     RegimeKind,
     grazing_separation,
     required_accel,
-    simulate_closed_loop,
     turn_radius,
     verify_closed_loop,
-    fit_circle,
 )
 from vortex_ca.cli import main, read_run
 from vortex_ca.engine import EVENT_GOAL, EVENT_OVERLAP, EVENT_STOPPED, min_separation, run

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_engine_reference import EngagementState, propagate
 from vortex_ca import scenarios
 from vortex_ca.analysis import (
     InfeasibleGeometry,
     RegimeKind,
+    RelativeTrace,
     analyze_log,
     attacker_standoff,
     closed_loop_rhs,
-    collision_course,
-    fit_circle,
     grazing_separation,
     lyapunov,
     multi_lyapunov,
@@ -22,13 +22,12 @@ from vortex_ca.analysis import (
     pair_lyapunov_series,
     regime_mismatch,
     required_accel,
-    simulate_closed_loop,
     turn_radius,
     verify_closed_loop,
 )
 from vortex_ca.engine import run
 from vortex_ca.fields import PFParams
-from vortex_ca.kinematics import BehaviorKind, EngagementState, PlanarVector, RobotState
+from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState
 from vortex_ca.scenarios import load_scenario
 
 V = 0.17
@@ -45,6 +44,16 @@ def eng(vr, vth, r=2.0):
 
 # ---------------------------------------------------------------------------
 # collision predicate
+
+
+def collision_course(eng: EngagementState, tol_vth: float = 1e-3) -> bool:
+    """True iff the pair is closing with (numerically) zero transverse speed.
+
+    Closing with zero LOS rotation is necessary and sufficient for point
+    collision at constant velocities; ``tol_vth`` absorbs the fact that an
+    exact zero never holds in floating point.
+    """
+    return eng.vr < 0.0 and abs(eng.vth) <= tol_vth
 
 
 def test_collision_course_head_on():
@@ -178,6 +187,74 @@ def test_lyapunov_value_nonnegative():
 # closed-loop integration and the dual-route check
 
 
+_REPULSIVE_REGIMES = (
+    RegimeKind.COOP_PAIR,
+    RegimeKind.COOP_VS_NONCOOP,
+    RegimeKind.COOP_VS_ATTACKER,
+    RegimeKind.NONVORTEX_PAIR,
+)
+
+
+def simulate_closed_loop(
+    regime: RegimeKind,
+    r0: float,
+    vr0: float,
+    vth0: float,
+    params: PFParams,
+    dt: float = 1e-4,
+    t_max: float = 20.0,
+    r_floor: float = 0.05,
+) -> RelativeTrace:
+    """Integrate the regime's closed-loop relative dynamics with fixed-step RK4.
+
+    Integration stops at ``t_max``, when the separation falls to ``r_floor``,
+    or (for repulsive regimes) when the closing condition Vr < 0 is lost, so
+    the returned window has a single constant regime throughout.
+    """
+    if r0 <= 0.0:
+        raise ValueError("r0 must be > 0")
+
+    def deriv(state: tuple[float, float, float]) -> tuple[float, float, float]:
+        r, vr, vth = state
+        vrel = math.hypot(vr, vth)
+        f_r, f_th = closed_loop_rhs(regime, r, vr, vth, vrel, params)
+        return vr, f_r, f_th
+
+    repulsive = regime in _REPULSIVE_REGIMES
+    ts = [0.0]
+    rs = [r0]
+    vrs = [vr0]
+    vths = [vth0]
+    state = (r0, vr0, vth0)
+    n_steps = int(round(t_max / dt))
+    for k in range(n_steps):
+        k1 = deriv(state)
+        s2 = tuple(state[m] + 0.5 * dt * k1[m] for m in range(3))
+        k2 = deriv(s2)
+        s3 = tuple(state[m] + 0.5 * dt * k2[m] for m in range(3))
+        k3 = deriv(s3)
+        s4 = tuple(state[m] + dt * k3[m] for m in range(3))
+        k4 = deriv(s4)
+        state = tuple(
+            state[m] + dt * (k1[m] + 2.0 * k2[m] + 2.0 * k3[m] + k4[m]) / 6.0 for m in range(3)
+        )
+        ts.append((k + 1) * dt)
+        rs.append(state[0])
+        vrs.append(state[1])
+        vths.append(state[2])
+        if state[0] <= r_floor:
+            break
+        if repulsive and state[1] >= 0.0:
+            break
+    return RelativeTrace(
+        regime=regime,
+        t=np.asarray(ts),
+        r=np.asarray(rs),
+        vr=np.asarray(vrs),
+        vth=np.asarray(vths),
+    )
+
+
 def test_closed_loop_coop_pair_baseline():
     trace = simulate_closed_loop(RegimeKind.COOP_PAIR, 3.0, -2 * V, 0.0, PARAMS, dt=1e-4)
     report = verify_closed_loop(trace, PARAMS)
@@ -205,6 +282,19 @@ def test_closed_loop_regime_windows_are_regime_constant():
 # geometric bounds
 
 
+def fit_circle(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares circle fit (algebraic/Kasa); returns (cx, cy, radius)."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if len(xs) < 3:
+        raise ValueError("need at least 3 points to fit a circle")
+    a = np.column_stack([2.0 * xs, 2.0 * ys, np.ones_like(xs)])
+    b = xs * xs + ys * ys
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    cx, cy, c = sol
+    return float(cx), float(cy), float(math.sqrt(max(c + cx * cx + cy * cy, 0.0)))
+
+
 def test_turn_radius_values():
     assert turn_radius(1.0, 1.0) == 1.0
     assert turn_radius(0.17, 0.0461) == pytest.approx(0.17**2 / 0.0461)
@@ -214,8 +304,6 @@ def test_turn_radius_values():
 
 def test_turn_radius_matches_saturated_simulation():
     # oracle: simulate a clamped constant-rate turn and fit the circle
-    from vortex_ca.kinematics import propagate
-
     f_lim = 0.0461
     omega = f_lim / V
     s = RobotState(

@@ -18,7 +18,6 @@ from vortex_ca.scenarios import (
     PRESETS,
     load_scenario,
     load_sweep,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     set_by_path,
@@ -97,7 +96,7 @@ def test_unknown_preset_or_file():
 def test_scenario_round_trip(tmp_path, name):
     scn = load_scenario(name)
     path = tmp_path / f"{name}.json"
-    save_scenario(scn, str(path))
+    path.write_text(json.dumps(scenario_to_dict(scn), indent=2))
     assert load_scenario(str(path)) == scn
 
 
@@ -648,8 +647,16 @@ def _axis_spec(path, **extra):
     # str.isdigit() accepts both; int() rejects the first and reads the second as 1
     _axis_spec("robots.\u00b2.x"),
     _axis_spec("robots.\u0661.x"),
+    {"base_scenario": "coop_headon", "axes": [{"path": "params.lambda", "values": [1.0, 2.0]},
+                                              {"path": "params.lambda", "values": [30.0]}]},
+    _axis_spec("params.lambda", metrics=["min_separation", "min_separation"]),
+    # a million cells: rejected before any cell is built
+    {"base_scenario": "coop_headon", "axes": [
+        {"path": path, "values": [float(v) for v in range(1, 101)]}
+        for path in ("params.lambda", "params.kappa", "params.kp")]},
 ], ids=["list", "axes_int", "metrics_int", "index_past_end", "index_not_int", "into_string",
-        "into_number", "index_superscript_two", "index_arabic_indic_one"])
+        "into_number", "index_superscript_two", "index_arabic_indic_one", "repeated_axis_path",
+        "repeated_metric", "over_cell_cap"])
 def test_cmd_sweep_rejects_malformed_specs(tmp_path, capsys, spec):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec))

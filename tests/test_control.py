@@ -1,12 +1,37 @@
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortex_ca.control import force_heading, heading_controller, wheel_speeds
+from vortex_ca.control import force_heading, heading_controller
 from vortex_ca.fields import PFParams, attractive_components
 from vortex_ca.kinematics import wrap_angle
+
+
+class WheelSpeeds(NamedTuple):
+    v_right: float
+    v_left: float
+    omega_right: float
+    omega_left: float
+
+
+def wheel_speeds(speed: float, omega: float, wheel_base: float, wheel_radius: float) -> WheelSpeeds:
+    """Differential-drive wheel speeds for a body speed/turn-rate command.
+
+    Exact inverse of V = (v_R + v_L)/2 and omega = (v_R - v_L)/d; the wheel
+    angular rates divide the linear speeds by the wheel radius.  This is the
+    conversion docs/formats.md states for a logged ``omega`` with the
+    scenario's ``d_wheel`` and ``r_wheel``.
+    """
+    if wheel_base <= 0.0:
+        raise ValueError("wheel_base must be > 0")
+    if wheel_radius <= 0.0:
+        raise ValueError("wheel_radius must be > 0")
+    v_right = speed + 0.5 * omega * wheel_base
+    v_left = speed - 0.5 * omega * wheel_base
+    return WheelSpeeds(v_right, v_left, v_right / wheel_radius, v_left / wheel_radius)
 
 
 def test_desired_heading_along_x():

@@ -1,17 +1,21 @@
-"""The engine against a reference built from the public object functions.
+"""The engine against an object-level reference engine.
 
-The reference is the object-level loop the flat engine replaced: per step it
-builds an ``EngagementState`` per pair and its flipped view per robot, sums
-each robot's force with ``total_force_from_engagements`` below (the force
-kernels, called once per engagement view in ascending id order), steers with
-``force_heading`` and ``heading_controller``, propagates with ``propagate``
-and applies the stop rule.  The engine must reproduce it bit for bit, so
-every comparison below is ``==``: any reordering of the floating-point
-arithmetic fails here.
+The reference is the object-level loop the flat engine replaced, with the
+object layer it was built on defined here: ``engagement`` builds an
+``EngagementState`` per pair, ``EngagementState.flipped`` gives its view
+from the other robot, ``propagate`` advances a ``RobotState`` and
+``stopped`` applies the stop transition.  Per step the reference builds every
+pair's engagement and its flipped view per robot, sums each robot's force
+with ``total_force_from_engagements`` below (the force kernels, called once
+per engagement view in ascending id order), steers with ``force_heading``
+and ``heading_controller``, propagates and applies the stop rule.  The
+engine must reproduce it bit for bit, so every comparison below is ``==``:
+any reordering of the floating-point arithmetic fails here.  The kinematics,
+fields, analysis and pair-stage tests use the same object layer.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -33,10 +37,117 @@ from vortex_ca.fields import (
     default_r_star,
     repulsive_components,
 )
-from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState, engagement, propagate
+from vortex_ca.kinematics import (
+    EPS_V_DEFAULT,
+    BehaviorKind,
+    CollisionSingularity,
+    PlanarVector,
+    RobotState,
+    SimulationFault,
+    advance_pose,
+    engagement_terms,
+    wrap_angle,
+)
 from vortex_ca.scenarios import PRESETS, load_scenario
 
 ZERO = PlanarVector(0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class EngagementState:
+    """Pairwise relative state of robots i and j in polar LOS coordinates.
+
+    ``ux``/``uy`` are the LOS direction cosines from i to j (cos/sin of
+    ``theta``); they are carried explicitly so a flipped view negates them
+    exactly, which keeps the reciprocal-force identity bit-exact.
+    """
+
+    i: int
+    j: int
+    r: float
+    theta: float
+    ux: float
+    uy: float
+    vr: float
+    vth: float
+    vrel: float
+    triggered: bool
+
+    def flipped(self) -> "EngagementState":
+        """Same engagement seen from robot j (LOS rotated by pi)."""
+        return EngagementState(
+            i=self.j,
+            j=self.i,
+            r=self.r,
+            theta=wrap_angle(self.theta + math.pi),
+            ux=-self.ux,
+            uy=-self.uy,
+            vr=self.vr,
+            vth=self.vth,
+            vrel=self.vrel,
+            triggered=self.triggered,
+        )
+
+
+def engagement(a: RobotState, b: RobotState, eps_v: float = EPS_V_DEFAULT) -> EngagementState:
+    """Compute the polar engagement state of robot ``a`` (self) against ``b``.
+
+    Separation is the Euclidean distance, the LOS angle uses the
+    four-quadrant arctangent, and the radial/transverse relative velocities
+    generalize the equal-speed expressions to each robot's own speed.  The
+    terms are the engine's kernel, ``engagement_terms``.
+    """
+    dx = b.position.x - a.position.x
+    dy = b.position.y - a.position.y
+    terms = engagement_terms(
+        dx,
+        dy,
+        b.speed * math.cos(b.heading) - a.speed * math.cos(a.heading),
+        b.speed * math.sin(b.heading) - a.speed * math.sin(a.heading),
+        eps_v,
+    )
+    if terms is None:
+        raise CollisionSingularity(f"robots {a.id} and {b.id} at identical positions")
+    r, ux, uy, vr, vth, vrel, triggered = terms
+    return EngagementState(
+        i=a.id,
+        j=b.id,
+        r=r,
+        theta=math.atan2(dy, dx),
+        ux=ux,
+        uy=uy,
+        vr=vr,
+        vth=vth,
+        vrel=vrel,
+        triggered=triggered,
+    )
+
+
+def propagate(state: RobotState, omega: float, dt: float) -> RobotState:
+    """Advance a unicycle state by one fixed step of classical 4th-order Runge-Kutta.
+
+    The angular rate ``omega`` is held constant across the step (zero-order
+    hold, matching the discrete controller), so the heading stages are exact
+    and the position update reduces to a Simpson-weighted average of the
+    velocity direction.  Inactive robots are returned unchanged.
+    """
+    if not (math.isfinite(omega) and math.isfinite(dt)):
+        raise SimulationFault(f"robot {state.id}: non-finite propagation input")
+    if dt <= 0.0:
+        raise ValueError("dt must be > 0")
+    if not state.active:
+        return state
+    phi = state.heading
+    x, y, heading = advance_pose(
+        state.position.x, state.position.y, phi, math.cos(phi), math.sin(phi), state.speed,
+        omega, dt,
+    )
+    return replace(state, position=PlanarVector(x, y), heading=heading)
+
+
+def stopped(state: RobotState) -> RobotState:
+    """State after the stop transition: speed zeroed, inactive, radius kept."""
+    return replace(state, speed=0.0, active=False)
 
 
 @dataclass
@@ -175,22 +286,23 @@ def reference_run(scenario):
         world = tuple(propagate(r, omegas[r.id], dt) for r in world)
 
         t_next = (k + 1) * dt
-        stopped = []
+        after_stop = []
         for robot in world:
             if not robot.active or robot.behavior is BehaviorKind.STATIONARY:
-                stopped.append(robot)
+                after_stop.append(robot)
                 continue
             if robot.behavior is BehaviorKind.ATTACKING:
                 goal_point = next(r.position for r in world if r.id == robot.attack_target)
             else:
                 goal_point = robot.goal
-            if (robot.position - goal_point).norm() <= params.goal_tol:
+            gap = math.hypot(robot.position.x - goal_point.x, robot.position.y - goal_point.y)
+            if gap <= params.goal_tol:
                 log.events.append(Event(t_next, EVENT_GOAL, (robot.id,)))
                 log.events.append(Event(t_next, EVENT_STOPPED, (robot.id,)))
-                stopped.append(robot.stopped())
+                after_stop.append(stopped(robot))
             else:
-                stopped.append(robot)
-        world = tuple(stopped)
+                after_stop.append(robot)
+        world = tuple(after_stop)
     return log
 
 

