@@ -42,10 +42,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class InfeasibleGeometry(ValueError):
-    """No acceleration bound lets the robots avoid grazing at this geometry."""
-
-
 @dataclass(frozen=True)
 class LyapunovSeries:
     """A regime's Lyapunov value with its analytic and numeric derivatives, one
@@ -284,32 +280,6 @@ def grazing_separation(r_turn: float, half_separation: float) -> float:
     if half_separation < 0.0:
         raise ValueError("half_separation must be >= 0")
     return math.hypot(r_turn, half_separation) - r_turn
-
-
-def required_accel(kind: RegimeKind, body_radius: float, speed: float, half_separation: float) -> float:
-    """Minimum acceleration bound that avoids grazing for the given engagement.
-
-    Cooperative pairs share the maneuver; against a non-cooperative robot the
-    single maneuvering robot needs a strictly larger bound.  Raises
-    InfeasibleGeometry when no bound suffices (offset not larger than the
-    effective radius).
-    """
-    v2 = speed * speed
-    if kind is RegimeKind.COOP_PAIR:
-        denom = half_separation * half_separation - body_radius * body_radius
-        if denom <= 0.0:
-            raise InfeasibleGeometry(
-                f"half separation {half_separation} must exceed body radius {body_radius}"
-            )
-        return 2.0 * body_radius * v2 / denom
-    if kind is RegimeKind.COOP_VS_NONCOOP:
-        denom = half_separation * half_separation - 4.0 * body_radius * body_radius
-        if denom <= 0.0:
-            raise InfeasibleGeometry(
-                f"half separation {half_separation} must exceed twice the body radius"
-            )
-        return 4.0 * body_radius * v2 / denom
-    raise ValueError("required_accel is defined for COOP_PAIR and COOP_VS_NONCOOP")
 
 
 def attacker_standoff(lam: float, speed: float) -> float:

@@ -328,6 +328,11 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> LyapunovSeries:
 # Commands
 
 
+def _report_os_error(exc: OSError, outdir: str) -> int:
+    print(f"error: {exc.filename or outdir}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def cmd_run(scenario_path: str, outdir: str) -> int:
     try:
         scenario = load_scenario(scenario_path)
@@ -341,8 +346,7 @@ def cmd_run(scenario_path: str, outdir: str) -> int:
         print(f"error: simulation aborted: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
-        print(f"error: {exc.filename or outdir}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _report_os_error(exc, outdir)
 
 
 def _cell_metrics(log: TrajectoryLog, metrics: Sequence[str]) -> dict[str, Any]:
@@ -379,8 +383,9 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
         return EXIT_ERROR
 
     axis_paths = [path for path, _ in spec.axes]
+    header = axis_paths + list(spec.metrics) + ["error"]
 
-    def run_cell(cell_values: tuple[Any, ...]) -> dict[str, Any]:
+    def run_cell(cell_values: tuple[Any, ...]) -> list[Any]:
         row: dict[str, Any] = dict(zip(axis_paths, cell_values))
         try:
             cell_dict = json.loads(json.dumps(spec.base))
@@ -393,15 +398,18 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
             for metric in spec.metrics:
                 row.setdefault(metric, math.nan)
             row["error"] = str(exc)
-        return row
+        return [row.get(name, "") for name in header]
 
-    rows = [run_cell(cell) for cell in itertools.product(*(values for _, values in spec.axes))]
-
-    os.makedirs(outdir, exist_ok=True)
-    header = axis_paths + list(spec.metrics) + ["error"]
-    with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8", newline="") as handle:
-        for cells in [header] + [[row.get(name, "") for name in header] for row in rows]:
-            handle.write(",".join(map(_sweep_cell, cells)) + "\n")
+    # The output is opened before the first cell runs, and each row is
+    # written as its cell finishes.
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8", newline="") as handle:
+            handle.write(",".join(map(_sweep_cell, header)) + "\n")
+            for cell in itertools.product(*(values for _, values in spec.axes)):
+                handle.write(",".join(map(_sweep_cell, run_cell(cell))) + "\n")
+    except OSError as exc:
+        return _report_os_error(exc, outdir)
     return EXIT_OK
 
 

@@ -18,12 +18,18 @@ reference engine on the same kernels (``tests/test_engine_reference.py``),
 and the engine's log must equal the reference's bit for bit.  The log records
 floats; no per-step object is built.
 The loop keeps only the state the step needs: each robot's constants
-(behaviour, goal point, target) are read once, before the loop; the cosine
-and sine of each heading are formed once per step, for the pair stage and
-the propagation; the LOS angle of each pair, which nothing in the step
-reads, is not formed at all (``TrajectoryLog.pair_theta`` forms it from the
-logged positions for the writer); and the overlap scan runs only while some
-pair is, or comes, inside its contact distance.
+(behaviour, goal point, target, whether its repulsive input is read) are
+formed once, before the loop, and the last of them again only when a robot
+stops (``_Swarm.stop``); the cosine and sine of each heading are formed once
+per step, for the pair stage and the propagation; the LOS angle of each
+pair, which nothing in the step reads, is not formed at all
+(``TrajectoryLog.pair_theta`` forms it from the logged positions for the
+writer); the pair columns only the log reads are handed to it as lists
+through ``_Swarm.pair_columns`` on recorded steps alone; and the per-pair
+overlap list is formed only while some pair is, or comes, inside its contact
+distance.  The check for that is the one scan each step makes over the
+separations, on the separation array when the pair stage runs on arrays
+(``_Swarm.touching``).
 
 Each step is a pair stage (every engagement and every robot's summed
 repulsive input, O(N^2)) and then a robot stage (attractive term, finite
@@ -42,10 +48,10 @@ never by a numpy reduction or matrix product (their pairwise summation
 reorders the additions).  It raises every fault the scalar stage raises,
 with the same class and message, at the same point of the step.
 
-numpy is imported, and the array stage's index arrays (pair endpoints) are
-built, on the array stage's first call, not when the module is imported or
-a swarm is built: a run of fewer than ``_ARRAY_MIN_ROBOTS`` robots never
-loads numpy.
+numpy is imported, and the array stage's constant arrays (pair endpoints,
+contact distances, scatter offsets) are built, on the array stage's first
+call, not when the module is imported or a swarm is built: a run of fewer
+than ``_ARRAY_MIN_ROBOTS`` robots never loads numpy.
 
 ``Scenario`` validation caps the step count (``MAX_STEPS``) and the values a
 log records (``MAX_RECORDED_VALUES``), so a run never starts that could not
@@ -81,8 +87,9 @@ from .kinematics import (
 
 #: Robot count from which the pair stage runs on numpy arrays; below it the
 #: scalar loops are faster.  Both give the same bits.  Measured crossover of
-#: the two stages (2 CPUs, CPython 3.11, numpy 2.4): about 8 robots when
-#: every pair is closing and triggered, about 14 when none is.
+#: the two stages with their contact scans (2 CPUs, CPython 3.11, numpy 2.4):
+#: about 8 robots when every pair is closing and triggered, about 12 to 13
+#: when none is.
 _ARRAY_MIN_ROBOTS = 12
 
 #: Caps on the size of a run, checked by scenario validation before anything
@@ -271,8 +278,15 @@ class _Swarm:
     -0.0, so the sign of a zero input cannot change it, and each robot gets
     the sum its own views give.  The stage has two implementations with the
     same bits: scalar loops, and a numpy stage that swarms of at least
-    ``_ARRAY_MIN_ROBOTS`` robots use (see ``_array_pair_stage``); it leaves
-    ``ux`` and ``uy``, which no later stage reads, as numpy arrays.
+    ``_ARRAY_MIN_ROBOTS`` robots use (see ``_array_pair_stage``).  The numpy
+    stage leaves ``ux``, ``uy`` and ``trig``, which no later stage reads, as
+    arrays; the log reads the pair columns it records through
+    ``pair_columns``, which converts ``trig`` on recorded steps only.  The
+    scan for pairs inside their contact distance (``touching``) runs on the
+    stage's own form of the separations: the ``r`` list, or the array it
+    keeps as ``_r``.  Which robots are cooperative and active (``_live``,
+    and its array form ``_live_masks``) is formed once and again only after
+    ``stop``, the one place a robot becomes inactive during a run.
     A pair whose input fails its finite check, or divides by zero, is
     evaluated again from each cooperative endpoint's own view, so the fault
     names that robot and its own values.  The pair stage does not raise it
@@ -309,6 +323,7 @@ class _Swarm:
             for i, robot in enumerate(robots)
         ]
         self.pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        self.contact = [robots[a].body_radius + robots[b].body_radius for a, b in self.pairs]
         n_pairs = len(self.pairs)
         self.r = [0.0] * n_pairs
         self.ux = [0.0] * n_pairs
@@ -324,20 +339,70 @@ class _Swarm:
         self.fault: list[Exception | None] = [None] * n
         self.omega = [0.0] * n
         self.phi_des: list[float | None] = [None] * n
-        self.pair_stage = (
-            self._array_pair_stage if n >= _ARRAY_MIN_ROBOTS else self._scalar_pair_stage
-        )
+        if n >= _ARRAY_MIN_ROBOTS:
+            self.pair_stage, self.touching = self._array_pair_stage, self._array_touching
+        else:
+            self.pair_stage, self.touching = self._scalar_pair_stage, self._scalar_touching
 
     @cached_property
     def _pair_index(self):
-        """The pair endpoints as index arrays, built on the array stage's
-        first call."""
+        """The array stage's constant arrays, built on its first call, one
+        entry per pair: its endpoints, its contact distance, and the offsets
+        at which its inputs are scattered (rows: the first robot's x and y
+        input, the second robot's x and y input)."""
         import numpy as np
 
-        return (
-            np.array([a for a, _ in self.pairs], dtype=np.intp),
-            np.array([b for _, b in self.pairs], dtype=np.intp),
-        )
+        n = len(self.ids)
+        first = np.array([a for a, _ in self.pairs], dtype=np.intp)
+        second = np.array([b for _, b in self.pairs], dtype=np.intp)
+        # Flat offsets into a (2, n, n + 1) buffer: component, robot, 1 + the
+        # other robot's index; the second component's block is n * (n + 1) on.
+        forward = first * (n + 1) + second + 1
+        backward = second * (n + 1) + first + 1
+        block = n * (n + 1)
+        scatter = np.stack((forward, forward + block, backward, backward + block))
+        return first, second, np.array(self.contact), scatter
+
+    @cached_property
+    def _live(self) -> list[bool]:
+        """Whether each robot is cooperative and active, so that its summed
+        repulsive input is read; ``stop`` drops it."""
+        return list(map(operator.and_, self.active, self.cooperative))
+
+    @cached_property
+    def _live_masks(self):
+        """The array stage's form of ``_live``: the robots whose sums are
+        zeroed, and the pairs with a live endpoint; ``stop`` drops it."""
+        import numpy as np
+
+        live = np.array(self._live)
+        first, second, _, _ = self._pair_index
+        return ~live, live[first] | live[second]
+
+    def stop(self, i: int) -> None:
+        """Robot ``i`` stops for good: zero speed, inactive."""
+        self.speed[i] = 0.0
+        self.active[i] = False
+        self.__dict__.pop("_live", None)
+        self.__dict__.pop("_live_masks", None)
+
+    def pair_columns(self) -> tuple[list[float], list[float], list[float], list[float], list[bool]]:
+        """The last pair stage's ``r``, ``vr``, ``vth``, ``vrel`` and ``trig``
+        as lists, which is what the log records.  The array stage leaves
+        ``trig`` as an array, so only a recorded step converts it."""
+        trig = self.trig
+        if not isinstance(trig, list):
+            trig = trig.tolist()
+        return self.r, self.vr, self.vth, self.vrel, trig
+
+    def _scalar_touching(self) -> bool:
+        """Whether some pair of the last pair stage is inside its contact
+        distance."""
+        return any(map(operator.lt, self.r, self.contact))
+
+    def _array_touching(self) -> bool:
+        """``_scalar_touching`` on the array stage's separations."""
+        return bool((self._r < self._pair_index[2]).any())
 
     def _view_fault(self, i: int, p: int, sign: float) -> SimulationFault | None:
         """The fault of robot ``i``'s own view of pair ``p``, whose LOS
@@ -373,7 +438,7 @@ class _Swarm:
         self.sin_phi = sin_phi = list(map(math.sin, self.phi))
         vx = list(map(operator.mul, self.speed, cos_phi))
         vy = list(map(operator.mul, self.speed, sin_phi))
-        live = list(map(operator.and_, self.active, self.cooperative))
+        live = self._live
         n = len(ids)
         rep_x = [0.0] * n
         rep_y = [0.0] * n
@@ -410,11 +475,16 @@ class _Swarm:
         arithmetic kernels (``los_components``, ``repulsive_view``,
         ``saturation_brackets``) run unchanged on arrays.  ``math.hypot``
         runs through ``map`` over ``.tolist()``, since ``np.hypot`` may
-        differ in the last bit.  The law runs once per triggered pair with a
-        cooperative, active endpoint, and saturation keeps the scalar
+        differ in the last bit; the stage keeps those lists as ``r``,
+        ``vr``, ``vth`` and ``vrel``, and leaves ``ux``, ``uy`` and ``trig``
+        as arrays (``pair_columns`` converts ``trig`` when a step is
+        recorded) and the separations as ``_r`` for ``_array_touching``.
+        The law runs once per triggered pair with a cooperative, active
+        endpoint (``_live_masks``), and saturation keeps the scalar
         ``-f_lim * sign(bracket)`` through ``np.where`` and ``np.sign``.
-        Each input and its negation go into a ``(2, n, n + 1)`` matrix at
-        row (robot) and column (1 + the other robot's index), which
+        Each input and its negation are scattered through the flat offsets
+        of ``_pair_index`` into a zeroed ``(2, n, n + 1)`` buffer at row
+        (robot) and column (1 + the other robot's index), which
         ``np.add.accumulate`` sums along the columns: the sum starts from
         the zero first column and adds one column after the other in
         ascending id of the other robot, as the scalar stage does.  An empty
@@ -431,32 +501,29 @@ class _Swarm:
 
         params = self.params
         n = len(self.ids)
-        n_pairs = len(self.pairs)
-        a, b = self._pair_index
+        a, b, _, scatter = self._pair_index
         self.cos_phi = cos_phi = list(map(math.cos, self.phi))
         self.sin_phi = sin_phi = list(map(math.sin, self.phi))
         with np.errstate(all="ignore"):
-            x = np.fromiter(self.x, float, n)
-            y = np.fromiter(self.y, float, n)
-            speed = np.fromiter(self.speed, float, n)
-            vx = speed * np.fromiter(cos_phi, float, n)
-            vy = speed * np.fromiter(sin_phi, float, n)
-            dx = x[b] - x[a]
-            dy = y[b] - y[a]
+            state = np.array((self.x, self.y, cos_phi, sin_phi, self.speed))
+            state[2:4] *= state[4]  # velocities: speed * cos and speed * sin
+            ends = state[:4]
+            dx, dy, rvx, rvy = ends.take(b, axis=1) - ends.take(a, axis=1)
             r_list = list(map(math.hypot, dx.tolist(), dy.tolist()))
-            r = np.fromiter(r_list, float, n_pairs)
+            self._r = r = np.fromiter(r_list, float, len(r_list))
             if not r.all():
                 a, b = self.pairs[r_list.index(0.0)]
                 raise CollisionSingularity(
                     f"robots {self.ids[a]} and {self.ids[b]} at identical positions"
                 )
-            ux, uy, vr, vth = los_components(dx, dy, r, vx[b] - vx[a], vy[b] - vy[a])
-            vrel_list = list(map(math.hypot, vr.tolist(), vth.tolist()))
-            vrel = np.fromiter(vrel_list, float, n_pairs)
+            ux, uy, vr, vth = los_components(dx, dy, r, rvx, rvy)
+            vr_list, vth_list = vr.tolist(), vth.tolist()
+            vrel_list = list(map(math.hypot, vr_list, vth_list))
+            vrel = np.fromiter(vrel_list, float, len(vrel_list))
             trig = (vrel > params.eps_v) & (vr < 0.0)
 
-            coop = np.fromiter(self.cooperative, bool, n) & np.fromiter(self.active, bool, n)
-            live = np.flatnonzero(trig & (coop[a] | coop[b]))
+            idle, live_pairs = self._live_masks
+            live = np.flatnonzero(trig & live_pairs)
             r_l, ux_l, uy_l, vr_l, vth_l = r[live], ux[live], uy[live], vr[live], vth[live]
             fx, fy = repulsive_view(r_l, ux_l, uy_l, vr_l, vth_l, vrel[live], params.lam,
                                     params.vortex)
@@ -471,26 +538,25 @@ class _Swarm:
                     finite = np.isfinite(fx).all() and np.isfinite(fy).all()
             if not finite:
                 # The scalar stage writes Python floats into lists.
+                n_pairs = len(self.pairs)
                 self.ux, self.uy = [0.0] * n_pairs, [0.0] * n_pairs
+                self.trig = [False] * n_pairs
                 self._scalar_pair_stage()
                 return
 
             inputs = np.zeros((2, n, n + 1))
-            first, second = a[live], b[live]
-            inputs[:, first, second + 1] = fx, fy
-            inputs[:, second, first + 1] = -fx, -fy
+            inputs.put(scatter.take(live, axis=1), (fx, fy, -fx, -fy))
             rep = np.add.accumulate(inputs, axis=2)[:, :, -1]
-            rep[:, ~coop] = 0.0
+            rep[:, idle] = 0.0
 
         self.r = r_list
         self.ux = ux  # read by no later stage, so left as arrays
         self.uy = uy
-        self.vr = vr.tolist()
-        self.vth = vth.tolist()
+        self.vr = vr_list
+        self.vth = vth_list
         self.vrel = vrel_list
-        self.trig = trig.tolist()
-        self.rep_x = rep[0].tolist()
-        self.rep_y = rep[1].tolist()
+        self.trig = trig
+        self.rep_x, self.rep_y = rep.tolist()
         self.fault = [None] * n
 
     def robot_stage(self) -> None:
@@ -563,7 +629,6 @@ def run(scenario: Scenario) -> TrajectoryLog:
     pair_traces = [PairTrace() for _ in pair_keys]
     log.pairs = dict(zip(pair_keys, pair_traces))
 
-    contact = [robots[a].body_radius + robots[b].body_radius for a, b in swarm.pairs]
     overlapping = [False] * len(pair_keys)
     # The robots the stop rule checks, in id order: index, target index (an
     # attacker's) or None, goal point (anyone else's), and whether the run
@@ -579,32 +644,36 @@ def run(scenario: Scenario) -> TrajectoryLog:
 
     def record(t: float) -> None:
         log.t.append(t)
+        phi, omega, fx, fy, rep_x, rep_y = (
+            swarm.phi, swarm.omega, swarm.fx, swarm.fy, swarm.rep_x, swarm.rep_y
+        )
         for i, trace in enumerate(traces):
             trace.x.append(x[i])
             trace.y.append(y[i])
-            trace.phi.append(swarm.phi[i])
-            trace.omega.append(swarm.omega[i])
-            trace.fx.append(swarm.fx[i])
-            trace.fy.append(swarm.fy[i])
-            trace.rep_fx.append(swarm.rep_x[i])
-            trace.rep_fy.append(swarm.rep_y[i])
+            trace.phi.append(phi[i])
+            trace.omega.append(omega[i])
+            trace.fx.append(fx[i])
+            trace.fy.append(fy[i])
+            trace.rep_fx.append(rep_x[i])
+            trace.rep_fy.append(rep_y[i])
             trace.active.append(active[i])
+        r, vr, vth, vrel, trig = swarm.pair_columns()
         for p, trace in enumerate(pair_traces):
-            trace.r.append(swarm.r[p])
-            trace.vr.append(swarm.vr[p])
-            trace.vth.append(swarm.vth[p])
-            trace.vrel.append(swarm.vrel[p])
-            trace.triggered.append(swarm.trig[p])
+            trace.r.append(r[p])
+            trace.vr.append(vr[p])
+            trace.vth.append(vth[p])
+            trace.vrel.append(vrel[p])
+            trace.triggered.append(trig[p])
 
-    pair_stage, robot_stage = swarm.pair_stage, swarm.robot_stage
+    pair_stage, robot_stage, touching = swarm.pair_stage, swarm.robot_stage, swarm.touching
     for k in range(n_steps + 1):
         t = k * dt
         pair_stage()
         robot_stage()
 
         # Body-overlap events fire on entry; the run continues regardless.
-        if any(overlapping) or any(map(operator.lt, swarm.r, contact)):
-            inside = [r < c for r, c in zip(swarm.r, contact)]
+        if any(overlapping) or touching():
+            inside = [r < c for r, c in zip(swarm.r, swarm.contact)]
             if inside != overlapping:
                 for p, now in enumerate(inside):
                     if now and not overlapping[p]:
@@ -634,8 +703,7 @@ def run(scenario: Scenario) -> TrajectoryLog:
             if math.hypot(dx, dy) <= goal_tol:
                 log.events.append(Event(t_next, EVENT_GOAL, (ids[i],)))
                 log.events.append(Event(t_next, EVENT_STOPPED, (ids[i],)))
-                swarm.speed[i] = 0.0
-                active[i] = False
+                swarm.stop(i)
                 if gates:
                     gated_active -= 1
     return log

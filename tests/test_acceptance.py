@@ -12,11 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from test_analysis import fit_circle, simulate_closed_loop
+from test_analysis import fit_circle, required_accel, simulate_closed_loop
 from vortex_ca.analysis import (
     RegimeKind,
     grazing_separation,
-    required_accel,
     turn_radius,
     verify_closed_loop,
 )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from test_engine_reference import EngagementState, propagate
 from vortex_ca import scenarios
 from vortex_ca.analysis import (
-    InfeasibleGeometry,
     RegimeKind,
     RelativeTrace,
     analyze_log,
@@ -21,7 +20,6 @@ from vortex_ca.analysis import (
     numeric_derivative,
     pair_lyapunov_series,
     regime_mismatch,
-    required_accel,
     turn_radius,
     verify_closed_loop,
 )
@@ -280,6 +278,36 @@ def test_closed_loop_regime_windows_are_regime_constant():
 
 # ---------------------------------------------------------------------------
 # geometric bounds
+
+
+class InfeasibleGeometry(ValueError):
+    """No acceleration bound lets the robots avoid grazing at this geometry."""
+
+
+def required_accel(kind: RegimeKind, body_radius: float, speed: float, half_separation: float) -> float:
+    """Minimum acceleration bound that avoids grazing for the given engagement.
+
+    Cooperative pairs share the maneuver; against a non-cooperative robot the
+    single maneuvering robot needs a strictly larger bound.  Raises
+    InfeasibleGeometry when no bound suffices (offset not larger than the
+    effective radius).
+    """
+    v2 = speed * speed
+    if kind is RegimeKind.COOP_PAIR:
+        denom = half_separation * half_separation - body_radius * body_radius
+        if denom <= 0.0:
+            raise InfeasibleGeometry(
+                f"half separation {half_separation} must exceed body radius {body_radius}"
+            )
+        return 2.0 * body_radius * v2 / denom
+    if kind is RegimeKind.COOP_VS_NONCOOP:
+        denom = half_separation * half_separation - 4.0 * body_radius * body_radius
+        if denom <= 0.0:
+            raise InfeasibleGeometry(
+                f"half separation {half_separation} must exceed twice the body radius"
+            )
+        return 4.0 * body_radius * v2 / denom
+    raise ValueError("required_accel is defined for COOP_PAIR and COOP_VS_NONCOOP")
 
 
 def fit_circle(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:

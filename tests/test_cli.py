@@ -701,6 +701,22 @@ def test_cmd_sweep_records_cell_errors(tmp_path):
     assert bad[-1] != ""
 
 
+def test_cmd_sweep_reports_an_unusable_output_path_before_any_cell(tmp_path, capsys, monkeypatch):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    assert main(["run", "coop_headon", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
+
+    def no_cells(scenario):
+        raise AssertionError("a cell ran before the output was opened")
+
+    monkeypatch.setattr(cli, "run", no_cells)
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(_axis_spec("params.lambda", metrics=["min_separation"])))
+    assert main(["sweep", str(spec_path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # analyze and plotdata commands
 

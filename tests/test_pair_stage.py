@@ -11,6 +11,7 @@ message.
 
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -52,7 +53,7 @@ def robot_specs(draw, n):
             heading, speed = fleet
         else:
             heading, speed = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.0, 0.4))
-        target = draw(st.sampled_from([j for j in range(n) if j != k])) + 1
+        target = (k + draw(st.integers(1, n - 1))) % n + 1  # any other robot
         goal = (draw(coord), draw(coord))
         specs.append((k + 1, x, y, heading, speed, kind, target, goal))
     return specs
@@ -73,8 +74,8 @@ def make_robot(rid, x, y, heading, speed, kind, target, goal):
 
 
 @st.composite
-def swarms(draw):
-    n = draw(st.integers(2, 16))
+def worlds(draw):
+    n = draw(st.integers(2, 40))
     robots = tuple(make_robot(*spec) for spec in draw(robot_specs(n)))
     saturate = draw(st.booleans())
     params = PFParams(
@@ -84,26 +85,33 @@ def swarms(draw):
         # r_star up to the size of the field, so saturation engages on many views
         r_star=draw(st.floats(0.0, 4.0)) if saturate else 0.0,
     )
-    return _Swarm(robots, params)
+    return robots, params
 
 
 def pair_state(swarm):
-    floats = [swarm.r, swarm.ux, swarm.uy, swarm.vr, swarm.vth, swarm.vrel,
-              swarm.rep_x, swarm.rep_y]
+    """Everything the pair stage leaves for the later stages and the log, the
+    recorded columns read through ``pair_columns`` as the log reads them."""
+    r, vr, vth, vrel, trig = swarm.pair_columns()
+    floats = [r, swarm.ux, swarm.uy, vr, vth, vrel, swarm.rep_x, swarm.rep_y]
     return (
         [[value.hex() for value in series] for series in floats],
-        list(swarm.trig),
+        [type(value) for value in trig],
+        trig,
         [(type(f), str(f)) if f is not None else None for f in swarm.fault],
     )
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(swarms())
-def test_array_pair_stage_matches_scalar_stage(swarm):
-    swarm._scalar_pair_stage()
-    scalar = pair_state(swarm)
-    swarm._array_pair_stage()
-    assert pair_state(swarm) == scalar
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(worlds())
+def test_array_pair_stage_matches_scalar_stage(world):
+    # Each stage on a fresh swarm, so neither reads what the other left ...
+    scalar, array = _Swarm(*world), _Swarm(*world)
+    scalar._scalar_pair_stage()
+    array._array_pair_stage()
+    assert pair_state(array) == pair_state(scalar)
+    # ... and the array stage again over what the scalar stage left.
+    scalar._array_pair_stage()
+    assert pair_state(scalar) == pair_state(array)
 
 
 def test_pair_stage_dispatch_follows_threshold():
@@ -111,6 +119,22 @@ def test_pair_stage_dispatch_follows_threshold():
     for n, stage in ((threshold - 1, "_scalar_pair_stage"), (threshold, "_array_pair_stage")):
         swarm = _Swarm(ring(n).sorted_robots(), PFParams())
         assert swarm.pair_stage.__func__ is getattr(_Swarm, stage)
+
+
+def test_pair_columns_are_formed_once_per_recorded_row(monkeypatch):
+    calls = 0
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    original = _Swarm.pair_columns
+    monkeypatch.setattr(_Swarm, "pair_columns", counting)
+    scenario = replace(ring(engine._ARRAY_MIN_ROBOTS, t_max=1.0), record_stride=10)
+    log = run(scenario)
+    assert len(log.t) == 11  # steps 0, 10, ..., 100 of 100
+    assert calls == len(log.t)
 
 
 def run_both(monkeypatch, scenario):
