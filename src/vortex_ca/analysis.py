@@ -579,7 +579,8 @@ def _grazing_geometry_check(log: TrajectoryLog, params: PFParams) -> CheckResult
     r_turn = turn_radius(speed, params.f_lim)
     predicted = 2.0 * grazing_separation(r_turn, pair.r[0] / 2.0)
     measured = min(pair.r)
-    rel = abs(measured - predicted) / predicted
+    # a zero prediction (the initial separation lost to rounding) cannot match
+    rel = abs(measured - predicted) / predicted if predicted > 0.0 else math.inf
     return _check(
         "grazing_geometry",
         rel < 0.02,
@@ -600,21 +601,20 @@ def _straight_line_check(log: TrajectoryLog, robot_id: int) -> CheckResult:
     )
 
 
-def _attacker_checks(log: TrajectoryLog, params: PFParams) -> list[CheckResult]:
+def _attacker_checks(
+    log: TrajectoryLog, params: PFParams, series: LyapunovSeries
+) -> list[CheckResult]:
     results: list[CheckResult] = []
     robots = log.scenario.sorted_robots()
     coop = next(r for r in robots if r.behavior is BehaviorKind.COOPERATIVE)
     pair_key = log.pair_ids()[0]
     pair = log.pairs[pair_key]
 
+    # A triggered step has vrel > eps_v, where the series' vrel floor is idle.
     worst = 0.0
-    for k in range(len(log.t)):
-        if not pair.triggered[k] or pair.vth[k] < 0.0:
-            continue
-        _, deriv = lyapunov(
-            RegimeKind.COOP_VS_ATTACKER, pair.r[k], pair.vr[k], pair.vth[k], pair.vrel[k], params
-        )
-        worst = min(worst, deriv)
+    for k, deriv in enumerate(series.derivative_analytic):
+        if pair.triggered[k] and pair.vth[k] >= 0.0:
+            worst = min(worst, deriv)
     results.append(
         _check(
             "attacker_certificate",
@@ -719,6 +719,9 @@ def _attractive_only_checks(log: TrajectoryLog) -> list[CheckResult]:
             else "heading never settled near the LOS",
         )
     ]
+    if not live.size:
+        results.append(_check("closing_at_speed", False, "the robot is never active"))
+        return results
     last_live = int(live[-1])
     results.append(
         _check(
@@ -810,16 +813,13 @@ def require_regime(log: TrajectoryLog, regime: RegimeKind) -> None:
 
 
 def analyze_log(
-    log: TrajectoryLog,
-    regime: RegimeKind,
-    params: PFParams,
-    series: LyapunovSeries | None = None,
+    log: TrajectoryLog, regime: RegimeKind, params: PFParams, series: LyapunovSeries
 ) -> list[CheckResult]:
     """Run every applicable invariant check for the regime against a log.
 
-    ``series`` is the regime's Lyapunov series (what ``analyze`` writes to
-    lyapunov.csv) from a caller that has computed it already; the checks
-    that read it compute it when it is None.
+    ``series`` is the regime's Lyapunov series, the one ``analyze`` writes to
+    lyapunov.csv (``cli.regime_lyapunov``); the checks read it and never
+    form it again.
     """
     require_regime(log, regime)
     results: list[CheckResult] = []
@@ -832,8 +832,6 @@ def analyze_log(
         results.extend(_attractive_only_checks(log))
     elif regime is RegimeKind.COOP_PAIR:
         results.append(_reciprocity_check(log))
-        if series is None:
-            series = pair_lyapunov_series(log, log.pair_ids()[0], regime, params)
         results.append(_instability_certificate(log, series))
         results.append(_no_retrigger_check(log))
         grazing = _grazing_geometry_check(log, params)
@@ -869,7 +867,7 @@ def analyze_log(
             )
         )
     elif regime is RegimeKind.COOP_VS_ATTACKER:
-        results.extend(_attacker_checks(log, params))
+        results.extend(_attacker_checks(log, params, series))
     elif regime is RegimeKind.NONVORTEX_PAIR:
         results.extend(_nonvortex_checks(log))
     elif regime is RegimeKind.MULTI_ROBOT:

@@ -303,7 +303,7 @@ def read_run(
 
 
 def analyze_log(
-    log: TrajectoryLog, regime: RegimeKind, params: PFParams, series: LyapunovSeries | None = None
+    log: TrajectoryLog, regime: RegimeKind, params: PFParams, series: LyapunovSeries
 ) -> list[CheckResult]:
     from . import analysis
 

@@ -28,25 +28,15 @@ writer); the pair columns only the log reads are handed to it as lists
 through ``_Swarm.pair_columns`` on recorded steps alone; and the per-pair
 overlap list is formed only while some pair is, or comes, inside its contact
 distance.  The check for that is the one scan each step makes over the
-separations, on the separation array when the pair stage runs on arrays
-(``_Swarm.touching``).
+separations (``_Swarm.touching``).
 
 Each step is a pair stage (every engagement and every robot's summed
 repulsive input, O(N^2)) and then a robot stage (attractive term, finite
-check, desired heading, turn rate).  The repulsive law is evaluated once per
-triggered pair: the pair's first robot adds the input and its second robot
-the negation, which is bit for bit what the second robot's own view gives
-(see ``_Swarm``).  The pair stage runs as scalar loops below
-``_ARRAY_MIN_ROBOTS`` robots and on numpy arrays from there on, where the
-arrays are faster; the threshold is the measured crossover, not a setting.
-The array stage gives the same bits because it keeps the scalar arithmetic:
-the same kernels (``los_components``, ``repulsive_view``,
-``saturation_brackets``) on arrays, ``math.hypot`` through ``map``, inputs
-only where the scalar stage forms them, and per-robot sums added by
-``np.add.accumulate`` one neighbour column at a time in the scalar order,
-never by a numpy reduction or matrix product (their pairwise summation
-reorders the additions).  It raises every fault the scalar stage raises,
-with the same class and message, at the same point of the step.
+check, desired heading, turn rate).  The pair stage runs as scalar loops
+below ``_ARRAY_MIN_ROBOTS`` robots and on numpy arrays from there on, where
+the arrays are faster; the threshold is the measured crossover, not a
+setting.  The two give the same bits and raise the same faults (see
+``_Swarm`` and ``_Swarm._array_pair_stage``).
 
 numpy is imported, and the array stage's constant arrays (pair endpoints,
 contact distances, scatter offsets) are built, on the array stage's first
@@ -72,7 +62,7 @@ from .fields import (
     attractive_components,
     repulsive_components,
     repulsive_view,
-    saturation_brackets,
+    saturated_components,
 )
 from .kinematics import (
     BehaviorKind,
@@ -265,35 +255,30 @@ class _Swarm:
 
     The pair stage forms the cosine and sine of every heading (``cos_phi``,
     ``sin_phi``; ``advance`` reuses them), every pair's engagement (``r``,
-    ``ux``, ``uy``, ``vr``, ``vth``, ``vrel``, ``trig``) and every
-    cooperative robot's summed repulsive input (``rep_x``, ``rep_y``).  The
-    law is evaluated once per triggered pair that has a cooperative, active
-    endpoint, on the LOS from the pair's first robot to its second: the
-    first robot adds that input and the second robot its negation.  The
-    second robot's own view of the pair has the exactly negated LOS
-    cosines, and in IEEE round-to-nearest those negate every nonzero result
-    (unsaturated, or the saturated ``-f_lim * sign(bracket)``); only a zero
-    may come out with the other sign.  Each robot adds its inputs in
-    ascending id of the other robot, starting from +0.0: such a sum never is
-    -0.0, so the sign of a zero input cannot change it, and each robot gets
-    the sum its own views give.  The stage has two implementations with the
-    same bits: scalar loops, and a numpy stage that swarms of at least
-    ``_ARRAY_MIN_ROBOTS`` robots use (see ``_array_pair_stage``).  The numpy
-    stage leaves ``ux``, ``uy`` and ``trig``, which no later stage reads, as
-    arrays; the log reads the pair columns it records through
-    ``pair_columns``, which converts ``trig`` on recorded steps only.  The
-    scan for pairs inside their contact distance (``touching``) runs on the
-    stage's own form of the separations: the ``r`` list, or the array it
-    keeps as ``_r``.  Which robots are cooperative and active (``_live``,
-    and its array form ``_live_masks``) is formed once and again only after
-    ``stop``, the one place a robot becomes inactive during a run.
-    A pair whose input fails its finite check, or divides by zero, is
-    evaluated again from each cooperative endpoint's own view, so the fault
-    names that robot and its own values.  The pair stage does not raise it
-    but keeps each robot's first in ``fault`` as a ``SimulationFault``; the
-    robot stage raises it after that robot's attractive term, so faults
-    surface robot by robot in id order.  A faulted robot's sums are never
-    read.
+    ``vr``, ``vth``, ``vrel``, ``trig``; the LOS cosines are not kept) and
+    every cooperative robot's summed repulsive input (``rep_x``, ``rep_y``).
+    The law is evaluated once per triggered pair that has a live endpoint,
+    one that is cooperative and active (``_live``), on the LOS from the
+    pair's first robot to its second: the first robot adds that input and
+    the second robot its negation.  The second robot's own view of the pair
+    has the exactly negated LOS cosines, and in IEEE round-to-nearest those
+    negate every nonzero result (unsaturated, or the saturated
+    ``-f_lim * sign(bracket)``); only a zero may come out with the other
+    sign.  Each robot adds its inputs in ascending id of the other robot,
+    starting from +0.0: such a sum never is -0.0, so the sign of a zero
+    input cannot change it, and each robot gets the sum its own views give.
+
+    The pair stage has two implementations with the same bits: scalar
+    loops, and a numpy stage that swarms of at least ``_ARRAY_MIN_ROBOTS``
+    robots use (see ``_array_pair_stage``); ``touching`` scans the stage's
+    own form of the separations.  ``stop`` is the one place a robot becomes
+    inactive, and so stops being live, during a run.  A pair whose input
+    fails its finite check, or divides by zero, is evaluated again from each
+    live endpoint's own view (``_view_fault``), so the fault names that
+    robot and its own values.  The pair stage does not raise it but keeps
+    each robot's first in ``fault`` as a ``SimulationFault``; the robot
+    stage raises it after that robot's attractive term, so faults surface
+    robot by robot in id order.  A faulted robot's sums are never read.
 
     The robot stage has one implementation: the attractive term, the finite
     check, the desired heading and the turn rate of each robot in id order.
@@ -311,7 +296,9 @@ class _Swarm:
         self.phi = [robot.heading for robot in robots]
         self.speed = [robot.speed for robot in robots]
         self.active = [robot.active for robot in robots]
-        self.cooperative = [robot.behavior is BehaviorKind.COOPERATIVE for robot in robots]
+        # Whether each robot is cooperative and active, so that its summed
+        # repulsive input is read.
+        self._live = [robot.active and robot.behavior is _COOPERATIVE for robot in robots]
         index = {rid: i for i, rid in enumerate(self.ids)}
         self.steering = [
             (
@@ -326,8 +313,6 @@ class _Swarm:
         self.contact = [robots[a].body_radius + robots[b].body_radius for a, b in self.pairs]
         n_pairs = len(self.pairs)
         self.r = [0.0] * n_pairs
-        self.ux = [0.0] * n_pairs
-        self.uy = [0.0] * n_pairs
         self.vr = [0.0] * n_pairs
         self.vth = [0.0] * n_pairs
         self.vrel = [0.0] * n_pairs
@@ -364,15 +349,9 @@ class _Swarm:
         return first, second, np.array(self.contact), scatter
 
     @cached_property
-    def _live(self) -> list[bool]:
-        """Whether each robot is cooperative and active, so that its summed
-        repulsive input is read; ``stop`` drops it."""
-        return list(map(operator.and_, self.active, self.cooperative))
-
-    @cached_property
     def _live_masks(self):
         """The array stage's form of ``_live``: the robots whose sums are
-        zeroed, and the pairs with a live endpoint; ``stop`` drops it."""
+        zeroed, and the pairs with a live endpoint."""
         import numpy as np
 
         live = np.array(self._live)
@@ -380,10 +359,11 @@ class _Swarm:
         return ~live, live[first] | live[second]
 
     def stop(self, i: int) -> None:
-        """Robot ``i`` stops for good: zero speed, inactive."""
+        """Robot ``i`` stops for good: zero speed, inactive, not live; the
+        array stage rebuilds ``_live_masks`` on its next call."""
         self.speed[i] = 0.0
         self.active[i] = False
-        self.__dict__.pop("_live", None)
+        self._live[i] = False
         self.__dict__.pop("_live_masks", None)
 
     def pair_columns(self) -> tuple[list[float], list[float], list[float], list[float], list[bool]]:
@@ -404,23 +384,20 @@ class _Swarm:
         """``_scalar_touching`` on the array stage's separations."""
         return bool((self._r < self._pair_index[2]).any())
 
-    def _view_fault(self, i: int, p: int, sign: float) -> SimulationFault | None:
-        """The fault of robot ``i``'s own view of pair ``p``, whose LOS
-        cosines are the pair's times ``sign``.  Called on a pair whose input
-        raised, so the view, which is its exact negation or itself, raises
-        too."""
+    def _view_fault(
+        self, i: int, r: float, ux: float, uy: float, vr: float, vth: float, vrel: float
+    ) -> SimulationFault | None:
+        """The fault of robot ``i``'s own view ``(r, ux, uy, vr, vth, vrel)``
+        of a pair whose input raised; the view is that input's exact negation
+        or itself, so it raises too."""
         try:
-            repulsive_components(
-                self.r[p], sign * self.ux[p], sign * self.uy[p], self.vr[p], self.vth[p],
-                self.vrel[p], self.params,
-            )
+            repulsive_components(r, ux, uy, vr, vth, vrel, self.params)
         except SimulationFault as exc:
             return exc
         except ZeroDivisionError:
             # vrel * r * r underflowed to 0.0 on a closing pair
             return SimulationFault(
-                f"robot {self.ids[i]}: repulsive input divides by zero at separation "
-                f"{self.r[p]!r} m"
+                f"robot {self.ids[i]}: repulsive input divides by zero at separation {r!r} m"
             )
         return None
 
@@ -431,9 +408,7 @@ class _Swarm:
         params = self.params
         eps_v = params.eps_v
         ids, x, y = self.ids, self.x, self.y
-        r, ux, uy, vr, vth, vrel, trig = (
-            self.r, self.ux, self.uy, self.vr, self.vth, self.vrel, self.trig
-        )
+        r, vr, vth, vrel, trig = self.r, self.vr, self.vth, self.vrel, self.trig
         self.cos_phi = cos_phi = list(map(math.cos, self.phi))
         self.sin_phi = sin_phi = list(map(math.sin, self.phi))
         vx = list(map(operator.mul, self.speed, cos_phi))
@@ -447,16 +422,16 @@ class _Swarm:
             terms = engagement_terms(x[b] - x[a], y[b] - y[a], vx[b] - vx[a], vy[b] - vy[a], eps_v)
             if terms is None:
                 raise CollisionSingularity(f"robots {ids[a]} and {ids[b]} at identical positions")
-            r[p], ux[p], uy[p], vr[p], vth[p], vrel[p], trig[p] = terms
+            r[p], ux, uy, vr[p], vth[p], vrel[p], trig[p] = terms
             if trig[p] and (live[a] or live[b]):
                 try:
-                    fx, fy = repulsive_components(
-                        r[p], ux[p], uy[p], vr[p], vth[p], vrel[p], params
-                    )
+                    fx, fy = repulsive_components(r[p], ux, uy, vr[p], vth[p], vrel[p], params)
                 except (SimulationFault, ZeroDivisionError):
                     for i, sign in ((a, 1.0), (b, -1.0)):
                         if live[i] and fault[i] is None:
-                            fault[i] = self._view_fault(i, p, sign)
+                            fault[i] = self._view_fault(
+                                i, r[p], sign * ux, sign * uy, vr[p], vth[p], vrel[p]
+                            )
                     continue
                 if live[a]:
                     rep_x[a] += fx
@@ -471,22 +446,21 @@ class _Swarm:
     def _array_pair_stage(self) -> None:
         """The pair stage on numpy arrays, bit-identical to the scalar one.
 
-        IEEE ``+ - * /`` round the same in numpy as in Python, so the
-        arithmetic kernels (``los_components``, ``repulsive_view``,
-        ``saturation_brackets``) run unchanged on arrays.  ``math.hypot``
-        runs through ``map`` over ``.tolist()``, since ``np.hypot`` may
-        differ in the last bit; the stage keeps those lists as ``r``,
-        ``vr``, ``vth`` and ``vrel``, and leaves ``ux``, ``uy`` and ``trig``
-        as arrays (``pair_columns`` converts ``trig`` when a step is
-        recorded) and the separations as ``_r`` for ``_array_touching``.
-        The law runs once per triggered pair with a cooperative, active
-        endpoint (``_live_masks``), and saturation keeps the scalar
-        ``-f_lim * sign(bracket)`` through ``np.where`` and ``np.sign``.
-        Each input and its negation are scattered through the flat offsets
-        of ``_pair_index`` into a zeroed ``(2, n, n + 1)`` buffer at row
-        (robot) and column (1 + the other robot's index), which
-        ``np.add.accumulate`` sums along the columns: the sum starts from
-        the zero first column and adds one column after the other in
+        IEEE ``+ - * /`` and comparisons give the same results in numpy as
+        in Python, so the arithmetic kernels (``los_components``,
+        ``repulsive_view``, ``saturated_components``) run unchanged on
+        arrays.  ``math.hypot`` runs through ``map`` over ``.tolist()``,
+        since ``np.hypot`` may differ in the last bit; the stage keeps those
+        lists as ``r``, ``vr``, ``vth`` and ``vrel``, the separations as
+        ``_r`` for ``_array_touching``, and ``trig`` as an array, which
+        ``pair_columns`` converts on recorded steps only.  The law runs on
+        the triggered pairs with a live endpoint (``_live_masks``), and
+        those inside ``r_star`` take ``saturated_components`` through
+        ``np.where``.  Each input and its negation are scattered through
+        the flat offsets of ``_pair_index`` into a zeroed ``(2, n, n + 1)``
+        buffer at row (robot) and column (1 + the other robot's index),
+        which ``np.add.accumulate`` sums along the columns: the sum starts
+        from the zero first column and adds one column after the other in
         ascending id of the other robot, as the scalar stage does.  An empty
         entry adds +0.0, which leaves a sum that never is -0.0 unchanged.  A
         numpy reduction or matrix product could reorder the additions and is
@@ -494,8 +468,9 @@ class _Swarm:
 
         numpy runs with its floating-point warnings off, as Python floats
         overflow silently too.  A zero separation is raised here, the first
-        in pair order.  If any input is not finite, the scalar stage redoes
-        the step, so every fault keeps its class, message and order.
+        in pair order.  If any unsaturated input is not finite, the scalar
+        stage redoes the step, so every fault keeps its class, message and
+        order; a saturated input is always finite.
         """
         import numpy as np
 
@@ -527,22 +502,15 @@ class _Swarm:
             r_l, ux_l, uy_l, vr_l, vth_l = r[live], ux[live], uy[live], vr[live], vth[live]
             fx, fy = repulsive_view(r_l, ux_l, uy_l, vr_l, vth_l, vrel[live], params.lam,
                                     params.vortex)
-            finite = np.isfinite(fx).all() and np.isfinite(fy).all()
-            if finite and not math.isinf(params.f_lim):
-                near = ~(r_l > params.r_star)
-                if near.any():
-                    bx, by = saturation_brackets(ux_l, uy_l, vr_l, vth_l)
-                    fx = np.where(near, -params.f_lim * np.sign(bx), fx)
-                    fy = np.where(near, -params.f_lim * np.sign(by), fy)
-                    # np.sign keeps a NaN bracket that _sign maps to 0.
-                    finite = np.isfinite(fx).all() and np.isfinite(fy).all()
-            if not finite:
-                # The scalar stage writes Python floats into lists.
-                n_pairs = len(self.pairs)
-                self.ux, self.uy = [0.0] * n_pairs, [0.0] * n_pairs
-                self.trig = [False] * n_pairs
+            if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
                 self._scalar_pair_stage()
                 return
+            if not math.isinf(params.f_lim):
+                near = ~(r_l > params.r_star)
+                if near.any():
+                    sx, sy = saturated_components(ux_l, uy_l, vr_l, vth_l, params.f_lim)
+                    fx = np.where(near, sx, fx)
+                    fy = np.where(near, sy, fy)
 
             inputs = np.zeros((2, n, n + 1))
             inputs.put(scatter.take(live, axis=1), (fx, fy, -fx, -fy))
@@ -550,8 +518,6 @@ class _Swarm:
             rep[:, idle] = 0.0
 
         self.r = r_list
-        self.ux = ux  # read by no later stage, so left as arrays
-        self.uy = uy
         self.vr = vr_list
         self.vth = vth_list
         self.vrel = vrel_list

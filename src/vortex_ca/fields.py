@@ -9,7 +9,9 @@ convention is fixed and identical for every robot, so all robots turn the same
 direction without an explicit rule of the road.
 
 The kernels take plain floats (one engagement view or one robot) and are the
-only statement of each law; the engine sums them per robot.
+only statement of each law; the engine sums them per robot.  Its array pair
+stage runs ``repulsive_view`` and ``saturated_components`` on numpy arrays
+too, with the same bits.
 """
 
 from __future__ import annotations
@@ -125,26 +127,16 @@ def repulsive_view(r, ux, uy, vr, vth, vrel, lam, vortex):
     return -gx, -gy
 
 
-def saturation_brackets(ux, uy, vr, vth):
-    """The vortex numerators whose signs the saturated input keeps; floats
-    or numpy arrays, same bits."""
-    return 2.0 * vr * vth * ux - vr * vr * uy, 2.0 * vr * vth * uy + vr * vr * ux
+def saturated_components(ux, uy, vr, vth, f_lim):
+    """Per-component bound -f_lim * sign(bracket) on the vortex numerators.
 
-
-def _sign(x: float) -> float:
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
-
-
-def saturated_components(
-    ux: float, uy: float, vr: float, vth: float, f_lim: float
-) -> tuple[float, float]:
-    """Per-component bound -f_lim * sign(bracket) on the vortex numerators."""
-    bx, by = saturation_brackets(ux, uy, vr, vth)
-    return -f_lim * _sign(bx), -f_lim * _sign(by)
+    The sign is formed by comparisons alone, so a NaN bracket counts as 0,
+    and the same code gives the same bits on floats and, element-wise, on
+    numpy arrays.
+    """
+    bx = 2.0 * vr * vth * ux - vr * vr * uy
+    by = 2.0 * vr * vth * uy + vr * vr * ux
+    return -f_lim * ((bx > 0.0) * 1.0 - (bx < 0.0)), -f_lim * ((by > 0.0) * 1.0 - (by < 0.0))
 
 
 def repulsive_components(

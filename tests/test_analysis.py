@@ -23,6 +23,7 @@ from vortex_ca.analysis import (
     turn_radius,
     verify_closed_loop,
 )
+from vortex_ca.cli import regime_lyapunov
 from vortex_ca.engine import run
 from vortex_ca.fields import PFParams
 from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState
@@ -510,29 +511,30 @@ def test_regime_mismatch_detection(coop_headon_log):
     assert regime_mismatch(nonvortex_log, RegimeKind.NONVORTEX_PAIR) is None
 
 
+def analyzed(log, regime):
+    """``analyze_log`` on the log with the series ``analyze`` forms for it."""
+    return analyze_log(log, regime, log.scenario.params, regime_lyapunov(log, regime))
+
+
 def test_analyze_log_coop_pair_all_pass(coop_headon_log):
-    checks = analyze_log(coop_headon_log, RegimeKind.COOP_PAIR,
-                         coop_headon_log.scenario.params)
+    checks = analyzed(coop_headon_log, RegimeKind.COOP_PAIR)
     failed = [c for c in checks if c.failed]
     assert not failed, failed
 
 
 def test_analyze_log_rejects_mismatched_regime(coop_headon_log):
     with pytest.raises(ValueError):
-        analyze_log(coop_headon_log, RegimeKind.COOP_VS_ATTACKER,
-                    coop_headon_log.scenario.params)
+        analyzed(coop_headon_log, RegimeKind.COOP_VS_ATTACKER)
 
 
 def test_analyze_log_runs_grazing_check_for_bound_realizing_pair():
-    scenario = load_scenario("saturated_headon")
-    log = run(scenario)
-    checks = analyze_log(log, RegimeKind.COOP_PAIR, scenario.params)
+    log = run(load_scenario("saturated_headon"))
+    checks = analyzed(log, RegimeKind.COOP_PAIR)
     grazing = next(c for c in checks if c.name == "grazing_geometry")
     assert grazing.status == "PASS"
     # not applicable to the unbounded head-on preset
     unbounded = run(load_scenario("coop_headon"))
-    names = [c.name for c in analyze_log(unbounded, RegimeKind.COOP_PAIR,
-                                         unbounded.scenario.params)]
+    names = [c.name for c in analyzed(unbounded, RegimeKind.COOP_PAIR)]
     assert "grazing_geometry" not in names
 
 

@@ -311,6 +311,48 @@ def test_analyze_reports_a_repeated_time_as_a_failed_check(headon_rundir, tmp_pa
     assert "nan" not in rows[1] + rows[4]
 
 
+def _never_active(rundir):
+    path = rundir / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith(",r1_active")
+    lines[1:] = [line[:line.rindex(",")] + ",0" for line in lines[1:]]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _first_separation(cell):
+    def edit(rundir):
+        path = rundir / "pairs.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        assert lines[0].split(",")[1] == "p1_2_r"
+        cells[1] = cell
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+# Runs that read cleanly but that a check cannot measure: the check fails.
+UNMEASURABLE_RUNS = {
+    "never_active": ("attractive_only", "attractive_only", _never_active,
+                     "FAIL closing_at_speed: the robot is never active"),
+    # the mirrored-circle prediction from a 1e-12 m initial separation is 0
+    "zero_grazing_prediction": ("saturated_headon", "coop_pair", _first_separation("1e-12"),
+                                "FAIL grazing_geometry: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNMEASURABLE_RUNS))
+def test_analyze_reports_an_unmeasurable_run_as_a_failed_check(tmp_path, capsys, case):
+    preset, regime, corrupt, message = UNMEASURABLE_RUNS[case]
+    rundir = tmp_path / "run"
+    main(["run", preset, "-o", str(rundir)])
+    corrupt(rundir)
+    capsys.readouterr()
+    assert main(["analyze", str(rundir), "--regime", regime]) == 1
+    out, err = capsys.readouterr()
+    assert message in out and err == ""
+
+
 def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     # the benchmark tracer wraps these module-level bindings; a refactor that
     # bypasses them would silently empty the read, write and analysis spans
@@ -371,6 +413,18 @@ def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _stationary_robots(n):
+    return [{"id": k + 1, "x": 0.5 * k, "y": 0.0, "speed": 0.0, "behavior": "stationary"}
+            for k in range(n)]
+
+
+def _values_over_cap(n, steps):
+    # per recorded row: t, the trajectory.csv columns of every robot and the
+    # pairs.csv columns of every pair, so a new column raises the count too
+    values = (steps + 2) * (1 + len(ROBOT_COLUMNS) * n + len(PAIR_COLUMNS) * n * (n - 1) // 2)
+    return f"the log would record {values} values (the cap is {engine.MAX_RECORDED_VALUES})"
+
+
 SIZE_CASES = {
     # t_max / dt overflows to inf although both are finite
     "overflowing_steps": ({"dt": 1e-300, "t_max": 1e300}, "t_max / dt overflows"),
@@ -380,11 +434,10 @@ SIZE_CASES = {
     ),
     # 150 robots record 1 + 9 * 150 + 6 * 11175 = 68401 values a row
     "too_many_values": (
-        {"t_max": 10.0, "robots": [
-            {"id": k + 1, "x": 0.5 * k, "y": 0.0, "speed": 0.0, "behavior": "stationary"}
-            for k in range(150)
-        ]},
-        f"values (the cap is {engine.MAX_RECORDED_VALUES})",
+        {"t_max": 10.0, "robots": _stationary_robots(150)}, _values_over_cap(150, 1000)
+    ),
+    "too_many_rows": (
+        {"t_max": 30_000.0, "robots": _stationary_robots(2)}, _values_over_cap(2, 3_000_000)
     ),
 }
 
@@ -846,8 +899,10 @@ def test_commands_read_every_column_they_use(tmp_path, name):
         for attr, values in vars(trace).items():
             assert (values is None) == (attr not in REGIME_COLUMNS[regime]), attr
     params = full.scenario.params
-    assert analyze_log(part, regime, params) == analyze_log(full, regime, params)
-    assert cli.regime_lyapunov(part, regime) == cli.regime_lyapunov(full, regime)
+    part_series, full_series = cli.regime_lyapunov(part, regime), cli.regime_lyapunov(full, regime)
+    assert part_series == full_series
+    assert (analyze_log(part, regime, params, part_series)
+            == analyze_log(full, regime, params, full_series))
 
     assert main(["plotdata", str(rundir)]) == 0
     for filename, text in _reference_panels(full).items():

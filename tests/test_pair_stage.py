@@ -14,7 +14,7 @@ import warnings
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from test_engine_reference import (
@@ -42,10 +42,14 @@ coord = st.floats(-3.0, 3.0, allow_nan=False)
 @st.composite
 def robot_specs(draw, n):
     # Robots drawn with the fleet heading and speed move in parallel with
-    # each other: their pairs have vrel = 0 exactly.
+    # each other: their pairs have vrel = 0 exactly.  A repeated position is
+    # dropped, so a swarm may have fewer than n robots.  The pair stages read
+    # no goal and no attack target, so neither is drawn: each robot's goal
+    # is its antipode and an attacker targets the next robot.
     fleet = (draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.05, 0.4)))
-    positions = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n,
-                              unique=True))
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    positions = list(dict.fromkeys(positions))
+    assume(len(positions) >= 2)
     specs = []
     for k, (x, y) in enumerate(positions):
         kind = draw(st.sampled_from(KINDS))
@@ -53,9 +57,8 @@ def robot_specs(draw, n):
             heading, speed = fleet
         else:
             heading, speed = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.0, 0.4))
-        target = (k + draw(st.integers(1, n - 1))) % n + 1  # any other robot
-        goal = (draw(coord), draw(coord))
-        specs.append((k + 1, x, y, heading, speed, kind, target, goal))
+        target = (k + 1) % len(positions) + 1
+        specs.append((k + 1, x, y, heading, speed, kind, target, (-x, -y)))
     return specs
 
 
@@ -92,7 +95,7 @@ def pair_state(swarm):
     """Everything the pair stage leaves for the later stages and the log, the
     recorded columns read through ``pair_columns`` as the log reads them."""
     r, vr, vth, vrel, trig = swarm.pair_columns()
-    floats = [r, swarm.ux, swarm.uy, vr, vth, vrel, swarm.rep_x, swarm.rep_y]
+    floats = [r, vr, vth, vrel, swarm.rep_x, swarm.rep_y]
     return (
         [[value.hex() for value in series] for series in floats],
         [type(value) for value in trig],
@@ -325,6 +328,15 @@ ORACLE_CASES = {
         (robot_at(1, -0.4, 0.0, 0.0, speed=0.3), robot_at(2, 0.4, 0.0, 0.0)),
         PFParams(kappa=0.0, f_lim=1.0, r_star=2.0),
     ),
+    # robots 1 and 2 head-on along the y axis at 1e160 m/s: the view is
+    # finite (about 5.6e161), but vr * vr overflows, so the x bracket is
+    # -inf and the y bracket inf * 0.0 = nan, whose sign counts as 0: the
+    # saturated input is (f_lim, -0.0) in both stages
+    "saturated_nan_bracket": (
+        (robot_at(1, 0.0, -0.3, math.pi / 2, speed=1e160),
+         robot_at(2, 0.0, 0.3, -math.pi / 2, speed=1e160)),
+        PFParams(kappa=0.0, f_lim=0.05, r_star=1.0),
+    ),
     "non_vortex": (HEADON, PFParams(kappa=0.0, vortex=False)),
     "one_sided": (
         (
@@ -358,6 +370,9 @@ def test_scalar_pair_stage_matches_per_view_reference_on_edge_cases(case):
     if case == "saturated_zero_bracket":
         assert swarm.r[0] <= params.r_star and swarm.vth[0] == 0.0
         assert [outcome[0] for outcome in outcomes] == [0.0.hex(), 0.0.hex()]
+    if case == "saturated_nan_bracket":
+        assert swarm.r[0] <= params.r_star and math.isinf(swarm.vr[0] * swarm.vr[0])
+        assert outcomes == [(0.05.hex(), 0.0.hex()), ((-0.05).hex(), 0.0.hex())]
     if case == "overflowing_pair":
         # both endpoints fault, each with its own view's values
         assert [outcome[0] for outcome in outcomes] == [SimulationFault, SimulationFault]
@@ -367,6 +382,27 @@ def test_scalar_pair_stage_matches_per_view_reference_on_edge_cases(case):
             f"robot {rid}: repulsive input divides by zero at separation 1e-170 m"
             for rid in (1, 2)
         ]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_array_pair_stage_matches_scalar_stage_on_edge_cases(monkeypatch, case):
+    robots, params = ORACLE_CASES[case]
+    scalar = _Swarm(robots, params)
+    scalar._scalar_pair_stage()
+    calls = 0
+
+    def spy(self):
+        nonlocal calls
+        calls += 1
+        original(self)
+
+    original = _Swarm._scalar_pair_stage
+    monkeypatch.setattr(_Swarm, "_scalar_pair_stage", spy)
+    array = _Swarm(robots, params)
+    array._array_pair_stage()
+    assert pair_state(array) == pair_state(scalar)
+    # only a non-finite unsaturated input hands the step to the scalar loops
+    assert calls == (case in ("overflowing_pair", "underflowing_pair"))
 
 
 def test_repulsive_input_is_evaluated_once_per_triggered_pair(monkeypatch):
