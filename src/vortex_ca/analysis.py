@@ -16,13 +16,9 @@ in the tests on direct integrations of the equations themselves
 The CLI imports this module on first use, in ``analyze`` and in the
 ``max_lyap_derivative`` sweep metric; ``run``, ``plotdata`` and the other
 sweeps never load it.  ``RegimeKind`` lives in ``kinematics`` and is
-re-exported here.  numpy is imported inside the functions that work on
-arrays, not at module import: only ``analyze`` in the ``coop_pair`` and
-``attractive_only`` regimes needs arrays (the closed-loop window fit and the
-goal engagement series).  The Lyapunov series are columns of plain floats,
-and their numeric derivative is numpy's ``gradient`` rewritten with the same
-operation order, so the ``max_lyap_derivative`` sweep metric and the other
-regimes never load numpy.
+re-exported here.  Every series and check works on plain floats, so this
+module never loads numpy; the numeric derivative of a Lyapunov series is
+numpy's ``gradient`` rewritten with the same operation order.
 """
 
 from __future__ import annotations
@@ -32,14 +28,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import sub, truediv
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .engine import EVENT_OVERLAP, EVENT_STOPPED, TrajectoryLog
 from .fields import PFParams
 from .kinematics import BehaviorKind, RegimeKind, wrap_angle
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -103,15 +96,14 @@ def lyapunov(
     vth: float,
     vrel: float,
     params: PFParams,
-    n_active: int = 1,
 ) -> tuple[float, float]:
-    """Lyapunov value and its analytic time derivative for the regime.
+    """Lyapunov value and its analytic time derivative for a single-pair regime.
 
     ``vrel`` doubles as the constant speed scale where the function needs one:
     for the attractive-only regime it equals the robot speed (exact for a
     stationary goal), and for the non-vortex pair it is the head-on relative
-    speed.  ``n_active`` is the count of robots applying repulsive inputs
-    and only affects the multi-robot regime.
+    speed.  The multi-robot regime sums ``_multi_robot_term`` over the
+    triggered pairs (``multi_lyapunov``).
     """
     if r <= 0.0:
         raise ValueError("lyapunov functions need r > 0")
@@ -120,10 +112,6 @@ def lyapunov(
         return value, -vrel * (params.kappa - vth * vth / r)
     if vrel <= 0.0:
         raise ValueError("repulsive regimes need vrel > 0")
-    if regime is RegimeKind.MULTI_ROBOT:
-        if n_active < 1:
-            raise ValueError("multi-robot regime needs n_active >= 1")
-        return _multi_robot_term(r, vr, vth, vrel, params.lam, n_active)
     alpha = params.lam / (vrel * r * r)
     if regime is RegimeKind.COOP_PAIR:
         value = r + 0.5 * (vth * vth + vr * vr)
@@ -140,7 +128,7 @@ def lyapunov(
         value = r + 0.5 * vth * vth + 0.5 * (vr + vrel) ** 2
         f_r, f_th = closed_loop_rhs(regime, r, vr, vth, vrel, params)
         return value, vr + vth * f_th + (vr + vrel) * f_r
-    raise ValueError(f"unknown regime {regime}")
+    raise ValueError(f"no single-pair Lyapunov function for {regime}")
 
 
 def _multi_robot_term(
@@ -161,10 +149,10 @@ class RelativeTrace:
     """Trajectory of the relative state (r, Vr, Vth) under a closed-loop regime."""
 
     regime: RegimeKind
-    t: np.ndarray
-    r: np.ndarray
-    vr: np.ndarray
-    vth: np.ndarray
+    t: Sequence[float]
+    r: Sequence[float]
+    vr: Sequence[float]
+    vth: Sequence[float]
 
 
 @dataclass(frozen=True)
@@ -185,29 +173,26 @@ def verify_closed_loop(trace: RelativeTrace, params: PFParams) -> ClosedLoopRepo
     component over the window, so the report is meaningful across the zero
     crossings every engagement passes through.
     """
-    import numpy as np
-
     regime = trace.regime
-    t, r, vr, vth = trace.t, trace.r, trace.vr, trace.vth
+    t, vr, vth = trace.t, trace.vr, trace.vth
     if len(t) < 3:
         raise ValueError("need at least 3 samples for a central difference")
-    vrel = np.hypot(vr, vth)
-    rhs = np.array(
-        [
-            closed_loop_rhs(regime, float(r[k]), float(vr[k]), float(vth[k]), float(vrel[k]), params)
-            for k in range(len(t))
-        ]
-    )
-    span = t[2:] - t[:-2]
-    fd_vr = (vr[2:] - vr[:-2]) / span
-    fd_vth = (vth[2:] - vth[:-2]) / span
-    scale_r = max(float(np.max(np.abs(rhs[:, 0]))), 1e-30)
-    scale_th = max(float(np.max(np.abs(rhs[:, 1]))), 1e-30)
-    err = np.maximum(
-        np.abs(fd_vr - rhs[1:-1, 0]) / scale_r,
-        np.abs(fd_vth - rhs[1:-1, 1]) / scale_th,
-    )
-    worst = int(np.argmax(err))
+    rhs = [
+        closed_loop_rhs(regime, float(r), float(v_r), float(v_th), math.hypot(v_r, v_th), params)
+        for r, v_r, v_th in zip(trace.r, vr, vth)
+    ]
+    scale_r = max(max(abs(f_r) for f_r, _ in rhs), 1e-30)
+    scale_th = max(max(abs(f_th) for _, f_th in rhs), 1e-30)
+    err = []
+    for k in range(1, len(t) - 1):
+        # IEEE division: a repeated time gives inf or nan, as in numpy
+        span = t[k + 1] - t[k - 1]
+        f_r, f_th = rhs[k]
+        err.append(max(
+            abs(_ieee_div(vr[k + 1] - vr[k - 1], span) - f_r) / scale_r,
+            abs(_ieee_div(vth[k + 1] - vth[k - 1], span) - f_th) / scale_th,
+        ))
+    worst = err.index(max(err))
     return ClosedLoopReport(
         regime=regime,
         max_rel_error=float(err[worst]),
@@ -234,27 +219,17 @@ def closed_loop_errors_from_log(
     velocity, so this error does not shrink with dt; it is reported for
     inspection, never asserted.
     """
-    import numpy as np
-
-    key = (min(pair), max(pair))
-    trace = log.pairs[key]
-    triggered = np.asarray(trace.triggered, dtype=bool)
-    idx = np.flatnonzero(triggered)
-    if len(idx) < 2 * _BOUNDARY_SKIP + 3:
+    trace = log.pairs[(min(pair), max(pair))]
+    # The longest contiguous triggered run; the first one among equal ones.
+    start = length = run = 0
+    for k, flag in enumerate(trace.triggered):
+        run = run + 1 if flag else 0
+        if run > length:
+            start, length = k + 1 - run, run
+    if length < 2 * _BOUNDARY_SKIP + 3:
         return None
-    # Use the longest contiguous triggered window.
-    splits = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-    window = max(splits, key=len)
-    window = window[_BOUNDARY_SKIP : len(window) - _BOUNDARY_SKIP]
-    if len(window) < 3:
-        return None
-    sub = RelativeTrace(
-        regime=regime,
-        t=np.asarray(log.t)[window],
-        r=np.asarray(trace.r)[window],
-        vr=np.asarray(trace.vr)[window],
-        vth=np.asarray(trace.vth)[window],
-    )
+    window = slice(start + _BOUNDARY_SKIP, start + length - _BOUNDARY_SKIP)
+    sub = RelativeTrace(regime, log.t[window], trace.r[window], trace.vr[window], trace.vth[window])
     return verify_closed_loop(sub, params)
 
 
@@ -410,32 +385,33 @@ def attractive_only_lyapunov(log: TrajectoryLog) -> LyapunovSeries:
     """Attractive-only Lyapunov series of the lowest-id robot about its own goal."""
     rid = log.robot_ids()[0]
     robot = next(r for r in log.scenario.robots if r.id == rid)
-    r, _, vr, vth = (series.tolist() for series in goal_engagement_series(log, rid))
+    r, _, vr, vth = goal_engagement_series(log, rid)
     speed = [robot.speed if a else 0.0 for a in log.robots[rid].active]
     return _lyapunov_series(log, RegimeKind.ATTRACTIVE_ONLY, r, vr, vth, speed, log.scenario.params)
 
 
 def goal_engagement_series(
     log: TrajectoryLog, robot_id: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float], list[float], list[float]]:
     """(r, theta, vr, vth) of a robot relative to its own stationary goal."""
-    import numpy as np
-
     robot = next(r for r in log.scenario.robots if r.id == robot_id)
     if robot.goal is None:
         raise ValueError(f"robot {robot_id} has no goal")
     trace = log.robots[robot_id]
-    xs = np.asarray(trace.x)
-    ys = np.asarray(trace.y)
-    phis = np.asarray(trace.phi)
-    active = np.asarray(trace.active, dtype=bool)
-    speed = np.where(active, robot.speed, 0.0)
-    dx = robot.goal.x - xs
-    dy = robot.goal.y - ys
-    r = np.hypot(dx, dy)
-    theta = np.arctan2(dy, dx)
-    vr = -speed * np.cos(phis - theta)
-    vth = -speed * np.sin(phis - theta)
+    gx, gy = robot.goal.x, robot.goal.y
+    r: list[float] = []
+    theta: list[float] = []
+    vr: list[float] = []
+    vth: list[float] = []
+    for x, y, phi, active in zip(trace.x, trace.y, trace.phi, trace.active):
+        dx = gx - x
+        dy = gy - y
+        los = math.atan2(dy, dx)
+        speed = robot.speed if active else 0.0
+        r.append(math.hypot(dx, dy))
+        theta.append(los)
+        vr.append(-speed * math.cos(phi - los))
+        vth.append(-speed * math.sin(phi - los))
     return r, theta, vr, vth
 
 
@@ -695,21 +671,14 @@ def _nonvortex_checks(log: TrajectoryLog) -> list[CheckResult]:
 
 
 def _attractive_only_checks(log: TrajectoryLog) -> list[CheckResult]:
-    import numpy as np
-
     robot_id = log.robot_ids()[0]
     robot = next(r for r in log.scenario.robots if r.id == robot_id)
-    r, theta, vr, _ = goal_engagement_series(log, robot_id)
-    phis = np.asarray(log.robots[robot_id].phi)
-    active = np.asarray(log.robots[robot_id].active, dtype=bool)
-    err = np.abs([wrap_angle(float(p - th)) for p, th in zip(phis, theta)])
-    live = np.flatnonzero(active)
-    settled_at = None
-    for k in live:
-        if err[k] < 0.05:
-            settled_at = k
-            break
-    stays = settled_at is not None and bool(np.all(err[live[live >= settled_at]] < 0.05))
+    _, theta, vr, _ = goal_engagement_series(log, robot_id)
+    trace = log.robots[robot_id]
+    err = [abs(wrap_angle(phi - los)) for phi, los in zip(trace.phi, theta)]
+    live = [k for k, active in enumerate(trace.active) if active]
+    settled_at = next((k for k in live if err[k] < 0.05), None)
+    stays = settled_at is not None and all(err[k] < 0.05 for k in live if k >= settled_at)
     results = [
         _check(
             "heading_converges",
@@ -719,10 +688,10 @@ def _attractive_only_checks(log: TrajectoryLog) -> list[CheckResult]:
             else "heading never settled near the LOS",
         )
     ]
-    if not live.size:
+    if not live:
         results.append(_check("closing_at_speed", False, "the robot is never active"))
         return results
-    last_live = int(live[-1])
+    last_live = live[-1]
     results.append(
         _check(
             "closing_at_speed",
@@ -733,7 +702,7 @@ def _attractive_only_checks(log: TrajectoryLog) -> list[CheckResult]:
     return results
 
 
-def _multi_checks(log: TrajectoryLog, params: PFParams) -> list[CheckResult]:
+def _multi_checks(log: TrajectoryLog) -> list[CheckResult]:
     results: list[CheckResult] = []
     robots = log.scenario.sorted_robots()
     radius = {r.id: r.body_radius for r in robots}
@@ -871,5 +840,5 @@ def analyze_log(
     elif regime is RegimeKind.NONVORTEX_PAIR:
         results.extend(_nonvortex_checks(log))
     elif regime is RegimeKind.MULTI_ROBOT:
-        results.extend(_multi_checks(log, params))
+        results.extend(_multi_checks(log))
     return results

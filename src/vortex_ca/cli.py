@@ -466,6 +466,9 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except ArithmeticError as exc:  # a cell beyond the range of a check's formula
+        print(f"error: cannot analyze {rundir}: {exc!r}", file=sys.stderr)
+        return EXIT_ERROR
     _write_lyapunov_csv(series, os.path.join(rundir, "lyapunov.csv"))
 
     lines = [f"{check.status} {check.name}: {check.detail}" for check in checks]

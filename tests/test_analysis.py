@@ -11,8 +11,10 @@ from vortex_ca import scenarios
 from vortex_ca.analysis import (
     RegimeKind,
     RelativeTrace,
+    _multi_robot_term,
     analyze_log,
     attacker_standoff,
+    closed_loop_errors_from_log,
     closed_loop_rhs,
     grazing_separation,
     lyapunov,
@@ -24,7 +26,7 @@ from vortex_ca.analysis import (
     verify_closed_loop,
 )
 from vortex_ca.cli import regime_lyapunov
-from vortex_ca.engine import run
+from vortex_ca.engine import PairTrace, TrajectoryLog, run
 from vortex_ca.fields import PFParams
 from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState
 from vortex_ca.scenarios import load_scenario
@@ -163,10 +165,10 @@ def test_lyapunov_multi_matches_pair_coefficients():
     r, vr, vth = 2.0, -0.2, 0.1
     vrel = math.hypot(vr, vth)
     _, pair_deriv = lyapunov(RegimeKind.COOP_PAIR, r, vr, vth, vrel, PARAMS)
-    _, multi2 = lyapunov(RegimeKind.MULTI_ROBOT, r, vr, vth, vrel, PARAMS, n_active=2)
+    _, multi2 = _multi_robot_term(r, vr, vth, vrel, PARAMS.lam, 2)
     assert multi2 == pytest.approx(pair_deriv)  # vr < 0 makes -|vr| = vr
     _, single_deriv = lyapunov(RegimeKind.COOP_VS_NONCOOP, r, vr, vth, vrel, PARAMS)
-    _, multi1 = lyapunov(RegimeKind.MULTI_ROBOT, r, vr, vth, vrel, PARAMS, n_active=1)
+    _, multi1 = _multi_robot_term(r, vr, vth, vrel, PARAMS.lam, 1)
     assert multi1 == pytest.approx(single_deriv)
 
 
@@ -178,8 +180,14 @@ def test_lyapunov_value_nonnegative():
             vr = rng.uniform(-0.4, 0.4)
             vth = rng.uniform(-0.4, 0.4)
             vrel = max(math.hypot(vr, vth), 1e-3)
-            value, _ = lyapunov(regime, r, vr, vth, vrel, PARAMS, n_active=1)
+            if regime is RegimeKind.MULTI_ROBOT:
+                value, _ = _multi_robot_term(r, vr, vth, vrel, PARAMS.lam, 1)
+            else:
+                value, _ = lyapunov(regime, r, vr, vth, vrel, PARAMS)
             assert value >= 0.0
+    # the multi-robot series sums per-pair terms; it has no single-pair form
+    with pytest.raises(ValueError):
+        lyapunov(RegimeKind.MULTI_ROBOT, 1.0, -0.1, 0.0, 0.1, PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +278,13 @@ def test_closed_loop_attractive_only():
     )
     report = verify_closed_loop(trace, PARAMS)
     assert report.max_rel_error < 1e-3
+
+
+def test_verify_closed_loop_reads_arrays_and_lists_alike():
+    trace = simulate_closed_loop(RegimeKind.COOP_PAIR, 3.0, -2 * V, 0.0, PARAMS, dt=1e-3)
+    lists = RelativeTrace(trace.regime, trace.t.tolist(), trace.r.tolist(), trace.vr.tolist(),
+                          trace.vth.tolist())
+    assert verify_closed_loop(lists, PARAMS) == verify_closed_loop(trace, PARAMS)
 
 
 def test_closed_loop_regime_windows_are_regime_constant():
@@ -441,9 +456,8 @@ def test_multi_lyapunov_reduces_to_pair_coefficients(coop_headon_log):
         if not pair.triggered[k]:
             assert series.value[k] == 0.0
             continue
-        _, expected = lyapunov(
-            RegimeKind.MULTI_ROBOT, pair.r[k], pair.vr[k], pair.vth[k], pair.vrel[k],
-            params, n_active=2,
+        _, expected = _multi_robot_term(
+            pair.r[k], pair.vr[k], pair.vth[k], pair.vrel[k], params.lam, 2
         )
         assert series.derivative_analytic[k] == pytest.approx(expected, rel=1e-12)
 
@@ -541,10 +555,58 @@ def test_analyze_log_runs_grazing_check_for_bound_realizing_pair():
 def test_closed_loop_gap_on_engine_logs_is_structural(coop_headon_log):
     # engine trajectories track the idealized equations qualitatively only;
     # the quantitative mismatch is order one and does not shrink with dt
-    from vortex_ca.analysis import closed_loop_errors_from_log
-
     report = closed_loop_errors_from_log(
         coop_headon_log, (1, 2), RegimeKind.COOP_PAIR, coop_headon_log.scenario.params
     )
     assert report is not None
     assert report.max_rel_error > 0.1
+
+
+def windowed_log(triggered):
+    """A hand-made coop_headon log of one step per ``triggered`` flag, on a
+    smooth closing trace."""
+    steps = range(len(triggered))
+    vr = [-0.3 + 0.01 * k + 0.001 * k * k for k in steps]
+    vth = [0.1 + 0.02 * k for k in steps]
+    pair = PairTrace(
+        r=[3.0 - 0.1 * k for k in steps], vr=vr, vth=vth,
+        vrel=list(map(math.hypot, vr, vth)), triggered=list(triggered),
+    )
+    return TrajectoryLog(load_scenario("coop_headon"), t=[0.1 * k for k in steps],
+                         pairs={(1, 2): pair})
+
+
+def window_report(log, lo, hi):
+    pair = log.pairs[(1, 2)]
+    trace = RelativeTrace(RegimeKind.COOP_PAIR, log.t[lo:hi], pair.r[lo:hi], pair.vr[lo:hi],
+                          pair.vth[lo:hi])
+    return verify_closed_loop(trace, PARAMS)
+
+
+def test_closed_loop_window_is_the_first_longest_triggered_run():
+    log = windowed_log([True] * 8 + [False] + [True] * 8)
+    report = closed_loop_errors_from_log(log, (2, 1), RegimeKind.COOP_PAIR, PARAMS)
+    # two samples are dropped at each end of the run
+    assert report == window_report(log, 2, 6)
+    assert report != window_report(log, 11, 15)
+    assert report.n_points == 2
+
+
+def test_closed_loop_window_needs_seven_triggered_steps():
+    # seven steps leave three samples, one central difference
+    log = windowed_log([False] * 2 + [True] * 7 + [False])
+    report = closed_loop_errors_from_log(log, (1, 2), RegimeKind.COOP_PAIR, PARAMS)
+    assert report == window_report(log, 4, 7)
+    assert report.n_points == 1
+    for triggered in ([True] * 6, [True] * 4 + [False] + [True] * 3, [False] * 9, []):
+        log = windowed_log(triggered)
+        assert closed_loop_errors_from_log(log, (1, 2), RegimeKind.COOP_PAIR, PARAMS) is None
+
+
+def test_closed_loop_window_with_a_repeated_time_reports_inf():
+    # the central difference divides by a zero time span, which gives inf
+    # as numpy's array division does, not an exception
+    log = windowed_log([True] * 9)
+    log.t[4] = log.t[2]
+    report = closed_loop_errors_from_log(log, (1, 2), RegimeKind.COOP_PAIR, PARAMS)
+    assert report.max_rel_error == math.inf and report.t_worst == log.t[3]

@@ -353,6 +353,49 @@ def test_analyze_reports_an_unmeasurable_run_as_a_failed_check(tmp_path, capsys,
     assert message in out and err == ""
 
 
+def _set_column(filename, column, cell):
+    def edit(rundir):
+        path = rundir / filename
+        header, *rows = path.read_text().splitlines()
+        index = header.split(",").index(column)
+        lines = [header]
+        for row in rows:
+            cells = row.split(",")
+            cells[index] = cell
+            lines.append(",".join(cells))
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+# Runs that read cleanly but hold cells beyond the range of a check's
+# formula: analyze reports an error, not a traceback.
+OUT_OF_RANGE_RUNS = {
+    "overflowing_vr": ("coop_headon", "coop_pair",
+                       _set_column("pairs.csv", "p1_2_vr", "1e200"), "OverflowError"),
+    "overflowing_vrel": ("nonvortex_headon", "nonvortex_pair",
+                         _set_column("pairs.csv", "p1_2_vrel", "1e200"), "OverflowError"),
+    "underflowing_r": ("attacker", "coop_vs_attacker",
+                       _set_column("pairs.csv", "p1_2_r", "1e-300"), "ZeroDivisionError"),
+    "zero_r": ("coop_triangle", "multi_robot",
+               _set_column("pairs.csv", "p1_2_r", "0"), "ZeroDivisionError"),
+    "infinite_heading": ("attractive_only", "attractive_only",
+                         _set_column("trajectory.csv", "r1_phi", "inf"), "math domain error"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_RUNS))
+def test_analyze_reports_out_of_range_cells_as_an_error(tmp_path, capsys, case):
+    preset, regime, corrupt, message = OUT_OF_RANGE_RUNS[case]
+    rundir = tmp_path / "run"
+    main(["run", preset, "-o", str(rundir)])
+    corrupt(rundir)
+    capsys.readouterr()
+    assert main(["analyze", str(rundir), "--regime", regime]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err and out == ""
+    assert not (rundir / "verification.txt").exists()
+
+
 def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     # the benchmark tracer wraps these module-level bindings; a refactor that
     # bypasses them would silently empty the read, write and analysis spans

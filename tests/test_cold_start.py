@@ -2,18 +2,18 @@
 fresh interpreter.
 
 The engine uses numpy only on the array pair stage (swarms of at least
-``engine._ARRAY_MIN_ROBOTS`` robots), and ``analysis`` only in the functions
-that work on arrays; the Lyapunov series and their numeric derivative are
-plain floats.  ``run`` and ``sweep`` (every metric) on smaller swarms,
-``plotdata``, and ``analyze`` in the regimes whose checks use no arrays,
-must therefore start and finish without importing it; the commands that
-need arrays load it on first use and exit as before.
+``engine._ARRAY_MIN_ROBOTS`` robots), and no other module imports it;
+``analysis`` works on plain floats throughout.  ``run`` and ``sweep`` (every
+metric) on smaller swarms, ``plotdata``, and ``analyze`` in every regime
+must therefore start and finish without importing numpy; ``run`` on a
+larger swarm loads it on first use and exits as before.
 
 ``analysis`` is imported by ``analyze`` and the ``max_lyap_derivative`` sweep
 metric only: importing the package or the CLI, ``run``, ``plotdata`` and the
 other sweeps never compile or execute it.
 """
 
+import ast
 import json
 import math
 import os
@@ -36,19 +36,18 @@ RUN_CODES = {
     "saturated_headon": 0,
 }
 
-# Preset -> the `analyze` regime whose checks use no arrays.  coop_pair
-# (the closed-loop window fit) and attractive_only (the goal engagement
-# series) use numpy.
-ARRAY_FREE_REGIMES = {
+# Preset -> the regime it is analyzed under, one preset per regime.
+PRESET_REGIMES = {
+    "attacker": "coop_vs_attacker",
+    "attractive_only": "attractive_only",
+    "coop_headon": "coop_pair",
     "coop_triangle": "multi_robot",
     "noncoop_headon": "coop_vs_noncoop",
-    "attacker": "coop_vs_attacker",
     "nonvortex_headon": "nonvortex_pair",
 }
 
 WATCHED = ("numpy", "vortex_ca.analysis")
 ANALYSIS = ["vortex_ca.analysis"]
-BOTH = list(WATCHED)
 
 PROBE = """
 import json, sys
@@ -119,7 +118,7 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
     analyses = [
         ["sweep", lyap_spec, "-o", tmp_path / "lyap_out"],
         *(["analyze", tmp_path / name, "--regime", regime]
-          for name, regime in sorted(ARRAY_FREE_REGIMES.items())),
+          for name, regime in sorted(PRESET_REGIMES.items())),
     ]
     codes, loaded = fresh_main(*plain, *analyses)
     ring_code = main(["run", str(ring), "-o", str(tmp_path / "ring11_again")])
@@ -144,8 +143,19 @@ def test_array_commands_load_numpy_on_first_use(tmp_path):
         fresh = (tmp_path / "ring12" / name).read_bytes()
         assert fresh == (tmp_path / "ring12_again" / name).read_bytes(), name
 
-    assert main(["run", "coop_headon", "-o", str(tmp_path / "headon")]) == 2
-    argv = ["analyze", str(tmp_path / "headon"), "--regime", "coop_pair"]
-    codes, loaded = fresh_main(["plotdata", tmp_path / "headon"], argv)
-    assert codes == [0, main(argv)]
-    assert loaded == [[], [], BOTH]
+
+def test_only_the_engine_imports_numpy():
+    # the fresh-interpreter probes above reach only the preset paths; this
+    # covers every module, on every path
+    importers = []
+    for path in sorted((SRC / "vortex_ca").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(path.relative_to(SRC).as_posix())
+    assert set(importers) == {"vortex_ca/engine.py"}
