@@ -2,6 +2,13 @@
 export plot-ready data.  All numeric CSV output uses 17 significant digits so
 determinism checks stay bit-exact through the text layer.
 
+``sweep`` deals its cells round-robin to k processes: the parent runs cells
+0, k, 2k, ... and each forked child w runs cells w, w + k, ..., sending each
+row's text back down its own pipe.  The parent writes the rows in cell
+order, so results.csv does not depend on k.  k is 1 unless forking is safe
+(the process has one thread) and the sweep's estimated work reaches
+``_FORK_MIN_WORK``; then it is one per usable CPU, never more than cells.
+
 Exit codes: 0 clean, 1 error, 2 body overlap occurred.
 """
 
@@ -13,7 +20,10 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import (
+    IO, TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NamedTuple, NoReturn,
+    Sequence,
+)
 
 from .engine import (
     EVENT_GOAL,
@@ -39,6 +49,7 @@ from .scenarios import (
 if TYPE_CHECKING:
     from .analysis import CheckResult, LyapunovSeries
     from .fields import PFParams
+    from .scenarios import SweepSpec
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -374,6 +385,102 @@ def _sweep_cell(value: Any) -> str:
     return text
 
 
+#: Estimated work (cells x the base scenario's steps x its robot pairs, at
+#: least 1) from which a sweep deals its cells to forked workers; below it
+#: the parent runs every cell.  Measured crossover of 1 and 2 workers on
+#: 2-robot cells (2 CPUs, CPython 3.11), where a child costs the sweep
+#: about 4-5 ms: about 1,000 pair-steps with the child on a CPU of its own,
+#: 2,000 to 3,200 when the scheduler places it.
+_FORK_MIN_WORK = 4_000
+
+
+def _sweep_workers(spec: SweepSpec, n_cells: int) -> int:
+    """How many processes run the sweep's cells: one per usable CPU, never
+    more than cells, where forking is safe (``os.fork`` and
+    ``os.sched_getaffinity`` exist and this process has one thread) and the
+    work reaches ``_FORK_MIN_WORK``; otherwise 1."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:  # threading.active_count() misses native threads, such as BLAS's
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+    except OSError:
+        return 1
+    base = scenario_from_dict(spec.base)
+    n = len(base.robots)
+    if n_cells * base.n_steps() * max(n * (n - 1) // 2, 1) < _FORK_MIN_WORK:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_cells)
+
+
+def _write_rows(
+    handle: IO[str], cells: Iterator[tuple[Any, ...]],
+    row_text: Callable[[tuple[Any, ...]], str], k: int,
+) -> None:
+    """Write every cell's row text to ``handle`` in cell order, once it and
+    every earlier row are done.  Cell i runs in worker i % k: the parent is
+    worker 0, and each forked child sends its rows as JSON strings, one a
+    line, down its own pipe.  The parent runs the remaining cells of a child
+    whose pipe ends early, and of one it could not fork."""
+    pids: list[int] = []
+    pipes: list[IO[str] | None] = [None]  # per worker; None: the parent runs its cells
+    try:
+        if k > 1:  # a child inherits these buffers and must find them empty
+            for stream in (sys.stdout, sys.stderr, handle):
+                stream.flush()
+        for worker in range(1, k):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                os.close(read_fd)
+                os.close(write_fd)
+                pipes.append(None)
+                continue
+            if pid == 0:
+                _sweep_child(cells, row_text, worker, k, write_fd,
+                             [read_fd] + [pipe.fileno() for pipe in pipes if pipe])
+            pids.append(pid)
+            os.close(write_fd)
+            pipes.append(open(read_fd, encoding="ascii"))
+        for i, cell in enumerate(cells):
+            pipe = pipes[i % k]
+            line = pipe.readline() if pipe else ""  # a dead child's pipe ends early
+            handle.write(json.loads(line) if line.endswith("\n") else row_text(cell))
+    except BaseException:
+        import signal  # only this path uses it
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            if pipe:
+                pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _sweep_child(
+    cells: Iterator[tuple[Any, ...]], row_text: Callable[[tuple[Any, ...]], str],
+    worker: int, k: int, write_fd: int, read_fds: list[int],
+) -> NoReturn:
+    """A forked sweep worker: send the rows of cells worker, worker + k, ...
+    and end the process.  It never returns into the caller's frames, and
+    never flushes the buffers it inherited."""
+    status = 1
+    try:
+        for fd in read_fds:  # a pipe's write end must see a dead parent
+            os.close(fd)
+        with open(write_fd, "w", encoding="ascii") as pipe:
+            for cell in itertools.islice(cells, worker, None, k):
+                pipe.write(json.dumps(row_text(cell)) + "\n")
+                pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def cmd_sweep(spec_path: str, outdir: str) -> int:
     try:
         spec = load_sweep(spec_path)
@@ -385,7 +492,7 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
     axis_paths = [path for path, _ in spec.axes]
     header = axis_paths + list(spec.metrics) + ["error"]
 
-    def run_cell(cell_values: tuple[Any, ...]) -> list[Any]:
+    def row_text(cell_values: tuple[Any, ...]) -> str:
         row: dict[str, Any] = dict(zip(axis_paths, cell_values))
         try:
             cell_dict = json.loads(json.dumps(spec.base))
@@ -398,16 +505,16 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
             for metric in spec.metrics:
                 row.setdefault(metric, math.nan)
             row["error"] = str(exc)
-        return [row.get(name, "") for name in header]
+        return ",".join(_sweep_cell(row.get(name, "")) for name in header) + "\n"
 
-    # The output is opened before the first cell runs, and each row is
-    # written as its cell finishes.
+    # The output is opened before the first cell runs.
+    n_cells = math.prod(len(values) for _, values in spec.axes)
     try:
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8", newline="") as handle:
             handle.write(",".join(map(_sweep_cell, header)) + "\n")
-            for cell in itertools.product(*(values for _, values in spec.axes)):
-                handle.write(",".join(map(_sweep_cell, run_cell(cell))) + "\n")
+            _write_rows(handle, itertools.product(*(values for _, values in spec.axes)),
+                        row_text, _sweep_workers(spec, n_cells))
     except OSError as exc:
         return _report_os_error(exc, outdir)
     return EXIT_OK

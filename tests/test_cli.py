@@ -1,11 +1,15 @@
 import csv
 import functools
+import hashlib
 import json
 import math
 import os
 import random
 import shutil
+import signal
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,6 +413,7 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(cli, name, counting)
+    one_worker(monkeypatch)  # calls made in forked sweep workers are not counted here
     out = str(tmp_path / "run")
     assert main(["run", "coop_headon", "-o", out]) == 2
     assert main(["analyze", out, "--regime", "coop_pair"]) == 0
@@ -613,6 +618,185 @@ def test_cmd_run_reports_underflowing_repulsion(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # sweep command
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+# A sweep in a new interpreter, where only the main thread runs, so that
+# cmd_sweep may fork; in this process numpy's threads often keep it at one
+# worker.  The probe fixes the usable CPU count, may lower the fork
+# threshold, and may make a fork fail, a child end on one cell, or the
+# parent's row writing fail on one cell text, or run a second thread.  It
+# records how each child ended.
+SWEEP_PROBE = """
+import json, os, sys, threading
+from vortex_ca import cli
+
+args = json.loads(sys.argv[1])
+parent, forks, ends = os.getpid(), [], []
+real_fork, real_waitpid, real_run, real_cell = os.fork, os.waitpid, cli.run, cli._sweep_cell
+os.sched_getaffinity = lambda pid: set(range(args["cpus"]))
+if args["min_work"] is not None:
+    cli._FORK_MIN_WORK = args["min_work"]
+
+
+def fork():
+    if len(forks) == args["forks_before_failure"]:
+        raise OSError(11, "Resource temporarily unavailable")
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+def waitpid(pid, options):
+    done, status = real_waitpid(pid, options)
+    if os.WIFSIGNALED(status):
+        ends.append(["signal", os.WTERMSIG(status)])
+    else:
+        ends.append(["exit", os.WEXITSTATUS(status)])
+    return done, status
+
+
+def run(scenario):
+    if os.getpid() != parent and scenario.params.lam == args["die_at_lambda"]:
+        os._exit(3)
+    return real_run(scenario)
+
+
+def sweep_cell(value):
+    if os.getpid() == parent and value == args["fail_at"]:
+        raise OSError(5, "Input/output error")
+    return real_cell(value)
+
+
+os.fork, os.waitpid, cli.run, cli._sweep_cell = fork, waitpid, run, sweep_cell
+release = threading.Event()
+if args["thread"]:
+    threading.Thread(target=release.wait).start()
+codes, forked = [], []
+for spec, out in args["sweeps"]:
+    before = len(forks)
+    codes.append(cli.main(["sweep", spec, "-o", out]))
+    forked.append(len(forks) - before)
+release.set()
+try:
+    real_waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(json.dumps({"codes": codes, "forked": forked, "ends": sorted(ends), "reaped": reaped}))
+"""
+
+EXITED = ["exit", 0]
+
+
+def fresh_sweep(*sweeps, cpus=2, min_work=None, forks_before_failure=None,
+                die_at_lambda=None, fail_at=None, thread=False):
+    """Run each (spec, outdir) ``sweep`` in one new interpreter (see
+    SWEEP_PROBE).  Returns the exit codes, the children each sweep forked,
+    how the children ended, whether none was left unreaped, and stderr."""
+    args = {"sweeps": [[str(spec), str(out)] for spec, out in sweeps], "cpus": cpus,
+            "min_work": min_work, "forks_before_failure": forks_before_failure,
+            "die_at_lambda": die_at_lambda, "fail_at": fail_at, "thread": thread}
+    done = subprocess.run(
+        [sys.executable, "-c", SWEEP_PROBE, json.dumps(args)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    return dict(json.loads(done.stdout.splitlines()[-1]), stderr=done.stderr)
+
+
+def one_worker(monkeypatch):
+    """Pin in-process sweeps to one worker: they see a single usable CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def _write_spec(path, base, axes, metrics=("min_separation",)):
+    path.write_text(json.dumps({"base_scenario": str(base), "metrics": list(metrics),
+                                "axes": [{"path": p, "values": v} for p, v in axes]}))
+    return path
+
+
+def test_forked_sweep_of_the_benchmark_matches_its_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import bench
+
+    pinned = json.loads((BENCHMARKS / "digests.json").read_text())["full"]["param_sweep"]
+    sweep = bench.ParamSweep(tmp_path, bench.DEFAULT_SEED, fast=False)
+    # below the fork threshold: 2 cells of 10 steps of one pair
+    base = tmp_path / "short.json"
+    base.write_text(json.dumps(dict(scenario_to_dict(load_scenario("coop_headon")), t_max=0.1)))
+    small = _write_spec(tmp_path / "small.json", base, [("params.lambda", [9.0, 11.0])])
+    assert fresh_sweep((small, tmp_path / "small"), (sweep.spec_path, tmp_path / "bench")) == {
+        "codes": [0, 0], "forked": [0, 1], "ends": [EXITED], "reaped": True, "stderr": ""}
+    results = (tmp_path / "bench" / "results.csv").read_bytes()
+    assert hashlib.sha256(results).hexdigest() == pinned["results.csv"]
+    assert (tmp_path / "small" / "results.csv").read_text().count("\n") == 3
+
+
+def test_sweep_in_a_process_with_a_second_thread_never_forks(tmp_path, monkeypatch):
+    spec = _write_spec(tmp_path / "cells.json", "coop_headon", [("params.lambda", [9.0, 11.0])])
+    one_worker(monkeypatch)
+    assert main(["sweep", str(spec), "-o", str(tmp_path / "one")]) == 0
+    assert fresh_sweep((spec, tmp_path / "threaded"), min_work=0, thread=True) == {
+        "codes": [0], "forked": [0], "ends": [], "reaped": True, "stderr": ""}
+    one = (tmp_path / "one" / "results.csv").read_bytes()
+    assert (tmp_path / "threaded" / "results.csv").read_bytes() == one
+
+
+def _error_and_quoted_cells(tmp_path):
+    # lambda -1 is an error cell; the name axis needs quoting
+    return _write_spec(tmp_path / "cells.json", "coop_headon", [
+        ("params.lambda", [10.0, -1.0, 12.0]), ("name", ['a,"b"', "plain"])],
+        metrics=("min_separation", "body_overlap"))
+
+
+def test_forked_sweep_rows_equal_one_worker_rows(tmp_path, monkeypatch):
+    spec = _error_and_quoted_cells(tmp_path)
+    one_worker(monkeypatch)
+    assert main(["sweep", str(spec), "-o", str(tmp_path / "one")]) == 0
+    assert fresh_sweep((spec, tmp_path / "three"), cpus=3, min_work=0) == {
+        "codes": [0], "forked": [2], "ends": [EXITED] * 2, "reaped": True, "stderr": ""}
+    one = (tmp_path / "one" / "results.csv").read_bytes()
+    assert b"lambda must be >= 0" in one and b'"a,""b"""' in one
+    assert (tmp_path / "three" / "results.csv").read_bytes() == one
+
+
+def test_forked_sweep_runs_the_cells_of_a_worker_it_could_not_fork(tmp_path, monkeypatch):
+    spec = _error_and_quoted_cells(tmp_path)
+    one_worker(monkeypatch)
+    assert main(["sweep", str(spec), "-o", str(tmp_path / "one")]) == 0
+    # the second fork fails; the parent runs worker 2's cells too
+    assert fresh_sweep((spec, tmp_path / "three"), cpus=3, min_work=0,
+                       forks_before_failure=1) == {
+        "codes": [0], "forked": [1], "ends": [EXITED], "reaped": True, "stderr": ""}
+    one = (tmp_path / "one" / "results.csv").read_bytes()
+    assert (tmp_path / "three" / "results.csv").read_bytes() == one
+
+
+def test_forked_sweep_runs_a_dead_childs_cells_in_the_parent(tmp_path, monkeypatch):
+    spec = _write_spec(tmp_path / "cells.json", "coop_headon",
+                       [("params.lambda", [8.0, 9.0, 10.0, 11.0, 12.0, 13.0])])
+    one_worker(monkeypatch)
+    assert main(["sweep", str(spec), "-o", str(tmp_path / "one")]) == 0
+    # worker 1 of 3 runs cells 1 and 4 and ends on cell 4 (lambda 12)
+    assert fresh_sweep((spec, tmp_path / "three"), cpus=3, min_work=0, die_at_lambda=12.0) == {
+        "codes": [0], "forked": [2], "ends": [EXITED, ["exit", 3]], "reaped": True, "stderr": ""}
+    one = (tmp_path / "one" / "results.csv").read_bytes()
+    assert (tmp_path / "three" / "results.csv").read_bytes() == one
+
+
+def test_forked_sweep_reaps_its_children_after_an_os_error(tmp_path):
+    spec = _write_spec(tmp_path / "cells.json", "coop_headon",
+                       [("name", ["a", "b", "fails", "d", "e", "f", "g", "h"])])
+    out = tmp_path / "out"
+    # the parent runs the even cells and fails writing the row of cell 2,
+    # long before the child is through cells 1, 3, 5 and 7: it is killed
+    assert fresh_sweep((spec, out), min_work=0, fail_at="fails") == {
+        "codes": [1], "forked": [1], "ends": [["signal", signal.SIGKILL]], "reaped": True,
+        "stderr": f"error: {out}: Input/output error\n"}
+
 
 def test_cmd_sweep_quotes_cells_that_need_it(tmp_path):
     # the duplicate-id message has a comma, the name value every special character
@@ -658,7 +842,7 @@ def test_cmd_sweep_lambda_axis(tmp_path):
     assert seps[0] < seps[1] < seps[2]
 
 
-def test_cmd_sweep_repeats_byte_identical(tmp_path):
+def test_cmd_sweep_repeats_byte_identical(tmp_path, monkeypatch):
     spec = {
         "base_scenario": "attractive_only",
         "axes": [{"path": "params.kp", "values": [2.0, 5.0]}],
@@ -666,13 +850,18 @@ def test_cmd_sweep_repeats_byte_identical(tmp_path):
     }
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps(spec))
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    out_a, out_b, out_c, out_d = (tmp_path / name for name in "abcd")
+    one_worker(monkeypatch)
     assert main(["sweep", str(spec_path), "-o", str(out_a)]) == 0
     assert main(["sweep", str(spec_path), "-o", str(out_b)]) == 0
-    assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
+    # and forked, with one cell in each of two workers
+    assert fresh_sweep((spec_path, out_c), (spec_path, out_d), min_work=0) == {
+        "codes": [0, 0], "forked": [1, 1], "ends": [EXITED] * 2, "reaped": True, "stderr": ""}
+    for out in (out_b, out_c, out_d):
+        assert (out_a / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
 
 
-def test_cmd_sweep_rows_match_runs_of_their_cells(tmp_path):
+def test_cmd_sweep_rows_match_runs_of_their_cells(tmp_path, monkeypatch):
     # The base leaves r_star out, so each cell resolves it from its own lambda.
     base = {
         "t_max": 30.0,
@@ -691,16 +880,22 @@ def test_cmd_sweep_rows_match_runs_of_their_cells(tmp_path):
         "axes": [{"path": "params.lambda", "values": lambdas}],
         "metrics": ["min_separation"],
     }))
+    one_worker(monkeypatch)
     assert main(["sweep", str(spec_path), "-o", str(tmp_path / "sweep")]) == 0
-    rows = [line.split(",") for line in
-            (tmp_path / "sweep" / "results.csv").read_text().splitlines()[1:]]
-    for lam, row in zip(lambdas, rows, strict=True):
+    assert fresh_sweep((spec_path, tmp_path / "forked"), min_work=0) == {
+        "codes": [0], "forked": [1], "ends": [EXITED], "reaped": True, "stderr": ""}
+    rows = {out: [line.split(",") for line in
+                  (tmp_path / out / "results.csv").read_text().splitlines()[1:]]
+            for out in ("sweep", "forked")}
+    for k, lam in enumerate(lambdas):
         cell_path = tmp_path / f"cell_{lam}.json"
         cell_path.write_text(json.dumps(dict(base, params=dict(base["params"], **{"lambda": lam}))))
         rundir = tmp_path / f"run_{lam}"
         assert main(["run", str(cell_path), "-o", str(rundir)]) in (0, 2)
         summary = json.loads((rundir / "summary.json").read_text())
-        assert float(row[1]) == summary["min_separation_overall"], f"lambda {lam}"
+        for out, out_rows in rows.items():
+            assert len(out_rows) == len(lambdas), out
+            assert float(out_rows[k][1]) == summary["min_separation_overall"], (out, lam)
 
 
 def test_sweep_validation_errors(tmp_path):

@@ -11,6 +11,10 @@ larger swarm loads it on first use and exits as before.
 ``analysis`` is imported by ``analyze`` and the ``max_lyap_derivative`` sweep
 metric only: importing the package or the CLI, ``run``, ``plotdata`` and the
 other sweeps never compile or execute it.
+
+No command loads ``multiprocessing``, ``concurrent.futures`` or
+``subprocess``: a sweep below the fork threshold runs in one process, and
+one above it forks its workers with ``os.fork``.
 """
 
 import ast
@@ -46,7 +50,7 @@ PRESET_REGIMES = {
     "nonvortex_headon": "nonvortex_pair",
 }
 
-WATCHED = ("numpy", "vortex_ca.analysis")
+WATCHED = ("numpy", "vortex_ca.analysis", "multiprocessing", "concurrent.futures", "subprocess")
 ANALYSIS = ["vortex_ca.analysis"]
 
 PROBE = """
@@ -106,6 +110,16 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
         "axes": [{"path": "params.lambda", "values": [40.0]}],
         "metrics": ["max_lyap_derivative"],
     }))
+    # 2 cells of 10 steps of one pair: below the fork threshold, so one process
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"t_max": 0.1, "robots": [
+        {"id": 1, "x": -1.5, "y": 0.0, "goal": [1.5, 0.0]},
+        {"id": 2, "x": 1.5, "y": 0.0, "heading": math.pi, "goal": [-1.5, 0.0]}]}))
+    short_spec = tmp_path / "short_sweep.json"
+    short_spec.write_text(json.dumps({
+        "base_scenario": str(short),
+        "axes": [{"path": "params.lambda", "values": [9.0, 11.0]}],
+    }))
     ring = ring_scenario(tmp_path / "ring11.json", 11)
     names = sorted(RUN_CODES)
     # the commands that never load analysis come first, since nothing unloads it
@@ -113,6 +127,7 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
         *(["run", name, "-o", tmp_path / name] for name in names),
         *(["plotdata", tmp_path / name] for name in names),
         ["sweep", spec, "-o", tmp_path / "sweep_out"],
+        ["sweep", short_spec, "-o", tmp_path / "short_out"],
         ["run", ring, "-o", tmp_path / "ring11"],
     ]
     analyses = [
@@ -123,12 +138,14 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
     codes, loaded = fresh_main(*plain, *analyses)
     ring_code = main(["run", str(ring), "-o", str(tmp_path / "ring11_again")])
     assert codes == (
-        [RUN_CODES[name] for name in names] + [0] * len(names) + [0, ring_code]
+        [RUN_CODES[name] for name in names] + [0] * len(names) + [0, 0, ring_code]
         + [0] * len(analyses)
     )
-    # the imports, then the plain commands, leave both out; the sweep loads analysis
+    # the imports, then the plain commands, leave every watched module out; the
+    # max_lyap_derivative sweep and analyze load analysis
     assert loaded == [[]] * (1 + len(plain)) + [ANALYSIS] * len(analyses)
     assert (tmp_path / "sweep_out" / "results.csv").read_text().count("\n") == 3
+    assert (tmp_path / "short_out" / "results.csv").read_text().count("\n") == 3
     assert main(["sweep", str(lyap_spec), "-o", str(tmp_path / "lyap_again")]) == 0
     fresh = (tmp_path / "lyap_out" / "results.csv").read_bytes()
     assert fresh == (tmp_path / "lyap_again" / "results.csv").read_bytes()
