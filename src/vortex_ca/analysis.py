@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 from .engine import EVENT_OVERLAP, EVENT_STOPPED, TrajectoryLog
 from .fields import PFParams
-from .kinematics import BehaviorKind, RegimeKind, wrap_angle
+from .kinematics import BehaviorKind, RegimeKind, RobotState, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ def lyapunov(
     ``vrel`` doubles as the constant speed scale where the function needs one:
     for the attractive-only regime it equals the robot speed (exact for a
     stationary goal), and for the non-vortex pair it is the head-on relative
-    speed.  The multi-robot regime sums ``_multi_robot_term`` over the
-    triggered pairs (``multi_lyapunov``).
+    speed.  The multi-robot regime sums ``_multi_robot_value`` and
+    ``_multi_robot_derivative`` over the triggered pairs (``multi_lyapunov``).
     """
     if r <= 0.0:
         raise ValueError("lyapunov functions need r > 0")
@@ -131,13 +131,54 @@ def lyapunov(
     raise ValueError(f"no single-pair Lyapunov function for {regime}")
 
 
-def _multi_robot_term(
+def _multi_robot_value(r: float, vr: float, vth: float) -> float:
+    """One triggered pair's term of the multi-robot Lyapunov value."""
+    return r + 0.5 * (vth * vth + vr * vr)
+
+
+def _multi_robot_derivative(
     r: float, vr: float, vth: float, vrel: float, lam: float, n_active: int
-) -> tuple[float, float]:
-    """One triggered pair's multi-robot Lyapunov value and analytic derivative,
-    with ``n_active`` cooperative robots applying repulsive inputs."""
-    value = r + 0.5 * (vth * vth + vr * vr)
-    return value, -abs(vr) * (1.0 + 3.0 * n_active * lam * vr * vth / (vrel * r * r))
+) -> float:
+    """One triggered pair's term of the multi-robot Lyapunov function's
+    analytic derivative, with ``n_active`` cooperative robots applying
+    repulsive inputs."""
+    return -abs(vr) * (1.0 + 3.0 * n_active * lam * vr * vth / (vrel * r * r))
+
+
+def cooperative_ends(robots: Sequence[RobotState]) -> list[tuple[int, ...]]:
+    """For each pair of ``robots`` (sorted by id; pairs in upper-triangle
+    order, as a log's ``pair_ids``), the indices of its cooperative robots."""
+    coop = [robot.behavior is BehaviorKind.COOPERATIVE for robot in robots]
+    n = len(robots)
+    return [tuple(i for i in (a, b) if coop[i]) for a in range(n) for b in range(a + 1, n)]
+
+
+def multi_robot_derivative(
+    r: Sequence[float], vr: Sequence[float], vth: Sequence[float], vrel: Sequence[float],
+    triggered: Sequence[bool], active: Sequence[bool], ends: Sequence[Sequence[int]],
+    lam: float,
+) -> float:
+    """The multi-robot Lyapunov function's analytic derivative at one
+    recorded step, from its pair columns (one entry per pair, in the order
+    ``_Swarm.pair_columns`` gives them) and its robots' ``active`` flags.
+
+    ``ends`` are the pairs' cooperative robots (``cooperative_ends``).
+    n_active counts the active ones among the triggered pairs' ends; the
+    derivative is the sum, from 0.0 in pair order, of every triggered pair's
+    term, or 0.0 when n_active is 0.  Every term is formed either way, so a
+    term that divides by zero raises.  ``multi_lyapunov`` and the sweep's
+    ``max_lyap_derivative`` both form the derivative here.
+    """
+    if not any(triggered):
+        return 0.0
+    on = [p for p, flag in enumerate(triggered) if flag]
+    n_active = len({i for p in on for i in ends[p] if active[i]})
+    total = 0.0
+    for p in on:
+        term = _multi_robot_derivative(r[p], vr[p], vth[p], vrel[p], lam, n_active)
+        if n_active >= 1:
+            total += term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -271,40 +312,32 @@ def attacker_standoff(lam: float, speed: float) -> float:
 def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> LyapunovSeries:
     """Summed Lyapunov value over all currently triggered pairs, per recorded step.
 
-    The analytic derivative scales with the per-step count of cooperative
-    robots that are actively applying repulsive inputs: the active
-    cooperative endpoints of the triggered pairs.  Untriggered steps
-    contribute an empty sum (value 0).  The numeric derivative is a central
-    difference of the value series (one-sided at the ends).
+    The analytic derivative is ``multi_robot_derivative`` at each step.
+    Untriggered steps contribute an empty sum (value 0).  The numeric
+    derivative is a central difference of the value series (one-sided at
+    the ends).
     """
-    keys = log.pair_ids()
-    traces = [log.pairs[key] for key in keys]
-    # Per pair, the active columns of its cooperative endpoints, with their ids.
-    coop = {r.id for r in log.scenario.robots if r.behavior is BehaviorKind.COOPERATIVE}
-    ends = [[(rid, log.robots[rid].active) for rid in key if rid in coop] for key in keys]
+    traces = [log.pairs[key] for key in log.pair_ids()]
+    ends = cooperative_ends(log.scenario.sorted_robots())
     lam = params.lam
+
+    def by_step(name: str):  # the pairs' column ``name``, one tuple per step
+        if not traces:
+            return repeat((), len(log.t))
+        return zip(*(getattr(trace, name) for trace in traces))
+
+    active = zip(*(log.robots[rid].active for rid in log.robot_ids()))
     values: list[float] = []
     derivs: list[float] = []
-    steps = zip(*(trace.triggered for trace in traces)) if traces else repeat((), len(log.t))
-    for k, triggered in enumerate(steps):
-        if not any(triggered):
-            values.append(0.0)
-            derivs.append(0.0)
-            continue
-        on = [p for p, flag in enumerate(triggered) if flag]
-        n_active = len({rid for p in on for rid, active in ends[p] if active[k]})
+    for r, vr, vth, vrel, triggered, flags in zip(
+        by_step("r"), by_step("vr"), by_step("vth"), by_step("vrel"), by_step("triggered"), active
+    ):
         total = 0.0
-        dtotal = 0.0
-        for p in on:
-            trace = traces[p]
-            value, deriv = _multi_robot_term(
-                trace.r[k], trace.vr[k], trace.vth[k], trace.vrel[k], lam, n_active
-            )
-            total += value
-            if n_active >= 1:
-                dtotal += deriv
+        for p, flag in enumerate(triggered):
+            if flag:
+                total += _multi_robot_value(r[p], vr[p], vth[p])
         values.append(total)
-        derivs.append(dtotal)
+        derivs.append(multi_robot_derivative(r, vr, vth, vrel, triggered, flags, ends, lam))
     return LyapunovSeries(log.t, values, derivs, RegimeKind.MULTI_ROBOT)
 
 

@@ -8,6 +8,8 @@ row's text back down its own pipe.  The parent writes the rows in cell
 order, so results.csv does not depend on k.  k is 1 unless forking is safe
 (the process has one thread) and the sweep's estimated work reaches
 ``_FORK_MIN_WORK``; then it is one per usable CPU, never more than cells.
+A cell builds no trajectory log: ``fold_metrics`` folds its metrics over
+the recorded steps as the run records them.
 
 Exit codes: 0 clean, 1 error, 2 body overlap occurred.
 """
@@ -48,6 +50,7 @@ from .scenarios import (
 
 if TYPE_CHECKING:
     from .analysis import CheckResult, LyapunovSeries
+    from .engine import Scenario
     from .fields import PFParams
     from .scenarios import SweepSpec
 
@@ -360,21 +363,12 @@ def cmd_run(scenario_path: str, outdir: str) -> int:
         return _report_os_error(exc, outdir)
 
 
-def _cell_metrics(log: TrajectoryLog, metrics: Sequence[str]) -> dict[str, Any]:
-    values: dict[str, Any] = {}
-    for metric in metrics:
-        if metric == "min_separation":
-            seps = [min_separation(log, i, j) for (i, j) in log.pair_ids()]
-            values[metric] = min(seps) if seps else math.nan
-        elif metric == "time_to_goal":
-            times = [t for t in _goal_times(log).values() if t is not None]
-            values[metric] = max(times) if times else math.nan
-        elif metric == "body_overlap":
-            values[metric] = int(log.has_event(EVENT_OVERLAP))
-        elif metric == "max_lyap_derivative":
-            series = multi_lyapunov(log, log.scenario.params)
-            values[metric] = max(series.derivative_analytic, default=math.nan)
-    return values
+def fold_metrics(scenario: Scenario, metrics: Sequence[str]) -> dict[str, Any]:
+    """A sweep cell's metrics: ``scenario`` run with a ``MetricsFold``
+    recorder, whose module only sweeps import."""
+    from .sweep_metrics import MetricsFold
+
+    return run(scenario, MetricsFold(scenario, metrics))
 
 
 def _sweep_cell(value: Any) -> str:
@@ -498,8 +492,7 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
             cell_dict = json.loads(json.dumps(spec.base))
             for path, value in zip(axis_paths, cell_values):
                 set_by_path(cell_dict, path, value)
-            log = run(scenario_from_dict(cell_dict))
-            row.update(_cell_metrics(log, spec.metrics))
+            row.update(fold_metrics(scenario_from_dict(cell_dict), spec.metrics))
             row["error"] = ""
         except Exception as exc:  # cell errors recorded, sweep continues
             for metric in spec.metrics:

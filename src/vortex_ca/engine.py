@@ -2,8 +2,15 @@
 snapshot, heading control, propagation, trigger bookkeeping, the goal-stop
 rule, body-overlap detection, and trajectory logging.
 
-``run`` is the one entry point: it validates a scenario and returns its
-trajectory log.
+``run`` is the one entry point: it validates a scenario, runs it, and hands
+what it records to a recorder (``Recorder``).  At every ``record_stride``-th
+step and at the last one, ``run`` calls the recorder's per-step callable,
+which reads the swarm's state, and it appends each event to the recorder's
+``events`` as it happens.  There is one step loop, whatever the recorder.
+The default, ``LogRecorder``, appends each recorded step to a
+``TrajectoryLog``, which ``run`` then returns; a sweep cell's recorder
+(``sweep_metrics.MetricsFold``) keeps only the running values its metrics
+read.
 
 Updates are simultaneous (Jacobi-style): every engagement and force in a step
 is computed from the pre-step snapshot, never from partially updated robots.
@@ -24,11 +31,11 @@ stops (``_Swarm.stop``); the cosine and sine of each heading are formed once
 per step, for the pair stage and the propagation; the LOS angle of each
 pair, which nothing in the step reads, is not formed at all
 (``TrajectoryLog.pair_theta`` forms it from the logged positions for the
-writer); the pair columns only the log reads are handed to it as lists
-through ``_Swarm.pair_columns`` on recorded steps alone; and the per-pair
-overlap list is formed only while some pair is, or comes, inside its contact
-distance.  The check for that is the one scan each step makes over the
-separations (``_Swarm.touching``).
+writer); the pair columns only a recorder reads are formed as lists by
+``_Swarm.pair_columns``, on recorded steps alone and only for a recorder
+that asks for them; and the per-pair overlap list is formed only while some
+pair is, or comes, inside its contact distance.  The check for that is the
+one scan each step makes over the separations (``_Swarm.touching``).
 
 Each step is a pair stage (every engagement and every robot's summed
 repulsive input, O(N^2)) and then a robot stage (attractive term, finite
@@ -54,7 +61,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple, Protocol
 
 from .control import force_heading, heading_controller
 from .fields import (
@@ -310,6 +317,7 @@ class _Swarm:
             for i, robot in enumerate(robots)
         ]
         self.pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        self.pair_ids = [(self.ids[a], self.ids[b]) for a, b in self.pairs]
         self.contact = [robots[a].body_radius + robots[b].body_radius for a, b in self.pairs]
         n_pairs = len(self.pairs)
         self.r = [0.0] * n_pairs
@@ -368,8 +376,9 @@ class _Swarm:
 
     def pair_columns(self) -> tuple[list[float], list[float], list[float], list[float], list[bool]]:
         """The last pair stage's ``r``, ``vr``, ``vth``, ``vrel`` and ``trig``
-        as lists, which is what the log records.  The array stage leaves
-        ``trig`` as an array, so only a recorded step converts it."""
+        as lists, which is what recorders read (the log records them, and a
+        sweep cell's ``max_lyap_derivative`` reads them).  The array stage
+        leaves ``trig`` as an array, so only a recorded step converts it."""
         trig = self.trig
         if not isinstance(trig, list):
             trig = trig.tolist()
@@ -572,30 +581,86 @@ class _Swarm:
                 )
 
 
-def run(scenario: Scenario) -> TrajectoryLog:
+class Recorder(Protocol):
+    """What ``run`` reports a run to.  ``run`` calls ``start`` once, with the
+    swarm, before the first step, and the callable it returns at every
+    recorded step, with the step's time; it appends each event to ``events``
+    as it happens, and returns ``result()`` once the run has ended."""
+
+    events: list[Event]
+
+    def start(self, swarm: _Swarm) -> Callable[[float], None]: ...
+
+    def result(self) -> Any: ...
+
+
+class LogRecorder:
+    """The default recorder: every recorded step appended to a
+    ``TrajectoryLog``, which ``result`` returns."""
+
+    def __init__(self, scenario: Scenario):
+        self.log = TrajectoryLog(scenario=scenario)
+        self.events = self.log.events
+
+    def start(self, swarm: _Swarm) -> Callable[[float], None]:
+        x, y, active = swarm.x, swarm.y, swarm.active
+        traces = [RobotTrace() for _ in swarm.ids]
+        pair_traces = [PairTrace() for _ in swarm.pair_ids]
+        self.log.robots = dict(zip(swarm.ids, traces))
+        self.log.pairs = dict(zip(swarm.pair_ids, pair_traces))
+        t_column = self.log.t
+
+        def record(t: float) -> None:
+            t_column.append(t)
+            phi, omega, fx, fy, rep_x, rep_y = (
+                swarm.phi, swarm.omega, swarm.fx, swarm.fy, swarm.rep_x, swarm.rep_y
+            )
+            for i, trace in enumerate(traces):
+                trace.x.append(x[i])
+                trace.y.append(y[i])
+                trace.phi.append(phi[i])
+                trace.omega.append(omega[i])
+                trace.fx.append(fx[i])
+                trace.fy.append(fy[i])
+                trace.rep_fx.append(rep_x[i])
+                trace.rep_fy.append(rep_y[i])
+                trace.active.append(active[i])
+            r, vr, vth, vrel, trig = swarm.pair_columns()
+            for p, trace in enumerate(pair_traces):
+                trace.r.append(r[p])
+                trace.vr.append(vr[p])
+                trace.vth.append(vth[p])
+                trace.vrel.append(vrel[p])
+                trace.triggered.append(trig[p])
+
+        return record
+
+    def result(self) -> TrajectoryLog:
+        return self.log
+
+
+def run(scenario: Scenario, recorder: Recorder | None = None) -> Any:
     """Run a scenario to t_max or until every cooperative/attacking robot stops.
 
     A robot becomes inactive (speed set to zero, exactly once) when it comes
     within ``goal_tol`` of its goal point; inactive robots persist as
     stationary obstacles.  Body overlap (r below the sum of body radii) is
     recorded as an event on entry and the simulation continues.  The state at
-    every ``record_stride``-th step plus the terminal state is logged.
+    every ``record_stride``-th step plus the terminal state goes to
+    ``recorder``, a fresh ``LogRecorder`` unless given, and ``run`` returns
+    its ``result()``: by default the ``TrajectoryLog``.
     """
     scenario.validate()
     goal_tol = scenario.params.goal_tol
     dt = scenario.dt
-    robots = scenario.sorted_robots()
-    swarm = _Swarm(robots, scenario.params)
+    swarm = _Swarm(scenario.sorted_robots(), scenario.params)
     ids, x, y, active = swarm.ids, swarm.x, swarm.y, swarm.active
+    if recorder is None:
+        recorder = LogRecorder(scenario)
+    record = recorder.start(swarm)
+    events = recorder.events
 
-    log = TrajectoryLog(scenario=scenario)
-    traces = [RobotTrace() for _ in robots]
-    log.robots = dict(zip(ids, traces))
-    pair_keys = [(ids[a], ids[b]) for a, b in swarm.pairs]
-    pair_traces = [PairTrace() for _ in pair_keys]
-    log.pairs = dict(zip(pair_keys, pair_traces))
-
-    overlapping = [False] * len(pair_keys)
+    overlapping = [False] * len(swarm.pairs)
     # The robots the stop rule checks, in id order: index, target index (an
     # attacker's) or None, goal point (anyone else's), and whether the run
     # waits for it: it ends once every gated robot has stopped (if there is one).
@@ -607,29 +672,6 @@ def run(scenario: Scenario) -> TrajectoryLog:
     gated = [i for i, _, _, _, gates in movers if gates]
     gated_active = sum(active[i] for i in gated)
     n_steps = scenario.n_steps()
-
-    def record(t: float) -> None:
-        log.t.append(t)
-        phi, omega, fx, fy, rep_x, rep_y = (
-            swarm.phi, swarm.omega, swarm.fx, swarm.fy, swarm.rep_x, swarm.rep_y
-        )
-        for i, trace in enumerate(traces):
-            trace.x.append(x[i])
-            trace.y.append(y[i])
-            trace.phi.append(phi[i])
-            trace.omega.append(omega[i])
-            trace.fx.append(fx[i])
-            trace.fy.append(fy[i])
-            trace.rep_fx.append(rep_x[i])
-            trace.rep_fy.append(rep_y[i])
-            trace.active.append(active[i])
-        r, vr, vth, vrel, trig = swarm.pair_columns()
-        for p, trace in enumerate(pair_traces):
-            trace.r.append(r[p])
-            trace.vr.append(vr[p])
-            trace.vth.append(vth[p])
-            trace.vrel.append(vrel[p])
-            trace.triggered.append(trig[p])
 
     pair_stage, robot_stage, touching = swarm.pair_stage, swarm.robot_stage, swarm.touching
     for k in range(n_steps + 1):
@@ -643,7 +685,7 @@ def run(scenario: Scenario) -> TrajectoryLog:
             if inside != overlapping:
                 for p, now in enumerate(inside):
                     if now and not overlapping[p]:
-                        log.events.append(Event(t, EVENT_OVERLAP, pair_keys[p]))
+                        events.append(Event(t, EVENT_OVERLAP, swarm.pair_ids[p]))
                 overlapping = inside
 
         done = k == n_steps or (bool(gated) and gated_active == 0)
@@ -667,12 +709,12 @@ def run(scenario: Scenario) -> TrajectoryLog:
                 dy = y[i] - y[target]
             check_finite(dx, dy)
             if math.hypot(dx, dy) <= goal_tol:
-                log.events.append(Event(t_next, EVENT_GOAL, (ids[i],)))
-                log.events.append(Event(t_next, EVENT_STOPPED, (ids[i],)))
+                events.append(Event(t_next, EVENT_GOAL, (ids[i],)))
+                events.append(Event(t_next, EVENT_STOPPED, (ids[i],)))
                 swarm.stop(i)
                 if gates:
                     gated_active -= 1
-    return log
+    return recorder.result()
 
 
 def min_separation(log: TrajectoryLog, i: int, j: int) -> float:

@@ -456,6 +456,11 @@ def load_sweep(path: str) -> SweepSpec:
             errors.append(f"axes[{axis_path}]: path listed more than once")
             continue
         axes.append((axis_path, tuple(values)))
+        for text in (axis_path, *(str(value) for value in values)):
+            try:  # results.csv is UTF-8, and a lone surrogate has no UTF-8 form
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                errors.append(f"axes[{axis_path}]: {text!r} has no UTF-8 form for results.csv")
     n_cells = math.prod(len(values) for _, values in axes)
     if n_cells > MAX_SWEEP_CELLS:
         lengths = " x ".join(str(len(values)) for _, values in axes)

@@ -11,7 +11,8 @@ from vortex_ca import scenarios
 from vortex_ca.analysis import (
     RegimeKind,
     RelativeTrace,
-    _multi_robot_term,
+    _multi_robot_derivative,
+    _multi_robot_value,
     analyze_log,
     attacker_standoff,
     closed_loop_errors_from_log,
@@ -165,10 +166,10 @@ def test_lyapunov_multi_matches_pair_coefficients():
     r, vr, vth = 2.0, -0.2, 0.1
     vrel = math.hypot(vr, vth)
     _, pair_deriv = lyapunov(RegimeKind.COOP_PAIR, r, vr, vth, vrel, PARAMS)
-    _, multi2 = _multi_robot_term(r, vr, vth, vrel, PARAMS.lam, 2)
+    multi2 = _multi_robot_derivative(r, vr, vth, vrel, PARAMS.lam, 2)
     assert multi2 == pytest.approx(pair_deriv)  # vr < 0 makes -|vr| = vr
     _, single_deriv = lyapunov(RegimeKind.COOP_VS_NONCOOP, r, vr, vth, vrel, PARAMS)
-    _, multi1 = _multi_robot_term(r, vr, vth, vrel, PARAMS.lam, 1)
+    multi1 = _multi_robot_derivative(r, vr, vth, vrel, PARAMS.lam, 1)
     assert multi1 == pytest.approx(single_deriv)
 
 
@@ -181,7 +182,7 @@ def test_lyapunov_value_nonnegative():
             vth = rng.uniform(-0.4, 0.4)
             vrel = max(math.hypot(vr, vth), 1e-3)
             if regime is RegimeKind.MULTI_ROBOT:
-                value, _ = _multi_robot_term(r, vr, vth, vrel, PARAMS.lam, 1)
+                value = _multi_robot_value(r, vr, vth)
             else:
                 value, _ = lyapunov(regime, r, vr, vth, vrel, PARAMS)
             assert value >= 0.0
@@ -456,7 +457,7 @@ def test_multi_lyapunov_reduces_to_pair_coefficients(coop_headon_log):
         if not pair.triggered[k]:
             assert series.value[k] == 0.0
             continue
-        _, expected = _multi_robot_term(
+        expected = _multi_robot_derivative(
             pair.r[k], pair.vr[k], pair.vth[k], pair.vrel[k], params.lam, 2
         )
         assert series.derivative_analytic[k] == pytest.approx(expected, rel=1e-12)

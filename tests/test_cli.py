@@ -13,19 +13,24 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vortex_ca import cli, engine
+from vortex_ca import analysis, cli, engine
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind, analyze_log
 from vortex_ca.cli import PAIR_COLUMNS, ROBOT_COLUMNS, main, read_run, write_run_outputs
-from vortex_ca.engine import ScenarioError, run
+from vortex_ca.engine import EVENT_OVERLAP, ScenarioError, min_separation, run
+from vortex_ca.kinematics import SimulationFault
 from vortex_ca.scenarios import (
     PRESETS,
+    SWEEP_METRICS,
     load_scenario,
     load_sweep,
     scenario_from_dict,
     scenario_to_dict,
     set_by_path,
 )
+from vortex_ca.sweep_metrics import MetricsFold
 
 MINIMAL = {
     "robots": [
@@ -404,7 +409,8 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     # the benchmark tracer wraps these module-level bindings; a refactor that
     # bypasses them would silently empty the read, write and analysis spans
     calls = {"read_run": 0, "write_trajectory_csv": 0, "write_pairs_csv": 0,
-             "analyze_log": 0, "pair_lyapunov_series": 0, "multi_lyapunov": 0}
+             "analyze_log": 0, "pair_lyapunov_series": 0, "multi_lyapunov": 0,
+             "fold_metrics": 0}
     for name in calls:
         original = getattr(cli, name)
 
@@ -419,7 +425,8 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     assert main(["analyze", out, "--regime", "coop_pair"]) == 0
     assert main(["plotdata", out]) == 0
     assert calls == {"read_run": 2, "write_trajectory_csv": 1, "write_pairs_csv": 1,
-                     "analyze_log": 1, "pair_lyapunov_series": 1, "multi_lyapunov": 0}
+                     "analyze_log": 1, "pair_lyapunov_series": 1, "multi_lyapunov": 0,
+                     "fold_metrics": 0}
     spec = tmp_path / "sweep.json"
     spec.write_text(json.dumps({
         "base_scenario": "coop_headon",
@@ -427,11 +434,12 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
         "metrics": ["max_lyap_derivative"],
     }))
     assert main(["sweep", str(spec), "-o", str(tmp_path / "sweep")]) == 0
-    assert calls["multi_lyapunov"] == 3
+    # each cell folds its metrics as it runs; no cell builds a log for multi_lyapunov
+    assert (calls["fold_metrics"], calls["multi_lyapunov"]) == (3, 0)
     out = str(tmp_path / "triangle")
     assert main(["run", "coop_triangle", "-o", out]) == 0
     assert main(["analyze", out, "--regime", "multi_robot"]) == 0
-    assert (calls["analyze_log"], calls["multi_lyapunov"]) == (2, 4)
+    assert (calls["analyze_log"], calls["multi_lyapunov"]) == (2, 1)
 
 
 def test_summary_contents(headon_rundir):
@@ -657,10 +665,10 @@ def waitpid(pid, options):
     return done, status
 
 
-def run(scenario):
+def run(scenario, *recorder):
     if os.getpid() != parent and scenario.params.lam == args["die_at_lambda"]:
         os._exit(3)
-    return real_run(scenario)
+    return real_run(scenario, *recorder)
 
 
 def sweep_cell(value):
@@ -921,6 +929,17 @@ def test_sweep_validation_errors(tmp_path):
     with pytest.raises(ScenarioError):
         load_sweep(str(bad_path))
 
+    # json reads the escape as a lone surrogate, which results.csv (UTF-8)
+    # cannot hold; the spec is rejected before any cell runs
+    surrogate = tmp_path / "surrogate.json"
+    surrogate.write_text(json.dumps({
+        "base_scenario": "coop_headon",
+        "axes": [{"path": "name", "values": ["\ud800", "plain"]}],
+    }))
+    with pytest.raises(ScenarioError) as caught:
+        load_sweep(str(surrogate))
+    assert caught.value.errors == ["axes[name]: '\\ud800' has no UTF-8 form for results.csv"]
+
 
 def _axis_spec(path, **extra):
     return dict({"base_scenario": "coop_headon", "axes": [{"path": path, "values": [1.0]}]},
@@ -941,13 +960,14 @@ def _axis_spec(path, **extra):
     {"base_scenario": "coop_headon", "axes": [{"path": "params.lambda", "values": [1.0, 2.0]},
                                               {"path": "params.lambda", "values": [30.0]}]},
     _axis_spec("params.lambda", metrics=["min_separation", "min_separation"]),
+    {"base_scenario": "coop_headon", "axes": [{"path": "name", "values": ["\ud800"]}]},
     # a million cells: rejected before any cell is built
     {"base_scenario": "coop_headon", "axes": [
         {"path": path, "values": [float(v) for v in range(1, 101)]}
         for path in ("params.lambda", "params.kappa", "params.kp")]},
 ], ids=["list", "axes_int", "metrics_int", "index_past_end", "index_not_int", "into_string",
         "into_number", "index_superscript_two", "index_arabic_indic_one", "repeated_axis_path",
-        "repeated_metric", "over_cell_cap"])
+        "repeated_metric", "lone_surrogate", "over_cell_cap"])
 def test_cmd_sweep_rejects_malformed_specs(tmp_path, capsys, spec):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec))
@@ -974,6 +994,125 @@ def test_max_lyap_derivative_sweep_forms_no_numeric_derivative(tmp_path, monkeyp
     rows = [row.split(",") for row in (out / "results.csv").read_text().splitlines()[1:]]
     assert [row[-1] for row in rows] == ["", ""]
     assert all(math.isfinite(float(row[1])) for row in rows)
+
+
+BEHAVIORS = ("cooperative", "noncooperative", "stationary", "attacking")
+
+
+@st.composite
+def fold_scenarios(draw):
+    """2 to 14 robots of every behaviour at distinct points of a 3 m square
+    (12 and more run the array pair stage), some with a goal inside the stop
+    radius, some bodies overlapping from the start, for 1 to 20 steps of
+    0.05 s, recorded every 1 to 5 steps."""
+    n = draw(st.integers(2, 14))
+    grid = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
+    points = draw(st.lists(grid, min_size=n, max_size=n, unique=True))
+    robots = []
+    for k, (i, j) in enumerate(points):
+        x, y = 0.1 * i, 0.1 * j
+        behavior = draw(st.sampled_from(BEHAVIORS))
+        robot = {"id": k + 1, "x": x, "y": y, "behavior": behavior,
+                 "heading": draw(st.floats(-math.pi, math.pi)),
+                 "speed": 0.0 if behavior == "stationary" else draw(st.floats(0.05, 0.4)),
+                 "radius": draw(st.floats(0.05, 0.2))}
+        if behavior == "attacking":
+            robot["target"] = (k + 1) % n + 1
+        elif behavior != "stationary":
+            near = draw(st.booleans())
+            robot["goal"] = [x + 0.1, y] if near else [-x, -y]
+        robots.append(robot)
+    params = {"lambda": draw(st.floats(0.0, 50.0)), "vortex": draw(st.booleans()),
+              "kp": draw(st.floats(0.5, 10.0))}
+    if draw(st.booleans()):
+        params["f_lim"] = draw(st.floats(0.05, 2.0))
+    if draw(st.booleans()):
+        params["omega_max"] = draw(st.floats(0.05, 2.0))
+    return scenario_from_dict({
+        "name": "fold", "dt": 0.05, "t_max": 0.05 * draw(st.integers(1, 20)),
+        "record_stride": draw(st.integers(1, 5)), "params": params, "robots": robots,
+    })
+
+
+def outcome(compute):
+    """What ``compute()`` returns, or the class and text of what it raised."""
+    try:
+        return compute()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def metrics_from_log(scenario):
+    """The four sweep metrics and the events, read from the full log."""
+    log = run(scenario)
+    seps = [min_separation(log, i, j) for (i, j) in log.pair_ids()]
+    times = [t for t in cli.run_summary(log)["goal_times"].values() if t is not None]
+    series = analysis.multi_lyapunov(log, scenario.params)
+    return {
+        "min_separation": min(seps) if seps else math.nan,
+        "time_to_goal": max(times) if times else math.nan,
+        "body_overlap": int(log.has_event(EVENT_OVERLAP)),
+        "max_lyap_derivative": max(series.derivative_analytic, default=math.nan),
+    }, log.events
+
+
+def folded_metrics(scenario):
+    fold = MetricsFold(scenario, SWEEP_METRICS)
+    return run(scenario, fold), fold.events
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_scenarios())
+def test_folded_metrics_equal_the_full_logs(scenario):
+    # repr, so that nan equals nan and 0.0 differs from -0.0
+    expected = outcome(lambda: metrics_from_log(scenario))
+    assert repr(outcome(lambda: folded_metrics(scenario))) == repr(expected)
+
+
+def _spy_sweep(tmp_path, base, monkeypatch):
+    one_worker(monkeypatch)
+    spec = _write_spec(tmp_path / "spy.json", base, [("params.lambda", [10.0])],
+                       metrics=("min_separation", "max_lyap_derivative"))
+    assert main(["sweep", str(spec), "-o", str(tmp_path / "out")]) == 0
+    return (tmp_path / "out" / "results.csv").read_text().splitlines()[1]
+
+
+def test_fold_reports_an_engine_fault_after_a_failed_derivative(tmp_path, monkeypatch):
+    calls = {"derivative": 0, "advance": 0}
+    advance = engine._Swarm.advance
+
+    def failing_derivative(*args):
+        calls["derivative"] += 1
+        raise ZeroDivisionError("spy derivative")
+
+    def faulting_advance(self, dt):
+        calls["advance"] += 1
+        if calls["advance"] == 5:
+            raise SimulationFault("robot 1: spy fault")
+        advance(self, dt)
+
+    monkeypatch.setattr(analysis, "multi_robot_derivative", failing_derivative)
+    monkeypatch.setattr(engine._Swarm, "advance", faulting_advance)
+    # the derivative raises on the first recorded step and is not formed again
+    assert _spy_sweep(tmp_path, "coop_headon", monkeypatch) == "10,nan,nan,robot 1: spy fault"
+    assert calls == {"derivative": 1, "advance": 5}
+
+
+def test_fold_reports_a_failed_derivative_once_the_run_has_ended(tmp_path, monkeypatch):
+    # Two non-cooperative robots 1e-170 m apart: vrel * r * r underflows, so
+    # the pair's derivative term divides by zero, while the engine, which
+    # evaluates no repulsive input for them, runs to the end.  The text is
+    # what multi_lyapunov raised on the full log.
+    base = tmp_path / "underflow.json"
+    base.write_text(json.dumps({"t_max": 0.5, "robots": [
+        {"id": 1, "x": 0.0, "y": 0.0, "heading": 0.0, "behavior": "noncooperative",
+         "goal": [1.5, 0.0]},
+        {"id": 2, "x": 1e-170, "y": 0.0, "heading": math.pi, "behavior": "noncooperative",
+         "goal": [-1.5, 0.0]},
+    ]}))
+    with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+        analysis.multi_lyapunov(run(load_scenario(str(base))), load_scenario(str(base)).params)
+    assert _spy_sweep(tmp_path, base, monkeypatch) == "10,nan,nan,float division by zero"
 
 
 def test_cmd_sweep_records_cell_errors(tmp_path):

@@ -10,7 +10,8 @@ larger swarm loads it on first use and exits as before.
 
 ``analysis`` is imported by ``analyze`` and the ``max_lyap_derivative`` sweep
 metric only: importing the package or the CLI, ``run``, ``plotdata`` and the
-other sweeps never compile or execute it.
+other sweeps never compile or execute it.  ``sweep_metrics`` is imported by
+sweeps only.
 
 No command loads ``multiprocessing``, ``concurrent.futures`` or
 ``subprocess``: a sweep below the fork threshold runs in one process, and
@@ -50,8 +51,10 @@ PRESET_REGIMES = {
     "nonvortex_headon": "nonvortex_pair",
 }
 
-WATCHED = ("numpy", "vortex_ca.analysis", "multiprocessing", "concurrent.futures", "subprocess")
+WATCHED = ("numpy", "vortex_ca.analysis", "vortex_ca.sweep_metrics", "multiprocessing",
+           "concurrent.futures", "subprocess")
 ANALYSIS = ["vortex_ca.analysis"]
+SWEEP = ["vortex_ca.sweep_metrics"]
 
 PROBE = """
 import json, sys
@@ -141,9 +144,13 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
         [RUN_CODES[name] for name in names] + [0] * len(names) + [0, 0, ring_code]
         + [0] * len(analyses)
     )
-    # the imports, then the plain commands, leave every watched module out; the
-    # max_lyap_derivative sweep and analyze load analysis
-    assert loaded == [[]] * (1 + len(plain)) + [ANALYSIS] * len(analyses)
+    # the imports, then the plain commands, leave every watched module out but
+    # the sweeps' sweep_metrics; the max_lyap_derivative sweep and analyze load
+    # analysis
+    assert loaded == (
+        [[]] * (1 + 2 * len(names)) + [SWEEP] * (len(plain) - 2 * len(names))
+        + [ANALYSIS + SWEEP] * len(analyses)
+    )
     assert (tmp_path / "sweep_out" / "results.csv").read_text().count("\n") == 3
     assert (tmp_path / "short_out" / "results.csv").read_text().count("\n") == 3
     assert main(["sweep", str(lyap_spec), "-o", str(tmp_path / "lyap_again")]) == 0

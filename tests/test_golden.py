@@ -5,15 +5,17 @@ SHA-256 of each file they write.
 
 The digests are the benchmark's own (``benchmarks/digests.json``, the
 ``full`` ``preset_pipeline``, ``ring_swarm`` and ``param_sweep`` entries);
-these tests only read them.  A change that alters any output byte, in the
-run files, ``lyapunov.csv``, ``verification.txt``, the ``plotdata`` panels
-or the sweep's ``results.csv``, fails here.  The ring runs on the numpy
-pair stage, so it pins that stage byte for byte against digests the scalar
-engine made.
+these tests only read them.  One more sweep, of every metric over a
+12-robot ring, is pinned here (``RING_SWEEP_DIGEST``).  A change that alters
+any output byte, in the run files, ``lyapunov.csv``, ``verification.txt``,
+the ``plotdata`` panels or a sweep's ``results.csv``, fails here.  Both
+rings run on the numpy pair stage, so they pin that stage byte for byte
+against digests the scalar engine made.
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from vortex_ca.cli import main
@@ -77,3 +79,45 @@ def test_param_sweep_outputs_match_pinned_digests(tmp_path, monkeypatch):
         for path in sorted(outdir.iterdir())
     }
     assert digests == pinned
+
+
+# results.csv of ``ring_sweep`` below, as the engine wrote it when each cell
+# built its full trajectory log and read its metrics from it.
+RING_SWEEP_DIGEST = "bd354602af5bd5483b1282eee1d10e2341860d0130496552f69024a102b33a84"
+
+
+def ring_sweep(tmp_path):
+    """A two-cell lambda sweep of every metric over 12 robots on a 1.2 m
+    circle, each bound for its antipode: robot 1 has a near goal, which it
+    reaches at one lambda and not at the other, robot 2 is non-cooperative,
+    robot 3 stationary and robot 4 attacks robot 7.  Every third of the 70
+    steps is recorded, so the last one is recorded only as the last, and it
+    holds the smallest separation."""
+    robots = []
+    for k in range(12):
+        angle = 2.0 * math.pi * k / 12
+        x, y = 1.2 * math.cos(angle), 1.2 * math.sin(angle)
+        robots.append({"id": k + 1, "x": x, "y": y, "heading": angle + math.pi,
+                       "goal": [-x, -y]})
+    robots[0]["goal"] = [robots[0]["x"] * 0.75, robots[0]["y"] * 0.75]
+    robots[1]["behavior"] = "noncooperative"
+    robots[2] = {key: value for key, value in robots[2].items() if key != "goal"}
+    robots[2]["behavior"] = "stationary"
+    robots[3].update(behavior="attacking", target=7)
+    base = tmp_path / "ring12.json"
+    base.write_text(json.dumps({"name": "ring12", "t_max": 0.7, "record_stride": 3,
+                                "robots": robots}))
+    spec = tmp_path / "ring_sweep.json"
+    spec.write_text(json.dumps({
+        "base_scenario": str(base),
+        "axes": [{"path": "params.lambda", "values": [10.0, 40.0]}],
+        "metrics": ["min_separation", "time_to_goal", "body_overlap", "max_lyap_derivative"],
+    }))
+    return spec
+
+
+def test_array_stage_sweep_matches_its_pinned_digest(tmp_path):
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", str(ring_sweep(tmp_path)), "-o", str(outdir)]) == 0
+    results = (outdir / "results.csv").read_bytes()
+    assert hashlib.sha256(results).hexdigest() == RING_SWEEP_DIGEST, results.decode()

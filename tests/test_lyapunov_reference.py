@@ -2,17 +2,17 @@
 
 The reference is the per-step loop the column form replaced: at every
 recorded step it lists the triggered pairs, collects the engaged robots (the
-active cooperative endpoints of those pairs) and sums ``_multi_robot_term``
-over the triggered pairs in pair order from 0.0.  ``multi_lyapunov`` must
-reproduce its value and analytic derivative bit for bit, so every
-comparison below is ``==``.
+active cooperative endpoints of those pairs) and sums ``_multi_robot_value``
+and ``_multi_robot_derivative`` over the triggered pairs in pair order from
+0.0.  ``multi_lyapunov`` must reproduce its value and analytic derivative
+bit for bit, so every comparison below is ``==``.
 """
 
 import math
 
 import pytest
 
-from vortex_ca.analysis import _multi_robot_term, multi_lyapunov
+from vortex_ca.analysis import _multi_robot_derivative, _multi_robot_value, multi_lyapunov
 from vortex_ca.engine import EVENT_STOPPED, Scenario, run
 from vortex_ca.fields import PFParams
 from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState
@@ -49,10 +49,10 @@ def reference_multi_lyapunov(log, params):
         total = 0.0
         dtotal = 0.0
         for trace in traces:
-            value, deriv = _multi_robot_term(
+            total += _multi_robot_value(trace.r[k], trace.vr[k], trace.vth[k])
+            deriv = _multi_robot_derivative(
                 trace.r[k], trace.vr[k], trace.vth[k], trace.vrel[k], params.lam, n_active
             )
-            total += value
             if n_active >= 1:
                 dtotal += deriv
         values.append(total)
