@@ -11,7 +11,12 @@ order, so results.csv does not depend on k.  k is 1 unless forking is safe
 A cell builds no trajectory log: ``fold_metrics`` folds its metrics over
 the recorded steps as the run records them.
 
-Exit codes: 0 clean, 1 error, 2 body overlap occurred.
+Exit codes: 0 clean, 1 error, 2 body overlap occurred.  ``main`` owns the
+mapping from failure to exit code: the commands raise, and ``main`` turns a
+ScenarioError, an aborted simulation or an OSError into ``error:`` lines on
+stderr and exit 1.  Only failures with a text of their own (an unknown
+regime, an unreadable run directory, a run ``analyze`` cannot measure, a
+sweep cell's error) are reported by the command.
 """
 
 from __future__ import annotations
@@ -342,25 +347,8 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> LyapunovSeries:
 # Commands
 
 
-def _report_os_error(exc: OSError, outdir: str) -> int:
-    print(f"error: {exc.filename or outdir}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_ERROR
-
-
 def cmd_run(scenario_path: str, outdir: str) -> int:
-    try:
-        scenario = load_scenario(scenario_path)
-        log = run(scenario)
-        return write_run_outputs(log, outdir)
-    except ScenarioError as exc:
-        for error in exc.errors:
-            print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    except (CollisionSingularity, SimulationFault) as exc:
-        print(f"error: simulation aborted: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        return _report_os_error(exc, outdir)
+    return write_run_outputs(run(load_scenario(scenario_path)), outdir)
 
 
 def fold_metrics(scenario: Scenario, metrics: Sequence[str]) -> dict[str, Any]:
@@ -476,13 +464,7 @@ def _sweep_child(
 
 
 def cmd_sweep(spec_path: str, outdir: str) -> int:
-    try:
-        spec = load_sweep(spec_path)
-    except ScenarioError as exc:
-        for error in exc.errors:
-            print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-
+    spec = load_sweep(spec_path)
     axis_paths = [path for path, _ in spec.axes]
     header = axis_paths + list(spec.metrics) + ["error"]
 
@@ -502,14 +484,11 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
 
     # The output is opened before the first cell runs.
     n_cells = math.prod(len(values) for _, values in spec.axes)
-    try:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8", newline="") as handle:
-            handle.write(",".join(map(_sweep_cell, header)) + "\n")
-            _write_rows(handle, itertools.product(*(values for _, values in spec.axes)),
-                        row_text, _sweep_workers(spec, n_cells))
-    except OSError as exc:
-        return _report_os_error(exc, outdir)
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(map(_sweep_cell, header)) + "\n")
+        _write_rows(handle, itertools.product(*(values for _, values in spec.axes)),
+                    row_text, _sweep_workers(spec, n_cells))
     return EXIT_OK
 
 
@@ -644,14 +623,22 @@ def main(argv: Iterable[str] | None = None) -> int:
     p_plot.add_argument("rundir", help="run output directory")
 
     args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.command == "run":
-        return cmd_run(args.scenario, args.out)
-    if args.command == "sweep":
-        return cmd_sweep(args.spec, args.out)
-    if args.command == "analyze":
-        return cmd_analyze(args.rundir, args.regime)
-    if args.command == "plotdata":
+    try:
+        if args.command == "run":
+            return cmd_run(args.scenario, args.out)
+        if args.command == "sweep":
+            return cmd_sweep(args.spec, args.out)
+        if args.command == "analyze":
+            return cmd_analyze(args.rundir, args.regime)
         return cmd_plotdata(args.rundir)
+    except ScenarioError as exc:
+        for error in exc.errors:
+            print(f"error: {error}", file=sys.stderr)
+    except (CollisionSingularity, SimulationFault) as exc:
+        print(f"error: simulation aborted: {exc}", file=sys.stderr)
+    except OSError as exc:  # an input or output the command cannot open or write
+        directory = args.out if args.command in ("run", "sweep") else args.rundir
+        print(f"error: {exc.filename or directory}: {exc.strerror or exc}", file=sys.stderr)
     return EXIT_ERROR
 
 

@@ -573,7 +573,7 @@ class _Swarm:
         x, y, phi, speed, active = self.x, self.y, self.phi, self.speed, self.active
         cos_phi, sin_phi = self.cos_phi, self.sin_phi
         for i, omega in enumerate(self.omega):
-            if not math.isfinite(omega):
+            if not math.isfinite(omega * dt):  # advance_pose turns by omega * dt
                 raise SimulationFault(f"robot {self.ids[i]}: non-finite propagation input")
             if active[i]:
                 x[i], y[i], phi[i] = advance_pose(

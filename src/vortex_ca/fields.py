@@ -79,9 +79,9 @@ def default_r_star(lam: float, speed: float, f_lim: float) -> float:
 
     At head-on closing the unsaturated repulsive magnitude is 2*lam*V/r^2;
     it reaches f_lim at r = sqrt(2*lam*V/f_lim).  Unbounded inputs give 0
-    (saturation never engages).
+    (saturation never engages), and so does V = 0, also where 2*lam overflows.
     """
-    if math.isinf(f_lim):
+    if math.isinf(f_lim) or speed == 0.0:
         return 0.0
     return math.sqrt(2.0 * lam * speed / f_lim)
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from scenario_strategies import fold_scenarios
 from vortex_ca import analysis, cli, engine
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind, analyze_log
 from vortex_ca.cli import PAIR_COLUMNS, ROBOT_COLUMNS, main, read_run, write_run_outputs
@@ -623,6 +623,33 @@ def test_cmd_run_reports_underflowing_repulsion(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# An attacker whose turn over one step, omega * dt, overflows although omega
+# is finite: the step would turn by an infinite angle.
+OVERTURN = {"dt": 1e10, "t_max": 1e10, "params": {"kp": 1e300}, "robots": [
+    {"id": 1, "x": 0.0, "y": 1.0, "behavior": "stationary"},
+    {"id": 2, "x": 0.0, "y": 0.0, "behavior": "attacking", "target": 1},
+]}
+OVERTURN_ERROR = "robot 2: non-finite propagation input"
+
+
+def test_cmd_run_reports_a_turn_that_overflows(tmp_path, capsys):
+    path = tmp_path / "overturn.json"
+    path.write_text(json.dumps(OVERTURN))
+    assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: simulation aborted: {OVERTURN_ERROR}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cmd_sweep_reports_a_turn_that_overflows_as_a_cell_error(tmp_path):
+    base = tmp_path / "overturn.json"
+    base.write_text(json.dumps(OVERTURN))
+    spec = _write_spec(tmp_path / "sweep.json", base, [("params.lambda", [10.0])])
+    assert main(["sweep", str(spec), "-o", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "results.csv").read_text().splitlines() == [
+        "params.lambda,min_separation,error", f"10,nan,{OVERTURN_ERROR}",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
@@ -996,44 +1023,6 @@ def test_max_lyap_derivative_sweep_forms_no_numeric_derivative(tmp_path, monkeyp
     assert all(math.isfinite(float(row[1])) for row in rows)
 
 
-BEHAVIORS = ("cooperative", "noncooperative", "stationary", "attacking")
-
-
-@st.composite
-def fold_scenarios(draw):
-    """2 to 14 robots of every behaviour at distinct points of a 3 m square
-    (12 and more run the array pair stage), some with a goal inside the stop
-    radius, some bodies overlapping from the start, for 1 to 20 steps of
-    0.05 s, recorded every 1 to 5 steps."""
-    n = draw(st.integers(2, 14))
-    grid = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
-    points = draw(st.lists(grid, min_size=n, max_size=n, unique=True))
-    robots = []
-    for k, (i, j) in enumerate(points):
-        x, y = 0.1 * i, 0.1 * j
-        behavior = draw(st.sampled_from(BEHAVIORS))
-        robot = {"id": k + 1, "x": x, "y": y, "behavior": behavior,
-                 "heading": draw(st.floats(-math.pi, math.pi)),
-                 "speed": 0.0 if behavior == "stationary" else draw(st.floats(0.05, 0.4)),
-                 "radius": draw(st.floats(0.05, 0.2))}
-        if behavior == "attacking":
-            robot["target"] = (k + 1) % n + 1
-        elif behavior != "stationary":
-            near = draw(st.booleans())
-            robot["goal"] = [x + 0.1, y] if near else [-x, -y]
-        robots.append(robot)
-    params = {"lambda": draw(st.floats(0.0, 50.0)), "vortex": draw(st.booleans()),
-              "kp": draw(st.floats(0.5, 10.0))}
-    if draw(st.booleans()):
-        params["f_lim"] = draw(st.floats(0.05, 2.0))
-    if draw(st.booleans()):
-        params["omega_max"] = draw(st.floats(0.05, 2.0))
-    return scenario_from_dict({
-        "name": "fold", "dt": 0.05, "t_max": 0.05 * draw(st.integers(1, 20)),
-        "record_stride": draw(st.integers(1, 5)), "params": params, "robots": robots,
-    })
-
-
 def outcome(compute):
     """What ``compute()`` returns, or the class and text of what it raised."""
     try:
@@ -1145,6 +1134,33 @@ def test_cmd_sweep_reports_an_unusable_output_path_before_any_cell(tmp_path, cap
     spec_path.write_text(json.dumps(_axis_spec("params.lambda", metrics=["min_separation"])))
     assert main(["sweep", str(spec_path), "-o", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
+
+
+def test_cmd_sweep_reports_a_spec_it_cannot_read(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.mkdir()
+    assert main(["sweep", str(spec), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {spec}: Is a directory\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("analyze", "lyapunov.csv"),
+    ("analyze", "verification.txt"),
+    ("plotdata", "xy_paths.csv"),
+    ("plotdata", "vrvth.csv"),
+    ("plotdata", "separation.csv"),
+])
+def test_analyze_and_plotdata_report_an_output_they_cannot_write(
+    headon_rundir, tmp_path, capsys, command, blocked
+):
+    rundir = tmp_path / "run"
+    shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(blocked))
+    (rundir / blocked).mkdir()
+    argv = [command, str(rundir)] + (["--regime", "coop_pair"] if command == "analyze" else [])
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {rundir / blocked}: Is a directory\n"
 
 
 # ---------------------------------------------------------------------------

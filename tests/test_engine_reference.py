@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import pytest
+from hypothesis import given, settings
 
+from scenario_strategies import fold_scenarios
 from vortex_ca.control import force_heading, heading_controller
 from vortex_ca.engine import (
     EVENT_GOAL,
@@ -454,3 +456,17 @@ def test_run_matches_reference_on_contact_re_entry():
     inside = [r < 0.24 for r in log.pairs[(1, 2)].r]
     assert inside[first] and not all(inside[first:second]) and inside[second]
     assert_logs_equal(log, reference_run(scenario))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fold_scenarios())
+def test_run_matches_reference_on_drawn_scenarios(scenario):
+    # a run the reference aborts must abort in the engine with the same fault
+    try:
+        ref = reference_run(scenario)
+    except Exception as exc:
+        with pytest.raises(Exception) as err:
+            run(scenario)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        return
+    assert_logs_equal(run(scenario), ref)

@@ -1,11 +1,18 @@
-"""Fuzz oracle for the scenario JSON boundary: whatever JSON value a user
-gives, ``scenario_from_dict`` returns a Scenario or raises ScenarioError."""
+"""Fuzz oracles for the scenario JSON boundary: whatever JSON value a user
+gives, ``scenario_from_dict`` returns a Scenario or raises ScenarioError;
+and a valid scenario, however extreme its numbers, goes through ``run``,
+``analyze`` and ``plotdata`` to an exit code, never a traceback."""
 
+import json
 import math
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenario_strategies import extreme_scenarios
+from vortex_ca.cli import REGIME_NAMES, main
 from vortex_ca.engine import Scenario, ScenarioError
 from vortex_ca.scenarios import scenario_from_dict
 
@@ -58,3 +65,17 @@ def test_any_json_value_parses_or_reports(data):
 @given(scenario_shaped())
 def test_wrong_typed_fields_parse_or_report(data):
     _parses_or_reports(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(extreme_scenarios())
+def test_extreme_scenarios_end_in_an_exit_code(data):
+    assert isinstance(scenario_from_dict(data), Scenario)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "scenario.json"), os.path.join(tmp, "run")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        assert main(["run", path, "-o", out]) in (0, 1, 2)
+        for regime in sorted(REGIME_NAMES):
+            assert main(["analyze", out, "--regime", regime]) in (0, 1)
+        assert main(["plotdata", out]) in (0, 1)
