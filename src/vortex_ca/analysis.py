@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from operator import sub, truediv
 from typing import Callable, Sequence
@@ -47,14 +46,8 @@ class LyapunovSeries:
     t: list[float]
     value: list[float]
     derivative_analytic: list[float]
+    derivative_numeric: list[float]
     regime: RegimeKind
-
-    @cached_property
-    def derivative_numeric(self) -> list[float]:
-        """Central-difference derivative of ``value`` over ``t`` (one-sided at
-        the ends), formed on first read: a sweep cell reads only the
-        analytic one."""
-        return numeric_derivative(self.value, self.t)
 
 
 def closed_loop_rhs(
@@ -338,7 +331,9 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> LyapunovSeries:
                 total += _multi_robot_value(r[p], vr[p], vth[p])
         values.append(total)
         derivs.append(multi_robot_derivative(r, vr, vth, vrel, triggered, flags, ends, lam))
-    return LyapunovSeries(log.t, values, derivs, RegimeKind.MULTI_ROBOT)
+    return LyapunovSeries(
+        log.t, values, derivs, numeric_derivative(values, log.t), RegimeKind.MULTI_ROBOT
+    )
 
 
 def _ieee_div(a: float, b: float) -> float:
@@ -402,7 +397,7 @@ def _lyapunov_series(
         value, deriv = lyapunov(regime, *state, params)
         values.append(value)
         derivs.append(deriv)
-    return LyapunovSeries(log.t, values, derivs, regime)
+    return LyapunovSeries(log.t, values, derivs, numeric_derivative(values, log.t), regime)
 
 
 def pair_lyapunov_series(

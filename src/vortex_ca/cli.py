@@ -13,10 +13,10 @@ the recorded steps as the run records them.
 
 Exit codes: 0 clean, 1 error, 2 body overlap occurred.  ``main`` owns the
 mapping from failure to exit code: the commands raise, and ``main`` turns a
-ScenarioError, an aborted simulation or an OSError into ``error:`` lines on
-stderr and exit 1.  Only failures with a text of their own (an unknown
-regime, an unreadable run directory, a run ``analyze`` cannot measure, a
-sweep cell's error) are reported by the command.
+ScenarioError, an aborted simulation, an OSError or a ``CommandError`` (an
+unknown regime, an unreadable run directory, a run ``analyze`` cannot
+measure) into ``error:`` lines on stderr and exit 1.  A usage error exits 1
+too, after argparse's usage text.  Only a sweep cell's error stays in its row.
 """
 
 from __future__ import annotations
@@ -28,13 +28,15 @@ import math
 import os
 import sys
 from typing import (
-    IO, TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NamedTuple, NoReturn,
-    Sequence,
+    IO, TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NoReturn, Sequence,
 )
 
 from .engine import (
     EVENT_GOAL,
     EVENT_OVERLAP,
+    PAIR_COLUMNS,
+    ROBOT_COLUMNS,
+    Column,
     Event,
     PairTrace,
     RobotTrace,
@@ -74,34 +76,16 @@ def _pair_tag(key: tuple[int, int]) -> str:
 # Run output writers / readers
 
 
-class Column(NamedTuple):
-    """One per-robot or per-pair CSV column: header suffix, trace attribute
-    (None for the pair ``theta``, which the writer forms from the logged
-    positions with ``TrajectoryLog.pair_theta``), 0/1 flag."""
-
-    suffix: str
-    attr: str | None
-    flag: bool = False
-
-
-# The column contract of trajectory.csv (per robot, after ``t``) and pairs.csv
-# (per pair, after ``t``); headers, writers, read_run and plotdata use these.
-ROBOT_COLUMNS = (
-    Column("x", "x"), Column("y", "y"), Column("phi", "phi"), Column("omega", "omega"),
-    Column("fx", "fx"), Column("fy", "fy"), Column("repfx", "rep_fx"), Column("repfy", "rep_fy"),
-    Column("active", "active", flag=True),
-)
-PAIR_COLUMNS = (
-    Column("r", "r"), Column("theta", None), Column("vr", "vr"), Column("vth", "vth"),
-    Column("vrel", "vrel"), Column("trig", "triggered", flag=True),
-)
-
 FLOAT = "%.17g"  # prints exactly what f"{value:.17g}" prints
 FLAG = "%d"
 
 
 class RunFormatError(ValueError):
     """A run directory file does not follow the documented format."""
+
+
+class CommandError(Exception):
+    """A failure with a text of its own; ``main`` prints it as one ``error:`` line."""
 
 
 def _write_table(path: str, columns: Sequence[tuple[str, str, Sequence[Any]]]) -> None:
@@ -113,15 +97,11 @@ def _write_table(path: str, columns: Sequence[tuple[str, str, Sequence[Any]]]) -
 
 
 def _traced_columns(
-    tag: str, trace: Any, columns: Sequence[Column], derived: Sequence[float] = ()
+    tag: str, trace: Any, columns: Sequence[Column], code: str = ""
 ) -> list[tuple[str, str, Any]]:
-    """Writer columns of one robot or pair; ``derived`` holds the values of
-    the column without a trace attribute."""
-    return [
-        (f"{tag}_{col.suffix}", FLAG if col.flag else FLOAT,
-         derived if col.attr is None else getattr(trace, col.attr))
-        for col in columns
-    ]
+    """Writer columns of one robot or pair, in %-format ``code`` or else the column's own."""
+    return [(f"{tag}_{col.suffix}", code or (FLAG if col.flag else FLOAT), getattr(trace, col.attr))
+            for col in columns]
 
 
 def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
@@ -134,8 +114,7 @@ def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
 def write_pairs_csv(log: TrajectoryLog, path: str) -> None:
     columns = [("t", FLOAT, log.t)]
     for key in log.pair_ids():
-        columns += _traced_columns(_pair_tag(key), log.pairs[key], PAIR_COLUMNS,
-                                   log.pair_theta(key))
+        columns += _traced_columns(_pair_tag(key), log.pairs[key], PAIR_COLUMNS)
     _write_table(path, columns)
 
 
@@ -237,18 +216,13 @@ def _trace_fields(
     parse: Collection[str] | None, text: Collection[str],
 ) -> dict:
     """Trace attributes from ``table`` as ``read_run`` documents them."""
-    fields = {}
+    fields = dict.fromkeys(col.attr for col in columns)  # None where not read
     for col in columns:
         name = f"{tag}_{col.suffix}"
         cells = _cells(path, table, name)  # present even when it is not read
-        if col.attr is None:  # formed from the positions, so only checked
-            if parse is None:
-                _column(path, table, name)
-        elif col.attr in text or parse is None or col.attr in parse:
+        if col.attr in text or parse is None or col.attr in parse:
             values = _column(path, table, name, _parse_flag if col.flag else float)
             fields[col.attr] = cells if col.attr in text else values
-        else:
-            fields[col.attr] = None
     return fields
 
 
@@ -262,9 +236,7 @@ def read_run(
     parse, all of them when None.  An attribute or ``t`` named in ``text``
     holds its cell strings instead, after they are checked to parse.  Every
     other trace attribute is None, and its cells are not checked.  ``t`` is
-    always read and the events always parsed.  The pair ``theta`` cells are
-    checked only when ``parse`` is None and kept nowhere:
-    ``TrajectoryLog.pair_theta`` forms them again from the positions.
+    always read and the events always parsed.
     """
     path = os.path.join(outdir, "summary.json")
     try:
@@ -316,9 +288,9 @@ def read_run(
 
 
 # ---------------------------------------------------------------------------
-# Analysis, imported on first use: `run`, `plotdata` and sweeps without
-# max_lyap_derivative never compile or execute it.  The commands call these
-# three analysis functions through the module-level bindings below.
+# Module-level bindings of three analysis functions, which the commands call
+# and benchmarks/tracer.py wraps for its spans.  Each imports analysis when
+# called: this module does not, so ``run`` and ``plotdata`` never load it.
 
 
 def analyze_log(
@@ -502,14 +474,13 @@ def _write_lyapunov_csv(series: LyapunovSeries, path: str) -> None:
     ])
 
 
-def _read_run_or_report(
+def _read_run_or_fail(
     rundir: str, parse: Collection[str], text: Collection[str] = ()
-) -> TrajectoryLog | None:
+) -> TrajectoryLog:
     try:
         return read_run(rundir, parse, text)
     except (OSError, ValueError) as exc:  # RunFormatError, ScenarioError, bad JSON or UTF-8
-        print(f"error: cannot read run directory {rundir}: {exc}", file=sys.stderr)
-        return None
+        raise CommandError(f"cannot read run directory {rundir}: {exc}") from None
 
 
 def regime_lyapunov(log: TrajectoryLog, regime: RegimeKind) -> LyapunovSeries:
@@ -526,28 +497,21 @@ def regime_lyapunov(log: TrajectoryLog, regime: RegimeKind) -> LyapunovSeries:
 
 def cmd_analyze(rundir: str, regime_name: str) -> int:
     if regime_name not in REGIME_NAMES:
-        print(
-            f"error: unknown regime {regime_name!r} (known: {', '.join(sorted(REGIME_NAMES))})",
-            file=sys.stderr,
+        raise CommandError(
+            f"unknown regime {regime_name!r} (known: {', '.join(sorted(REGIME_NAMES))})"
         )
-        return EXIT_ERROR
     from . import analysis
 
     regime = REGIME_NAMES[regime_name]
-    log = _read_run_or_report(rundir, analysis.REGIME_COLUMNS[regime])
-    if log is None:
-        return EXIT_ERROR
-
+    log = _read_run_or_fail(rundir, analysis.REGIME_COLUMNS[regime])
     try:
         analysis.require_regime(log, regime)
         series = regime_lyapunov(log, regime)
         checks = analyze_log(log, regime, log.scenario.params, series)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise CommandError(str(exc)) from None
     except ArithmeticError as exc:  # a cell beyond the range of a check's formula
-        print(f"error: cannot analyze {rundir}: {exc!r}", file=sys.stderr)
-        return EXIT_ERROR
+        raise CommandError(f"cannot analyze {rundir}: {exc!r}") from None
     _write_lyapunov_csv(series, os.path.join(rundir, "lyapunov.csv"))
 
     lines = [f"{check.status} {check.name}: {check.detail}" for check in checks]
@@ -566,30 +530,23 @@ PLOT_COPIED = ("t", "x", "y", "r", "triggered")
 TEXT = "%s"
 
 
-def _copied_columns(tag: str, trace: Any, columns: Sequence[Column]) -> list[tuple[str, str, Any]]:
-    return [(f"{tag}_{col.suffix}", TEXT, getattr(trace, col.attr)) for col in columns]
-
-
 def cmd_plotdata(rundir: str) -> int:
-    log = _read_run_or_report(rundir, PLOT_PARSED, PLOT_COPIED)
-    if log is None:
-        return EXIT_ERROR
-
+    log = _read_run_or_fail(rundir, PLOT_PARSED, PLOT_COPIED)
     xy = ROBOT_COLUMNS[:2]
     r, _, vr, vth, _, trig = PAIR_COLUMNS
     speeds = {robot.id: robot.speed for robot in log.scenario.robots}
     t_column = ("t", TEXT, log.t)
     paths, vrvth, separation = [t_column], [t_column], [t_column]
     for rid in log.robot_ids():
-        paths += _copied_columns(f"r{rid}", log.robots[rid], xy)
+        paths += _traced_columns(f"r{rid}", log.robots[rid], xy, TEXT)
     for key in log.pair_ids():
         tag, trace = _pair_tag(key), log.pairs[key]
         scale = max(speeds[key[0]], speeds[key[1]], 1e-30)
         for col in (vr, vth):
             normed = [v / scale for v in getattr(trace, col.attr)]
             vrvth.append((f"{tag}_{col.suffix}_norm", FLOAT, normed))
-        vrvth += _copied_columns(tag, trace, [trig])
-        separation += _copied_columns(tag, trace, [r])
+        vrvth += _traced_columns(tag, trace, [trig], TEXT)
+        separation += _traced_columns(tag, trace, [r], TEXT)
     _write_table(os.path.join(rundir, "xy_paths.csv"), paths)
     _write_table(os.path.join(rundir, "vrvth.csv"), vrvth)
     _write_table(os.path.join(rundir, "separation.csv"), separation)
@@ -622,7 +579,10 @@ def main(argv: Iterable[str] | None = None) -> int:
     p_plot = sub.add_parser("plotdata", help="emit plot-ready CSV panels for a run")
     p_plot.add_argument("rundir", help="run output directory")
 
-    args = parser.parse_args(list(argv) if argv is not None else None)
+    try:
+        args = parser.parse_args(list(argv) if argv is not None else None)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means an overlap here
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         if args.command == "run":
             return cmd_run(args.scenario, args.out)
@@ -634,6 +594,8 @@ def main(argv: Iterable[str] | None = None) -> int:
     except ScenarioError as exc:
         for error in exc.errors:
             print(f"error: {error}", file=sys.stderr)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
     except (CollisionSingularity, SimulationFault) as exc:
         print(f"error: simulation aborted: {exc}", file=sys.stderr)
     except OSError as exc:  # an input or output the command cannot open or write

@@ -10,7 +10,8 @@ which reads the swarm's state, and it appends each event to the recorder's
 The default, ``LogRecorder``, appends each recorded step to a
 ``TrajectoryLog``, which ``run`` then returns; a sweep cell's recorder
 (``sweep_metrics.MetricsFold``) keeps only the running values its metrics
-read.
+read.  The log's traces hold one list per column of trajectory.csv and
+pairs.csv; ``ROBOT_COLUMNS`` and ``PAIR_COLUMNS`` are that schema.
 
 Updates are simultaneous (Jacobi-style): every engagement and force in a step
 is computed from the pre-step snapshot, never from partially updated robots.
@@ -29,9 +30,9 @@ The loop keeps only the state the step needs: each robot's constants
 formed once, before the loop, and the last of them again only when a robot
 stops (``_Swarm.stop``); the cosine and sine of each heading are formed once
 per step, for the pair stage and the propagation; the LOS angle of each
-pair, which nothing in the step reads, is not formed at all
-(``TrajectoryLog.pair_theta`` forms it from the logged positions for the
-writer); the pair columns only a recorder reads are formed as lists by
+pair, which nothing in the step reads, is not formed in the step at all
+(``LogRecorder.result`` forms it from the logged positions); the pair
+columns only a recorder reads are formed as lists by
 ``_Swarm.pair_columns``, on recorded steps alone and only for a recorder
 that asks for them; and the per-pair overlap list is formed only while some
 pair is, or comes, inside its contact distance.  The check for that is the
@@ -75,6 +76,7 @@ from .kinematics import (
     BehaviorKind,
     CollisionSingularity,
     RobotState,
+    ScenarioError,
     SimulationFault,
     advance_pose,
     check_finite,
@@ -92,22 +94,15 @@ _ARRAY_MIN_ROBOTS = 12
 #: Caps on the size of a run, checked by scenario validation before anything
 #: is allocated: the physics steps (round(t_max / dt)), and the values a log
 #: at record_stride keeps, (steps // record_stride + 2) * (1 + 9 N + 6 P) for
-#: N robots and P pairs, one per cell of trajectory.csv and pairs.csv.  Each
-#: is over 100 times what the presets and the benchmark workloads use; the
-#: values cap keeps a log under about 1.6 GB of Python floats.
+#: N robots and P pairs, one per cell of ``ROBOT_COLUMNS`` and
+#: ``PAIR_COLUMNS``.  Each is over 100 times what the presets and the
+#: benchmark workloads use; the values cap keeps a log under about 1.6 GB of
+#: Python floats.
 MAX_STEPS = 10_000_000
 MAX_RECORDED_VALUES = 50_000_000
 
 _COOPERATIVE = BehaviorKind.COOPERATIVE
 _ATTACKING = BehaviorKind.ATTACKING
-
-
-class ScenarioError(ValueError):
-    """A scenario failed validation; ``errors`` lists every problem found."""
-
-    def __init__(self, errors: list[str]):
-        super().__init__("; ".join(errors))
-        self.errors = errors
 
 
 @dataclass(frozen=True)
@@ -123,9 +118,11 @@ class Scenario:
     record_stride: int = 1
     name: str = "scenario"
 
-    def validation_errors(self) -> list[str]:
+    def validation_errors(self, all_robots: bool = True) -> list[str]:
+        """Every problem found; ``all_robots`` False (some robot entries were
+        rejected) skips the checks that a rejected robot could satisfy."""
         errors: list[str] = []
-        if not self.robots:
+        if not self.robots and all_robots:
             errors.append("scenario has no robots")
         if not self.dt > 0.0:
             errors.append("dt must be > 0")
@@ -149,12 +146,12 @@ class Scenario:
         known = set(ids)
         for robot in self.robots:
             if robot.behavior is BehaviorKind.ATTACKING:
-                if robot.attack_target not in known:
+                if robot.attack_target == robot.id:
+                    errors.append(f"robot {robot.id}: cannot attack itself")
+                elif robot.attack_target not in known and all_robots:
                     errors.append(
                         f"robot {robot.id}: attack target {robot.attack_target} does not exist"
                     )
-                elif robot.attack_target == robot.id:
-                    errors.append(f"robot {robot.id}: cannot attack itself")
             if robot.behavior in (BehaviorKind.COOPERATIVE, BehaviorKind.NON_COOPERATIVE):
                 if robot.goal is None:
                     errors.append(f"robot {robot.id}: {robot.behavior.value} behavior needs a goal")
@@ -171,7 +168,8 @@ class Scenario:
         if round(steps) > MAX_STEPS:
             return [f"t_max / dt gives {steps:.6g} steps (the cap is {MAX_STEPS})"]
         n = len(self.robots)
-        values = (self.n_steps() // self.record_stride + 2) * (1 + 9 * n + 3 * n * (n - 1))
+        row = 1 + len(ROBOT_COLUMNS) * n + len(PAIR_COLUMNS) * (n * (n - 1) // 2)
+        values = (self.n_steps() // self.record_stride + 2) * row
         if values > MAX_RECORDED_VALUES:
             return [
                 f"the log would record {values} values (the cap is {MAX_RECORDED_VALUES}); "
@@ -199,6 +197,28 @@ EVENT_STOPPED = "Stopped"
 EVENT_OVERLAP = "BodyOverlap"
 
 
+class Column(NamedTuple):
+    """One per-robot or per-pair CSV column: header suffix, trace attribute, 0/1 flag."""
+
+    suffix: str
+    attr: str
+    flag: bool = False
+
+
+# The column contract of trajectory.csv (per robot, after ``t``) and pairs.csv
+# (per pair, after ``t``), in the field order of RobotTrace and PairTrace;
+# headers, writers, read_run, plotdata and the size cap use these.
+ROBOT_COLUMNS = (
+    Column("x", "x"), Column("y", "y"), Column("phi", "phi"), Column("omega", "omega"),
+    Column("fx", "fx"), Column("fy", "fy"), Column("repfx", "rep_fx"), Column("repfy", "rep_fy"),
+    Column("active", "active", flag=True),
+)
+PAIR_COLUMNS = (
+    Column("r", "r"), Column("theta", "theta"), Column("vr", "vr"), Column("vth", "vth"),
+    Column("vrel", "vrel"), Column("trig", "triggered", flag=True),
+)
+
+
 @dataclass
 class RobotTrace:
     x: list[float] = field(default_factory=list)
@@ -214,10 +234,11 @@ class RobotTrace:
 
 @dataclass
 class PairTrace:
-    """A pair's recorded engagement; its LOS angle is not kept but formed
-    from the logged positions (``TrajectoryLog.pair_theta``)."""
+    """A pair's recorded engagement; ``theta`` is the LOS angle from its
+    first robot to its second."""
 
     r: list[float] = field(default_factory=list)
+    theta: list[float] = field(default_factory=list)
     vr: list[float] = field(default_factory=list)
     vth: list[float] = field(default_factory=list)
     vrel: list[float] = field(default_factory=list)
@@ -242,13 +263,6 @@ class TrajectoryLog:
 
     def has_event(self, kind: str) -> bool:
         return any(e.kind == kind for e in self.events)
-
-    def pair_theta(self, key: tuple[int, int]) -> list[float]:
-        """LOS angle of a pair at every recorded step, from its first robot to
-        its second: ``atan2`` on the logged positions, the floats the step
-        used."""
-        a, b = self.robots[key[0]], self.robots[key[1]]
-        return list(map(math.atan2, map(operator.sub, b.y, a.y), map(operator.sub, b.x, a.x)))
 
 
 class _Swarm:
@@ -332,10 +346,16 @@ class _Swarm:
         self.fault: list[Exception | None] = [None] * n
         self.omega = [0.0] * n
         self.phi_des: list[float | None] = [None] * n
-        if n >= _ARRAY_MIN_ROBOTS:
-            self.pair_stage, self.touching = self._array_pair_stage, self._array_touching
-        else:
-            self.pair_stage, self.touching = self._scalar_pair_stage, self._scalar_touching
+        self.array = n >= _ARRAY_MIN_ROBOTS  # which pair stage runs
+
+    # Properties: bound methods kept on the swarm would make it a GC-only cycle.
+    @property
+    def pair_stage(self) -> Callable[[], None]:
+        return self._array_pair_stage if self.array else self._scalar_pair_stage
+
+    @property
+    def touching(self) -> Callable[[], bool]:
+        return self._array_touching if self.array else self._scalar_touching
 
     @cached_property
     def _pair_index(self):
@@ -596,7 +616,8 @@ class Recorder(Protocol):
 
 class LogRecorder:
     """The default recorder: every recorded step appended to a
-    ``TrajectoryLog``, which ``result`` returns."""
+    ``TrajectoryLog``, which ``result`` returns after forming each pair's
+    ``theta`` by ``atan2`` on the logged positions, the floats the step used."""
 
     def __init__(self, scenario: Scenario):
         self.log = TrajectoryLog(scenario=scenario)
@@ -636,6 +657,10 @@ class LogRecorder:
         return record
 
     def result(self) -> TrajectoryLog:
+        for (i, j), trace in self.log.pairs.items():
+            a, b = self.log.robots[i], self.log.robots[j]
+            dy, dx = map(operator.sub, b.y, a.y), map(operator.sub, b.x, a.x)
+            trace.theta = list(map(math.atan2, dy, dx))
         return self.log
 
 

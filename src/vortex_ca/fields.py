@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kinematics import EPS_V_DEFAULT, check_finite
+from .kinematics import EPS_V_DEFAULT, ScenarioError, check_finite
 
 
 @dataclass(frozen=True)
@@ -51,27 +51,24 @@ class PFParams:
     vortex: bool = True
 
     def __post_init__(self) -> None:
-        if not self.kappa >= 0.0:
-            raise ValueError("kappa must be >= 0")
-        if not self.lam >= 0.0:
-            raise ValueError("lambda must be >= 0")
-        if not self.r_star >= 0.0:
-            raise ValueError("r_star must be >= 0")
-        if not self.f_lim > 0.0:
-            raise ValueError("f_lim must be > 0 (math.inf disables saturation)")
-        if not self.kp > 0.0:
-            raise ValueError("kp must be > 0")
-        if not self.goal_tol > 0.0:
-            raise ValueError("goal_tol must be > 0")
-        if not self.eps_v > 0.0:
-            raise ValueError("eps_v must be > 0")
-        if not self.omega_max > 0.0:
-            raise ValueError("omega_max must be > 0")
-        # f_lim and omega_max take inf as "unbounded"; the gains may not.
-        for name, value in (("kappa", self.kappa), ("lambda", self.lam), ("kp", self.kp),
-                            ("goal_tol", self.goal_tol), ("eps_v", self.eps_v)):
-            if math.isinf(value):
-                raise ValueError(f"{name} must be finite")
+        """Raise ScenarioError listing every bound broken, one per field."""
+        gains = (("kappa", self.kappa), ("lambda", self.lam), ("kp", self.kp),
+                 ("goal_tol", self.goal_tol), ("eps_v", self.eps_v))
+        errors = [f"{name} must be {bound}" for name, ok, bound in (
+            ("kappa", self.kappa >= 0.0, ">= 0"),
+            ("lambda", self.lam >= 0.0, ">= 0"),
+            ("r_star", self.r_star >= 0.0, ">= 0"),
+            ("f_lim", self.f_lim > 0.0, "> 0 (math.inf disables saturation)"),
+            ("kp", self.kp > 0.0, "> 0"),
+            ("goal_tol", self.goal_tol > 0.0, "> 0"),
+            ("eps_v", self.eps_v > 0.0, "> 0"),
+            ("omega_max", self.omega_max > 0.0, "> 0"),
+            # f_lim and omega_max take inf as "unbounded"; the gains may not
+            # (-inf already fails its bound above).
+            *((name, value != math.inf, "finite") for name, value in gains),
+        ) if not ok]
+        if errors:
+            raise ScenarioError(errors)
 
 
 def default_r_star(lam: float, speed: float, f_lim: float) -> float:

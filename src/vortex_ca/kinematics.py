@@ -1,5 +1,5 @@
-"""Scenario input types, simulation errors, angle wrapping, and the float
-kernels of the engagement geometry and of unicycle propagation.
+"""Scenario input types, validation and simulation errors, angle wrapping,
+and the float kernels of the engagement geometry and of unicycle propagation.
 
 The kernels take and return plain floats, and the engine's step calls them;
 ``los_components`` is pure IEEE arithmetic, so the array pair stage calls it
@@ -20,6 +20,14 @@ TWO_PI = 2.0 * math.pi
 #: the repulsive trigger is forced off (guards the Vr/Vrel division and
 #: encodes the parallel-motion exemption).
 EPS_V_DEFAULT = 1e-6
+
+
+class ScenarioError(ValueError):
+    """A scenario failed validation; ``errors`` lists every problem found."""
+
+    def __init__(self, errors: list[str]):
+        super().__init__("; ".join(errors))
+        self.errors = errors
 
 
 class CollisionSingularity(Exception):
@@ -108,14 +116,16 @@ class RobotState:
     def __post_init__(self) -> None:
         if not math.isfinite(self.heading) or not math.isfinite(self.speed):
             raise SimulationFault(f"robot {self.id}: non-finite heading or speed")
-        if self.speed < 0.0:
-            raise ValueError(f"robot {self.id}: speed must be >= 0")
-        if not self.body_radius >= 0.0:
-            raise ValueError(f"robot {self.id}: body radius must be >= 0")
-        if self.behavior is BehaviorKind.STATIONARY and self.speed != 0.0:
-            raise ValueError(f"robot {self.id}: stationary behavior requires speed 0")
-        if self.behavior is BehaviorKind.ATTACKING and self.attack_target is None:
-            raise ValueError(f"robot {self.id}: attacking behavior requires a target id")
+        errors = [f"robot {self.id}: {problem}" for broken, problem in (
+            (self.speed < 0.0, "speed must be >= 0"),
+            (not self.body_radius >= 0.0, "body radius must be >= 0"),
+            (self.behavior is BehaviorKind.STATIONARY and self.speed != 0.0,
+             "stationary behavior requires speed 0"),
+            (self.behavior is BehaviorKind.ATTACKING and self.attack_target is None,
+             "attacking behavior requires a target id"),
+        ) if broken]
+        if errors:
+            raise ScenarioError(errors)
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
 

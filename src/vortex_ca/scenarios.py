@@ -124,6 +124,18 @@ SCENARIO_FIELDS = (
     Field("r_wheel", "r_wheel", _number),
     Field("record_stride", "record_stride", _integer),
 )
+# The fields of a robot entry besides ``behavior``, read as RobotState keywords
+# (``x`` and ``y`` form its position); the first three are required.
+ROBOT_FIELDS = (
+    Field("id", "id", _integer),
+    Field("x", "x", _number),
+    Field("y", "y", _number),
+    Field("heading", "heading", _number),
+    Field("speed", "speed", _number),
+    Field("radius", "body_radius", _number),
+    Field("goal", "goal", _or_null(_point)),
+    Field("target", "attack_target", _or_null(_integer)),
+)
 
 
 def _read_fields(data: dict, fields: tuple[Field, ...], errors: list[str], where: str = "") -> dict:
@@ -155,38 +167,35 @@ def params_from_dict(data: Any, errors: list[str], max_speed: float) -> PFParams
         values["r_star"] = default_r_star(lam, max_speed, f_lim) if lam >= 0.0 else PFParams.r_star
     try:
         return PFParams(**values)
-    except ValueError as exc:
-        errors.append(f"params: {exc}")
+    except ScenarioError as exc:
+        errors.extend(f"params: {error}" for error in exc.errors)
         return PFParams()
 
 
 def _robot_from_dict(data: Any, index: int, errors: list[str]) -> RobotState | None:
-    where = f"robots[{index}]"
+    where = f"robots[{index}]: "
     if not isinstance(data, dict):
-        errors.append(f"{where}: expected an object, got {data!r}")
+        errors.append(f"{where}expected an object, got {data!r}")
+        return None
+    n_errors = len(errors)
+    name = data.get("behavior", "cooperative")
+    behavior = _BEHAVIOR_NAMES.get(name) if isinstance(name, str) else None
+    if behavior is None:
+        errors.append(f"{where}unknown behavior {name!r}")
+    errors.extend(f"{where}missing field {f.key!r}" for f in ROBOT_FIELDS[:3] if f.key not in data)
+    speed = 0.0 if behavior is BehaviorKind.STATIONARY else _V
+    values = _read_fields({"heading": 0.0, "speed": speed, "radius": _R_BODY, **data},
+                          ROBOT_FIELDS, errors, where)
+    if len(errors) > n_errors:
         return None
     try:
-        name = data.get("behavior", "cooperative")
-        behavior = _BEHAVIOR_NAMES.get(name) if isinstance(name, str) else None
-        if behavior is None:
-            errors.append(f"{where}: unknown behavior {name!r}")
-            return None
         return RobotState(
-            id=_integer(data["id"], "id"),
-            position=PlanarVector(_number(data["x"], "x"), _number(data["y"], "y")),
-            heading=_number(data.get("heading", 0.0), "heading"),
-            speed=_number(
-                data.get("speed", 0.0 if behavior is BehaviorKind.STATIONARY else _V), "speed"
-            ),
-            body_radius=_number(data.get("radius", _R_BODY), "radius"),
-            behavior=behavior,
-            goal=_or_null(_point)(data.get("goal"), "goal"),
-            attack_target=_or_null(_integer)(data.get("target"), "target"),
+            position=PlanarVector(values.pop("x"), values.pop("y")), behavior=behavior, **values
         )
-    except KeyError as exc:
-        errors.append(f"{where}: missing field {exc}")
-    except (ValueError, OverflowError, SimulationFault) as exc:
-        errors.append(f"{where}: {exc}")
+    except ScenarioError as exc:
+        errors.extend(f"{where}{error}" for error in exc.errors)
+    except SimulationFault as exc:  # a non-finite position, heading or speed
+        errors.append(f"{where}{exc}")
     return None
 
 
@@ -226,7 +235,8 @@ def scenario_from_dict(data: Any) -> Scenario:
         params=params_from_dict(data.get("params", {}), errors, max_speed),
         **_read_fields(data, SCENARIO_FIELDS, errors),
     )
-    errors.extend(scenario.validation_errors())
+    complete = bool(robots_data) and len(robots) == len(robots_data)
+    errors.extend(scenario.validation_errors(all_robots=complete))
     if errors:
         raise ScenarioError(errors)
     return scenario

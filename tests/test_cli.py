@@ -175,10 +175,7 @@ def _assert_logs_equal(restored, log):
     assert restored.pair_ids() == log.pair_ids()
     for key in log.pair_ids():
         for col in PAIR_COLUMNS:
-            if col.attr is None:  # theta, formed from the positions by the writer
-                assert restored.pair_theta(key) == log.pair_theta(key)
-            else:
-                assert getattr(restored.pairs[key], col.attr) == getattr(log.pairs[key], col.attr)
+            assert getattr(restored.pairs[key], col.attr) == getattr(log.pairs[key], col.attr)
     assert restored.events == log.events
 
 
@@ -458,6 +455,77 @@ def test_cmd_run_exit_codes(tmp_path):
     assert main(["run", "no_such_preset", "-o", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "coop_headon"], "vortex-ca run: error: the following arguments are required: -o/--out"),
+    (["frobnicate"], "vortex-ca: error: argument command: invalid choice: 'frobnicate'"),
+], ids=["missing_out", "unknown_command"])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # exit 2 means a body overlap, so a usage error must not use argparse's 2
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: vortex-ca") and message in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["run", "--help"]) == 0
+    assert capsys.readouterr().out.count("usage: vortex-ca") == 2
+
+
+def test_command_failures_are_raised_for_main_to_report(headon_rundir, tmp_path):
+    # the commands print no error line themselves; main prints what they raise
+    with pytest.raises(cli.CommandError, match="^unknown regime 'bogus' "):
+        cli.cmd_analyze(headon_rundir, "bogus")
+    for command in (lambda d: cli.cmd_analyze(d, "coop_pair"), cli.cmd_plotdata):
+        with pytest.raises(cli.CommandError, match="^cannot read run directory "):
+            command(str(tmp_path / "missing"))
+    with pytest.raises(cli.CommandError, match="^regime mismatch: "):
+        cli.cmd_analyze(headon_rundir, "nonvortex_pair")
+
+
+ROBOT = {"id": 1, "x": 0.0, "y": 0.0, "goal": [2.0, 0.0]}
+
+EXHAUSTIVE_CASES = {
+    "three_params": (
+        dict(MINIMAL, params={"kappa": -1, "lambda": -1, "kp": 0}),
+        ["params: kappa must be >= 0", "params: lambda must be >= 0", "params: kp must be > 0"],
+    ),
+    "two_robot_fields": (
+        {"robots": [{"id": 1, "x": "a", "y": "b"}]},
+        ["robots[0]: x: expected a number, got 'a'", "robots[0]: y: expected a number, got 'b'"],
+    ),
+    "missing_and_bad_fields": (
+        {"robots": [{"x": True, "behavior": "flying"}]},
+        ["robots[0]: unknown behavior 'flying'", "robots[0]: missing field 'id'",
+         "robots[0]: missing field 'y'", "robots[0]: x: expected a number, got True"],
+    ),
+    "two_robot_bounds": (
+        {"robots": [dict(ROBOT, speed=-1, radius=-1)]},
+        ["robots[0]: robot 1: speed must be >= 0", "robots[0]: robot 1: body radius must be >= 0"],
+    ),
+    # robot 1 exists in the file, so robot 2's target is not reported missing
+    "target_of_a_rejected_robot": (
+        {"robots": [dict(ROBOT, x="a"),
+                    {"id": 2, "x": 1.0, "y": 0.0, "behavior": "attacking", "target": 1}]},
+        ["robots[0]: x: expected a number, got 'a'"],
+    ),
+    "every_robot_rejected": (
+        {"robots": [dict(ROBOT, x="a"), dict(ROBOT, id=2, y=None)], "dt": -1},
+        ["robots[0]: x: expected a number, got 'a'", "robots[1]: y: expected a number, got None",
+         "dt must be > 0"],
+    ),
+    "empty_robot_list": ({"robots": []}, ["robots: expected a non-empty list"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXHAUSTIVE_CASES))
+def test_validation_reports_every_problem_and_only_real_ones(case):
+    document, errors = EXHAUSTIVE_CASES[case]
+    with pytest.raises(ScenarioError) as caught:
+        scenario_from_dict(document)
+    assert caught.value.errors == errors
+
+
 def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
     # json accepts the non-standard Infinity literal; run must not overflow on it
     path = tmp_path / "inf.json"
@@ -577,11 +645,14 @@ def test_cmd_sweep_reports_size_caps_as_cell_errors(tmp_path):
     (dict(MINIMAL, params={"kp": math.inf}), "error: params: kp must be finite"),
     (dict(MINIMAL, params={"lambda": math.inf}), "error: params: lambda must be finite"),
     (dict(MINIMAL, params={"kappa": math.inf}), "error: params: kappa must be finite"),
+    ({"robots": [{"id": 2, "x": 1.0, "y": 0.0, "behavior": "attacking", "target": 1}]},
+     "error: robot 2: attack target 1 does not exist"),
 ], ids=["list", "robot_int", "params_list", "id_inf", "x_nan", "f_lim_0", "f_lim_negative",
         "f_lim_true", "omega_max_0", "id_fraction", "id_true", "target_fraction",
         "stride_fraction", "stride_true", "x_true", "y_string", "kappa_true", "dt_string",
         "lambda_negative", "kappa_nan", "lambda_nan", "r_star_nan", "radius_nan", "d_wheel_nan",
-        "r_wheel_nan", "eps_v_inf", "goal_tol_inf", "kp_inf", "lambda_inf", "kappa_inf"])
+        "r_wheel_nan", "eps_v_inf", "goal_tol_inf", "kp_inf", "lambda_inf", "kappa_inf",
+        "missing_target"])
 def test_cmd_run_rejects_malformed_scenario_entries(tmp_path, capsys, scenario, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))

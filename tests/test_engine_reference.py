@@ -15,7 +15,7 @@ fields, analysis and pair-stage tests use the same object layer.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -152,17 +152,6 @@ def stopped(state: RobotState) -> RobotState:
     return replace(state, speed=0.0, active=False)
 
 
-@dataclass
-class ReferenceLog(TrajectoryLog):
-    """The reference's log, with every pair's LOS angle as ``engagement``
-    formed it (the engine's log forms it from the positions)."""
-
-    theta: dict = field(default_factory=dict)
-
-    def pair_theta(self, key):
-        return self.theta[key]
-
-
 def total_force_from_engagements(robot, others, engagements, params):
     """Behavior-dispatched total steering force of a steered robot, plus its
     repulsive-only part.
@@ -234,14 +223,13 @@ def reference_run(scenario):
     dt = scenario.dt
     world = scenario.sorted_robots()
 
-    log = ReferenceLog(scenario=scenario)
+    log = TrajectoryLog(scenario=scenario)
     for robot in world:
         log.robots[robot.id] = RobotTrace()
     for a_idx in range(len(world)):
         for b_idx in range(a_idx + 1, len(world)):
             key = (world[a_idx].id, world[b_idx].id)
             log.pairs[key] = PairTrace()
-            log.theta[key] = []
 
     phi_des_held = {}
     overlapping = {key: False for key in log.pairs}
@@ -277,7 +265,7 @@ def reference_run(scenario):
             for key, eng in engs.items():
                 trace = log.pairs[key]
                 trace.r.append(eng.r)
-                log.theta[key].append(eng.theta)
+                trace.theta.append(eng.theta)
                 trace.vr.append(eng.vr)
                 trace.vth.append(eng.vth)
                 trace.vrel.append(eng.vrel)
@@ -357,8 +345,6 @@ def assert_logs_equal(log, ref):
         assert log.robots[rid] == trace, f"robot {rid}"
     for key, trace in ref.pairs.items():
         assert log.pairs[key] == trace, f"pair {key}"
-        # the LOS angle the pairs.csv writer forms
-        assert log.pair_theta(key) == ref.pair_theta(key), f"pair {key} theta"
     assert log.events == ref.events
 
 

@@ -81,8 +81,7 @@ def start_engagement(log, world, params):
     # the t = 0 engagement of robots 1 and 2, which the log must match bit for bit
     eng = engagement(world[0], world[1], params.eps_v)
     pair = log.pairs[(1, 2)]
-    theta = log.pair_theta((1, 2))  # as the pairs.csv writer forms it
-    logged = (pair.r[0], theta[0], pair.vr[0], pair.vth[0], pair.vrel[0], pair.triggered[0])
+    logged = (pair.r[0], pair.theta[0], pair.vr[0], pair.vth[0], pair.vrel[0], pair.triggered[0])
     assert logged == (eng.r, eng.theta, eng.vr, eng.vth, eng.vrel, eng.triggered)
     return eng
 
