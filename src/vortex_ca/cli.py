@@ -45,7 +45,7 @@ from .engine import (
     min_separation,
     run,
 )
-from .kinematics import CollisionSingularity, RegimeKind, SimulationFault
+from .kinematics import RegimeKind, SimulationFault
 from .scenarios import (
     load_scenario,
     load_sweep,
@@ -596,7 +596,7 @@ def main(argv: Iterable[str] | None = None) -> int:
             print(f"error: {error}", file=sys.stderr)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except (CollisionSingularity, SimulationFault) as exc:
+    except SimulationFault as exc:  # CollisionSingularity too
         print(f"error: simulation aborted: {exc}", file=sys.stderr)
     except OSError as exc:  # an input or output the command cannot open or write
         directory = args.out if args.command in ("run", "sweep") else args.rundir

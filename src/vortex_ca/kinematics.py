@@ -1,5 +1,5 @@
-"""Scenario input types, validation and simulation errors, angle wrapping,
-and the float kernels of the engagement geometry and of unicycle propagation.
+"""Scenario input types that raise ScenarioError naming each invalid field, the errors of a
+running simulation, angle wrapping, and the float kernels of engagement and unicycle motion.
 
 The kernels take and return plain floats, and the engine's step calls them;
 ``los_components`` is pure IEEE arithmetic, so the array pair stage calls it
@@ -30,12 +30,12 @@ class ScenarioError(ValueError):
         self.errors = errors
 
 
-class CollisionSingularity(Exception):
-    """Two robots occupy the same point; the engagement geometry is undefined."""
-
-
 class SimulationFault(RuntimeError):
-    """Non-finite state or input reached the integrator; the run must abort."""
+    """A running simulation met a non-finite value or a singular geometry."""
+
+
+class CollisionSingularity(SimulationFault):
+    """Two robots occupy the same point; the engagement geometry is undefined."""
 
 
 def check_finite(x: float, y: float) -> None:
@@ -63,8 +63,8 @@ class PlanarVector:
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        check_finite(self.x, self.y)
+    def is_finite(self) -> bool:
+        return math.isfinite(self.x) and math.isfinite(self.y)
 
 
 class BehaviorKind(Enum):
@@ -114,11 +114,14 @@ class RobotState:
     active: bool = True
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.heading) or not math.isfinite(self.speed):
-            raise SimulationFault(f"robot {self.id}: non-finite heading or speed")
         errors = [f"robot {self.id}: {problem}" for broken, problem in (
-            (self.speed < 0.0, "speed must be >= 0"),
+            (not self.position.is_finite(), "position must be finite"),
+            (not math.isfinite(self.heading), "heading must be finite"),
+            (not self.speed >= 0.0, "speed must be >= 0"),
+            (self.speed == math.inf, "speed must be finite"),
             (not self.body_radius >= 0.0, "body radius must be >= 0"),
+            (self.body_radius == math.inf, "body radius must be finite"),
+            (self.goal is not None and not self.goal.is_finite(), "goal must be finite"),
             (self.behavior is BehaviorKind.STATIONARY and self.speed != 0.0,
              "stationary behavior requires speed 0"),
             (self.behavior is BehaviorKind.ATTACKING and self.attack_target is None,

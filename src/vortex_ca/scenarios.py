@@ -20,7 +20,7 @@ from typing import Any, Callable, NamedTuple
 
 from .engine import Scenario, ScenarioError
 from .fields import PFParams, default_r_star
-from .kinematics import BehaviorKind, PlanarVector, RobotState, SimulationFault
+from .kinematics import BehaviorKind, PlanarVector, RobotState
 
 _BEHAVIOR_NAMES = {kind.value: kind for kind in BehaviorKind}
 
@@ -61,7 +61,7 @@ def _bound(value: Any, key: str) -> float:
 def _integer(value: Any, key: str) -> int:
     """An integer; booleans, strings and numbers with a fractional part are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and math.isfinite(value) and not value.is_integer()
+        isinstance(value, float) and not value.is_integer()
     ):
         raise ValueError(f"{key}: expected an integer, got {value!r}")
     return int(value)
@@ -146,7 +146,7 @@ def _read_fields(data: dict, fields: tuple[Field, ...], errors: list[str], where
         if f.key in data:
             try:
                 values[f.attr] = f.read(data[f.key], f.key)
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 errors.append(f"{where}{exc}")
     return values
 
@@ -189,13 +189,10 @@ def _robot_from_dict(data: Any, index: int, errors: list[str]) -> RobotState | N
     if len(errors) > n_errors:
         return None
     try:
-        return RobotState(
-            position=PlanarVector(values.pop("x"), values.pop("y")), behavior=behavior, **values
-        )
+        position = PlanarVector(values.pop("x"), values.pop("y"))
+        return RobotState(position=position, behavior=behavior, **values)
     except ScenarioError as exc:
         errors.extend(f"{where}{error}" for error in exc.errors)
-    except SimulationFault as exc:  # a non-finite position, heading or speed
-        errors.append(f"{where}{exc}")
     return None
 
 

@@ -20,7 +20,7 @@ from vortex_ca import analysis, cli, engine
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind, analyze_log
 from vortex_ca.cli import PAIR_COLUMNS, ROBOT_COLUMNS, main, read_run, write_run_outputs
 from vortex_ca.engine import EVENT_OVERLAP, ScenarioError, min_separation, run
-from vortex_ca.kinematics import SimulationFault
+from vortex_ca.kinematics import CollisionSingularity, SimulationFault
 from vortex_ca.scenarios import (
     PRESETS,
     SWEEP_METRICS,
@@ -263,7 +263,11 @@ MALFORMED_RUNS = {
     ),
     "non_finite_position": (
         _replace_in("summary.json", '"x": -1.5', '"x": NaN'),
-        "summary.json: scenario: robots[0]: non-finite vector components",
+        "summary.json: scenario: robots[0]: robot 1: position must be finite",
+    ),
+    "non_finite_goal": (
+        _replace_in("summary.json", '"goal": [\n          1.5', '"goal": [\n          NaN'),
+        "summary.json: scenario: robots[0]: robot 1: goal must be finite",
     ),
     "bad_event_ids": (_replace_in("events.csv", ",1\n", ",1:x\n"), "events.csv: column 'ids': bad cell"),
 }
@@ -515,6 +519,17 @@ EXHAUSTIVE_CASES = {
          "dt must be > 0"],
     ),
     "empty_robot_list": ({"robots": []}, ["robots: expected a non-empty list"]),
+    # a non-finite field is one entry among the robot's other problems
+    "non_finite_x_and_radius": (
+        {"robots": [dict(ROBOT, x=math.nan, radius=-1)]},
+        ["robots[0]: robot 1: position must be finite",
+         "robots[0]: robot 1: body radius must be >= 0"],
+    ),
+    "non_finite_goal": (
+        {"dt": -1, "robots": [dict(ROBOT, goal=[math.nan, 0], radius=-1)]},
+        ["robots[0]: robot 1: body radius must be >= 0", "robots[0]: robot 1: goal must be finite",
+         "dt must be > 0"],
+    ),
 }
 
 
@@ -524,6 +539,53 @@ def test_validation_reports_every_problem_and_only_real_ones(case):
     with pytest.raises(ScenarioError) as caught:
         scenario_from_dict(document)
     assert caught.value.errors == errors
+
+
+# The name each numeric robot field has in RobotState's error entries.
+ROBOT_FIELD_NAMES = {"x": "position", "y": "position", "heading": "heading", "speed": "speed",
+                     "radius": "body radius", "goal[0]": "goal", "goal[1]": "goal"}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", sorted(ROBOT_FIELD_NAMES))
+def test_non_finite_robot_field_is_reported_with_other_problems(field, value):
+    robot = dict(ROBOT)
+    if field.startswith("goal"):
+        robot["goal"] = [value, 0.0] if field == "goal[0]" else [0.0, value]
+    else:
+        robot[field] = value
+    with pytest.raises(ScenarioError) as caught:
+        scenario_from_dict({"dt": -1, "robots": [robot]})
+    entry, dt_error = caught.value.errors
+    assert entry.startswith(f"robots[0]: robot 1: {ROBOT_FIELD_NAMES[field]} must be ")
+    assert dt_error == "dt must be > 0"
+
+
+# A goal that JSON's NaN literal makes non-finite: a validation error, not an aborted run.
+NAN_GOAL = '{"dt": -1, "robots": [{"id": 1, "x": 0, "y": 0, "goal": [NaN, 0], "radius": -1}]}'
+NAN_GOAL_ERRORS = ("error: robots[0]: robot 1: body radius must be >= 0\n"
+                   "error: robots[0]: robot 1: goal must be finite\n"
+                   "error: dt must be > 0\n")
+
+
+def test_non_finite_goal_is_reported_by_run_and_sweep(tmp_path, capsys):
+    base = tmp_path / "nan_goal.json"
+    base.write_text(NAN_GOAL)
+    spec = _write_spec(tmp_path / "sweep.json", base, [("params.lambda", [10.0])])
+    for argv in (["run", str(base)], ["sweep", str(spec)]):
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == NAN_GOAL_ERRORS
+    assert not (tmp_path / "out").exists()
+
+
+def test_collision_singularity_is_a_simulation_fault(tmp_path, capsys):
+    assert issubclass(CollisionSingularity, SimulationFault)
+    path = tmp_path / "same_point.json"
+    path.write_text(json.dumps({"robots": [dict(ROBOT), dict(ROBOT, id=2, goal=[-2.0, 0.0])]}))
+    assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: simulation aborted: robots 1 and 2 at identical positions\n"
+    )
 
 
 def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
@@ -607,8 +669,10 @@ def test_cmd_sweep_reports_size_caps_as_cell_errors(tmp_path):
     ([MINIMAL], "error: scenario: expected an object"),
     ({"robots": [1]}, "error: robots[0]: expected an object, got 1"),
     (dict(MINIMAL, params=[]), "error: params: expected an object, got []"),
-    ({"robots": [dict(MINIMAL["robots"][0], id=float("inf"))]}, "error: robots[0]: cannot convert"),
-    ({"robots": [dict(MINIMAL["robots"][0], x=float("nan"))]}, "error: robots[0]: non-finite"),
+    ({"robots": [dict(MINIMAL["robots"][0], id=float("inf"))]},
+     "error: robots[0]: id: expected an integer, got inf"),
+    ({"robots": [dict(MINIMAL["robots"][0], x=float("nan"))]},
+     "error: robots[0]: robot 1: position must be finite"),
     (dict(MINIMAL, params={"f_lim": 0}),
      "error: params.f_lim: expected a positive number or null, got 0"),
     (dict(MINIMAL, params={"f_lim": -1}),

@@ -183,3 +183,16 @@ def test_only_the_engine_imports_numpy():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.append(path.relative_to(SRC).as_posix())
     assert set(importers) == {"vortex_ca/engine.py"}
+
+
+def test_input_problems_are_scenario_errors_only():
+    # RobotState checks every robot field, so parsing never raises or
+    # catches a runtime fault, and PlanarVector checks nothing
+    package = SRC / "vortex_ca"
+    text = (package / "scenarios.py").read_text(encoding="utf-8")
+    assert "SimulationFault" not in text and "check_finite" not in text
+    tree = ast.parse((package / "kinematics.py").read_text(encoding="utf-8"))
+    vector = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "PlanarVector")
+    methods = {node.name for node in vector.body if isinstance(node, ast.FunctionDef)}
+    assert "__post_init__" not in methods

@@ -10,6 +10,7 @@ from vortex_ca.kinematics import (
     CollisionSingularity,
     PlanarVector,
     RobotState,
+    ScenarioError,
     SimulationFault,
     wrap_angle,
 )
@@ -119,9 +120,16 @@ def test_propagate_rejects_bad_inputs():
         propagate(s, math.nan, 0.1)
 
 
-def test_planar_vector_rejects_nonfinite():
-    with pytest.raises(SimulationFault):
-        PlanarVector(math.inf, 0.0)
+def test_robot_state_rejects_nonfinite_position_and_goal():
+    # PlanarVector is a plain value; RobotState names each non-finite field
+    with pytest.raises(ScenarioError) as caught:
+        RobotState(id=1, position=PlanarVector(math.inf, 0.0), heading=math.nan, speed=V,
+                   body_radius=0.175, behavior=BehaviorKind.COOPERATIVE,
+                   goal=PlanarVector(0.0, -math.inf))
+    assert caught.value.errors == [
+        "robot 1: position must be finite", "robot 1: heading must be finite",
+        "robot 1: goal must be finite",
+    ]
 
 
 # ---------------------------------------------------------------------------
