@@ -816,9 +816,9 @@ def analyze_log(
 
     ``series`` is the regime's Lyapunov series, the one ``analyze`` writes to
     lyapunov.csv (``cli.regime_lyapunov``); the checks read it and never
-    form it again.
+    form it again.  The caller has checked the regime (``require_regime``)
+    before it formed the series.
     """
-    require_regime(log, regime)
     results: list[CheckResult] = []
     monotone = all(b > a for a, b in zip(log.t, log.t[1:]))
     results.append(_check("time_monotone", monotone, "recorded times strictly increase"))

@@ -22,13 +22,16 @@ too, after argparse's usage text.  Only a sweep cell's error stays in its row.
 from __future__ import annotations
 
 import argparse
+import collections
+import functools
 import itertools
 import json
 import math
 import os
 import sys
 from typing import (
-    IO, TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NoReturn, Sequence,
+    IO, TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NamedTuple, NoReturn,
+    Sequence,
 )
 
 from .engine import (
@@ -161,33 +164,14 @@ def write_run_outputs(log: TrajectoryLog, outdir: str) -> int:
     return int(summary["exit_code"])
 
 
-def _read_table(path: str) -> dict[str, list[str]]:
-    """Cell strings of a CSV file by header name, one list per column.
-
-    Blank lines are skipped; every other line must have the header's cell count.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    rows = [line for line in lines if line.strip()]
-    if not rows:
-        raise RunFormatError(f"{path}: no header line")
-    header = rows.pop(0).split(",")
-    width = len(header)
-    if len(set(header)) != width:
-        raise RunFormatError(f"{path}: duplicate column names in the header")
-    commas = list(map(str.count, rows, itertools.repeat(",")))
-    if commas.count(width - 1) != len(rows):
-        # the first ragged row: an equal earlier line would be ragged too, so index() is exact
-        bad = next(row for row, n in zip(rows, commas) if n != width - 1)
-        raise RunFormatError(
-            f"{path}: line {lines.index(bad) + 1} has {bad.count(',') + 1} cells, "
-            f"the header has {width}"
-        )
-    body = ",".join(rows)
-    del lines, rows  # keep one copy of the text while it is split
-    cells = body.split(",") if body else []
-    return {name: cells[j::width] for j, name in enumerate(header)}
-
+#: A run CSV is read about this many cells at a time, in whole rows and at
+#: least ``_CHUNK_MIN_ROWS`` of them, so one chunk's text and cells are all
+#: of a file that a read holds at once.  Sized in cells, a chunk costs the
+#: same on a narrow trajectory.csv and a wide pairs.csv: a chunk of one wide
+#: row makes a read slower, and a floor of 64 rows held 190k cells of a
+#: 32-robot pairs.csv, about as much as the log it was read into.
+_CHUNK_CELLS = 16_384
+_CHUNK_MIN_ROWS = 4
 
 _parse_flag = {"0": False, "1": True}.__getitem__  # KeyError on anything but 0 or 1
 
@@ -196,33 +180,153 @@ def _parse_ids(cell: str) -> tuple[int, ...]:
     return tuple(map(int, cell.split(":"))) if cell else ()
 
 
-def _cells(path: str, table: dict, name: str) -> list[str]:
-    """The cell strings of one column of ``table``."""
-    if name not in table:
-        raise RunFormatError(f"{path}: missing column {name!r}")
-    return table[name]
+def _kept_text(check: Callable[[str], Any]) -> Callable[[list[str]], list[str]]:
+    """A column parser that keeps a chunk's cell strings once ``check`` parses each one."""
+    def parse(cells: list[str]) -> list[str]:
+        collections.deque(map(check, cells), maxlen=0)  # no Python frame per cell
+        return cells
+    return parse
 
 
-def _column(path: str, table: dict, name: str, parse: Callable[[str], Any] = float) -> list:
-    """Parse every cell of one column of ``table``."""
+def _text(cells: list[str]) -> list[str]:
+    """A column parser that keeps a chunk's cell strings unchecked."""
+    return cells
+
+
+# Column parsers: from one chunk's cells of a column to the values kept.
+_FLOATS = functools.partial(map, float)
+_FLAGS = functools.partial(map, _parse_flag)
+_FLOAT_TEXT = _kept_text(float)
+_FLAG_TEXT = _kept_text(_parse_flag)
+
+
+class _Table(NamedTuple):
+    """The columns ``_read_columns`` parsed from one CSV file."""
+
+    path: str
+    header: frozenset[str]
+    columns: dict[str, list]
+    errors: dict[str, str]  # a parsed column's first bad cell, by column name
+
+    def column(self, name: str) -> list:
+        """A parsed column's values; RunFormatError when it is missing or has a bad cell."""
+        self.require(name)
+        if name in self.errors:
+            raise RunFormatError(self.errors[name])
+        return self.columns[name]
+
+    def require(self, name: str) -> None:
+        if name not in self.header:
+            raise RunFormatError(f"{self.path}: missing column {name!r}")
+
+
+def _read_columns(path: str, parsers: dict[str, Callable[[list[str]], Iterable[Any]]]) -> _Table:
+    """Parse the named columns of a CSV file, a chunk of rows at a time.
+
+    Lines break where ``str.splitlines`` breaks them.  Blank lines are
+    skipped; every other line must have the header's cell count.  Each
+    column named in ``parsers`` and present in the header is parsed, a chunk
+    at a time, straight into its list; the cells of other columns are not
+    kept.  A header problem or a ragged line (the first, in file order)
+    raises RunFormatError once the whole file has decoded, so that an
+    undecodable byte anywhere is reported first.  A column's bad cell is
+    kept in ``errors``, for ``_Table.column`` to raise in its caller's order.
+    """
+    step = _CHUNK_MIN_ROWS
+    header: list[str] | None = None
+    columns: dict[str, list] = {}
+    errors: dict[str, str] = {}
+    targets: list[tuple[int, str, Callable[[list[str]], Iterable[Any]], list]] = []
+    error: RunFormatError | None = None
+    lineno = 0  # lines before the chunk, blank ones included
     try:
-        return list(map(parse, _cells(path, table, name)))
-    except (KeyError, ValueError) as exc:
-        raise RunFormatError(f"{path}: column {name!r}: bad cell ({exc})") from None
+        with open(path, "r", encoding="utf-8") as handle:
+            while text := "".join(itertools.islice(handle, step)):
+                lines = text.splitlines()
+                del text
+                rows = [] if error else list(filter(str.strip, lines))
+                if header is None and rows:
+                    header = rows.pop(0).split(",")
+                    width = len(header)
+                    if len(set(header)) != width:
+                        error = RunFormatError(f"{path}: duplicate column names in the header")
+                        rows = []
+                    step = max(_CHUNK_MIN_ROWS, _CHUNK_CELLS // width)
+                    index = {name: j for j, name in enumerate(header)}
+                    columns = {name: [] for name in parsers if name in index}
+                    targets = [(index[name], name, parsers[name], values)
+                               for name, values in columns.items()]
+                if rows:
+                    commas = list(map(str.count, rows, itertools.repeat(",")))
+                    if commas.count(width - 1) != len(rows):
+                        # the first ragged row: an equal earlier line of the chunk
+                        # would be ragged too, so index() is exact
+                        bad = next(row for row, n in zip(rows, commas) if n != width - 1)
+                        error = RunFormatError(
+                            f"{path}: line {lineno + lines.index(bad) + 1} has "
+                            f"{bad.count(',') + 1} cells, the header has {width}"
+                        )
+                    else:
+                        cells = ",".join(rows).split(",")
+                        for target in list(targets):
+                            j, name, parse, values = target
+                            try:
+                                values += parse(cells[j::width])
+                            except (KeyError, ValueError) as exc:
+                                errors[name] = f"{path}: column {name!r}: bad cell ({exc})"
+                                targets.remove(target)
+                                values.clear()
+                        del cells
+                lineno += len(lines)
+    except UnicodeDecodeError:
+        # the chunk's decoder counts bytes from its own start; the whole
+        # file's read gives the offset in the file
+        with open(path, "r", encoding="utf-8") as handle:
+            handle.read()
+        raise
+    if header is None:
+        raise RunFormatError(f"{path}: no header line")
+    if error is not None:
+        raise error
+    return _Table(path, frozenset(header), columns, errors)
 
 
-def _trace_fields(
-    path: str, table: dict, tag: str, columns: Sequence[Column],
-    parse: Collection[str] | None, text: Collection[str],
-) -> dict:
-    """Trace attributes from ``table`` as ``read_run`` documents them."""
-    fields = dict.fromkeys(col.attr for col in columns)  # None where not read
+class _Read(NamedTuple):
+    """How ``read_run`` reads one column of a robot or a pair."""
+
+    attr: str  # the trace attribute
+    name: str  # the CSV column
+    parse: Callable[[list[str]], Iterable[Any]] | None  # None: only checked to be present
+
+
+def _trace_reads(
+    tag: str, columns: Sequence[Column], parse: Collection[str] | None, text: Collection[str]
+) -> list[_Read]:
+    """How ``read_run`` reads each column of the robot or pair ``tag``."""
+    reads = []
     for col in columns:
-        name = f"{tag}_{col.suffix}"
-        cells = _cells(path, table, name)  # present even when it is not read
-        if col.attr in text or parse is None or col.attr in parse:
-            values = _column(path, table, name, _parse_flag if col.flag else float)
-            fields[col.attr] = cells if col.attr in text else values
+        parser = None
+        if col.attr in text:
+            parser = _FLAG_TEXT if col.flag else _FLOAT_TEXT
+        elif parse is None or col.attr in parse:
+            parser = _FLAGS if col.flag else _FLOATS
+        reads.append(_Read(col.attr, f"{tag}_{col.suffix}", parser))
+    return reads
+
+
+def _parsers(
+    t: Callable[[list[str]], Iterable[Any]], traces: Iterable[list[_Read]]
+) -> dict[str, Callable[[list[str]], Iterable[Any]]]:
+    """The parser of ``t`` and then of each parsed column of ``traces``."""
+    return {"t": t} | {read.name: read.parse for reads in traces for read in reads if read.parse}
+
+
+def _trace_fields(table: _Table, reads: list[_Read]) -> dict[str, list | None]:
+    """Trace attributes from ``table``, None where not parsed; every column must be present."""
+    fields: dict[str, list | None] = {}
+    for read in reads:
+        table.require(read.name)
+        fields[read.attr] = table.column(read.name) if read.parse else None
     return fields
 
 
@@ -236,7 +340,9 @@ def read_run(
     parse, all of them when None.  An attribute or ``t`` named in ``text``
     holds its cell strings instead, after they are checked to parse.  Every
     other trace attribute is None, and its cells are not checked.  ``t`` is
-    always read and the events always parsed.
+    always read and the events always parsed.  Each CSV file is read a chunk
+    at a time (``_read_columns``), so the log's columns, the cell text kept
+    for ``text`` and one chunk are what a read holds.
     """
     path = os.path.join(outdir, "summary.json")
     try:
@@ -252,38 +358,39 @@ def read_run(
     log = TrajectoryLog(scenario=scenario)
     ids = sorted(r.id for r in scenario.robots)
 
+    t_floats: list[float] = []
+
+    def t_column(cells: list[str]) -> list[str]:
+        """``t``'s text, to compare with pairs.csv's, and its floats."""
+        t_floats.extend(map(float, cells))
+        return cells
+
+    robots = {rid: _trace_reads(f"r{rid}", ROBOT_COLUMNS, parse, text) for rid in ids}
     path = os.path.join(outdir, "trajectory.csv")
-    table = _read_table(path)
-    log.t = _column(path, table, "t")
-    if "t" in text:
-        log.t = table["t"]
+    table = _read_columns(path, _parsers(t_column, robots.values()))
+    t_cells = table.column("t")
+    log.t = t_cells if "t" in text else t_floats
     if not log.t:  # the initial state is always recorded
         raise RunFormatError(f"{path}: no data rows")
-    for rid in ids:
-        log.robots[rid] = RobotTrace(
-            **_trace_fields(path, table, f"r{rid}", ROBOT_COLUMNS, parse, text)
-        )
-    t_cells = table["t"]
-    del table  # release this file's cells before the next one is read
+    for rid, reads in robots.items():
+        log.robots[rid] = RobotTrace(**_trace_fields(table, reads))
+    del table  # release this file's columns before the next one is read
 
+    pairs = {key: _trace_reads(_pair_tag(key), PAIR_COLUMNS, parse, text)
+             for key in itertools.combinations(ids, 2)}
     path = os.path.join(outdir, "pairs.csv")
-    table = _read_table(path)
-    if table.get("t") != t_cells:
+    table = _read_columns(path, _parsers(_text, pairs.values()))  # t: compared as text
+    if table.columns.get("t") != t_cells:
         raise RunFormatError(f"{path}: column 't' differs from trajectory.csv")
-    for key in itertools.combinations(ids, 2):
-        log.pairs[key] = PairTrace(
-            **_trace_fields(path, table, _pair_tag(key), PAIR_COLUMNS, parse, text)
-        )
+    del t_cells, t_floats
+    for key, reads in pairs.items():
+        log.pairs[key] = PairTrace(**_trace_fields(table, reads))
 
     path = os.path.join(outdir, "events.csv")
     if os.path.exists(path):
-        table = _read_table(path)
-        log.events = list(map(
-            Event,
-            _column(path, table, "t"),
-            _column(path, table, "kind", str),
-            _column(path, table, "ids", _parse_ids),
-        ))
+        table = _read_columns(path, {"t": _FLOATS, "kind": _text,
+                                     "ids": functools.partial(map, _parse_ids)})
+        log.events = list(map(Event, table.column("t"), table.column("kind"), table.column("ids")))
     return log
 
 

@@ -29,7 +29,8 @@ The loop keeps only the state the step needs: each robot's constants
 (behaviour, goal point, target, whether its repulsive input is read) are
 formed once, before the loop, and the last of them again only when a robot
 stops (``_Swarm.stop``); the cosine and sine of each heading are formed once
-per step, for the pair stage and the propagation; the LOS angle of each
+per heading, by the propagation that turns to it (``advance_pose``), and
+read by the next pair stage and propagation; the LOS angle of each
 pair, which nothing in the step reads, is not formed in the step at all
 (``LogRecorder.result`` forms it from the logged positions); the pair
 columns only a recorder reads are formed as lists by
@@ -274,8 +275,10 @@ class _Swarm:
     simultaneous-update step that ``run`` repeats; ``run`` validates the
     scenario first, so every goal and attack target the step reads exists.
 
-    The pair stage forms the cosine and sine of every heading (``cos_phi``,
-    ``sin_phi``; ``advance`` reuses them), every pair's engagement (``r``,
+    Each robot's heading is kept with its cosine and sine (``cos_phi``,
+    ``sin_phi``): ``advance`` takes the new ones from ``advance_pose``, and
+    the pair stage and ``advance`` read them.  The pair stage forms every
+    pair's engagement (``r``,
     ``vr``, ``vth``, ``vrel``, ``trig``; the LOS cosines are not kept) and
     every cooperative robot's summed repulsive input (``rep_x``, ``rep_y``).
     The law is evaluated once per triggered pair that has a live endpoint,
@@ -315,6 +318,8 @@ class _Swarm:
         self.x = [robot.position.x for robot in robots]
         self.y = [robot.position.y for robot in robots]
         self.phi = [robot.heading for robot in robots]
+        self.cos_phi = list(map(math.cos, self.phi))
+        self.sin_phi = list(map(math.sin, self.phi))
         self.speed = [robot.speed for robot in robots]
         self.active = [robot.active for robot in robots]
         # Whether each robot is cooperative and active, so that its summed
@@ -438,10 +443,8 @@ class _Swarm:
         eps_v = params.eps_v
         ids, x, y = self.ids, self.x, self.y
         r, vr, vth, vrel, trig = self.r, self.vr, self.vth, self.vrel, self.trig
-        self.cos_phi = cos_phi = list(map(math.cos, self.phi))
-        self.sin_phi = sin_phi = list(map(math.sin, self.phi))
-        vx = list(map(operator.mul, self.speed, cos_phi))
-        vy = list(map(operator.mul, self.speed, sin_phi))
+        vx = list(map(operator.mul, self.speed, self.cos_phi))
+        vy = list(map(operator.mul, self.speed, self.sin_phi))
         live = self._live
         n = len(ids)
         rep_x = [0.0] * n
@@ -485,7 +488,8 @@ class _Swarm:
         ``pair_columns`` converts on recorded steps only.  The law runs on
         the triggered pairs with a live endpoint (``_live_masks``), and
         those inside ``r_star`` take ``saturated_components`` through
-        ``np.where``.  Each input and its negation are scattered through
+        ``np.where``; on a step with no such pair every sum is +0.0, and no
+        buffer is formed.  Each input and its negation are scattered through
         the flat offsets of ``_pair_index`` into a zeroed ``(2, n, n + 1)``
         buffer at row (robot) and column (1 + the other robot's index),
         which ``np.add.accumulate`` sums along the columns: the sum starts
@@ -506,10 +510,8 @@ class _Swarm:
         params = self.params
         n = len(self.ids)
         a, b, _, scatter = self._pair_index
-        self.cos_phi = cos_phi = list(map(math.cos, self.phi))
-        self.sin_phi = sin_phi = list(map(math.sin, self.phi))
         with np.errstate(all="ignore"):
-            state = np.array((self.x, self.y, cos_phi, sin_phi, self.speed))
+            state = np.array((self.x, self.y, self.cos_phi, self.sin_phi, self.speed))
             state[2:4] *= state[4]  # velocities: speed * cos and speed * sin
             ends = state[:4]
             dx, dy, rvx, rvy = ends.take(b, axis=1) - ends.take(a, axis=1)
@@ -528,30 +530,33 @@ class _Swarm:
 
             idle, live_pairs = self._live_masks
             live = np.flatnonzero(trig & live_pairs)
-            r_l, ux_l, uy_l, vr_l, vth_l = r[live], ux[live], uy[live], vr[live], vth[live]
-            fx, fy = repulsive_view(r_l, ux_l, uy_l, vr_l, vth_l, vrel[live], params.lam,
-                                    params.vortex)
-            if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
-                self._scalar_pair_stage()
-                return
-            if not math.isinf(params.f_lim):
-                near = ~(r_l > params.r_star)
-                if near.any():
-                    sx, sy = saturated_components(ux_l, uy_l, vr_l, vth_l, params.f_lim)
-                    fx = np.where(near, sx, fx)
-                    fy = np.where(near, sy, fy)
+            if live.size:
+                r_l, ux_l, uy_l, vr_l, vth_l = r[live], ux[live], uy[live], vr[live], vth[live]
+                fx, fy = repulsive_view(r_l, ux_l, uy_l, vr_l, vth_l, vrel[live], params.lam,
+                                        params.vortex)
+                if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
+                    self._scalar_pair_stage()
+                    return
+                if not math.isinf(params.f_lim):
+                    near = ~(r_l > params.r_star)
+                    if near.any():
+                        sx, sy = saturated_components(ux_l, uy_l, vr_l, vth_l, params.f_lim)
+                        fx = np.where(near, sx, fx)
+                        fy = np.where(near, sy, fy)
 
-            inputs = np.zeros((2, n, n + 1))
-            inputs.put(scatter.take(live, axis=1), (fx, fy, -fx, -fy))
-            rep = np.add.accumulate(inputs, axis=2)[:, :, -1]
-            rep[:, idle] = 0.0
+                inputs = np.zeros((2, n, n + 1))
+                inputs.put(scatter.take(live, axis=1), (fx, fy, -fx, -fy))
+                rep = np.add.accumulate(inputs, axis=2)[:, :, -1]
+                rep[:, idle] = 0.0
+                self.rep_x, self.rep_y = rep.tolist()
+            else:  # no input to add: every sum is the +0.0 it starts from
+                self.rep_x, self.rep_y = [0.0] * n, [0.0] * n
 
         self.r = r_list
         self.vr = vr_list
         self.vth = vth_list
         self.vrel = vrel_list
         self.trig = trig
-        self.rep_x, self.rep_y = rep.tolist()
         self.fault = [None] * n
 
     def robot_stage(self) -> None:
@@ -596,7 +601,7 @@ class _Swarm:
             if not math.isfinite(omega * dt):  # advance_pose turns by omega * dt
                 raise SimulationFault(f"robot {self.ids[i]}: non-finite propagation input")
             if active[i]:
-                x[i], y[i], phi[i] = advance_pose(
+                x[i], y[i], phi[i], cos_phi[i], sin_phi[i] = advance_pose(
                     x[i], y[i], phi[i], cos_phi[i], sin_phi[i], speed[i], omega, dt
                 )
 

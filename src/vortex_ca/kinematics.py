@@ -135,22 +135,28 @@ class RobotState:
 def advance_pose(
     x: float, y: float, phi: float, cos_phi: float, sin_phi: float, speed: float,
     omega: float, dt: float,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float, float, float]:
     """One classical RK4 step of the unicycle pose with ``omega`` held over ``dt``.
 
     ``cos_phi`` and ``sin_phi`` are ``math.cos(phi)`` and ``math.sin(phi)``,
-    which the caller has formed already.  Returns the new position and the
-    new heading, wrapped to (-pi, pi].  The caller checks the inputs; a
-    non-finite result raises SimulationFault.
+    which the caller has formed already.  Returns the new position, the new
+    heading, wrapped to (-pi, pi], and that heading's cosine and sine, for
+    the next step.  The caller checks the inputs; a non-finite result
+    raises SimulationFault.
     """
     a2 = phi + 0.5 * omega * dt
     a4 = phi + omega * dt
     c2 = math.cos(a2)
     s2 = math.sin(a2)
-    nx = x + speed * dt * (cos_phi + 2.0 * c2 + 2.0 * c2 + math.cos(a4)) / 6.0
-    ny = y + speed * dt * (sin_phi + 2.0 * s2 + 2.0 * s2 + math.sin(a4)) / 6.0
+    c4 = math.cos(a4)
+    s4 = math.sin(a4)
+    nx = x + speed * dt * (cos_phi + 2.0 * c2 + 2.0 * c2 + c4) / 6.0
+    ny = y + speed * dt * (sin_phi + 2.0 * s2 + 2.0 * s2 + s4) / 6.0
     check_finite(nx, ny)
-    return nx, ny, wrap_angle(a4)
+    heading = wrap_angle(a4)
+    if heading != a4:  # wrapped: its cosine and sine may differ from a4's in the last bit
+        return nx, ny, heading, math.cos(heading), math.sin(heading)
+    return nx, ny, heading, c4, s4
 
 
 def los_components(dx, dy, r, rvx, rvy):

@@ -172,6 +172,13 @@ def params_from_dict(data: Any, errors: list[str], max_speed: float) -> PFParams
         return PFParams()
 
 
+# What ``_robot_from_dict`` checks in place of a robot field that it could not
+# read: values that pass every check of RobotState.  "?" names a robot whose
+# id did not read.
+_UNREAD = {"id": "?", "x": 0.0, "y": 0.0, "heading": 0.0, "speed": 0.0, "body_radius": 0.0,
+           "goal": None, "attack_target": 0}
+
+
 def _robot_from_dict(data: Any, index: int, errors: list[str]) -> RobotState | None:
     where = f"robots[{index}]: "
     if not isinstance(data, dict):
@@ -184,16 +191,20 @@ def _robot_from_dict(data: Any, index: int, errors: list[str]) -> RobotState | N
         errors.append(f"{where}unknown behavior {name!r}")
     errors.extend(f"{where}missing field {f.key!r}" for f in ROBOT_FIELDS[:3] if f.key not in data)
     speed = 0.0 if behavior is BehaviorKind.STATIONARY else _V
-    values = _read_fields({"heading": 0.0, "speed": speed, "radius": _R_BODY, **data},
-                          ROBOT_FIELDS, errors, where)
-    if len(errors) > n_errors:
-        return None
+    given = {"heading": 0.0, "speed": speed, "radius": _R_BODY, **data}
+    values = _read_fields(given, ROBOT_FIELDS, errors, where)
+    # A field that is missing or did not read takes a value RobotState's
+    # checks pass, so that they still report the entry's other problems.
+    for f in ROBOT_FIELDS:
+        if f.attr not in values and (f.key in given or f in ROBOT_FIELDS[:3]):
+            values[f.attr] = _UNREAD[f.attr]
     try:
         position = PlanarVector(values.pop("x"), values.pop("y"))
-        return RobotState(position=position, behavior=behavior, **values)
+        robot = RobotState(position=position, behavior=behavior, **values)
     except ScenarioError as exc:
         errors.extend(f"{where}{error}" for error in exc.errors)
-    return None
+        return None
+    return robot if len(errors) == n_errors else None
 
 
 def _robot_to_dict(robot: RobotState) -> dict[str, Any]:

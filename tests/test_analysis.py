@@ -23,6 +23,7 @@ from vortex_ca.analysis import (
     numeric_derivative,
     pair_lyapunov_series,
     regime_mismatch,
+    require_regime,
     turn_radius,
     verify_closed_loop,
 )
@@ -527,7 +528,9 @@ def test_regime_mismatch_detection(coop_headon_log):
 
 
 def analyzed(log, regime):
-    """``analyze_log`` on the log with the series ``analyze`` forms for it."""
+    """What ``analyze`` checks: the regime, then ``analyze_log`` on the log
+    with the series ``analyze`` forms for it."""
+    require_regime(log, regime)
     return analyze_log(log, regime, log.scenario.params, regime_lyapunov(log, regime))
 
 
@@ -538,7 +541,7 @@ def test_analyze_log_coop_pair_all_pass(coop_headon_log):
 
 
 def test_analyze_log_rejects_mismatched_regime(coop_headon_log):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^regime mismatch: "):
         analyzed(coop_headon_log, RegimeKind.COOP_VS_ATTACKER)
 
 

@@ -530,6 +530,16 @@ EXHAUSTIVE_CASES = {
         ["robots[0]: robot 1: body radius must be >= 0", "robots[0]: robot 1: goal must be finite",
          "dt must be > 0"],
     ),
+    # a field that does not read hides none of the entry's other problems
+    "read_error_bound_and_non_finite_goal": (
+        {"robots": [{"id": 1, "x": "a", "y": 0, "radius": -1, "goal": [math.nan, 0]}]},
+        ["robots[0]: x: expected a number, got 'a'",
+         "robots[0]: robot 1: body radius must be >= 0", "robots[0]: robot 1: goal must be finite"],
+    ),
+    "unread_id_and_bound": (
+        {"robots": [dict(ROBOT, id="a", speed=-1)]},
+        ["robots[0]: id: expected an integer, got 'a'", "robots[0]: robot ?: speed must be >= 0"],
+    ),
 }
 
 
@@ -1324,6 +1334,27 @@ def test_cmd_analyze_attractive_only_convergence(tmp_path):
 def test_cmd_analyze_regime_mismatch(headon_rundir):
     assert main(["analyze", headon_rundir, "--regime", "nonvortex_pair"]) == 1
     assert main(["analyze", headon_rundir, "--regime", "bogus"]) == 1
+
+
+def test_analyze_checks_the_regime_once(headon_rundir, tmp_path, monkeypatch, capsys):
+    calls = []
+    original = analysis.regime_mismatch
+
+    def counting(log, regime):
+        calls.append(regime)
+        return original(log, regime)
+
+    monkeypatch.setattr(analysis, "regime_mismatch", counting)
+    rundir = tmp_path / "run"
+    shutil.copytree(headon_rundir, rundir)
+    assert main(["analyze", str(rundir), "--regime", "coop_pair"]) == 0
+    assert calls == [RegimeKind.COOP_PAIR]
+    capsys.readouterr()
+    # a mismatch ends the command before the series is formed
+    monkeypatch.setattr(cli, "regime_lyapunov", None)
+    assert main(["analyze", str(rundir), "--regime", "nonvortex_pair"]) == 1
+    assert calls == [RegimeKind.COOP_PAIR, RegimeKind.NONVORTEX_PAIR]
+    assert capsys.readouterr().err.startswith("error: regime mismatch: ")
 
 
 def test_cmd_analyze_attacker_below_standoff_warns(tmp_path):

@@ -140,7 +140,7 @@ def propagate(state: RobotState, omega: float, dt: float) -> RobotState:
     if not state.active:
         return state
     phi = state.heading
-    x, y, heading = advance_pose(
+    x, y, heading, _, _ = advance_pose(
         state.position.x, state.position.y, phi, math.cos(phi), math.sin(phi), state.speed,
         omega, dt,
     )

@@ -232,6 +232,44 @@ def test_parallel_ring_runs_without_numpy_warnings(monkeypatch):
     assert_logs_equal(array, scalar)
 
 
+def log_bits(log):
+    """A log's recorded values with every float as its ``float.hex``, which
+    tells +0.0 from -0.0."""
+    def bits(values):
+        return [value.hex() if isinstance(value, float) else value for value in values]
+
+    traces = [*log.robots.values(), *log.pairs.values()]
+    return bits(log.t), [{attr: bits(values) for attr, values in vars(trace).items()}
+                         for trace in traces], log.events
+
+
+def test_non_closing_swarm_forms_no_sum_buffer(monkeypatch):
+    # No pair of a parallel ring is triggered, so the array stage sets every
+    # sum to +0.0 without the (2, n, n + 1) buffer, its scatter or its sum.
+    import numpy as np
+
+    n = engine._ARRAY_MIN_ROBOTS
+    buffers = 0
+
+    def counting_zeros(shape, *args, **kwargs):
+        nonlocal buffers
+        buffers += shape == (2, n, n + 1)
+        return zeros(shape, *args, **kwargs)
+
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", counting_zeros)
+    scalar, array = run_both(monkeypatch, ring(n, heading=-2.0, t_max=1.0))
+    assert buffers == 0
+    assert not any(any(trace.triggered) for trace in array.pairs.values())
+    assert log_bits(array) == log_bits(scalar)
+    assert {value.hex() for trace in array.robots.values() for value in trace.rep_fx} == {
+        0.0.hex()
+    }
+    # a closing ring still forms it
+    run_both(monkeypatch, ring(n, t_max=0.1))
+    assert buffers > 0
+
+
 # ---------------------------------------------------------------------------
 # The pair rule against an independent oracle: each robot's own views summed
 # by the reference engine's total_force_from_engagements, one
