@@ -164,14 +164,13 @@ def write_run_outputs(log: TrajectoryLog, outdir: str) -> int:
     return int(summary["exit_code"])
 
 
-#: A run CSV is read about this many cells at a time, in whole rows and at
-#: least ``_CHUNK_MIN_ROWS`` of them, so one chunk's text and cells are all
-#: of a file that a read holds at once.  Sized in cells, a chunk costs the
-#: same on a narrow trajectory.csv and a wide pairs.csv: a chunk of one wide
-#: row makes a read slower, and a floor of 64 rows held 190k cells of a
-#: 32-robot pairs.csv, about as much as the log it was read into.
+#: A run CSV is read about this many cells at a time, in whole rows (one at
+#: least), so one chunk's text and cells are all of a file that a read holds
+#: at once.  Sized in cells, a chunk costs the same on a narrow
+#: trajectory.csv and a wide pairs.csv.  A floor of 1 to 16 rows read a
+#: 32-robot pairs.csv (2977 columns) in the same time, and one of 64 rows
+#: held 190k of its cells, about as much as the log it was read into.
 _CHUNK_CELLS = 16_384
-_CHUNK_MIN_ROWS = 4
 
 _parse_flag = {"0": False, "1": True}.__getitem__  # KeyError on anything but 0 or 1
 
@@ -232,7 +231,7 @@ def _read_columns(path: str, parsers: dict[str, Callable[[list[str]], Iterable[A
     undecodable byte anywhere is reported first.  A column's bad cell is
     kept in ``errors``, for ``_Table.column`` to raise in its caller's order.
     """
-    step = _CHUNK_MIN_ROWS
+    step = 1  # a line at a time until the header
     header: list[str] | None = None
     columns: dict[str, list] = {}
     errors: dict[str, str] = {}
@@ -251,7 +250,7 @@ def _read_columns(path: str, parsers: dict[str, Callable[[list[str]], Iterable[A
                     if len(set(header)) != width:
                         error = RunFormatError(f"{path}: duplicate column names in the header")
                         rows = []
-                    step = max(_CHUNK_MIN_ROWS, _CHUNK_CELLS // width)
+                    step = max(1, _CHUNK_CELLS // width)
                     index = {name: j for j, name in enumerate(header)}
                     columns = {name: [] for name in parsers if name in index}
                     targets = [(index[name], name, parsers[name], values)
@@ -280,7 +279,8 @@ def _read_columns(path: str, parsers: dict[str, Callable[[list[str]], Iterable[A
                 lineno += len(lines)
     except UnicodeDecodeError:
         # the chunk's decoder counts bytes from its own start; the whole
-        # file's read gives the offset in the file
+        # file's read gives the offset in the file, and on this error path
+        # alone a read holds the whole file
         with open(path, "r", encoding="utf-8") as handle:
             handle.read()
         raise
@@ -358,18 +358,11 @@ def read_run(
     log = TrajectoryLog(scenario=scenario)
     ids = sorted(r.id for r in scenario.robots)
 
-    t_floats: list[float] = []
-
-    def t_column(cells: list[str]) -> list[str]:
-        """``t``'s text, to compare with pairs.csv's, and its floats."""
-        t_floats.extend(map(float, cells))
-        return cells
-
     robots = {rid: _trace_reads(f"r{rid}", ROBOT_COLUMNS, parse, text) for rid in ids}
     path = os.path.join(outdir, "trajectory.csv")
-    table = _read_columns(path, _parsers(t_column, robots.values()))
-    t_cells = table.column("t")
-    log.t = t_cells if "t" in text else t_floats
+    table = _read_columns(path, _parsers(_FLOAT_TEXT, robots.values()))
+    t_cells = table.column("t")  # its text, to compare with pairs.csv's
+    log.t = t_cells if "t" in text else list(map(float, t_cells))
     if not log.t:  # the initial state is always recorded
         raise RunFormatError(f"{path}: no data rows")
     for rid, reads in robots.items():
@@ -382,7 +375,7 @@ def read_run(
     table = _read_columns(path, _parsers(_text, pairs.values()))  # t: compared as text
     if table.columns.get("t") != t_cells:
         raise RunFormatError(f"{path}: column 't' differs from trajectory.csv")
-    del t_cells, t_floats
+    del t_cells
     for key, reads in pairs.items():
         log.pairs[key] = PairTrace(**_trace_fields(table, reads))
 

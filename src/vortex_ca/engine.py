@@ -488,8 +488,7 @@ class _Swarm:
         ``pair_columns`` converts on recorded steps only.  The law runs on
         the triggered pairs with a live endpoint (``_live_masks``), and
         those inside ``r_star`` take ``saturated_components`` through
-        ``np.where``; on a step with no such pair every sum is +0.0, and no
-        buffer is formed.  Each input and its negation are scattered through
+        ``np.where``.  Each input and its negation are scattered through
         the flat offsets of ``_pair_index`` into a zeroed ``(2, n, n + 1)``
         buffer at row (robot) and column (1 + the other robot's index),
         which ``np.add.accumulate`` sums along the columns: the sum starts
@@ -530,33 +529,30 @@ class _Swarm:
 
             idle, live_pairs = self._live_masks
             live = np.flatnonzero(trig & live_pairs)
-            if live.size:
-                r_l, ux_l, uy_l, vr_l, vth_l = r[live], ux[live], uy[live], vr[live], vth[live]
-                fx, fy = repulsive_view(r_l, ux_l, uy_l, vr_l, vth_l, vrel[live], params.lam,
-                                        params.vortex)
-                if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
-                    self._scalar_pair_stage()
-                    return
-                if not math.isinf(params.f_lim):
-                    near = ~(r_l > params.r_star)
-                    if near.any():
-                        sx, sy = saturated_components(ux_l, uy_l, vr_l, vth_l, params.f_lim)
-                        fx = np.where(near, sx, fx)
-                        fy = np.where(near, sy, fy)
+            r_l, ux_l, uy_l, vr_l, vth_l = r[live], ux[live], uy[live], vr[live], vth[live]
+            fx, fy = repulsive_view(r_l, ux_l, uy_l, vr_l, vth_l, vrel[live], params.lam,
+                                    params.vortex)
+            if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
+                self._scalar_pair_stage()
+                return
+            if not math.isinf(params.f_lim):
+                near = ~(r_l > params.r_star)
+                if near.any():
+                    sx, sy = saturated_components(ux_l, uy_l, vr_l, vth_l, params.f_lim)
+                    fx = np.where(near, sx, fx)
+                    fy = np.where(near, sy, fy)
 
-                inputs = np.zeros((2, n, n + 1))
-                inputs.put(scatter.take(live, axis=1), (fx, fy, -fx, -fy))
-                rep = np.add.accumulate(inputs, axis=2)[:, :, -1]
-                rep[:, idle] = 0.0
-                self.rep_x, self.rep_y = rep.tolist()
-            else:  # no input to add: every sum is the +0.0 it starts from
-                self.rep_x, self.rep_y = [0.0] * n, [0.0] * n
+            inputs = np.zeros((2, n, n + 1))
+            inputs.put(scatter.take(live, axis=1), (fx, fy, -fx, -fy))
+            rep = np.add.accumulate(inputs, axis=2)[:, :, -1]
+            rep[:, idle] = 0.0
 
         self.r = r_list
         self.vr = vr_list
         self.vth = vth_list
         self.vrel = vrel_list
         self.trig = trig
+        self.rep_x, self.rep_y = rep.tolist()
         self.fault = [None] * n
 
     def robot_stage(self) -> None:

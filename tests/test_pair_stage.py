@@ -243,31 +243,15 @@ def log_bits(log):
                          for trace in traces], log.events
 
 
-def test_non_closing_swarm_forms_no_sum_buffer(monkeypatch):
-    # No pair of a parallel ring is triggered, so the array stage sets every
-    # sum to +0.0 without the (2, n, n + 1) buffer, its scatter or its sum.
-    import numpy as np
-
-    n = engine._ARRAY_MIN_ROBOTS
-    buffers = 0
-
-    def counting_zeros(shape, *args, **kwargs):
-        nonlocal buffers
-        buffers += shape == (2, n, n + 1)
-        return zeros(shape, *args, **kwargs)
-
-    zeros = np.zeros
-    monkeypatch.setattr(np, "zeros", counting_zeros)
-    scalar, array = run_both(monkeypatch, ring(n, heading=-2.0, t_max=1.0))
-    assert buffers == 0
+def test_non_closing_swarm_matches_scalar_bit_for_bit(monkeypatch):
+    # No pair of a parallel ring is triggered, so every sum the array stage
+    # forms is the +0.0 its accumulation starts from, as in the scalar stage.
+    scalar, array = run_both(monkeypatch, ring(engine._ARRAY_MIN_ROBOTS, heading=-2.0, t_max=1.0))
     assert not any(any(trace.triggered) for trace in array.pairs.values())
     assert log_bits(array) == log_bits(scalar)
     assert {value.hex() for trace in array.robots.values() for value in trace.rep_fx} == {
         0.0.hex()
     }
-    # a closing ring still forms it
-    run_both(monkeypatch, ring(n, t_max=0.1))
-    assert buffers > 0
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,9 @@ def whole_file_columns(path, wanted):
     return columns
 
 
-def chunked_columns(path, wanted, chunk_rows):
-    """``_read_columns`` with chunks of ``chunk_rows`` rows, or of its own size when None."""
-    cells, rows = (cli._CHUNK_CELLS, cli._CHUNK_MIN_ROWS) if chunk_rows is None else (1, chunk_rows)
-    with mock.patch.multiple(cli, _CHUNK_CELLS=cells, _CHUNK_MIN_ROWS=rows):
+def chunked_columns(path, wanted, chunk_cells):
+    """``_read_columns`` with chunks of ``chunk_cells`` cells, or of its own size when None."""
+    with mock.patch.object(cli, "_CHUNK_CELLS", chunk_cells or cli._CHUNK_CELLS):
         table = cli._read_columns(path, {name: KINDS[kind][1] for name, kind in wanted.items()})
     return {name: table.column(name) for name in wanted}
 
@@ -156,8 +155,8 @@ def test_chunked_reader_matches_whole_file_reader(csv_dir, case):
     path = csv_dir / "table.csv"
     path.write_text(text, encoding="utf-8", newline="")
     expected = outcome(whole_file_columns, str(path), wanted)
-    for chunk_rows in (1, 7, None):
-        assert outcome(chunked_columns, str(path), wanted, chunk_rows) == expected, chunk_rows
+    for chunk_cells in (1, 7, None):
+        assert outcome(chunked_columns, str(path), wanted, chunk_cells) == expected, chunk_cells
 
 
 def test_chunked_reader_reports_an_undecodable_byte_first(tmp_path):
@@ -169,8 +168,8 @@ def test_chunked_reader_reports_an_undecodable_byte_first(tmp_path):
     wanted = {"t": "float", "a": "flag"}
     expected = outcome(whole_file_columns, str(path), wanted)
     assert expected[0] is UnicodeDecodeError and "position 200006" in expected[1]
-    for chunk_rows in (1, 7, None):
-        assert outcome(chunked_columns, str(path), wanted, chunk_rows) == expected
+    for chunk_cells in (1, 7, None):
+        assert outcome(chunked_columns, str(path), wanted, chunk_cells) == expected
 
 
 def test_chunked_reader_reports_the_first_bad_column_in_read_order(tmp_path):
@@ -182,8 +181,8 @@ def test_chunked_reader_reports_the_first_bad_column_in_read_order(tmp_path):
     expected = outcome(whole_file_columns, str(path), wanted)
     assert expected == (RunFormatError,
                         f"{path}: column 'a': bad cell (could not convert string to float: 'y')")
-    for chunk_rows in (1, 7, None):
-        assert outcome(chunked_columns, str(path), wanted, chunk_rows) == expected
+    for chunk_cells in (1, 7, None):
+        assert outcome(chunked_columns, str(path), wanted, chunk_cells) == expected
 
 
 def ring(n=32, radius=3.0, t_max=2.0):
