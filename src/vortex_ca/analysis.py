@@ -19,6 +19,10 @@ sweeps never load it.  ``RegimeKind`` lives in ``kinematics`` and is
 re-exported here.  Every series and check works on plain floats, so this
 module never loads numpy; the numeric derivative of a Lyapunov series is
 numpy's ``gradient`` rewritten with the same operation order.
+
+A function of a log reads the run's parameters from ``log.scenario``, so a
+log is checked under the parameters it was run with; a single-pair regime's
+pair is the log's only one.
 """
 
 from __future__ import annotations
@@ -241,19 +245,16 @@ _BOUNDARY_SKIP = 2
 
 
 def closed_loop_errors_from_log(
-    log: TrajectoryLog,
-    pair: tuple[int, int],
-    regime: RegimeKind,
-    params: PFParams,
+    log: TrajectoryLog, regime: RegimeKind
 ) -> ClosedLoopReport | None:
-    """Descriptive comparison of a logged engine pair against the idealized
+    """Descriptive comparison of the logged engine pair against the idealized
     closed loop, restricted to the interior of triggered intervals.
 
     Constant-speed robots cannot realize force components along their
     velocity, so this error does not shrink with dt; it is reported for
     inspection, never asserted.
     """
-    trace = log.pairs[(min(pair), max(pair))]
+    trace = log.pairs[log.pair_ids()[0]]
     # The longest contiguous triggered run; the first one among equal ones.
     start = length = run = 0
     for k, flag in enumerate(trace.triggered):
@@ -264,7 +265,7 @@ def closed_loop_errors_from_log(
         return None
     window = slice(start + _BOUNDARY_SKIP, start + length - _BOUNDARY_SKIP)
     sub = RelativeTrace(regime, log.t[window], trace.r[window], trace.vr[window], trace.vth[window])
-    return verify_closed_loop(sub, params)
+    return verify_closed_loop(sub, log.scenario.params)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +303,7 @@ def attacker_standoff(lam: float, speed: float) -> float:
 # Log-based Lyapunov series
 
 
-def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> LyapunovSeries:
+def multi_lyapunov(log: TrajectoryLog) -> LyapunovSeries:
     """Summed Lyapunov value over all currently triggered pairs, per recorded step.
 
     The analytic derivative is ``multi_robot_derivative`` at each step.
@@ -312,7 +313,7 @@ def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> LyapunovSeries:
     """
     traces = [log.pairs[key] for key in log.pair_ids()]
     ends = cooperative_ends(log.scenario.sorted_robots())
-    lam = params.lam
+    lam = log.scenario.params.lam
 
     def by_step(name: str):  # the pairs' column ``name``, one tuple per step
         if not traces:
@@ -388,9 +389,10 @@ def _central_differences(
 
 def _lyapunov_series(
     log: TrajectoryLog, regime: RegimeKind, r: Sequence[float], vr: Sequence[float],
-    vth: Sequence[float], vrel: Sequence[float], params: PFParams,
+    vth: Sequence[float], vrel: Sequence[float],
 ) -> LyapunovSeries:
     """The regime's Lyapunov value and analytic derivative on the given relative states."""
+    params = log.scenario.params
     values: list[float] = []
     derivs: list[float] = []
     for state in zip(r, vr, vth, vrel, strict=True):
@@ -400,13 +402,12 @@ def _lyapunov_series(
     return LyapunovSeries(log.t, values, derivs, numeric_derivative(values, log.t), regime)
 
 
-def pair_lyapunov_series(
-    log: TrajectoryLog, pair: tuple[int, int], regime: RegimeKind, params: PFParams
-) -> LyapunovSeries:
-    """Per-step Lyapunov value/derivatives for one logged pair under a regime."""
-    trace = log.pairs[(min(pair), max(pair))]
-    vrel = [params.eps_v if v <= 0.0 else v for v in trace.vrel]
-    return _lyapunov_series(log, regime, trace.r, trace.vr, trace.vth, vrel, params)
+def pair_lyapunov_series(log: TrajectoryLog, regime: RegimeKind) -> LyapunovSeries:
+    """Per-step Lyapunov value/derivatives for the logged pair under a regime."""
+    trace = log.pairs[log.pair_ids()[0]]
+    eps_v = log.scenario.params.eps_v
+    vrel = [eps_v if v <= 0.0 else v for v in trace.vrel]
+    return _lyapunov_series(log, regime, trace.r, trace.vr, trace.vth, vrel)
 
 
 def attractive_only_lyapunov(log: TrajectoryLog) -> LyapunovSeries:
@@ -415,7 +416,7 @@ def attractive_only_lyapunov(log: TrajectoryLog) -> LyapunovSeries:
     robot = next(r for r in log.scenario.robots if r.id == rid)
     r, _, vr, vth = goal_engagement_series(log, rid)
     speed = [robot.speed if a else 0.0 for a in log.robots[rid].active]
-    return _lyapunov_series(log, RegimeKind.ATTRACTIVE_ONLY, r, vr, vth, speed, log.scenario.params)
+    return _lyapunov_series(log, RegimeKind.ATTRACTIVE_ONLY, r, vr, vth, speed)
 
 
 def goal_engagement_series(
@@ -507,7 +508,10 @@ def _circle_constraint_check(log: TrajectoryLog) -> CheckResult:
     return _check("circle_constraint", worst < 1e-9, f"max |Vr^2+Vth^2-Vrel^2| = {worst:.3e}")
 
 
-def _reciprocity_check(log: TrajectoryLog, tol: float = 1e-12) -> CheckResult:
+_RECIPROCITY_TOL = 1e-12  # largest |F_rep_i + F_rep_j| accepted on a triggered step
+
+
+def _reciprocity_check(log: TrajectoryLog) -> CheckResult:
     (i, j) = log.pair_ids()[0]
     ti, tj = log.robots[i], log.robots[j]
     pair = log.pairs[(i, j)]
@@ -524,7 +528,7 @@ def _reciprocity_check(log: TrajectoryLog, tol: float = 1e-12) -> CheckResult:
         )
     return _check(
         "reciprocity",
-        steps > 0 and worst <= tol,
+        steps > 0 and worst <= _RECIPROCITY_TOL,
         f"max |F_rep_i + F_rep_j| = {worst:.3e} over {steps} triggered steps",
     )
 
@@ -566,13 +570,14 @@ def _no_retrigger_check(log: TrajectoryLog) -> CheckResult:
     )
 
 
-def _grazing_geometry_check(log: TrajectoryLog, params: PFParams) -> CheckResult | None:
+def _grazing_geometry_check(log: TrajectoryLog) -> CheckResult | None:
     """Min separation vs the mirrored-circle prediction, for bound-realizing
     head-on pairs (finite f_lim held through the steering channel)."""
+    params = log.scenario.params
     if math.isinf(params.f_lim) or math.isinf(params.omega_max):
         return None
     speeds = {r.speed for r in log.scenario.robots}
-    if len(speeds) != 1:
+    if len(speeds) != 1 or 0.0 in speeds:  # no common speed, or robots at rest
         return None
     speed = speeds.pop()
     if abs(params.omega_max - params.f_lim / speed) > 1e-9:
@@ -605,9 +610,8 @@ def _straight_line_check(log: TrajectoryLog, robot_id: int) -> CheckResult:
     )
 
 
-def _attacker_checks(
-    log: TrajectoryLog, params: PFParams, series: LyapunovSeries
-) -> list[CheckResult]:
+def _attacker_checks(log: TrajectoryLog, series: LyapunovSeries) -> list[CheckResult]:
+    params = log.scenario.params
     results: list[CheckResult] = []
     robots = log.scenario.sorted_robots()
     coop = next(r for r in robots if r.behavior is BehaviorKind.COOPERATIVE)
@@ -810,7 +814,7 @@ def require_regime(log: TrajectoryLog, regime: RegimeKind) -> None:
 
 
 def analyze_log(
-    log: TrajectoryLog, regime: RegimeKind, params: PFParams, series: LyapunovSeries
+    log: TrajectoryLog, regime: RegimeKind, series: LyapunovSeries
 ) -> list[CheckResult]:
     """Run every applicable invariant check for the regime against a log.
 
@@ -831,10 +835,10 @@ def analyze_log(
         results.append(_reciprocity_check(log))
         results.append(_instability_certificate(log, series))
         results.append(_no_retrigger_check(log))
-        grazing = _grazing_geometry_check(log, params)
+        grazing = _grazing_geometry_check(log)
         if grazing is not None:
             results.append(grazing)
-        report = closed_loop_errors_from_log(log, log.pair_ids()[0], regime, params)
+        report = closed_loop_errors_from_log(log, regime)
         if report is not None:
             results.append(
                 CheckResult(
@@ -864,7 +868,7 @@ def analyze_log(
             )
         )
     elif regime is RegimeKind.COOP_VS_ATTACKER:
-        results.extend(_attacker_checks(log, params, series))
+        results.extend(_attacker_checks(log, series))
     elif regime is RegimeKind.NONVORTEX_PAIR:
         results.extend(_nonvortex_checks(log))
     elif regime is RegimeKind.MULTI_ROBOT:

@@ -61,7 +61,6 @@ from .scenarios import (
 if TYPE_CHECKING:
     from .analysis import CheckResult, LyapunovSeries
     from .engine import Scenario
-    from .fields import PFParams
     from .scenarios import SweepSpec
 
 EXIT_OK = 0
@@ -394,25 +393,23 @@ def read_run(
 
 
 def analyze_log(
-    log: TrajectoryLog, regime: RegimeKind, params: PFParams, series: LyapunovSeries
+    log: TrajectoryLog, regime: RegimeKind, series: LyapunovSeries
 ) -> list[CheckResult]:
     from . import analysis
 
-    return analysis.analyze_log(log, regime, params, series)
+    return analysis.analyze_log(log, regime, series)
 
 
-def pair_lyapunov_series(
-    log: TrajectoryLog, pair: tuple[int, int], regime: RegimeKind, params: PFParams
-) -> LyapunovSeries:
+def pair_lyapunov_series(log: TrajectoryLog, regime: RegimeKind) -> LyapunovSeries:
     from . import analysis
 
-    return analysis.pair_lyapunov_series(log, pair, regime, params)
+    return analysis.pair_lyapunov_series(log, regime)
 
 
-def multi_lyapunov(log: TrajectoryLog, params: PFParams) -> LyapunovSeries:
+def multi_lyapunov(log: TrajectoryLog) -> LyapunovSeries:
     from . import analysis
 
-    return analysis.multi_lyapunov(log, params)
+    return analysis.multi_lyapunov(log)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +425,7 @@ def fold_metrics(scenario: Scenario, metrics: Sequence[str]) -> dict[str, Any]:
     recorder, whose module only sweeps import."""
     from .sweep_metrics import MetricsFold
 
-    return run(scenario, MetricsFold(scenario, metrics))
+    return run(scenario, MetricsFold(metrics))
 
 
 def _sweep_cell(value: Any) -> str:
@@ -587,12 +584,11 @@ def regime_lyapunov(log: TrajectoryLog, regime: RegimeKind) -> LyapunovSeries:
     """The Lyapunov series ``analyze`` writes to lyapunov.csv for the regime."""
     from . import analysis
 
-    params = log.scenario.params
     if regime is RegimeKind.ATTRACTIVE_ONLY:
         return analysis.attractive_only_lyapunov(log)
     if regime is RegimeKind.MULTI_ROBOT:
-        return multi_lyapunov(log, params)
-    return pair_lyapunov_series(log, log.pair_ids()[0], regime, params)
+        return multi_lyapunov(log)
+    return pair_lyapunov_series(log, regime)
 
 
 def cmd_analyze(rundir: str, regime_name: str) -> int:
@@ -607,7 +603,7 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
     try:
         analysis.require_regime(log, regime)
         series = regime_lyapunov(log, regime)
-        checks = analyze_log(log, regime, log.scenario.params, series)
+        checks = analyze_log(log, regime, series)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
     except ArithmeticError as exc:  # a cell beyond the range of a check's formula

@@ -604,13 +604,13 @@ class _Swarm:
 
 class Recorder(Protocol):
     """What ``run`` reports a run to.  ``run`` calls ``start`` once, with the
-    swarm, before the first step, and the callable it returns at every
-    recorded step, with the step's time; it appends each event to ``events``
-    as it happens, and returns ``result()`` once the run has ended."""
+    scenario and the swarm, before the first step, and the callable it
+    returns at every recorded step, with the step's time; it appends each
+    event to ``events`` as it happens, and returns ``result()`` at the end."""
 
     events: list[Event]
 
-    def start(self, swarm: _Swarm) -> Callable[[float], None]: ...
+    def start(self, scenario: Scenario, swarm: _Swarm) -> Callable[[float], None]: ...
 
     def result(self) -> Any: ...
 
@@ -620,16 +620,13 @@ class LogRecorder:
     ``TrajectoryLog``, which ``result`` returns after forming each pair's
     ``theta`` by ``atan2`` on the logged positions, the floats the step used."""
 
-    def __init__(self, scenario: Scenario):
-        self.log = TrajectoryLog(scenario=scenario)
-        self.events = self.log.events
-
-    def start(self, swarm: _Swarm) -> Callable[[float], None]:
+    def start(self, scenario: Scenario, swarm: _Swarm) -> Callable[[float], None]:
         x, y, active = swarm.x, swarm.y, swarm.active
         traces = [RobotTrace() for _ in swarm.ids]
         pair_traces = [PairTrace() for _ in swarm.pair_ids]
-        self.log.robots = dict(zip(swarm.ids, traces))
-        self.log.pairs = dict(zip(swarm.pair_ids, pair_traces))
+        self.log = TrajectoryLog(scenario, robots=dict(zip(swarm.ids, traces)),
+                                 pairs=dict(zip(swarm.pair_ids, pair_traces)))
+        self.events = self.log.events
         t_column = self.log.t
 
         def record(t: float) -> None:
@@ -682,8 +679,8 @@ def run(scenario: Scenario, recorder: Recorder | None = None) -> Any:
     swarm = _Swarm(scenario.sorted_robots(), scenario.params)
     ids, x, y, active = swarm.ids, swarm.x, swarm.y, swarm.active
     if recorder is None:
-        recorder = LogRecorder(scenario)
-    record = recorder.start(swarm)
+        recorder = LogRecorder()
+    record = recorder.start(scenario, swarm)
     events = recorder.events
 
     overlapping = [False] * len(swarm.pairs)

@@ -24,22 +24,23 @@ class MetricsFold:
     and the running ``>`` maximum of ``analysis.multi_robot_derivative``,
     seeded from the first step as in ``max``.  A derivative that raises is
     held and raised by ``result``, so an engine fault later in the run is
-    what the cell reports."""
+    what the cell reports.  ``start`` reads the derivative's pair ends and
+    λ from the scenario ``run`` gives it."""
 
-    def __init__(self, scenario: Scenario, metrics: Sequence[str]):
+    def __init__(self, metrics: Sequence[str]):
         self.metrics = metrics
         self.events: list[Event] = []
         self.min_r: list[float] | None = [] if "min_separation" in metrics else None
         self.lyapunov: tuple[Callable[..., float], list, float] | None = None
-        if "max_lyap_derivative" in metrics:
+        self.max_derivative: float | None = None
+        self.fault: Exception | None = None
+
+    def start(self, scenario: Scenario, swarm: _Swarm) -> Callable[[float], None]:
+        if "max_lyap_derivative" in self.metrics:
             from . import analysis
 
             ends = analysis.cooperative_ends(scenario.sorted_robots())
             self.lyapunov = (analysis.multi_robot_derivative, ends, scenario.params.lam)
-        self.max_derivative: float | None = None
-        self.fault: Exception | None = None
-
-    def start(self, swarm: _Swarm) -> Callable[[float], None]:
         self.swarm = swarm
         return self.record
 

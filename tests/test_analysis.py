@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenario_strategies import BEHAVIORS
 from test_engine_reference import EngagementState, propagate
 from vortex_ca import scenarios
 from vortex_ca.analysis import (
@@ -452,7 +453,7 @@ def coop_headon_log():
 def test_multi_lyapunov_reduces_to_pair_coefficients(coop_headon_log):
     log = coop_headon_log
     params = log.scenario.params
-    series = multi_lyapunov(log, params)
+    series = multi_lyapunov(log)
     pair = log.pairs[(1, 2)]
     for k in range(0, len(log.t), 100):
         if not pair.triggered[k]:
@@ -465,8 +466,7 @@ def test_multi_lyapunov_reduces_to_pair_coefficients(coop_headon_log):
 
 
 def test_pair_lyapunov_series_instability_certificate(coop_headon_log):
-    series = pair_lyapunov_series(coop_headon_log, (1, 2), RegimeKind.COOP_PAIR,
-                                  coop_headon_log.scenario.params)
+    series = pair_lyapunov_series(coop_headon_log, RegimeKind.COOP_PAIR)
     numeric = series.derivative_numeric
     # the value dips while closing, then grows after the reciprocal turn
     sign_change = any(a < 0.0 < b for a, b in zip(numeric, numeric[1:]))
@@ -531,7 +531,7 @@ def analyzed(log, regime):
     """What ``analyze`` checks: the regime, then ``analyze_log`` on the log
     with the series ``analyze`` forms for it."""
     require_regime(log, regime)
-    return analyze_log(log, regime, log.scenario.params, regime_lyapunov(log, regime))
+    return analyze_log(log, regime, regime_lyapunov(log, regime))
 
 
 def test_analyze_log_coop_pair_all_pass(coop_headon_log):
@@ -556,12 +556,63 @@ def test_analyze_log_runs_grazing_check_for_bound_realizing_pair():
     assert "grazing_geometry" not in names
 
 
+SPEEDS = st.just(0.0) | st.floats(0.05, 0.4)
+BOUNDS = st.none() | st.floats(0.05, 2.0)  # None is null: unbounded
+
+
+@st.composite
+def pair_scenarios(draw):
+    """A cooperative robot and a cooperative, non-cooperative, stationary or
+    attacking one, 0.5-4 m apart, often head-on with swapped goals, at
+    speeds from {0} and [0.05, 0.4], often a common one (0 half the time),
+    with ``f_lim`` and ``omega_max`` unbounded or finite (both, half the
+    time), sometimes ``omega_max = f_lim / V``, for 20 to 100 steps of 0.05 s."""
+    other = draw(st.sampled_from(BEHAVIORS))
+    speed = 0.0 if draw(st.booleans()) else draw(st.floats(0.05, 0.4))
+    speeds = [speed, 0.0 if other == "stationary" else draw(st.just(speed) | SPEEDS)]
+    separation, bearing = draw(st.floats(0.5, 4.0)), draw(st.floats(-math.pi, math.pi))
+    x, y = separation * math.cos(bearing), separation * math.sin(bearing)
+    robots = [{"id": 1, "x": 0.0, "y": 0.0, "speed": speeds[0]},
+              {"id": 2, "x": x, "y": y, "speed": speeds[1], "behavior": other}]
+    if draw(st.booleans()):  # head-on, goals swapped
+        robots[0].update(heading=bearing, goal=[x, y])
+        robots[1].update(heading=bearing + math.pi, goal=[0.0, 0.0])
+    else:
+        for robot in robots:
+            robot.update(heading=draw(st.floats(-math.pi, math.pi)),
+                         goal=[draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))])
+    if other in ("attacking", "stationary"):
+        del robots[1]["goal"]
+    if other == "attacking":
+        robots[1]["target"] = 1
+    bounds = st.floats(0.05, 2.0) if draw(st.booleans()) else BOUNDS
+    params = {"lambda": draw(st.floats(0.5, 40.0)), "vortex": draw(st.booleans()),
+              "f_lim": draw(bounds), "omega_max": draw(bounds)}
+    if params["f_lim"] is not None and speed > 0.0 and draw(st.booleans()):
+        params["omega_max"] = params["f_lim"] / speed
+    return scenarios.scenario_from_dict({
+        "dt": 0.05, "t_max": 0.05 * draw(st.integers(20, 100)), "params": params,
+        "robots": robots,
+    })
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_scenarios())
+def test_two_robot_runs_analyze_in_every_matching_regime(scenario):
+    # what analyze computes, in each regime the run belongs to: analyze
+    # reports an ArithmeticError as "cannot analyze", which no valid run of
+    # moderate values may reach
+    log = run(scenario)
+    regimes = [regime for regime in RegimeKind if regime_mismatch(log, regime) is None]
+    assert regimes
+    for regime in regimes:
+        analyzed(log, regime)
+
+
 def test_closed_loop_gap_on_engine_logs_is_structural(coop_headon_log):
     # engine trajectories track the idealized equations qualitatively only;
     # the quantitative mismatch is order one and does not shrink with dt
-    report = closed_loop_errors_from_log(
-        coop_headon_log, (1, 2), RegimeKind.COOP_PAIR, coop_headon_log.scenario.params
-    )
+    report = closed_loop_errors_from_log(coop_headon_log, RegimeKind.COOP_PAIR)
     assert report is not None
     assert report.max_rel_error > 0.1
 
@@ -584,12 +635,12 @@ def window_report(log, lo, hi):
     pair = log.pairs[(1, 2)]
     trace = RelativeTrace(RegimeKind.COOP_PAIR, log.t[lo:hi], pair.r[lo:hi], pair.vr[lo:hi],
                           pair.vth[lo:hi])
-    return verify_closed_loop(trace, PARAMS)
+    return verify_closed_loop(trace, log.scenario.params)
 
 
 def test_closed_loop_window_is_the_first_longest_triggered_run():
     log = windowed_log([True] * 8 + [False] + [True] * 8)
-    report = closed_loop_errors_from_log(log, (2, 1), RegimeKind.COOP_PAIR, PARAMS)
+    report = closed_loop_errors_from_log(log, RegimeKind.COOP_PAIR)
     # two samples are dropped at each end of the run
     assert report == window_report(log, 2, 6)
     assert report != window_report(log, 11, 15)
@@ -599,12 +650,12 @@ def test_closed_loop_window_is_the_first_longest_triggered_run():
 def test_closed_loop_window_needs_seven_triggered_steps():
     # seven steps leave three samples, one central difference
     log = windowed_log([False] * 2 + [True] * 7 + [False])
-    report = closed_loop_errors_from_log(log, (1, 2), RegimeKind.COOP_PAIR, PARAMS)
+    report = closed_loop_errors_from_log(log, RegimeKind.COOP_PAIR)
     assert report == window_report(log, 4, 7)
     assert report.n_points == 1
     for triggered in ([True] * 6, [True] * 4 + [False] + [True] * 3, [False] * 9, []):
         log = windowed_log(triggered)
-        assert closed_loop_errors_from_log(log, (1, 2), RegimeKind.COOP_PAIR, PARAMS) is None
+        assert closed_loop_errors_from_log(log, RegimeKind.COOP_PAIR) is None
 
 
 def test_closed_loop_window_with_a_repeated_time_reports_inf():
@@ -612,5 +663,5 @@ def test_closed_loop_window_with_a_repeated_time_reports_inf():
     # as numpy's array division does, not an exception
     log = windowed_log([True] * 9)
     log.t[4] = log.t[2]
-    report = closed_loop_errors_from_log(log, (1, 2), RegimeKind.COOP_PAIR, PARAMS)
+    report = closed_loop_errors_from_log(log, RegimeKind.COOP_PAIR)
     assert report.max_rel_error == math.inf and report.t_worst == log.t[3]

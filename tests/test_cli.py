@@ -363,6 +363,26 @@ def test_analyze_reports_an_unmeasurable_run_as_a_failed_check(tmp_path, capsys,
     assert message in out and err == ""
 
 
+def test_analyze_skips_the_grazing_check_for_robots_at_rest(tmp_path, capsys):
+    # finite f_lim and omega_max at a common speed of 0: the mirrored-circle
+    # prediction does not apply, and the check must not divide by the speed
+    scenario = tmp_path / "rest.json"
+    scenario.write_text(json.dumps({"t_max": 1.0, "params": {"f_lim": 1.0, "omega_max": 1.0},
+                                    "robots": [
+        {"id": 1, "x": -1.0, "y": 0.0, "speed": 0.0, "goal": [1.0, 0.0]},
+        {"id": 2, "x": 1.0, "y": 0.0, "heading": math.pi, "speed": 0.0, "goal": [-1.0, 0.0]},
+    ]}))
+    rundir = tmp_path / "run"
+    assert main(["run", str(scenario), "-o", str(rundir)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(rundir), "--regime", "coop_pair"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == (rundir / "verification.txt").read_text().splitlines()
+    assert "PASS time_monotone: recorded times strictly increase" in out
+    assert "grazing_geometry" not in out
+
+
 def _set_column(filename, column, cell):
     def edit(rundir):
         path = rundir / filename
@@ -1181,7 +1201,7 @@ def metrics_from_log(scenario):
     log = run(scenario)
     seps = [min_separation(log, i, j) for (i, j) in log.pair_ids()]
     times = [t for t in cli.run_summary(log)["goal_times"].values() if t is not None]
-    series = analysis.multi_lyapunov(log, scenario.params)
+    series = analysis.multi_lyapunov(log)
     return {
         "min_separation": min(seps) if seps else math.nan,
         "time_to_goal": max(times) if times else math.nan,
@@ -1191,7 +1211,7 @@ def metrics_from_log(scenario):
 
 
 def folded_metrics(scenario):
-    fold = MetricsFold(scenario, SWEEP_METRICS)
+    fold = MetricsFold(SWEEP_METRICS)
     return run(scenario, fold), fold.events
 
 
@@ -1245,7 +1265,7 @@ def test_fold_reports_a_failed_derivative_once_the_run_has_ended(tmp_path, monke
          "goal": [-1.5, 0.0]},
     ]}))
     with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
-        analysis.multi_lyapunov(run(load_scenario(str(base))), load_scenario(str(base)).params)
+        analysis.multi_lyapunov(run(load_scenario(str(base))))
     assert _spy_sweep(tmp_path, base, monkeypatch) == "10,nan,nan,float division by zero"
 
 
@@ -1457,11 +1477,9 @@ def test_commands_read_every_column_they_use(tmp_path, name):
     for trace in [*part.robots.values(), *part.pairs.values()]:
         for attr, values in vars(trace).items():
             assert (values is None) == (attr not in REGIME_COLUMNS[regime]), attr
-    params = full.scenario.params
     part_series, full_series = cli.regime_lyapunov(part, regime), cli.regime_lyapunov(full, regime)
     assert part_series == full_series
-    assert (analyze_log(part, regime, params, part_series)
-            == analyze_log(full, regime, params, full_series))
+    assert analyze_log(part, regime, part_series) == analyze_log(full, regime, full_series)
 
     assert main(["plotdata", str(rundir)]) == 0
     for filename, text in _reference_panels(full).items():

@@ -196,3 +196,36 @@ def test_input_problems_are_scenario_errors_only():
                   if isinstance(node, ast.ClassDef) and node.name == "PlanarVector")
     methods = {node.name for node in vector.body if isinstance(node, ast.FunctionDef)}
     assert "__post_init__" not in methods
+
+
+def _arguments(path, *names):
+    """The parameter names and annotations of the function at ``names``
+    (a module-level function, or a class and its method) in ``path``."""
+    node = ast.parse(path.read_text(encoding="utf-8"))
+    for name in names:
+        node = next(child for child in node.body if getattr(child, "name", None) == name)
+    params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+    return [(param.arg, ast.unparse(param.annotation) if param.annotation else "")
+            for param in params]
+
+
+def test_runs_pass_their_scenario_once():
+    # a log's consumers read the run's parameters and pair from the log, and
+    # a recorder gets its scenario from run, so neither can be handed another
+    package = SRC / "vortex_ca"
+    consumers = [("analysis.py", name) for name in (
+        "analyze_log", "pair_lyapunov_series", "multi_lyapunov", "closed_loop_errors_from_log",
+        "_lyapunov_series", "_grazing_geometry_check", "_attacker_checks", "_reciprocity_check",
+    )] + [("cli.py", name) for name in ("analyze_log", "pair_lyapunov_series", "multi_lyapunov")]
+    for module, name in consumers:
+        for arg, annotation in _arguments(package / module, name):
+            assert arg not in ("pair", "params") and "PFParams" not in annotation, (name, arg)
+    assert _arguments(package / "analysis.py", "_reciprocity_check") == [("log", "TrajectoryLog")]
+    for module, recorder in (("engine.py", "LogRecorder"), ("sweep_metrics.py", "MetricsFold")):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        body = next(node for node in tree.body if getattr(node, "name", None) == recorder).body
+        if any(getattr(node, "name", None) == "__init__" for node in body):
+            for arg, annotation in _arguments(package / module, recorder, "__init__"):
+                assert arg != "scenario" and "Scenario" not in annotation, (recorder, arg)
+        assert [arg for arg, _ in _arguments(package / module, recorder, "start")] == [
+            "self", "scenario", "swarm"]

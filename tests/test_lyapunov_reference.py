@@ -88,7 +88,7 @@ def gated_scenario():
 
 def assert_matches_reference(log):
     params = log.scenario.params
-    series = multi_lyapunov(log, params)
+    series = multi_lyapunov(log)
     values, derivs = reference_multi_lyapunov(log, params)
     assert series.t == log.t
     assert series.value == values
@@ -120,7 +120,7 @@ def test_multi_lyapunov_matches_reference_on_gated_scenario():
 
 def test_multi_lyapunov_of_one_robot_is_zero_per_step():
     log = run(load_scenario("attractive_only"))
-    series = multi_lyapunov(log, log.scenario.params)
+    series = multi_lyapunov(log)
     assert series.value == series.derivative_analytic == [0.0] * len(log.t)
     assert reference_multi_lyapunov(log, log.scenario.params) == (series.value,
                                                                   series.derivative_analytic)
