@@ -23,15 +23,21 @@ numpy's ``gradient`` rewritten with the same operation order.
 A function of a log reads the run's parameters from ``log.scenario``, so a
 log is checked under the parameters it was run with; a single-pair regime's
 pair is the log's only one.
+
+A regime is one ``REGIMES`` entry: its rules, its Lyapunov series and its
+checks.  A new check declares the trace attributes it reads in its ``Check``,
+and ``analyze`` parses only the columns its regime declares (``REGIME_COLUMNS``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import sub, truediv
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .engine import EVENT_OVERLAP, EVENT_STOPPED, TrajectoryLog
 from .fields import PFParams
@@ -445,7 +451,7 @@ def goal_engagement_series(
 
 
 # ---------------------------------------------------------------------------
-# Regime-specific log checks (drives the analyze command)
+# Log checks and the regime table (drives the analyze command)
 
 
 @dataclass(frozen=True)
@@ -463,41 +469,14 @@ def _check(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, "PASS" if ok else "FAIL", detail)
 
 
-def regime_mismatch(log: TrajectoryLog, regime: RegimeKind) -> str | None:
-    """Reason the log cannot belong to the regime, or None when it matches."""
-    behaviors = [r.behavior for r in log.scenario.sorted_robots()]
-    counts = {kind: behaviors.count(kind) for kind in BehaviorKind}
-    vortex = log.scenario.params.vortex
-    if regime is RegimeKind.ATTRACTIVE_ONLY:
-        if len(behaviors) != 1 or counts[BehaviorKind.COOPERATIVE] != 1:
-            return "attractive-only regime needs exactly one cooperative robot"
-    elif regime is RegimeKind.COOP_PAIR:
-        if len(behaviors) != 2 or counts[BehaviorKind.COOPERATIVE] != 2:
-            return "cooperative-pair regime needs exactly two cooperative robots"
-        if not vortex:
-            return "cooperative-pair regime needs the vortex law enabled"
-    elif regime is RegimeKind.COOP_VS_NONCOOP:
-        if len(behaviors) != 2 or counts[BehaviorKind.COOPERATIVE] != 1:
-            return "regime needs one cooperative and one non-cooperative/stationary robot"
-        if counts[BehaviorKind.NON_COOPERATIVE] + counts[BehaviorKind.STATIONARY] != 1:
-            return "regime needs one cooperative and one non-cooperative/stationary robot"
-    elif regime is RegimeKind.COOP_VS_ATTACKER:
-        if len(behaviors) != 2 or counts[BehaviorKind.COOPERATIVE] != 1 or counts[
-            BehaviorKind.ATTACKING
-        ] != 1:
-            return "regime needs one cooperative and one attacking robot"
-    elif regime is RegimeKind.NONVORTEX_PAIR:
-        if len(behaviors) != 2 or counts[BehaviorKind.COOPERATIVE] != 2:
-            return "non-vortex pair regime needs exactly two cooperative robots"
-        if vortex:
-            return "non-vortex pair regime needs the vortex law disabled"
-    elif regime is RegimeKind.MULTI_ROBOT:
-        if len(behaviors) < 2 or counts[BehaviorKind.COOPERATIVE] < 2:
-            return "multi-robot regime needs at least two cooperative robots"
-    return None
+def _time_monotone_check(log: TrajectoryLog) -> list[CheckResult]:
+    monotone = all(b > a for a, b in zip(log.t, log.t[1:]))
+    return [_check("time_monotone", monotone, "recorded times strictly increase")]
 
 
-def _circle_constraint_check(log: TrajectoryLog) -> CheckResult:
+def _circle_constraint_check(log: TrajectoryLog) -> list[CheckResult]:
+    if not log.pairs:
+        return []
     worst = 0.0
     for trace in log.pairs.values():
         for k in range(len(trace.r)):
@@ -505,13 +484,13 @@ def _circle_constraint_check(log: TrajectoryLog) -> CheckResult:
                 worst,
                 abs(trace.vr[k] ** 2 + trace.vth[k] ** 2 - trace.vrel[k] ** 2),
             )
-    return _check("circle_constraint", worst < 1e-9, f"max |Vr^2+Vth^2-Vrel^2| = {worst:.3e}")
+    return [_check("circle_constraint", worst < 1e-9, f"max |Vr^2+Vth^2-Vrel^2| = {worst:.3e}")]
 
 
 _RECIPROCITY_TOL = 1e-12  # largest |F_rep_i + F_rep_j| accepted on a triggered step
 
 
-def _reciprocity_check(log: TrajectoryLog) -> CheckResult:
+def _reciprocity_check(log: TrajectoryLog) -> list[CheckResult]:
     (i, j) = log.pair_ids()[0]
     ti, tj = log.robots[i], log.robots[j]
     pair = log.pairs[(i, j)]
@@ -526,14 +505,14 @@ def _reciprocity_check(log: TrajectoryLog) -> CheckResult:
             abs(ti.rep_fx[k] + tj.rep_fx[k]),
             abs(ti.rep_fy[k] + tj.rep_fy[k]),
         )
-    return _check(
+    return [_check(
         "reciprocity",
         steps > 0 and worst <= _RECIPROCITY_TOL,
         f"max |F_rep_i + F_rep_j| = {worst:.3e} over {steps} triggered steps",
-    )
+    )]
 
 
-def _instability_certificate(log: TrajectoryLog, series: LyapunovSeries) -> CheckResult:
+def _instability_certificate(log: TrajectoryLog, series: LyapunovSeries) -> list[CheckResult]:
     pair = log.pair_ids()[0]
     numeric = series.derivative_numeric
     rs = log.pairs[pair].r
@@ -550,10 +529,10 @@ def _instability_certificate(log: TrajectoryLog, series: LyapunovSeries) -> Chec
         if sign_change_at is not None
         else "no negative-to-positive transition found"
     )
-    return _check("instability_certificate", ok, detail)
+    return [_check("instability_certificate", ok, detail)]
 
 
-def _no_retrigger_check(log: TrajectoryLog) -> CheckResult:
+def _no_retrigger_check(log: TrajectoryLog) -> list[CheckResult]:
     pair = log.pairs[log.pair_ids()[0]]
     released = False
     retriggered = False
@@ -563,51 +542,78 @@ def _no_retrigger_check(log: TrajectoryLog) -> CheckResult:
         elif released and pair.triggered[k]:
             retriggered = True
             break
-    return _check(
+    return [_check(
         "no_retrigger",
         released and not retriggered,
         "trigger stayed off after the first release" if released else "trigger never released",
-    )
+    )]
 
 
-def _grazing_geometry_check(log: TrajectoryLog) -> CheckResult | None:
+def _grazing_geometry_check(log: TrajectoryLog) -> list[CheckResult]:
     """Min separation vs the mirrored-circle prediction, for bound-realizing
     head-on pairs (finite f_lim held through the steering channel)."""
     params = log.scenario.params
     if math.isinf(params.f_lim) or math.isinf(params.omega_max):
-        return None
+        return []
     speeds = {r.speed for r in log.scenario.robots}
     if len(speeds) != 1 or 0.0 in speeds:  # no common speed, or robots at rest
-        return None
+        return []
     speed = speeds.pop()
     if abs(params.omega_max - params.f_lim / speed) > 1e-9:
-        return None
+        return []
     pair = log.pairs[log.pair_ids()[0]]
     if not pair.triggered[0] or abs(pair.vth[0]) > 1e-6:
-        return None
+        return []
     r_turn = turn_radius(speed, params.f_lim)
-    predicted = 2.0 * grazing_separation(r_turn, pair.r[0] / 2.0)
+    # a turn radius or a prediction lost to underflow or rounding cannot match
+    predicted = 2.0 * grazing_separation(r_turn, pair.r[0] / 2.0) if r_turn > 0.0 else 0.0
     measured = min(pair.r)
-    # a zero prediction (the initial separation lost to rounding) cannot match
     rel = abs(measured - predicted) / predicted if predicted > 0.0 else math.inf
-    return _check(
+    return [_check(
         "grazing_geometry",
         rel < 0.02,
         f"min separation {measured:.4f} vs mirrored-circle prediction {predicted:.4f} "
         f"({rel * 100:.2f}%, tolerance 2%)",
-    )
+    )]
 
 
-def _straight_line_check(log: TrajectoryLog, robot_id: int) -> CheckResult:
-    trace = log.robots[robot_id]
-    x0, y0, phi0 = trace.x[0], trace.y[0], trace.phi[0]
-    nx, ny = -math.sin(phi0), math.cos(phi0)
-    worst = max(abs((x - x0) * nx + (y - y0) * ny) for x, y in zip(trace.x, trace.y))
-    return _check(
-        "noncooperative_straight_path",
-        worst < 1e-9,
-        f"max lateral deviation {worst:.3e} m",
+def _closed_loop_gap_check(log: TrajectoryLog) -> list[CheckResult]:
+    report = closed_loop_errors_from_log(log, RegimeKind.COOP_PAIR)
+    if report is None:
+        return []
+    return [CheckResult(
+        "closed_loop_gap",
+        "INFO",
+        "idealized closed-loop mismatch (constant-speed steering cannot "
+        f"realize tangential force): max rel error {report.max_rel_error:.3f}",
+    )]
+
+
+def _noncoop_checks(log: TrajectoryLog) -> list[CheckResult]:
+    results: list[CheckResult] = []
+    noncoop = next(r for r in log.scenario.robots if r.behavior is not BehaviorKind.COOPERATIVE)
+    if noncoop.behavior is BehaviorKind.NON_COOPERATIVE:  # it keeps its initial line
+        trace = log.robots[noncoop.id]
+        x0, y0, phi0 = trace.x[0], trace.y[0], trace.phi[0]
+        nx, ny = -math.sin(phi0), math.cos(phi0)
+        worst = max(abs((x - x0) * nx + (y - y0) * ny) for x, y in zip(trace.x, trace.y))
+        results.append(_check(
+            "noncooperative_straight_path",
+            worst < 1e-9,
+            f"max lateral deviation {worst:.3e} m",
+        ))
+    key = log.pair_ids()[0]
+    min_r = min(log.pairs[key].r)
+    radius = {r.id: r.body_radius for r in log.scenario.robots}
+    results.append(_check("separation_positive", min_r > 0.0, f"min separation {min_r:.3f} m"))
+    results.append(
+        CheckResult(
+            "body_margin",
+            "INFO",
+            f"margin over body contact {min_r - (radius[key[0]] + radius[key[1]]):.3f} m",
+        )
     )
+    return results
 
 
 def _attacker_checks(log: TrajectoryLog, series: LyapunovSeries) -> list[CheckResult]:
@@ -790,87 +796,104 @@ def _multi_checks(log: TrajectoryLog) -> list[CheckResult]:
     return results
 
 
-_PAIR_STATE = frozenset({"r", "vr", "vth", "vrel"})
+class Check(NamedTuple):
+    """A check: ``run(log)``, or ``run(log, series)`` where ``series`` is set,
+    gives its result lines; ``reads`` names the RobotTrace and PairTrace fields it reads."""
 
-# The trace attributes (RobotTrace and PairTrace field names) that each
-# regime's checks above and its Lyapunov series read; ``analyze`` parses only
-# these columns of a run directory.  A check that reads another column must
-# add it here.
+    run: Callable[..., list[CheckResult]]
+    reads: tuple[str, ...]
+    series: bool = False
+
+
+class Regime(NamedTuple):
+    """An engagement regime.  The first of the (test, reason) ``requires`` whose
+    test fails on the run's robot count by behaviour and ``vortex`` flag gives
+    the mismatch; ``series(log)`` reads ``series_reads``."""
+
+    requires: tuple[tuple[Callable[[Counter[BehaviorKind], bool], bool], str], ...]
+    series: Callable[[TrajectoryLog], LyapunovSeries]
+    series_reads: tuple[str, ...]
+    checks: tuple[Check, ...]
+
+
+_PAIR_STATE = ("r", "vr", "vth", "vrel")
+_GOAL_STATE = ("x", "y", "phi", "active")  # a robot's state about its own goal
+_COMMON_CHECKS = (Check(_time_monotone_check, ()), Check(_circle_constraint_check, _PAIR_STATE))
+
+REGIMES: dict[RegimeKind, Regime] = {
+    RegimeKind.ATTRACTIVE_ONLY: Regime(
+        ((lambda crew, vortex: crew.total() == 1 and crew[BehaviorKind.COOPERATIVE] == 1,
+          "attractive-only regime needs exactly one cooperative robot"),),
+        attractive_only_lyapunov, _GOAL_STATE, (Check(_attractive_only_checks, _GOAL_STATE),),
+    ),
+    RegimeKind.COOP_PAIR: Regime(
+        ((lambda crew, vortex: crew.total() == 2 and crew[BehaviorKind.COOPERATIVE] == 2,
+          "cooperative-pair regime needs exactly two cooperative robots"),
+         (lambda crew, vortex: vortex, "cooperative-pair regime needs the vortex law enabled")),
+        partial(pair_lyapunov_series, regime=RegimeKind.COOP_PAIR), _PAIR_STATE,
+        (Check(_reciprocity_check, ("triggered", "rep_fx", "rep_fy")),
+         Check(_instability_certificate, ("r",), series=True),
+         Check(_no_retrigger_check, ("vr", "triggered")),
+         Check(_grazing_geometry_check, ("r", "vth", "triggered")),
+         Check(_closed_loop_gap_check, ("r", "vr", "vth", "triggered"))),
+    ),
+    RegimeKind.COOP_VS_NONCOOP: Regime(
+        ((lambda crew, vortex: crew.total() == 2 and crew[BehaviorKind.COOPERATIVE] == 1
+          and crew[BehaviorKind.NON_COOPERATIVE] + crew[BehaviorKind.STATIONARY] == 1,
+          "regime needs one cooperative and one non-cooperative/stationary robot"),),
+        partial(pair_lyapunov_series, regime=RegimeKind.COOP_VS_NONCOOP), _PAIR_STATE,
+        (Check(_noncoop_checks, ("x", "y", "phi", "r")),),
+    ),
+    RegimeKind.COOP_VS_ATTACKER: Regime(
+        ((lambda crew, vortex: crew.total() == 2 and crew[BehaviorKind.COOPERATIVE] == 1
+          and crew[BehaviorKind.ATTACKING] == 1,
+          "regime needs one cooperative and one attacking robot"),),
+        partial(pair_lyapunov_series, regime=RegimeKind.COOP_VS_ATTACKER), _PAIR_STATE,
+        (Check(_attacker_checks, (*_PAIR_STATE, "triggered"), series=True),),
+    ),
+    RegimeKind.NONVORTEX_PAIR: Regime(
+        ((lambda crew, vortex: crew.total() == 2 and crew[BehaviorKind.COOPERATIVE] == 2,
+          "non-vortex pair regime needs exactly two cooperative robots"),
+         (lambda crew, vortex: not vortex, "non-vortex pair regime needs the vortex law disabled")),
+        partial(pair_lyapunov_series, regime=RegimeKind.NONVORTEX_PAIR), _PAIR_STATE,
+        (Check(_nonvortex_checks, ("r", "vth")),),
+    ),
+    RegimeKind.MULTI_ROBOT: Regime(
+        ((lambda crew, vortex: crew[BehaviorKind.COOPERATIVE] >= 2,
+          "multi-robot regime needs at least two cooperative robots"),),
+        multi_lyapunov, (*_PAIR_STATE, "triggered", "active"),
+        (Check(_multi_checks, ("r", "triggered", "rep_fx", "rep_fy", "omega")),),
+    ),
+}
+
+# The trace attributes that each regime's series and checks read; ``analyze``
+# parses only these columns of a run directory.
 REGIME_COLUMNS: dict[RegimeKind, frozenset[str]] = {
-    RegimeKind.ATTRACTIVE_ONLY: _PAIR_STATE | {"x", "y", "phi", "active"},
-    RegimeKind.COOP_PAIR: _PAIR_STATE | {"triggered", "rep_fx", "rep_fy"},
-    RegimeKind.COOP_VS_NONCOOP: _PAIR_STATE | {"x", "y", "phi"},
-    RegimeKind.COOP_VS_ATTACKER: _PAIR_STATE | {"triggered"},
-    RegimeKind.NONVORTEX_PAIR: _PAIR_STATE,
-    RegimeKind.MULTI_ROBOT: _PAIR_STATE | {"triggered", "rep_fx", "rep_fy", "omega", "active"},
+    kind: frozenset(entry.series_reads).union(
+        *(check.reads for check in (*_COMMON_CHECKS, *entry.checks)))
+    for kind, entry in REGIMES.items()
 }
 
 
-def require_regime(log: TrajectoryLog, regime: RegimeKind) -> None:
-    """Raise ValueError when the log cannot belong to the regime."""
-    mismatch = regime_mismatch(log, regime)
-    if mismatch is not None:
-        raise ValueError(f"regime mismatch: {mismatch}")
+def regime_mismatch(log: TrajectoryLog, regime: RegimeKind) -> str | None:
+    """Reason the log cannot belong to the regime, or None when it matches."""
+    crew = Counter(robot.behavior for robot in log.scenario.robots)
+    vortex = log.scenario.params.vortex
+    return next((why for holds, why in REGIMES[regime].requires if not holds(crew, vortex)), None)
 
 
 def analyze_log(
-    log: TrajectoryLog, regime: RegimeKind, series: LyapunovSeries
-) -> list[CheckResult]:
-    """Run every applicable invariant check for the regime against a log.
-
-    ``series`` is the regime's Lyapunov series, the one ``analyze`` writes to
-    lyapunov.csv (``cli.regime_lyapunov``); the checks read it and never
-    form it again.  The caller has checked the regime (``require_regime``)
-    before it formed the series.
-    """
+    log: TrajectoryLog, regime: RegimeKind
+) -> tuple[LyapunovSeries, list[CheckResult]]:
+    """The regime's Lyapunov series and its checks' results on a log, which
+    ``analyze`` writes to lyapunov.csv and verification.txt.  A log the regime
+    does not match raises ValueError before the series is formed."""
+    mismatch = regime_mismatch(log, regime)
+    if mismatch is not None:
+        raise ValueError(f"regime mismatch: {mismatch}")
+    entry = REGIMES[regime]
+    series = entry.series(log)
     results: list[CheckResult] = []
-    monotone = all(b > a for a, b in zip(log.t, log.t[1:]))
-    results.append(_check("time_monotone", monotone, "recorded times strictly increase"))
-    if log.pairs:
-        results.append(_circle_constraint_check(log))
-
-    if regime is RegimeKind.ATTRACTIVE_ONLY:
-        results.extend(_attractive_only_checks(log))
-    elif regime is RegimeKind.COOP_PAIR:
-        results.append(_reciprocity_check(log))
-        results.append(_instability_certificate(log, series))
-        results.append(_no_retrigger_check(log))
-        grazing = _grazing_geometry_check(log)
-        if grazing is not None:
-            results.append(grazing)
-        report = closed_loop_errors_from_log(log, regime)
-        if report is not None:
-            results.append(
-                CheckResult(
-                    "closed_loop_gap",
-                    "INFO",
-                    "idealized closed-loop mismatch (constant-speed steering cannot "
-                    f"realize tangential force): max rel error {report.max_rel_error:.3f}",
-                )
-            )
-    elif regime is RegimeKind.COOP_VS_NONCOOP:
-        noncoop = next(
-            r
-            for r in log.scenario.sorted_robots()
-            if r.behavior in (BehaviorKind.NON_COOPERATIVE, BehaviorKind.STATIONARY)
-        )
-        if noncoop.behavior is BehaviorKind.NON_COOPERATIVE:
-            results.append(_straight_line_check(log, noncoop.id))
-        key = log.pair_ids()[0]
-        min_r = min(log.pairs[key].r)
-        radius = {r.id: r.body_radius for r in log.scenario.robots}
-        results.append(_check("separation_positive", min_r > 0.0, f"min separation {min_r:.3f} m"))
-        results.append(
-            CheckResult(
-                "body_margin",
-                "INFO",
-                f"margin over body contact {min_r - (radius[key[0]] + radius[key[1]]):.3f} m",
-            )
-        )
-    elif regime is RegimeKind.COOP_VS_ATTACKER:
-        results.extend(_attacker_checks(log, series))
-    elif regime is RegimeKind.NONVORTEX_PAIR:
-        results.extend(_nonvortex_checks(log))
-    elif regime is RegimeKind.MULTI_ROBOT:
-        results.extend(_multi_checks(log))
-    return results
+    for check in (*_COMMON_CHECKS, *entry.checks):
+        results += check.run(log, series) if check.series else check.run(log)
+    return series, results

@@ -387,29 +387,17 @@ def read_run(
 
 
 # ---------------------------------------------------------------------------
-# Module-level bindings of three analysis functions, which the commands call
-# and benchmarks/tracer.py wraps for its spans.  Each imports analysis when
-# called: this module does not, so ``run`` and ``plotdata`` never load it.
+# ``analyze`` calls analysis through this binding, which benchmarks/tracer.py
+# wraps for its span.  It imports analysis when called, so ``run`` and
+# ``plotdata`` never load it.
 
 
 def analyze_log(
-    log: TrajectoryLog, regime: RegimeKind, series: LyapunovSeries
-) -> list[CheckResult]:
+    log: TrajectoryLog, regime: RegimeKind
+) -> tuple[LyapunovSeries, list[CheckResult]]:
     from . import analysis
 
-    return analysis.analyze_log(log, regime, series)
-
-
-def pair_lyapunov_series(log: TrajectoryLog, regime: RegimeKind) -> LyapunovSeries:
-    from . import analysis
-
-    return analysis.pair_lyapunov_series(log, regime)
-
-
-def multi_lyapunov(log: TrajectoryLog) -> LyapunovSeries:
-    from . import analysis
-
-    return analysis.multi_lyapunov(log)
+    return analysis.analyze_log(log, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +568,6 @@ def _read_run_or_fail(
         raise CommandError(f"cannot read run directory {rundir}: {exc}") from None
 
 
-def regime_lyapunov(log: TrajectoryLog, regime: RegimeKind) -> LyapunovSeries:
-    """The Lyapunov series ``analyze`` writes to lyapunov.csv for the regime."""
-    from . import analysis
-
-    if regime is RegimeKind.ATTRACTIVE_ONLY:
-        return analysis.attractive_only_lyapunov(log)
-    if regime is RegimeKind.MULTI_ROBOT:
-        return multi_lyapunov(log)
-    return pair_lyapunov_series(log, regime)
-
-
 def cmd_analyze(rundir: str, regime_name: str) -> int:
     if regime_name not in REGIME_NAMES:
         raise CommandError(
@@ -601,9 +578,7 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
     regime = REGIME_NAMES[regime_name]
     log = _read_run_or_fail(rundir, analysis.REGIME_COLUMNS[regime])
     try:
-        analysis.require_regime(log, regime)
-        series = regime_lyapunov(log, regime)
-        checks = analyze_log(log, regime, series)
+        series, checks = analyze_log(log, regime)
     except ValueError as exc:
         raise CommandError(str(exc)) from None
     except ArithmeticError as exc:  # a cell beyond the range of a check's formula

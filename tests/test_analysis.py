@@ -1,5 +1,8 @@
+import dataclasses
+import itertools
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from scenario_strategies import BEHAVIORS
 from test_engine_reference import EngagementState, propagate
 from vortex_ca import scenarios
 from vortex_ca.analysis import (
+    REGIME_COLUMNS,
+    REGIMES,
     RegimeKind,
     RelativeTrace,
     _multi_robot_derivative,
@@ -24,12 +29,11 @@ from vortex_ca.analysis import (
     numeric_derivative,
     pair_lyapunov_series,
     regime_mismatch,
-    require_regime,
     turn_radius,
     verify_closed_loop,
 )
-from vortex_ca.cli import regime_lyapunov
-from vortex_ca.engine import PairTrace, TrajectoryLog, run
+from vortex_ca.cli import REGIME_NAMES
+from vortex_ca.engine import PairTrace, RobotTrace, TrajectoryLog, run
 from vortex_ca.fields import PFParams
 from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState
 from vortex_ca.scenarios import load_scenario
@@ -527,11 +531,75 @@ def test_regime_mismatch_detection(coop_headon_log):
     assert regime_mismatch(nonvortex_log, RegimeKind.NONVORTEX_PAIR) is None
 
 
+def reference_regime_mismatch(behaviors, vortex, regime):
+    """The regime rules as an ``if/elif`` chain, as ``regime_mismatch`` stated
+    them before ``REGIMES`` held them."""
+    counts = {kind: behaviors.count(kind) for kind in BehaviorKind}
+    if regime is RegimeKind.ATTRACTIVE_ONLY:
+        if len(behaviors) != 1 or counts[BehaviorKind.COOPERATIVE] != 1:
+            return "attractive-only regime needs exactly one cooperative robot"
+    elif regime is RegimeKind.COOP_PAIR:
+        if len(behaviors) != 2 or counts[BehaviorKind.COOPERATIVE] != 2:
+            return "cooperative-pair regime needs exactly two cooperative robots"
+        if not vortex:
+            return "cooperative-pair regime needs the vortex law enabled"
+    elif regime is RegimeKind.COOP_VS_NONCOOP:
+        if len(behaviors) != 2 or counts[BehaviorKind.COOPERATIVE] != 1:
+            return "regime needs one cooperative and one non-cooperative/stationary robot"
+        if counts[BehaviorKind.NON_COOPERATIVE] + counts[BehaviorKind.STATIONARY] != 1:
+            return "regime needs one cooperative and one non-cooperative/stationary robot"
+    elif regime is RegimeKind.COOP_VS_ATTACKER:
+        if len(behaviors) != 2 or counts[BehaviorKind.COOPERATIVE] != 1 or counts[
+            BehaviorKind.ATTACKING
+        ] != 1:
+            return "regime needs one cooperative and one attacking robot"
+    elif regime is RegimeKind.NONVORTEX_PAIR:
+        if len(behaviors) != 2 or counts[BehaviorKind.COOPERATIVE] != 2:
+            return "non-vortex pair regime needs exactly two cooperative robots"
+        if vortex:
+            return "non-vortex pair regime needs the vortex law disabled"
+    elif regime is RegimeKind.MULTI_ROBOT:
+        if len(behaviors) < 2 or counts[BehaviorKind.COOPERATIVE] < 2:
+            return "multi-robot regime needs at least two cooperative robots"
+    return None
+
+
+def test_regime_mismatch_matches_the_reference_chain_on_every_mix():
+    # the text analyze prints after "error: regime mismatch: "
+    mixes = [mix for n in (1, 2, 3) for mix in itertools.product(BehaviorKind, repeat=n)]
+    for behaviors, vortex, regime in itertools.product(mixes, (True, False), RegimeKind):
+        log = SimpleNamespace(scenario=SimpleNamespace(
+            robots=[SimpleNamespace(behavior=kind) for kind in behaviors],
+            params=SimpleNamespace(vortex=vortex),
+        ))
+        expected = reference_regime_mismatch(list(behaviors), vortex, regime)
+        assert regime_mismatch(log, regime) == expected, (behaviors, vortex, regime)
+
+
+def test_regime_columns_are_the_columns_analyze_parsed_before_the_table():
+    # a check that declares a column it does not read widens the parse and
+    # slows analyze; one that reads an undeclared column fails
+    # tests/test_cli.py::test_commands_read_every_column_they_use
+    pair_state = {"r", "vr", "vth", "vrel"}
+    assert REGIME_COLUMNS == {
+        RegimeKind.ATTRACTIVE_ONLY: pair_state | {"x", "y", "phi", "active"},
+        RegimeKind.COOP_PAIR: pair_state | {"triggered", "rep_fx", "rep_fy"},
+        RegimeKind.COOP_VS_NONCOOP: pair_state | {"x", "y", "phi"},
+        RegimeKind.COOP_VS_ATTACKER: pair_state | {"triggered"},
+        RegimeKind.NONVORTEX_PAIR: pair_state,
+        RegimeKind.MULTI_ROBOT: pair_state | {"triggered", "rep_fx", "rep_fy", "omega", "active"},
+    }
+    # each set is the union of what the regime's series and checks declare
+    fields = {f.name for trace in (RobotTrace, PairTrace) for f in dataclasses.fields(trace)}
+    for columns in REGIME_COLUMNS.values():
+        assert columns <= fields, columns - fields
+    assert set(REGIMES) == set(REGIME_NAMES.values())
+    assert len(REGIME_NAMES) == len(REGIMES)
+
+
 def analyzed(log, regime):
-    """What ``analyze`` checks: the regime, then ``analyze_log`` on the log
-    with the series ``analyze`` forms for it."""
-    require_regime(log, regime)
-    return analyze_log(log, regime, regime_lyapunov(log, regime))
+    """What ``analyze`` checks: the regime, then ``analyze_log``'s checks on the log."""
+    return analyze_log(log, regime)[1]
 
 
 def test_analyze_log_coop_pair_all_pass(coop_headon_log):

@@ -383,6 +383,30 @@ def test_analyze_skips_the_grazing_check_for_robots_at_rest(tmp_path, capsys):
     assert "grazing_geometry" not in out
 
 
+def test_analyze_fails_the_grazing_check_when_the_turn_radius_underflows(tmp_path, capsys):
+    # a bound-realizing head-on pair whose turn radius V^2 / f_lim underflows
+    # to 0: the prediction cannot be formed, so the check fails and the
+    # other checks still print
+    data = scenario_to_dict(load_scenario("coop_headon"))
+    data["t_max"] = 0.05
+    data["params"].update(f_lim=1e-300, omega_max=1.0, eps_v=1e-310)
+    for robot in data["robots"]:
+        robot["speed"] = 1e-300
+    scenario = tmp_path / "tiny.json"
+    scenario.write_text(json.dumps(data))
+    rundir = tmp_path / "run"
+    assert main(["run", str(scenario), "-o", str(rundir)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(rundir), "--regime", "coop_pair"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == (rundir / "verification.txt").read_text().splitlines()
+    assert "PASS time_monotone: recorded times strictly increase" in out
+    grazing = [line for line in out.splitlines() if "grazing_geometry" in line]
+    assert len(grazing) == 1 and grazing[0].startswith("FAIL grazing_geometry: ")
+    assert "(inf%, tolerance 2%)" in grazing[0]
+
+
 def _set_column(filename, column, cell):
     def edit(rundir):
         path = rundir / filename
@@ -430,8 +454,7 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     # the benchmark tracer wraps these module-level bindings; a refactor that
     # bypasses them would silently empty the read, write and analysis spans
     calls = {"read_run": 0, "write_trajectory_csv": 0, "write_pairs_csv": 0,
-             "analyze_log": 0, "pair_lyapunov_series": 0, "multi_lyapunov": 0,
-             "fold_metrics": 0}
+             "analyze_log": 0, "fold_metrics": 0}
     for name in calls:
         original = getattr(cli, name)
 
@@ -446,8 +469,7 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     assert main(["analyze", out, "--regime", "coop_pair"]) == 0
     assert main(["plotdata", out]) == 0
     assert calls == {"read_run": 2, "write_trajectory_csv": 1, "write_pairs_csv": 1,
-                     "analyze_log": 1, "pair_lyapunov_series": 1, "multi_lyapunov": 0,
-                     "fold_metrics": 0}
+                     "analyze_log": 1, "fold_metrics": 0}
     spec = tmp_path / "sweep.json"
     spec.write_text(json.dumps({
         "base_scenario": "coop_headon",
@@ -455,12 +477,12 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
         "metrics": ["max_lyap_derivative"],
     }))
     assert main(["sweep", str(spec), "-o", str(tmp_path / "sweep")]) == 0
-    # each cell folds its metrics as it runs; no cell builds a log for multi_lyapunov
-    assert (calls["fold_metrics"], calls["multi_lyapunov"]) == (3, 0)
+    # each cell folds its metrics as it runs
+    assert calls["fold_metrics"] == 3
     out = str(tmp_path / "triangle")
     assert main(["run", "coop_triangle", "-o", out]) == 0
     assert main(["analyze", out, "--regime", "multi_robot"]) == 0
-    assert (calls["analyze_log"], calls["multi_lyapunov"]) == (2, 1)
+    assert calls["analyze_log"] == 2
 
 
 def test_summary_contents(headon_rundir):
@@ -1371,7 +1393,8 @@ def test_analyze_checks_the_regime_once(headon_rundir, tmp_path, monkeypatch, ca
     assert calls == [RegimeKind.COOP_PAIR]
     capsys.readouterr()
     # a mismatch ends the command before the series is formed
-    monkeypatch.setattr(cli, "regime_lyapunov", None)
+    regime = RegimeKind.NONVORTEX_PAIR
+    monkeypatch.setitem(analysis.REGIMES, regime, analysis.REGIMES[regime]._replace(series=None))
     assert main(["analyze", str(rundir), "--regime", "nonvortex_pair"]) == 1
     assert calls == [RegimeKind.COOP_PAIR, RegimeKind.NONVORTEX_PAIR]
     assert capsys.readouterr().err.startswith("error: regime mismatch: ")
@@ -1477,9 +1500,10 @@ def test_commands_read_every_column_they_use(tmp_path, name):
     for trace in [*part.robots.values(), *part.pairs.values()]:
         for attr, values in vars(trace).items():
             assert (values is None) == (attr not in REGIME_COLUMNS[regime]), attr
-    part_series, full_series = cli.regime_lyapunov(part, regime), cli.regime_lyapunov(full, regime)
+    part_series, part_checks = analyze_log(part, regime)
+    full_series, full_checks = analyze_log(full, regime)
     assert part_series == full_series
-    assert analyze_log(part, regime, part_series) == analyze_log(full, regime, full_series)
+    assert part_checks == full_checks
 
     assert main(["plotdata", str(rundir)]) == 0
     for filename, text in _reference_panels(full).items():
