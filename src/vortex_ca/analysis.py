@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from operator import sub, truediv
+from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 from .engine import EVENT_OVERLAP, EVENT_STOPPED, TrajectoryLog
@@ -162,8 +162,8 @@ def multi_robot_derivative(
     lam: float,
 ) -> float:
     """The multi-robot Lyapunov function's analytic derivative at one
-    recorded step, from its pair columns (one entry per pair, in the order
-    ``_Swarm.pair_columns`` gives them) and its robots' ``active`` flags.
+    recorded step, from its pair columns (one entry per pair, in the
+    swarm's pair order) and its robots' ``active`` flags.
 
     ``ends`` are the pairs' cooperative robots (``cooperative_ends``).
     n_active counts the active ones among the triggered pairs' ends; the
@@ -368,29 +368,20 @@ def numeric_derivative(f: Sequence[float], t: Sequence[float]) -> list[float]:
         raise ValueError(f"{n} values for {len(t)} times")
     if n < 2:
         return [0.0] * n
-    try:
-        return _central_differences(f, t, truediv)
-    except ZeroDivisionError:
-        return _central_differences(f, t, _ieee_div)
-
-
-def _central_differences(
-    f: Sequence[float], t: Sequence[float], div: Callable[[float, float], float]
-) -> list[float]:
     dx = list(map(sub, t[1:], t[:-1]))
     h = dx[0]
     if all(d == h for d in dx):
         h2 = 2.0 * h
-        inner = [div(f2 - f0, h2) for f0, f2 in zip(f, f[2:])]
+        inner = [_ieee_div(f2 - f0, h2) for f0, f2 in zip(f, f[2:])]
         first = last = h
     else:
         inner = [
-            div(-d2, d1 * (d1 + d2)) * f0 + div(d2 - d1, d1 * d2) * f1
-            + div(d1, d2 * (d1 + d2)) * f2
+            _ieee_div(-d2, d1 * (d1 + d2)) * f0 + _ieee_div(d2 - d1, d1 * d2) * f1
+            + _ieee_div(d1, d2 * (d1 + d2)) * f2
             for d1, d2, f0, f1, f2 in zip(dx, dx[1:], f, f[1:], f[2:])
         ]
         first, last = dx[0], dx[-1]
-    return [div(f[1] - f[0], first), *inner, div(f[-1] - f[-2], last)]
+    return [_ieee_div(f[1] - f[0], first), *inner, _ieee_div(f[-1] - f[-2], last)]
 
 
 def _lyapunov_series(

@@ -98,12 +98,19 @@ def _write_table(path: str, columns: Sequence[tuple[str, str, Sequence[Any]]]) -
         handle.writelines(row % cells for cells in zip(*(values for _, _, values in columns)))
 
 
+def _column_name(tag: str, col: Column) -> str:
+    """The CSV header of schema column ``col`` of the robot or pair ``tag``."""
+    return f"{tag}_{col.suffix}"
+
+
 def _traced_columns(
     tag: str, trace: Any, columns: Sequence[Column], code: str = ""
 ) -> list[tuple[str, str, Any]]:
     """Writer columns of one robot or pair, in %-format ``code`` or else the column's own."""
-    return [(f"{tag}_{col.suffix}", code or (FLAG if col.flag else FLOAT), getattr(trace, col.attr))
-            for col in columns]
+    return [
+        (_column_name(tag, col), code or (FLAG if col.flag else FLOAT), getattr(trace, col.attr))
+        for col in columns
+    ]
 
 
 def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
@@ -192,6 +199,7 @@ def _text(cells: list[str]) -> list[str]:
 
 
 # Column parsers: from one chunk's cells of a column to the values kept.
+_Parser = Callable[[list[str]], Iterable[Any]]
 _FLOATS = functools.partial(map, float)
 _FLAGS = functools.partial(map, _parse_flag)
 _FLOAT_TEXT = _kept_text(float)
@@ -218,7 +226,7 @@ class _Table(NamedTuple):
             raise RunFormatError(f"{self.path}: missing column {name!r}")
 
 
-def _read_columns(path: str, parsers: dict[str, Callable[[list[str]], Iterable[Any]]]) -> _Table:
+def _read_columns(path: str, parsers: dict[str, _Parser]) -> _Table:
     """Parse the named columns of a CSV file, a chunk of rows at a time.
 
     Lines break where ``str.splitlines`` breaks them.  Blank lines are
@@ -234,7 +242,7 @@ def _read_columns(path: str, parsers: dict[str, Callable[[list[str]], Iterable[A
     header: list[str] | None = None
     columns: dict[str, list] = {}
     errors: dict[str, str] = {}
-    targets: list[tuple[int, str, Callable[[list[str]], Iterable[Any]], list]] = []
+    targets: list[tuple[int, str, _Parser, list]] = []
     error: RunFormatError | None = None
     lineno = 0  # lines before the chunk, blank ones included
     try:
@@ -290,42 +298,39 @@ def _read_columns(path: str, parsers: dict[str, Callable[[list[str]], Iterable[A
     return _Table(path, frozenset(header), columns, errors)
 
 
-class _Read(NamedTuple):
-    """How ``read_run`` reads one column of a robot or a pair."""
-
-    attr: str  # the trace attribute
-    name: str  # the CSV column
-    parse: Callable[[list[str]], Iterable[Any]] | None  # None: only checked to be present
-
-
-def _trace_reads(
-    tag: str, columns: Sequence[Column], parse: Collection[str] | None, text: Collection[str]
-) -> list[_Read]:
-    """How ``read_run`` reads each column of the robot or pair ``tag``."""
-    reads = []
+def _schema_parsers(
+    columns: Sequence[Column], parse: Collection[str] | None, text: Collection[str]
+) -> dict[Column, _Parser | None]:
+    """Each schema column's parser in ``read_run``; None when the column is
+    only checked to be present."""
+    parsers: dict[Column, _Parser | None] = dict.fromkeys(columns)
     for col in columns:
-        parser = None
         if col.attr in text:
-            parser = _FLAG_TEXT if col.flag else _FLOAT_TEXT
+            parsers[col] = _FLAG_TEXT if col.flag else _FLOAT_TEXT
         elif parse is None or col.attr in parse:
-            parser = _FLAGS if col.flag else _FLOATS
-        reads.append(_Read(col.attr, f"{tag}_{col.suffix}", parser))
-    return reads
+            parsers[col] = _FLAGS if col.flag else _FLOATS
+    return parsers
 
 
-def _parsers(
-    t: Callable[[list[str]], Iterable[Any]], traces: Iterable[list[_Read]]
-) -> dict[str, Callable[[list[str]], Iterable[Any]]]:
-    """The parser of ``t`` and then of each parsed column of ``traces``."""
-    return {"t": t} | {read.name: read.parse for reads in traces for read in reads if read.parse}
+def _read_traces(
+    path: str, t: _Parser, tags: Iterable[str], schema: dict[Column, _Parser | None]
+) -> _Table:
+    """``_read_columns`` of ``t`` and of each parsed column of the robots or pairs ``tags``."""
+    return _read_columns(path, {"t": t} | {
+        _column_name(tag, col): parser for tag in tags for col, parser in schema.items() if parser
+    })
 
 
-def _trace_fields(table: _Table, reads: list[_Read]) -> dict[str, list | None]:
-    """Trace attributes from ``table``, None where not parsed; every column must be present."""
+def _trace_fields(
+    table: _Table, tag: str, schema: dict[Column, _Parser | None]
+) -> dict[str, list | None]:
+    """Trace attributes of the robot or pair ``tag`` from ``table``, None
+    where not parsed; every column must be present."""
     fields: dict[str, list | None] = {}
-    for read in reads:
-        table.require(read.name)
-        fields[read.attr] = table.column(read.name) if read.parse else None
+    for col, parser in schema.items():
+        name = _column_name(tag, col)
+        table.require(name)
+        fields[col.attr] = table.column(name) if parser else None
     return fields
 
 
@@ -357,26 +362,27 @@ def read_run(
     log = TrajectoryLog(scenario=scenario)
     ids = sorted(r.id for r in scenario.robots)
 
-    robots = {rid: _trace_reads(f"r{rid}", ROBOT_COLUMNS, parse, text) for rid in ids}
+    robots = {rid: f"r{rid}" for rid in ids}
+    schema = _schema_parsers(ROBOT_COLUMNS, parse, text)
     path = os.path.join(outdir, "trajectory.csv")
-    table = _read_columns(path, _parsers(_FLOAT_TEXT, robots.values()))
+    table = _read_traces(path, _FLOAT_TEXT, robots.values(), schema)
     t_cells = table.column("t")  # its text, to compare with pairs.csv's
     log.t = t_cells if "t" in text else list(map(float, t_cells))
     if not log.t:  # the initial state is always recorded
         raise RunFormatError(f"{path}: no data rows")
-    for rid, reads in robots.items():
-        log.robots[rid] = RobotTrace(**_trace_fields(table, reads))
+    for rid, tag in robots.items():
+        log.robots[rid] = RobotTrace(**_trace_fields(table, tag, schema))
     del table  # release this file's columns before the next one is read
 
-    pairs = {key: _trace_reads(_pair_tag(key), PAIR_COLUMNS, parse, text)
-             for key in itertools.combinations(ids, 2)}
+    pairs = {key: _pair_tag(key) for key in itertools.combinations(ids, 2)}
+    schema = _schema_parsers(PAIR_COLUMNS, parse, text)
     path = os.path.join(outdir, "pairs.csv")
-    table = _read_columns(path, _parsers(_text, pairs.values()))  # t: compared as text
+    table = _read_traces(path, _text, pairs.values(), schema)  # t: compared as text
     if table.columns.get("t") != t_cells:
         raise RunFormatError(f"{path}: column 't' differs from trajectory.csv")
     del t_cells
-    for key, reads in pairs.items():
-        log.pairs[key] = PairTrace(**_trace_fields(table, reads))
+    for key, tag in pairs.items():
+        log.pairs[key] = PairTrace(**_trace_fields(table, tag, schema))
 
     path = os.path.join(outdir, "events.csv")
     if os.path.exists(path):
@@ -615,7 +621,7 @@ def cmd_plotdata(rundir: str) -> int:
         scale = max(speeds[key[0]], speeds[key[1]], 1e-30)
         for col in (vr, vth):
             normed = [v / scale for v in getattr(trace, col.attr)]
-            vrvth.append((f"{tag}_{col.suffix}_norm", FLOAT, normed))
+            vrvth.append((f"{_column_name(tag, col)}_norm", FLOAT, normed))
         vrvth += _traced_columns(tag, trace, [trig], TEXT)
         separation += _traced_columns(tag, trace, [r], TEXT)
     _write_table(os.path.join(rundir, "xy_paths.csv"), paths)

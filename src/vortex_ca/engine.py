@@ -32,12 +32,10 @@ stops (``_Swarm.stop``); the cosine and sine of each heading are formed once
 per heading, by the propagation that turns to it (``advance_pose``), and
 read by the next pair stage and propagation; the LOS angle of each
 pair, which nothing in the step reads, is not formed in the step at all
-(``LogRecorder.result`` forms it from the logged positions); the pair
-columns only a recorder reads are formed as lists by
-``_Swarm.pair_columns``, on recorded steps alone and only for a recorder
-that asks for them; and the per-pair overlap list is formed only while some
-pair is, or comes, inside its contact distance.  The check for that is the
-one scan each step makes over the separations (``_Swarm.touching``).
+(``LogRecorder.result`` forms it from the logged positions); and the
+per-pair overlap list is formed only while some pair is, or comes, inside
+its contact distance.  The check for that is the one scan each step makes
+over the separations (``_Swarm.touching``).
 
 Each step is a pair stage (every engagement and every robot's summed
 repulsive input, O(N^2)) and then a robot stage (attractive term, finite
@@ -399,16 +397,6 @@ class _Swarm:
         self._live[i] = False
         self.__dict__.pop("_live_masks", None)
 
-    def pair_columns(self) -> tuple[list[float], list[float], list[float], list[float], list[bool]]:
-        """The last pair stage's ``r``, ``vr``, ``vth``, ``vrel`` and ``trig``
-        as lists, which is what recorders read (the log records them, and a
-        sweep cell's ``max_lyap_derivative`` reads them).  The array stage
-        leaves ``trig`` as an array, so only a recorded step converts it."""
-        trig = self.trig
-        if not isinstance(trig, list):
-            trig = trig.tolist()
-        return self.r, self.vr, self.vth, self.vrel, trig
-
     def _scalar_touching(self) -> bool:
         """Whether some pair of the last pair stage is inside its contact
         distance."""
@@ -482,27 +470,26 @@ class _Swarm:
         in Python, so the arithmetic kernels (``los_components``,
         ``repulsive_view``, ``saturated_components``) run unchanged on
         arrays.  ``math.hypot`` runs through ``map`` over ``.tolist()``,
-        since ``np.hypot`` may differ in the last bit; the stage keeps those
-        lists as ``r``, ``vr``, ``vth`` and ``vrel``, the separations as
-        ``_r`` for ``_array_touching``, and ``trig`` as an array, which
-        ``pair_columns`` converts on recorded steps only.  The law runs on
-        the triggered pairs with a live endpoint (``_live_masks``), and
-        those inside ``r_star`` take ``saturated_components`` through
-        ``np.where``.  Each input and its negation are scattered through
-        the flat offsets of ``_pair_index`` into a zeroed ``(2, n, n + 1)``
-        buffer at row (robot) and column (1 + the other robot's index),
-        which ``np.add.accumulate`` sums along the columns: the sum starts
-        from the zero first column and adds one column after the other in
-        ascending id of the other robot, as the scalar stage does.  An empty
-        entry adds +0.0, which leaves a sum that never is -0.0 unchanged.  A
-        numpy reduction or matrix product could reorder the additions and is
-        not used.
+        since ``np.hypot`` may differ in the last bit.  The stage leaves
+        what the scalar stage leaves (``r``, ``vr``, ``vth``, ``vrel`` and
+        ``trig`` as lists), and the separations as ``_r`` for
+        ``_array_touching``.  The law runs on the triggered pairs with a
+        live endpoint (``_live_masks``), and those inside ``r_star`` take
+        ``saturated_components`` through ``np.where``.  Each input and its
+        negation are scattered through the flat offsets of ``_pair_index``
+        into a zeroed ``(2, n, n + 1)`` buffer at row (robot) and column
+        (1 + the other robot's index), which ``np.add.accumulate`` sums
+        along the columns: the sum starts from the zero first column and
+        adds one column after the other in ascending id of the other robot,
+        as the scalar stage does.  An empty entry adds +0.0, which leaves a
+        sum that never is -0.0 unchanged.  A numpy reduction or matrix
+        product could reorder the additions and is not used.
 
         numpy runs with its floating-point warnings off, as Python floats
-        overflow silently too.  A zero separation is raised here, the first
-        in pair order.  If any unsaturated input is not finite, the scalar
-        stage redoes the step, so every fault keeps its class, message and
-        order; a saturated input is always finite.
+        overflow silently too.  If a separation is zero or an unsaturated
+        input is not finite, the scalar stage redoes the step, so every
+        fault keeps its class, message and order; a saturated input is
+        always finite.
         """
         import numpy as np
 
@@ -517,10 +504,8 @@ class _Swarm:
             r_list = list(map(math.hypot, dx.tolist(), dy.tolist()))
             self._r = r = np.fromiter(r_list, float, len(r_list))
             if not r.all():
-                a, b = self.pairs[r_list.index(0.0)]
-                raise CollisionSingularity(
-                    f"robots {self.ids[a]} and {self.ids[b]} at identical positions"
-                )
+                self._scalar_pair_stage()
+                return
             ux, uy, vr, vth = los_components(dx, dy, r, rvx, rvy)
             vr_list, vth_list = vr.tolist(), vth.tolist()
             vrel_list = list(map(math.hypot, vr_list, vth_list))
@@ -551,7 +536,7 @@ class _Swarm:
         self.vr = vr_list
         self.vth = vth_list
         self.vrel = vrel_list
-        self.trig = trig
+        self.trig = trig.tolist()
         self.rep_x, self.rep_y = rep.tolist()
         self.fault = [None] * n
 
@@ -644,7 +629,7 @@ class LogRecorder:
                 trace.rep_fx.append(rep_x[i])
                 trace.rep_fy.append(rep_y[i])
                 trace.active.append(active[i])
-            r, vr, vth, vrel, trig = swarm.pair_columns()
+            r, vr, vth, vrel, trig = swarm.r, swarm.vr, swarm.vth, swarm.vrel, swarm.trig
             for p, trace in enumerate(pair_traces):
                 trace.r.append(r[p])
                 trace.vr.append(vr[p])

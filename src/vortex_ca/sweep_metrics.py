@@ -51,7 +51,8 @@ class MetricsFold:
         if self.lyapunov:
             derivative, ends, lam = self.lyapunov
             try:
-                value = derivative(*swarm.pair_columns(), swarm.active, ends, lam)
+                value = derivative(swarm.r, swarm.vr, swarm.vth, swarm.vrel, swarm.trig,
+                                   swarm.active, ends, lam)
             except Exception as exc:  # the cell's error, unless the run fails later
                 self.fault, self.lyapunov = exc, None
                 return

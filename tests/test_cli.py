@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from common_runs import PRESET_RUNS, log_bits
 from scenario_strategies import fold_scenarios
 from vortex_ca import analysis, cli, engine
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind, analyze_log
@@ -166,26 +167,13 @@ def _preset_log(name):
     return run(load_scenario(name))
 
 
-def _assert_logs_equal(restored, log):
-    assert restored.t == log.t
-    assert restored.robot_ids() == log.robot_ids()
-    for rid in log.robot_ids():
-        for col in ROBOT_COLUMNS:
-            assert getattr(restored.robots[rid], col.attr) == getattr(log.robots[rid], col.attr)
-    assert restored.pair_ids() == log.pair_ids()
-    for key in log.pair_ids():
-        for col in PAIR_COLUMNS:
-            assert getattr(restored.pairs[key], col.attr) == getattr(log.pairs[key], col.attr)
-    assert restored.events == log.events
-
-
 def test_read_run_round_trips_exactly(headon_rundir, tmp_path):
     # 17 significant digits keep every float bit-exact through the text layer
-    _assert_logs_equal(read_run(headon_rundir), _preset_log("coop_headon"))
+    assert log_bits(read_run(headon_rundir)) == log_bits(_preset_log("coop_headon"))
     for name in ("coop_triangle", "saturated_headon"):
         log = _preset_log(name)
         write_run_outputs(log, str(tmp_path / name))
-        _assert_logs_equal(read_run(str(tmp_path / name)), log)
+        assert log_bits(read_run(str(tmp_path / name))) == log_bits(log)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -1451,18 +1439,6 @@ def test_plotdata_stationary_obstacle_is_single_point(tmp_path):
     assert xs == {"1.5"} and ys == {"0.40000000000000002"}
 
 
-# Preset -> the regime it is analyzed under (as in tests/test_golden.py).
-PRESET_REGIMES = {
-    "coop_headon": RegimeKind.COOP_PAIR,
-    "coop_triangle": RegimeKind.MULTI_ROBOT,
-    "noncoop_headon": RegimeKind.COOP_VS_NONCOOP,
-    "attacker": RegimeKind.COOP_VS_ATTACKER,
-    "nonvortex_headon": RegimeKind.NONVORTEX_PAIR,
-    "attractive_only": RegimeKind.ATTRACTIVE_ONLY,
-    "saturated_headon": RegimeKind.COOP_PAIR,
-}
-
-
 def _reference_panels(log):
     """plotdata's panels from a fully parsed log, every cell formatted as the writers do."""
     def table(columns):
@@ -1488,11 +1464,11 @@ def _reference_panels(log):
             "separation.csv": table(separation)}
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_REGIMES))
+@pytest.mark.parametrize("name", sorted(PRESET_RUNS))
 def test_commands_read_every_column_they_use(tmp_path, name):
     # An unread trace attribute is None, so a check or a panel that reads a
     # column its command does not ask for raises here.
-    regime = PRESET_REGIMES[name]
+    regime = RegimeKind(PRESET_RUNS[name][0])
     rundir = tmp_path / name
     write_run_outputs(_preset_log(name), str(rundir))
     full = read_run(str(rundir))

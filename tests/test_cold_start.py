@@ -26,30 +26,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+from common_runs import PRESET_RUNS
 from vortex_ca.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Preset -> expected `run` exit code (as in tests/test_golden.py).
-RUN_CODES = {
-    "coop_headon": 2,
-    "coop_triangle": 0,
-    "noncoop_headon": 2,
-    "attacker": 2,
-    "nonvortex_headon": 2,
-    "attractive_only": 0,
-    "saturated_headon": 0,
-}
-
-# Preset -> the regime it is analyzed under, one preset per regime.
-PRESET_REGIMES = {
-    "attacker": "coop_vs_attacker",
-    "attractive_only": "attractive_only",
-    "coop_headon": "coop_pair",
-    "coop_triangle": "multi_robot",
-    "noncoop_headon": "coop_vs_noncoop",
-    "nonvortex_headon": "nonvortex_pair",
-}
+# One preset per regime, the first by name: preset -> the regime it is
+# analyzed under.
+PRESET_REGIMES = {}
+for name, (regime, _) in sorted(PRESET_RUNS.items()):
+    if regime not in PRESET_REGIMES.values():
+        PRESET_REGIMES[name] = regime
 
 WATCHED = ("numpy", "vortex_ca.analysis", "vortex_ca.sweep_metrics", "multiprocessing",
            "concurrent.futures", "subprocess")
@@ -124,7 +111,7 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
         "axes": [{"path": "params.lambda", "values": [9.0, 11.0]}],
     }))
     ring = ring_scenario(tmp_path / "ring11.json", 11)
-    names = sorted(RUN_CODES)
+    names = sorted(PRESET_RUNS)
     # the commands that never load analysis come first, since nothing unloads it
     plain = [
         *(["run", name, "-o", tmp_path / name] for name in names),
@@ -141,7 +128,7 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
     codes, loaded = fresh_main(*plain, *analyses)
     ring_code = main(["run", str(ring), "-o", str(tmp_path / "ring11_again")])
     assert codes == (
-        [RUN_CODES[name] for name in names] + [0] * len(names) + [0, 0, ring_code]
+        [PRESET_RUNS[name][1] for name in names] + [0] * len(names) + [0, 0, ring_code]
         + [0] * len(analyses)
     )
     # the imports, then the plain commands, leave every watched module out but

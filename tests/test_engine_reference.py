@@ -9,9 +9,10 @@ pair's engagement and its flipped view per robot, sums each robot's force
 with ``total_force_from_engagements`` below (the force kernels, called once
 per engagement view in ascending id order), steers with ``force_heading``
 and ``heading_controller``, propagates and applies the stop rule.  The
-engine must reproduce it bit for bit, so every comparison below is ``==``:
-any reordering of the floating-point arithmetic fails here.  The kinematics,
-fields, analysis and pair-stage tests use the same object layer.
+engine must reproduce it bit for bit, so every log comparison below is of
+``log_bits``: any reordering of the floating-point arithmetic fails here.
+The kinematics, fields, analysis and pair-stage tests use the same object
+layer.
 """
 
 import math
@@ -20,6 +21,7 @@ from dataclasses import dataclass, replace
 import pytest
 from hypothesis import given, settings
 
+from common_runs import log_bits
 from scenario_strategies import fold_scenarios
 from vortex_ca.control import force_heading, heading_controller
 from vortex_ca.engine import (
@@ -337,21 +339,10 @@ def mixed_scenario():
                     name="mixed")
 
 
-def assert_logs_equal(log, ref):
-    assert log.t == ref.t
-    assert log.robots.keys() == ref.robots.keys()
-    assert log.pairs.keys() == ref.pairs.keys()
-    for rid, trace in ref.robots.items():
-        assert log.robots[rid] == trace, f"robot {rid}"
-    for key, trace in ref.pairs.items():
-        assert log.pairs[key] == trace, f"pair {key}"
-    assert log.events == ref.events
-
-
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_run_matches_reference_on_presets(preset):
     scenario = load_scenario(preset)
-    assert_logs_equal(run(scenario), reference_run(scenario))
+    assert log_bits(run(scenario)) == log_bits(reference_run(scenario))
 
 
 def test_run_matches_reference_on_mixed_scenario():
@@ -366,7 +357,7 @@ def test_run_matches_reference_on_mixed_scenario():
     ), "saturation never engaged"
     kinds = {event.kind for event in log.events}
     assert {EVENT_GOAL, EVENT_STOPPED, EVENT_OVERLAP} <= kinds
-    assert_logs_equal(log, reference_run(scenario))
+    assert log_bits(log) == log_bits(reference_run(scenario))
 
 
 def contact_scenario():
@@ -420,7 +411,7 @@ def test_run_matches_reference_on_contact_scenario():
     k = log.t.index(caught)
     target = log.robots[4]
     assert target.active[k] and (target.x[k - 1], target.y[k - 1]) != (target.x[k], target.y[k])
-    assert_logs_equal(log, reference_run(scenario))
+    assert log_bits(log) == log_bits(reference_run(scenario))
 
 
 def test_run_matches_reference_on_contact_re_entry():
@@ -441,7 +432,7 @@ def test_run_matches_reference_on_contact_re_entry():
     first, second = (log.t.index(e.t) for e in log.events)
     inside = [r < 0.24 for r in log.pairs[(1, 2)].r]
     assert inside[first] and not all(inside[first:second]) and inside[second]
-    assert_logs_equal(log, reference_run(scenario))
+    assert log_bits(log) == log_bits(reference_run(scenario))
 
 
 @settings(max_examples=150, deadline=None)
@@ -455,4 +446,4 @@ def test_run_matches_reference_on_drawn_scenarios(scenario):
             run(scenario)
         assert (type(err.value), str(err.value)) == (type(exc), str(exc))
         return
-    assert_logs_equal(run(scenario), ref)
+    assert log_bits(run(scenario)) == log_bits(ref)

@@ -19,28 +19,17 @@ import json
 import math
 from pathlib import Path
 
+from common_runs import PRESET_RUNS
 from vortex_ca.cli import main, read_run
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 DIGESTS = BENCHMARKS / "digests.json"
 
-# Preset -> (analyze regime, expected `run` exit code), as in the benchmark's
-# PRESETS map (benchmarks/bench.py).
-PRESETS = {
-    "coop_headon": ("coop_pair", 2),
-    "coop_triangle": ("multi_robot", 0),
-    "noncoop_headon": ("coop_vs_noncoop", 2),
-    "attacker": ("coop_vs_attacker", 2),
-    "nonvortex_headon": ("nonvortex_pair", 2),
-    "attractive_only": ("attractive_only", 0),
-    "saturated_headon": ("coop_pair", 0),
-}
-
 
 def test_preset_pipeline_outputs_match_pinned_digests(tmp_path):
     pinned = json.loads(DIGESTS.read_text())["full"]["preset_pipeline"]
     digests = {}
-    for preset, (regime, run_code) in sorted(PRESETS.items()):
+    for preset, (regime, run_code) in sorted(PRESET_RUNS.items()):
         rundir = tmp_path / preset
         assert main(["run", preset, "-o", str(rundir)]) == run_code, preset
         assert main(["analyze", str(rundir), "--regime", regime]) == 0, preset

@@ -5,24 +5,19 @@ Swarms of at least ``engine._ARRAY_MIN_ROBOTS`` robots run the pair stage
 (engagements and summed repulsive inputs) on numpy arrays; smaller ones run
 the scalar loops.  The two must give the same bits, so every comparison here
 is exact: pair series and sums through ``float.hex`` (which also tells +0.0
-from -0.0), whole runs through ``assert_logs_equal``, and faults by class and
+from -0.0), whole runs through ``log_bits``, and faults by class and
 message.
 """
 
 import math
 import warnings
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from test_engine_reference import (
-    assert_logs_equal,
-    engagement,
-    mixed_scenario,
-    total_force_from_engagements,
-)
+from common_runs import log_bits
+from test_engine_reference import engagement, mixed_scenario, total_force_from_engagements
 from vortex_ca import engine
 from vortex_ca.engine import Scenario, _Swarm, run
 from vortex_ca.fields import PFParams
@@ -92,14 +87,12 @@ def worlds(draw):
 
 
 def pair_state(swarm):
-    """Everything the pair stage leaves for the later stages and the log, the
-    recorded columns read through ``pair_columns`` as the log reads them."""
-    r, vr, vth, vrel, trig = swarm.pair_columns()
-    floats = [r, vr, vth, vrel, swarm.rep_x, swarm.rep_y]
+    """Everything the pair stage leaves for the later stages and the log."""
+    floats = [swarm.r, swarm.vr, swarm.vth, swarm.vrel, swarm.rep_x, swarm.rep_y]
     return (
         [[value.hex() for value in series] for series in floats],
-        [type(value) for value in trig],
-        trig,
+        [type(value) for value in swarm.trig],
+        swarm.trig,
         [(type(f), str(f)) if f is not None else None for f in swarm.fault],
     )
 
@@ -111,9 +104,11 @@ def test_array_pair_stage_matches_scalar_stage(world):
     scalar, array = _Swarm(*world), _Swarm(*world)
     scalar._scalar_pair_stage()
     array._array_pair_stage()
+    assert type(scalar.trig) is list and type(array.trig) is list
     assert pair_state(array) == pair_state(scalar)
     # ... and the array stage again over what the scalar stage left.
     scalar._array_pair_stage()
+    assert type(scalar.trig) is list
     assert pair_state(scalar) == pair_state(array)
 
 
@@ -122,22 +117,6 @@ def test_pair_stage_dispatch_follows_threshold():
     for n, stage in ((threshold - 1, "_scalar_pair_stage"), (threshold, "_array_pair_stage")):
         swarm = _Swarm(ring(n).sorted_robots(), PFParams())
         assert swarm.pair_stage.__func__ is getattr(_Swarm, stage)
-
-
-def test_pair_columns_are_formed_once_per_recorded_row(monkeypatch):
-    calls = 0
-
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        return original(self)
-
-    original = _Swarm.pair_columns
-    monkeypatch.setattr(_Swarm, "pair_columns", counting)
-    scenario = replace(ring(engine._ARRAY_MIN_ROBOTS, t_max=1.0), record_stride=10)
-    log = run(scenario)
-    assert len(log.t) == 11  # steps 0, 10, ..., 100 of 100
-    assert calls == len(log.t)
 
 
 def run_both(monkeypatch, scenario):
@@ -157,7 +136,7 @@ def run_both(monkeypatch, scenario):
 def test_run_on_array_stage_matches_scalar_engine(monkeypatch, name):
     scenario = mixed_scenario() if name == "mixed" else load_scenario(name)
     scalar, array = run_both(monkeypatch, scenario)
-    assert_logs_equal(array, scalar)
+    assert log_bits(array) == log_bits(scalar)
 
 
 def ring(n, radius=3.0, lam=10.0, heading=None, t_max=8.0):
@@ -229,18 +208,7 @@ def test_parallel_ring_runs_without_numpy_warnings(monkeypatch):
         scalar, array = run_both(monkeypatch, scenario)
     assert all(trace.vrel[0] == 0.0 for trace in array.pairs.values())
     assert not any(any(trace.triggered) for trace in array.pairs.values())
-    assert_logs_equal(array, scalar)
-
-
-def log_bits(log):
-    """A log's recorded values with every float as its ``float.hex``, which
-    tells +0.0 from -0.0."""
-    def bits(values):
-        return [value.hex() if isinstance(value, float) else value for value in values]
-
-    traces = [*log.robots.values(), *log.pairs.values()]
-    return bits(log.t), [{attr: bits(values) for attr, values in vars(trace).items()}
-                         for trace in traces], log.events
+    assert log_bits(array) == log_bits(scalar)
 
 
 def test_non_closing_swarm_matches_scalar_bit_for_bit(monkeypatch):
