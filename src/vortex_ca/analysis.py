@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import sub
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .engine import EVENT_OVERLAP, EVENT_STOPPED, TrajectoryLog
 from .fields import PFParams
@@ -117,11 +117,9 @@ def lyapunov(
         raise ValueError("repulsive regimes need vrel > 0")
     alpha = params.lam / (vrel * r * r)
     if regime is RegimeKind.COOP_PAIR:
-        value = r + 0.5 * (vth * vth + vr * vr)
-        return value, vr * (1.0 + 6.0 * alpha * vr * vth)
+        return _multi_robot_value(r, vr, vth), vr * (1.0 + 6.0 * alpha * vr * vth)
     if regime is RegimeKind.COOP_VS_NONCOOP:
-        value = r + 0.5 * (vth * vth + vr * vr)
-        return value, -abs(vr) * (1.0 + 3.0 * alpha * vr * vth)
+        return _multi_robot_value(r, vr, vth), -abs(vr) * (1.0 + 3.0 * alpha * vr * vth)
     if regime is RegimeKind.COOP_VS_ATTACKER:
         value = params.kappa * r + 0.5 * (vth * vth + vr * vr)
         return value, 3.0 * alpha * vr * vr * vth
@@ -135,7 +133,8 @@ def lyapunov(
 
 
 def _multi_robot_value(r: float, vr: float, vth: float) -> float:
-    """One triggered pair's term of the multi-robot Lyapunov value."""
+    """One triggered pair's term of the multi-robot Lyapunov value, and the
+    whole value of the cooperative pair and cooperative/non-cooperative regimes."""
     return r + 0.5 * (vth * vth + vr * vr)
 
 
@@ -460,6 +459,18 @@ def _check(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, "PASS" if ok else "FAIL", detail)
 
 
+def _fold(pick: Callable[[float, float], float], values: Iterable[float], start: float) -> float:
+    """``pick(start, *values)`` for ``pick`` ``max`` or ``min``, except that a
+    nan value gives nan (the builtins drop a nan after the first value), so
+    a check's tolerance comparison on its worst value fails and prints it."""
+    worst = start
+    for value in values:
+        if value != value:
+            return math.nan
+        worst = pick(worst, value)
+    return worst
+
+
 def _time_monotone_check(log: TrajectoryLog) -> list[CheckResult]:
     monotone = all(b > a for a, b in zip(log.t, log.t[1:]))
     return [_check("time_monotone", monotone, "recorded times strictly increase")]
@@ -468,13 +479,10 @@ def _time_monotone_check(log: TrajectoryLog) -> list[CheckResult]:
 def _circle_constraint_check(log: TrajectoryLog) -> list[CheckResult]:
     if not log.pairs:
         return []
-    worst = 0.0
-    for trace in log.pairs.values():
-        for k in range(len(trace.r)):
-            worst = max(
-                worst,
-                abs(trace.vr[k] ** 2 + trace.vth[k] ** 2 - trace.vrel[k] ** 2),
-            )
+    worst = _fold(max, (
+        abs(vr ** 2 + vth ** 2 - vrel ** 2)
+        for trace in log.pairs.values() for vr, vth, vrel in zip(trace.vr, trace.vth, trace.vrel)
+    ), 0.0)
     return [_check("circle_constraint", worst < 1e-9, f"max |Vr^2+Vth^2-Vrel^2| = {worst:.3e}")]
 
 
@@ -485,17 +493,11 @@ def _reciprocity_check(log: TrajectoryLog) -> list[CheckResult]:
     (i, j) = log.pair_ids()[0]
     ti, tj = log.robots[i], log.robots[j]
     pair = log.pairs[(i, j)]
-    worst = 0.0
-    steps = 0
-    for k in range(len(log.t)):
-        if not pair.triggered[k]:
-            continue
-        steps += 1
-        worst = max(
-            worst,
-            abs(ti.rep_fx[k] + tj.rep_fx[k]),
-            abs(ti.rep_fy[k] + tj.rep_fy[k]),
-        )
+    steps = sum(pair.triggered)
+    forces = zip(pair.triggered, ti.rep_fx, tj.rep_fx, ti.rep_fy, tj.rep_fy)
+    worst = _fold(max, (
+        abs(f) for on, fxi, fxj, fyi, fyj in forces if on for f in (fxi + fxj, fyi + fyj)
+    ), 0.0)
     return [_check(
         "reciprocity",
         steps > 0 and worst <= _RECIPROCITY_TOL,
@@ -512,7 +514,7 @@ def _instability_certificate(log: TrajectoryLog, series: LyapunovSeries) -> list
         if numeric[k - 1] < 0.0 and numeric[k] > 0.0:
             sign_change_at = k
             break
-    min_r = min(rs)
+    min_r = _fold(min, rs, math.inf)
     ok = sign_change_at is not None and rs[sign_change_at] > 0.0 and min_r > 0.0
     detail = (
         f"derivative sign change at t={log.t[sign_change_at]:.3f}, r={rs[sign_change_at]:.3f}, "
@@ -558,7 +560,7 @@ def _grazing_geometry_check(log: TrajectoryLog) -> list[CheckResult]:
     r_turn = turn_radius(speed, params.f_lim)
     # a turn radius or a prediction lost to underflow or rounding cannot match
     predicted = 2.0 * grazing_separation(r_turn, pair.r[0] / 2.0) if r_turn > 0.0 else 0.0
-    measured = min(pair.r)
+    measured = _fold(min, pair.r, math.inf)
     rel = abs(measured - predicted) / predicted if predicted > 0.0 else math.inf
     return [_check(
         "grazing_geometry",
@@ -587,14 +589,15 @@ def _noncoop_checks(log: TrajectoryLog) -> list[CheckResult]:
         trace = log.robots[noncoop.id]
         x0, y0, phi0 = trace.x[0], trace.y[0], trace.phi[0]
         nx, ny = -math.sin(phi0), math.cos(phi0)
-        worst = max(abs((x - x0) * nx + (y - y0) * ny) for x, y in zip(trace.x, trace.y))
+        worst = _fold(max, (abs((x - x0) * nx + (y - y0) * ny)
+                            for x, y in zip(trace.x, trace.y)), 0.0)
         results.append(_check(
             "noncooperative_straight_path",
             worst < 1e-9,
             f"max lateral deviation {worst:.3e} m",
         ))
     key = log.pair_ids()[0]
-    min_r = min(log.pairs[key].r)
+    min_r = _fold(min, log.pairs[key].r, math.inf)
     radius = {r.id: r.body_radius for r in log.scenario.robots}
     results.append(_check("separation_positive", min_r > 0.0, f"min separation {min_r:.3f} m"))
     results.append(
@@ -616,10 +619,10 @@ def _attacker_checks(log: TrajectoryLog, series: LyapunovSeries) -> list[CheckRe
     pair = log.pairs[pair_key]
 
     # A triggered step has vrel > eps_v, where the series' vrel floor is idle.
-    worst = 0.0
-    for k, deriv in enumerate(series.derivative_analytic):
-        if pair.triggered[k] and pair.vth[k] >= 0.0:
-            worst = min(worst, deriv)
+    worst = _fold(min, (
+        deriv for deriv, on, vth in zip(series.derivative_analytic, pair.triggered, pair.vth)
+        if on and vth >= 0.0
+    ), 0.0)
     results.append(
         _check(
             "attacker_certificate",
@@ -644,15 +647,13 @@ def _attacker_checks(log: TrajectoryLog, series: LyapunovSeries) -> list[CheckRe
         # 3*lam*Vrel/(2*r0^2) with r0 the initial separation; pointwise values
         # with the instantaneous r exceed 1 once the dodge closes below r0 and
         # are reported for inspection only.
-        worst_bound = 0.0
-        worst_inst = 0.0
-        for k in range(len(log.t)):
-            if not pair.triggered[k]:
-                continue
-            if pair.vr[k] < 0.0 and pair.vth[k] < 0.0:
-                common = 3.0 * params.lam * pair.vr[k] * pair.vth[k] / pair.vrel[k]
-                worst_bound = max(worst_bound, abs(common / (r0 * r0)))
-                worst_inst = max(worst_inst, abs(common / (pair.r[k] ** 2)))
+        def closing():  # (3*lam*Vr*Vth/Vrel, r) on triggered steps with Vr < 0 and Vth < 0
+            for on, r, vr, vth, vrel in zip(pair.triggered, pair.r, pair.vr, pair.vth, pair.vrel):
+                if on and vr < 0.0 and vth < 0.0:
+                    yield 3.0 * params.lam * vr * vth / vrel, r
+
+        worst_bound = _fold(max, (abs(common / (r0 * r0)) for common, _ in closing()), 0.0)
+        worst_inst = _fold(max, (abs(common / (r ** 2)) for common, r in closing()), 0.0)
         results.append(
             _check(
                 "ratio_bound",
@@ -683,13 +684,13 @@ def _attacker_checks(log: TrajectoryLog, series: LyapunovSeries) -> list[CheckRe
 
 def _nonvortex_checks(log: TrajectoryLog) -> list[CheckResult]:
     pair = log.pairs[log.pair_ids()[0]]
-    worst_vth = max(abs(v) for v in pair.vth)
+    worst_vth = _fold(max, map(abs, pair.vth), 0.0)
     overlap_t = next((e.t for e in log.events if e.kind == EVENT_OVERLAP), None)
     monotone = True
     for k in range(1, len(pair.r)):
         if overlap_t is not None and log.t[k] > overlap_t:
             break
-        if pair.r[k] >= pair.r[k - 1]:
+        if not pair.r[k] < pair.r[k - 1]:
             monotone = False
             break
     return [
@@ -735,10 +736,10 @@ def _multi_checks(log: TrajectoryLog) -> list[CheckResult]:
     results: list[CheckResult] = []
     robots = log.scenario.sorted_robots()
     radius = {r.id: r.body_radius for r in robots}
-    worst_margin = math.inf
-    for (i, j), trace in log.pairs.items():
-        margin = min(trace.r) - (radius[i] + radius[j])
-        worst_margin = min(worst_margin, margin)
+    worst_margin = _fold(min, (
+        _fold(min, trace.r, math.inf) - (radius[i] + radius[j])
+        for (i, j), trace in log.pairs.items()
+    ), math.inf)
     results.append(
         _check(
             "pairwise_clearance",
@@ -747,13 +748,12 @@ def _multi_checks(log: TrajectoryLog) -> list[CheckResult]:
         )
     )
 
+    traces = [log.robots[rid] for rid in log.robot_ids()]
     all_coop = all(r.behavior is BehaviorKind.COOPERATIVE for r in robots)
     if all_coop:
-        worst = 0.0
-        for k in range(len(log.t)):
-            sx = sum(log.robots[rid].rep_fx[k] for rid in log.robot_ids())
-            sy = sum(log.robots[rid].rep_fy[k] for rid in log.robot_ids())
-            worst = max(worst, abs(sx), abs(sy))
+        fx = zip(*(trace.rep_fx for trace in traces))
+        fy = zip(*(trace.rep_fy for trace in traces))
+        worst = _fold(max, (abs(sum(f)) for step in zip(fx, fy) for f in step), 0.0)
         results.append(
             _check(
                 "repulsive_sum_cancels",
@@ -769,11 +769,7 @@ def _multi_checks(log: TrajectoryLog) -> list[CheckResult]:
     ]
     agree = True
     for k in mutual_steps:
-        signs = {
-            math.copysign(1.0, log.robots[rid].omega[k])
-            for rid in log.robot_ids()
-            if abs(log.robots[rid].omega[k]) > 1e-12
-        }
+        signs = {math.copysign(1.0, t.omega[k]) for t in traces if abs(t.omega[k]) > 1e-12}
         if len(signs) > 1:
             agree = False
             break

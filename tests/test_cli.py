@@ -317,14 +317,19 @@ def _never_active(rundir):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _first_separation(cell):
+def _set_column(filename, column, cell, row=None):
+    """An edit that sets ``column`` of data row ``row`` (0 is the first
+    after the header), or of every row, to the text ``cell``."""
     def edit(rundir):
-        path = rundir / "pairs.csv"
-        lines = path.read_text().splitlines()
-        cells = lines[1].split(",")
-        assert lines[0].split(",")[1] == "p1_2_r"
-        cells[1] = cell
-        lines[1] = ",".join(cells)
+        path = rundir / filename
+        header, *rows = path.read_text().splitlines()
+        index = header.split(",").index(column)
+        lines = [header]
+        for k, line in enumerate(rows):
+            cells = line.split(",")
+            if row is None or k == row:
+                cells[index] = cell
+            lines.append(",".join(cells))
         path.write_text("\n".join(lines) + "\n")
     return edit
 
@@ -334,8 +339,52 @@ UNMEASURABLE_RUNS = {
     "never_active": ("attractive_only", "attractive_only", _never_active,
                      "FAIL closing_at_speed: the robot is never active"),
     # the mirrored-circle prediction from a 1e-12 m initial separation is 0
-    "zero_grazing_prediction": ("saturated_headon", "coop_pair", _first_separation("1e-12"),
+    "zero_grazing_prediction": ("saturated_headon", "coop_pair",
+                                _set_column("pairs.csv", "p1_2_r", "1e-12", 0),
                                 "FAIL grazing_geometry: "),
+    # One nan cell that the check folds into its worst value.  Row 5 is
+    # triggered in every preset and comes before any overlap; row 0 is the
+    # attacker run's one triggered step with Vth >= 0.
+    "nan_circle_constraint": ("coop_headon", "coop_pair",
+                              _set_column("pairs.csv", "p1_2_vr", "nan", 5),
+                              "FAIL circle_constraint: max |Vr^2+Vth^2-Vrel^2| = nan\n"),
+    "nan_reciprocity": ("coop_headon", "coop_pair",
+                        _set_column("trajectory.csv", "r1_repfx", "nan", 5),
+                        "FAIL reciprocity: max |F_rep_i + F_rep_j| = nan over 878 triggered "
+                        "steps\n"),
+    "nan_instability_certificate": ("saturated_headon", "coop_pair",
+                                    _set_column("pairs.csv", "p1_2_r", "nan", 5),
+                                    "FAIL instability_certificate: derivative sign change at "
+                                    "t=2.415, r=0.377, min separation nan\n"),
+    "nan_grazing_geometry": ("saturated_headon", "coop_pair",
+                             _set_column("pairs.csv", "p1_2_r", "nan", 5),
+                             "FAIL grazing_geometry: min separation nan vs mirrored-circle "
+                             "prediction 0.3765 (nan%, tolerance 2%)\n"),
+    "nan_noncooperative_straight_path": ("noncoop_headon", "coop_vs_noncoop",
+                                         _set_column("trajectory.csv", "r2_y", "nan", 5),
+                                         "FAIL noncooperative_straight_path: max lateral "
+                                         "deviation nan m\n"),
+    "nan_separation_positive": ("noncoop_headon", "coop_vs_noncoop",
+                                _set_column("pairs.csv", "p1_2_r", "nan", 5),
+                                "FAIL separation_positive: min separation nan m\n"),
+    "nan_attacker_certificate": ("attacker", "coop_vs_attacker",
+                                 _set_column("pairs.csv", "p1_2_vr", "nan", 0),
+                                 "FAIL attacker_certificate: min Lyapunov derivative over "
+                                 "triggered steps with Vth >= 0: nan\n"),
+    "nan_no_turning": ("nonvortex_headon", "nonvortex_pair",
+                       _set_column("pairs.csv", "p1_2_vth", "nan", 5),
+                       "FAIL no_turning: max |Vth| = nan\n"),
+    "nan_monotone_closing": ("nonvortex_headon", "nonvortex_pair",
+                             _set_column("pairs.csv", "p1_2_r", "nan", 5),
+                             "FAIL monotone_closing: "),
+    "nan_pairwise_clearance": ("coop_triangle", "multi_robot",
+                               _set_column("pairs.csv", "p1_2_r", "nan", 5),
+                               "FAIL pairwise_clearance: worst min-separation margin over body "
+                               "contact: nan m\n"),
+    "nan_repulsive_sum_cancels": ("coop_triangle", "multi_robot",
+                                  _set_column("trajectory.csv", "r1_repfx", "nan", 5),
+                                  "FAIL repulsive_sum_cancels: max |sum of repulsive inputs| = "
+                                  "nan\n"),
 }
 
 
@@ -395,20 +444,6 @@ def test_analyze_fails_the_grazing_check_when_the_turn_radius_underflows(tmp_pat
     assert "(inf%, tolerance 2%)" in grazing[0]
 
 
-def _set_column(filename, column, cell):
-    def edit(rundir):
-        path = rundir / filename
-        header, *rows = path.read_text().splitlines()
-        index = header.split(",").index(column)
-        lines = [header]
-        for row in rows:
-            cells = row.split(",")
-            cells[index] = cell
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n")
-    return edit
-
-
 # Runs that read cleanly but hold cells beyond the range of a check's
 # formula: analyze reports an error, not a traceback.
 OUT_OF_RANGE_RUNS = {
@@ -436,6 +471,25 @@ def test_analyze_reports_out_of_range_cells_as_an_error(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and message in err and out == ""
     assert not (rundir / "verification.txt").exists()
+
+
+def test_analyze_fails_the_circle_check_on_an_engine_written_nan(tmp_path, capsys):
+    # two robots 2 m apart driving apart at 1e308 m/s: the engine writes
+    # vr = inf, vth = nan and vrel = inf on the first row
+    scenario = tmp_path / "far.json"
+    scenario.write_text(json.dumps({"t_max": 0.05, "robots": [
+        {"id": 1, "x": -1.0, "y": 0.0, "heading": math.pi, "speed": 1e308, "goal": [-5.0, 0.0]},
+        {"id": 2, "x": 1.0, "y": 0.0, "heading": 0.0, "speed": 1e308,
+         "behavior": "noncooperative", "goal": [5.0, 0.0]},
+    ]}))
+    rundir = tmp_path / "run"
+    assert main(["run", str(scenario), "-o", str(rundir)]) == 0
+    assert (rundir / "pairs.csv").read_text().splitlines()[1] == "0,2,0,inf,nan,inf,0"
+    capsys.readouterr()
+    assert main(["analyze", str(rundir), "--regime", "coop_vs_noncoop"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "FAIL circle_constraint: max |Vr^2+Vth^2-Vrel^2| = nan" in out.splitlines()
 
 
 def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):

@@ -216,3 +216,23 @@ def test_runs_pass_their_scenario_once():
                 assert arg != "scenario" and "Scenario" not in annotation, (recorder, arg)
         assert [arg for arg, _ in _arguments(package / module, recorder, "start")] == [
             "self", "scenario", "swarm"]
+
+
+def test_checks_fold_columns_only_through_one_helper():
+    # builtin max and min keep a value against a nan that follows it, so a
+    # check passed on nan cells; every check named in a Check(...) entry
+    # reduces with max or min only as the first argument of analysis._fold
+    tree = ast.parse((SRC / "vortex_ca" / "analysis.py").read_text(encoding="utf-8"))
+    checks = {node.args[0].id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Check"}
+    assert {"_circle_constraint_check", "_reciprocity_check", "_instability_certificate",
+            "_grazing_geometry_check", "_noncoop_checks", "_attacker_checks",
+            "_nonvortex_checks", "_multi_checks"} <= checks
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in sorted(checks):
+        nodes = list(ast.walk(functions[name]))
+        picks = [node.args[0] for node in nodes if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_fold" and node.args]
+        builtins = [node for node in nodes
+                    if isinstance(node, ast.Name) and node.id in ("max", "min")]
+        assert all(any(node is pick for pick in picks) for node in builtins), name
