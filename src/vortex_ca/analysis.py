@@ -35,7 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from operator import sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -171,9 +171,7 @@ def multi_robot_derivative(
     term that divides by zero raises.  ``multi_lyapunov`` and the sweep's
     ``max_lyap_derivative`` both form the derivative here.
     """
-    if not any(triggered):
-        return 0.0
-    on = [p for p, flag in enumerate(triggered) if flag]
+    on = list(compress(range(len(triggered)), triggered))
     n_active = len({i for p in on for i in ends[p] if active[i]})
     total = 0.0
     for p in on:
@@ -686,17 +684,21 @@ def _nonvortex_checks(log: TrajectoryLog) -> list[CheckResult]:
     pair = log.pairs[log.pair_ids()[0]]
     worst_vth = _fold(max, map(abs, pair.vth), 0.0)
     overlap_t = next((e.t for e in log.events if e.kind == EVENT_OVERLAP), None)
-    monotone = True
+    rise = None  # the first step at which the separation did not fall
     for k in range(1, len(pair.r)):
         if overlap_t is not None and log.t[k] > overlap_t:
             break
         if not pair.r[k] < pair.r[k - 1]:
-            monotone = False
+            rise = k
             break
     return [
         _check("no_turning", worst_vth < 1e-9, f"max |Vth| = {worst_vth:.3e}"),
-        _check("monotone_closing", monotone, "separation decreased monotonically until overlap"),
-        _check("overlap_occurred", overlap_t is not None, f"first overlap at t={overlap_t}"),
+        _check("monotone_closing", rise is None,
+               "separation decreased monotonically until overlap" if rise is None
+               else f"separation did not decrease at t={log.t[rise]:.3f}, r={pair.r[rise]:.3f}"),
+        _check("overlap_occurred", overlap_t is not None,
+               "no overlap event recorded" if overlap_t is None
+               else f"first overlap at t={overlap_t}"),
     ]
 
 

@@ -293,7 +293,9 @@ class _Swarm:
     The pair stage has two implementations with the same bits: scalar
     loops, and a numpy stage that swarms of at least ``_ARRAY_MIN_ROBOTS``
     robots use (see ``_array_pair_stage``); ``touching`` scans the stage's
-    own form of the separations.  ``stop`` is the one place a robot becomes
+    own form of the separations.  A pair at a zero separation, or whose
+    separation or relative speed ``vrel`` is not finite, aborts the step with
+    a fault that names the pair.  ``stop`` is the one place a robot becomes
     inactive, and so stops being live, during a run.  A pair whose input
     fails its finite check, or divides by zero, is evaluated again from each
     live endpoint's own view (``_view_fault``), so the fault names that
@@ -428,7 +430,7 @@ class _Swarm:
         one ``repulsive_components`` per triggered pair with a cooperative,
         active endpoint."""
         params = self.params
-        eps_v = params.eps_v
+        eps_v, inf = params.eps_v, math.inf
         ids, x, y = self.ids, self.x, self.y
         r, vr, vth, vrel, trig = self.r, self.vr, self.vth, self.vrel, self.trig
         vx = list(map(operator.mul, self.speed, self.cos_phi))
@@ -443,6 +445,9 @@ class _Swarm:
             if terms is None:
                 raise CollisionSingularity(f"robots {ids[a]} and {ids[b]} at identical positions")
             r[p], ux, uy, vr[p], vth[p], vrel[p], trig[p] = terms
+            if not (r[p] < inf and vrel[p] < inf):  # vrel = hypot(vr, vth) covers both
+                raise SimulationFault(f"robots {ids[a]} and {ids[b]}: non-finite pair state "
+                                      f"(r={r[p]!r}, vrel={vrel[p]!r})")
             if trig[p] and (live[a] or live[b]):
                 try:
                     fx, fy = repulsive_components(r[p], ux, uy, vr[p], vth[p], vrel[p], params)
@@ -486,10 +491,10 @@ class _Swarm:
         product could reorder the additions and is not used.
 
         numpy runs with its floating-point warnings off, as Python floats
-        overflow silently too.  If a separation is zero or an unsaturated
-        input is not finite, the scalar stage redoes the step, so every
-        fault keeps its class, message and order; a saturated input is
-        always finite.
+        overflow silently too.  If a separation is zero, a separation or
+        ``vrel`` is not finite, or an unsaturated input is not finite, the
+        scalar stage redoes the step, so every fault keeps its class,
+        message and order; a saturated input is always finite.
         """
         import numpy as np
 
@@ -503,13 +508,14 @@ class _Swarm:
             dx, dy, rvx, rvy = ends.take(b, axis=1) - ends.take(a, axis=1)
             r_list = list(map(math.hypot, dx.tolist(), dy.tolist()))
             self._r = r = np.fromiter(r_list, float, len(r_list))
-            if not r.all():
-                self._scalar_pair_stage()
-                return
             ux, uy, vr, vth = los_components(dx, dy, r, rvx, rvy)
             vr_list, vth_list = vr.tolist(), vth.tolist()
             vrel_list = list(map(math.hypot, vr_list, vth_list))
             vrel = np.fromiter(vrel_list, float, len(vrel_list))
+            # r and vrel are never negative: r - vrel is finite iff both are
+            if not (r.all() and np.isfinite(r - vrel).all()):
+                self._scalar_pair_stage()
+                return
             trig = (vrel > params.eps_v) & (vr < 0.0)
 
             idle, live_pairs = self._live_masks

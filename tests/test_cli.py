@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from common_runs import PRESET_RUNS, log_bits
 from scenario_strategies import fold_scenarios
@@ -376,7 +376,8 @@ UNMEASURABLE_RUNS = {
                        "FAIL no_turning: max |Vth| = nan\n"),
     "nan_monotone_closing": ("nonvortex_headon", "nonvortex_pair",
                              _set_column("pairs.csv", "p1_2_r", "nan", 5),
-                             "FAIL monotone_closing: "),
+                             "FAIL monotone_closing: separation did not decrease at t=0.050, "
+                             "r=nan\n"),
     "nan_pairwise_clearance": ("coop_triangle", "multi_robot",
                                _set_column("pairs.csv", "p1_2_r", "nan", 5),
                                "FAIL pairwise_clearance: worst min-separation margin over body "
@@ -398,6 +399,24 @@ def test_analyze_reports_an_unmeasurable_run_as_a_failed_check(tmp_path, capsys,
     assert main(["analyze", str(rundir), "--regime", regime]) == 1
     out, err = capsys.readouterr()
     assert message in out and err == ""
+
+
+def test_nonvortex_failures_say_what_failed(tmp_path, capsys):
+    # a nan separation at row 5 and no overlap event: each FAIL line names
+    # what went wrong, not the text of a pass
+    rundir = tmp_path / "run"
+    main(["run", "nonvortex_headon", "-o", str(rundir)])
+    _set_column("pairs.csv", "p1_2_r", "nan", 5)(rundir)
+    events = rundir / "events.csv"
+    lines = events.read_text().splitlines(keepends=True)
+    events.write_text("".join(line for line in lines if ",BodyOverlap," not in line))
+    capsys.readouterr()
+    assert main(["analyze", str(rundir), "--regime", "nonvortex_pair"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[-2:] == [
+        "FAIL monotone_closing: separation did not decrease at t=0.050, r=nan",
+        "FAIL overlap_occurred: no overlap event recorded",
+    ]
 
 
 def test_analyze_skips_the_grazing_check_for_robots_at_rest(tmp_path, capsys):
@@ -474,8 +493,8 @@ def test_analyze_reports_out_of_range_cells_as_an_error(tmp_path, capsys, case):
 
 
 def test_analyze_fails_the_circle_check_on_an_engine_written_nan(tmp_path, capsys):
-    # two robots 2 m apart driving apart at 1e308 m/s: the engine writes
-    # vr = inf, vth = nan and vrel = inf on the first row
+    # two robots 2 m apart driving apart at 1e308 m/s: the pair state is
+    # vr = inf, vth = nan and vrel = inf, so the engine aborts the run
     scenario = tmp_path / "far.json"
     scenario.write_text(json.dumps({"t_max": 0.05, "robots": [
         {"id": 1, "x": -1.0, "y": 0.0, "heading": math.pi, "speed": 1e308, "goal": [-5.0, 0.0]},
@@ -483,8 +502,14 @@ def test_analyze_fails_the_circle_check_on_an_engine_written_nan(tmp_path, capsy
          "behavior": "noncooperative", "goal": [5.0, 0.0]},
     ]}))
     rundir = tmp_path / "run"
-    assert main(["run", str(scenario), "-o", str(rundir)]) == 0
-    assert (rundir / "pairs.csv").read_text().splitlines()[1] == "0,2,0,inf,nan,inf,0"
+    assert main(["run", str(scenario), "-o", str(rundir)]) == 1
+    assert capsys.readouterr() == ("", "error: simulation aborted: robots 1 and 2: non-finite "
+                                       "pair state (r=2.0, vrel=inf)\n")
+    assert not rundir.exists()
+    # the same cells in a run directory: analyze fails the circle check
+    main(["run", "noncoop_headon", "-o", str(rundir)])
+    for column, cell in (("p1_2_vr", "inf"), ("p1_2_vth", "nan"), ("p1_2_vrel", "inf")):
+        _set_column("pairs.csv", column, cell, 0)(rundir)
     capsys.readouterr()
     assert main(["analyze", str(rundir), "--regime", "coop_vs_noncoop"]) == 1
     out, err = capsys.readouterr()
@@ -1281,6 +1306,7 @@ def folded_metrics(scenario):
 
 @settings(max_examples=60, deadline=None)
 @given(fold_scenarios())
+@example(load_scenario("attractive_only"))  # one robot: no pair, min_separation nan
 def test_folded_metrics_equal_the_full_logs(scenario):
     # repr, so that nan equals nan and 0.0 differs from -0.0
     expected = outcome(lambda: metrics_from_log(scenario))

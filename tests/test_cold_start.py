@@ -236,3 +236,19 @@ def test_checks_fold_columns_only_through_one_helper():
         builtins = [node for node in nodes
                     if isinstance(node, ast.Name) and node.id in ("max", "min")]
         assert all(any(node is pick for pick in picks) for node in builtins), name
+
+
+def test_metrics_fold_record_builds_no_list():
+    # a sweep cell keeps one running value per metric: the per-step record
+    # reads the swarm's columns and copies none of them
+    tree = ast.parse((SRC / "vortex_ca" / "sweep_metrics.py").read_text(encoding="utf-8"))
+    fold = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "MetricsFold")
+    record = next(node for node in fold.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "record")
+    nodes = list(ast.walk(record))
+    assert not [node for node in nodes
+                if isinstance(node, (ast.List, ast.ListComp, ast.Starred))]
+    called = {node.func.id for node in nodes
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not called & {"list", "sorted", "map", "tuple"}

@@ -113,6 +113,10 @@ def engagement(a: RobotState, b: RobotState, eps_v: float = EPS_V_DEFAULT) -> En
     if terms is None:
         raise CollisionSingularity(f"robots {a.id} and {b.id} at identical positions")
     r, ux, uy, vr, vth, vrel, triggered = terms
+    if not (math.isfinite(r) and math.isfinite(vrel)):
+        raise SimulationFault(
+            f"robots {a.id} and {b.id}: non-finite pair state (r={r!r}, vrel={vrel!r})"
+        )
     return EngagementState(
         i=a.id,
         j=b.id,

@@ -11,6 +11,7 @@ message.
 
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -170,6 +171,21 @@ def test_identical_positions_raise_the_same_error(monkeypatch):
         )
     scalar, array = run_both(monkeypatch, Scenario(robots=tuple(robots), params=base.params))
     assert scalar == array == (CollisionSingularity, "robots 2 and 14 at identical positions")
+
+
+def test_non_finite_pair_states_raise_the_same_error(monkeypatch):
+    # Antipodal robots 3 and 11 drive apart at 1e308 m/s: their relative
+    # velocity overflows, so the pair's vrel is not finite (every other
+    # pair's is).  No robot is cooperative, so no input is formed that
+    # could hand the step to the scalar stage on its own.
+    base = ring(16)
+    robots = [replace(robot, behavior=BehaviorKind.NON_COOPERATIVE) for robot in base.robots]
+    for rid, heading in ((3, 0.0), (11, math.pi)):
+        robots[rid - 1] = replace(robots[rid - 1], heading=heading, speed=1e308)
+    scalar, array = run_both(monkeypatch, Scenario(robots=tuple(robots), params=base.params))
+    assert scalar == array
+    assert scalar[0] is SimulationFault
+    assert scalar[1].startswith("robots 3 and 11: non-finite pair state (r=")
 
 
 def test_overflowing_views_raise_the_same_error(monkeypatch):
