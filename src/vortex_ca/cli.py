@@ -11,6 +11,17 @@ order, so results.csv does not depend on k.  k is 1 unless forking is safe
 A cell builds no trajectory log: ``fold_metrics`` folds its metrics over
 the recorded steps as the run records them.
 
+``run`` forks one writer before the first step where forking is safe, more
+than one CPU is usable and the run would record at least
+``_FORK_MIN_VALUES`` values (``Scenario.recorded_values``).  The child
+formats trajectory.csv and pairs.csv from the rows the run ships it, with
+the serial writers' formatter, while the parent simulates; the parent then
+writes events.csv and summary.json as before (``forks.RunWriter``).  The
+files are byte-identical either way: a writer that cannot start, dies or
+meets an OSError leaves the files to the serial writers, and a run that
+aborts leaves no file and no directory it made.  ``forks`` holds every
+fork of both commands.
+
 Exit codes: 0 clean, 1 error, 2 body overlap occurred.  ``main`` owns the
 mapping from failure to exit code: the commands raise, and ``main`` turns a
 ScenarioError, an aborted simulation, an OSError or a ``CommandError`` (an
@@ -30,8 +41,7 @@ import math
 import os
 import sys
 from typing import (
-    IO, TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NamedTuple, NoReturn,
-    Sequence,
+    IO, TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence,
 )
 
 from .engine import (
@@ -63,6 +73,9 @@ if TYPE_CHECKING:
     from .engine import Scenario
     from .scenarios import SweepSpec
 
+    # A CSV's (header name, %-format code, values) columns.
+    _Columns = Sequence[tuple[str, str, Sequence[Any]]]
+
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_OVERLAP = 2
@@ -90,12 +103,20 @@ class CommandError(Exception):
     """A failure with a text of its own; ``main`` prints it as one ``error:`` line."""
 
 
-def _write_table(path: str, columns: Sequence[tuple[str, str, Sequence[Any]]]) -> None:
-    """Write a CSV from (header name, %-format code, values) columns, one %-operation per row."""
+def table_header(columns: _Columns) -> str:
+    return ",".join(name for name, _, _ in columns) + "\n"
+
+
+def table_rows(columns: _Columns) -> Iterator[str]:
+    """The text lines of the columns' rows, one %-operation per row."""
     row = ",".join(code for _, code, _ in columns) + "\n"
+    return (row % cells for cells in zip(*(values for _, _, values in columns)))
+
+
+def _write_table(path: str, columns: _Columns) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(name for name, _, _ in columns) + "\n")
-        handle.writelines(row % cells for cells in zip(*(values for _, _, values in columns)))
+        handle.write(table_header(columns))
+        handle.writelines(table_rows(columns))
 
 
 def _column_name(tag: str, col: Column) -> str:
@@ -113,18 +134,28 @@ def _traced_columns(
     ]
 
 
-def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
+def trajectory_table(log: TrajectoryLog) -> list[tuple[str, str, Any]]:
+    """The columns of trajectory.csv, over the rows ``log`` holds."""
     columns = [("t", FLOAT, log.t)]
     for rid in log.robot_ids():
         columns += _traced_columns(f"r{rid}", log.robots[rid], ROBOT_COLUMNS)
-    _write_table(path, columns)
+    return columns
 
 
-def write_pairs_csv(log: TrajectoryLog, path: str) -> None:
+def pairs_table(log: TrajectoryLog) -> list[tuple[str, str, Any]]:
+    """The columns of pairs.csv, over the rows ``log`` holds."""
     columns = [("t", FLOAT, log.t)]
     for key in log.pair_ids():
         columns += _traced_columns(_pair_tag(key), log.pairs[key], PAIR_COLUMNS)
-    _write_table(path, columns)
+    return columns
+
+
+def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
+    _write_table(path, trajectory_table(log))
+
+
+def write_pairs_csv(log: TrajectoryLog, path: str) -> None:
+    _write_table(path, pairs_table(log))
 
 
 def write_events_csv(log: TrajectoryLog, path: str) -> None:
@@ -162,6 +193,12 @@ def write_run_outputs(log: TrajectoryLog, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     write_trajectory_csv(log, os.path.join(outdir, "trajectory.csv"))
     write_pairs_csv(log, os.path.join(outdir, "pairs.csv"))
+    return _write_run_summary(log, outdir)
+
+
+def _write_run_summary(log: TrajectoryLog, outdir: str) -> int:
+    """events.csv and summary.json, once trajectory.csv and pairs.csv are
+    written; the run's exit code."""
     write_events_csv(log, os.path.join(outdir, "events.csv"))
     summary = run_summary(log)
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as handle:
@@ -410,8 +447,29 @@ def analyze_log(
 # Commands
 
 
+#: Recorded values (``Scenario.recorded_values``) from which ``run`` forks a
+#: writer for trajectory.csv and pairs.csv; below it the parent writes them
+#: after the run.  Measured crossover of the serial and the forked ``run``
+#: (2 CPUs, CPython 3.11): about 15,000 values on two-robot runs and 20,000
+#: to 30,000 on one- and three-robot runs; from 30,000 on, the forked run
+#: was faster on each.
+_FORK_MIN_VALUES = 30_000
+
+
 def cmd_run(scenario_path: str, outdir: str) -> int:
-    return write_run_outputs(run(load_scenario(scenario_path)), outdir)
+    scenario = load_scenario(scenario_path)
+    if scenario.recorded_values() >= _FORK_MIN_VALUES:
+        from .forks import RunWriter
+
+        writer = RunWriter.fork(scenario, outdir)
+        if writer is not None:
+            with writer:
+                log = run(scenario, writer)
+                streamed = writer.finish()
+            if streamed:
+                return _write_run_summary(log, outdir)
+            return write_run_outputs(log, outdir)
+    return write_run_outputs(run(scenario), outdir)
 
 
 def fold_metrics(scenario: Scenario, metrics: Sequence[str]) -> dict[str, Any]:
@@ -440,22 +498,14 @@ _FORK_MIN_WORK = 4_000
 
 
 def _sweep_workers(spec: SweepSpec, n_cells: int) -> int:
-    """How many processes run the sweep's cells: one per usable CPU, never
-    more than cells, where forking is safe (``os.fork`` and
-    ``os.sched_getaffinity`` exist and this process has one thread) and the
+    """How many processes run the sweep's cells: one per usable CPU where
+    forking is safe (``forks.usable_cpus``), never more than cells, once the
     work reaches ``_FORK_MIN_WORK``; otherwise 1."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if n_cells * spec.base_steps * max(spec.base_pairs, 1) < _FORK_MIN_WORK:
         return 1
-    try:  # threading.active_count() misses native threads, such as BLAS's
-        if len(os.listdir("/proc/self/task")) != 1:
-            return 1
-    except OSError:
-        return 1
-    base = scenario_from_dict(spec.base)
-    n = len(base.robots)
-    if n_cells * base.n_steps() * max(n * (n - 1) // 2, 1) < _FORK_MIN_WORK:
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_cells)
+    from .forks import usable_cpus
+
+    return min(usable_cpus(), n_cells)
 
 
 def _write_rows(
@@ -464,66 +514,47 @@ def _write_rows(
 ) -> None:
     """Write every cell's row text to ``handle`` in cell order, once it and
     every earlier row are done.  Cell i runs in worker i % k: the parent is
-    worker 0, and each forked child sends its rows as JSON strings, one a
-    line, down its own pipe.  The parent runs the remaining cells of a child
-    whose pipe ends early, and of one it could not fork."""
-    pids: list[int] = []
+    worker 0, and each child forked through ``forks.Children`` sends its
+    rows as JSON strings, one a line, down its own pipe.  The parent runs
+    the remaining cells of a child whose pipe ends early, and of one it
+    could not fork."""
+    from .forks import Children
+
     pipes: list[IO[str] | None] = [None]  # per worker; None: the parent runs its cells
     try:
-        if k > 1:  # a child inherits these buffers and must find them empty
-            for stream in (sys.stdout, sys.stderr, handle):
-                stream.flush()
-        for worker in range(1, k):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare
-                os.close(read_fd)
+        with Children(handle) as children:
+            for worker in range(1, k):
+                read_fd, write_fd = os.pipe()
+                job = functools.partial(_sweep_child, cells, row_text, worker, k, write_fd)
+                # a pipe's write end must see a dead parent
+                inherited = [read_fd] + [pipe.fileno() for pipe in pipes if pipe]
+                if children.fork(job, close=inherited) is None:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    pipes.append(None)
+                    continue
                 os.close(write_fd)
-                pipes.append(None)
-                continue
-            if pid == 0:
-                _sweep_child(cells, row_text, worker, k, write_fd,
-                             [read_fd] + [pipe.fileno() for pipe in pipes if pipe])
-            pids.append(pid)
-            os.close(write_fd)
-            pipes.append(open(read_fd, encoding="ascii"))
-        for i, cell in enumerate(cells):
-            pipe = pipes[i % k]
-            line = pipe.readline() if pipe else ""  # a dead child's pipe ends early
-            handle.write(json.loads(line) if line.endswith("\n") else row_text(cell))
-    except BaseException:
-        import signal  # only this path uses it
-
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
+                pipes.append(open(read_fd, encoding="ascii"))
+            for i, cell in enumerate(cells):
+                pipe = pipes[i % k]
+                line = pipe.readline() if pipe else ""  # a dead child's pipe ends early
+                handle.write(json.loads(line) if line.endswith("\n") else row_text(cell))
     finally:
         for pipe in pipes:
             if pipe:
                 pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
 
 
 def _sweep_child(
     cells: Iterator[tuple[Any, ...]], row_text: Callable[[tuple[Any, ...]], str],
-    worker: int, k: int, write_fd: int, read_fds: list[int],
-) -> NoReturn:
-    """A forked sweep worker: send the rows of cells worker, worker + k, ...
-    and end the process.  It never returns into the caller's frames, and
-    never flushes the buffers it inherited."""
-    status = 1
-    try:
-        for fd in read_fds:  # a pipe's write end must see a dead parent
-            os.close(fd)
-        with open(write_fd, "w", encoding="ascii") as pipe:
-            for cell in itertools.islice(cells, worker, None, k):
-                pipe.write(json.dumps(row_text(cell)) + "\n")
-                pipe.flush()
-        status = 0
-    finally:
-        os._exit(status)
+    worker: int, k: int, write_fd: int,
+) -> None:
+    """A forked sweep worker's job: send the rows of cells worker,
+    worker + k, ... down ``write_fd``."""
+    with open(write_fd, "w", encoding="ascii") as pipe:
+        for cell in itertools.islice(cells, worker, None, k):
+            pipe.write(json.dumps(row_text(cell)) + "\n")
+            pipe.flush()
 
 
 def cmd_sweep(spec_path: str, outdir: str) -> int:

@@ -160,15 +160,21 @@ class Scenario:
         """Physics steps after the initial state: round(t_max / dt)."""
         return int(round(self.t_max / self.dt))
 
+    def recorded_values(self) -> int:
+        """Values a log at ``record_stride`` keeps at most, one per cell of
+        ``ROBOT_COLUMNS`` and ``PAIR_COLUMNS`` and ``t``:
+        (steps // record_stride + 2) * (1 + 9 N + 6 P)."""
+        n = len(self.robots)
+        row = 1 + len(ROBOT_COLUMNS) * n + len(PAIR_COLUMNS) * (n * (n - 1) // 2)
+        return (self.n_steps() // self.record_stride + 2) * row
+
     def _size_errors(self) -> list[str]:
         steps = self.t_max / self.dt
         if not math.isfinite(steps):
             return ["t_max / dt overflows"]
         if round(steps) > MAX_STEPS:
             return [f"t_max / dt gives {steps:.6g} steps (the cap is {MAX_STEPS})"]
-        n = len(self.robots)
-        row = 1 + len(ROBOT_COLUMNS) * n + len(PAIR_COLUMNS) * (n * (n - 1) // 2)
-        values = (self.n_steps() // self.record_stride + 2) * row
+        values = self.recorded_values()
         if values > MAX_RECORDED_VALUES:
             return [
                 f"the log would record {values} values (the cap is {MAX_RECORDED_VALUES}); "
@@ -609,7 +615,8 @@ class Recorder(Protocol):
 class LogRecorder:
     """The default recorder: every recorded step appended to a
     ``TrajectoryLog``, which ``result`` returns after forming each pair's
-    ``theta`` by ``atan2`` on the logged positions, the floats the step used."""
+    ``theta`` by ``atan2`` on the logged positions, the floats the step used
+    (``form_theta``)."""
 
     def start(self, scenario: Scenario, swarm: _Swarm) -> Callable[[float], None]:
         x, y, active = swarm.x, swarm.y, swarm.active
@@ -646,11 +653,17 @@ class LogRecorder:
         return record
 
     def result(self) -> TrajectoryLog:
-        for (i, j), trace in self.log.pairs.items():
-            a, b = self.log.robots[i], self.log.robots[j]
-            dy, dx = map(operator.sub, b.y, a.y), map(operator.sub, b.x, a.x)
-            trace.theta = list(map(math.atan2, dy, dx))
+        form_theta(self.log)
         return self.log
+
+
+def form_theta(log: TrajectoryLog) -> None:
+    """Set each pair's ``theta`` in ``log``: the LOS angle from its first robot
+    to its second at each recorded row, by ``atan2`` on the logged positions."""
+    for (i, j), trace in log.pairs.items():
+        a, b = log.robots[i], log.robots[j]
+        dy, dx = map(operator.sub, b.y, a.y), map(operator.sub, b.x, a.x)
+        trace.theta = list(map(math.atan2, dy, dx))
 
 
 def run(scenario: Scenario, recorder: Recorder | None = None) -> Any:

@@ -1,0 +1,361 @@
+"""Forked jobs of the CLI: ``sweep``'s workers and ``run``'s CSV writer.
+
+A command forks only where that is safe (``usable_cpus``) and where its
+work is large enough to pay for a child, which ``cli`` judges.  ``cli``
+imports this module for ``sweep`` and for a ``run`` large enough to fork.  ``Children`` is the one way a command forks:
+it flushes the output buffers a child would inherit, forks, moves the child
+off the parent's CPU (``_move_off_parent_cpu``), runs the child's job and
+ends it in ``os._exit``, and kills and reaps.
+
+``RunWriter`` is ``run``'s recorder when ``run`` forks its writer.  It keeps
+the ``LogRecorder`` log and ships the log's new rows, a chunk at a time, as C
+doubles down a pipe to a forked child, which formats trajectory.csv and
+pairs.csv into temporary files with the serial writers' header and row
+formatter (``cli.trajectory_table``, ``cli.pairs_table``, ``cli.table_rows``)
+while the parent simulates.  The parent renames the files into place once
+the run and the child have both succeeded.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import os
+import sys
+from array import array
+from typing import IO, Any, Callable, Iterable
+
+from . import cli
+from .engine import (
+    PAIR_COLUMNS,
+    ROBOT_COLUMNS,
+    LogRecorder,
+    PairTrace,
+    RobotTrace,
+    Scenario,
+    TrajectoryLog,
+    form_theta,
+)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may use where forking is safe, else 1.  It is
+    safe where ``os.fork`` and ``os.sched_getaffinity`` exist and this
+    process has one thread: a child forked beside another thread may inherit
+    a lock that thread holds."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:  # threading.active_count() misses native threads, such as BLAS's
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _move_off_parent_cpu() -> None:
+    """Pin this new child to a usable CPU other than its parent's, and then
+    give it back every usable CPU.  The kernel often keeps a fresh child on
+    its parent's CPU, where the two take turns for hundreds of ms; moved, it
+    runs beside the parent, and its full mask still lets the scheduler take
+    it off a busy CPU.  A failure leaves the child where it is."""
+    try:
+        with open(f"/proc/{os.getppid()}/stat", "rb") as stat:
+            # field 39, the CPU last run on; the name in field 2 may hold spaces
+            parents = int(stat.read().rsplit(b")", 1)[1].split()[36])
+        cpus = os.sched_getaffinity(0)
+        others = sorted(cpus - {parents})
+        if others:
+            os.sched_setaffinity(0, {others[0]})
+            os.sched_setaffinity(0, cpus)
+    except (OSError, ValueError, IndexError):
+        pass
+
+
+class Children:
+    """The children one command forks.  As a context manager, leaving the
+    block reaps every child not yet reaped, and kills each first when the
+    block raised."""
+
+    def __init__(self, *streams: IO[str]) -> None:
+        self.streams = (sys.stdout, sys.stderr, *streams)
+        self.pids: list[int] = []
+
+    def __enter__(self) -> Children:
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.close(kill=exc_type is not None)
+
+    def fork(self, job: Callable[[], Any], close: Iterable[int] = ()) -> int | None:
+        """Run ``job()`` in a new child; its pid, or None when ``os.fork``
+        raised OSError.
+
+        The child closes the descriptors ``close``, moves off this process's
+        CPU, runs ``job`` and ends in ``os._exit``: 0 once ``job`` returned,
+        1 if it raised.  It never returns into the caller's frames and never
+        flushes the buffers it inherited: this process flushes
+        ``sys.stdout``, ``sys.stderr`` and the streams given to ``Children``
+        before it forks."""
+        for stream in self.streams:
+            stream.flush()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            return None
+        if pid == 0:
+            status = 1
+            try:
+                for fd in close:
+                    os.close(fd)
+                _move_off_parent_cpu()
+                job()
+                status = 0
+            finally:
+                os._exit(status)
+        self.pids.append(pid)
+        return pid
+
+    def wait(self, pid: int) -> int:
+        """Reap child ``pid``: its exit code, or minus the signal that ended it."""
+        _, status = os.waitpid(pid, 0)
+        self.pids.remove(pid)
+        return os.waitstatus_to_exitcode(status)
+
+    def close(self, kill: bool) -> None:
+        """Reap every child not yet reaped, killing each first if ``kill``."""
+        if kill and self.pids:
+            import signal  # only this path uses it
+
+            for pid in self.pids:
+                os.kill(pid, signal.SIGKILL)
+        for pid in self.pids:
+            os.waitpid(pid, 0)
+        self.pids.clear()
+
+
+# ---------------------------------------------------------------------------
+# run's forked writer
+
+#: The run CSVs the forked writer formats, in the order of its files.
+_RUN_CSVS = ("trajectory.csv", "pairs.csv")
+
+#: A chunk is the fewest whole rows (one at least) that hold this many
+#: values, 16 KB of doubles.  Of 512 to 8,192 values on two-robot runs
+#: (2 CPUs, CPython 3.11), this one gave the forked ``run`` its best times:
+#: a smaller chunk reaches the writer sooner, and costs more per value.
+_CHUNK_VALUES = 2_048
+
+
+def _shipped(log: TrajectoryLog) -> list[tuple[Any, str]]:
+    """Where each shipped column lives in ``log``, as (owner, attribute), in
+    the order a chunk holds them: ``t``, each robot's ``ROBOT_COLUMNS``, and
+    each pair's ``PAIR_COLUMNS`` but ``theta``, which the writer forms from
+    the positions (``form_theta``)."""
+    return (
+        [(log, "t")]
+        + [(log.robots[rid], col.attr) for rid in log.robot_ids() for col in ROBOT_COLUMNS]
+        + [(log.pairs[key], col.attr) for key in log.pair_ids() for col in PAIR_COLUMNS
+           if col.attr != "theta"]
+    )
+
+
+def _send(fd: int, data: array) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_doubles(pipe: IO[bytes], count: int) -> array:
+    data = pipe.read(8 * count)
+    if len(data) != 8 * count:
+        raise EOFError("the pipe ends inside a chunk")
+    return array("d", data)
+
+
+def _write_shipped(scenario: Scenario, read_fd: int, fds: list[int]) -> None:
+    """The forked writer's job: read chunks from ``read_fd`` until the pipe
+    ends, and append their rows to the temporary trajectory.csv and
+    pairs.csv, ``fds``.  A chunk is its row count, then each shipped
+    column's values in those rows.  Whether the parent shipped every row is
+    the parent's to know (``RunWriter.finish``)."""
+    ids = [robot.id for robot in scenario.sorted_robots()]
+    log = TrajectoryLog(scenario, robots={rid: RobotTrace() for rid in ids},
+                        pairs={key: PairTrace() for key in itertools.combinations(ids, 2)})
+    slots = _shipped(log)
+    with open(read_fd, "rb") as pipe, open(fds[0], "w", encoding="utf-8") as trajectory, \
+            open(fds[1], "w", encoding="utf-8") as pairs:
+        outputs = [(trajectory, cli.trajectory_table), (pairs, cli.pairs_table)]
+        for out, table in outputs:
+            out.write(cli.table_header(table(log)))
+        while head := pipe.read(8):
+            rows = int(array("d", head)[0])
+            values = _read_doubles(pipe, rows * len(slots)).tolist()
+            for k, (owner, attr) in enumerate(slots):
+                setattr(owner, attr, values[k * rows:(k + 1) * rows])
+            form_theta(log)
+            for out, table in outputs:
+                out.writelines(cli.table_rows(table(log)))
+
+
+def _new_dirs(path: str) -> list[str]:
+    """The directories ``os.makedirs(path)`` would make, deepest first."""
+    made = []
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):  # the root always exists
+        made.append(path)
+        path = os.path.dirname(path)
+    return made
+
+
+def _replaceable(temp: str, target: str) -> bool:
+    """Whether renaming ``temp`` to ``target`` leaves what writing ``target``
+    in place would: ``target`` is absent, or a regular file of one link with
+    the mode and owner a new file gets."""
+    try:
+        old = os.lstat(target)
+    except FileNotFoundError:
+        return True
+    new = os.lstat(temp)
+    return (old.st_mode, old.st_uid, old.st_gid, old.st_nlink) == (
+        new.st_mode, new.st_uid, new.st_gid, 1)
+
+
+class RunWriter(LogRecorder):
+    """``run``'s recorder when a forked child formats trajectory.csv and
+    pairs.csv (see the module docstring).
+
+    ``fork`` makes the output directory, creates the two temporary files in
+    it and forks the child.  Around the run, the writer is a context
+    manager: a run that raises kills and reaps the child and removes the
+    temporary files and every directory ``fork`` made.  ``finish`` ends the
+    stream after the run.  A pipe that fails stops the shipping, never the
+    run, and the serial writers then write the files from the log.
+    """
+
+    def __init__(self, outdir: str) -> None:
+        self.outdir = outdir
+        self.made = _new_dirs(outdir)
+        self.temps: list[tuple[str, str]] = []  # (temporary file, its run CSV)
+        self.children = Children()
+        self.pid: int | None = None
+        self.fd: int | None = None  # the pipe's write end; None once closed or failed
+        self.shipped = 0  # rows shipped
+
+    @classmethod
+    def fork(cls, scenario: Scenario, outdir: str) -> RunWriter | None:
+        """A writer with its child forked for ``scenario``'s run; None where
+        forking is unsafe here (``usable_cpus``), or where the setup failed,
+        after undoing what it did."""
+        if usable_cpus() < 2:
+            return None
+        writer = cls(outdir)
+        try:
+            if writer._start(scenario):
+                return writer
+        except OSError:
+            pass
+        writer._abandon()
+        return None
+
+    def _start(self, scenario: Scenario) -> bool:
+        os.makedirs(self.outdir, exist_ok=True)
+        fds: list[int] = []
+        try:
+            for name in _RUN_CSVS:
+                temp = os.path.join(self.outdir, f".{name}.{os.getpid()}.part")
+                fds.append(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                self.temps.append((temp, os.path.join(self.outdir, name)))
+            read_fd, self.fd = os.pipe()
+            try:
+                job = functools.partial(_write_shipped, scenario, read_fd, fds)
+                self.pid = self.children.fork(job, close=[self.fd])
+            finally:
+                os.close(read_fd)
+        finally:
+            for fd in fds:
+                os.close(fd)
+        return self.pid is not None
+
+    def __enter__(self) -> RunWriter:
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        if exc_type is not None:
+            self._abandon()
+
+    def start(self, scenario: Scenario, swarm: Any) -> Callable[[float], None]:
+        record_row = super().start(scenario, swarm)
+        t = self.log.t
+        self.columns = [getattr(owner, attr) for owner, attr in _shipped(self.log)]
+        chunk = max(1, _CHUNK_VALUES // len(self.columns))
+
+        def record(time: float) -> None:
+            record_row(time)
+            if len(t) - self.shipped >= chunk:
+                self._ship()
+
+        return record
+
+    def _ship(self) -> None:
+        """Ship the rows recorded since the last chunk as one chunk."""
+        if self.fd is None:
+            return
+        end = len(self.log.t)
+        data = array("d", [end - self.shipped])
+        for column in self.columns:
+            data.extend(column[self.shipped:end])
+        self.shipped = end
+        try:
+            _send(self.fd, data)
+        except OSError:  # the child has died
+            self._close_pipe()
+
+    def _close_pipe(self) -> None:
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+    def finish(self) -> bool:
+        """After the run: ship the last rows, end the pipe, reap the child,
+        and rename its files into place if the pipe took every row and the
+        child exited 0; whether it did.  Every temporary file is gone
+        afterwards."""
+        if len(self.log.t) > self.shipped:
+            self._ship()
+        shipped = self.fd is not None
+        self._close_pipe()
+        ok = self.children.wait(self.pid) == 0 and shipped
+        try:
+            while ok and self.temps:
+                temp, target = self.temps[0]
+                ok = _replaceable(temp, target)
+                if ok:
+                    os.replace(temp, target)
+                    del self.temps[0]
+        except OSError:
+            ok = False
+        self._remove_temps()
+        return ok
+
+    def _remove_temps(self) -> None:
+        for temp, _ in self.temps:
+            try:
+                os.unlink(temp)
+            except OSError:  # gone already, or it cannot be removed
+                pass
+        self.temps.clear()
+
+    def _abandon(self) -> None:
+        """Kill and reap the child, then remove the temporary files and the
+        directories ``fork`` made."""
+        self.children.close(kill=True)
+        self._close_pipe()
+        self._remove_temps()
+        for path in self.made:  # deepest first; one holding files stays
+            try:
+                os.rmdir(path)
+            except FileNotFoundError:
+                continue
+            except OSError:
+                break

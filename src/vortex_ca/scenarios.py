@@ -422,11 +422,15 @@ PRESETS: dict[str, dict[str, Any]] = {
 class SweepSpec:
     """Cartesian parameter sweep over ``base``, the base scenario's complete
     document, in which an ``r_star`` the base leaves out stays null, so that
-    each cell resolves it from its own lambda, speeds and ``f_lim``."""
+    each cell resolves it from its own lambda, speeds and ``f_lim``.
+    ``base_steps`` and ``base_pairs`` are the base scenario's physics steps
+    and robot pairs, from the parse that validated it."""
 
     base: dict[str, Any]
     axes: tuple[tuple[str, tuple[Any, ...]], ...]
     metrics: tuple[str, ...]
+    base_steps: int
+    base_pairs: int
 
 
 def set_by_path(data: dict[str, Any], path: str, value: Any) -> None:
@@ -495,7 +499,8 @@ def load_sweep(path: str) -> SweepSpec:
     if errors:
         raise ScenarioError(errors)
     document = scenario_document(base)
-    base_dict = scenario_to_dict(scenario_from_dict(document))
+    scenario = scenario_from_dict(document)
+    base_dict = scenario_to_dict(scenario)
     if document.get("params", {}).get("r_star") is None:
         base_dict["params"]["r_star"] = None
     # Paths must resolve against the base scenario's schema; whether a
@@ -507,4 +512,6 @@ def load_sweep(path: str) -> SweepSpec:
             errors.append(str(exc))
     if errors:
         raise ScenarioError(errors)
-    return SweepSpec(base=base_dict, axes=tuple(axes), metrics=tuple(metrics))
+    n = len(scenario.robots)
+    return SweepSpec(base=base_dict, axes=tuple(axes), metrics=tuple(metrics),
+                     base_steps=scenario.n_steps(), base_pairs=n * (n - 1) // 2)

@@ -1087,6 +1087,240 @@ def test_forked_sweep_reaps_its_children_after_an_os_error(tmp_path):
         "stderr": f"error: {out}: Input/output error\n"}
 
 
+# ---------------------------------------------------------------------------
+# run's forked writer
+
+# Runs in a new interpreter, where numpy is not loaded and only the main
+# thread runs, so that cmd_run may fork its writer; in this process numpy's
+# threads often keep it serial.  The probe fixes the usable CPU count, and
+# may make a fork fail, the writer child end in the row formatter after a
+# pause, or run a second thread.  It counts forks, records how each child
+# ended and whether numpy was loaded before each run.
+RUN_PROBE = """
+import json, os, sys, threading, time
+from vortex_ca import cli
+
+args = json.loads(sys.argv[1])
+parent, forks, ends = os.getpid(), [], []
+real_fork, real_waitpid, real_rows = os.fork, os.waitpid, cli.table_rows
+os.sched_getaffinity = lambda pid: set(range(args["cpus"]))
+
+
+def fork():
+    if args["fork_fails"]:
+        raise OSError(11, "Resource temporarily unavailable")
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+def waitpid(pid, options):
+    done, status = real_waitpid(pid, options)
+    if os.WIFSIGNALED(status):
+        ends.append(["signal", os.WTERMSIG(status)])
+    else:
+        ends.append(["exit", os.WEXITSTATUS(status)])
+    return done, status
+
+
+def table_rows(columns):
+    if os.getpid() != parent and args["writer_exits"] is not None:
+        time.sleep(args["writer_exits"])
+        os._exit(3)
+    return real_rows(columns)
+
+
+os.fork, os.waitpid, cli.table_rows = fork, waitpid, table_rows
+release = threading.Event()
+if args["thread"]:
+    threading.Thread(target=release.wait).start()
+codes, forked, numpy = [], [], []
+for argv in args["argvs"]:
+    before = len(forks)
+    numpy.append("numpy" in sys.modules)
+    codes.append(cli.main(argv))
+    forked.append(len(forks) - before)
+release.set()
+try:
+    real_waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(json.dumps({"codes": codes, "forked": forked, "ends": sorted(ends), "reaped": reaped,
+                  "numpy": numpy}))
+"""
+
+KILLED = ["signal", signal.SIGKILL]
+
+
+def fresh_run(*runs, cpus=2, fork_fails=False, writer_exits=None, thread=False):
+    """``run`` each (scenario, outdir) in one new interpreter (see RUN_PROBE).
+    Returns the exit codes, the children each run forked, how the children
+    ended, whether none was left unreaped, whether numpy was loaded before
+    each run, and stderr."""
+    args = {"argvs": [["run", str(scenario), "-o", str(out)] for scenario, out in runs],
+            "cpus": cpus, "fork_fails": fork_fails, "writer_exits": writer_exits,
+            "thread": thread}
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_PROBE, json.dumps(args)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    return dict(json.loads(done.stdout.splitlines()[-1]), stderr=done.stderr)
+
+
+def _tree(root):
+    """Every file under ``root`` with its bytes, and every directory as None."""
+    return {path.relative_to(root).as_posix(): None if path.is_dir() else path.read_bytes()
+            for path in sorted(Path(root).rglob("*"))}
+
+
+def _ring32(path):
+    """32 cooperative robots on a 3 m circle, each bound for the antipodal
+    point, recording every step: the array pair stage, which loads numpy."""
+    robots = []
+    for k in range(32):
+        angle = 2.0 * math.pi * k / 32
+        x, y = 3.0 * math.cos(angle), 3.0 * math.sin(angle)
+        robots.append({"id": k + 1, "x": x, "y": y, "heading": angle + math.pi,
+                       "goal": [-x, -y], "radius": 0.02})
+    path.write_text(json.dumps({"name": "ring32", "t_max": 0.5, "robots": robots}))
+    return path
+
+
+def test_forked_run_writes_the_serial_bytes(tmp_path, monkeypatch):
+    runs = [(name, name) for name in sorted(PRESETS)] + [(_ring32(tmp_path / "ring.json"), "ring")]
+    one_worker(monkeypatch)
+    codes = [main(["run", str(scenario), "-o", str(tmp_path / "serial" / out)])
+             for scenario, out in runs]
+    assert codes == [PRESET_RUNS[name][1] for name, _ in runs[:-1]] + [0]
+    # the ring runs last: it loads numpy, and then nothing forks
+    assert fresh_run(*((scenario, tmp_path / "forked" / out) for scenario, out in runs)) == {
+        "codes": codes, "forked": [1] * len(runs), "ends": [EXITED] * len(runs),
+        "reaped": True, "numpy": [False] * len(runs), "stderr": ""}
+    serial = _tree(tmp_path / "serial")
+    assert len(serial) == 5 * len(runs)  # each run's directory and its four files
+    assert _tree(tmp_path / "forked") == serial
+
+
+# two robots 5 cm short of their goals: the run may record 150,000 values,
+# so it forks, and stops after a few steps, whose rows all fit in the pipe
+NEAR_GOALS = {"robots": [{"id": 1, "x": -1.5, "y": 0.0, "goal": [-1.45, 0.0]},
+                         {"id": 2, "x": 1.5, "y": 0.0, "goal": [1.55, 0.0]}]}
+
+
+@pytest.mark.parametrize("scenario, case, forked, ends", [
+    ("coop_headon", {"writer_exits": 0.0}, [1], [["exit", 3]]),
+    # the writer ends once the parent has shipped every row: only its exit
+    # status tells that its files are incomplete
+    (NEAR_GOALS, {"writer_exits": 0.3}, [1], [["exit", 3]]),
+    ("coop_headon", {"fork_fails": True}, [0], []),
+    ("coop_headon", {"thread": True}, [0], []),
+    ("coop_headon", {"cpus": 1}, [0], []),
+], ids=["writer_exits", "writer_exits_late", "fork_fails", "second_thread", "one_cpu"])
+def test_run_that_cannot_stream_writes_the_serial_bytes(
+    tmp_path, monkeypatch, scenario, case, forked, ends
+):
+    if isinstance(scenario, dict):
+        (tmp_path / "near.json").write_text(json.dumps(scenario))
+        scenario = tmp_path / "near.json"
+    one_worker(monkeypatch)
+    code = main(["run", str(scenario), "-o", str(tmp_path / "serial")])
+    assert fresh_run((scenario, tmp_path / "forked"), **case) == {
+        "codes": [code], "forked": forked, "ends": ends, "reaped": True, "numpy": [False],
+        "stderr": ""}
+    assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
+
+
+# two robots 2 m apart driving apart at 1e308 m/s for the default 60 s: the
+# run would record enough values to fork, and aborts on its first step
+FAR_APART = {"robots": [
+    {"id": 1, "x": -1.0, "y": 0.0, "heading": math.pi, "speed": 1e308, "goal": [-5.0, 0.0]},
+    {"id": 2, "x": 1.0, "y": 0.0, "heading": 0.0, "speed": 1e308,
+     "behavior": "noncooperative", "goal": [5.0, 0.0]},
+]}
+FAR_APART_ERROR = ("error: simulation aborted: robots 1 and 2: non-finite pair state "
+                   "(r=2.0, vrel=inf)\n")
+
+
+def test_aborted_forked_run_leaves_no_files(tmp_path, monkeypatch):
+    scenario = tmp_path / "far.json"
+    scenario.write_text(json.dumps(FAR_APART))
+    one_worker(monkeypatch)
+    assert main(["run", "coop_headon", "-o", str(tmp_path / "serial")]) == 2
+    new, earlier = tmp_path / "new" / "run", tmp_path / "earlier"
+    # an aborted run into new directories, then into one with an earlier run
+    assert fresh_run((scenario, new), ("coop_headon", earlier), (scenario, earlier)) == {
+        "codes": [1, 2, 1], "forked": [1, 1, 1], "ends": sorted([KILLED, EXITED, KILLED]),
+        "reaped": True, "numpy": [False] * 3, "stderr": FAR_APART_ERROR * 2}
+    assert not (tmp_path / "new").exists()
+    assert _tree(earlier) == _tree(tmp_path / "serial")
+
+
+def _earlier_files(root, how):
+    """An earlier run's trajectory.csv in ``root``, with a mode of its own,
+    or as a symbolic or a second hard link to a file beside ``root``."""
+    root.mkdir()
+    if how == "mode":
+        (root / "trajectory.csv").write_text("earlier\n")
+        os.chmod(root / "trajectory.csv", 0o600)
+        return None
+    target = root.parent / f"{root.name}_elsewhere.csv"
+    target.write_text("earlier\n")
+    (os.symlink if how == "symlink" else os.link)(target, root / "trajectory.csv")
+    return target
+
+
+@pytest.mark.parametrize("how", ["mode", "symlink", "hardlink"])
+def test_forked_run_rewrites_an_earlier_file_as_the_serial_run_does(tmp_path, monkeypatch, how):
+    # the serial writers rewrite a file in place: its mode, a link to it and
+    # the file a link leads to all stay; the forked run must not rename over it
+    serial, forked = tmp_path / "serial", tmp_path / "forked"
+    outside = {root: _earlier_files(root, how) for root in (serial, forked)}
+    one_worker(monkeypatch)
+    assert main(["run", "coop_headon", "-o", str(serial)]) == 2
+    assert fresh_run(("coop_headon", forked)) == {
+        "codes": [2], "forked": [1], "ends": [EXITED], "reaped": True, "numpy": [False],
+        "stderr": ""}
+    assert _tree(forked) == _tree(serial)
+    for root, target in outside.items():
+        path = root / "trajectory.csv"
+        if target is not None:  # the file the link leads to holds the run
+            assert target.read_bytes() == path.read_bytes() != b"earlier\n"
+    assert os.lstat(forked / "trajectory.csv").st_mode == os.lstat(serial / "trajectory.csv").st_mode
+
+
+@pytest.mark.parametrize("blocked", ["trajectory.csv", "pairs.csv", "afile/run"])
+def test_forked_run_reports_an_output_in_its_way_as_the_serial_run_does(
+    tmp_path, capsys, monkeypatch, blocked
+):
+    def layout(root):
+        # a directory where a run CSV goes, or -o under a file
+        if blocked == "afile/run":
+            root.mkdir()
+            (root / "afile").write_text("")
+            return root / blocked
+        (root / blocked).mkdir(parents=True)
+        return root
+
+    serial, forked = layout(tmp_path / "serial"), layout(tmp_path / "forked")
+    one_worker(monkeypatch)
+    capsys.readouterr()
+    assert main(["run", "coop_headon", "-o", str(serial)]) == 1
+    message = capsys.readouterr().err
+    in_the_way = serial if blocked == "afile/run" else serial / blocked
+    assert message == f"error: {in_the_way}: " + (
+        "Not a directory\n" if blocked == "afile/run" else "Is a directory\n")
+    writes = blocked != "afile/run"  # makedirs fails before anything forks
+    assert fresh_run(("coop_headon", forked)) == {
+        "codes": [1], "forked": [int(writes)], "ends": [EXITED] * writes, "reaped": True,
+        "numpy": [False], "stderr": message.replace(str(tmp_path / "serial"),
+                                                    str(tmp_path / "forked"))}
+    assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
+
+
 def test_cmd_sweep_quotes_cells_that_need_it(tmp_path):
     # the duplicate-id message has a comma, the name value every special character
     spec = {

@@ -15,7 +15,9 @@ sweeps only.
 
 No command loads ``multiprocessing``, ``concurrent.futures`` or
 ``subprocess``: a sweep below the fork threshold runs in one process, and
-one above it forks its workers with ``os.fork``.
+one above it forks its workers with ``os.fork``; a ``run`` that records
+enough values forks its CSV writer the same way.  The probe sees two usable
+CPUs, so that both fork.
 """
 
 import ast
@@ -44,25 +46,41 @@ ANALYSIS = ["vortex_ca.analysis"]
 SWEEP = ["vortex_ca.sweep_metrics"]
 
 PROBE = """
-import json, sys
+import json, os, sys
 import vortex_ca, vortex_ca.cli
 from vortex_ca.cli import main
 watched = {watched!r}
 unresolved = [name for name in vortex_ca.__all__ if not hasattr(vortex_ca, name)]
 loaded = [[name for name in watched if name in sys.modules]]
-codes = []
+os.sched_getaffinity = lambda pid: {{0, 1}}
+real_fork, forks = os.fork, []
+
+
+def fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+os.fork = fork
+codes, forked = [], []
 for argv in json.loads(sys.argv[1]):
+    before = len(forks)
     codes.append(main(argv))
+    forked.append(len(forks) - before)
     loaded.append([name for name in watched if name in sys.modules])
-print(json.dumps({{"codes": codes, "loaded": loaded, "unresolved": unresolved}}))
+print(json.dumps({{"codes": codes, "loaded": loaded, "forked": forked,
+                  "unresolved": unresolved}}))
 """.format(watched=WATCHED)
 
 
 def fresh_main(*argvs):
-    """Run ``main`` over ``argvs`` in one new interpreter, after importing
-    ``vortex_ca`` and ``vortex_ca.cli`` and checking that every name in
-    ``vortex_ca.__all__`` resolves.  Returns the exit codes and, after the
-    imports and then after each command, which ``WATCHED`` modules are loaded."""
+    """Run ``main`` over ``argvs`` in one new interpreter with two usable
+    CPUs, after importing ``vortex_ca`` and ``vortex_ca.cli`` and checking
+    that every name in ``vortex_ca.__all__`` resolves.  Returns the exit
+    codes, the children each command forked and, after the imports and then
+    after each command, which ``WATCHED`` modules are loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps([[str(a) for a in argv] for argv in argvs])],
@@ -72,7 +90,7 @@ def fresh_main(*argvs):
     assert "Traceback" not in done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["unresolved"] == []
-    return result["codes"], result["loaded"]
+    return result["codes"], result["forked"], result["loaded"]
 
 
 def ring_scenario(path, n):
@@ -125,12 +143,16 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
         *(["analyze", tmp_path / name, "--regime", regime]
           for name, regime in sorted(PRESET_REGIMES.items())),
     ]
-    codes, loaded = fresh_main(*plain, *analyses)
+    codes, forked, loaded = fresh_main(*plain, *analyses)
     ring_code = main(["run", str(ring), "-o", str(tmp_path / "ring11_again")])
     assert codes == (
         [PRESET_RUNS[name][1] for name in names] + [0] * len(names) + [0, 0, ring_code]
         + [0] * len(analyses)
     )
+    # each preset run forks its writer, and the first sweep a worker; the
+    # ring's run records too little, the short sweep estimates too little
+    # work, and the one-cell sweep runs its cell in the parent
+    assert forked == [1] * len(names) + [0] * len(names) + [1, 0, 0] + [0] * len(analyses)
     # the imports, then the plain commands, leave every watched module out but
     # the sweeps' sweep_metrics; the max_lyap_derivative sweep and analyze load
     # analysis
@@ -147,7 +169,7 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
 
 def test_array_commands_load_numpy_on_first_use(tmp_path):
     ring = ring_scenario(tmp_path / "ring12.json", 12)
-    codes, loaded = fresh_main(["run", ring, "-o", tmp_path / "ring12"])
+    codes, _, loaded = fresh_main(["run", ring, "-o", tmp_path / "ring12"])
     assert codes == [main(["run", str(ring), "-o", str(tmp_path / "ring12_again")])]
     assert loaded == [[], ["numpy"]]
     for name in ("trajectory.csv", "pairs.csv", "events.csv", "summary.json"):
