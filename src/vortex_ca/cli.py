@@ -22,6 +22,12 @@ meets an OSError leaves the files to the serial writers, and a run that
 aborts leaves no file and no directory it made.  ``forks`` holds every
 fork of both commands.
 
+``analyze`` and ``plotdata`` read a run back a chunk of rows at a time
+(``_read_traces``).  ``analyze`` keeps the columns it parses in a log
+(``read_run``); ``plotdata`` formats each chunk's panel rows as they
+arrive, into temporary files that it renames into place once the whole
+run has read (``_Panels``), so it holds one chunk and the ``t`` column.
+
 Exit codes: 0 clean, 1 error, 2 body overlap occurred.  ``main`` owns the
 mapping from failure to exit code: the commands raise, and ``main`` turns a
 ScenarioError, an aborted simulation, an OSError or a ``CommandError`` (an
@@ -35,9 +41,11 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from typing import (
@@ -55,6 +63,7 @@ from .engine import (
     RobotTrace,
     ScenarioError,
     TrajectoryLog,
+    form_theta,
     min_separation,
     run,
 )
@@ -75,6 +84,17 @@ if TYPE_CHECKING:
 
     # A CSV's (header name, %-format code, values) columns.
     _Columns = Sequence[tuple[str, str, Sequence[Any]]]
+    # A column parser maps one chunk's cells of a column to its values,
+    # parsing every cell before it returns; a chunk consumer gets each
+    # chunk's parsed columns by name.
+    _Parser = Callable[[list[str]], list]
+    _Consumer = Callable[[dict[str, list]], None]
+    # A schema: each robot or pair column's parser, or None for a column
+    # that is only checked to be present.
+    _Schema = dict[Column, _Parser | None]
+    # A plotdata panel's (header name, %-format code, the column's values in
+    # a chunk of the run CSVs) columns.
+    _PanelColumns = list[tuple[str, str, Callable[[dict[str, list]], list]]]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -124,14 +144,10 @@ def _column_name(tag: str, col: Column) -> str:
     return f"{tag}_{col.suffix}"
 
 
-def _traced_columns(
-    tag: str, trace: Any, columns: Sequence[Column], code: str = ""
-) -> list[tuple[str, str, Any]]:
-    """Writer columns of one robot or pair, in %-format ``code`` or else the column's own."""
-    return [
-        (_column_name(tag, col), code or (FLAG if col.flag else FLOAT), getattr(trace, col.attr))
-        for col in columns
-    ]
+def _traced_columns(tag: str, trace: Any, columns: Sequence[Column]) -> list[tuple[str, str, Any]]:
+    """Writer columns of one robot or pair, each in its column's %-format."""
+    return [(_column_name(tag, col), FLAG if col.flag else FLOAT, getattr(trace, col.attr))
+            for col in columns]
 
 
 def trajectory_table(log: TrajectoryLog) -> list[tuple[str, str, Any]]:
@@ -196,6 +212,19 @@ def write_run_outputs(log: TrajectoryLog, outdir: str) -> int:
     return _write_run_summary(log, outdir)
 
 
+def replaceable(temp: str, target: str) -> bool:
+    """Whether renaming ``temp`` to ``target`` leaves what writing ``target``
+    in place would: ``target`` is absent, or a regular file of one link with
+    the mode and owner a new file gets."""
+    try:
+        old = os.lstat(target)
+    except FileNotFoundError:
+        return True
+    new = os.lstat(temp)
+    return (old.st_mode, old.st_uid, old.st_gid, old.st_nlink) == (
+        new.st_mode, new.st_uid, new.st_gid, 1)
+
+
 def _write_run_summary(log: TrajectoryLog, outdir: str) -> int:
     """events.csv and summary.json, once trajectory.csv and pairs.csv are
     written; the run's exit code."""
@@ -212,8 +241,12 @@ def _write_run_summary(log: TrajectoryLog, outdir: str) -> int:
 #: at once.  Sized in cells, a chunk costs the same on a narrow
 #: trajectory.csv and a wide pairs.csv.  A floor of 1 to 16 rows read a
 #: 32-robot pairs.csv (2977 columns) in the same time, and one of 64 rows
-#: held 190k of its cells, about as much as the log it was read into.
-_CHUNK_CELLS = 16_384
+#: held 190k of its cells, about as much as the log it was read into.  On
+#: saturated_headon's run (2 CPUs, CPython 3.11), a fresh process's RSS
+#: high-water mark rose by 4.5, 3.5, 3.2 and 3.3 MB over ``analyze`` and by
+#: 2.1, 1.3, 0.8 and 0.5 MB over ``plotdata`` at 16,384, 8,192, 4,096 and
+#: 2,048 cells; the seven presets read back in the same time at each.
+_CHUNK_CELLS = 4_096
 
 _parse_flag = {"0": False, "1": True}.__getitem__  # KeyError on anything but 0 or 1
 
@@ -222,7 +255,14 @@ def _parse_ids(cell: str) -> tuple[int, ...]:
     return tuple(map(int, cell.split(":"))) if cell else ()
 
 
-def _kept_text(check: Callable[[str], Any]) -> Callable[[list[str]], list[str]]:
+def _each(parse_cell: Callable[[str], Any]) -> _Parser:
+    """A column parser that parses each of a chunk's cells with ``parse_cell``."""
+    def parse(cells: list[str]) -> list:
+        return list(map(parse_cell, cells))
+    return parse
+
+
+def _kept_text(check: Callable[[str], Any]) -> _Parser:
     """A column parser that keeps a chunk's cell strings once ``check`` parses each one."""
     def parse(cells: list[str]) -> list[str]:
         collections.deque(map(check, cells), maxlen=0)  # no Python frame per cell
@@ -235,51 +275,51 @@ def _text(cells: list[str]) -> list[str]:
     return cells
 
 
-# Column parsers: from one chunk's cells of a column to the values kept.
-_Parser = Callable[[list[str]], Iterable[Any]]
-_FLOATS = functools.partial(map, float)
-_FLAGS = functools.partial(map, _parse_flag)
+_FLOATS = _each(float)
+_FLAGS = _each(_parse_flag)
 _FLOAT_TEXT = _kept_text(float)
 _FLAG_TEXT = _kept_text(_parse_flag)
 
 
+def _bad_cell(path: str, name: str, exc: Exception) -> str:
+    return f"{path}: column {name!r}: bad cell ({exc})"
+
+
 class _Table(NamedTuple):
-    """The columns ``_read_columns`` parsed from one CSV file."""
+    """What ``_read_columns`` found in one CSV file, besides the cells it handed on."""
 
     path: str
     header: frozenset[str]
-    columns: dict[str, list]
     errors: dict[str, str]  # a parsed column's first bad cell, by column name
 
-    def column(self, name: str) -> list:
-        """A parsed column's values; RunFormatError when it is missing or has a bad cell."""
-        self.require(name)
-        if name in self.errors:
-            raise RunFormatError(self.errors[name])
-        return self.columns[name]
-
-    def require(self, name: str) -> None:
+    def check(self, name: str) -> None:
+        """RunFormatError when column ``name`` is missing, or was parsed and has a bad cell."""
         if name not in self.header:
             raise RunFormatError(f"{self.path}: missing column {name!r}")
+        if name in self.errors:
+            raise RunFormatError(self.errors[name])
 
 
-def _read_columns(path: str, parsers: dict[str, _Parser]) -> _Table:
-    """Parse the named columns of a CSV file, a chunk of rows at a time.
+def _read_columns(path: str, parsers: dict[str, _Parser], consume: _Consumer) -> _Table:
+    """Parse the named columns of a CSV file a chunk of rows at a time, and
+    hand each chunk's parsed columns to ``consume``.
 
     Lines break where ``str.splitlines`` breaks them.  Blank lines are
-    skipped; every other line must have the header's cell count.  Each
-    column named in ``parsers`` and present in the header is parsed, a chunk
-    at a time, straight into its list; the cells of other columns are not
-    kept.  A header problem or a ragged line (the first, in file order)
-    raises RunFormatError once the whole file has decoded, so that an
-    undecodable byte anywhere is reported first.  A column's bad cell is
-    kept in ``errors``, for ``_Table.column`` to raise in its caller's order.
+    skipped; every other line must have the header's cell count.  For each
+    chunk of data rows, ``consume`` gets a dict: the values that the parser of
+    each column named in ``parsers`` and present in the header gave, by
+    name.  A column's first bad cell leaves it out of that chunk and every
+    later one, and is kept in ``errors``, for ``_Table.check`` to raise in
+    its caller's order.  The cells of other columns are not kept.  A header
+    problem or a ragged line (the first, in file order) raises
+    RunFormatError once the whole file has decoded, so that an undecodable
+    byte anywhere is reported first; no chunk from the ragged line on is
+    consumed.
     """
     step = 1  # a line at a time until the header
     header: list[str] | None = None
-    columns: dict[str, list] = {}
     errors: dict[str, str] = {}
-    targets: list[tuple[int, str, _Parser, list]] = []
+    targets: list[tuple[int, str, _Parser]] = []
     error: RunFormatError | None = None
     lineno = 0  # lines before the chunk, blank ones included
     try:
@@ -296,9 +336,8 @@ def _read_columns(path: str, parsers: dict[str, _Parser]) -> _Table:
                         rows = []
                     step = max(1, _CHUNK_CELLS // width)
                     index = {name: j for j, name in enumerate(header)}
-                    columns = {name: [] for name in parsers if name in index}
-                    targets = [(index[name], name, parsers[name], values)
-                               for name, values in columns.items()]
+                    targets = [(index[name], name, parse)
+                               for name, parse in parsers.items() if name in index]
                 if rows:
                     commas = list(map(str.count, rows, itertools.repeat(",")))
                     if commas.count(width - 1) != len(rows):
@@ -311,15 +350,17 @@ def _read_columns(path: str, parsers: dict[str, _Parser]) -> _Table:
                         )
                     else:
                         cells = ",".join(rows).split(",")
+                        chunk = {}
                         for target in list(targets):
-                            j, name, parse, values = target
+                            j, name, parse = target
                             try:
-                                values += parse(cells[j::width])
+                                chunk[name] = parse(cells[j::width])
                             except (KeyError, ValueError) as exc:
-                                errors[name] = f"{path}: column {name!r}: bad cell ({exc})"
+                                errors[name] = _bad_cell(path, name, exc)
                                 targets.remove(target)
-                                values.clear()
                         del cells
+                        consume(chunk)
+                        del chunk
                 lineno += len(lines)
     except UnicodeDecodeError:
         # the chunk's decoder counts bytes from its own start; the whole
@@ -332,59 +373,38 @@ def _read_columns(path: str, parsers: dict[str, _Parser]) -> _Table:
         raise RunFormatError(f"{path}: no header line")
     if error is not None:
         raise error
-    return _Table(path, frozenset(header), columns, errors)
+    return _Table(path, frozenset(header), errors)
 
 
-def _schema_parsers(
-    columns: Sequence[Column], parse: Collection[str] | None, text: Collection[str]
-) -> dict[Column, _Parser | None]:
-    """Each schema column's parser in ``read_run``; None when the column is
-    only checked to be present."""
-    parsers: dict[Column, _Parser | None] = dict.fromkeys(columns)
-    for col in columns:
-        if col.attr in text:
-            parsers[col] = _FLAG_TEXT if col.flag else _FLOAT_TEXT
-        elif parse is None or col.attr in parse:
-            parsers[col] = _FLAGS if col.flag else _FLOATS
-    return parsers
+def _run_tags(scenario: Scenario) -> tuple[dict[int, str], dict[tuple[int, int], str]]:
+    """The CSV column tag of each robot and of each pair of ``scenario``, in id order."""
+    ids = sorted(robot.id for robot in scenario.robots)
+    return {rid: f"r{rid}" for rid in ids}, {
+        key: _pair_tag(key) for key in itertools.combinations(ids, 2)}
 
 
-def _read_traces(
-    path: str, t: _Parser, tags: Iterable[str], schema: dict[Column, _Parser | None]
-) -> _Table:
-    """``_read_columns`` of ``t`` and of each parsed column of the robots or pairs ``tags``."""
-    return _read_columns(path, {"t": t} | {
-        _column_name(tag, col): parser for tag in tags for col, parser in schema.items() if parser
-    })
+def _trace_parsers(tags: dict[Any, str], schema: _Schema) -> dict[str, _Parser]:
+    """The parser of each parsed column of the robots or pairs ``tags``, by CSV name."""
+    return {_column_name(tag, col): parser
+            for tag in tags.values() for col, parser in schema.items() if parser}
 
 
-def _trace_fields(
-    table: _Table, tag: str, schema: dict[Column, _Parser | None]
-) -> dict[str, list | None]:
-    """Trace attributes of the robot or pair ``tag`` from ``table``, None
-    where not parsed; every column must be present."""
-    fields: dict[str, list | None] = {}
-    for col, parser in schema.items():
-        name = _column_name(tag, col)
-        table.require(name)
-        fields[col.attr] = table.column(name) if parser else None
-    return fields
+def _check_traces(table: _Table, tags: dict[Any, str], schema: _Schema) -> None:
+    for tag in tags.values():
+        for col in schema:
+            table.check(_column_name(tag, col))
 
 
-def read_run(
-    outdir: str, parse: Collection[str] | None = None, text: Collection[str] = ()
-) -> TrajectoryLog:
-    """Reconstruct a TrajectoryLog from a run output directory; a file that does not
-    follow docs/formats.md raises RunFormatError naming the file and the line or column.
+def _appender(columns: dict[str, list]) -> _Consumer:
+    """A chunk consumer that appends each chunk's values of ``columns``' names to their lists."""
+    def append(chunk: dict[str, list]) -> None:
+        for name, values in columns.items():
+            values += chunk.get(name, ())
+    return append
 
-    ``parse`` names the trace attributes (RobotTrace and PairTrace fields) to
-    parse, all of them when None.  An attribute or ``t`` named in ``text``
-    holds its cell strings instead, after they are checked to parse.  Every
-    other trace attribute is None, and its cells are not checked.  ``t`` is
-    always read and the events always parsed.  Each CSV file is read a chunk
-    at a time (``_read_columns``), so the log's columns, the cell text kept
-    for ``text`` and one chunk are what a read holds.
-    """
+
+def _read_scenario(outdir: str) -> Scenario:
+    """The scenario of the run in ``outdir``, from its summary.json."""
     path = os.path.join(outdir, "summary.json")
     try:
         summary = read_json(path)
@@ -393,39 +413,107 @@ def read_run(
     if not isinstance(summary, dict) or not isinstance(summary.get("scenario"), dict):
         raise RunFormatError(f"{path}: expected an object with a 'scenario' object")
     try:
-        scenario = scenario_from_dict(summary["scenario"])
+        return scenario_from_dict(summary["scenario"])
     except ScenarioError as exc:
         raise RunFormatError(f"{path}: scenario: {exc}") from None
-    log = TrajectoryLog(scenario=scenario)
-    ids = sorted(r.id for r in scenario.robots)
 
-    robots = {rid: f"r{rid}" for rid in ids}
-    schema = _schema_parsers(ROBOT_COLUMNS, parse, text)
+
+def _read_traces(
+    log: TrajectoryLog, outdir: str, robots: _Schema, pairs: _Schema,
+    robot_chunk: _Consumer, pair_chunk: _Consumer,
+) -> None:
+    """Read the run CSVs in ``outdir`` of ``log``'s scenario, a chunk of
+    rows at a time (``_read_columns``).
+
+    Each chunk of trajectory.csv goes to ``robot_chunk`` and each chunk of
+    pairs.csv to ``pair_chunk``: the columns that the schemas ``robots`` and
+    ``pairs`` parse, by CSV name, and ``t`` as the file's cell text.
+    ``log.t`` gets trajectory.csv's times, each cell parsed once, and
+    ``log.events`` the events.  A file that does not follow docs/formats.md
+    raises RunFormatError once it is read, the first problem in the
+    documented order; a chunk that lacks a column the schema parses means
+    that the read will raise.
+    """
+    robot_tags, pair_tags = _run_tags(log.scenario)
+    t_cells: list[str] = []  # trajectory.csv's, to compare with pairs.csv's
+
+    def trajectory_chunk(chunk: dict[str, list]) -> None:
+        t_cells.extend(chunk.get("t", ()))
+        robot_chunk(chunk)
+
     path = os.path.join(outdir, "trajectory.csv")
-    table = _read_traces(path, _FLOAT_TEXT, robots.values(), schema)
-    t_cells = table.column("t")  # its text, to compare with pairs.csv's
-    log.t = t_cells if "t" in text else list(map(float, t_cells))
+    table = _read_columns(path, {"t": _text} | _trace_parsers(robot_tags, robots),
+                          trajectory_chunk)
+    table.check("t")
+    try:
+        log.t = list(map(float, t_cells))
+    except ValueError as exc:
+        raise RunFormatError(_bad_cell(path, "t", exc)) from None
     if not log.t:  # the initial state is always recorded
         raise RunFormatError(f"{path}: no data rows")
-    for rid, tag in robots.items():
-        log.robots[rid] = RobotTrace(**_trace_fields(table, tag, schema))
-    del table  # release this file's columns before the next one is read
+    _check_traces(table, robot_tags, robots)
 
-    pairs = {key: _pair_tag(key) for key in itertools.combinations(ids, 2)}
-    schema = _schema_parsers(PAIR_COLUMNS, parse, text)
+    same = 0  # leading rows whose t cells equal trajectory.csv's; -1 once one differs
+
+    def pairs_chunk(chunk: dict[str, list]) -> None:
+        nonlocal same
+        t = chunk.get("t")
+        if same >= 0:
+            same = same + len(t) if t is not None and t == t_cells[same:same + len(t)] else -1
+        pair_chunk(chunk)
+
     path = os.path.join(outdir, "pairs.csv")
-    table = _read_traces(path, _text, pairs.values(), schema)  # t: compared as text
-    if table.columns.get("t") != t_cells:
+    table = _read_columns(path, {"t": _text} | _trace_parsers(pair_tags, pairs), pairs_chunk)
+    if same != len(t_cells):
         raise RunFormatError(f"{path}: column 't' differs from trajectory.csv")
     del t_cells
-    for key, tag in pairs.items():
-        log.pairs[key] = PairTrace(**_trace_fields(table, tag, schema))
+    _check_traces(table, pair_tags, pairs)
 
     path = os.path.join(outdir, "events.csv")
     if os.path.exists(path):
-        table = _read_columns(path, {"t": _FLOATS, "kind": _text,
-                                     "ids": functools.partial(map, _parse_ids)})
-        log.events = list(map(Event, table.column("t"), table.column("kind"), table.column("ids")))
+        columns: dict[str, list] = {"t": [], "kind": [], "ids": []}
+        table = _read_columns(path, {"t": _FLOATS, "kind": _text, "ids": _each(_parse_ids)},
+                              _appender(columns))
+        for name in columns:
+            table.check(name)
+        log.events = list(map(Event, columns["t"], columns["kind"], columns["ids"]))
+
+
+def _schema_parsers(columns: Sequence[Column], parse: Collection[str] | None) -> _Schema:
+    """``read_run``'s schema: each column's own parser for the trace
+    attributes in ``parse`` (all when None), else None."""
+    return {col: (_FLAGS if col.flag else _FLOATS) if parse is None or col.attr in parse else None
+            for col in columns}
+
+
+def _trace_fields(values: dict[str, list], tag: str, schema: _Schema) -> dict[str, list | None]:
+    """Trace attributes of the robot or pair ``tag`` from its parsed columns'
+    ``values``, None where the schema does not parse the column."""
+    return {col.attr: values[_column_name(tag, col)] if parser else None
+            for col, parser in schema.items()}
+
+
+def read_run(outdir: str, parse: Collection[str] | None = None) -> TrajectoryLog:
+    """Reconstruct a TrajectoryLog from a run output directory; a file that does not
+    follow docs/formats.md raises RunFormatError naming the file and the line or column.
+
+    ``parse`` names the trace attributes (RobotTrace and PairTrace fields) to
+    parse, all of them when None.  Every other trace attribute is None, and
+    its cells are not checked.  ``t`` is always read and the events always
+    parsed.  Each CSV file is read a chunk at a time (``_read_traces``), so
+    the log's columns, trajectory.csv's ``t`` text and one chunk are what a
+    read holds.
+    """
+    log = TrajectoryLog(scenario=_read_scenario(outdir))
+    robot_tags, pair_tags = _run_tags(log.scenario)
+    robots, pairs = _schema_parsers(ROBOT_COLUMNS, parse), _schema_parsers(PAIR_COLUMNS, parse)
+    robot_values = {name: [] for name in _trace_parsers(robot_tags, robots)}
+    pair_values = {name: [] for name in _trace_parsers(pair_tags, pairs)}
+    _read_traces(log, outdir, robots, pairs, _appender(robot_values), _appender(pair_values))
+    for rid, tag in robot_tags.items():
+        log.robots[rid] = RobotTrace(**_trace_fields(robot_values, tag, robots))
+    for key, tag in pair_tags.items():
+        log.pairs[key] = PairTrace(**_trace_fields(pair_values, tag, pairs))
     return log
 
 
@@ -468,6 +556,7 @@ def cmd_run(scenario_path: str, outdir: str) -> int:
                 streamed = writer.finish()
             if streamed:
                 return _write_run_summary(log, outdir)
+            form_theta(log)  # the serial writers write the pairs' theta
             return write_run_outputs(log, outdir)
     return write_run_outputs(run(scenario), outdir)
 
@@ -596,11 +685,11 @@ def _write_lyapunov_csv(series: LyapunovSeries, path: str) -> None:
     ])
 
 
-def _read_run_or_fail(
-    rundir: str, parse: Collection[str], text: Collection[str] = ()
-) -> TrajectoryLog:
+def _read_or_fail(rundir: str, read: Callable[..., Any], *args: Any) -> Any:
+    """``read(*args)``, which reads the run directory ``rundir``; its error
+    is raised as a CommandError that names ``rundir``."""
     try:
-        return read_run(rundir, parse, text)
+        return read(*args)
     except (OSError, ValueError) as exc:  # RunFormatError, ScenarioError, bad JSON or UTF-8
         raise CommandError(f"cannot read run directory {rundir}: {exc}") from None
 
@@ -613,7 +702,7 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
     from . import analysis
 
     regime = REGIME_NAMES[regime_name]
-    log = _read_run_or_fail(rundir, analysis.REGIME_COLUMNS[regime])
+    log = _read_or_fail(rundir, read_run, rundir, analysis.REGIME_COLUMNS[regime])
     try:
         series, checks = analyze_log(log, regime)
     except ValueError as exc:
@@ -631,33 +720,137 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
 
 
 # plotdata re-formats only the normalized speeds.  It copies the cells of the
-# other panel columns as read_run checked them, since '%.17g' % float(cell)
+# other panel columns as read, once each parses, since '%.17g' % float(cell)
 # gives back every cell the writers produce.
-PLOT_PARSED = ("vr", "vth")
-PLOT_COPIED = ("t", "x", "y", "r", "triggered")
+_PLOT_PARSERS = {"x": _FLOAT_TEXT, "y": _FLOAT_TEXT, "r": _FLOAT_TEXT, "vr": _FLOATS,
+                 "vth": _FLOATS, "triggered": _FLAG_TEXT}
 TEXT = "%s"
+
+#: plotdata's panels, in the order they are put in place.
+PANELS = ("xy_paths.csv", "vrvth.csv", "separation.csv")
+
+
+def _normed(name: str, scale: float, chunk: dict[str, list]) -> list[float]:
+    return [v / scale for v in chunk[name]]
+
+
+def _plot_tables(scenario: Scenario) -> list[_PanelColumns]:
+    """The columns of each of ``PANELS``: header, %-format code, and the
+    values of a chunk of the run CSVs that the column shows."""
+    robot_tags, pair_tags = _run_tags(scenario)
+    speeds = {robot.id: robot.speed for robot in scenario.robots}
+    x, y = ROBOT_COLUMNS[:2]
+    r, _, vr, vth, _, trig = PAIR_COLUMNS
+
+    def copied(name: str) -> tuple[str, str, Callable[[dict[str, list]], list]]:
+        return name, TEXT, operator.itemgetter(name)
+
+    paths, vrvth, separation = [copied("t")], [copied("t")], [copied("t")]
+    for tag in robot_tags.values():
+        paths += [copied(_column_name(tag, x)), copied(_column_name(tag, y))]
+    for key, tag in pair_tags.items():
+        scale = max(speeds[key[0]], speeds[key[1]], 1e-30)
+        for col in (vr, vth):
+            name = _column_name(tag, col)
+            vrvth.append((f"{name}_norm", FLOAT, functools.partial(_normed, name, scale)))
+        vrvth.append(copied(_column_name(tag, trig)))
+        separation.append(copied(_column_name(tag, r)))
+    return [paths, vrvth, separation]
+
+
+class _Panels:
+    """plotdata's panels while the run is read.
+
+    Each panel's rows go to a temporary file beside it, created before the
+    read, and ``commit`` renames the files into place in ``PANELS`` order.
+    Where a temporary file cannot be created, or a rename would not leave
+    what writing a panel in place leaves (``replaceable``: a link, a mode of
+    its own, a directory in the way), the rows go to memory instead, and
+    ``commit`` writes each panel in place, as a read followed by the writes
+    would.  A failed write is kept for ``commit`` to raise, so that a
+    malformed run still reports its input error first.  ``discard`` removes
+    every temporary file left.
+    """
+
+    def __init__(self, rundir: str, tables: list[_PanelColumns]) -> None:
+        self.tables = tables
+        self.targets = [os.path.join(rundir, name) for name in PANELS]
+        self.temps: list[str] = []
+        self.outs: list[IO[str]] = []
+        self.errors: list[OSError | None] = [None] * len(PANELS)
+        try:
+            for name in PANELS:
+                temp = os.path.join(rundir, f".{name}.{os.getpid()}.part")
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                self.temps.append(temp)
+                self.outs.append(open(fd, "w", encoding="utf-8"))
+            in_place = not all(map(replaceable, self.temps, self.targets))
+        except OSError:
+            in_place = True
+        if in_place:
+            self.discard()
+            self.temps, self.outs = [], [io.StringIO() for _ in PANELS]
+        for k, columns in enumerate(tables):
+            self._write(k, [table_header(columns)])
+
+    def adder(self, *panels: int) -> _Consumer:
+        """A chunk consumer that appends each chunk's rows to the panels
+        numbered ``panels``.  A chunk that lacks a column of a panel (the
+        read then raises) adds no rows to it."""
+        def add(chunk: dict[str, list]) -> None:
+            for k in panels:
+                try:
+                    columns = [(name, code, values(chunk)) for name, code, values in self.tables[k]]
+                except KeyError:
+                    continue
+                self._write(k, table_rows(columns))
+        return add
+
+    def _write(self, k: int, lines: Iterable[str]) -> None:
+        if self.errors[k] is None:
+            try:
+                self.outs[k].writelines(lines)
+            except OSError as exc:
+                self.errors[k] = exc
+
+    def commit(self) -> None:
+        """Put the panels in place, in order.  The first that cannot be
+        written raises its OSError; the panels before it stay."""
+        for k, (out, target) in enumerate(zip(self.outs, self.targets)):
+            if self.errors[k] is not None:
+                raise self.errors[k]
+            if self.temps:
+                out.close()
+                os.replace(self.temps[k], target)
+            else:
+                with open(target, "w", encoding="utf-8") as handle:
+                    handle.write(out.getvalue())
+
+    def discard(self) -> None:
+        """Close every panel and remove the temporary files not renamed."""
+        for out in self.outs:
+            try:
+                out.close()
+            except OSError:  # a write that failed on close; the panel is dropped
+                pass
+        for temp in self.temps:
+            try:
+                os.unlink(temp)
+            except OSError:  # renamed already, or it cannot be removed
+                pass
 
 
 def cmd_plotdata(rundir: str) -> int:
-    log = _read_run_or_fail(rundir, PLOT_PARSED, PLOT_COPIED)
-    xy = ROBOT_COLUMNS[:2]
-    r, _, vr, vth, _, trig = PAIR_COLUMNS
-    speeds = {robot.id: robot.speed for robot in log.scenario.robots}
-    t_column = ("t", TEXT, log.t)
-    paths, vrvth, separation = [t_column], [t_column], [t_column]
-    for rid in log.robot_ids():
-        paths += _traced_columns(f"r{rid}", log.robots[rid], xy, TEXT)
-    for key in log.pair_ids():
-        tag, trace = _pair_tag(key), log.pairs[key]
-        scale = max(speeds[key[0]], speeds[key[1]], 1e-30)
-        for col in (vr, vth):
-            normed = [v / scale for v in getattr(trace, col.attr)]
-            vrvth.append((f"{_column_name(tag, col)}_norm", FLOAT, normed))
-        vrvth += _traced_columns(tag, trace, [trig], TEXT)
-        separation += _traced_columns(tag, trace, [r], TEXT)
-    _write_table(os.path.join(rundir, "xy_paths.csv"), paths)
-    _write_table(os.path.join(rundir, "vrvth.csv"), vrvth)
-    _write_table(os.path.join(rundir, "separation.csv"), separation)
+    log = TrajectoryLog(scenario=_read_or_fail(rundir, _read_scenario, rundir))
+    robots = {col: _PLOT_PARSERS.get(col.attr) for col in ROBOT_COLUMNS}
+    pairs = {col: _PLOT_PARSERS.get(col.attr) for col in PAIR_COLUMNS}
+    panels = _Panels(rundir, _plot_tables(log.scenario))
+    try:
+        _read_or_fail(rundir, _read_traces, log, rundir, robots, pairs,
+                      panels.adder(0), panels.adder(1, 2))
+        panels.commit()
+    finally:
+        panels.discard()
     return EXIT_OK
 
 

@@ -13,7 +13,10 @@ doubles down a pipe to a forked child, which formats trajectory.csv and
 pairs.csv into temporary files with the serial writers' header and row
 formatter (``cli.trajectory_table``, ``cli.pairs_table``, ``cli.table_rows``)
 while the parent simulates.  The parent renames the files into place once
-the run and the child have both succeeded.
+the run and the child have both succeeded.  Its log leaves the pairs'
+``theta`` unformed (``RunWriter.result``): the child forms it for its
+files, and ``cli.cmd_run`` forms it only where the serial writers write
+them instead.
 """
 
 from __future__ import annotations
@@ -208,19 +211,6 @@ def _new_dirs(path: str) -> list[str]:
     return made
 
 
-def _replaceable(temp: str, target: str) -> bool:
-    """Whether renaming ``temp`` to ``target`` leaves what writing ``target``
-    in place would: ``target`` is absent, or a regular file of one link with
-    the mode and owner a new file gets."""
-    try:
-        old = os.lstat(target)
-    except FileNotFoundError:
-        return True
-    new = os.lstat(temp)
-    return (old.st_mode, old.st_uid, old.st_gid, old.st_nlink) == (
-        new.st_mode, new.st_uid, new.st_gid, 1)
-
-
 class RunWriter(LogRecorder):
     """``run``'s recorder when a forked child formats trajectory.csv and
     pairs.csv (see the module docstring).
@@ -297,6 +287,12 @@ class RunWriter(LogRecorder):
 
         return record
 
+    def result(self) -> TrajectoryLog:
+        """The log, without the pairs' ``theta``: the child formed it for its
+        files, and ``cmd_run`` forms it only where the serial writers write
+        the files instead."""
+        return self.log
+
     def _ship(self) -> None:
         """Ship the rows recorded since the last chunk as one chunk."""
         if self.fd is None:
@@ -329,7 +325,7 @@ class RunWriter(LogRecorder):
         try:
             while ok and self.temps:
                 temp, target = self.temps[0]
-                ok = _replaceable(temp, target)
+                ok = cli.replaceable(temp, target)
                 if ok:
                     os.replace(temp, target)
                     del self.temps[0]

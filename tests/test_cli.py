@@ -225,8 +225,24 @@ def _non_numeric_cell(index):
     return edit
 
 
+def _bad_time(rundir):
+    path = rundir / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = "soon" + lines[3][lines[3].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+
+
+BAD_TIME = "trajectory.csv: column 't': bad cell (could not convert string to float: 'soon')"
+
 MALFORMED_RUNS = {
     "ragged_row": (_ragged_row, "trajectory.csv: line 5 has 20 cells, the header has 19"),
+    "non_numeric_time": (_bad_time, BAD_TIME),
+    # t is checked before any robot column
+    "non_numeric_time_and_renamed_column": (
+        lambda rundir: (_bad_time(rundir),
+                        _replace_in("trajectory.csv", "r1_phi", "r1_heading")(rundir)),
+        BAD_TIME,
+    ),
     "renamed_column": (_replace_in("trajectory.csv", "r1_phi", "r1_heading"), "'r1_phi'"),
     "non_numeric_cell": (_non_numeric_cell(3), "pairs.csv: column 'p1_2_vr'"),
     "bad_flag": (_replace_in("pairs.csv", ",0\n", ",no\n"), "column 'p1_2_trig': bad cell ('no')"),
@@ -265,14 +281,17 @@ MALFORMED_RUNS = {
 def test_malformed_run_directory_exits_1(headon_rundir, tmp_path, capsys, case):
     corrupt, message = MALFORMED_RUNS[case]
     rundir = tmp_path / "run"
-    shutil.copytree(headon_rundir, rundir)
+    shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(*cli.PANELS))
     corrupt(rundir)
+    files = sorted(os.listdir(rundir))
     capsys.readouterr()
     for argv in (["analyze", str(rundir), "--regime", "coop_pair"], ["plotdata", str(rundir)]):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read run directory {rundir}: ")
         assert message in err
+        # no panel and no temporary panel file is left behind
+        assert sorted(os.listdir(rundir)) == files
 
 
 def test_bad_cell_in_a_column_no_command_reads_is_ignored(headon_rundir, tmp_path):
@@ -535,7 +554,9 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     assert main(["run", "coop_headon", "-o", out]) == 2
     assert main(["analyze", out, "--regime", "coop_pair"]) == 0
     assert main(["plotdata", out]) == 0
-    assert calls == {"read_run": 2, "write_trajectory_csv": 1, "write_pairs_csv": 1,
+    # plotdata streams its panels from the run's chunks (cli._read_traces),
+    # so only analyze reads the run back through read_run
+    assert calls == {"read_run": 1, "write_trajectory_csv": 1, "write_pairs_csv": 1,
                      "analyze_log": 1, "fold_metrics": 0}
     spec = tmp_path / "sweep.json"
     spec.write_text(json.dumps({
@@ -1094,15 +1115,17 @@ def test_forked_sweep_reaps_its_children_after_an_os_error(tmp_path):
 # thread runs, so that cmd_run may fork its writer; in this process numpy's
 # threads often keep it serial.  The probe fixes the usable CPU count, and
 # may make a fork fail, the writer child end in the row formatter after a
-# pause, or run a second thread.  It counts forks, records how each child
-# ended and whether numpy was loaded before each run.
+# pause, or close its pipe's read end there and then end as if done, or run
+# a second thread.  It counts forks and the parent's form_theta calls,
+# records how each child ended and whether numpy was loaded before each run.
 RUN_PROBE = """
-import json, os, sys, threading, time
-from vortex_ca import cli
+import json, os, stat, sys, threading, time
+from vortex_ca import cli, engine
 
 args = json.loads(sys.argv[1])
-parent, forks, ends = os.getpid(), [], []
+parent, forks, ends, thetas = os.getpid(), [], [], []
 real_fork, real_waitpid, real_rows = os.fork, os.waitpid, cli.table_rows
+real_theta = engine.form_theta
 os.sched_getaffinity = lambda pid: set(range(args["cpus"]))
 
 
@@ -1128,10 +1151,26 @@ def table_rows(columns):
     if os.getpid() != parent and args["writer_exits"] is not None:
         time.sleep(args["writer_exits"])
         os._exit(3)
+    if os.getpid() != parent and args["writer_closes"] is not None:
+        for fd in map(int, os.listdir("/proc/self/fd")):
+            try:  # the pipe's read end is the one FIFO above stderr
+                if fd > 2 and stat.S_ISFIFO(os.fstat(fd).st_mode):
+                    os.close(fd)
+            except OSError:  # the listing's own descriptor, closed already
+                pass
+        time.sleep(args["writer_closes"])
+        os._exit(0)
     return real_rows(columns)
 
 
+def form_theta(log):
+    if os.getpid() == parent:
+        thetas[-1] += 1
+    return real_theta(log)
+
+
 os.fork, os.waitpid, cli.table_rows = fork, waitpid, table_rows
+engine.form_theta = cli.form_theta = form_theta  # before forks imports it
 release = threading.Event()
 if args["thread"]:
     threading.Thread(target=release.wait).start()
@@ -1139,6 +1178,7 @@ codes, forked, numpy = [], [], []
 for argv in args["argvs"]:
     before = len(forks)
     numpy.append("numpy" in sys.modules)
+    thetas.append(0)
     codes.append(cli.main(argv))
     forked.append(len(forks) - before)
 release.set()
@@ -1148,20 +1188,22 @@ try:
 except ChildProcessError:
     reaped = True
 print(json.dumps({"codes": codes, "forked": forked, "ends": sorted(ends), "reaped": reaped,
-                  "numpy": numpy}))
+                  "numpy": numpy, "thetas": thetas}))
 """
 
 KILLED = ["signal", signal.SIGKILL]
 
 
-def fresh_run(*runs, cpus=2, fork_fails=False, writer_exits=None, thread=False):
+def fresh_run(*runs, cpus=2, fork_fails=False, writer_exits=None, writer_closes=None,
+              thread=False):
     """``run`` each (scenario, outdir) in one new interpreter (see RUN_PROBE).
     Returns the exit codes, the children each run forked, how the children
     ended, whether none was left unreaped, whether numpy was loaded before
-    each run, and stderr."""
+    each run, how often each run's parent formed the pairs' theta, and
+    stderr."""
     args = {"argvs": [["run", str(scenario), "-o", str(out)] for scenario, out in runs],
             "cpus": cpus, "fork_fails": fork_fails, "writer_exits": writer_exits,
-            "thread": thread}
+            "writer_closes": writer_closes, "thread": thread}
     done = subprocess.run(
         [sys.executable, "-c", RUN_PROBE, json.dumps(args)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
@@ -1196,10 +1238,11 @@ def test_forked_run_writes_the_serial_bytes(tmp_path, monkeypatch):
     codes = [main(["run", str(scenario), "-o", str(tmp_path / "serial" / out)])
              for scenario, out in runs]
     assert codes == [PRESET_RUNS[name][1] for name, _ in runs[:-1]] + [0]
-    # the ring runs last: it loads numpy, and then nothing forks
+    # the ring runs last: it loads numpy, and then nothing forks.  Every run
+    # streams its CSVs, so no parent forms the pairs' theta: the child did.
     assert fresh_run(*((scenario, tmp_path / "forked" / out) for scenario, out in runs)) == {
         "codes": codes, "forked": [1] * len(runs), "ends": [EXITED] * len(runs),
-        "reaped": True, "numpy": [False] * len(runs), "stderr": ""}
+        "reaped": True, "numpy": [False] * len(runs), "thetas": [0] * len(runs), "stderr": ""}
     serial = _tree(tmp_path / "serial")
     assert len(serial) == 5 * len(runs)  # each run's directory and its four files
     assert _tree(tmp_path / "forked") == serial
@@ -1216,10 +1259,14 @@ NEAR_GOALS = {"robots": [{"id": 1, "x": -1.5, "y": 0.0, "goal": [-1.45, 0.0]},
     # the writer ends once the parent has shipped every row: only its exit
     # status tells that its files are incomplete
     (NEAR_GOALS, {"writer_exits": 0.3}, [1], [["exit", 3]]),
+    # the writer stops reading after its first chunk and exits 0 with
+    # incomplete files: only the failed pipe write tells
+    ("coop_headon", {"writer_closes": 0.2}, [1], [EXITED]),
     ("coop_headon", {"fork_fails": True}, [0], []),
     ("coop_headon", {"thread": True}, [0], []),
     ("coop_headon", {"cpus": 1}, [0], []),
-], ids=["writer_exits", "writer_exits_late", "fork_fails", "second_thread", "one_cpu"])
+], ids=["writer_exits", "writer_exits_late", "writer_closes", "fork_fails", "second_thread",
+        "one_cpu"])
 def test_run_that_cannot_stream_writes_the_serial_bytes(
     tmp_path, monkeypatch, scenario, case, forked, ends
 ):
@@ -1228,9 +1275,10 @@ def test_run_that_cannot_stream_writes_the_serial_bytes(
         scenario = tmp_path / "near.json"
     one_worker(monkeypatch)
     code = main(["run", str(scenario), "-o", str(tmp_path / "serial")])
+    # the parent forms the pairs' theta once, for the serial writers
     assert fresh_run((scenario, tmp_path / "forked"), **case) == {
         "codes": [code], "forked": forked, "ends": ends, "reaped": True, "numpy": [False],
-        "stderr": ""}
+        "thetas": [1], "stderr": ""}
     assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
 
 
@@ -1254,7 +1302,8 @@ def test_aborted_forked_run_leaves_no_files(tmp_path, monkeypatch):
     # an aborted run into new directories, then into one with an earlier run
     assert fresh_run((scenario, new), ("coop_headon", earlier), (scenario, earlier)) == {
         "codes": [1, 2, 1], "forked": [1, 1, 1], "ends": sorted([KILLED, EXITED, KILLED]),
-        "reaped": True, "numpy": [False] * 3, "stderr": FAR_APART_ERROR * 2}
+        "reaped": True, "numpy": [False] * 3, "thetas": [0, 0, 0],
+        "stderr": FAR_APART_ERROR * 2}
     assert not (tmp_path / "new").exists()
     assert _tree(earlier) == _tree(tmp_path / "serial")
 
@@ -1283,7 +1332,7 @@ def test_forked_run_rewrites_an_earlier_file_as_the_serial_run_does(tmp_path, mo
     assert main(["run", "coop_headon", "-o", str(serial)]) == 2
     assert fresh_run(("coop_headon", forked)) == {
         "codes": [2], "forked": [1], "ends": [EXITED], "reaped": True, "numpy": [False],
-        "stderr": ""}
+        "thetas": [1], "stderr": ""}
     assert _tree(forked) == _tree(serial)
     for root, target in outside.items():
         path = root / "trajectory.csv"
@@ -1316,7 +1365,7 @@ def test_forked_run_reports_an_output_in_its_way_as_the_serial_run_does(
     writes = blocked != "afile/run"  # makedirs fails before anything forks
     assert fresh_run(("coop_headon", forked)) == {
         "codes": [1], "forked": [int(writes)], "ends": [EXITED] * writes, "reaped": True,
-        "numpy": [False], "stderr": message.replace(str(tmp_path / "serial"),
+        "numpy": [False], "thetas": [1], "stderr": message.replace(str(tmp_path / "serial"),
                                                     str(tmp_path / "forked"))}
     assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
 
@@ -1798,6 +1847,103 @@ def test_commands_read_every_column_they_use(tmp_path, name):
     assert main(["plotdata", str(rundir)]) == 0
     for filename, text in _reference_panels(full).items():
         assert (rundir / filename).read_text() == text, filename
+
+
+def _panels(rundir):
+    return {name: (rundir / name).read_bytes() for name in cli.PANELS}
+
+
+@pytest.fixture
+def headon_panels(headon_rundir, tmp_path):
+    """coop_headon's panels, from a plotdata that streamed them."""
+    rundir = tmp_path / "streamed"
+    shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(*cli.PANELS))
+    assert main(["plotdata", str(rundir)]) == 0
+    assert not [name for name in os.listdir(rundir) if name.endswith(".part")]
+    return _panels(rundir)
+
+
+def _block_temporary(rundir, name):
+    """A directory where plotdata's temporary ``name`` panel of this process goes."""
+    (rundir / f".{name}.{os.getpid()}.part").mkdir()
+
+
+@pytest.mark.parametrize("malformed", [False, True], ids=["clean", "malformed"])
+def test_plotdata_without_temporary_files_reads_then_writes(
+    headon_rundir, headon_panels, tmp_path, capsys, malformed
+):
+    # A temporary panel that cannot be created: plotdata reads the whole run
+    # first and then writes each panel in place, so the panels are the same
+    # and a malformed run reports its input error, leaving no panel.
+    rundir = tmp_path / "run"
+    shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(*cli.PANELS))
+    _block_temporary(rundir, "separation.csv")
+    if malformed:
+        _non_numeric_cell(3)(rundir)
+    files = sorted(os.listdir(rundir))
+    capsys.readouterr()
+    assert main(["plotdata", str(rundir)]) == int(malformed)
+    if malformed:
+        assert "pairs.csv: column 'p1_2_vr'" in capsys.readouterr().err
+        assert sorted(os.listdir(rundir)) == files
+    else:
+        assert _panels(rundir) == headon_panels
+        assert sorted(os.listdir(rundir)) == sorted(files + list(cli.PANELS))
+
+
+@pytest.mark.parametrize("malformed", [False, True], ids=["clean", "malformed"])
+def test_plotdata_reports_a_failed_panel_write_after_the_read(
+    headon_rundir, headon_panels, tmp_path, capsys, monkeypatch, malformed
+):
+    # vrvth.csv's temporary file is a full device: its writes fail.  A clean
+    # run then reports the write's error, with the panel before it in place
+    # and none after it; a malformed run reports its input error first.
+    rundir = tmp_path / "run"
+    shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(*cli.PANELS))
+    if malformed:
+        _non_numeric_cell(3)(rundir)
+    files = sorted(os.listdir(rundir))
+    real_open = os.open
+
+    def full_vrvth(path, flags, mode=0o777):
+        if os.path.basename(path) == f".vrvth.csv.{os.getpid()}.part":
+            return real_open("/dev/full", os.O_WRONLY)
+        return real_open(path, flags, mode)
+
+    monkeypatch.setattr(os, "open", full_vrvth)
+    capsys.readouterr()
+    assert main(["plotdata", str(rundir)]) == 1
+    err = capsys.readouterr().err
+    if malformed:
+        assert "pairs.csv: column 'p1_2_vr'" in err
+        assert sorted(os.listdir(rundir)) == files
+    else:
+        assert err == f"error: {rundir}: No space left on device\n"
+        assert sorted(os.listdir(rundir)) == sorted(files + ["xy_paths.csv"])
+        assert (rundir / "xy_paths.csv").read_bytes() == headon_panels["xy_paths.csv"]
+
+
+@pytest.mark.parametrize("how", ["mode", "symlink", "hardlink"])
+def test_plotdata_rewrites_an_earlier_panel_in_place(headon_rundir, headon_panels, tmp_path, how):
+    # as the panels were always written: a panel's mode, a link to it and
+    # the file a link leads to all stay, and the file holds the new panel
+    rundir = tmp_path / "run"
+    shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(*cli.PANELS))
+    panel = rundir / "vrvth.csv"
+    if how == "mode":
+        panel.write_text("earlier\n")
+        os.chmod(panel, 0o600)
+        target = panel
+    else:
+        target = tmp_path / "elsewhere.csv"
+        target.write_text("earlier\n")
+        (os.symlink if how == "symlink" else os.link)(target, panel)
+    mode = os.lstat(panel).st_mode
+    assert main(["plotdata", str(rundir)]) == 0
+    assert os.lstat(panel).st_mode == mode
+    assert target.read_bytes() == panel.read_bytes() == headon_panels["vrvth.csv"]
+    assert _panels(rundir) == headon_panels
+    assert not [name for name in os.listdir(rundir) if name.endswith(".part")]
 
 
 def test_separation_trace_has_single_minimum(headon_rundir):

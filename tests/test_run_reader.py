@@ -1,5 +1,5 @@
 """The chunked run-CSV reader (``cli._read_columns``) against the whole-file
-reader it replaced, and the memory ``read_run`` holds.
+reader it replaced, and the memory ``read_run`` and ``plotdata`` hold.
 
 ``whole_file_columns`` is the earlier reader, kept here as the oracle: it
 split a whole file into one string per cell, then parsed the columns it was
@@ -7,9 +7,10 @@ asked for, in order.  The chunked reader must give the same columns, or
 raise the same RunFormatError text, at any chunk size.
 """
 
-import functools
 import itertools
 import math
+import shutil
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -60,7 +61,7 @@ KINDS = {
     "flag": ((cli._parse_flag, False), cli._FLAGS),
     "float_text": ((float, True), cli._FLOAT_TEXT),
     "flag_text": ((cli._parse_flag, True), cli._FLAG_TEXT),
-    "ids": ((cli._parse_ids, False), functools.partial(map, cli._parse_ids)),
+    "ids": ((cli._parse_ids, False), cli._each(cli._parse_ids)),
 }
 
 
@@ -80,10 +81,15 @@ def whole_file_columns(path, wanted):
 
 
 def chunked_columns(path, wanted, chunk_cells):
-    """``_read_columns`` with chunks of ``chunk_cells`` cells, or of its own size when None."""
+    """``_read_columns`` with chunks of ``chunk_cells`` cells, or of its own
+    size when None, each chunk's columns appended to one list per column."""
+    columns = {name: [] for name in wanted}
     with mock.patch.object(cli, "_CHUNK_CELLS", chunk_cells or cli._CHUNK_CELLS):
-        table = cli._read_columns(path, {name: KINDS[kind][1] for name, kind in wanted.items()})
-    return {name: table.column(name) for name in wanted}
+        table = cli._read_columns(path, {name: KINDS[kind][1] for name, kind in wanted.items()},
+                                  cli._appender(columns))
+    for name in wanted:
+        table.check(name)
+    return columns
 
 
 def outcome(read, *args):
@@ -199,19 +205,80 @@ def ring(n=32, radius=3.0, t_max=2.0):
     return Scenario(robots=tuple(robots), params=PFParams(), t_max=t_max)
 
 
-def test_read_run_holds_little_more_than_the_log(tmp_path):
-    # 201 rows of a 32-robot ring: an 11 MB run directory, whose pairs.csv
-    # has 2977 columns.  The whole-file reader peaked at 3.7 times the
-    # memory of the log it returned; a chunk of rows adds little to the log.
-    rundir = str(tmp_path / "ring")
-    write_run_outputs(run(ring()), rundir)
+@pytest.fixture(scope="module")
+def ring_rundir(tmp_path_factory):
+    """201 rows of a 32-robot ring: an 11 MB run directory, whose pairs.csv
+    has 2977 columns, built once for the module."""
+    rundir = tmp_path_factory.mktemp("ring") / "run"
+    write_run_outputs(run(ring()), str(rundir))
+    return rundir
+
+
+def traced_peak(call, *args):
+    """What ``call(*args)`` returns, and the peak and the kept rise of the
+    traced memory during the call."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        log = read_run(rundir, REGIME_COLUMNS[RegimeKind.MULTI_ROBOT])
+        result = call(*args)
         kept, peak = (value - before for value in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    return result, peak, kept
+
+
+def test_read_run_holds_little_more_than_the_log(ring_rundir):
+    # The whole-file reader peaked at 3.7 times the memory of the log it
+    # returned; a chunk of rows adds little to the log.
+    log, peak, kept = traced_peak(read_run, str(ring_rundir), REGIME_COLUMNS[RegimeKind.MULTI_ROBOT])
     assert len(log.t) == 201 and len(log.pairs) == 496
     assert peak <= 1.5 * kept, (peak, kept)
+
+
+def _first_rows(source, target, n):
+    """A copy of the run directory ``source`` whose run CSVs keep their first ``n`` data rows."""
+    shutil.copytree(source, target)
+    for name in ("trajectory.csv", "pairs.csv"):
+        with open(source / name, encoding="utf-8") as handle:
+            lines = list(itertools.islice(handle, n + 1))
+        (target / name).write_text("".join(lines), encoding="utf-8")
+
+
+def test_plotdata_holds_about_one_chunk(ring_rundir, tmp_path):
+    # plotdata writes each chunk's rows as it reads them.  Besides the t
+    # column it holds about what a chunked read of the widest file holds
+    # when it keeps nothing: one chunk (one row of this 2977-column
+    # pairs.csv) and the header's names, measured on a two-row copy.  The
+    # panels' column table and one chunk's rows come on top.  Holding every
+    # copied cell until the end, as plotdata once did, took 23.7 MB here.
+    tiny = tmp_path / "tiny"
+    _first_rows(ring_rundir, tiny, 2)
+    pairs = {col: cli._PLOT_PARSERS.get(col.attr) for col in cli.PAIR_COLUMNS}
+    tags = cli._run_tags(cli._read_scenario(str(tiny)))[1]
+    parsers = {"t": cli._text} | cli._trace_parsers(tags, pairs)
+    _, chunk, _ = traced_peak(cli._read_columns, str(tiny / "pairs.csv"), parsers, lambda _: None)
+    with open(ring_rundir / "trajectory.csv", encoding="utf-8") as handle:
+        t_text = [line.split(",", 1)[0] for line in itertools.islice(handle, 1, None)]
+    t_column = sum(sys.getsizeof(cell) + sys.getsizeof(float(cell)) + 16 for cell in t_text)
+
+    rundir = tmp_path / "run"
+    shutil.copytree(ring_rundir, rundir)
+    code, peak, _ = traced_peak(cli.cmd_plotdata, str(rundir))
+    assert code == 0 and len(t_text) == 201
+    assert (rundir / "separation.csv").read_text().count("\n") == 202
+    assert peak <= 3 * chunk + t_column, (peak, chunk, t_column)
+
+
+def test_plotdata_peak_does_not_grow_with_the_rows(ring_rundir, tmp_path):
+    # 25 and 50 rows of the ring, each many chunks: twice the rows, at most
+    # a quarter more memory.  A plotdata that held its copied cells needed
+    # 1.5 times as much (4.2 and 6.3 MB).
+    peaks = []
+    for rows in (25, 50):
+        rundir = tmp_path / str(rows)
+        _first_rows(ring_rundir, rundir, rows)
+        code, peak, _ = traced_peak(cli.cmd_plotdata, str(rundir))
+        assert code == 0 and (rundir / "vrvth.csv").read_text().count("\n") == rows + 1
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0], peaks
