@@ -12,9 +12,9 @@ A cell builds no trajectory log: ``fold_metrics`` folds its metrics over
 the recorded steps as the run records them.
 
 ``run`` forks one writer before the first step where forking is safe, more
-than one CPU is usable and the run would record at least
-``_FORK_MIN_VALUES`` values (``Scenario.recorded_values``).  The child
-formats trajectory.csv and pairs.csv from the rows the run ships it, with
+than one CPU is usable, the run would record at least ``_FORK_MIN_VALUES``
+values (``Scenario.recorded_values``) and trajectory.csv and pairs.csv can
+be staged.  The child formats them from the rows the run ships it, with
 the serial writers' formatter, while the parent simulates; the parent then
 writes events.csv and summary.json as before (``forks.RunWriter``).  The
 files are byte-identical either way: a writer that cannot start, dies or
@@ -25,8 +25,13 @@ fork of both commands.
 ``analyze`` and ``plotdata`` read a run back a chunk of rows at a time
 (``_read_traces``).  ``analyze`` keeps the columns it parses in a log
 (``read_run``); ``plotdata`` formats each chunk's panel rows as they
-arrive, into temporary files that it renames into place once the whole
-run has read (``_Panels``), so it holds one chunk and the ``t`` column.
+arrive, so it holds one chunk and the ``t`` column.
+
+``Staged`` is the one rule for an output written beside its target and put
+in place once the work is done: ``run``'s forked CSVs and ``plotdata``'s
+panels.  It decides before the work whether the outputs can be staged;
+where they cannot, ``run`` writes its CSVs after the run and ``plotdata``
+its panels after the read.
 
 Exit codes: 0 clean, 1 error, 2 body overlap occurred.  ``main`` owns the
 mapping from failure to exit code: the commands raise, and ``main`` turns a
@@ -212,17 +217,84 @@ def write_run_outputs(log: TrajectoryLog, outdir: str) -> int:
     return _write_run_summary(log, outdir)
 
 
-def replaceable(temp: str, target: str) -> bool:
-    """Whether renaming ``temp`` to ``target`` leaves what writing ``target``
-    in place would: ``target`` is absent, or a regular file of one link with
-    the mode and owner a new file gets."""
-    try:
-        old = os.lstat(target)
-    except FileNotFoundError:
-        return True
-    new = os.lstat(temp)
-    return (old.st_mode, old.st_uid, old.st_gid, old.st_nlink) == (
-        new.st_mode, new.st_uid, new.st_gid, 1)
+class Staged:
+    """Outputs a command writes beside their targets while it works, and
+    puts in place once the work is done.
+
+    ``Staged(directory, names)`` creates ``.<name>.<pid>.part`` beside each
+    target ``<name>`` with ``O_EXCL``, and decides once, before any work,
+    whether renaming each over its target leaves what writing the target in
+    place would: the target is absent, or a regular file of one link with
+    the mode and owner a new file gets.  If a file cannot be created or a
+    target is in the way (a link, a mode of its own, a directory), no staged
+    file stays, ``staged`` is False, and ``outs`` hold the text in memory
+    for ``commit`` to write in place.  A failed ``write`` is kept for
+    ``commit`` to raise, so that an error of the work comes first.
+    """
+
+    def __init__(self, directory: str, names: Sequence[str]) -> None:
+        self.targets = [os.path.join(directory, name) for name in names]
+        self.temps: list[str] = []  # the staged files this made and has not renamed
+        self.outs: list[IO[str]] = []
+        self.errors: list[OSError | None] = [None] * len(names)
+        try:
+            for name, target in zip(names, self.targets):
+                temp = os.path.join(directory, f".{name}.{os.getpid()}.part")
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                self.temps.append(temp)
+                self.outs.append(open(fd, "w", encoding="utf-8"))
+            self.staged = all(map(self._replaceable, self.temps, self.targets))
+        except OSError:
+            self.staged = False
+        if not self.staged:
+            self.discard()
+            self.outs = [io.StringIO() for _ in names]
+
+    @staticmethod
+    def _replaceable(temp: str, target: str) -> bool:
+        try:
+            old = os.lstat(target)
+        except FileNotFoundError:
+            return True
+        new = os.lstat(temp)
+        return (old.st_mode, old.st_uid, old.st_gid, old.st_nlink) == (
+            new.st_mode, new.st_uid, new.st_gid, 1)
+
+    def write(self, k: int, lines: Iterable[str]) -> None:
+        """Append ``lines`` to output ``k``, unless a write to it failed before."""
+        if self.errors[k] is None:
+            try:
+                self.outs[k].writelines(lines)
+            except OSError as exc:
+                self.errors[k] = exc
+
+    def commit(self) -> None:
+        """Put the outputs in place, in order.  The first that cannot be
+        written raises its OSError; the outputs before it stay."""
+        for k, (out, target) in enumerate(zip(self.outs, self.targets)):
+            if self.errors[k] is not None:
+                raise self.errors[k]
+            if self.staged:
+                out.close()
+                os.replace(self.temps[0], target)
+                del self.temps[0]
+            else:
+                with open(target, "w", encoding="utf-8") as handle:
+                    handle.write(out.getvalue())
+
+    def discard(self) -> None:
+        """Close every output, and remove the staged files not put in place."""
+        for out in self.outs:
+            try:
+                out.close()
+            except OSError:  # a write that failed on close; the output is dropped
+                pass
+        for temp in self.temps:
+            try:
+                os.unlink(temp)
+            except OSError:  # it cannot be removed
+                pass
+        self.temps.clear()
 
 
 def _write_run_summary(log: TrajectoryLog, outdir: str) -> int:
@@ -758,96 +830,31 @@ def _plot_tables(scenario: Scenario) -> list[_PanelColumns]:
     return [paths, vrvth, separation]
 
 
-class _Panels:
-    """plotdata's panels while the run is read.
-
-    Each panel's rows go to a temporary file beside it, created before the
-    read, and ``commit`` renames the files into place in ``PANELS`` order.
-    Where a temporary file cannot be created, or a rename would not leave
-    what writing a panel in place leaves (``replaceable``: a link, a mode of
-    its own, a directory in the way), the rows go to memory instead, and
-    ``commit`` writes each panel in place, as a read followed by the writes
-    would.  A failed write is kept for ``commit`` to raise, so that a
-    malformed run still reports its input error first.  ``discard`` removes
-    every temporary file left.
-    """
-
-    def __init__(self, rundir: str, tables: list[_PanelColumns]) -> None:
-        self.tables = tables
-        self.targets = [os.path.join(rundir, name) for name in PANELS]
-        self.temps: list[str] = []
-        self.outs: list[IO[str]] = []
-        self.errors: list[OSError | None] = [None] * len(PANELS)
-        try:
-            for name in PANELS:
-                temp = os.path.join(rundir, f".{name}.{os.getpid()}.part")
-                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                self.temps.append(temp)
-                self.outs.append(open(fd, "w", encoding="utf-8"))
-            in_place = not all(map(replaceable, self.temps, self.targets))
-        except OSError:
-            in_place = True
-        if in_place:
-            self.discard()
-            self.temps, self.outs = [], [io.StringIO() for _ in PANELS]
-        for k, columns in enumerate(tables):
-            self._write(k, [table_header(columns)])
-
-    def adder(self, *panels: int) -> _Consumer:
-        """A chunk consumer that appends each chunk's rows to the panels
-        numbered ``panels``.  A chunk that lacks a column of a panel (the
-        read then raises) adds no rows to it."""
-        def add(chunk: dict[str, list]) -> None:
-            for k in panels:
-                try:
-                    columns = [(name, code, values(chunk)) for name, code, values in self.tables[k]]
-                except KeyError:
-                    continue
-                self._write(k, table_rows(columns))
-        return add
-
-    def _write(self, k: int, lines: Iterable[str]) -> None:
-        if self.errors[k] is None:
+def _panel_rows(panels: Staged, tables: list[_PanelColumns], *numbers: int) -> _Consumer:
+    """A chunk consumer that appends each chunk's rows to the panels
+    ``numbers`` of ``panels``.  A chunk that lacks a column of a panel (the
+    read then raises) adds no rows to it."""
+    def add(chunk: dict[str, list]) -> None:
+        for k in numbers:
             try:
-                self.outs[k].writelines(lines)
-            except OSError as exc:
-                self.errors[k] = exc
-
-    def commit(self) -> None:
-        """Put the panels in place, in order.  The first that cannot be
-        written raises its OSError; the panels before it stay."""
-        for k, (out, target) in enumerate(zip(self.outs, self.targets)):
-            if self.errors[k] is not None:
-                raise self.errors[k]
-            if self.temps:
-                out.close()
-                os.replace(self.temps[k], target)
-            else:
-                with open(target, "w", encoding="utf-8") as handle:
-                    handle.write(out.getvalue())
-
-    def discard(self) -> None:
-        """Close every panel and remove the temporary files not renamed."""
-        for out in self.outs:
-            try:
-                out.close()
-            except OSError:  # a write that failed on close; the panel is dropped
-                pass
-        for temp in self.temps:
-            try:
-                os.unlink(temp)
-            except OSError:  # renamed already, or it cannot be removed
-                pass
+                columns = [(name, code, values(chunk)) for name, code, values in tables[k]]
+            except KeyError:
+                continue
+            panels.write(k, table_rows(columns))
+    return add
 
 
 def cmd_plotdata(rundir: str) -> int:
     log = TrajectoryLog(scenario=_read_or_fail(rundir, _read_scenario, rundir))
     robots = {col: _PLOT_PARSERS.get(col.attr) for col in ROBOT_COLUMNS}
     pairs = {col: _PLOT_PARSERS.get(col.attr) for col in PAIR_COLUMNS}
-    panels = _Panels(rundir, _plot_tables(log.scenario))
+    tables = _plot_tables(log.scenario)
+    panels = Staged(rundir, PANELS)
     try:
+        for k, columns in enumerate(tables):
+            panels.write(k, [table_header(columns)])
         _read_or_fail(rundir, _read_traces, log, rundir, robots, pairs,
-                      panels.adder(0), panels.adder(1, 2))
+                      _panel_rows(panels, tables, 0), _panel_rows(panels, tables, 1, 2))
         panels.commit()
     finally:
         panels.discard()
@@ -901,7 +908,9 @@ def main(argv: Iterable[str] | None = None) -> int:
         print(f"error: simulation aborted: {exc}", file=sys.stderr)
     except OSError as exc:  # an input or output the command cannot open or write
         directory = args.out if args.command in ("run", "sweep") else args.rundir
-        print(f"error: {exc.filename or directory}: {exc.strerror or exc}", file=sys.stderr)
+        # a failed rename (``Staged.commit``) names its target second
+        path = exc.filename2 or exc.filename or directory
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
     return EXIT_ERROR
 
 

@@ -2,21 +2,23 @@
 
 A command forks only where that is safe (``usable_cpus``) and where its
 work is large enough to pay for a child, which ``cli`` judges.  ``cli``
-imports this module for ``sweep`` and for a ``run`` large enough to fork.  ``Children`` is the one way a command forks:
-it flushes the output buffers a child would inherit, forks, moves the child
-off the parent's CPU (``_move_off_parent_cpu``), runs the child's job and
-ends it in ``os._exit``, and kills and reaps.
+imports this module for ``sweep`` and for a ``run`` large enough to fork.
+``Children`` is the one way a command forks: it flushes the output buffers
+a child would inherit, forks, moves the child off the parent's CPU
+(``_move_off_parent_cpu``), runs the child's job and ends it in
+``os._exit``, and kills and reaps.
 
-``RunWriter`` is ``run``'s recorder when ``run`` forks its writer.  It keeps
-the ``LogRecorder`` log and ships the log's new rows, a chunk at a time, as C
-doubles down a pipe to a forked child, which formats trajectory.csv and
-pairs.csv into temporary files with the serial writers' header and row
-formatter (``cli.trajectory_table``, ``cli.pairs_table``, ``cli.table_rows``)
-while the parent simulates.  The parent renames the files into place once
-the run and the child have both succeeded.  Its log leaves the pairs'
-``theta`` unformed (``RunWriter.result``): the child forms it for its
-files, and ``cli.cmd_run`` forms it only where the serial writers write
-them instead.
+``RunWriter`` is ``run``'s recorder when ``run`` forks its writer.  It
+stages trajectory.csv and pairs.csv (``cli.Staged``), and forks the child
+only where both are staged.  It keeps the ``LogRecorder`` log and ships the
+log's new rows, a chunk at a time, as C doubles down a pipe to the child,
+which formats them into the staged files with the serial writers' header
+and row formatter (``cli.trajectory_table``, ``cli.pairs_table``,
+``cli.table_rows``) while the parent simulates.  The parent puts the files
+in place once the run and the child have both succeeded.  Its log leaves
+the pairs' ``theta`` unformed (``RunWriter.result``): the child forms it
+for its files, and ``cli.cmd_run`` forms it only where the serial writers
+write them instead.
 """
 
 from __future__ import annotations
@@ -176,18 +178,17 @@ def _read_doubles(pipe: IO[bytes], count: int) -> array:
     return array("d", data)
 
 
-def _write_shipped(scenario: Scenario, read_fd: int, fds: list[int]) -> None:
+def _write_shipped(scenario: Scenario, read_fd: int, outs: list[IO[str]]) -> None:
     """The forked writer's job: read chunks from ``read_fd`` until the pipe
-    ends, and append their rows to the temporary trajectory.csv and
-    pairs.csv, ``fds``.  A chunk is its row count, then each shipped
-    column's values in those rows.  Whether the parent shipped every row is
-    the parent's to know (``RunWriter.finish``)."""
+    ends, and append their rows to the staged trajectory.csv and pairs.csv,
+    ``outs``.  A chunk is its row count, then each shipped column's values
+    in those rows.  Whether the parent shipped every row is the parent's to
+    know (``RunWriter.finish``)."""
     ids = [robot.id for robot in scenario.sorted_robots()]
     log = TrajectoryLog(scenario, robots={rid: RobotTrace() for rid in ids},
                         pairs={key: PairTrace() for key in itertools.combinations(ids, 2)})
     slots = _shipped(log)
-    with open(read_fd, "rb") as pipe, open(fds[0], "w", encoding="utf-8") as trajectory, \
-            open(fds[1], "w", encoding="utf-8") as pairs:
+    with open(read_fd, "rb") as pipe, outs[0] as trajectory, outs[1] as pairs:
         outputs = [(trajectory, cli.trajectory_table), (pairs, cli.pairs_table)]
         for out, table in outputs:
             out.write(cli.table_header(table(log)))
@@ -215,18 +216,17 @@ class RunWriter(LogRecorder):
     """``run``'s recorder when a forked child formats trajectory.csv and
     pairs.csv (see the module docstring).
 
-    ``fork`` makes the output directory, creates the two temporary files in
-    it and forks the child.  Around the run, the writer is a context
-    manager: a run that raises kills and reaps the child and removes the
-    temporary files and every directory ``fork`` made.  ``finish`` ends the
+    ``fork`` makes the output directory, stages the two files in it
+    (``cli.Staged``) and forks the child.  Around the run, the writer is a
+    context manager: a run that raises kills and reaps the child and removes
+    the staged files and every directory ``fork`` made.  ``finish`` ends the
     stream after the run.  A pipe that fails stops the shipping, never the
     run, and the serial writers then write the files from the log.
     """
 
     def __init__(self, outdir: str) -> None:
-        self.outdir = outdir
         self.made = _new_dirs(outdir)
-        self.temps: list[tuple[str, str]] = []  # (temporary file, its run CSV)
+        self.staged: cli.Staged | None = None
         self.children = Children()
         self.pid: int | None = None
         self.fd: int | None = None  # the pipe's write end; None once closed or failed
@@ -235,13 +235,15 @@ class RunWriter(LogRecorder):
     @classmethod
     def fork(cls, scenario: Scenario, outdir: str) -> RunWriter | None:
         """A writer with its child forked for ``scenario``'s run; None where
-        forking is unsafe here (``usable_cpus``), or where the setup failed,
-        after undoing what it did."""
+        forking is unsafe here (``usable_cpus``), where the files cannot be
+        staged, or where the setup failed, after undoing what it did."""
         if usable_cpus() < 2:
             return None
         writer = cls(outdir)
         try:
-            if writer._start(scenario):
+            os.makedirs(outdir, exist_ok=True)
+            writer.staged = cli.Staged(outdir, _RUN_CSVS)
+            if writer.staged.staged and writer._start(scenario):
                 return writer
         except OSError:
             pass
@@ -249,22 +251,12 @@ class RunWriter(LogRecorder):
         return None
 
     def _start(self, scenario: Scenario) -> bool:
-        os.makedirs(self.outdir, exist_ok=True)
-        fds: list[int] = []
+        read_fd, self.fd = os.pipe()
         try:
-            for name in _RUN_CSVS:
-                temp = os.path.join(self.outdir, f".{name}.{os.getpid()}.part")
-                fds.append(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-                self.temps.append((temp, os.path.join(self.outdir, name)))
-            read_fd, self.fd = os.pipe()
-            try:
-                job = functools.partial(_write_shipped, scenario, read_fd, fds)
-                self.pid = self.children.fork(job, close=[self.fd])
-            finally:
-                os.close(read_fd)
+            job = functools.partial(_write_shipped, scenario, read_fd, self.staged.outs)
+            self.pid = self.children.fork(job, close=[self.fd])
         finally:
-            for fd in fds:
-                os.close(fd)
+            os.close(read_fd)
         return self.pid is not None
 
     def __enter__(self) -> RunWriter:
@@ -314,40 +306,25 @@ class RunWriter(LogRecorder):
 
     def finish(self) -> bool:
         """After the run: ship the last rows, end the pipe, reap the child,
-        and rename its files into place if the pipe took every row and the
-        child exited 0; whether it did.  Every temporary file is gone
-        afterwards."""
+        and put its files in place if the pipe took every row and the child
+        exited 0; whether it did.  No staged file is left afterwards."""
         if len(self.log.t) > self.shipped:
             self._ship()
         shipped = self.fd is not None
         self._close_pipe()
-        ok = self.children.wait(self.pid) == 0 and shipped
-        try:
-            while ok and self.temps:
-                temp, target = self.temps[0]
-                ok = cli.replaceable(temp, target)
-                if ok:
-                    os.replace(temp, target)
-                    del self.temps[0]
-        except OSError:
-            ok = False
-        self._remove_temps()
-        return ok
-
-    def _remove_temps(self) -> None:
-        for temp, _ in self.temps:
-            try:
-                os.unlink(temp)
-            except OSError:  # gone already, or it cannot be removed
-                pass
-        self.temps.clear()
+        if self.children.wait(self.pid) == 0 and shipped:
+            self.staged.commit()
+            return True
+        self.staged.discard()
+        return False
 
     def _abandon(self) -> None:
-        """Kill and reap the child, then remove the temporary files and the
+        """Kill and reap the child, then remove the staged files and the
         directories ``fork`` made."""
         self.children.close(kill=True)
         self._close_pipe()
-        self._remove_temps()
+        if self.staged is not None:
+            self.staged.discard()
         for path in self.made:  # deepest first; one holding files stays
             try:
                 os.rmdir(path)

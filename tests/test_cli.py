@@ -1,3 +1,4 @@
+import ast
 import csv
 import functools
 import hashlib
@@ -936,7 +937,8 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 # worker.  The probe fixes the usable CPU count, may lower the fork
 # threshold, and may make a fork fail, a child end on one cell, or the
 # parent's row writing fail on one cell text, or run a second thread.  It
-# records how each child ended.
+# records how each child ended.  Its interpreter warns of every file left
+# open, so a pipe the parent leaks shows on stderr.
 SWEEP_PROBE = """
 import json, os, sys, threading
 from vortex_ca import cli
@@ -1009,7 +1011,7 @@ def fresh_sweep(*sweeps, cpus=2, min_work=None, forks_before_failure=None,
             "min_work": min_work, "forks_before_failure": forks_before_failure,
             "die_at_lambda": die_at_lambda, "fail_at": fail_at, "thread": thread}
     done = subprocess.run(
-        [sys.executable, "-c", SWEEP_PROBE, json.dumps(args)],
+        [sys.executable, "-W", "default::ResourceWarning", "-c", SWEEP_PROBE, json.dumps(args)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
         timeout=120, check=False,
     )
@@ -1116,8 +1118,10 @@ def test_forked_sweep_reaps_its_children_after_an_os_error(tmp_path):
 # threads often keep it serial.  The probe fixes the usable CPU count, and
 # may make a fork fail, the writer child end in the row formatter after a
 # pause, or close its pipe's read end there and then end as if done, or run
-# a second thread.  It counts forks and the parent's form_theta calls,
-# records how each child ended and whether numpy was loaded before each run.
+# a second thread, or put a directory where each run's staged trajectory.csv
+# goes.  It counts forks and the parent's form_theta calls, records how each
+# child ended and whether numpy was loaded before each run.  Its interpreter
+# warns of every file left open, so a handle the parent leaks shows on stderr.
 RUN_PROBE = """
 import json, os, stat, sys, threading, time
 from vortex_ca import cli, engine
@@ -1176,6 +1180,8 @@ if args["thread"]:
     threading.Thread(target=release.wait).start()
 codes, forked, numpy = [], [], []
 for argv in args["argvs"]:
+    if args["block_staged"]:
+        os.makedirs(os.path.join(argv[-1], f".trajectory.csv.{parent}.part"))
     before = len(forks)
     numpy.append("numpy" in sys.modules)
     thetas.append(0)
@@ -1195,7 +1201,7 @@ KILLED = ["signal", signal.SIGKILL]
 
 
 def fresh_run(*runs, cpus=2, fork_fails=False, writer_exits=None, writer_closes=None,
-              thread=False):
+              thread=False, block_staged=False):
     """``run`` each (scenario, outdir) in one new interpreter (see RUN_PROBE).
     Returns the exit codes, the children each run forked, how the children
     ended, whether none was left unreaped, whether numpy was loaded before
@@ -1203,9 +1209,9 @@ def fresh_run(*runs, cpus=2, fork_fails=False, writer_exits=None, writer_closes=
     stderr."""
     args = {"argvs": [["run", str(scenario), "-o", str(out)] for scenario, out in runs],
             "cpus": cpus, "fork_fails": fork_fails, "writer_exits": writer_exits,
-            "writer_closes": writer_closes, "thread": thread}
+            "writer_closes": writer_closes, "thread": thread, "block_staged": block_staged}
     done = subprocess.run(
-        [sys.executable, "-c", RUN_PROBE, json.dumps(args)],
+        [sys.executable, "-W", "default::ResourceWarning", "-c", RUN_PROBE, json.dumps(args)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
         timeout=120, check=False,
     )
@@ -1282,6 +1288,24 @@ def test_run_that_cannot_stream_writes_the_serial_bytes(
     assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
 
 
+def test_run_that_cannot_stage_writes_the_serial_bytes(tmp_path, monkeypatch):
+    # a directory where the staged trajectory.csv goes: nothing is staged,
+    # nothing forks, the serial writers write the run, and the directory,
+    # which the run did not make, stays
+    one_worker(monkeypatch)
+    code = main(["run", "coop_headon", "-o", str(tmp_path / "serial")])
+    forked = tmp_path / "forked"
+    result = fresh_run(("coop_headon", forked), block_staged=True)
+    blocked = [name for name in os.listdir(forked) if name.endswith(".part")]
+    assert result == {
+        "codes": [code], "forked": [0], "ends": [], "reaped": True, "numpy": [False],
+        "thetas": [1], "stderr": ""}
+    assert len(blocked) == 1 and blocked[0].startswith(".trajectory.csv.")
+    assert (forked / blocked[0]).is_dir() and not os.listdir(forked / blocked[0])
+    assert {path: data for path, data in _tree(forked).items()
+            if path != blocked[0]} == _tree(tmp_path / "serial")
+
+
 # two robots 2 m apart driving apart at 1e308 m/s for the default 60 s: the
 # run would record enough values to fork, and aborts on its first step
 FAR_APART = {"robots": [
@@ -1325,13 +1349,14 @@ def _earlier_files(root, how):
 @pytest.mark.parametrize("how", ["mode", "symlink", "hardlink"])
 def test_forked_run_rewrites_an_earlier_file_as_the_serial_run_does(tmp_path, monkeypatch, how):
     # the serial writers rewrite a file in place: its mode, a link to it and
-    # the file a link leads to all stay; the forked run must not rename over it
+    # the file a link leads to all stay; a run that could fork must not
+    # rename over it, so it stages nothing, forks nothing and writes serially
     serial, forked = tmp_path / "serial", tmp_path / "forked"
     outside = {root: _earlier_files(root, how) for root in (serial, forked)}
     one_worker(monkeypatch)
     assert main(["run", "coop_headon", "-o", str(serial)]) == 2
     assert fresh_run(("coop_headon", forked)) == {
-        "codes": [2], "forked": [1], "ends": [EXITED], "reaped": True, "numpy": [False],
+        "codes": [2], "forked": [0], "ends": [], "reaped": True, "numpy": [False],
         "thetas": [1], "stderr": ""}
     assert _tree(forked) == _tree(serial)
     for root, target in outside.items():
@@ -1362,9 +1387,10 @@ def test_forked_run_reports_an_output_in_its_way_as_the_serial_run_does(
     in_the_way = serial if blocked == "afile/run" else serial / blocked
     assert message == f"error: {in_the_way}: " + (
         "Not a directory\n" if blocked == "afile/run" else "Is a directory\n")
-    writes = blocked != "afile/run"  # makedirs fails before anything forks
+    # a directory in a run CSV's way fails the staging, and one under a
+    # file fails makedirs, before anything forks
     assert fresh_run(("coop_headon", forked)) == {
-        "codes": [1], "forked": [int(writes)], "ends": [EXITED] * writes, "reaped": True,
+        "codes": [1], "forked": [0], "ends": [], "reaped": True,
         "numpy": [False], "thetas": [1], "stderr": message.replace(str(tmp_path / "serial"),
                                                     str(tmp_path / "forked"))}
     assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
@@ -1891,6 +1917,40 @@ def test_plotdata_without_temporary_files_reads_then_writes(
         assert sorted(os.listdir(rundir)) == sorted(files + list(cli.PANELS))
 
 
+def test_plotdata_keeps_a_temporary_name_it_did_not_create(headon_rundir, headon_panels, tmp_path):
+    # a file of someone else's at vrvth.csv's temporary name: plotdata
+    # writes the panels in place and removes only the files it created
+    rundir = tmp_path / "run"
+    shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(*cli.PANELS))
+    other = rundir / f".vrvth.csv.{os.getpid()}.part"
+    other.write_bytes(b"not plotdata's\n")
+    files = sorted(os.listdir(rundir))
+    assert main(["plotdata", str(rundir)]) == 0
+    assert _panels(rundir) == headon_panels
+    assert other.read_bytes() == b"not plotdata's\n"
+    assert sorted(os.listdir(rundir)) == sorted(files + list(cli.PANELS))
+
+
+def test_plotdata_names_a_panel_that_turned_into_a_directory(
+    headon_rundir, tmp_path, capsys, monkeypatch
+):
+    # staged before the read, vrvth.csv is a directory once the run has
+    # read: its rename fails, and the error names the panel, not the staged file
+    rundir = tmp_path / "run"
+    shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(*cli.PANELS))
+    read_traces = cli._read_traces
+
+    def then_block(log, outdir, *args):
+        read_traces(log, outdir, *args)
+        (rundir / "vrvth.csv").mkdir()
+
+    monkeypatch.setattr(cli, "_read_traces", then_block)
+    capsys.readouterr()
+    assert main(["plotdata", str(rundir)]) == 1
+    assert capsys.readouterr().err == f"error: {rundir / 'vrvth.csv'}: Is a directory\n"
+    assert not [name for name in os.listdir(rundir) if name.endswith(".part")]
+
+
 @pytest.mark.parametrize("malformed", [False, True], ids=["clean", "malformed"])
 def test_plotdata_reports_a_failed_panel_write_after_the_read(
     headon_rundir, headon_panels, tmp_path, capsys, monkeypatch, malformed
@@ -1944,6 +2004,31 @@ def test_plotdata_rewrites_an_earlier_panel_in_place(headon_rundir, headon_panel
     assert target.read_bytes() == panel.read_bytes() == headon_panels["vrvth.csv"]
     assert _panels(rundir) == headon_panels
     assert not [name for name in os.listdir(rundir) if name.endswith(".part")]
+
+
+def test_outputs_are_staged_only_by_one_class():
+    # run's forked CSVs and plotdata's panels share one rule for creating a
+    # staged file and putting it in place: no module but cli.Staged creates
+    # a file with O_EXCL or renames one
+    def staging(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "os"
+                and node.attr in ("O_EXCL", "replace", "rename")]
+
+    found, inside = [], []
+    for path in sorted((SRC / "vortex_ca").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += staging(tree)
+        imports = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "os"
+                   for alias in node.names]
+        assert not set(imports) & {"O_EXCL", "replace", "rename"}, path.name
+        if path.name == "cli.py":
+            staged = next(node for node in tree.body
+                          if isinstance(node, ast.ClassDef) and node.name == "Staged")
+            inside = staging(staged)
+    assert {node.attr for node in inside} == {"O_EXCL", "replace"}
+    assert len(found) == len(inside)
 
 
 def test_separation_trace_has_single_minimum(headon_rundir):
