@@ -12,15 +12,17 @@ A cell builds no trajectory log: ``fold_metrics`` folds its metrics over
 the recorded steps as the run records them.
 
 ``run`` forks one writer before the first step where forking is safe, more
-than one CPU is usable, the run would record at least ``_FORK_MIN_VALUES``
-values (``Scenario.recorded_values``) and trajectory.csv and pairs.csv can
-be staged.  The child formats them from the rows the run ships it, with
-the serial writers' formatter, while the parent simulates; the parent then
+than one CPU is usable, the run records at least ``_FORK_MIN_VALUES``
+values over the fewest steps it can take (``Scenario.fewest_steps``) and
+trajectory.csv and pairs.csv can be staged.  The child formats them from
+the rows the run ships it, with the serial writers' formatter, while the
+parent simulates and keeps only what summary.json reads; the parent then
 writes events.csv and summary.json as before (``forks.RunWriter``).  The
-files are byte-identical either way: a writer that cannot start, dies or
-meets an OSError leaves the files to the serial writers, and a run that
-aborts leaves no file and no directory it made.  ``forks`` holds every
-fork of both commands.
+files are byte-identical either way: where a writer cannot start, the
+serial writers write the files after the run, and where it dies or meets
+an OSError, the scenario runs again and the serial writers write them.  A
+run that aborts leaves no file and no directory it made.  ``forks`` holds
+every fork of both commands.
 
 ``analyze`` and ``plotdata`` read a run back a chunk of rows at a time
 (``_read_traces``).  ``analyze`` keeps the columns it parses in a log
@@ -68,7 +70,6 @@ from .engine import (
     RobotTrace,
     ScenarioError,
     TrajectoryLog,
-    form_theta,
     min_separation,
     run,
 )
@@ -607,18 +608,23 @@ def analyze_log(
 # Commands
 
 
-#: Recorded values (``Scenario.recorded_values``) from which ``run`` forks a
-#: writer for trajectory.csv and pairs.csv; below it the parent writes them
-#: after the run.  Measured crossover of the serial and the forked ``run``
-#: (2 CPUs, CPython 3.11): about 15,000 values on two-robot runs and 20,000
-#: to 30,000 on one- and three-robot runs; from 30,000 on, the forked run
-#: was faster on each.
+#: Recorded values from which ``run`` forks a writer for trajectory.csv and
+#: pairs.csv; below it the parent writes them after the run.  A run counts
+#: the values it records at least, over the fewest steps it can take
+#: (``Scenario.fewest_steps``), not the values ``t_max`` allows.  Measured
+#: crossover of the serial and the forked ``run`` (2 CPUs, CPython 3.11):
+#: about 15,000 values on two-robot runs and 20,000 to 30,000 on one- and
+#: three-robot runs; from 30,000 on, the forked run was faster on each.
 _FORK_MIN_VALUES = 30_000
 
 
 def cmd_run(scenario_path: str, outdir: str) -> int:
+    """Run a scenario into ``outdir``.  A forked writer formats its CSVs as
+    the run goes (``forks.RunWriter``); a run too small for one, or whose
+    writer cannot start or fails, ends in the one serial path, which runs
+    the scenario, again after a failed writer, and writes every file."""
     scenario = load_scenario(scenario_path)
-    if scenario.recorded_values() >= _FORK_MIN_VALUES:
+    if scenario.recorded_values(scenario.fewest_steps()) >= _FORK_MIN_VALUES:
         from .forks import RunWriter
 
         writer = RunWriter.fork(scenario, outdir)
@@ -628,8 +634,8 @@ def cmd_run(scenario_path: str, outdir: str) -> int:
                 streamed = writer.finish()
             if streamed:
                 return _write_run_summary(log, outdir)
-            form_theta(log)  # the serial writers write the pairs' theta
-            return write_run_outputs(log, outdir)
+            # the writer failed and the log kept too little for the serial
+            # writers: the run again gives the same rows
     return write_run_outputs(run(scenario), outdir)
 
 

@@ -160,13 +160,44 @@ class Scenario:
         """Physics steps after the initial state: round(t_max / dt)."""
         return int(round(self.t_max / self.dt))
 
-    def recorded_values(self) -> int:
-        """Values a log at ``record_stride`` keeps at most, one per cell of
+    def recorded_values(self, steps: int | None = None) -> int:
+        """Values a log at ``record_stride`` keeps at most over a run of
+        ``steps`` steps (by default ``n_steps``), one per cell of
         ``ROBOT_COLUMNS`` and ``PAIR_COLUMNS`` and ``t``:
         (steps // record_stride + 2) * (1 + 9 N + 6 P)."""
         n = len(self.robots)
         row = 1 + len(ROBOT_COLUMNS) * n + len(PAIR_COLUMNS) * (n * (n - 1) // 2)
-        return (self.n_steps() // self.record_stride + 2) * row
+        if steps is None:
+            steps = self.n_steps()
+        return (steps // self.record_stride + 2) * row
+
+    def fewest_steps(self) -> int:
+        """A lower bound on the steps ``run`` takes, at most ``n_steps``.
+        The run ends before ``n_steps`` only once every gated robot
+        (cooperative or attacking) has come within ``goal_tol`` of its goal
+        or target, and a step closes that distance by at most the robot's
+        speed times ``dt``, plus its target's speed for an attacker.  So an
+        active gated robot outside ``goal_tol`` needs floor(excess /
+        (closing speed * dt)) steps at least, and ``n_steps`` if it cannot
+        close.  A run without a gated robot takes ``n_steps``."""
+        n_steps = self.n_steps()
+        by_id = {robot.id: robot for robot in self.robots}
+        gated = [robot for robot in self.robots if robot.behavior in (_COOPERATIVE, _ATTACKING)]
+        if not gated:
+            return n_steps
+        fewest = 0
+        for robot in gated:
+            end, closing = robot.goal, robot.speed
+            if robot.behavior is _ATTACKING:
+                target = by_id[robot.attack_target]
+                end, closing = target.position, closing + target.speed
+            excess = math.hypot(end.x - robot.position.x,
+                                end.y - robot.position.y) - self.params.goal_tol
+            if robot.active and excess > 0.0:  # an inactive robot has stopped already
+                step = closing * self.dt
+                steps = excess / step if step > 0.0 else math.inf
+                fewest = max(fewest, int(steps) if steps < n_steps else n_steps)
+        return fewest
 
     def _size_errors(self) -> list[str]:
         steps = self.t_max / self.dt

@@ -10,15 +10,16 @@ a child would inherit, forks, moves the child off the parent's CPU
 
 ``RunWriter`` is ``run``'s recorder when ``run`` forks its writer.  It
 stages trajectory.csv and pairs.csv (``cli.Staged``), and forks the child
-only where both are staged.  It keeps the ``LogRecorder`` log and ships the
-log's new rows, a chunk at a time, as C doubles down a pipe to the child,
-which formats them into the staged files with the serial writers' header
-and row formatter (``cli.trajectory_table``, ``cli.pairs_table``,
-``cli.table_rows``) while the parent simulates.  The parent puts the files
-in place once the run and the child have both succeeded.  Its log leaves
-the pairs' ``theta`` unformed (``RunWriter.result``): the child forms it
-for its files, and ``cli.cmd_run`` forms it only where the serial writers
-write them instead.
+only where both are staged.  It ships the log's new rows, a chunk at a
+time, as C doubles down a pipe to the child, which formats them into the
+staged files with the serial writers' header and row formatter
+(``cli.trajectory_table``, ``cli.pairs_table``, ``cli.table_rows``) while
+the parent simulates.  The parent then keeps of the shipped rows only what
+``cli.run_summary`` reads, ``t`` and each pair's ``r``, so it holds one
+chunk besides those columns however long the run.  It puts the files in
+place once the run and the child have both succeeded; where they have not,
+``cli.cmd_run`` runs the scenario again, which gives the same rows, and
+writes the files serially.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class RunWriter(LogRecorder):
     context manager: a run that raises kills and reaps the child and removes
     the staged files and every directory ``fork`` made.  ``finish`` ends the
     stream after the run.  A pipe that fails stops the shipping, never the
-    run, and the serial writers then write the files from the log.
+    run; ``finish`` then says the files were not written.
     """
 
     def __init__(self, outdir: str) -> None:
@@ -230,7 +231,7 @@ class RunWriter(LogRecorder):
         self.children = Children()
         self.pid: int | None = None
         self.fd: int | None = None  # the pipe's write end; None once closed or failed
-        self.shipped = 0  # rows shipped
+        self.shipped = 0  # rows shipped, or shed once the pipe failed
 
     @classmethod
     def fork(cls, scenario: Scenario, outdir: str) -> RunWriter | None:
@@ -270,6 +271,9 @@ class RunWriter(LogRecorder):
         record_row = super().start(scenario, swarm)
         t = self.log.t
         self.columns = [getattr(owner, attr) for owner, attr in _shipped(self.log)]
+        kept = {id(t), *(id(trace.r) for trace in self.log.pairs.values())}
+        # what run_summary does not read, emptied once shipped
+        self.emptied = [column for column in self.columns if id(column) not in kept]
         chunk = max(1, _CHUNK_VALUES // len(self.columns))
 
         def record(time: float) -> None:
@@ -280,24 +284,26 @@ class RunWriter(LogRecorder):
         return record
 
     def result(self) -> TrajectoryLog:
-        """The log, without the pairs' ``theta``: the child formed it for its
-        files, and ``cmd_run`` forms it only where the serial writers write
-        the files instead."""
+        """The log as ``cli.run_summary`` reads it: ``t``, the events and
+        each pair's ``r``.  Every other column ends empty, and the pairs'
+        ``theta`` is never formed: the child formed it for its files."""
         return self.log
 
     def _ship(self) -> None:
-        """Ship the rows recorded since the last chunk as one chunk."""
-        if self.fd is None:
-            return
-        end = len(self.log.t)
-        data = array("d", [end - self.shipped])
-        for column in self.columns:
-            data.extend(column[self.shipped:end])
-        self.shipped = end
-        try:
-            _send(self.fd, data)
-        except OSError:  # the child has died
-            self._close_pipe()
+        """Ship the rows recorded since the last chunk, at least one, as one
+        chunk, and then empty the columns ``run_summary`` does not read."""
+        rows = len(self.log.t) - self.shipped
+        if self.fd is not None:
+            data = array("d", [rows])
+            for column in self.columns:  # the rows not yet shipped end each column
+                data.extend(column[-rows:])
+            try:
+                _send(self.fd, data)
+            except OSError:  # the child has died
+                self._close_pipe()
+        for column in self.emptied:
+            column.clear()
+        self.shipped += rows
 
     def _close_pipe(self) -> None:
         if self.fd is not None:

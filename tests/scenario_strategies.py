@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -78,3 +79,39 @@ def extreme_scenarios(draw):
     return {"name": "extreme", "dt": dt,
             "t_max": min(dt * draw(st.integers(1, 30)), sys.float_info.max),
             "record_stride": draw(st.integers(1, 5)), "params": params, "robots": robots}
+
+
+@st.composite
+def stop_scenarios(draw):
+    """1 to 4 robots of every behaviour at distinct points of a 2 m square,
+    some inactive, some at speed 0, each heading at its goal or target or
+    anywhere, with goals up to 2 m away, for up to 150 steps of 0.02 s,
+    recording every step: runs that the stop rule ends, or ``t_max`` does."""
+    n = draw(st.integers(1, 4))
+    grid = st.tuples(st.integers(-10, 10), st.integers(-10, 10))
+    points = draw(st.lists(grid, min_size=n, max_size=n, unique=True))
+    robots = []
+    for k, (i, j) in enumerate(points):
+        x, y = 0.1 * i, 0.1 * j
+        behavior = draw(st.sampled_from(BEHAVIORS if n > 1 else BEHAVIORS[:3]))
+        robot = {"id": k + 1, "x": x, "y": y, "behavior": behavior, "radius": 0.05,
+                 "speed": 0.0 if behavior == "stationary" else draw(
+                     st.just(0.0) | st.floats(0.2, 2.0))}
+        if behavior == "attacking":
+            robot["target"] = (k + 1) % n + 1
+            aim = points[k + 1 if k + 1 < n else 0]
+            aim = (0.1 * aim[0], 0.1 * aim[1])
+        else:
+            aim = (x + draw(st.floats(-1.0, 1.0)), y + draw(st.floats(-1.0, 1.0)))
+            if behavior != "stationary":
+                robot["goal"] = list(aim)
+        robot["heading"] = (math.atan2(aim[1] - y, aim[0] - x) if draw(st.booleans())
+                            else draw(st.floats(-math.pi, math.pi)))
+        robots.append(robot)
+    scenario = scenario_from_dict({
+        "name": "stop", "dt": 0.02, "t_max": 0.02 * draw(st.integers(1, 150)),
+        "params": {"goal_tol": draw(st.floats(0.05, 0.4))}, "robots": robots,
+    })
+    # a scenario file cannot start a robot inactive, as if stopped already
+    return replace(scenario, robots=tuple(replace(robot, active=draw(st.integers(0, 4)) > 0)
+                                          for robot in scenario.robots))

@@ -1117,13 +1117,15 @@ def test_forked_sweep_reaps_its_children_after_an_os_error(tmp_path):
 # thread runs, so that cmd_run may fork its writer; in this process numpy's
 # threads often keep it serial.  The probe fixes the usable CPU count, and
 # may make a fork fail, the writer child end in the row formatter after a
-# pause, or close its pipe's read end there and then end as if done, or run
-# a second thread, or put a directory where each run's staged trajectory.csv
-# goes.  It counts forks and the parent's form_theta calls, records how each
-# child ended and whether numpy was loaded before each run.  Its interpreter
-# warns of every file left open, so a handle the parent leaks shows on stderr.
+# pause, or close its pipe's read end there and then end as if done, or end
+# with a status of its own once it has written every row, or run a second
+# thread, or put a directory where each run's staged trajectory.csv goes.  It
+# counts forks and the parent's form_theta calls, records how each child
+# ended and whether numpy was loaded before each run, and may trace the
+# parent's memory over each run.  Its interpreter warns of every file left
+# open, so a handle the parent leaks shows on stderr.
 RUN_PROBE = """
-import json, os, stat, sys, threading, time
+import json, os, stat, sys, threading, time, tracemalloc
 from vortex_ca import cli, engine
 
 args = json.loads(sys.argv[1])
@@ -1174,18 +1176,34 @@ def form_theta(log):
 
 
 os.fork, os.waitpid, cli.table_rows = fork, waitpid, table_rows
-engine.form_theta = cli.form_theta = form_theta  # before forks imports it
+engine.form_theta = form_theta
+import vortex_ca.forks  # after the patch, which counts the parent's calls alone
+real_write = vortex_ca.forks._write_shipped
+
+
+def write_shipped(*job):
+    real_write(*job)
+    if args["writer_status"] is not None:
+        os._exit(args["writer_status"])
+
+
+vortex_ca.forks._write_shipped = write_shipped
 release = threading.Event()
 if args["thread"]:
     threading.Thread(target=release.wait).start()
-codes, forked, numpy = [], [], []
+codes, forked, numpy, peaks = [], [], [], []
 for argv in args["argvs"]:
     if args["block_staged"]:
         os.makedirs(os.path.join(argv[-1], f".trajectory.csv.{parent}.part"))
     before = len(forks)
     numpy.append("numpy" in sys.modules)
     thetas.append(0)
+    if args["trace"]:
+        tracemalloc.start()
     codes.append(cli.main(argv))
+    if args["trace"]:
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
     forked.append(len(forks) - before)
 release.set()
 try:
@@ -1193,23 +1211,28 @@ try:
     reaped = False
 except ChildProcessError:
     reaped = True
-print(json.dumps({"codes": codes, "forked": forked, "ends": sorted(ends), "reaped": reaped,
-                  "numpy": numpy, "thetas": thetas}))
+result = {"codes": codes, "forked": forked, "ends": sorted(ends), "reaped": reaped,
+          "numpy": numpy, "thetas": thetas}
+if args["trace"]:
+    result["peaks"] = peaks
+print(json.dumps(result))
 """
 
 KILLED = ["signal", signal.SIGKILL]
 
 
 def fresh_run(*runs, cpus=2, fork_fails=False, writer_exits=None, writer_closes=None,
-              thread=False, block_staged=False):
+              writer_status=None, thread=False, block_staged=False, trace=False):
     """``run`` each (scenario, outdir) in one new interpreter (see RUN_PROBE).
     Returns the exit codes, the children each run forked, how the children
     ended, whether none was left unreaped, whether numpy was loaded before
     each run, how often each run's parent formed the pairs' theta, and
-    stderr."""
+    stderr; with ``trace``, also each run's traced peak in the parent
+    (``peaks``, in bytes)."""
     args = {"argvs": [["run", str(scenario), "-o", str(out)] for scenario, out in runs],
             "cpus": cpus, "fork_fails": fork_fails, "writer_exits": writer_exits,
-            "writer_closes": writer_closes, "thread": thread, "block_staged": block_staged}
+            "writer_closes": writer_closes, "writer_status": writer_status, "thread": thread,
+            "block_staged": block_staged, "trace": trace}
     done = subprocess.run(
         [sys.executable, "-W", "default::ResourceWarning", "-c", RUN_PROBE, json.dumps(args)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
@@ -1238,54 +1261,88 @@ def _ring32(path):
     return path
 
 
+# two robots 5 cm short of their goals: t_max allows 150,050 recorded values,
+# but the run stops after a few steps, and writes serially
+NEAR_GOALS = {"robots": [{"id": 1, "x": -1.5, "y": 0.0, "goal": [-1.45, 0.0]},
+                         {"id": 2, "x": 1.5, "y": 0.0, "goal": [1.55, 0.0]}]}
+
+# the runs that write serially where forking is safe: each records fewer
+# than 30,000 values over the fewest steps it can take.  The one robot of
+# attractive_only needs 1,647 steps to its goal at least, 16,490 values.
+SERIAL_RUNS = {"attractive_only", "near"}
+
+
 def test_forked_run_writes_the_serial_bytes(tmp_path, monkeypatch):
-    runs = [(name, name) for name in sorted(PRESETS)] + [(_ring32(tmp_path / "ring.json"), "ring")]
+    (tmp_path / "near.json").write_text(json.dumps(NEAR_GOALS))
+    runs = ([(name, name) for name in sorted(PRESETS)] + [(tmp_path / "near.json", "near")]
+            + [(_ring32(tmp_path / "ring.json"), "ring")])
     one_worker(monkeypatch)
     codes = [main(["run", str(scenario), "-o", str(tmp_path / "serial" / out)])
              for scenario, out in runs]
-    assert codes == [PRESET_RUNS[name][1] for name, _ in runs[:-1]] + [0]
-    # the ring runs last: it loads numpy, and then nothing forks.  Every run
-    # streams its CSVs, so no parent forms the pairs' theta: the child did.
+    assert codes == [PRESET_RUNS[name][1] for name, _ in runs[:-2]] + [0, 0]
+    forked = [int(out not in SERIAL_RUNS) for _, out in runs]
+    assert sum(forked) == len(runs) - 2
+    # the ring runs last: it loads numpy, and then nothing forks.  Every
+    # forked run streams its CSVs, so its parent forms no pairs' theta: the
+    # child did.  A serial run's parent forms it for the serial writers.
     assert fresh_run(*((scenario, tmp_path / "forked" / out) for scenario, out in runs)) == {
-        "codes": codes, "forked": [1] * len(runs), "ends": [EXITED] * len(runs),
-        "reaped": True, "numpy": [False] * len(runs), "thetas": [0] * len(runs), "stderr": ""}
+        "codes": codes, "forked": forked, "ends": [EXITED] * sum(forked), "reaped": True,
+        "numpy": [False] * len(runs), "thetas": [1 - fork for fork in forked], "stderr": ""}
     serial = _tree(tmp_path / "serial")
     assert len(serial) == 5 * len(runs)  # each run's directory and its four files
     assert _tree(tmp_path / "forked") == serial
 
 
-# two robots 5 cm short of their goals: the run may record 150,000 values,
-# so it forks, and stops after a few steps, whose rows all fit in the pipe
-NEAR_GOALS = {"robots": [{"id": 1, "x": -1.5, "y": 0.0, "goal": [-1.45, 0.0]},
-                         {"id": 2, "x": 1.5, "y": 0.0, "goal": [1.55, 0.0]}]}
-
-
-@pytest.mark.parametrize("scenario, case, forked, ends", [
-    ("coop_headon", {"writer_exits": 0.0}, [1], [["exit", 3]]),
-    # the writer ends once the parent has shipped every row: only its exit
-    # status tells that its files are incomplete
-    (NEAR_GOALS, {"writer_exits": 0.3}, [1], [["exit", 3]]),
+@pytest.mark.parametrize("case, forked, ends", [
+    ({"writer_exits": 0.0}, [1], [["exit", 3]]),
+    # the writer writes every row and then exits 3: only its exit status
+    # tells that its files may be incomplete
+    ({"writer_status": 3}, [1], [["exit", 3]]),
     # the writer stops reading after its first chunk and exits 0 with
     # incomplete files: only the failed pipe write tells
-    ("coop_headon", {"writer_closes": 0.2}, [1], [EXITED]),
-    ("coop_headon", {"fork_fails": True}, [0], []),
-    ("coop_headon", {"thread": True}, [0], []),
-    ("coop_headon", {"cpus": 1}, [0], []),
+    ({"writer_closes": 0.2}, [1], [EXITED]),
+    ({"fork_fails": True}, [0], []),
+    ({"thread": True}, [0], []),
+    ({"cpus": 1}, [0], []),
 ], ids=["writer_exits", "writer_exits_late", "writer_closes", "fork_fails", "second_thread",
         "one_cpu"])
-def test_run_that_cannot_stream_writes_the_serial_bytes(
-    tmp_path, monkeypatch, scenario, case, forked, ends
-):
-    if isinstance(scenario, dict):
-        (tmp_path / "near.json").write_text(json.dumps(scenario))
-        scenario = tmp_path / "near.json"
+def test_run_that_cannot_stream_writes_the_serial_bytes(tmp_path, monkeypatch, case, forked, ends):
     one_worker(monkeypatch)
-    code = main(["run", str(scenario), "-o", str(tmp_path / "serial")])
-    # the parent forms the pairs' theta once, for the serial writers
-    assert fresh_run((scenario, tmp_path / "forked"), **case) == {
+    code = main(["run", "coop_headon", "-o", str(tmp_path / "serial")])
+    # the parent forms the pairs' theta once, in the run the serial writers
+    # write: after a failed writer, the run again
+    assert fresh_run(("coop_headon", tmp_path / "forked"), **case) == {
         "codes": [code], "forked": forked, "ends": ends, "reaped": True, "numpy": [False],
         "thetas": [1], "stderr": ""}
     assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
+
+
+#: The recorded values from which run forks its writer, over the fewest steps
+#: each preset can take: (steps // record_stride + 2) * (1 + 9 N + 6 P).
+FORK_VALUES = {"coop_headon": 41_225, "coop_triangle": 55_522, "noncoop_headon": 41_225,
+               "attacker": 30_325, "nonvortex_headon": 41_225, "attractive_only": 16_490,
+               "saturated_headon": 200_050}
+
+
+def test_run_forks_on_the_values_its_fewest_steps_record(tmp_path):
+    (tmp_path / "near.json").write_text(json.dumps(NEAR_GOALS))
+    scenarios = {name: load_scenario(name) for name in PRESETS}
+    values = {name: scn.recorded_values(scn.fewest_steps()) for name, scn in scenarios.items()}
+    assert values == FORK_VALUES
+    forking = {name for name, count in values.items() if count >= cli._FORK_MIN_VALUES}
+    assert forking == set(PRESETS) - SERIAL_RUNS
+    near = load_scenario(str(tmp_path / "near.json"))
+    # t_max allows 150,050 values; the robots start inside goal_tol
+    assert near.recorded_values() == 150_050 and near.fewest_steps() == 0
+
+
+def test_forked_run_parent_keeps_no_copy_of_the_shipped_rows(tmp_path):
+    # the parent holds one chunk, t and each pair's r: 8,001 rows of two
+    # floats are about 0.5 MB.  A parent that kept every shipped column,
+    # 24 floats a row, peaked at 5.15 MB.
+    result = fresh_run(("saturated_headon", tmp_path / "run"), trace=True)
+    assert result["forked"] == [1] and result["thetas"] == [0]
+    assert result["peaks"][0] < 1.5e6
 
 
 def test_run_that_cannot_stage_writes_the_serial_bytes(tmp_path, monkeypatch):
@@ -1306,10 +1363,12 @@ def test_run_that_cannot_stage_writes_the_serial_bytes(tmp_path, monkeypatch):
             if path != blocked[0]} == _tree(tmp_path / "serial")
 
 
-# two robots 2 m apart driving apart at 1e308 m/s for the default 60 s: the
-# run would record enough values to fork, and aborts on its first step
+# two non-cooperative robots 2 m apart driving apart at 1e308 m/s for the
+# default 60 s: neither gates the stop rule, so the run must take every step
+# and forks, and it aborts on its first step
 FAR_APART = {"robots": [
-    {"id": 1, "x": -1.0, "y": 0.0, "heading": math.pi, "speed": 1e308, "goal": [-5.0, 0.0]},
+    {"id": 1, "x": -1.0, "y": 0.0, "heading": math.pi, "speed": 1e308,
+     "behavior": "noncooperative", "goal": [-5.0, 0.0]},
     {"id": 2, "x": 1.0, "y": 0.0, "heading": 0.0, "speed": 1e308,
      "behavior": "noncooperative", "goal": [5.0, 0.0]},
 ]}

@@ -149,10 +149,12 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
         [PRESET_RUNS[name][1] for name in names] + [0] * len(names) + [0, 0, ring_code]
         + [0] * len(analyses)
     )
-    # each preset run forks its writer, and the first sweep a worker; the
-    # ring's run records too little, the short sweep estimates too little
-    # work, and the one-cell sweep runs its cell in the parent
-    assert forked == [1] * len(names) + [0] * len(names) + [1, 0, 0] + [0] * len(analyses)
+    # each preset run but attractive_only's forks its writer, and the first
+    # sweep a worker; attractive_only's run and the ring's record too little,
+    # the short sweep estimates too little work, and the one-cell sweep runs
+    # its cell in the parent
+    runs_forked = [int(name != "attractive_only") for name in names]
+    assert forked == runs_forked + [0] * len(names) + [1, 0, 0] + [0] * len(analyses)
     # the imports, then the plain commands, leave every watched module out but
     # the sweeps' sweep_metrics; the max_lyap_derivative sweep and analyze load
     # analysis

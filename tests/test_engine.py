@@ -3,7 +3,9 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
 
+from scenario_strategies import stop_scenarios
 from vortex_ca.engine import (
     EVENT_GOAL,
     EVENT_OVERLAP,
@@ -14,7 +16,7 @@ from vortex_ca.engine import (
     run,
 )
 from vortex_ca.fields import PFParams
-from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState
+from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState, SimulationFault
 from vortex_ca.scenarios import PRESETS, load_scenario, scenario_from_dict
 
 V = 0.17
@@ -286,6 +288,28 @@ def test_random_scenarios_run_clean_and_hold_invariants():
             for k in range(len(log_a.t)):
                 assert abs(trace.vr[k] ** 2 + trace.vth[k] ** 2 - trace.vrel[k] ** 2) < 1e-9
             assert trace.r == log_b.pairs[key].r
+
+
+@settings(max_examples=200, deadline=None)
+@given(stop_scenarios())
+def test_fewest_steps_never_exceed_the_steps_run(scenario):
+    try:
+        log = run(scenario)
+    except SimulationFault:
+        assume(False)
+    steps = len(log.t) - 1  # every step is recorded, the first at t = 0
+    assert scenario.fewest_steps() <= steps <= scenario.n_steps()
+
+
+def test_fewest_steps_of_the_presets():
+    # each preset's last gated robot to arrive needs at least this many
+    # steps; saturated_headon's goals lie 200 m away, beyond t_max
+    fewest = {name: load_scenario(name).fewest_steps() for name in PRESETS}
+    assert fewest == {"coop_headon": 1647, "coop_triangle": 1205, "noncoop_headon": 1647,
+                      "attacker": 1211, "nonvortex_headon": 1647, "attractive_only": 1647,
+                      "saturated_headon": 8000}
+    steps = {name: len(run(load_scenario(name)).t) - 1 for name in ("attractive_only", "attacker")}
+    assert steps == {"attractive_only": 1649, "attacker": 1385}
 
 
 def test_attacker_pursuit_ends_with_capture_after_stop():
