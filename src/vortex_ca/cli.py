@@ -24,10 +24,12 @@ an OSError, the scenario runs again and the serial writers write them.  A
 run that aborts leaves no file and no directory it made.  ``forks`` holds
 every fork of both commands.
 
+The writers, ``read_run`` and ``plotdata`` place each robot and pair
+column by the engine's run layout (``robot_columns``, ``pair_columns``).
 ``analyze`` and ``plotdata`` read a run back a chunk of rows at a time
-(``_read_traces``).  ``analyze`` keeps the columns it parses in a log
-(``read_run``); ``plotdata`` formats each chunk's panel rows as they
-arrive, so it holds one chunk and the ``t`` column.
+(``_read_traces``).  ``analyze`` fills a ``TrajectoryLog.empty`` with the
+columns it parses (``read_run``); ``plotdata`` holds no trace: it formats
+each chunk's panel rows as they arrive, so it holds one chunk and ``t``.
 
 ``Staged`` is the one rule for an output written beside its target and put
 in place once the work is done: ``run``'s forked CSVs and ``plotdata``'s
@@ -62,15 +64,13 @@ from typing import (
 from .engine import (
     EVENT_GOAL,
     EVENT_OVERLAP,
-    PAIR_COLUMNS,
-    ROBOT_COLUMNS,
     Column,
     Event,
-    PairTrace,
-    RobotTrace,
     ScenarioError,
     TrajectoryLog,
     min_separation,
+    pair_columns,
+    robot_columns,
     run,
 )
 from .kinematics import RegimeKind, SimulationFault
@@ -95,9 +95,10 @@ if TYPE_CHECKING:
     # chunk's parsed columns by name.
     _Parser = Callable[[list[str]], list]
     _Consumer = Callable[[dict[str, list]], None]
-    # A schema: each robot or pair column's parser, or None for a column
+    # A schema: the parser of a robot or pair column, or None for a column
     # that is only checked to be present.
-    _Schema = dict[Column, _Parser | None]
+    _Schema = Callable[[Column], _Parser | None]
+    _Layout = Iterable[tuple[str, Column, Any]]  # engine.robot_columns, pair_columns
     # A plotdata panel's (header name, %-format code, the column's values in
     # a chunk of the run CSVs) columns.
     _PanelColumns = list[tuple[str, str, Callable[[dict[str, list]], list]]]
@@ -107,10 +108,6 @@ EXIT_ERROR = 1
 EXIT_OVERLAP = 2
 
 REGIME_NAMES = {kind.value: kind for kind in RegimeKind}
-
-
-def _pair_tag(key: tuple[int, int]) -> str:
-    return f"p{key[0]}_{key[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -145,31 +142,21 @@ def _write_table(path: str, columns: _Columns) -> None:
         handle.writelines(table_rows(columns))
 
 
-def _column_name(tag: str, col: Column) -> str:
-    """The CSV header of schema column ``col`` of the robot or pair ``tag``."""
-    return f"{tag}_{col.suffix}"
-
-
-def _traced_columns(tag: str, trace: Any, columns: Sequence[Column]) -> list[tuple[str, str, Any]]:
-    """Writer columns of one robot or pair, each in its column's %-format."""
-    return [(_column_name(tag, col), FLAG if col.flag else FLOAT, getattr(trace, col.attr))
-            for col in columns]
+def _traced_table(t: list[float], layout: _Layout, traces: dict) -> list[tuple[str, str, Any]]:
+    """Writer columns: ``t``, then ``layout``'s from ``traces``, each in its %-format."""
+    return [("t", FLOAT, t)] + [
+        (name, FLAG if col.flag else FLOAT, getattr(traces[key], col.attr))
+        for name, col, key in layout]
 
 
 def trajectory_table(log: TrajectoryLog) -> list[tuple[str, str, Any]]:
     """The columns of trajectory.csv, over the rows ``log`` holds."""
-    columns = [("t", FLOAT, log.t)]
-    for rid in log.robot_ids():
-        columns += _traced_columns(f"r{rid}", log.robots[rid], ROBOT_COLUMNS)
-    return columns
+    return _traced_table(log.t, robot_columns(log.robot_ids()), log.robots)
 
 
 def pairs_table(log: TrajectoryLog) -> list[tuple[str, str, Any]]:
     """The columns of pairs.csv, over the rows ``log`` holds."""
-    columns = [("t", FLOAT, log.t)]
-    for key in log.pair_ids():
-        columns += _traced_columns(_pair_tag(key), log.pairs[key], PAIR_COLUMNS)
-    return columns
+    return _traced_table(log.t, pair_columns(log.pair_ids()), log.pairs)
 
 
 def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
@@ -365,12 +352,14 @@ class _Table(NamedTuple):
     header: frozenset[str]
     errors: dict[str, str]  # a parsed column's first bad cell, by column name
 
-    def check(self, name: str) -> None:
-        """RunFormatError when column ``name`` is missing, or was parsed and has a bad cell."""
-        if name not in self.header:
-            raise RunFormatError(f"{self.path}: missing column {name!r}")
-        if name in self.errors:
-            raise RunFormatError(self.errors[name])
+    def check(self, names: Iterable[str]) -> None:
+        """RunFormatError for the first column of ``names`` that is missing,
+        or was parsed and has a bad cell."""
+        for name in names:
+            if name not in self.header:
+                raise RunFormatError(f"{self.path}: missing column {name!r}")
+            if name in self.errors:
+                raise RunFormatError(self.errors[name])
 
 
 def _read_columns(path: str, parsers: dict[str, _Parser], consume: _Consumer) -> _Table:
@@ -449,23 +438,9 @@ def _read_columns(path: str, parsers: dict[str, _Parser], consume: _Consumer) ->
     return _Table(path, frozenset(header), errors)
 
 
-def _run_tags(scenario: Scenario) -> tuple[dict[int, str], dict[tuple[int, int], str]]:
-    """The CSV column tag of each robot and of each pair of ``scenario``, in id order."""
-    ids = sorted(robot.id for robot in scenario.robots)
-    return {rid: f"r{rid}" for rid in ids}, {
-        key: _pair_tag(key) for key in itertools.combinations(ids, 2)}
-
-
-def _trace_parsers(tags: dict[Any, str], schema: _Schema) -> dict[str, _Parser]:
-    """The parser of each parsed column of the robots or pairs ``tags``, by CSV name."""
-    return {_column_name(tag, col): parser
-            for tag in tags.values() for col, parser in schema.items() if parser}
-
-
-def _check_traces(table: _Table, tags: dict[Any, str], schema: _Schema) -> None:
-    for tag in tags.values():
-        for col in schema:
-            table.check(_column_name(tag, col))
+def _parsers(layout: _Layout, schema: _Schema) -> dict[str, _Parser]:
+    """A run CSV's column parsers by name: ``t``'s text, and ``layout``'s that ``schema`` parses."""
+    return {"t": _text} | {name: parse for name, col, _ in layout if (parse := schema(col))}
 
 
 def _appender(columns: dict[str, list]) -> _Consumer:
@@ -492,22 +467,22 @@ def _read_scenario(outdir: str) -> Scenario:
 
 
 def _read_traces(
-    log: TrajectoryLog, outdir: str, robots: _Schema, pairs: _Schema,
+    log: TrajectoryLog, outdir: str, schema: _Schema,
     robot_chunk: _Consumer, pair_chunk: _Consumer,
 ) -> None:
-    """Read the run CSVs in ``outdir`` of ``log``'s scenario, a chunk of
-    rows at a time (``_read_columns``).
+    """Read the run CSVs in ``outdir`` of ``log``'s scenario, laid out as
+    ``robot_columns`` and ``pair_columns`` say, a chunk of rows at a time.
 
     Each chunk of trajectory.csv goes to ``robot_chunk`` and each chunk of
-    pairs.csv to ``pair_chunk``: the columns that the schemas ``robots`` and
-    ``pairs`` parse, by CSV name, and ``t`` as the file's cell text.
-    ``log.t`` gets trajectory.csv's times, each cell parsed once, and
-    ``log.events`` the events.  A file that does not follow docs/formats.md
-    raises RunFormatError once it is read, the first problem in the
-    documented order; a chunk that lacks a column the schema parses means
-    that the read will raise.
+    pairs.csv to ``pair_chunk``: the columns that ``schema`` parses, by CSV
+    name, and ``t`` as the file's cell text.  ``log.t`` gets
+    trajectory.csv's times, each cell parsed once, and ``log.events`` the
+    events; ``log``'s traces are not read.  A file that does not follow
+    docs/formats.md raises RunFormatError once it is read, the first problem
+    in the documented order; a chunk that lacks a column the schema parses
+    means that the read will raise.
     """
-    robot_tags, pair_tags = _run_tags(log.scenario)
+    ids, keys = log.scenario.robot_ids(), log.scenario.pair_ids()
     t_cells: list[str] = []  # trajectory.csv's, to compare with pairs.csv's
 
     def trajectory_chunk(chunk: dict[str, list]) -> None:
@@ -515,16 +490,15 @@ def _read_traces(
         robot_chunk(chunk)
 
     path = os.path.join(outdir, "trajectory.csv")
-    table = _read_columns(path, {"t": _text} | _trace_parsers(robot_tags, robots),
-                          trajectory_chunk)
-    table.check("t")
+    table = _read_columns(path, _parsers(robot_columns(ids), schema), trajectory_chunk)
+    table.check(["t"])
     try:
         log.t = list(map(float, t_cells))
     except ValueError as exc:
         raise RunFormatError(_bad_cell(path, "t", exc)) from None
     if not log.t:  # the initial state is always recorded
         raise RunFormatError(f"{path}: no data rows")
-    _check_traces(table, robot_tags, robots)
+    table.check(name for name, _, _ in robot_columns(ids))
 
     same = 0  # leading rows whose t cells equal trajectory.csv's; -1 once one differs
 
@@ -536,34 +510,19 @@ def _read_traces(
         pair_chunk(chunk)
 
     path = os.path.join(outdir, "pairs.csv")
-    table = _read_columns(path, {"t": _text} | _trace_parsers(pair_tags, pairs), pairs_chunk)
+    table = _read_columns(path, _parsers(pair_columns(keys), schema), pairs_chunk)
     if same != len(t_cells):
         raise RunFormatError(f"{path}: column 't' differs from trajectory.csv")
     del t_cells
-    _check_traces(table, pair_tags, pairs)
+    table.check(name for name, _, _ in pair_columns(keys))
 
     path = os.path.join(outdir, "events.csv")
     if os.path.exists(path):
         columns: dict[str, list] = {"t": [], "kind": [], "ids": []}
         table = _read_columns(path, {"t": _FLOATS, "kind": _text, "ids": _each(_parse_ids)},
                               _appender(columns))
-        for name in columns:
-            table.check(name)
+        table.check(columns)
         log.events = list(map(Event, columns["t"], columns["kind"], columns["ids"]))
-
-
-def _schema_parsers(columns: Sequence[Column], parse: Collection[str] | None) -> _Schema:
-    """``read_run``'s schema: each column's own parser for the trace
-    attributes in ``parse`` (all when None), else None."""
-    return {col: (_FLAGS if col.flag else _FLOATS) if parse is None or col.attr in parse else None
-            for col in columns}
-
-
-def _trace_fields(values: dict[str, list], tag: str, schema: _Schema) -> dict[str, list | None]:
-    """Trace attributes of the robot or pair ``tag`` from its parsed columns'
-    ``values``, None where the schema does not parse the column."""
-    return {col.attr: values[_column_name(tag, col)] if parser else None
-            for col, parser in schema.items()}
 
 
 def read_run(outdir: str, parse: Collection[str] | None = None) -> TrajectoryLog:
@@ -577,16 +536,24 @@ def read_run(outdir: str, parse: Collection[str] | None = None) -> TrajectoryLog
     the log's columns, trajectory.csv's ``t`` text and one chunk are what a
     read holds.
     """
-    log = TrajectoryLog(scenario=_read_scenario(outdir))
-    robot_tags, pair_tags = _run_tags(log.scenario)
-    robots, pairs = _schema_parsers(ROBOT_COLUMNS, parse), _schema_parsers(PAIR_COLUMNS, parse)
-    robot_values = {name: [] for name in _trace_parsers(robot_tags, robots)}
-    pair_values = {name: [] for name in _trace_parsers(pair_tags, pairs)}
-    _read_traces(log, outdir, robots, pairs, _appender(robot_values), _appender(pair_values))
-    for rid, tag in robot_tags.items():
-        log.robots[rid] = RobotTrace(**_trace_fields(robot_values, tag, robots))
-    for key, tag in pair_tags.items():
-        log.pairs[key] = PairTrace(**_trace_fields(pair_values, tag, pairs))
+    log = TrajectoryLog.empty(_read_scenario(outdir))
+
+    def schema(col: Column) -> _Parser | None:
+        if parse is None or col.attr in parse:
+            return _FLAGS if col.flag else _FLOATS
+        return None
+
+    def filled(layout: _Layout, traces: dict) -> _Consumer:
+        lists = {}  # each parsed column's trace list; an unparsed one becomes None
+        for name, col, key in layout:
+            if schema(col):
+                lists[name] = getattr(traces[key], col.attr)
+            else:
+                setattr(traces[key], col.attr, None)
+        return _appender(lists)
+
+    _read_traces(log, outdir, schema, filled(robot_columns(log.robot_ids()), log.robots),
+                 filled(pair_columns(log.pair_ids()), log.pairs))
     return log
 
 
@@ -797,9 +764,9 @@ def cmd_analyze(rundir: str, regime_name: str) -> int:
     return EXIT_ERROR if any(check.failed for check in checks) else EXIT_OK
 
 
-# plotdata re-formats only the normalized speeds.  It copies the cells of the
-# other panel columns as read, once each parses, since '%.17g' % float(cell)
-# gives back every cell the writers produce.
+# plotdata's schema, by trace attribute.  It re-formats only the normalized
+# speeds, and copies the cells of the other panel columns as read, once each
+# parses, since '%.17g' % float(cell) gives back every cell the writers produce.
 _PLOT_PARSERS = {"x": _FLOAT_TEXT, "y": _FLOAT_TEXT, "r": _FLOAT_TEXT, "vr": _FLOATS,
                  "vth": _FLOATS, "triggered": _FLAG_TEXT}
 TEXT = "%s"
@@ -813,26 +780,25 @@ def _normed(name: str, scale: float, chunk: dict[str, list]) -> list[float]:
 
 
 def _plot_tables(scenario: Scenario) -> list[_PanelColumns]:
-    """The columns of each of ``PANELS``: header, %-format code, and the
-    values of a chunk of the run CSVs that the column shows."""
-    robot_tags, pair_tags = _run_tags(scenario)
+    """The columns of each of ``PANELS``, in layout order: header, %-format
+    code, and the values of a chunk of the run CSVs that the column shows."""
     speeds = {robot.id: robot.speed for robot in scenario.robots}
-    x, y = ROBOT_COLUMNS[:2]
-    r, _, vr, vth, _, trig = PAIR_COLUMNS
 
     def copied(name: str) -> tuple[str, str, Callable[[dict[str, list]], list]]:
         return name, TEXT, operator.itemgetter(name)
 
     paths, vrvth, separation = [copied("t")], [copied("t")], [copied("t")]
-    for tag in robot_tags.values():
-        paths += [copied(_column_name(tag, x)), copied(_column_name(tag, y))]
-    for key, tag in pair_tags.items():
-        scale = max(speeds[key[0]], speeds[key[1]], 1e-30)
-        for col in (vr, vth):
-            name = _column_name(tag, col)
+    for name, col, _ in robot_columns(scenario.robot_ids()):
+        if col.attr in ("x", "y"):
+            paths.append(copied(name))
+    for name, col, (i, j) in pair_columns(scenario.pair_ids()):
+        if col.attr in ("vr", "vth"):
+            scale = max(speeds[i], speeds[j], 1e-30)
             vrvth.append((f"{name}_norm", FLOAT, functools.partial(_normed, name, scale)))
-        vrvth.append(copied(_column_name(tag, trig)))
-        separation.append(copied(_column_name(tag, r)))
+        elif col.attr == "triggered":
+            vrvth.append(copied(name))
+        elif col.attr == "r":
+            separation.append(copied(name))
     return [paths, vrvth, separation]
 
 
@@ -851,15 +817,15 @@ def _panel_rows(panels: Staged, tables: list[_PanelColumns], *numbers: int) -> _
 
 
 def cmd_plotdata(rundir: str) -> int:
+    # the scenario's ids, and no trace: the panels take each chunk as it comes
     log = TrajectoryLog(scenario=_read_or_fail(rundir, _read_scenario, rundir))
-    robots = {col: _PLOT_PARSERS.get(col.attr) for col in ROBOT_COLUMNS}
-    pairs = {col: _PLOT_PARSERS.get(col.attr) for col in PAIR_COLUMNS}
     tables = _plot_tables(log.scenario)
     panels = Staged(rundir, PANELS)
     try:
         for k, columns in enumerate(tables):
             panels.write(k, [table_header(columns)])
-        _read_or_fail(rundir, _read_traces, log, rundir, robots, pairs,
+        _read_or_fail(rundir, _read_traces, log, rundir,
+                      lambda col: _PLOT_PARSERS.get(col.attr),
                       _panel_rows(panels, tables, 0), _panel_rows(panels, tables, 1, 2))
         panels.commit()
     finally:

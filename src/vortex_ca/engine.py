@@ -11,7 +11,9 @@ The default, ``LogRecorder``, appends each recorded step to a
 ``TrajectoryLog``, which ``run`` then returns; a sweep cell's recorder
 (``sweep_metrics.MetricsFold``) keeps only the running values its metrics
 read.  The log's traces hold one list per column of trajectory.csv and
-pairs.csv; ``ROBOT_COLUMNS`` and ``PAIR_COLUMNS`` are that schema.
+pairs.csv; ``ROBOT_COLUMNS`` and ``PAIR_COLUMNS`` are that schema, and
+``robot_columns`` and ``pair_columns`` the run layout: which robot or pair
+each column belongs to, in what order, under what header name.
 
 Updates are simultaneous (Jacobi-style): every engagement and force in a step
 is computed from the pre-step snapshot, never from partially updated robots.
@@ -57,11 +59,12 @@ finish or fit in memory.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, NamedTuple, Protocol
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Protocol
 
 from .control import force_heading, heading_controller
 from .fields import (
@@ -221,6 +224,14 @@ class Scenario:
     def sorted_robots(self) -> tuple[RobotState, ...]:
         return tuple(sorted(self.robots, key=lambda r: r.id))
 
+    def robot_ids(self) -> list[int]:
+        return sorted(robot.id for robot in self.robots)
+
+    def pair_ids(self) -> list[tuple[int, int]]:
+        """The order of a log's pairs: each (i, j) with i < j, ascending in
+        ``i`` and then in ``j``; the upper triangle of the sorted ids."""
+        return list(itertools.combinations(self.robot_ids(), 2))
+
 
 class Event(NamedTuple):
     t: float
@@ -243,7 +254,7 @@ class Column(NamedTuple):
 
 # The column contract of trajectory.csv (per robot, after ``t``) and pairs.csv
 # (per pair, after ``t``), in the field order of RobotTrace and PairTrace;
-# headers, writers, read_run, plotdata and the size cap use these.
+# the size cap and the run layout (``robot_columns``, ``pair_columns``) use these.
 ROBOT_COLUMNS = (
     Column("x", "x"), Column("y", "y"), Column("phi", "phi"), Column("omega", "omega"),
     Column("fx", "fx"), Column("fy", "fy"), Column("repfx", "rep_fx"), Column("repfy", "rep_fy"),
@@ -253,6 +264,23 @@ PAIR_COLUMNS = (
     Column("r", "r"), Column("theta", "theta"), Column("vr", "vr"), Column("vth", "vth"),
     Column("vrel", "vrel"), Column("trig", "triggered", flag=True),
 )
+
+
+def robot_columns(ids: Iterable[int]) -> Iterator[tuple[str, Column, int]]:
+    """trajectory.csv's columns after ``t`` for the robots ``ids``, in order:
+    (``r<id>_<suffix>``, column, robot id)."""
+    for rid in ids:
+        for col in ROBOT_COLUMNS:
+            yield f"r{rid}_{col.suffix}", col, rid
+
+
+def pair_columns(keys: Iterable[tuple[int, int]]) -> Iterator[tuple[str, Column, Any]]:
+    """pairs.csv's columns after ``t`` for the pairs ``keys``, in order:
+    (``p<i>_<j>_<suffix>``, column, pair key)."""
+    for key in keys:
+        tag = f"p{key[0]}_{key[1]}_"
+        for col in PAIR_COLUMNS:
+            yield tag + col.suffix, col, key
 
 
 @dataclass
@@ -290,6 +318,13 @@ class TrajectoryLog:
     robots: dict[int, RobotTrace] = field(default_factory=dict)
     pairs: dict[tuple[int, int], PairTrace] = field(default_factory=dict)
     events: list[Event] = field(default_factory=list)
+
+    @classmethod
+    def empty(cls, scenario: Scenario) -> TrajectoryLog:
+        """A log of ``scenario`` with an empty trace for each robot and each
+        pair, in the order of ``Scenario.robot_ids`` and ``pair_ids``."""
+        return cls(scenario, robots={rid: RobotTrace() for rid in scenario.robot_ids()},
+                   pairs={key: PairTrace() for key in scenario.pair_ids()})
 
     def robot_ids(self) -> list[int]:
         return sorted(self.robots)
@@ -651,10 +686,8 @@ class LogRecorder:
 
     def start(self, scenario: Scenario, swarm: _Swarm) -> Callable[[float], None]:
         x, y, active = swarm.x, swarm.y, swarm.active
-        traces = [RobotTrace() for _ in swarm.ids]
-        pair_traces = [PairTrace() for _ in swarm.pair_ids]
-        self.log = TrajectoryLog(scenario, robots=dict(zip(swarm.ids, traces)),
-                                 pairs=dict(zip(swarm.pair_ids, pair_traces)))
+        self.log = TrajectoryLog.empty(scenario)  # the swarm's order: ids ascending
+        traces, pair_traces = list(self.log.robots.values()), list(self.log.pairs.values())
         self.events = self.log.events
         t_column = self.log.t
 

@@ -11,12 +11,14 @@ a child would inherit, forks, moves the child off the parent's CPU
 ``RunWriter`` is ``run``'s recorder when ``run`` forks its writer.  It
 stages trajectory.csv and pairs.csv (``cli.Staged``), and forks the child
 only where both are staged.  It ships the log's new rows, a chunk at a
-time, as C doubles down a pipe to the child, which formats them into the
-staged files with the serial writers' header and row formatter
-(``cli.trajectory_table``, ``cli.pairs_table``, ``cli.table_rows``) while
-the parent simulates.  The parent then keeps of the shipped rows only what
-``cli.run_summary`` reads, ``t`` and each pair's ``r``, so it holds one
-chunk besides those columns however long the run.  It puts the files in
+time, as C doubles down a pipe to the child, column by column in the
+engine's run layout (``_shipped``).  The child fills the same columns of a
+``TrajectoryLog.empty`` and formats them into the staged files with the
+serial writers' header and row formatter (``cli.trajectory_table``,
+``cli.pairs_table``, ``cli.table_rows``) while the parent simulates.  The
+parent then keeps of the shipped rows only what ``cli.run_summary`` reads,
+``t`` and each pair's ``r``, so it holds one chunk besides those columns
+however long the run.  It puts the files in
 place once the run and the child have both succeeded; where they have not,
 ``cli.cmd_run`` runs the scenario again, which gives the same rows, and
 writes the files serially.
@@ -25,7 +27,6 @@ writes the files serially.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import sys
 from array import array
@@ -33,14 +34,12 @@ from typing import IO, Any, Callable, Iterable
 
 from . import cli
 from .engine import (
-    PAIR_COLUMNS,
-    ROBOT_COLUMNS,
     LogRecorder,
-    PairTrace,
-    RobotTrace,
     Scenario,
     TrajectoryLog,
     form_theta,
+    pair_columns,
+    robot_columns,
 )
 
 
@@ -155,13 +154,13 @@ _CHUNK_VALUES = 2_048
 
 def _shipped(log: TrajectoryLog) -> list[tuple[Any, str]]:
     """Where each shipped column lives in ``log``, as (owner, attribute), in
-    the order a chunk holds them: ``t``, each robot's ``ROBOT_COLUMNS``, and
-    each pair's ``PAIR_COLUMNS`` but ``theta``, which the writer forms from
-    the positions (``form_theta``)."""
+    the order a chunk holds them: ``t``, then the run layout's columns
+    (``robot_columns``, ``pair_columns``) but the pairs' ``theta``, which
+    the writer forms from the positions (``form_theta``)."""
     return (
         [(log, "t")]
-        + [(log.robots[rid], col.attr) for rid in log.robot_ids() for col in ROBOT_COLUMNS]
-        + [(log.pairs[key], col.attr) for key in log.pair_ids() for col in PAIR_COLUMNS
+        + [(log.robots[rid], col.attr) for _, col, rid in robot_columns(log.robot_ids())]
+        + [(log.pairs[key], col.attr) for _, col, key in pair_columns(log.pair_ids())
            if col.attr != "theta"]
     )
 
@@ -185,9 +184,7 @@ def _write_shipped(scenario: Scenario, read_fd: int, outs: list[IO[str]]) -> Non
     ``outs``.  A chunk is its row count, then each shipped column's values
     in those rows.  Whether the parent shipped every row is the parent's to
     know (``RunWriter.finish``)."""
-    ids = [robot.id for robot in scenario.sorted_robots()]
-    log = TrajectoryLog(scenario, robots={rid: RobotTrace() for rid in ids},
-                        pairs={key: PairTrace() for key in itertools.combinations(ids, 2)})
+    log = TrajectoryLog.empty(scenario)
     slots = _shipped(log)
     with open(read_fd, "rb") as pipe, outs[0] as trajectory, outs[1] as pairs:
         outputs = [(trajectory, cli.trajectory_table), (pairs, cli.pairs_table)]

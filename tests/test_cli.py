@@ -20,8 +20,10 @@ from common_runs import PRESET_RUNS, log_bits
 from scenario_strategies import fold_scenarios
 from vortex_ca import analysis, cli, engine
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind, analyze_log
-from vortex_ca.cli import PAIR_COLUMNS, ROBOT_COLUMNS, main, read_run, write_run_outputs
-from vortex_ca.engine import EVENT_OVERLAP, ScenarioError, min_separation, run
+from vortex_ca.cli import main, read_run, write_run_outputs
+from vortex_ca.engine import (
+    EVENT_OVERLAP, PAIR_COLUMNS, ROBOT_COLUMNS, ScenarioError, min_separation, run,
+)
 from vortex_ca.kinematics import CollisionSingularity, SimulationFault
 from vortex_ca.scenarios import (
     PRESETS,
@@ -935,12 +937,13 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 # A sweep in a new interpreter, where only the main thread runs, so that
 # cmd_sweep may fork; in this process numpy's threads often keep it at one
 # worker.  The probe fixes the usable CPU count, may lower the fork
-# threshold, and may make a fork fail, a child end on one cell, or the
-# parent's row writing fail on one cell text, or run a second thread.  It
+# threshold, and may make a fork fail, a child end on one cell or hold for
+# 30 s on the cell of one name, or the parent's row writing fail on one cell
+# text, or run a second thread.  It
 # records how each child ended.  Its interpreter warns of every file left
 # open, so a pipe the parent leaks shows on stderr.
 SWEEP_PROBE = """
-import json, os, sys, threading
+import json, os, sys, threading, time
 from vortex_ca import cli
 
 args = json.loads(sys.argv[1])
@@ -972,6 +975,8 @@ def waitpid(pid, options):
 def run(scenario, *recorder):
     if os.getpid() != parent and scenario.params.lam == args["die_at_lambda"]:
         os._exit(3)
+    if os.getpid() != parent and scenario.name == args["hold_at"]:
+        time.sleep(30)
     return real_run(scenario, *recorder)
 
 
@@ -1003,13 +1008,14 @@ EXITED = ["exit", 0]
 
 
 def fresh_sweep(*sweeps, cpus=2, min_work=None, forks_before_failure=None,
-                die_at_lambda=None, fail_at=None, thread=False):
+                die_at_lambda=None, hold_at=None, fail_at=None, thread=False):
     """Run each (spec, outdir) ``sweep`` in one new interpreter (see
     SWEEP_PROBE).  Returns the exit codes, the children each sweep forked,
     how the children ended, whether none was left unreaped, and stderr."""
     args = {"sweeps": [[str(spec), str(out)] for spec, out in sweeps], "cpus": cpus,
             "min_work": min_work, "forks_before_failure": forks_before_failure,
-            "die_at_lambda": die_at_lambda, "fail_at": fail_at, "thread": thread}
+            "die_at_lambda": die_at_lambda, "hold_at": hold_at, "fail_at": fail_at,
+            "thread": thread}
     done = subprocess.run(
         [sys.executable, "-W", "default::ResourceWarning", "-c", SWEEP_PROBE, json.dumps(args)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
@@ -1104,8 +1110,9 @@ def test_forked_sweep_reaps_its_children_after_an_os_error(tmp_path):
                        [("name", ["a", "b", "fails", "d", "e", "f", "g", "h"])])
     out = tmp_path / "out"
     # the parent runs the even cells and fails writing the row of cell 2,
-    # long before the child is through cells 1, 3, 5 and 7: it is killed
-    assert fresh_sweep((spec, out), min_work=0, fail_at="fails") == {
+    # while the child, which runs cells 1, 3, 5 and 7, holds on cell 3 (d):
+    # it is killed
+    assert fresh_sweep((spec, out), min_work=0, hold_at="d", fail_at="fails") == {
         "codes": [1], "forked": [1], "ends": [["signal", signal.SIGKILL]], "reaped": True,
         "stderr": f"error: {out}: Input/output error\n"}
 
@@ -1291,6 +1298,57 @@ def test_forked_run_writes_the_serial_bytes(tmp_path, monkeypatch):
     serial = _tree(tmp_path / "serial")
     assert len(serial) == 5 * len(runs)  # each run's directory and its four files
     assert _tree(tmp_path / "forked") == serial
+
+
+def _shuffled_ids(path):
+    """Four cooperative robots listed as ids 40, 9, 2 and 10, whose numeric
+    order (2, 9, 10, 40) is not their text order ("10", "2", "40", "9"), on
+    a 1.5 m circle, each bound for the antipodal point 3 m away."""
+    robots = []
+    for k, rid in enumerate((40, 9, 2, 10)):
+        angle = 0.5 * math.pi * k + 0.3
+        x, y = 1.5 * math.cos(angle), 1.5 * math.sin(angle)
+        robots.append({"id": rid, "x": x, "y": y, "heading": angle + math.pi, "goal": [-x, -y]})
+    path.write_text(json.dumps({"name": "shuffled", "robots": robots}))
+    return path
+
+
+def test_ids_out_of_order_are_laid_out_in_numeric_order(tmp_path, monkeypatch):
+    scenario = _shuffled_ids(tmp_path / "shuffled.json")
+    loaded = load_scenario(str(scenario))
+    # the run records well over the fork threshold over its fewest steps
+    assert loaded.recorded_values(loaded.fewest_steps()) > 4 * cli._FORK_MIN_VALUES
+    log = run(loaded)
+    write_run_outputs(log, str(tmp_path / "written"))
+    back = read_run(str(tmp_path / "written"))
+    assert log_bits(back) == log_bits(log)
+    pairs = [(2, 9), (2, 10), (2, 40), (9, 10), (9, 40), (10, 40)]
+    assert list(back.robots) == list(log.robots) == [2, 9, 10, 40]
+    assert list(back.pairs) == list(log.pairs) == pairs
+
+    one_worker(monkeypatch)
+    code = main(["run", str(scenario), "-o", str(tmp_path / "serial")])
+    assert fresh_run((scenario, tmp_path / "forked")) == {
+        "codes": [code], "forked": [1], "ends": [EXITED], "reaped": True, "numpy": [False],
+        "thetas": [0], "stderr": ""}
+    assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
+
+    assert main(["plotdata", str(tmp_path / "serial")]) == 0
+    headers = {name: (tmp_path / "serial" / name).read_text().split("\n", 1)[0]
+               for name in ("trajectory.csv", "pairs.csv", *cli.PANELS)}
+    robots = [f"r{rid}" for rid in (2, 9, 10, 40)]
+    tags = [f"p{i}_{j}" for i, j in pairs]
+    assert headers == {
+        "trajectory.csv": ",".join(["t"] + [f"{tag}_{col.suffix}" for tag in robots
+                                            for col in ROBOT_COLUMNS]),
+        "pairs.csv": ",".join(["t"] + [f"{tag}_{col.suffix}" for tag in tags
+                                       for col in PAIR_COLUMNS]),
+        "xy_paths.csv": "t," + ",".join(f"{tag}_x,{tag}_y" for tag in robots),
+        "vrvth.csv": "t," + ",".join(f"{tag}_vr_norm,{tag}_vth_norm,{tag}_trig" for tag in tags),
+        "separation.csv": "t," + ",".join(f"{tag}_r" for tag in tags),
+    }
+    assert headers["xy_paths.csv"].index("r9_x") < headers["xy_paths.csv"].index("r40_x")
+    assert headers["separation.csv"].index("p2_9_r") < headers["separation.csv"].index("p2_10_r")
 
 
 @pytest.mark.parametrize("case, forked, ends", [
@@ -2088,6 +2146,54 @@ def test_outputs_are_staged_only_by_one_class():
             inside = staging(staged)
     assert {node.attr for node in inside} == {"O_EXCL", "replace"}
     assert len(found) == len(inside)
+
+
+def test_the_run_layout_is_stated_once(headon_rundir, tmp_path, monkeypatch):
+    # the writers, the forked writer, read_run and plotdata name a robot's
+    # or a pair's columns only through engine.robot_columns and
+    # engine.pair_columns, and make a log's traces only through
+    # TrajectoryLog.empty
+    def suffixes(tree):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "suffix"]
+
+    def traces(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("RobotTrace", "PairTrace")]
+
+    found_suffixes, found_traces = [], []
+    for path in sorted((SRC / "vortex_ca").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found_suffixes += suffixes(tree)
+        found_traces += traces(tree)
+        if path.name == "engine.py":
+            top = {node.name: node for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            layout = suffixes(top["robot_columns"]) + suffixes(top["pair_columns"])
+            empty = next(node for node in top["TrajectoryLog"].body
+                         if isinstance(node, ast.FunctionDef) and node.name == "empty")
+            made = traces(empty)
+    assert len(layout) == 2 and len(found_suffixes) == len(layout)
+    assert len(made) == 2 and len(found_traces) == len(made)
+
+    # plotdata holds the scenario's ids, and no trace; read_run makes its
+    # log's traces, which the spy sees
+    constructed = []
+
+    def spy(init):
+        def counted(self, *args, **kwargs):
+            constructed.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in (engine.RobotTrace, engine.PairTrace):
+        monkeypatch.setattr(cls, "__init__", spy(cls.__init__))
+    rundir = tmp_path / "run"
+    shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(*cli.PANELS))
+    assert main(["plotdata", str(rundir)]) == 0
+    assert constructed == []
+    read_run(str(rundir))
+    assert constructed == ["RobotTrace", "RobotTrace", "PairTrace"]
 
 
 def test_separation_trace_has_single_minimum(headon_rundir):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from vortex_ca import cli
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind
 from vortex_ca.cli import RunFormatError, read_run, write_run_outputs
-from vortex_ca.engine import Scenario, run
+from vortex_ca.engine import Scenario, pair_columns, run
 from vortex_ca.fields import PFParams
 from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState
 
@@ -254,9 +254,8 @@ def test_plotdata_holds_about_one_chunk(ring_rundir, tmp_path):
     # copied cell until the end, as plotdata once did, took 23.7 MB here.
     tiny = tmp_path / "tiny"
     _first_rows(ring_rundir, tiny, 2)
-    pairs = {col: cli._PLOT_PARSERS.get(col.attr) for col in cli.PAIR_COLUMNS}
-    tags = cli._run_tags(cli._read_scenario(str(tiny)))[1]
-    parsers = {"t": cli._text} | cli._trace_parsers(tags, pairs)
+    keys = cli._read_scenario(str(tiny)).pair_ids()
+    parsers = cli._parsers(pair_columns(keys), lambda col: cli._PLOT_PARSERS.get(col.attr))
     _, chunk, _ = traced_peak(cli._read_columns, str(tiny / "pairs.csv"), parsers, lambda _: None)
     with open(ring_rundir / "trajectory.csv", encoding="utf-8") as handle:
         t_text = [line.split(",", 1)[0] for line in itertools.islice(handle, 1, None)]
