@@ -5,24 +5,18 @@ determinism checks stay bit-exact through the text layer.
 ``sweep`` deals its cells round-robin to k processes: the parent runs cells
 0, k, 2k, ... and each forked child w runs cells w, w + k, ..., sending each
 row's text back down its own pipe.  The parent writes the rows in cell
-order, so results.csv does not depend on k.  k is 1 unless forking is safe
-(the process has one thread) and the sweep's estimated work reaches
-``_FORK_MIN_WORK``; then it is one per usable CPU, never more than cells.
+order, so results.csv does not depend on k, which ``_processes`` sets.
 A cell builds no trajectory log: ``fold_metrics`` folds its metrics over
 the recorded steps as the run records them.
 
-``run`` forks one writer before the first step where forking is safe, more
-than one CPU is usable, the run records at least ``_FORK_MIN_VALUES``
-values over the fewest steps it can take (``Scenario.fewest_steps``) and
-trajectory.csv and pairs.csv can be staged.  The child formats them from
-the rows the run ships it, with the serial writers' formatter, while the
-parent simulates and keeps only what summary.json reads; the parent then
-writes events.csv and summary.json as before (``forks.RunWriter``).  The
-files are byte-identical either way: where a writer cannot start, the
-serial writers write the files after the run, and where it dies or meets
-an OSError, the scenario runs again and the serial writers write them.  A
-run that aborts leaves no file and no directory it made.  ``forks`` holds
-every fork of both commands.
+``run`` forks one writer before the first step where ``_processes`` lets it
+(``Scenario.fewest_steps`` bounds the values the run records) and
+trajectory.csv and pairs.csv can be staged.  The child formats them while
+the parent simulates (``forks.RunWriter``).  The files are byte-identical
+either way: where a writer cannot start, the serial writers write the
+files after the run, and where it dies or meets an OSError, the scenario
+runs again and the serial writers write them.  A run that aborts leaves no
+file and no directory it made.  ``forks`` holds every fork of both commands.
 
 The writers, ``read_run`` and ``plotdata`` place each robot and pair
 column by the engine's run layout (``robot_columns``, ``pair_columns``).
@@ -61,6 +55,7 @@ from typing import (
     IO, TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence,
 )
 
+from . import engine
 from .engine import (
     EVENT_GOAL,
     EVENT_OVERLAP,
@@ -86,7 +81,6 @@ from .scenarios import (
 if TYPE_CHECKING:
     from .analysis import CheckResult, LyapunovSeries
     from .engine import Scenario
-    from .scenarios import SweepSpec
 
     # A CSV's (header name, %-format code, values) columns.
     _Columns = Sequence[tuple[str, str, Sequence[Any]]]
@@ -581,17 +575,20 @@ def analyze_log(
 #: (``Scenario.fewest_steps``), not the values ``t_max`` allows.  Measured
 #: crossover of the serial and the forked ``run`` (2 CPUs, CPython 3.11):
 #: about 15,000 values on two-robot runs and 20,000 to 30,000 on one- and
-#: three-robot runs; from 30,000 on, the forked run was faster on each.
+#: three-robot runs; from 30,000 on, the forked run was faster on each, and
+#: in fresh processes on 4- and 8-robot rings over 10 and 4 s: 46-50 and
+#: 62-65 ms, against 58-59 and 73-75 ms in one process.
 _FORK_MIN_VALUES = 30_000
 
 
 def cmd_run(scenario_path: str, outdir: str) -> int:
     """Run a scenario into ``outdir``.  A forked writer formats its CSVs as
-    the run goes (``forks.RunWriter``); a run too small for one, or whose
+    the run goes (``forks.RunWriter``); a run kept in one process, or whose
     writer cannot start or fails, ends in the one serial path, which runs
     the scenario, again after a failed writer, and writes every file."""
     scenario = load_scenario(scenario_path)
-    if scenario.recorded_values(scenario.fewest_steps()) >= _FORK_MIN_VALUES:
+    values = scenario.recorded_values(scenario.fewest_steps())
+    if _processes(len(scenario.robots), values, _FORK_MIN_VALUES, 2) > 1:
         from .forks import RunWriter
 
         writer = RunWriter.fork(scenario, outdir)
@@ -627,19 +624,21 @@ def _sweep_cell(value: Any) -> str:
 #: the parent runs every cell.  Measured crossover of 1 and 2 workers on
 #: 2-robot cells (2 CPUs, CPython 3.11), where a child costs the sweep
 #: about 4-5 ms: about 1,000 pair-steps with the child on a CPU of its own,
-#: 2,000 to 3,200 when the scheduler places it.
+#: 2,000 to 3,200 when the scheduler places it.  In a fresh process, 4 cells
+#: of an 8-robot ring over 2 s took 31-34 ms forked, 48-49 ms in one.
 _FORK_MIN_WORK = 4_000
 
 
-def _sweep_workers(spec: SweepSpec, n_cells: int) -> int:
-    """How many processes run the sweep's cells: one per usable CPU where
-    forking is safe (``forks.usable_cpus``), never more than cells, once the
-    work reaches ``_FORK_MIN_WORK``; otherwise 1."""
-    if n_cells * spec.base_steps * max(spec.base_pairs, 1) < _FORK_MIN_WORK:
+def _processes(robots: int, work: int, min_work: int, most: int) -> int:
+    """How many processes a job on ``robots`` robots may use: 1 on the array
+    pair stage (``engine._ARRAY_MIN_ROBOTS``; numpy's OpenBLAS thread made
+    nearly every forked swarm job slower), below ``min_work``, or where
+    forking is unsafe (``forks.usable_cpus``); else usable CPUs, at most ``most``."""
+    if robots >= engine._ARRAY_MIN_ROBOTS or work < min_work:
         return 1
     from .forks import usable_cpus
 
-    return min(usable_cpus(), n_cells)
+    return min(usable_cpus(), most)
 
 
 def _write_rows(
@@ -712,11 +711,12 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
 
     # The output is opened before the first cell runs.
     n_cells = math.prod(len(values) for _, values in spec.axes)
+    work = n_cells * spec.base_steps * max(math.comb(spec.base_robots, 2), 1)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(map(_sweep_cell, header)) + "\n")
         _write_rows(handle, itertools.product(*(values for _, values in spec.axes)),
-                    row_text, _sweep_workers(spec, n_cells))
+                    row_text, _processes(spec.base_robots, work, _FORK_MIN_WORK, n_cells))
     return EXIT_OK
 
 
@@ -833,7 +833,8 @@ def cmd_plotdata(rundir: str) -> int:
     return EXIT_OK
 
 
-def main(argv: Iterable[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortex-ca",
         description="Deterministic vortex potential field collision-avoidance simulator",
@@ -858,9 +859,12 @@ def main(argv: Iterable[str] | None = None) -> int:
 
     p_plot = sub.add_parser("plotdata", help="emit plot-ready CSV panels for a run")
     p_plot.add_argument("rundir", help="run output directory")
+    return parser
 
+
+def main(argv: Iterable[str] | None = None) -> int:
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
+        args = _parser().parse_args(list(argv) if argv is not None else None)
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means an overlap here
         return EXIT_ERROR if exc.code else EXIT_OK
     try:

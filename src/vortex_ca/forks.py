@@ -1,8 +1,7 @@
 """Forked jobs of the CLI: ``sweep``'s workers and ``run``'s CSV writer.
 
-A command forks only where that is safe (``usable_cpus``) and where its
-work is large enough to pay for a child, which ``cli`` judges.  ``cli``
-imports this module for ``sweep`` and for a ``run`` large enough to fork.
+``cli._processes`` decides whether a job forks, and ``cli`` imports this
+module only for a job that may fork.
 ``Children`` is the one way a command forks: it flushes the output buffers
 a child would inherit, forks, moves the child off the parent's CPU
 (``_move_off_parent_cpu``), runs the child's job and ends it in
@@ -233,10 +232,7 @@ class RunWriter(LogRecorder):
     @classmethod
     def fork(cls, scenario: Scenario, outdir: str) -> RunWriter | None:
         """A writer with its child forked for ``scenario``'s run; None where
-        forking is unsafe here (``usable_cpus``), where the files cannot be
-        staged, or where the setup failed, after undoing what it did."""
-        if usable_cpus() < 2:
-            return None
+        the files cannot be staged or the setup failed, after undoing it."""
         writer = cls(outdir)
         try:
             os.makedirs(outdir, exist_ok=True)

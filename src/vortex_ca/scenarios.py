@@ -423,14 +423,14 @@ class SweepSpec:
     """Cartesian parameter sweep over ``base``, the base scenario's complete
     document, in which an ``r_star`` the base leaves out stays null, so that
     each cell resolves it from its own lambda, speeds and ``f_lim``.
-    ``base_steps`` and ``base_pairs`` are the base scenario's physics steps
-    and robot pairs, from the parse that validated it."""
+    ``base_steps`` and ``base_robots`` are the base scenario's physics steps
+    and robots, from the parse that validated it."""
 
     base: dict[str, Any]
     axes: tuple[tuple[str, tuple[Any, ...]], ...]
     metrics: tuple[str, ...]
     base_steps: int
-    base_pairs: int
+    base_robots: int
 
 
 def set_by_path(data: dict[str, Any], path: str, value: Any) -> None:
@@ -512,6 +512,5 @@ def load_sweep(path: str) -> SweepSpec:
             errors.append(str(exc))
     if errors:
         raise ScenarioError(errors)
-    n = len(scenario.robots)
     return SweepSpec(base=base_dict, axes=tuple(axes), metrics=tuple(metrics),
-                     base_steps=scenario.n_steps(), base_pairs=n * (n - 1) // 2)
+                     base_steps=scenario.n_steps(), base_robots=len(scenario.robots))

@@ -1273,10 +1273,13 @@ def _ring32(path):
 NEAR_GOALS = {"robots": [{"id": 1, "x": -1.5, "y": 0.0, "goal": [-1.45, 0.0]},
                          {"id": 2, "x": 1.5, "y": 0.0, "goal": [1.55, 0.0]}]}
 
-# the runs that write serially where forking is safe: each records fewer
-# than 30,000 values over the fewest steps it can take.  The one robot of
-# attractive_only needs 1,647 steps to its goal at least, 16,490 values.
-SERIAL_RUNS = {"attractive_only", "near"}
+# the runs that write serially where forking is safe.  attractive_only and
+# near each record fewer than 30,000 values over the fewest steps they can
+# take: the one robot of attractive_only needs 1,647 steps to its goal at
+# least, 16,490 values.  The ring records more, but runs the array pair
+# stage, where numpy's OpenBLAS thread in each process made it about twice
+# as slow forked as in one process (fresh processes, 2 CPUs).
+SERIAL_RUNS = {"attractive_only", "near", "ring"}
 
 
 def test_forked_run_writes_the_serial_bytes(tmp_path, monkeypatch):
@@ -1288,10 +1291,11 @@ def test_forked_run_writes_the_serial_bytes(tmp_path, monkeypatch):
              for scenario, out in runs]
     assert codes == [PRESET_RUNS[name][1] for name, _ in runs[:-2]] + [0, 0]
     forked = [int(out not in SERIAL_RUNS) for _, out in runs]
-    assert sum(forked) == len(runs) - 2
+    assert sum(forked) == len(runs) - 3
     # the ring runs last: it loads numpy, and then nothing forks.  Every
     # forked run streams its CSVs, so its parent forms no pairs' theta: the
-    # child did.  A serial run's parent forms it for the serial writers.
+    # child did.  A serial run's parent, the ring's too, forms it for the
+    # serial writers.
     assert fresh_run(*((scenario, tmp_path / "forked" / out) for scenario, out in runs)) == {
         "codes": codes, "forked": forked, "ends": [EXITED] * sum(forked), "reaped": True,
         "numpy": [False] * len(runs), "thetas": [1 - fork for fork in forked], "stderr": ""}

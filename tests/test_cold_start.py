@@ -29,7 +29,9 @@ import sys
 from pathlib import Path
 
 from common_runs import PRESET_RUNS
+from vortex_ca import cli, engine
 from vortex_ca.cli import main
+from vortex_ca.scenarios import load_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -93,7 +95,7 @@ def fresh_main(*argvs):
     return result["codes"], result["forked"], result["loaded"]
 
 
-def ring_scenario(path, n):
+def ring_scenario(path, n, t_max=0.5):
     """n cooperative robots on a 3 m circle, each bound for the antipodal point."""
     robots = []
     for k in range(n):
@@ -101,7 +103,7 @@ def ring_scenario(path, n):
         x, y = 3.0 * math.cos(angle), 3.0 * math.sin(angle)
         robots.append({"id": k + 1, "x": x, "y": y, "heading": angle + math.pi,
                        "goal": [-x, -y]})
-    path.write_text(json.dumps({"name": f"ring{n}", "t_max": 0.5, "robots": robots}))
+    path.write_text(json.dumps({"name": f"ring{n}", "t_max": t_max, "robots": robots}))
     return path
 
 
@@ -177,6 +179,40 @@ def test_array_commands_load_numpy_on_first_use(tmp_path):
     for name in ("trajectory.csv", "pairs.csv", "events.csv", "summary.json"):
         fresh = (tmp_path / "ring12" / name).read_bytes()
         assert fresh == (tmp_path / "ring12_again" / name).read_bytes(), name
+
+
+def test_jobs_on_the_array_pair_stage_never_fork(tmp_path, monkeypatch):
+    # one robot short of the array pair stage, a run above 30,000 recorded
+    # values and a sweep above 4,000 pair-steps each fork; on the array
+    # stage neither does.  The 12-robot sweep has an interpreter of its own:
+    # after the 12-robot run, numpy's thread alone would keep it from forking
+    jobs = {}
+    for n in (engine._ARRAY_MIN_ROBOTS - 1, engine._ARRAY_MIN_ROBOTS):
+        ring = ring_scenario(tmp_path / f"ring{n}.json", n, t_max=1.0)
+        scenario = load_scenario(str(ring))
+        assert scenario.recorded_values(scenario.fewest_steps()) >= cli._FORK_MIN_VALUES
+        assert 2 * scenario.n_steps() * math.comb(n, 2) >= cli._FORK_MIN_WORK
+        spec = tmp_path / f"sweep{n}.json"
+        spec.write_text(json.dumps({"base_scenario": str(ring), "axes": [
+            {"path": "params.lambda", "values": [30.0, 40.0]}]}))
+        jobs[n] = [["run", ring, "-o", f"run{n}"], ["sweep", spec, "-o", f"sweep{n}"]]
+    small, swarm = jobs.values()
+    forked_dir, serial_dir = tmp_path / "forked", tmp_path / "serial"
+
+    def into(root, argv):
+        return [*argv[:-1], root / argv[-1]]
+
+    codes, forked, _ = fresh_main(*(into(forked_dir, argv) for argv in small + swarm[:1]))
+    swarm_codes, swarm_forked, _ = fresh_main(into(forked_dir, swarm[1]))
+    assert forked + swarm_forked == [1, 1, 0, 0]
+    # the bytes of each job run in one process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert codes + swarm_codes == [main([str(a) for a in into(serial_dir, argv)])
+                                   for argv in small + swarm]
+    written = sorted(path.relative_to(serial_dir) for path in serial_dir.rglob("*.*"))
+    assert len(written) == 2 * (4 + 1)  # each run's four files, each sweep's results.csv
+    for path in written:
+        assert (forked_dir / path).read_bytes() == (serial_dir / path).read_bytes(), path
 
 
 def test_only_the_engine_imports_numpy():
