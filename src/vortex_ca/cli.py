@@ -2,12 +2,12 @@
 export plot-ready data.  All numeric CSV output uses 17 significant digits so
 determinism checks stay bit-exact through the text layer.
 
-``sweep`` deals its cells round-robin to k processes: the parent runs cells
-0, k, 2k, ... and each forked child w runs cells w, w + k, ..., sending each
-row's text back down its own pipe.  The parent writes the rows in cell
-order, so results.csv does not depend on k, which ``_processes`` sets.
-A cell builds no trajectory log: ``fold_metrics`` folds its metrics over
-the recorded steps as the run records them.
+``forks`` holds every fork and pipe of both commands, and ``cli`` every file
+format, stated once for the serial writers and ``run``'s forked writer
+(``RUN_CSVS``, ``run_texts``, ``summary_columns``).  ``_processes`` decides
+how many processes a job uses; ``forks`` is imported only for more than one.
+A ``sweep`` cell builds no trajectory log: ``fold_metrics`` folds its
+metrics over the recorded steps as the run records them.
 
 ``run`` forks one writer before the first step where ``_processes`` lets it
 (``Scenario.fewest_steps`` bounds the values the run records) and
@@ -16,14 +16,15 @@ the parent simulates (``forks.RunWriter``).  The files are byte-identical
 either way: where a writer cannot start, the serial writers write the
 files after the run, and where it dies or meets an OSError, the scenario
 runs again and the serial writers write them.  A run that aborts leaves no
-file and no directory it made.  ``forks`` holds every fork of both commands.
+file and no directory it made.
 
 The writers, ``read_run`` and ``plotdata`` place each robot and pair
 column by the engine's run layout (``robot_columns``, ``pair_columns``).
 ``analyze`` and ``plotdata`` read a run back a chunk of rows at a time
-(``_read_traces``).  ``analyze`` fills a ``TrajectoryLog.empty`` with the
-columns it parses (``read_run``); ``plotdata`` holds no trace: it formats
-each chunk's panel rows as they arrive, so it holds one chunk and ``t``.
+(``_read_traces``, which returns ``t`` and the events).  ``analyze`` fills
+a ``TrajectoryLog.empty`` with the columns it parses (``read_run``);
+``plotdata`` holds no trace: it formats each chunk's panel rows as they
+arrive, so it holds one chunk and ``t``.
 
 ``Staged`` is the one rule for an output written beside its target and put
 in place once the work is done: ``run``'s forked CSVs and ``plotdata``'s
@@ -120,20 +121,24 @@ class CommandError(Exception):
     """A failure with a text of its own; ``main`` prints it as one ``error:`` line."""
 
 
-def table_header(columns: _Columns) -> str:
-    return ",".join(name for name, _, _ in columns) + "\n"
-
-
 def table_rows(columns: _Columns) -> Iterator[str]:
     """The text lines of the columns' rows, one %-operation per row."""
     row = ",".join(code for _, code, _ in columns) + "\n"
     return (row % cells for cells in zip(*(values for _, _, values in columns)))
 
 
+def table_text(columns: _Columns) -> Iterator[Iterable[str]]:
+    """A CSV's header line, and then at each resumption the lines of the
+    rows the columns' lists hold by then, refilled in place or not."""
+    yield [",".join(name for name, _, _ in columns) + "\n"]
+    while True:
+        yield table_rows(columns)
+
+
 def _write_table(path: str, columns: _Columns) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(table_header(columns))
-        handle.writelines(table_rows(columns))
+        for lines in itertools.islice(table_text(columns), 2):  # the header, then every row
+            handle.writelines(lines)
 
 
 def _traced_table(t: list[float], layout: _Layout, traces: dict) -> list[tuple[str, str, Any]]:
@@ -151,6 +156,15 @@ def trajectory_table(log: TrajectoryLog) -> list[tuple[str, str, Any]]:
 def pairs_table(log: TrajectoryLog) -> list[tuple[str, str, Any]]:
     """The columns of pairs.csv, over the rows ``log`` holds."""
     return _traced_table(log.t, pair_columns(log.pair_ids()), log.pairs)
+
+
+#: The run CSVs, in the order ``run`` writes them and ``read_run`` reads them.
+RUN_CSVS = ("trajectory.csv", "pairs.csv")
+
+
+def run_texts(log: TrajectoryLog) -> list[Iterator[Iterable[str]]]:
+    """The ``table_text`` of each of ``RUN_CSVS``, over ``log``'s own lists."""
+    return [table_text(trajectory_table(log)), table_text(pairs_table(log))]
 
 
 def write_trajectory_csv(log: TrajectoryLog, path: str) -> None:
@@ -192,10 +206,15 @@ def run_summary(log: TrajectoryLog) -> dict[str, Any]:
     }
 
 
+def summary_columns(log: TrajectoryLog) -> list[list]:
+    """The columns of ``log`` that ``run_summary`` reads: ``t`` and each pair's ``r``."""
+    return [log.t, *(trace.r for trace in log.pairs.values())]
+
+
 def write_run_outputs(log: TrajectoryLog, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
-    write_trajectory_csv(log, os.path.join(outdir, "trajectory.csv"))
-    write_pairs_csv(log, os.path.join(outdir, "pairs.csv"))
+    for write, name in zip((write_trajectory_csv, write_pairs_csv), RUN_CSVS):
+        write(log, os.path.join(outdir, name))
     return _write_run_summary(log, outdir)
 
 
@@ -343,14 +362,14 @@ class _Table(NamedTuple):
     """What ``_read_columns`` found in one CSV file, besides the cells it handed on."""
 
     path: str
-    header: frozenset[str]
+    index: dict[str, int]  # the header's columns by name
     errors: dict[str, str]  # a parsed column's first bad cell, by column name
 
     def check(self, names: Iterable[str]) -> None:
         """RunFormatError for the first column of ``names`` that is missing,
         or was parsed and has a bad cell."""
         for name in names:
-            if name not in self.header:
+            if name not in self.index:
                 raise RunFormatError(f"{self.path}: missing column {name!r}")
             if name in self.errors:
                 raise RunFormatError(self.errors[name])
@@ -373,7 +392,7 @@ def _read_columns(path: str, parsers: dict[str, _Parser], consume: _Consumer) ->
     consumed.
     """
     step = 1  # a line at a time until the header
-    header: list[str] | None = None
+    index: dict[str, int] | None = None  # the header's columns by name
     errors: dict[str, str] = {}
     targets: list[tuple[int, str, _Parser]] = []
     error: RunFormatError | None = None
@@ -384,14 +403,14 @@ def _read_columns(path: str, parsers: dict[str, _Parser], consume: _Consumer) ->
                 lines = text.splitlines()
                 del text
                 rows = [] if error else list(filter(str.strip, lines))
-                if header is None and rows:
+                if index is None and rows:
                     header = rows.pop(0).split(",")
                     width = len(header)
-                    if len(set(header)) != width:
+                    index = {name: j for j, name in enumerate(header)}
+                    if len(index) != width:
                         error = RunFormatError(f"{path}: duplicate column names in the header")
                         rows = []
                     step = max(1, _CHUNK_CELLS // width)
-                    index = {name: j for j, name in enumerate(header)}
                     targets = [(index[name], name, parse)
                                for name, parse in parsers.items() if name in index]
                 if rows:
@@ -425,11 +444,11 @@ def _read_columns(path: str, parsers: dict[str, _Parser], consume: _Consumer) ->
         with open(path, "r", encoding="utf-8") as handle:
             handle.read()
         raise
-    if header is None:
+    if index is None:
         raise RunFormatError(f"{path}: no header line")
     if error is not None:
         raise error
-    return _Table(path, frozenset(header), errors)
+    return _Table(path, index, errors)
 
 
 def _parsers(layout: _Layout, schema: _Schema) -> dict[str, _Parser]:
@@ -461,36 +480,36 @@ def _read_scenario(outdir: str) -> Scenario:
 
 
 def _read_traces(
-    log: TrajectoryLog, outdir: str, schema: _Schema,
+    scenario: Scenario, outdir: str, schema: _Schema,
     robot_chunk: _Consumer, pair_chunk: _Consumer,
-) -> None:
-    """Read the run CSVs in ``outdir`` of ``log``'s scenario, laid out as
-    ``robot_columns`` and ``pair_columns`` say, a chunk of rows at a time.
+) -> tuple[list[float], list[Event]]:
+    """Read the run CSVs in ``outdir`` of ``scenario``'s run, laid out as
+    ``robot_columns`` and ``pair_columns`` say, a chunk of rows at a time;
+    return trajectory.csv's times, each cell parsed once, and the events.
 
     Each chunk of trajectory.csv goes to ``robot_chunk`` and each chunk of
     pairs.csv to ``pair_chunk``: the columns that ``schema`` parses, by CSV
-    name, and ``t`` as the file's cell text.  ``log.t`` gets
-    trajectory.csv's times, each cell parsed once, and ``log.events`` the
-    events; ``log``'s traces are not read.  A file that does not follow
+    name, and ``t`` as the file's cell text.  A file that does not follow
     docs/formats.md raises RunFormatError once it is read, the first problem
     in the documented order; a chunk that lacks a column the schema parses
     means that the read will raise.
     """
-    ids, keys = log.scenario.robot_ids(), log.scenario.pair_ids()
+    ids, keys = scenario.robot_ids(), scenario.pair_ids()
+    trajectory, pairs = RUN_CSVS
     t_cells: list[str] = []  # trajectory.csv's, to compare with pairs.csv's
 
     def trajectory_chunk(chunk: dict[str, list]) -> None:
         t_cells.extend(chunk.get("t", ()))
         robot_chunk(chunk)
 
-    path = os.path.join(outdir, "trajectory.csv")
+    path = os.path.join(outdir, trajectory)
     table = _read_columns(path, _parsers(robot_columns(ids), schema), trajectory_chunk)
     table.check(["t"])
     try:
-        log.t = list(map(float, t_cells))
+        times = list(map(float, t_cells))
     except ValueError as exc:
         raise RunFormatError(_bad_cell(path, "t", exc)) from None
-    if not log.t:  # the initial state is always recorded
+    if not times:  # the initial state is always recorded
         raise RunFormatError(f"{path}: no data rows")
     table.check(name for name, _, _ in robot_columns(ids))
 
@@ -503,20 +522,21 @@ def _read_traces(
             same = same + len(t) if t is not None and t == t_cells[same:same + len(t)] else -1
         pair_chunk(chunk)
 
-    path = os.path.join(outdir, "pairs.csv")
+    path = os.path.join(outdir, pairs)
     table = _read_columns(path, _parsers(pair_columns(keys), schema), pairs_chunk)
     if same != len(t_cells):
-        raise RunFormatError(f"{path}: column 't' differs from trajectory.csv")
+        raise RunFormatError(f"{path}: column 't' differs from {trajectory}")
     del t_cells
     table.check(name for name, _, _ in pair_columns(keys))
 
     path = os.path.join(outdir, "events.csv")
-    if os.path.exists(path):
-        columns: dict[str, list] = {"t": [], "kind": [], "ids": []}
-        table = _read_columns(path, {"t": _FLOATS, "kind": _text, "ids": _each(_parse_ids)},
-                              _appender(columns))
-        table.check(columns)
-        log.events = list(map(Event, columns["t"], columns["kind"], columns["ids"]))
+    if not os.path.exists(path):
+        return times, []
+    columns: dict[str, list] = {"t": [], "kind": [], "ids": []}
+    table = _read_columns(path, {"t": _FLOATS, "kind": _text, "ids": _each(_parse_ids)},
+                          _appender(columns))
+    table.check(columns)
+    return times, list(map(Event, columns["t"], columns["kind"], columns["ids"]))
 
 
 def read_run(outdir: str, parse: Collection[str] | None = None) -> TrajectoryLog:
@@ -546,8 +566,9 @@ def read_run(outdir: str, parse: Collection[str] | None = None) -> TrajectoryLog
                 setattr(traces[key], col.attr, None)
         return _appender(lists)
 
-    _read_traces(log, outdir, schema, filled(robot_columns(log.robot_ids()), log.robots),
-                 filled(pair_columns(log.pair_ids()), log.pairs))
+    log.t, log.events = _read_traces(
+        log.scenario, outdir, schema, filled(robot_columns(log.robot_ids()), log.robots),
+        filled(pair_columns(log.pair_ids()), log.pairs))
     return log
 
 
@@ -619,75 +640,39 @@ def _sweep_cell(value: Any) -> str:
     return text
 
 
-#: Estimated work (cells x the base scenario's steps x its robot pairs, at
-#: least 1) from which a sweep deals its cells to forked workers; below it
-#: the parent runs every cell.  Measured crossover of 1 and 2 workers on
-#: 2-robot cells (2 CPUs, CPython 3.11), where a child costs the sweep
-#: about 4-5 ms: about 1,000 pair-steps with the child on a CPU of its own,
-#: 2,000 to 3,200 when the scheduler places it.  In a fresh process, 4 cells
-#: of an 8-robot ring over 2 s took 31-34 ms forked, 48-49 ms in one.
+#: Estimated work (the cells' steps together, ``SweepSpec.steps``, x the
+#: base scenario's robot pairs, at least 1) from which a sweep deals its
+#: cells to forked workers; below it the parent runs every cell.  Measured
+#: crossover of 1 and 2 workers on 2-robot cells (2 CPUs, CPython 3.11),
+#: where a child costs the sweep about 4-5 ms: about 1,000 pair-steps with
+#: the child on a CPU of its own, 2,000 to 3,200 when the scheduler places
+#: it.  In a fresh process, 4 cells of an 8-robot ring over 2 s took 31-34
+#: ms forked, 48-49 ms in one.
 _FORK_MIN_WORK = 4_000
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may use where forking is safe, else 1: where
+    ``os.fork`` and ``os.sched_getaffinity`` exist and this process has one
+    thread, since a child forked beside another may inherit a lock it holds."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:  # threading.active_count() misses native threads, such as BLAS's
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+    except OSError:
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _processes(robots: int, work: int, min_work: int, most: int) -> int:
     """How many processes a job on ``robots`` robots may use: 1 on the array
     pair stage (``engine._ARRAY_MIN_ROBOTS``; numpy's OpenBLAS thread made
     nearly every forked swarm job slower), below ``min_work``, or where
-    forking is unsafe (``forks.usable_cpus``); else usable CPUs, at most ``most``."""
+    forking is unsafe (``usable_cpus``); else usable CPUs, at most ``most``."""
     if robots >= engine._ARRAY_MIN_ROBOTS or work < min_work:
         return 1
-    from .forks import usable_cpus
-
     return min(usable_cpus(), most)
-
-
-def _write_rows(
-    handle: IO[str], cells: Iterator[tuple[Any, ...]],
-    row_text: Callable[[tuple[Any, ...]], str], k: int,
-) -> None:
-    """Write every cell's row text to ``handle`` in cell order, once it and
-    every earlier row are done.  Cell i runs in worker i % k: the parent is
-    worker 0, and each child forked through ``forks.Children`` sends its
-    rows as JSON strings, one a line, down its own pipe.  The parent runs
-    the remaining cells of a child whose pipe ends early, and of one it
-    could not fork."""
-    from .forks import Children
-
-    pipes: list[IO[str] | None] = [None]  # per worker; None: the parent runs its cells
-    try:
-        with Children(handle) as children:
-            for worker in range(1, k):
-                read_fd, write_fd = os.pipe()
-                job = functools.partial(_sweep_child, cells, row_text, worker, k, write_fd)
-                # a pipe's write end must see a dead parent
-                inherited = [read_fd] + [pipe.fileno() for pipe in pipes if pipe]
-                if children.fork(job, close=inherited) is None:
-                    os.close(read_fd)
-                    os.close(write_fd)
-                    pipes.append(None)
-                    continue
-                os.close(write_fd)
-                pipes.append(open(read_fd, encoding="ascii"))
-            for i, cell in enumerate(cells):
-                pipe = pipes[i % k]
-                line = pipe.readline() if pipe else ""  # a dead child's pipe ends early
-                handle.write(json.loads(line) if line.endswith("\n") else row_text(cell))
-    finally:
-        for pipe in pipes:
-            if pipe:
-                pipe.close()
-
-
-def _sweep_child(
-    cells: Iterator[tuple[Any, ...]], row_text: Callable[[tuple[Any, ...]], str],
-    worker: int, k: int, write_fd: int,
-) -> None:
-    """A forked sweep worker's job: send the rows of cells worker,
-    worker + k, ... down ``write_fd``."""
-    with open(write_fd, "w", encoding="ascii") as pipe:
-        for cell in itertools.islice(cells, worker, None, k):
-            pipe.write(json.dumps(row_text(cell)) + "\n")
-            pipe.flush()
 
 
 def cmd_sweep(spec_path: str, outdir: str) -> int:
@@ -709,14 +694,20 @@ def cmd_sweep(spec_path: str, outdir: str) -> int:
             row["error"] = str(exc)
         return ",".join(_sweep_cell(row.get(name, "")) for name in header) + "\n"
 
+    robots, n_cells = len(spec.base["robots"]), math.prod(len(v) for _, v in spec.axes)
+    work = spec.steps() * max(math.comb(robots, 2), 1)
+    k = _processes(robots, work, _FORK_MIN_WORK, n_cells)
+    cells = itertools.product(*(values for _, values in spec.axes))
     # The output is opened before the first cell runs.
-    n_cells = math.prod(len(values) for _, values in spec.axes)
-    work = n_cells * spec.base_steps * max(math.comb(spec.base_robots, 2), 1)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "results.csv"), "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(map(_sweep_cell, header)) + "\n")
-        _write_rows(handle, itertools.product(*(values for _, values in spec.axes)),
-                    row_text, _processes(spec.base_robots, work, _FORK_MIN_WORK, n_cells))
+        if k == 1:
+            handle.writelines(map(row_text, cells))
+        else:
+            from .forks import write_rows
+
+            write_rows(handle, cells, row_text, k)
     return EXIT_OK
 
 
@@ -817,14 +808,14 @@ def _panel_rows(panels: Staged, tables: list[_PanelColumns], *numbers: int) -> _
 
 
 def cmd_plotdata(rundir: str) -> int:
-    # the scenario's ids, and no trace: the panels take each chunk as it comes
-    log = TrajectoryLog(scenario=_read_or_fail(rundir, _read_scenario, rundir))
-    tables = _plot_tables(log.scenario)
+    # no trace: the panels take each chunk as it comes
+    scenario = _read_or_fail(rundir, _read_scenario, rundir)
+    tables = _plot_tables(scenario)
     panels = Staged(rundir, PANELS)
     try:
         for k, columns in enumerate(tables):
-            panels.write(k, [table_header(columns)])
-        _read_or_fail(rundir, _read_traces, log, rundir,
+            panels.write(k, next(table_text(columns)))
+        _read_or_fail(rundir, _read_traces, scenario, rundir,
                       lambda col: _PLOT_PARSERS.get(col.attr),
                       _panel_rows(panels, tables, 0), _panel_rows(panels, tables, 1, 2))
         panels.commit()

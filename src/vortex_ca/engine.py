@@ -722,12 +722,13 @@ class LogRecorder:
 
 
 def form_theta(log: TrajectoryLog) -> None:
-    """Set each pair's ``theta`` in ``log``: the LOS angle from its first robot
-    to its second at each recorded row, by ``atan2`` on the logged positions."""
+    """Fill each pair's ``theta`` list in ``log`` in place: the LOS angle from
+    its first robot to its second at each recorded row, by ``atan2`` on the
+    logged positions."""
     for (i, j), trace in log.pairs.items():
         a, b = log.robots[i], log.robots[j]
         dy, dx = map(operator.sub, b.y, a.y), map(operator.sub, b.x, a.x)
-        trace.theta = list(map(math.atan2, dy, dx))
+        trace.theta[:] = map(math.atan2, dy, dx)
 
 
 def run(scenario: Scenario, recorder: Recorder | None = None) -> Any:

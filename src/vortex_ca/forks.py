@@ -1,35 +1,38 @@
-"""Forked jobs of the CLI: ``sweep``'s workers and ``run``'s CSV writer.
+"""Every fork and pipe of the CLI: ``sweep``'s workers and ``run``'s CSV
+writer.  ``cli`` decides whether a job forks (``cli._processes``), imports
+this module only for a job that forks, and states every file format a
+child writes; this module names no file and no column.
 
-``cli._processes`` decides whether a job forks, and ``cli`` imports this
-module only for a job that may fork.
 ``Children`` is the one way a command forks: it flushes the output buffers
 a child would inherit, forks, moves the child off the parent's CPU
 (``_move_off_parent_cpu``), runs the child's job and ends it in
-``os._exit``, and kills and reaps.
+``os._exit``, and kills and reaps.  ``write_rows`` deals a sweep's cells
+round-robin to the parent and its children, each child sending its rows
+back down a pipe.
 
 ``RunWriter`` is ``run``'s recorder when ``run`` forks its writer.  It
-stages trajectory.csv and pairs.csv (``cli.Staged``), and forks the child
+stages the run CSVs (``cli.RUN_CSVS``, ``cli.Staged``), and forks the child
 only where both are staged.  It ships the log's new rows, a chunk at a
 time, as C doubles down a pipe to the child, column by column in the
-engine's run layout (``_shipped``).  The child fills the same columns of a
-``TrajectoryLog.empty`` and formats them into the staged files with the
-serial writers' header and row formatter (``cli.trajectory_table``,
-``cli.pairs_table``, ``cli.table_rows``) while the parent simulates.  The
-parent then keeps of the shipped rows only what ``cli.run_summary`` reads,
-``t`` and each pair's ``r``, so it holds one chunk besides those columns
-however long the run.  It puts the files in
-place once the run and the child have both succeeded; where they have not,
-``cli.cmd_run`` runs the scenario again, which gives the same rows, and
-writes the files serially.
+engine's run layout (``_shipped``).  The child refills the same lists of
+one ``TrajectoryLog.empty`` with each chunk, and formats them into the
+staged files with the tables it built once (``cli.run_texts``) while the
+parent simulates.  The parent keeps of the shipped rows only
+``cli.summary_columns``, so it holds one chunk besides those columns
+however long the run.  It puts the files in place once the run and the
+child have both succeeded; where they have not, ``cli.cmd_run`` runs the
+scenario again, which gives the same rows, and writes the files serially.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import json
 import os
 import sys
 from array import array
-from typing import IO, Any, Callable, Iterable
+from typing import IO, Any, Callable, Iterable, Iterator
 
 from . import cli
 from .engine import (
@@ -40,21 +43,6 @@ from .engine import (
     pair_columns,
     robot_columns,
 )
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may use where forking is safe, else 1.  It is
-    safe where ``os.fork`` and ``os.sched_getaffinity`` exist and this
-    process has one thread: a child forked beside another thread may inherit
-    a lock that thread holds."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    try:  # threading.active_count() misses native threads, such as BLAS's
-        if len(os.listdir("/proc/self/task")) != 1:
-            return 1
-    except OSError:
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _move_off_parent_cpu() -> None:
@@ -138,11 +126,54 @@ class Children:
         self.pids.clear()
 
 
+def write_rows(
+    handle: IO[str], cells: Iterator[tuple[Any, ...]],
+    row_text: Callable[[tuple[Any, ...]], str], k: int,
+) -> None:
+    """Write every cell's row text to ``handle`` in cell order, once it and
+    every earlier row are done.  Cell i runs in worker i % k: the parent is
+    worker 0, and each child sends its rows as JSON strings, one a line,
+    down its own pipe.  The parent runs the remaining cells of a child whose
+    pipe ends early, and of one it could not fork."""
+    pipes: list[IO[str] | None] = [None]  # per worker; None: the parent runs its cells
+    try:
+        with Children(handle) as children:
+            for worker in range(1, k):
+                read_fd, write_fd = os.pipe()
+                job = functools.partial(_sweep_child, cells, row_text, worker, k, write_fd)
+                # a pipe's write end must see a dead parent
+                inherited = [read_fd] + [pipe.fileno() for pipe in pipes if pipe]
+                if children.fork(job, close=inherited) is None:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    pipes.append(None)
+                    continue
+                os.close(write_fd)
+                pipes.append(open(read_fd, encoding="ascii"))
+            for i, cell in enumerate(cells):
+                pipe = pipes[i % k]
+                line = pipe.readline() if pipe else ""  # a dead child's pipe ends early
+                handle.write(json.loads(line) if line.endswith("\n") else row_text(cell))
+    finally:
+        for pipe in pipes:
+            if pipe:
+                pipe.close()
+
+
+def _sweep_child(
+    cells: Iterator[tuple[Any, ...]], row_text: Callable[[tuple[Any, ...]], str],
+    worker: int, k: int, write_fd: int,
+) -> None:
+    """A forked sweep worker's job: send the rows of cells worker,
+    worker + k, ... down ``write_fd``."""
+    with open(write_fd, "w", encoding="ascii") as pipe:
+        for cell in itertools.islice(cells, worker, None, k):
+            pipe.write(json.dumps(row_text(cell)) + "\n")
+            pipe.flush()
+
+
 # ---------------------------------------------------------------------------
 # run's forked writer
-
-#: The run CSVs the forked writer formats, in the order of its files.
-_RUN_CSVS = ("trajectory.csv", "pairs.csv")
 
 #: A chunk is the fewest whole rows (one at least) that hold this many
 #: values, 16 KB of doubles.  Of 512 to 8,192 values on two-robot runs
@@ -151,52 +182,43 @@ _RUN_CSVS = ("trajectory.csv", "pairs.csv")
 _CHUNK_VALUES = 2_048
 
 
-def _shipped(log: TrajectoryLog) -> list[tuple[Any, str]]:
-    """Where each shipped column lives in ``log``, as (owner, attribute), in
-    the order a chunk holds them: ``t``, then the run layout's columns
-    (``robot_columns``, ``pair_columns``) but the pairs' ``theta``, which
-    the writer forms from the positions (``form_theta``)."""
+def _shipped(log: TrajectoryLog) -> list[list]:
+    """The lists of ``log`` that a chunk ships, in its order: ``t``, then
+    the run layout's columns (``robot_columns``, ``pair_columns``) but the
+    pairs' ``theta``, which the writer forms from the positions
+    (``form_theta``)."""
     return (
-        [(log, "t")]
-        + [(log.robots[rid], col.attr) for _, col, rid in robot_columns(log.robot_ids())]
-        + [(log.pairs[key], col.attr) for _, col, key in pair_columns(log.pair_ids())
+        [log.t]
+        + [getattr(log.robots[rid], col.attr) for _, col, rid in robot_columns(log.robot_ids())]
+        + [getattr(log.pairs[key], col.attr) for _, col, key in pair_columns(log.pair_ids())
            if col.attr != "theta"]
     )
 
 
-def _send(fd: int, data: array) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_doubles(pipe: IO[bytes], count: int) -> array:
-    data = pipe.read(8 * count)
-    if len(data) != 8 * count:
-        raise EOFError("the pipe ends inside a chunk")
-    return array("d", data)
-
-
 def _write_shipped(scenario: Scenario, read_fd: int, outs: list[IO[str]]) -> None:
     """The forked writer's job: read chunks from ``read_fd`` until the pipe
-    ends, and append their rows to the staged trajectory.csv and pairs.csv,
-    ``outs``.  A chunk is its row count, then each shipped column's values
-    in those rows.  Whether the parent shipped every row is the parent's to
-    know (``RunWriter.finish``)."""
+    ends, and append their rows to the staged run CSVs, ``outs``.  A chunk
+    is its row count, then each shipped column's values in those rows; they
+    refill one log's lists in place, over which each file's table is built
+    once.  Whether the parent shipped every row is the parent's to know
+    (``RunWriter.finish``)."""
     log = TrajectoryLog.empty(scenario)
-    slots = _shipped(log)
-    with open(read_fd, "rb") as pipe, outs[0] as trajectory, outs[1] as pairs:
-        outputs = [(trajectory, cli.trajectory_table), (pairs, cli.pairs_table)]
-        for out, table in outputs:
-            out.write(cli.table_header(table(log)))
+    columns = _shipped(log)
+    texts = cli.run_texts(log)
+    with open(read_fd, "rb") as pipe, outs[0], outs[1]:
+        for out, text in zip(outs, texts):
+            out.writelines(next(text))  # the header
         while head := pipe.read(8):
             rows = int(array("d", head)[0])
-            values = _read_doubles(pipe, rows * len(slots)).tolist()
-            for k, (owner, attr) in enumerate(slots):
-                setattr(owner, attr, values[k * rows:(k + 1) * rows])
+            size = 8 * rows * len(columns)
+            if len(data := pipe.read(size)) != size:
+                raise EOFError("the pipe ends inside a chunk")
+            values = array("d", data).tolist()
+            for k, column in enumerate(columns):
+                column[:] = values[k * rows:(k + 1) * rows]
             form_theta(log)
-            for out, table in outputs:
-                out.writelines(cli.table_rows(table(log)))
+            for out, text in zip(outs, texts):
+                out.writelines(next(text))
 
 
 def _new_dirs(path: str) -> list[str]:
@@ -210,8 +232,8 @@ def _new_dirs(path: str) -> list[str]:
 
 
 class RunWriter(LogRecorder):
-    """``run``'s recorder when a forked child formats trajectory.csv and
-    pairs.csv (see the module docstring).
+    """``run``'s recorder when a forked child formats the run CSVs (see the
+    module docstring).
 
     ``fork`` makes the output directory, stages the two files in it
     (``cli.Staged``) and forks the child.  Around the run, the writer is a
@@ -236,7 +258,7 @@ class RunWriter(LogRecorder):
         writer = cls(outdir)
         try:
             os.makedirs(outdir, exist_ok=True)
-            writer.staged = cli.Staged(outdir, _RUN_CSVS)
+            writer.staged = cli.Staged(outdir, cli.RUN_CSVS)
             if writer.staged.staged and writer._start(scenario):
                 return writer
         except OSError:
@@ -263,8 +285,8 @@ class RunWriter(LogRecorder):
     def start(self, scenario: Scenario, swarm: Any) -> Callable[[float], None]:
         record_row = super().start(scenario, swarm)
         t = self.log.t
-        self.columns = [getattr(owner, attr) for owner, attr in _shipped(self.log)]
-        kept = {id(t), *(id(trace.r) for trace in self.log.pairs.values())}
+        self.columns = _shipped(self.log)
+        kept = set(map(id, cli.summary_columns(self.log)))
         # what run_summary does not read, emptied once shipped
         self.emptied = [column for column in self.columns if id(column) not in kept]
         chunk = max(1, _CHUNK_VALUES // len(self.columns))
@@ -277,8 +299,8 @@ class RunWriter(LogRecorder):
         return record
 
     def result(self) -> TrajectoryLog:
-        """The log as ``cli.run_summary`` reads it: ``t``, the events and
-        each pair's ``r``.  Every other column ends empty, and the pairs'
+        """The log as ``cli.run_summary`` reads it: the events and
+        ``cli.summary_columns``.  Every other column ends empty, and the pairs'
         ``theta`` is never formed: the child formed it for its files."""
         return self.log
 
@@ -291,7 +313,9 @@ class RunWriter(LogRecorder):
             for column in self.columns:  # the rows not yet shipped end each column
                 data.extend(column[-rows:])
             try:
-                _send(self.fd, data)
+                view = memoryview(data).cast("B")
+                while view:  # a write may take part of it
+                    view = view[os.write(self.fd, view):]
             except OSError:  # the child has died
                 self._close_pipe()
         for column in self.emptied:

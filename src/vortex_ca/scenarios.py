@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import itertools
 import json
 import math
 import os
@@ -422,15 +423,33 @@ PRESETS: dict[str, dict[str, Any]] = {
 class SweepSpec:
     """Cartesian parameter sweep over ``base``, the base scenario's complete
     document, in which an ``r_star`` the base leaves out stays null, so that
-    each cell resolves it from its own lambda, speeds and ``f_lim``.
-    ``base_steps`` and ``base_robots`` are the base scenario's physics steps
-    and robots, from the parse that validated it."""
+    each cell resolves it from its own lambda, speeds and ``f_lim``."""
 
     base: dict[str, Any]
     axes: tuple[tuple[str, tuple[Any, ...]], ...]
     metrics: tuple[str, ...]
-    base_steps: int
-    base_robots: int
+
+    def steps(self) -> int:
+        """The physics steps of every cell together: each cell's
+        ``Scenario.n_steps`` from its own ``t_max`` and ``dt``, an axis's
+        value where one sets them, else the base's.  A cell whose ``t_max``
+        and ``dt`` a scenario rejects counts 0: it runs no step."""
+        axes = dict(self.axes)
+        t_maxes = axes.pop("t_max", (self.base["t_max"],))
+        dts = axes.pop("dt", (self.base["dt"],))
+        cells = math.prod(len(values) for values in axes.values())
+        return cells * sum(itertools.starmap(_steps, itertools.product(t_maxes, dts)))
+
+
+def _steps(t_max: Any, dt: Any) -> int:
+    """``Scenario.n_steps`` of a scenario document's ``t_max`` and ``dt``
+    values, or 0 where reading them or validating them fails."""
+    errors: list[str] = []
+    times = _read_fields({"t_max": t_max, "dt": dt}, SCENARIO_FIELDS, errors)
+    scenario = Scenario(robots=(), params=PFParams(), **times)
+    if errors or scenario.validation_errors(all_robots=False):
+        return 0
+    return scenario.n_steps()
 
 
 def set_by_path(data: dict[str, Any], path: str, value: Any) -> None:
@@ -512,5 +531,4 @@ def load_sweep(path: str) -> SweepSpec:
             errors.append(str(exc))
     if errors:
         raise ScenarioError(errors)
-    return SweepSpec(base=base_dict, axes=tuple(axes), metrics=tuple(metrics),
-                     base_steps=scenario.n_steps(), base_robots=len(scenario.robots))
+    return SweepSpec(base=base_dict, axes=tuple(axes), metrics=tuple(metrics))

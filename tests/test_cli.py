@@ -1053,6 +1053,34 @@ def test_forked_sweep_of_the_benchmark_matches_its_pinned_digest(tmp_path, monke
     assert (tmp_path / "small" / "results.csv").read_text().count("\n") == 3
 
 
+def test_sweep_sizes_its_fork_from_each_cells_steps(tmp_path, monkeypatch):
+    # 4 cells of coop_headon over 0.05-0.08 s are 26 pair-steps, and stay in
+    # one process; 4 cells over 30-33 s on a 0.05 s base are about 12,600,
+    # and fork.  A sweep sized from the base's steps did the opposite.
+    base = tmp_path / "short.json"
+    base.write_text(json.dumps(dict(scenario_to_dict(load_scenario("coop_headon")), t_max=0.05)))
+    short = _write_spec(tmp_path / "short_spec.json", "coop_headon",
+                        [("t_max", [0.05, 0.06, 0.07, 0.08])])
+    long = _write_spec(tmp_path / "long_spec.json", base, [("t_max", [30.0, 31.0, 32.0, 33.0])])
+    assert load_sweep(str(short)).steps() == 26
+    assert load_sweep(str(long)).steps() == 12_600
+    one_worker(monkeypatch)
+    for name in ("short", "long"):
+        spec = tmp_path / f"{name}_spec.json"
+        assert main(["sweep", str(spec), "-o", str(tmp_path / "one" / name)]) == 0
+    fresh = tmp_path / "fresh"
+    assert fresh_sweep((short, fresh / "short"), (long, fresh / "long")) == {
+        "codes": [0, 0], "forked": [0, 1], "ends": [EXITED], "reaped": True, "stderr": ""}
+    assert _tree(fresh) == _tree(tmp_path / "one")
+
+
+def test_sweep_counts_no_steps_for_times_a_cell_rejects(tmp_path):
+    spec = _write_spec(tmp_path / "spec.json", "coop_headon", [
+        ("t_max", [1.0, -1.0, "2", None, 1e308]), ("dt", [0.01, 0.0, 1e-308])])
+    # only t_max 1 s in steps of 0.01 s runs: every other pair is rejected
+    assert load_sweep(str(spec)).steps() == 100
+
+
 def test_sweep_in_a_process_with_a_second_thread_never_forks(tmp_path, monkeypatch):
     spec = _write_spec(tmp_path / "cells.json", "coop_headon", [("params.lambda", [9.0, 11.0])])
     one_worker(monkeypatch)
@@ -2061,9 +2089,10 @@ def test_plotdata_names_a_panel_that_turned_into_a_directory(
     shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(*cli.PANELS))
     read_traces = cli._read_traces
 
-    def then_block(log, outdir, *args):
-        read_traces(log, outdir, *args)
+    def then_block(*args):
+        read = read_traces(*args)
         (rundir / "vrvth.csv").mkdir()
+        return read
 
     monkeypatch.setattr(cli, "_read_traces", then_block)
     capsys.readouterr()

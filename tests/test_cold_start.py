@@ -31,7 +31,7 @@ from pathlib import Path
 from common_runs import PRESET_RUNS
 from vortex_ca import cli, engine
 from vortex_ca.cli import main
-from vortex_ca.scenarios import load_scenario
+from vortex_ca.scenarios import load_scenario, scenario_to_dict
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -312,3 +312,49 @@ def test_metrics_fold_record_builds_no_list():
     called = {node.func.id for node in nodes
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert not called & {"list", "sorted", "map", "tuple"}
+
+
+def test_one_process_jobs_never_load_forks(tmp_path):
+    # a sweep below the fork threshold (2 cells of 5 steps of one pair), a
+    # run below the values threshold, a 12-robot run, and then a run above
+    # the threshold kept in one process by numpy's thread: none forks, and
+    # none loads the module that holds every fork
+    base = tmp_path / "short.json"
+    base.write_text(json.dumps(dict(scenario_to_dict(load_scenario("coop_headon")), t_max=0.05)))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"base_scenario": str(base), "axes": [
+        {"path": "params.lambda", "values": [9.0, 11.0]}]}))
+    ring = ring_scenario(tmp_path / "ring12.json", 12)
+    argvs = [["sweep", spec, "-o", tmp_path / "sweep"],
+             ["run", "attractive_only", "-o", tmp_path / "attractive_only"],
+             ["run", ring, "-o", tmp_path / "ring12"],
+             ["run", "coop_headon", "-o", tmp_path / "coop_headon"]]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import json, sys\nfrom vortex_ca.cli import main\n"
+             "print(json.dumps([[main(argv), 'vortex_ca.forks' in sys.modules]"
+             " for argv in json.loads(sys.argv[1])]))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps([[str(a) for a in argv] for argv in argvs])],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, False], [0, False], [0, False], [2, False]]
+
+
+def test_every_fork_and_pipe_is_in_forks_and_every_run_file_format_in_cli():
+    package = SRC / "vortex_ca"
+    for path in sorted(package.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        calls = {f"os.{node.attr}" for node in nodes if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "os"}
+        calls |= {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                  for node in nodes}
+        found = calls & {"os.pipe", "os.fork", "os.waitpid", "Children"}
+        assert found == (set() if path.name != "forks.py" else
+                         {"os.pipe", "os.fork", "os.waitpid", "Children"}), path.name
+    tree = ast.parse((package / "forks.py").read_text(encoding="utf-8"))
+    literals = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert not [text for text in literals if ".csv" in text]
+    referenced = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    referenced |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not referenced & {"trajectory_table", "pairs_table", "table_header", "table_rows"}
