@@ -1210,8 +1210,30 @@ def form_theta(log):
     return real_theta(log)
 
 
+def counted(name, real):
+    def table(log):
+        if os.getpid() != parent:
+            with open(args["builds"], "a") as out:
+                out.write(name + "\\n")
+        return real(log)
+    return table
+
+
+def built():
+    try:
+        with open(args["builds"]) as names:
+            return names.read().split()
+    except FileNotFoundError:
+        return []
+
+
 os.fork, os.waitpid, cli.table_rows = fork, waitpid, table_rows
 engine.form_theta = form_theta
+if args["builds"]:
+    for name in ("trajectory_table", "pairs_table"):
+        setattr(cli, name, counted(name, getattr(cli, name)))
+if args["force_fork"]:
+    cli._processes = lambda *job: 2
 import vortex_ca.forks  # after the patch, which counts the parent's calls alone
 real_write = vortex_ca.forks._write_shipped
 
@@ -1226,8 +1248,9 @@ vortex_ca.forks._write_shipped = write_shipped
 release = threading.Event()
 if args["thread"]:
     threading.Thread(target=release.wait).start()
-codes, forked, numpy, peaks = [], [], [], []
+codes, forked, numpy, peaks, builds = [], [], [], [], []
 for argv in args["argvs"]:
+    earlier = len(built()) if args["builds"] else 0
     if args["block_staged"]:
         os.makedirs(os.path.join(argv[-1], f".trajectory.csv.{parent}.part"))
     before = len(forks)
@@ -1240,6 +1263,9 @@ for argv in args["argvs"]:
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     forked.append(len(forks) - before)
+    if args["builds"]:
+        names = built()[earlier:]
+        builds.append([names.count("trajectory_table"), names.count("pairs_table")])
 release.set()
 try:
     real_waitpid(-1, os.WNOHANG)
@@ -1250,6 +1276,8 @@ result = {"codes": codes, "forked": forked, "ends": sorted(ends), "reaped": reap
           "numpy": numpy, "thetas": thetas}
 if args["trace"]:
     result["peaks"] = peaks
+if args["builds"]:
+    result["builds"] = builds
 print(json.dumps(result))
 """
 
@@ -1257,17 +1285,21 @@ KILLED = ["signal", signal.SIGKILL]
 
 
 def fresh_run(*runs, cpus=2, fork_fails=False, writer_exits=None, writer_closes=None,
-              writer_status=None, thread=False, block_staged=False, trace=False):
+              writer_status=None, thread=False, block_staged=False, trace=False,
+              builds=None, force_fork=False):
     """``run`` each (scenario, outdir) in one new interpreter (see RUN_PROBE).
     Returns the exit codes, the children each run forked, how the children
     ended, whether none was left unreaped, whether numpy was loaded before
     each run, how often each run's parent formed the pairs' theta, and
     stderr; with ``trace``, also each run's traced peak in the parent
-    (``peaks``, in bytes)."""
+    (``peaks``, in bytes); with ``builds``, a file path, also how often each
+    run's writer child built trajectory.csv's and pairs.csv's tables
+    (``builds``).  ``force_fork`` lets every run fork its writer."""
     args = {"argvs": [["run", str(scenario), "-o", str(out)] for scenario, out in runs],
             "cpus": cpus, "fork_fails": fork_fails, "writer_exits": writer_exits,
             "writer_closes": writer_closes, "writer_status": writer_status, "thread": thread,
-            "block_staged": block_staged, "trace": trace}
+            "block_staged": block_staged, "trace": trace,
+            "builds": builds and str(builds), "force_fork": force_fork}
     done = subprocess.run(
         [sys.executable, "-W", "default::ResourceWarning", "-c", RUN_PROBE, json.dumps(args)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
@@ -1424,6 +1456,17 @@ def test_run_forks_on_the_values_its_fewest_steps_record(tmp_path):
     near = load_scenario(str(tmp_path / "near.json"))
     # t_max allows 150,050 values; the robots start inside goal_tol
     assert near.recorded_values() == 150_050 and near.fewest_steps() == 0
+
+
+def test_forked_writer_builds_its_tables_once_per_run(tmp_path):
+    # coop_headon ships many chunks, and each row of the 32-robot ring
+    # (forced to fork: the array stage never does) is a chunk of its own.
+    # The child builds each table once however many chunks come.
+    ring = _ring32(tmp_path / "ring.json")
+    result = fresh_run(("coop_headon", tmp_path / "headon"), (ring, tmp_path / "ring"),
+                       builds=tmp_path / "builds.txt", force_fork=True)
+    assert result["forked"] == [1, 1] and result["ends"] == [EXITED] * 2
+    assert result["builds"] == [[1, 1], [1, 1]]
 
 
 def test_forked_run_parent_keeps_no_copy_of_the_shipped_rows(tmp_path):
