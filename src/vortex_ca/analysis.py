@@ -39,9 +39,9 @@ from itertools import compress, repeat
 from operator import sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .engine import EVENT_OVERLAP, EVENT_STOPPED, TrajectoryLog
+from .engine import EVENT_OVERLAP, EVENT_STOPPED, Scenario, TrajectoryLog
 from .fields import PFParams
-from .kinematics import BehaviorKind, RegimeKind, RobotState, wrap_angle
+from .kinematics import BehaviorKind, RegimeKind, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,13 @@ def _multi_robot_derivative(
     return -abs(vr) * (1.0 + 3.0 * n_active * lam * vr * vth / (vrel * r * r))
 
 
-def cooperative_ends(robots: Sequence[RobotState]) -> list[tuple[int, ...]]:
-    """For each pair of ``robots`` (sorted by id; pairs in upper-triangle
-    order, as a log's ``pair_ids``), the indices of its cooperative robots."""
-    coop = [robot.behavior is BehaviorKind.COOPERATIVE for robot in robots]
-    n = len(robots)
-    return [tuple(i for i in (a, b) if coop[i]) for a in range(n) for b in range(a + 1, n)]
+def cooperative_ends(scenario: Scenario) -> list[tuple[int, ...]]:
+    """For each pair of ``scenario``, in the one pair order
+    (``Scenario.pair_ids``), the indices of its cooperative robots in
+    ``Scenario.robot_ids``."""
+    index = {robot.id: i for i, robot in enumerate(scenario.sorted_robots())
+             if robot.behavior is BehaviorKind.COOPERATIVE}
+    return [tuple(index[rid] for rid in key if rid in index) for key in scenario.pair_ids()]
 
 
 def multi_robot_derivative(
@@ -315,7 +316,7 @@ def multi_lyapunov(log: TrajectoryLog) -> LyapunovSeries:
     the ends).
     """
     traces = [log.pairs[key] for key in log.pair_ids()]
-    ends = cooperative_ends(log.scenario.sorted_robots())
+    ends = cooperative_ends(log.scenario)
     lam = log.scenario.params.lam
 
     def by_step(name: str):  # the pairs' column ``name``, one tuple per step

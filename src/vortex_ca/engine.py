@@ -721,6 +721,18 @@ class LogRecorder:
         return self.log
 
 
+def recorded_lists(log: TrajectoryLog) -> list[list]:
+    """What a run records of ``log``, in the run layout's order: ``t``, then
+    the list of each ``robot_columns`` and ``pair_columns`` column but the
+    pairs' ``theta``, which ``form_theta`` forms after the run."""
+    return (
+        [log.t]
+        + [getattr(log.robots[rid], col.attr) for _, col, rid in robot_columns(log.robot_ids())]
+        + [getattr(log.pairs[key], col.attr) for _, col, key in pair_columns(log.pair_ids())
+           if col.attr != "theta"]
+    )
+
+
 def form_theta(log: TrajectoryLog) -> None:
     """Fill each pair's ``theta`` list in ``log`` in place: the LOS angle from
     its first robot to its second at each recorded row, by ``atan2`` on the

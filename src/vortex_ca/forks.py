@@ -13,15 +13,16 @@ back down a pipe.
 ``RunWriter`` is ``run``'s recorder when ``run`` forks its writer.  It
 stages the run CSVs (``cli.RUN_CSVS``, ``cli.Staged``), and forks the child
 only where both are staged.  It ships the log's new rows, a chunk at a
-time, as C doubles down a pipe to the child, column by column in the
-engine's run layout (``_shipped``).  The child refills the same lists of
-one ``TrajectoryLog.empty`` with each chunk, and formats them into the
-staged files with the tables it built once (``cli.run_texts``) while the
-parent simulates.  The parent keeps of the shipped rows only
-``cli.summary_columns``, so it holds one chunk besides those columns
-however long the run.  It puts the files in place once the run and the
-child have both succeeded; where they have not, ``cli.cmd_run`` runs the
-scenario again, which gives the same rows, and writes the files serially.
+time, as C doubles down a pipe to the child, list by list as the engine
+states what a run records (``engine.recorded_lists``).  The child refills
+the same lists of one ``TrajectoryLog.empty`` with each chunk, forms the
+pairs' theta from them, and formats them into the staged files with the
+tables it built once (``cli.run_texts``) while the parent simulates.  The
+parent keeps of the shipped rows only ``cli.summary_columns``, so it holds
+one chunk besides those columns however long the run.  It puts the files
+in place once the run and the child have both succeeded; where they have
+not, ``cli.cmd_run`` runs the scenario again, which gives the same rows,
+and writes the files serially.
 """
 
 from __future__ import annotations
@@ -35,14 +36,7 @@ from array import array
 from typing import IO, Any, Callable, Iterable, Iterator
 
 from . import cli
-from .engine import (
-    LogRecorder,
-    Scenario,
-    TrajectoryLog,
-    form_theta,
-    pair_columns,
-    robot_columns,
-)
+from .engine import LogRecorder, Scenario, TrajectoryLog, form_theta, recorded_lists
 
 
 def _move_off_parent_cpu() -> None:
@@ -182,28 +176,15 @@ def _sweep_child(
 _CHUNK_VALUES = 2_048
 
 
-def _shipped(log: TrajectoryLog) -> list[list]:
-    """The lists of ``log`` that a chunk ships, in its order: ``t``, then
-    the run layout's columns (``robot_columns``, ``pair_columns``) but the
-    pairs' ``theta``, which the writer forms from the positions
-    (``form_theta``)."""
-    return (
-        [log.t]
-        + [getattr(log.robots[rid], col.attr) for _, col, rid in robot_columns(log.robot_ids())]
-        + [getattr(log.pairs[key], col.attr) for _, col, key in pair_columns(log.pair_ids())
-           if col.attr != "theta"]
-    )
-
-
 def _write_shipped(scenario: Scenario, read_fd: int, outs: list[IO[str]]) -> None:
     """The forked writer's job: read chunks from ``read_fd`` until the pipe
     ends, and append their rows to the staged run CSVs, ``outs``.  A chunk
-    is its row count, then each shipped column's values in those rows; they
-    refill one log's lists in place, over which each file's table is built
-    once.  Whether the parent shipped every row is the parent's to know
-    (``RunWriter.finish``)."""
+    is its row count, then the values of each list the run records
+    (``recorded_lists``) in those rows; they refill one log's lists in
+    place, over which each file's table is built once.  Whether the parent
+    shipped every row is the parent's to know (``RunWriter.finish``)."""
     log = TrajectoryLog.empty(scenario)
-    columns = _shipped(log)
+    columns = recorded_lists(log)
     texts = cli.run_texts(log)
     with open(read_fd, "rb") as pipe, outs[0], outs[1]:
         for out, text in zip(outs, texts):
@@ -285,7 +266,7 @@ class RunWriter(LogRecorder):
     def start(self, scenario: Scenario, swarm: Any) -> Callable[[float], None]:
         record_row = super().start(scenario, swarm)
         t = self.log.t
-        self.columns = _shipped(self.log)
+        self.columns = recorded_lists(self.log)
         kept = set(map(id, cli.summary_columns(self.log)))
         # what run_summary does not read, emptied once shipped
         self.emptied = [column for column in self.columns if id(column) not in kept]

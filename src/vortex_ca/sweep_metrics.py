@@ -40,7 +40,7 @@ class MetricsFold:
             from . import analysis
 
             self.derivative = analysis.multi_robot_derivative
-            self.ends = analysis.cooperative_ends(scenario.sorted_robots())
+            self.ends = analysis.cooperative_ends(scenario)
             self.lam = scenario.params.lam
         self.swarm = swarm
         return self.record

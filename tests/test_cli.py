@@ -9,14 +9,14 @@ import random
 import shutil
 import signal
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 
-from common_runs import PRESET_RUNS, log_bits
+from common_runs import (
+    ANALYSIS, EXITED, FORKS, PRESET_RUNS, SRC, SWEEP, fresh, log_bits, ring, written,
+)
 from scenario_strategies import fold_scenarios
 from vortex_ca import analysis, cli, engine
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind, analyze_log
@@ -49,8 +49,7 @@ MINIMAL = {
 
 
 def test_load_minimal_scenario_fills_defaults(tmp_path):
-    path = tmp_path / "minimal.json"
-    path.write_text(json.dumps(MINIMAL))
+    path = written(tmp_path / "minimal.json", MINIMAL)
     scn = load_scenario(str(path))
     assert scn.dt == 0.01
     assert scn.params.goal_tol == 0.2
@@ -77,8 +76,7 @@ def test_load_scenario_semantic_errors_are_exhaustive(tmp_path):
             {"id": 2, "x": 2.0, "y": 0.0, "behavior": "attacking", "target": 99},
         ],
     }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path = written(tmp_path / "bad.json", data)
     with pytest.raises(ScenarioError) as err:
         load_scenario(str(path))
     text = str(err.value)
@@ -94,8 +92,7 @@ def test_load_dangling_attacker_target(tmp_path):
             {"id": 2, "x": 1.0, "y": 0.0, "behavior": "attacking", "target": 99},
         ]
     }
-    path = tmp_path / "dangling.json"
-    path.write_text(json.dumps(data))
+    path = written(tmp_path / "dangling.json", data)
     with pytest.raises(ScenarioError):
         load_scenario(str(path))
 
@@ -444,12 +441,11 @@ def test_nonvortex_failures_say_what_failed(tmp_path, capsys):
 def test_analyze_skips_the_grazing_check_for_robots_at_rest(tmp_path, capsys):
     # finite f_lim and omega_max at a common speed of 0: the mirrored-circle
     # prediction does not apply, and the check must not divide by the speed
-    scenario = tmp_path / "rest.json"
-    scenario.write_text(json.dumps({"t_max": 1.0, "params": {"f_lim": 1.0, "omega_max": 1.0},
-                                    "robots": [
+    scenario = written(tmp_path / "rest.json", {
+        "t_max": 1.0, "params": {"f_lim": 1.0, "omega_max": 1.0}, "robots": [
         {"id": 1, "x": -1.0, "y": 0.0, "speed": 0.0, "goal": [1.0, 0.0]},
         {"id": 2, "x": 1.0, "y": 0.0, "heading": math.pi, "speed": 0.0, "goal": [-1.0, 0.0]},
-    ]}))
+    ]})
     rundir = tmp_path / "run"
     assert main(["run", str(scenario), "-o", str(rundir)]) == 0
     capsys.readouterr()
@@ -470,8 +466,7 @@ def test_analyze_fails_the_grazing_check_when_the_turn_radius_underflows(tmp_pat
     data["params"].update(f_lim=1e-300, omega_max=1.0, eps_v=1e-310)
     for robot in data["robots"]:
         robot["speed"] = 1e-300
-    scenario = tmp_path / "tiny.json"
-    scenario.write_text(json.dumps(data))
+    scenario = written(tmp_path / "tiny.json", data)
     rundir = tmp_path / "run"
     assert main(["run", str(scenario), "-o", str(rundir)]) == 0
     capsys.readouterr()
@@ -517,12 +512,11 @@ def test_analyze_reports_out_of_range_cells_as_an_error(tmp_path, capsys, case):
 def test_analyze_fails_the_circle_check_on_an_engine_written_nan(tmp_path, capsys):
     # two robots 2 m apart driving apart at 1e308 m/s: the pair state is
     # vr = inf, vth = nan and vrel = inf, so the engine aborts the run
-    scenario = tmp_path / "far.json"
-    scenario.write_text(json.dumps({"t_max": 0.05, "robots": [
+    scenario = written(tmp_path / "far.json", {"t_max": 0.05, "robots": [
         {"id": 1, "x": -1.0, "y": 0.0, "heading": math.pi, "speed": 1e308, "goal": [-5.0, 0.0]},
         {"id": 2, "x": 1.0, "y": 0.0, "heading": 0.0, "speed": 1e308,
          "behavior": "noncooperative", "goal": [5.0, 0.0]},
-    ]}))
+    ]})
     rundir = tmp_path / "run"
     assert main(["run", str(scenario), "-o", str(rundir)]) == 1
     assert capsys.readouterr() == ("", "error: simulation aborted: robots 1 and 2: non-finite "
@@ -561,12 +555,11 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     # so only analyze reads the run back through read_run
     assert calls == {"read_run": 1, "write_trajectory_csv": 1, "write_pairs_csv": 1,
                      "analyze_log": 1, "fold_metrics": 0}
-    spec = tmp_path / "sweep.json"
-    spec.write_text(json.dumps({
+    spec = written(tmp_path / "sweep.json", {
         "base_scenario": "coop_headon",
         "axes": [{"path": "params.lambda", "values": [8.0, 10.0, 12.0]}],
         "metrics": ["max_lyap_derivative"],
-    }))
+    })
     assert main(["sweep", str(spec), "-o", str(tmp_path / "sweep")]) == 0
     # each cell folds its metrics as it runs
     assert calls["fold_metrics"] == 3
@@ -723,8 +716,8 @@ def test_non_finite_goal_is_reported_by_run_and_sweep(tmp_path, capsys):
 
 def test_collision_singularity_is_a_simulation_fault(tmp_path, capsys):
     assert issubclass(CollisionSingularity, SimulationFault)
-    path = tmp_path / "same_point.json"
-    path.write_text(json.dumps({"robots": [dict(ROBOT), dict(ROBOT, id=2, goal=[-2.0, 0.0])]}))
+    path = written(tmp_path / "same_point.json",
+                   {"robots": [dict(ROBOT), dict(ROBOT, id=2, goal=[-2.0, 0.0])]})
     assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "error: simulation aborted: robots 1 and 2 at identical positions\n"
@@ -733,8 +726,7 @@ def test_collision_singularity_is_a_simulation_fault(tmp_path, capsys):
 
 def test_cmd_run_rejects_non_finite_times(tmp_path, capsys):
     # json accepts the non-standard Infinity literal; run must not overflow on it
-    path = tmp_path / "inf.json"
-    path.write_text(json.dumps(dict(MINIMAL, t_max=float("inf"), dt=float("inf"))))
+    path = written(tmp_path / "inf.json", dict(MINIMAL, t_max=float("inf"), dt=float("inf")))
     assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "error: t_max must be finite" in err
@@ -774,8 +766,7 @@ SIZE_CASES = {
 @pytest.mark.parametrize("case", sorted(SIZE_CASES))
 def test_cmd_run_rejects_runs_over_the_size_caps(tmp_path, capsys, case):
     fields, message = SIZE_CASES[case]
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(dict(MINIMAL, **fields)))
+    path = written(tmp_path / "big.json", dict(MINIMAL, **fields))
     assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -792,12 +783,11 @@ def test_size_caps_leave_wide_margins():
 
 
 def test_cmd_sweep_reports_size_caps_as_cell_errors(tmp_path):
-    spec_path = tmp_path / "sweep.json"
-    spec_path.write_text(json.dumps({
+    spec_path = written(tmp_path / "sweep.json", {
         "base_scenario": "coop_headon",
         "axes": [{"path": "t_max", "values": [1.0, 1e300]}, {"path": "dt", "values": [1e-300]}],
         "metrics": ["min_separation"],
-    }))
+    })
     out = tmp_path / "out"
     assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
     with open(out / "results.csv", newline="") as handle:
@@ -861,8 +851,7 @@ def test_cmd_sweep_reports_size_caps_as_cell_errors(tmp_path):
         "r_wheel_nan", "eps_v_inf", "goal_tol_inf", "kp_inf", "lambda_inf", "kappa_inf",
         "missing_target"])
 def test_cmd_run_rejects_malformed_scenario_entries(tmp_path, capsys, scenario, message):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(scenario))
+    path = written(tmp_path / "bad.json", scenario)
     assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -878,8 +867,7 @@ def test_cmd_run_rejects_unreadable_json(tmp_path, capsys, content):
 
 
 def test_cmd_run_rejects_non_boolean_vortex(tmp_path, capsys):
-    path = tmp_path / "vortex.json"
-    path.write_text(json.dumps(dict(MINIMAL, params={"vortex": "false"})))
+    path = written(tmp_path / "vortex.json", dict(MINIMAL, params={"vortex": "false"}))
     assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
     assert "error: params.vortex: expected true or false, got 'false'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -888,11 +876,10 @@ def test_cmd_run_rejects_non_boolean_vortex(tmp_path, capsys):
 def test_cmd_run_reports_underflowing_repulsion(tmp_path, capsys):
     # vrel * r * r underflows to 0.0 below r of about 1e-162 m; the closing
     # pair must end in an error line and exit 1, not a ZeroDivisionError.
-    path = tmp_path / "close.json"
-    path.write_text(json.dumps({"robots": [
+    path = written(tmp_path / "close.json", {"robots": [
         {"id": 1, "x": 0.0, "y": 0.0, "heading": 0.0, "goal": [1.5, 0.0]},
         {"id": 2, "x": 1e-170, "y": 0.0, "heading": math.pi, "goal": [-1.5, 0.0]},
-    ]}))
+    ]})
     assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "error: simulation aborted: robot 1: repulsive input divides by zero "
@@ -911,16 +898,14 @@ OVERTURN_ERROR = "robot 2: non-finite propagation input"
 
 
 def test_cmd_run_reports_a_turn_that_overflows(tmp_path, capsys):
-    path = tmp_path / "overturn.json"
-    path.write_text(json.dumps(OVERTURN))
+    path = written(tmp_path / "overturn.json", OVERTURN)
     assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: simulation aborted: {OVERTURN_ERROR}\n"
     assert not (tmp_path / "out").exists()
 
 
 def test_cmd_sweep_reports_a_turn_that_overflows_as_a_cell_error(tmp_path):
-    base = tmp_path / "overturn.json"
-    base.write_text(json.dumps(OVERTURN))
+    base = written(tmp_path / "overturn.json", OVERTURN)
     spec = _write_spec(tmp_path / "sweep.json", base, [("params.lambda", [10.0])])
     assert main(["sweep", str(spec), "-o", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "results.csv").read_text().splitlines() == [
@@ -931,98 +916,13 @@ def test_cmd_sweep_reports_a_turn_that_overflows_as_a_cell_error(tmp_path):
 # ---------------------------------------------------------------------------
 # sweep command
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
-# A sweep in a new interpreter, where only the main thread runs, so that
-# cmd_sweep may fork; in this process numpy's threads often keep it at one
-# worker.  The probe fixes the usable CPU count, may lower the fork
-# threshold, and may make a fork fail, a child end on one cell or hold for
-# 30 s on the cell of one name, or the parent's row writing fail on one cell
-# text, or run a second thread.  It
-# records how each child ended.  Its interpreter warns of every file left
-# open, so a pipe the parent leaks shows on stderr.
-SWEEP_PROBE = """
-import json, os, sys, threading, time
-from vortex_ca import cli
+# A job that may fork runs through ``common_runs.fresh``, in a new
+# interpreter where only the main thread runs; in this process numpy's
+# threads often keep it in one process.
 
-args = json.loads(sys.argv[1])
-parent, forks, ends = os.getpid(), [], []
-real_fork, real_waitpid, real_run, real_cell = os.fork, os.waitpid, cli.run, cli._sweep_cell
-os.sched_getaffinity = lambda pid: set(range(args["cpus"]))
-if args["min_work"] is not None:
-    cli._FORK_MIN_WORK = args["min_work"]
-
-
-def fork():
-    if len(forks) == args["forks_before_failure"]:
-        raise OSError(11, "Resource temporarily unavailable")
-    pid = real_fork()
-    if pid:
-        forks.append(pid)
-    return pid
-
-
-def waitpid(pid, options):
-    done, status = real_waitpid(pid, options)
-    if os.WIFSIGNALED(status):
-        ends.append(["signal", os.WTERMSIG(status)])
-    else:
-        ends.append(["exit", os.WEXITSTATUS(status)])
-    return done, status
-
-
-def run(scenario, *recorder):
-    if os.getpid() != parent and scenario.params.lam == args["die_at_lambda"]:
-        os._exit(3)
-    if os.getpid() != parent and scenario.name == args["hold_at"]:
-        time.sleep(30)
-    return real_run(scenario, *recorder)
-
-
-def sweep_cell(value):
-    if os.getpid() == parent and value == args["fail_at"]:
-        raise OSError(5, "Input/output error")
-    return real_cell(value)
-
-
-os.fork, os.waitpid, cli.run, cli._sweep_cell = fork, waitpid, run, sweep_cell
-release = threading.Event()
-if args["thread"]:
-    threading.Thread(target=release.wait).start()
-codes, forked = [], []
-for spec, out in args["sweeps"]:
-    before = len(forks)
-    codes.append(cli.main(["sweep", spec, "-o", out]))
-    forked.append(len(forks) - before)
-release.set()
-try:
-    real_waitpid(-1, os.WNOHANG)
-    reaped = False
-except ChildProcessError:
-    reaped = True
-print(json.dumps({"codes": codes, "forked": forked, "ends": sorted(ends), "reaped": reaped}))
-"""
-
-EXITED = ["exit", 0]
-
-
-def fresh_sweep(*sweeps, cpus=2, min_work=None, forks_before_failure=None,
-                die_at_lambda=None, hold_at=None, fail_at=None, thread=False):
-    """Run each (spec, outdir) ``sweep`` in one new interpreter (see
-    SWEEP_PROBE).  Returns the exit codes, the children each sweep forked,
-    how the children ended, whether none was left unreaped, and stderr."""
-    args = {"sweeps": [[str(spec), str(out)] for spec, out in sweeps], "cpus": cpus,
-            "min_work": min_work, "forks_before_failure": forks_before_failure,
-            "die_at_lambda": die_at_lambda, "hold_at": hold_at, "fail_at": fail_at,
-            "thread": thread}
-    done = subprocess.run(
-        [sys.executable, "-W", "default::ResourceWarning", "-c", SWEEP_PROBE, json.dumps(args)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
-        timeout=120, check=False,
-    )
-    assert done.returncode == 0, done.stderr
-    return dict(json.loads(done.stdout.splitlines()[-1]), stderr=done.stderr)
+KILLED = ["signal", signal.SIGKILL]
 
 
 def one_worker(monkeypatch):
@@ -1031,9 +931,8 @@ def one_worker(monkeypatch):
 
 
 def _write_spec(path, base, axes, metrics=("min_separation",)):
-    path.write_text(json.dumps({"base_scenario": str(base), "metrics": list(metrics),
-                                "axes": [{"path": p, "values": v} for p, v in axes]}))
-    return path
+    return written(path, {"base_scenario": str(base), "metrics": list(metrics),
+                          "axes": [{"path": p, "values": v} for p, v in axes]})
 
 
 def test_forked_sweep_of_the_benchmark_matches_its_pinned_digest(tmp_path, monkeypatch):
@@ -1043,11 +942,14 @@ def test_forked_sweep_of_the_benchmark_matches_its_pinned_digest(tmp_path, monke
     pinned = json.loads((BENCHMARKS / "digests.json").read_text())["full"]["param_sweep"]
     sweep = bench.ParamSweep(tmp_path, bench.DEFAULT_SEED, fast=False)
     # below the fork threshold: 2 cells of 10 steps of one pair
-    base = tmp_path / "short.json"
-    base.write_text(json.dumps(dict(scenario_to_dict(load_scenario("coop_headon")), t_max=0.1)))
+    base = written(tmp_path / "short.json",
+                   dict(scenario_to_dict(load_scenario("coop_headon")), t_max=0.1))
     small = _write_spec(tmp_path / "small.json", base, [("params.lambda", [9.0, 11.0])])
-    assert fresh_sweep((small, tmp_path / "small"), (sweep.spec_path, tmp_path / "bench")) == {
-        "codes": [0, 0], "forked": [0, 1], "ends": [EXITED], "reaped": True, "stderr": ""}
+    assert fresh(["sweep", small, "-o", tmp_path / "small"],
+                 ["sweep", sweep.spec_path, "-o", tmp_path / "bench"]) == {
+        "codes": [0, 0], "forked": [0, 1], "ends": [EXITED], "reaped": True,
+        "loaded": [[], SWEEP, ANALYSIS + SWEEP + FORKS], "numpy": [False] * 2, "thetas": [0, 0],
+        "stderr": ""}
     results = (tmp_path / "bench" / "results.csv").read_bytes()
     assert hashlib.sha256(results).hexdigest() == pinned["results.csv"]
     assert (tmp_path / "small" / "results.csv").read_text().count("\n") == 3
@@ -1057,8 +959,8 @@ def test_sweep_sizes_its_fork_from_each_cells_steps(tmp_path, monkeypatch):
     # 4 cells of coop_headon over 0.05-0.08 s are 26 pair-steps, and stay in
     # one process; 4 cells over 30-33 s on a 0.05 s base are about 12,600,
     # and fork.  A sweep sized from the base's steps did the opposite.
-    base = tmp_path / "short.json"
-    base.write_text(json.dumps(dict(scenario_to_dict(load_scenario("coop_headon")), t_max=0.05)))
+    base = written(tmp_path / "short.json",
+                   dict(scenario_to_dict(load_scenario("coop_headon")), t_max=0.05))
     short = _write_spec(tmp_path / "short_spec.json", "coop_headon",
                         [("t_max", [0.05, 0.06, 0.07, 0.08])])
     long = _write_spec(tmp_path / "long_spec.json", base, [("t_max", [30.0, 31.0, 32.0, 33.0])])
@@ -1068,10 +970,11 @@ def test_sweep_sizes_its_fork_from_each_cells_steps(tmp_path, monkeypatch):
     for name in ("short", "long"):
         spec = tmp_path / f"{name}_spec.json"
         assert main(["sweep", str(spec), "-o", str(tmp_path / "one" / name)]) == 0
-    fresh = tmp_path / "fresh"
-    assert fresh_sweep((short, fresh / "short"), (long, fresh / "long")) == {
-        "codes": [0, 0], "forked": [0, 1], "ends": [EXITED], "reaped": True, "stderr": ""}
-    assert _tree(fresh) == _tree(tmp_path / "one")
+    new = tmp_path / "fresh"
+    assert fresh(["sweep", short, "-o", new / "short"], ["sweep", long, "-o", new / "long"]) == {
+        "codes": [0, 0], "forked": [0, 1], "ends": [EXITED], "reaped": True,
+        "loaded": [[], SWEEP, SWEEP + FORKS], "numpy": [False] * 2, "thetas": [0, 0], "stderr": ""}
+    assert _tree(new) == _tree(tmp_path / "one")
 
 
 def test_sweep_counts_no_steps_for_times_a_cell_rejects(tmp_path):
@@ -1085,8 +988,9 @@ def test_sweep_in_a_process_with_a_second_thread_never_forks(tmp_path, monkeypat
     spec = _write_spec(tmp_path / "cells.json", "coop_headon", [("params.lambda", [9.0, 11.0])])
     one_worker(monkeypatch)
     assert main(["sweep", str(spec), "-o", str(tmp_path / "one")]) == 0
-    assert fresh_sweep((spec, tmp_path / "threaded"), min_work=0, thread=True) == {
-        "codes": [0], "forked": [0], "ends": [], "reaped": True, "stderr": ""}
+    assert fresh(["sweep", spec, "-o", tmp_path / "threaded"], min_work=0, thread=True) == {
+        "codes": [0], "forked": [0], "ends": [], "reaped": True, "loaded": [[], SWEEP],
+        "numpy": [False], "thetas": [0], "stderr": ""}
     one = (tmp_path / "one" / "results.csv").read_bytes()
     assert (tmp_path / "threaded" / "results.csv").read_bytes() == one
 
@@ -1102,8 +1006,9 @@ def test_forked_sweep_rows_equal_one_worker_rows(tmp_path, monkeypatch):
     spec = _error_and_quoted_cells(tmp_path)
     one_worker(monkeypatch)
     assert main(["sweep", str(spec), "-o", str(tmp_path / "one")]) == 0
-    assert fresh_sweep((spec, tmp_path / "three"), cpus=3, min_work=0) == {
-        "codes": [0], "forked": [2], "ends": [EXITED] * 2, "reaped": True, "stderr": ""}
+    assert fresh(["sweep", spec, "-o", tmp_path / "three"], cpus=3, min_work=0) == {
+        "codes": [0], "forked": [2], "ends": [EXITED] * 2, "reaped": True,
+        "loaded": [[], SWEEP + FORKS], "numpy": [False], "thetas": [0], "stderr": ""}
     one = (tmp_path / "one" / "results.csv").read_bytes()
     assert b"lambda must be >= 0" in one and b'"a,""b"""' in one
     assert (tmp_path / "three" / "results.csv").read_bytes() == one
@@ -1114,9 +1019,10 @@ def test_forked_sweep_runs_the_cells_of_a_worker_it_could_not_fork(tmp_path, mon
     one_worker(monkeypatch)
     assert main(["sweep", str(spec), "-o", str(tmp_path / "one")]) == 0
     # the second fork fails; the parent runs worker 2's cells too
-    assert fresh_sweep((spec, tmp_path / "three"), cpus=3, min_work=0,
-                       forks_before_failure=1) == {
-        "codes": [0], "forked": [1], "ends": [EXITED], "reaped": True, "stderr": ""}
+    assert fresh(["sweep", spec, "-o", tmp_path / "three"], cpus=3, min_work=0,
+                 forks_before_failure=1) == {
+        "codes": [0], "forked": [1], "ends": [EXITED], "reaped": True,
+        "loaded": [[], SWEEP + FORKS], "numpy": [False], "thetas": [0], "stderr": ""}
     one = (tmp_path / "one" / "results.csv").read_bytes()
     assert (tmp_path / "three" / "results.csv").read_bytes() == one
 
@@ -1127,8 +1033,10 @@ def test_forked_sweep_runs_a_dead_childs_cells_in_the_parent(tmp_path, monkeypat
     one_worker(monkeypatch)
     assert main(["sweep", str(spec), "-o", str(tmp_path / "one")]) == 0
     # worker 1 of 3 runs cells 1 and 4 and ends on cell 4 (lambda 12)
-    assert fresh_sweep((spec, tmp_path / "three"), cpus=3, min_work=0, die_at_lambda=12.0) == {
-        "codes": [0], "forked": [2], "ends": [EXITED, ["exit", 3]], "reaped": True, "stderr": ""}
+    assert fresh(["sweep", spec, "-o", tmp_path / "three"], cpus=3, min_work=0,
+                 die_at_lambda=12.0) == {
+        "codes": [0], "forked": [2], "ends": [EXITED, ["exit", 3]], "reaped": True,
+        "loaded": [[], SWEEP + FORKS], "numpy": [False], "thetas": [0], "stderr": ""}
     one = (tmp_path / "one" / "results.csv").read_bytes()
     assert (tmp_path / "three" / "results.csv").read_bytes() == one
 
@@ -1140,192 +1048,19 @@ def test_forked_sweep_reaps_its_children_after_an_os_error(tmp_path):
     # the parent runs the even cells and fails writing the row of cell 2,
     # while the child, which runs cells 1, 3, 5 and 7, holds on cell 3 (d):
     # it is killed
-    assert fresh_sweep((spec, out), min_work=0, hold_at="d", fail_at="fails") == {
-        "codes": [1], "forked": [1], "ends": [["signal", signal.SIGKILL]], "reaped": True,
+    assert fresh(["sweep", spec, "-o", out], min_work=0, hold_at="d", fail_at="fails") == {
+        "codes": [1], "forked": [1], "ends": [KILLED], "reaped": True,
+        "loaded": [[], SWEEP + FORKS], "numpy": [False], "thetas": [0],
         "stderr": f"error: {out}: Input/output error\n"}
 
 
 # ---------------------------------------------------------------------------
 # run's forked writer
 
-# Runs in a new interpreter, where numpy is not loaded and only the main
-# thread runs, so that cmd_run may fork its writer; in this process numpy's
-# threads often keep it serial.  The probe fixes the usable CPU count, and
-# may make a fork fail, the writer child end in the row formatter after a
-# pause, or close its pipe's read end there and then end as if done, or end
-# with a status of its own once it has written every row, or run a second
-# thread, or put a directory where each run's staged trajectory.csv goes.  It
-# counts forks and the parent's form_theta calls, records how each child
-# ended and whether numpy was loaded before each run, and may trace the
-# parent's memory over each run.  Its interpreter warns of every file left
-# open, so a handle the parent leaks shows on stderr.
-RUN_PROBE = """
-import json, os, stat, sys, threading, time, tracemalloc
-from vortex_ca import cli, engine
-
-args = json.loads(sys.argv[1])
-parent, forks, ends, thetas = os.getpid(), [], [], []
-real_fork, real_waitpid, real_rows = os.fork, os.waitpid, cli.table_rows
-real_theta = engine.form_theta
-os.sched_getaffinity = lambda pid: set(range(args["cpus"]))
-
-
-def fork():
-    if args["fork_fails"]:
-        raise OSError(11, "Resource temporarily unavailable")
-    pid = real_fork()
-    if pid:
-        forks.append(pid)
-    return pid
-
-
-def waitpid(pid, options):
-    done, status = real_waitpid(pid, options)
-    if os.WIFSIGNALED(status):
-        ends.append(["signal", os.WTERMSIG(status)])
-    else:
-        ends.append(["exit", os.WEXITSTATUS(status)])
-    return done, status
-
-
-def table_rows(columns):
-    if os.getpid() != parent and args["writer_exits"] is not None:
-        time.sleep(args["writer_exits"])
-        os._exit(3)
-    if os.getpid() != parent and args["writer_closes"] is not None:
-        for fd in map(int, os.listdir("/proc/self/fd")):
-            try:  # the pipe's read end is the one FIFO above stderr
-                if fd > 2 and stat.S_ISFIFO(os.fstat(fd).st_mode):
-                    os.close(fd)
-            except OSError:  # the listing's own descriptor, closed already
-                pass
-        time.sleep(args["writer_closes"])
-        os._exit(0)
-    return real_rows(columns)
-
-
-def form_theta(log):
-    if os.getpid() == parent:
-        thetas[-1] += 1
-    return real_theta(log)
-
-
-def counted(name, real):
-    def table(log):
-        if os.getpid() != parent:
-            with open(args["builds"], "a") as out:
-                out.write(name + "\\n")
-        return real(log)
-    return table
-
-
-def built():
-    try:
-        with open(args["builds"]) as names:
-            return names.read().split()
-    except FileNotFoundError:
-        return []
-
-
-os.fork, os.waitpid, cli.table_rows = fork, waitpid, table_rows
-engine.form_theta = form_theta
-if args["builds"]:
-    for name in ("trajectory_table", "pairs_table"):
-        setattr(cli, name, counted(name, getattr(cli, name)))
-if args["force_fork"]:
-    cli._processes = lambda *job: 2
-import vortex_ca.forks  # after the patch, which counts the parent's calls alone
-real_write = vortex_ca.forks._write_shipped
-
-
-def write_shipped(*job):
-    real_write(*job)
-    if args["writer_status"] is not None:
-        os._exit(args["writer_status"])
-
-
-vortex_ca.forks._write_shipped = write_shipped
-release = threading.Event()
-if args["thread"]:
-    threading.Thread(target=release.wait).start()
-codes, forked, numpy, peaks, builds = [], [], [], [], []
-for argv in args["argvs"]:
-    earlier = len(built()) if args["builds"] else 0
-    if args["block_staged"]:
-        os.makedirs(os.path.join(argv[-1], f".trajectory.csv.{parent}.part"))
-    before = len(forks)
-    numpy.append("numpy" in sys.modules)
-    thetas.append(0)
-    if args["trace"]:
-        tracemalloc.start()
-    codes.append(cli.main(argv))
-    if args["trace"]:
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-    forked.append(len(forks) - before)
-    if args["builds"]:
-        names = built()[earlier:]
-        builds.append([names.count("trajectory_table"), names.count("pairs_table")])
-release.set()
-try:
-    real_waitpid(-1, os.WNOHANG)
-    reaped = False
-except ChildProcessError:
-    reaped = True
-result = {"codes": codes, "forked": forked, "ends": sorted(ends), "reaped": reaped,
-          "numpy": numpy, "thetas": thetas}
-if args["trace"]:
-    result["peaks"] = peaks
-if args["builds"]:
-    result["builds"] = builds
-print(json.dumps(result))
-"""
-
-KILLED = ["signal", signal.SIGKILL]
-
-
-def fresh_run(*runs, cpus=2, fork_fails=False, writer_exits=None, writer_closes=None,
-              writer_status=None, thread=False, block_staged=False, trace=False,
-              builds=None, force_fork=False):
-    """``run`` each (scenario, outdir) in one new interpreter (see RUN_PROBE).
-    Returns the exit codes, the children each run forked, how the children
-    ended, whether none was left unreaped, whether numpy was loaded before
-    each run, how often each run's parent formed the pairs' theta, and
-    stderr; with ``trace``, also each run's traced peak in the parent
-    (``peaks``, in bytes); with ``builds``, a file path, also how often each
-    run's writer child built trajectory.csv's and pairs.csv's tables
-    (``builds``).  ``force_fork`` lets every run fork its writer."""
-    args = {"argvs": [["run", str(scenario), "-o", str(out)] for scenario, out in runs],
-            "cpus": cpus, "fork_fails": fork_fails, "writer_exits": writer_exits,
-            "writer_closes": writer_closes, "writer_status": writer_status, "thread": thread,
-            "block_staged": block_staged, "trace": trace,
-            "builds": builds and str(builds), "force_fork": force_fork}
-    done = subprocess.run(
-        [sys.executable, "-W", "default::ResourceWarning", "-c", RUN_PROBE, json.dumps(args)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
-        timeout=120, check=False,
-    )
-    assert done.returncode == 0, done.stderr
-    return dict(json.loads(done.stdout.splitlines()[-1]), stderr=done.stderr)
-
-
 def _tree(root):
     """Every file under ``root`` with its bytes, and every directory as None."""
     return {path.relative_to(root).as_posix(): None if path.is_dir() else path.read_bytes()
             for path in sorted(Path(root).rglob("*"))}
-
-
-def _ring32(path):
-    """32 cooperative robots on a 3 m circle, each bound for the antipodal
-    point, recording every step: the array pair stage, which loads numpy."""
-    robots = []
-    for k in range(32):
-        angle = 2.0 * math.pi * k / 32
-        x, y = 3.0 * math.cos(angle), 3.0 * math.sin(angle)
-        robots.append({"id": k + 1, "x": x, "y": y, "heading": angle + math.pi,
-                       "goal": [-x, -y], "radius": 0.02})
-    path.write_text(json.dumps({"name": "ring32", "t_max": 0.5, "robots": robots}))
-    return path
 
 
 # two robots 5 cm short of their goals: t_max allows 150,050 recorded values,
@@ -1345,7 +1080,7 @@ SERIAL_RUNS = {"attractive_only", "near", "ring"}
 def test_forked_run_writes_the_serial_bytes(tmp_path, monkeypatch):
     (tmp_path / "near.json").write_text(json.dumps(NEAR_GOALS))
     runs = ([(name, name) for name in sorted(PRESETS)] + [(tmp_path / "near.json", "near")]
-            + [(_ring32(tmp_path / "ring.json"), "ring")])
+            + [(written(tmp_path / "ring.json", ring(32, body_radius=0.02)), "ring")])
     one_worker(monkeypatch)
     codes = [main(["run", str(scenario), "-o", str(tmp_path / "serial" / out)])
              for scenario, out in runs]
@@ -1356,8 +1091,10 @@ def test_forked_run_writes_the_serial_bytes(tmp_path, monkeypatch):
     # forked run streams its CSVs, so its parent forms no pairs' theta: the
     # child did.  A serial run's parent, the ring's too, forms it for the
     # serial writers.
-    assert fresh_run(*((scenario, tmp_path / "forked" / out) for scenario, out in runs)) == {
+    assert fresh(*(["run", scenario, "-o", tmp_path / "forked" / out]
+                   for scenario, out in runs)) == {
         "codes": codes, "forked": forked, "ends": [EXITED] * sum(forked), "reaped": True,
+        "loaded": [[]] + [FORKS] * (len(runs) - 1) + [["numpy"] + FORKS],
         "numpy": [False] * len(runs), "thetas": [1 - fork for fork in forked], "stderr": ""}
     serial = _tree(tmp_path / "serial")
     assert len(serial) == 5 * len(runs)  # each run's directory and its four files
@@ -1373,8 +1110,7 @@ def _shuffled_ids(path):
         angle = 0.5 * math.pi * k + 0.3
         x, y = 1.5 * math.cos(angle), 1.5 * math.sin(angle)
         robots.append({"id": rid, "x": x, "y": y, "heading": angle + math.pi, "goal": [-x, -y]})
-    path.write_text(json.dumps({"name": "shuffled", "robots": robots}))
-    return path
+    return written(path, {"name": "shuffled", "robots": robots})
 
 
 def test_ids_out_of_order_are_laid_out_in_numeric_order(tmp_path, monkeypatch):
@@ -1392,9 +1128,9 @@ def test_ids_out_of_order_are_laid_out_in_numeric_order(tmp_path, monkeypatch):
 
     one_worker(monkeypatch)
     code = main(["run", str(scenario), "-o", str(tmp_path / "serial")])
-    assert fresh_run((scenario, tmp_path / "forked")) == {
-        "codes": [code], "forked": [1], "ends": [EXITED], "reaped": True, "numpy": [False],
-        "thetas": [0], "stderr": ""}
+    assert fresh(["run", scenario, "-o", tmp_path / "forked"]) == {
+        "codes": [code], "forked": [1], "ends": [EXITED], "reaped": True, "loaded": [[], FORKS],
+        "numpy": [False], "thetas": [0], "stderr": ""}
     assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
 
     assert main(["plotdata", str(tmp_path / "serial")]) == 0
@@ -1415,27 +1151,30 @@ def test_ids_out_of_order_are_laid_out_in_numeric_order(tmp_path, monkeypatch):
     assert headers["separation.csv"].index("p2_9_r") < headers["separation.csv"].index("p2_10_r")
 
 
-@pytest.mark.parametrize("case, forked, ends", [
-    ({"writer_exits": 0.0}, [1], [["exit", 3]]),
+@pytest.mark.parametrize("case, forked, ends, loaded", [
+    ({"writer_exits": 0.0}, [1], [["exit", 3]], FORKS),
     # the writer writes every row and then exits 3: only its exit status
     # tells that its files may be incomplete
-    ({"writer_status": 3}, [1], [["exit", 3]]),
+    ({"writer_status": 3}, [1], [["exit", 3]], FORKS),
     # the writer stops reading after its first chunk and exits 0 with
     # incomplete files: only the failed pipe write tells
-    ({"writer_closes": 0.2}, [1], [EXITED]),
-    ({"fork_fails": True}, [0], []),
-    ({"thread": True}, [0], []),
-    ({"cpus": 1}, [0], []),
+    ({"writer_closes": 0.2}, [1], [EXITED], FORKS),
+    ({"forks_before_failure": 0}, [0], [], FORKS),
+    # a job kept in one process never loads forks
+    ({"thread": True}, [0], [], []),
+    ({"cpus": 1}, [0], [], []),
 ], ids=["writer_exits", "writer_exits_late", "writer_closes", "fork_fails", "second_thread",
         "one_cpu"])
-def test_run_that_cannot_stream_writes_the_serial_bytes(tmp_path, monkeypatch, case, forked, ends):
+def test_run_that_cannot_stream_writes_the_serial_bytes(
+    tmp_path, monkeypatch, case, forked, ends, loaded
+):
     one_worker(monkeypatch)
     code = main(["run", "coop_headon", "-o", str(tmp_path / "serial")])
     # the parent forms the pairs' theta once, in the run the serial writers
     # write: after a failed writer, the run again
-    assert fresh_run(("coop_headon", tmp_path / "forked"), **case) == {
-        "codes": [code], "forked": forked, "ends": ends, "reaped": True, "numpy": [False],
-        "thetas": [1], "stderr": ""}
+    assert fresh(["run", "coop_headon", "-o", tmp_path / "forked"], **case) == {
+        "codes": [code], "forked": forked, "ends": ends, "reaped": True, "loaded": [[], loaded],
+        "numpy": [False], "thetas": [1], "stderr": ""}
     assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
 
 
@@ -1462,19 +1201,19 @@ def test_forked_writer_builds_its_tables_once_per_run(tmp_path):
     # coop_headon ships many chunks, and each row of the 32-robot ring
     # (forced to fork: the array stage never does) is a chunk of its own.
     # The child builds each table once however many chunks come.
-    ring = _ring32(tmp_path / "ring.json")
-    result = fresh_run(("coop_headon", tmp_path / "headon"), (ring, tmp_path / "ring"),
-                       builds=tmp_path / "builds.txt", force_fork=True)
+    ring32 = written(tmp_path / "ring.json", ring(32, body_radius=0.02))
+    result = fresh(["run", "coop_headon", "-o", tmp_path / "headon"],
+                   ["run", ring32, "-o", tmp_path / "ring"], builds=True, force_fork=True)
     assert result["forked"] == [1, 1] and result["ends"] == [EXITED] * 2
-    assert result["builds"] == [[1, 1], [1, 1]]
+    assert result["builds"] == [[1, 1], [1, 1]] and result["stderr"] == ""
 
 
 def test_forked_run_parent_keeps_no_copy_of_the_shipped_rows(tmp_path):
     # the parent holds one chunk, t and each pair's r: 8,001 rows of two
     # floats are about 0.5 MB.  A parent that kept every shipped column,
     # 24 floats a row, peaked at 5.15 MB.
-    result = fresh_run(("saturated_headon", tmp_path / "run"), trace=True)
-    assert result["forked"] == [1] and result["thetas"] == [0]
+    result = fresh(["run", "saturated_headon", "-o", tmp_path / "run"], trace=True)
+    assert result["forked"] == [1] and result["thetas"] == [0] and result["stderr"] == ""
     assert result["peaks"][0] < 1.5e6
 
 
@@ -1485,11 +1224,11 @@ def test_run_that_cannot_stage_writes_the_serial_bytes(tmp_path, monkeypatch):
     one_worker(monkeypatch)
     code = main(["run", "coop_headon", "-o", str(tmp_path / "serial")])
     forked = tmp_path / "forked"
-    result = fresh_run(("coop_headon", forked), block_staged=True)
+    result = fresh(["run", "coop_headon", "-o", forked], block_staged=True)
     blocked = [name for name in os.listdir(forked) if name.endswith(".part")]
     assert result == {
-        "codes": [code], "forked": [0], "ends": [], "reaped": True, "numpy": [False],
-        "thetas": [1], "stderr": ""}
+        "codes": [code], "forked": [0], "ends": [], "reaped": True, "loaded": [[], FORKS],
+        "numpy": [False], "thetas": [1], "stderr": ""}
     assert len(blocked) == 1 and blocked[0].startswith(".trajectory.csv.")
     assert (forked / blocked[0]).is_dir() and not os.listdir(forked / blocked[0])
     assert {path: data for path, data in _tree(forked).items()
@@ -1510,15 +1249,15 @@ FAR_APART_ERROR = ("error: simulation aborted: robots 1 and 2: non-finite pair s
 
 
 def test_aborted_forked_run_leaves_no_files(tmp_path, monkeypatch):
-    scenario = tmp_path / "far.json"
-    scenario.write_text(json.dumps(FAR_APART))
+    scenario = written(tmp_path / "far.json", FAR_APART)
     one_worker(monkeypatch)
     assert main(["run", "coop_headon", "-o", str(tmp_path / "serial")]) == 2
     new, earlier = tmp_path / "new" / "run", tmp_path / "earlier"
     # an aborted run into new directories, then into one with an earlier run
-    assert fresh_run((scenario, new), ("coop_headon", earlier), (scenario, earlier)) == {
+    assert fresh(["run", scenario, "-o", new], ["run", "coop_headon", "-o", earlier],
+                 ["run", scenario, "-o", earlier]) == {
         "codes": [1, 2, 1], "forked": [1, 1, 1], "ends": sorted([KILLED, EXITED, KILLED]),
-        "reaped": True, "numpy": [False] * 3, "thetas": [0, 0, 0],
+        "reaped": True, "loaded": [[]] + [FORKS] * 3, "numpy": [False] * 3, "thetas": [0, 0, 0],
         "stderr": FAR_APART_ERROR * 2}
     assert not (tmp_path / "new").exists()
     assert _tree(earlier) == _tree(tmp_path / "serial")
@@ -1547,9 +1286,9 @@ def test_forked_run_rewrites_an_earlier_file_as_the_serial_run_does(tmp_path, mo
     outside = {root: _earlier_files(root, how) for root in (serial, forked)}
     one_worker(monkeypatch)
     assert main(["run", "coop_headon", "-o", str(serial)]) == 2
-    assert fresh_run(("coop_headon", forked)) == {
-        "codes": [2], "forked": [0], "ends": [], "reaped": True, "numpy": [False],
-        "thetas": [1], "stderr": ""}
+    assert fresh(["run", "coop_headon", "-o", forked]) == {
+        "codes": [2], "forked": [0], "ends": [], "reaped": True, "loaded": [[], FORKS],
+        "numpy": [False], "thetas": [1], "stderr": ""}
     assert _tree(forked) == _tree(serial)
     for root, target in outside.items():
         path = root / "trajectory.csv"
@@ -1581,10 +1320,10 @@ def test_forked_run_reports_an_output_in_its_way_as_the_serial_run_does(
         "Not a directory\n" if blocked == "afile/run" else "Is a directory\n")
     # a directory in a run CSV's way fails the staging, and one under a
     # file fails makedirs, before anything forks
-    assert fresh_run(("coop_headon", forked)) == {
-        "codes": [1], "forked": [0], "ends": [], "reaped": True,
-        "numpy": [False], "thetas": [1], "stderr": message.replace(str(tmp_path / "serial"),
-                                                    str(tmp_path / "forked"))}
+    assert fresh(["run", "coop_headon", "-o", forked]) == {
+        "codes": [1], "forked": [0], "ends": [], "reaped": True, "loaded": [[], FORKS],
+        "numpy": [False], "thetas": [1],
+        "stderr": message.replace(str(tmp_path / "serial"), str(tmp_path / "forked"))}
     assert _tree(tmp_path / "forked") == _tree(tmp_path / "serial")
 
 
@@ -1596,8 +1335,7 @@ def test_cmd_sweep_quotes_cells_that_need_it(tmp_path):
                  {"path": "name", "values": ['a,"b"\r\nc', "plain"]}],
         "metrics": ["min_separation", "time_to_goal"],
     }
-    spec_path = tmp_path / "sweep.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path = written(tmp_path / "sweep.json", spec)
     out = tmp_path / "out"
     assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
     with open(out / "results.csv", encoding="utf-8", newline="") as handle:
@@ -1620,8 +1358,7 @@ def test_cmd_sweep_lambda_axis(tmp_path):
         "axes": [{"path": "params.lambda", "values": [5.0, 10.0, 15.0]}],
         "metrics": ["min_separation", "body_overlap"],
     }
-    spec_path = tmp_path / "sweep.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path = written(tmp_path / "sweep.json", spec)
     out = tmp_path / "sweep_out"
     assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
@@ -1638,15 +1375,17 @@ def test_cmd_sweep_repeats_byte_identical(tmp_path, monkeypatch):
         "axes": [{"path": "params.kp", "values": [2.0, 5.0]}],
         "metrics": ["time_to_goal"],
     }
-    spec_path = tmp_path / "sweep.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path = written(tmp_path / "sweep.json", spec)
     out_a, out_b, out_c, out_d = (tmp_path / name for name in "abcd")
     one_worker(monkeypatch)
     assert main(["sweep", str(spec_path), "-o", str(out_a)]) == 0
     assert main(["sweep", str(spec_path), "-o", str(out_b)]) == 0
     # and forked, with one cell in each of two workers
-    assert fresh_sweep((spec_path, out_c), (spec_path, out_d), min_work=0) == {
-        "codes": [0, 0], "forked": [1, 1], "ends": [EXITED] * 2, "reaped": True, "stderr": ""}
+    assert fresh(["sweep", spec_path, "-o", out_c], ["sweep", spec_path, "-o", out_d],
+                 min_work=0) == {
+        "codes": [0, 0], "forked": [1, 1], "ends": [EXITED] * 2, "reaped": True,
+        "loaded": [[]] + [SWEEP + FORKS] * 2, "numpy": [False] * 2, "thetas": [0, 0],
+        "stderr": ""}
     for out in (out_b, out_c, out_d):
         assert (out_a / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
 
@@ -1661,25 +1400,24 @@ def test_cmd_sweep_rows_match_runs_of_their_cells(tmp_path, monkeypatch):
             {"id": 2, "x": 1.5, "y": 0.0, "heading": math.pi, "goal": [-1.5, 0.0]},
         ],
     }
-    base_path = tmp_path / "base.json"
-    base_path.write_text(json.dumps(base))
+    base_path = written(tmp_path / "base.json", base)
     lambdas = [10.0, 40.0]
-    spec_path = tmp_path / "sweep.json"
-    spec_path.write_text(json.dumps({
+    spec_path = written(tmp_path / "sweep.json", {
         "base_scenario": str(base_path),
         "axes": [{"path": "params.lambda", "values": lambdas}],
         "metrics": ["min_separation"],
-    }))
+    })
     one_worker(monkeypatch)
     assert main(["sweep", str(spec_path), "-o", str(tmp_path / "sweep")]) == 0
-    assert fresh_sweep((spec_path, tmp_path / "forked"), min_work=0) == {
-        "codes": [0], "forked": [1], "ends": [EXITED], "reaped": True, "stderr": ""}
+    assert fresh(["sweep", spec_path, "-o", tmp_path / "forked"], min_work=0) == {
+        "codes": [0], "forked": [1], "ends": [EXITED], "reaped": True,
+        "loaded": [[], SWEEP + FORKS], "numpy": [False], "thetas": [0], "stderr": ""}
     rows = {out: [line.split(",") for line in
                   (tmp_path / out / "results.csv").read_text().splitlines()[1:]]
             for out in ("sweep", "forked")}
     for k, lam in enumerate(lambdas):
-        cell_path = tmp_path / f"cell_{lam}.json"
-        cell_path.write_text(json.dumps(dict(base, params=dict(base["params"], **{"lambda": lam}))))
+        cell_path = written(tmp_path / f"cell_{lam}.json",
+                            dict(base, params=dict(base["params"], **{"lambda": lam})))
         rundir = tmp_path / f"run_{lam}"
         assert main(["run", str(cell_path), "-o", str(rundir)]) in (0, 2)
         summary = json.loads((rundir / "summary.json").read_text())
@@ -1689,35 +1427,31 @@ def test_cmd_sweep_rows_match_runs_of_their_cells(tmp_path, monkeypatch):
 
 
 def test_sweep_validation_errors(tmp_path):
-    empty_axes = tmp_path / "empty.json"
-    empty_axes.write_text(json.dumps({"base_scenario": "coop_headon", "axes": []}))
+    empty_axes = written(tmp_path / "empty.json", {"base_scenario": "coop_headon", "axes": []})
     with pytest.raises(ScenarioError):
         load_sweep(str(empty_axes))
 
-    bad_metric = tmp_path / "metric.json"
-    bad_metric.write_text(json.dumps({
+    bad_metric = written(tmp_path / "metric.json", {
         "base_scenario": "coop_headon",
         "axes": [{"path": "params.lambda", "values": [1.0]}],
         "metrics": ["no_such_metric"],
-    }))
+    })
     with pytest.raises(ScenarioError):
         load_sweep(str(bad_metric))
 
-    bad_path = tmp_path / "path.json"
-    bad_path.write_text(json.dumps({
+    bad_path = written(tmp_path / "path.json", {
         "base_scenario": "coop_headon",
         "axes": [{"path": "params.bogus", "values": [1.0]}],
-    }))
+    })
     with pytest.raises(ScenarioError):
         load_sweep(str(bad_path))
 
     # json reads the escape as a lone surrogate, which results.csv (UTF-8)
     # cannot hold; the spec is rejected before any cell runs
-    surrogate = tmp_path / "surrogate.json"
-    surrogate.write_text(json.dumps({
+    surrogate = written(tmp_path / "surrogate.json", {
         "base_scenario": "coop_headon",
         "axes": [{"path": "name", "values": ["\ud800", "plain"]}],
-    }))
+    })
     with pytest.raises(ScenarioError) as caught:
         load_sweep(str(surrogate))
     assert caught.value.errors == ["axes[name]: '\\ud800' has no UTF-8 form for results.csv"]
@@ -1751,8 +1485,7 @@ def _axis_spec(path, **extra):
         "into_number", "index_superscript_two", "index_arabic_indic_one", "repeated_axis_path",
         "repeated_metric", "lone_surrogate", "over_cell_cap"])
 def test_cmd_sweep_rejects_malformed_specs(tmp_path, capsys, spec):
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(spec))
+    path = written(tmp_path / "sweep.json", spec)
     assert main(["sweep", str(path), "-o", str(tmp_path / "out")]) == 1
     assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -1765,12 +1498,11 @@ def test_max_lyap_derivative_sweep_forms_no_numeric_derivative(tmp_path, monkeyp
         raise AssertionError("a sweep cell reads only the analytic derivative")
 
     monkeypatch.setattr(analysis, "numeric_derivative", numeric_derivative)
-    spec_path = tmp_path / "sweep.json"
-    spec_path.write_text(json.dumps({
+    spec_path = written(tmp_path / "sweep.json", {
         "base_scenario": "coop_triangle",
         "axes": [{"path": "params.lambda", "values": [30.0, 40.0]}],
         "metrics": ["max_lyap_derivative"],
-    }))
+    })
     out = tmp_path / "out"
     assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
     rows = [row.split(",") for row in (out / "results.csv").read_text().splitlines()[1:]]
@@ -1848,13 +1580,12 @@ def test_fold_reports_a_failed_derivative_once_the_run_has_ended(tmp_path, monke
     # the pair's derivative term divides by zero, while the engine, which
     # evaluates no repulsive input for them, runs to the end.  The text is
     # what multi_lyapunov raised on the full log.
-    base = tmp_path / "underflow.json"
-    base.write_text(json.dumps({"t_max": 0.5, "robots": [
+    base = written(tmp_path / "underflow.json", {"t_max": 0.5, "robots": [
         {"id": 1, "x": 0.0, "y": 0.0, "heading": 0.0, "behavior": "noncooperative",
          "goal": [1.5, 0.0]},
         {"id": 2, "x": 1e-170, "y": 0.0, "heading": math.pi, "behavior": "noncooperative",
          "goal": [-1.5, 0.0]},
-    ]}))
+    ]})
     with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
         analysis.multi_lyapunov(run(load_scenario(str(base))))
     assert _spy_sweep(tmp_path, base, monkeypatch) == "10,nan,nan,float division by zero"
@@ -1866,8 +1597,7 @@ def test_cmd_sweep_records_cell_errors(tmp_path):
         "axes": [{"path": "params.lambda", "values": [10.0, -1.0]}],
         "metrics": ["min_separation"],
     }
-    spec_path = tmp_path / "sweep.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path = written(tmp_path / "sweep.json", spec)
     out = tmp_path / "out"
     assert main(["sweep", str(spec_path), "-o", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
@@ -1886,8 +1616,8 @@ def test_cmd_sweep_reports_an_unusable_output_path_before_any_cell(tmp_path, cap
         raise AssertionError("a cell ran before the output was opened")
 
     monkeypatch.setattr(cli, "run", no_cells)
-    spec_path = tmp_path / "sweep.json"
-    spec_path.write_text(json.dumps(_axis_spec("params.lambda", metrics=["min_separation"])))
+    spec_path = written(tmp_path / "sweep.json",
+                        _axis_spec("params.lambda", metrics=["min_separation"]))
     assert main(["sweep", str(spec_path), "-o", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
 
@@ -1976,8 +1706,7 @@ def test_cmd_analyze_attacker_below_standoff_warns(tmp_path):
     for robot in data["robots"]:
         robot["x"] *= 0.5
     data["robots"][0]["goal"][0] *= 0.5
-    path = tmp_path / "close_attacker.json"
-    path.write_text(json.dumps(data))
+    path = written(tmp_path / "close_attacker.json", data)
     out = tmp_path / "run"
     main(["run", str(path), "-o", str(out)])
     main(["analyze", str(out), "--regime", "coop_vs_attacker"])
@@ -2009,8 +1738,7 @@ def test_plotdata_stationary_obstacle_is_single_point(tmp_path):
             {"id": 2, "x": 1.5, "y": 0.4, "speed": 0.0, "behavior": "stationary"},
         ],
     }
-    path = tmp_path / "obstacle.json"
-    path.write_text(json.dumps(data))
+    path = written(tmp_path / "obstacle.json", data)
     out = tmp_path / "run"
     main(["run", str(path), "-o", str(out)])
     main(["plotdata", str(out)])

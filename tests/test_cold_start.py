@@ -16,24 +16,21 @@ sweeps only.
 No command loads ``multiprocessing``, ``concurrent.futures`` or
 ``subprocess``: a sweep below the fork threshold runs in one process, and
 one above it forks its workers with ``os.fork``; a ``run`` that records
-enough values forks its CSV writer the same way.  The probe sees two usable
-CPUs, so that both fork.
+enough values forks its CSV writer the same way.  ``vortex_ca.forks``, which
+holds every fork, loads only for a job that ``cli._processes`` lets fork.
+Each check runs its commands through ``common_runs.fresh``
+(``tests/probe.py``), in a new interpreter that, like every other the probe
+starts, sees two usable CPUs, so that both fork.
 """
 
 import ast
-import json
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
-from common_runs import PRESET_RUNS
+from common_runs import ANALYSIS, EXITED, FORKS, PRESET_RUNS, SRC, SWEEP, fresh, ring, written
 from vortex_ca import cli, engine
 from vortex_ca.cli import main
 from vortex_ca.scenarios import load_scenario, scenario_to_dict
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # One preset per regime, the first by name: preset -> the regime it is
 # analyzed under.
@@ -42,95 +39,27 @@ for name, (regime, _) in sorted(PRESET_RUNS.items()):
     if regime not in PRESET_REGIMES.values():
         PRESET_REGIMES[name] = regime
 
-WATCHED = ("numpy", "vortex_ca.analysis", "vortex_ca.sweep_metrics", "multiprocessing",
-           "concurrent.futures", "subprocess")
-ANALYSIS = ["vortex_ca.analysis"]
-SWEEP = ["vortex_ca.sweep_metrics"]
-
-PROBE = """
-import json, os, sys
-import vortex_ca, vortex_ca.cli
-from vortex_ca.cli import main
-watched = {watched!r}
-unresolved = [name for name in vortex_ca.__all__ if not hasattr(vortex_ca, name)]
-loaded = [[name for name in watched if name in sys.modules]]
-os.sched_getaffinity = lambda pid: {{0, 1}}
-real_fork, forks = os.fork, []
-
-
-def fork():
-    pid = real_fork()
-    if pid:
-        forks.append(pid)
-    return pid
-
-
-os.fork = fork
-codes, forked = [], []
-for argv in json.loads(sys.argv[1]):
-    before = len(forks)
-    codes.append(main(argv))
-    forked.append(len(forks) - before)
-    loaded.append([name for name in watched if name in sys.modules])
-print(json.dumps({{"codes": codes, "loaded": loaded, "forked": forked,
-                  "unresolved": unresolved}}))
-""".format(watched=WATCHED)
-
-
-def fresh_main(*argvs):
-    """Run ``main`` over ``argvs`` in one new interpreter with two usable
-    CPUs, after importing ``vortex_ca`` and ``vortex_ca.cli`` and checking
-    that every name in ``vortex_ca.__all__`` resolves.  Returns the exit
-    codes, the children each command forked and, after the imports and then
-    after each command, which ``WATCHED`` modules are loaded."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps([[str(a) for a in argv] for argv in argvs])],
-        env=env, capture_output=True, text=True, timeout=120, check=False,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "Traceback" not in done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result["unresolved"] == []
-    return result["codes"], result["forked"], result["loaded"]
-
-
-def ring_scenario(path, n, t_max=0.5):
-    """n cooperative robots on a 3 m circle, each bound for the antipodal point."""
-    robots = []
-    for k in range(n):
-        angle = 2.0 * math.pi * k / n
-        x, y = 3.0 * math.cos(angle), 3.0 * math.sin(angle)
-        robots.append({"id": k + 1, "x": x, "y": y, "heading": angle + math.pi,
-                       "goal": [-x, -y]})
-    path.write_text(json.dumps({"name": f"ring{n}", "t_max": t_max, "robots": robots}))
-    return path
-
 
 def test_small_swarm_commands_never_load_numpy(tmp_path):
-    spec = tmp_path / "sweep.json"
-    spec.write_text(json.dumps({
+    spec = written(tmp_path / "sweep.json", {
         "base_scenario": "coop_triangle",
         "axes": [{"path": "params.lambda", "values": [30.0, 40.0]}],
         "metrics": ["min_separation", "time_to_goal", "body_overlap"],
-    }))
-    lyap_spec = tmp_path / "lyap_sweep.json"
-    lyap_spec.write_text(json.dumps({
+    })
+    lyap_spec = written(tmp_path / "lyap_sweep.json", {
         "base_scenario": "coop_triangle",
         "axes": [{"path": "params.lambda", "values": [40.0]}],
         "metrics": ["max_lyap_derivative"],
-    }))
+    })
     # 2 cells of 10 steps of one pair: below the fork threshold, so one process
-    short = tmp_path / "short.json"
-    short.write_text(json.dumps({"t_max": 0.1, "robots": [
+    short = written(tmp_path / "short.json", {"t_max": 0.1, "robots": [
         {"id": 1, "x": -1.5, "y": 0.0, "goal": [1.5, 0.0]},
-        {"id": 2, "x": 1.5, "y": 0.0, "heading": math.pi, "goal": [-1.5, 0.0]}]}))
-    short_spec = tmp_path / "short_sweep.json"
-    short_spec.write_text(json.dumps({
+        {"id": 2, "x": 1.5, "y": 0.0, "heading": math.pi, "goal": [-1.5, 0.0]}]})
+    short_spec = written(tmp_path / "short_sweep.json", {
         "base_scenario": str(short),
         "axes": [{"path": "params.lambda", "values": [9.0, 11.0]}],
-    }))
-    ring = ring_scenario(tmp_path / "ring11.json", 11)
+    })
+    ring11 = written(tmp_path / "ring11.json", ring(11))
     names = sorted(PRESET_RUNS)
     # the commands that never load analysis come first, since nothing unloads it
     plain = [
@@ -138,47 +67,51 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
         *(["plotdata", tmp_path / name] for name in names),
         ["sweep", spec, "-o", tmp_path / "sweep_out"],
         ["sweep", short_spec, "-o", tmp_path / "short_out"],
-        ["run", ring, "-o", tmp_path / "ring11"],
+        ["run", ring11, "-o", tmp_path / "ring11"],
     ]
     analyses = [
         ["sweep", lyap_spec, "-o", tmp_path / "lyap_out"],
         *(["analyze", tmp_path / name, "--regime", regime]
           for name, regime in sorted(PRESET_REGIMES.items())),
     ]
-    codes, forked, loaded = fresh_main(*plain, *analyses)
-    ring_code = main(["run", str(ring), "-o", str(tmp_path / "ring11_again")])
-    assert codes == (
-        [PRESET_RUNS[name][1] for name in names] + [0] * len(names) + [0, 0, ring_code]
-        + [0] * len(analyses)
-    )
+    ring_code = main(["run", str(ring11), "-o", str(tmp_path / "ring11_again")])
     # each preset run but attractive_only's forks its writer, and the first
     # sweep a worker; attractive_only's run and the ring's record too little,
     # the short sweep estimates too little work, and the one-cell sweep runs
-    # its cell in the parent
+    # its cell in the parent.  A run's parent forms the pairs' theta only
+    # for the serial writers.
     runs_forked = [int(name != "attractive_only") for name in names]
-    assert forked == runs_forked + [0] * len(names) + [1, 0, 0] + [0] * len(analyses)
+    forked = runs_forked + [0] * len(names) + [1, 0, 0] + [0] * len(analyses)
     # the imports, then the plain commands, leave every watched module out but
-    # the sweeps' sweep_metrics; the max_lyap_derivative sweep and analyze load
-    # analysis
-    assert loaded == (
-        [[]] * (1 + 2 * len(names)) + [SWEEP] * (len(plain) - 2 * len(names))
-        + [ANALYSIS + SWEEP] * len(analyses)
-    )
+    # the sweeps' sweep_metrics and, from the first job that forks (the first
+    # run), forks; the max_lyap_derivative sweep and analyze load analysis
+    assert fresh(*plain, *analyses) == {
+        "codes": [PRESET_RUNS[name][1] for name in names] + [0] * len(names)
+        + [0, 0, ring_code] + [0] * len(analyses),
+        "forked": forked, "ends": [EXITED] * sum(forked), "reaped": True,
+        "loaded": [[]] + [FORKS] * (2 * len(names))
+        + [SWEEP + FORKS] * (len(plain) - 2 * len(names))
+        + [ANALYSIS + SWEEP + FORKS] * len(analyses),
+        "numpy": [False] * (len(plain) + len(analyses)),
+        "thetas": [1 - fork for fork in runs_forked] + [0] * (len(names) + 2) + [1]
+        + [0] * len(analyses),
+        "stderr": ""}
     assert (tmp_path / "sweep_out" / "results.csv").read_text().count("\n") == 3
     assert (tmp_path / "short_out" / "results.csv").read_text().count("\n") == 3
     assert main(["sweep", str(lyap_spec), "-o", str(tmp_path / "lyap_again")]) == 0
-    fresh = (tmp_path / "lyap_out" / "results.csv").read_bytes()
-    assert fresh == (tmp_path / "lyap_again" / "results.csv").read_bytes()
+    results = (tmp_path / "lyap_out" / "results.csv").read_bytes()
+    assert results == (tmp_path / "lyap_again" / "results.csv").read_bytes()
 
 
 def test_array_commands_load_numpy_on_first_use(tmp_path):
-    ring = ring_scenario(tmp_path / "ring12.json", 12)
-    codes, _, loaded = fresh_main(["run", ring, "-o", tmp_path / "ring12"])
-    assert codes == [main(["run", str(ring), "-o", str(tmp_path / "ring12_again")])]
-    assert loaded == [[], ["numpy"]]
+    ring12 = written(tmp_path / "ring12.json", ring(12))
+    code = main(["run", str(ring12), "-o", str(tmp_path / "ring12_again")])
+    assert fresh(["run", ring12, "-o", tmp_path / "ring12"]) == {
+        "codes": [code], "forked": [0], "ends": [], "reaped": True, "loaded": [[], ["numpy"]],
+        "numpy": [False], "thetas": [1], "stderr": ""}
     for name in ("trajectory.csv", "pairs.csv", "events.csv", "summary.json"):
-        fresh = (tmp_path / "ring12" / name).read_bytes()
-        assert fresh == (tmp_path / "ring12_again" / name).read_bytes(), name
+        new = (tmp_path / "ring12" / name).read_bytes()
+        assert new == (tmp_path / "ring12_again" / name).read_bytes(), name
 
 
 def test_jobs_on_the_array_pair_stage_never_fork(tmp_path, monkeypatch):
@@ -188,35 +121,38 @@ def test_jobs_on_the_array_pair_stage_never_fork(tmp_path, monkeypatch):
     # after the 12-robot run, numpy's thread alone would keep it from forking
     jobs = {}
     for n in (engine._ARRAY_MIN_ROBOTS - 1, engine._ARRAY_MIN_ROBOTS):
-        ring = ring_scenario(tmp_path / f"ring{n}.json", n, t_max=1.0)
-        scenario = load_scenario(str(ring))
+        path = written(tmp_path / f"ring{n}.json", ring(n, t_max=1.0))
+        scenario = load_scenario(str(path))
         assert scenario.recorded_values(scenario.fewest_steps()) >= cli._FORK_MIN_VALUES
         assert 2 * scenario.n_steps() * math.comb(n, 2) >= cli._FORK_MIN_WORK
-        spec = tmp_path / f"sweep{n}.json"
-        spec.write_text(json.dumps({"base_scenario": str(ring), "axes": [
-            {"path": "params.lambda", "values": [30.0, 40.0]}]}))
-        jobs[n] = [["run", ring, "-o", f"run{n}"], ["sweep", spec, "-o", f"sweep{n}"]]
+        spec = written(tmp_path / f"sweep{n}.json", {"base_scenario": str(path), "axes": [
+            {"path": "params.lambda", "values": [30.0, 40.0]}]})
+        jobs[n] = [["run", path, "-o", f"run{n}"], ["sweep", spec, "-o", f"sweep{n}"]]
     small, swarm = jobs.values()
     forked_dir, serial_dir = tmp_path / "forked", tmp_path / "serial"
 
     def into(root, argv):
         return [*argv[:-1], root / argv[-1]]
 
-    codes, forked, _ = fresh_main(*(into(forked_dir, argv) for argv in small + swarm[:1]))
-    swarm_codes, swarm_forked, _ = fresh_main(into(forked_dir, swarm[1]))
-    assert forked + swarm_forked == [1, 1, 0, 0]
     # the bytes of each job run in one process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert codes + swarm_codes == [main([str(a) for a in into(serial_dir, argv)])
-                                   for argv in small + swarm]
-    written = sorted(path.relative_to(serial_dir) for path in serial_dir.rglob("*.*"))
-    assert len(written) == 2 * (4 + 1)  # each run's four files, each sweep's results.csv
-    for path in written:
+    codes = [main([str(a) for a in into(serial_dir, argv)]) for argv in small + swarm]
+    # the 12-robot run is written serially, and loads numpy
+    assert fresh(*(into(forked_dir, argv) for argv in small + swarm[:1])) == {
+        "codes": codes[:3], "forked": [1, 1, 0], "ends": [EXITED] * 2, "reaped": True,
+        "loaded": [[], FORKS, SWEEP + FORKS, ["numpy"] + SWEEP + FORKS],
+        "numpy": [False] * 3, "thetas": [0, 0, 1], "stderr": ""}
+    assert fresh(into(forked_dir, swarm[1])) == {
+        "codes": codes[3:], "forked": [0], "ends": [], "reaped": True,
+        "loaded": [[], ["numpy"] + SWEEP], "numpy": [False], "thetas": [0], "stderr": ""}
+    files = sorted(path.relative_to(serial_dir) for path in serial_dir.rglob("*.*"))
+    assert len(files) == 2 * (4 + 1)  # each run's four files, each sweep's results.csv
+    for path in files:
         assert (forked_dir / path).read_bytes() == (serial_dir / path).read_bytes(), path
 
 
 def test_only_the_engine_imports_numpy():
-    # the fresh-interpreter probes above reach only the preset paths; this
+    # the fresh-interpreter checks above reach only the preset paths; this
     # covers every module, on every path
     importers = []
     for path in sorted((SRC / "vortex_ca").rglob("*.py")):
@@ -319,25 +255,19 @@ def test_one_process_jobs_never_load_forks(tmp_path):
     # run below the values threshold, a 12-robot run, and then a run above
     # the threshold kept in one process by numpy's thread: none forks, and
     # none loads the module that holds every fork
-    base = tmp_path / "short.json"
-    base.write_text(json.dumps(dict(scenario_to_dict(load_scenario("coop_headon")), t_max=0.05)))
-    spec = tmp_path / "sweep.json"
-    spec.write_text(json.dumps({"base_scenario": str(base), "axes": [
-        {"path": "params.lambda", "values": [9.0, 11.0]}]}))
-    ring = ring_scenario(tmp_path / "ring12.json", 12)
+    base = written(tmp_path / "short.json",
+                   dict(scenario_to_dict(load_scenario("coop_headon")), t_max=0.05))
+    spec = written(tmp_path / "sweep.json", {"base_scenario": str(base), "axes": [
+        {"path": "params.lambda", "values": [9.0, 11.0]}]})
+    ring12 = written(tmp_path / "ring12.json", ring(12))
     argvs = [["sweep", spec, "-o", tmp_path / "sweep"],
              ["run", "attractive_only", "-o", tmp_path / "attractive_only"],
-             ["run", ring, "-o", tmp_path / "ring12"],
+             ["run", ring12, "-o", tmp_path / "ring12"],
              ["run", "coop_headon", "-o", tmp_path / "coop_headon"]]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    probe = ("import json, sys\nfrom vortex_ca.cli import main\n"
-             "print(json.dumps([[main(argv), 'vortex_ca.forks' in sys.modules]"
-             " for argv in json.loads(sys.argv[1])]))")
-    done = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps([[str(a) for a in argv] for argv in argvs])],
-        env=env, capture_output=True, text=True, timeout=120, check=False)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[0, False], [0, False], [0, False], [2, False]]
+    assert fresh(*argvs) == {
+        "codes": [0, 0, 0, 2], "forked": [0] * 4, "ends": [], "reaped": True,
+        "loaded": [[], SWEEP, SWEEP, ["numpy"] + SWEEP, ["numpy"] + SWEEP],
+        "numpy": [False, False, False, True], "thetas": [0, 1, 1, 1], "stderr": ""}
 
 
 def test_every_fork_and_pipe_is_in_forks_and_every_run_file_format_in_cli():
@@ -355,6 +285,10 @@ def test_every_fork_and_pipe_is_in_forks_and_every_run_file_format_in_cli():
     literals = [node.value for node in ast.walk(tree)
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert not [text for text in literals if ".csv" in text]
+    # nor a column: what a run records is the engine's to say
+    columns = {name for col in engine.ROBOT_COLUMNS + engine.PAIR_COLUMNS
+               for name in (col.suffix, col.attr)}
+    assert not columns & set(literals)
     referenced = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     referenced |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not referenced & {"trajectory_table", "pairs_table", "table_header", "table_rows"}

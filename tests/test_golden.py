@@ -19,7 +19,7 @@ import json
 import math
 from pathlib import Path
 
-from common_runs import PRESET_RUNS
+from common_runs import PRESET_RUNS, ring, written
 from vortex_ca.cli import main, read_run
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -83,20 +83,14 @@ def ring_sweep(tmp_path):
     robot 3 stationary and robot 4 attacks robot 7.  Every third of the 70
     steps is recorded, so the last one is recorded only as the last, and it
     holds the smallest separation."""
-    robots = []
-    for k in range(12):
-        angle = 2.0 * math.pi * k / 12
-        x, y = 1.2 * math.cos(angle), 1.2 * math.sin(angle)
-        robots.append({"id": k + 1, "x": x, "y": y, "heading": angle + math.pi,
-                       "goal": [-x, -y]})
+    document = dict(ring(12, radius=1.2, t_max=0.7), record_stride=3)
+    robots = document["robots"]
     robots[0]["goal"] = [robots[0]["x"] * 0.75, robots[0]["y"] * 0.75]
     robots[1]["behavior"] = "noncooperative"
     robots[2] = {key: value for key, value in robots[2].items() if key != "goal"}
     robots[2]["behavior"] = "stationary"
     robots[3].update(behavior="attacking", target=7)
-    base = tmp_path / "ring12.json"
-    base.write_text(json.dumps({"name": "ring12", "t_max": 0.7, "record_stride": 3,
-                                "robots": robots}))
+    base = written(tmp_path / "ring12.json", document)
     spec = tmp_path / "ring_sweep.json"
     spec.write_text(json.dumps({
         "base_scenario": str(base),

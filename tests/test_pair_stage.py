@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from common_runs import log_bits
+from common_runs import log_bits, ring
 from test_engine_reference import engagement, mixed_scenario, total_force_from_engagements
 from vortex_ca import engine
 from vortex_ca.engine import Scenario, _Swarm, run
@@ -29,7 +29,7 @@ from vortex_ca.kinematics import (
     RobotState,
     SimulationFault,
 )
-from vortex_ca.scenarios import PRESETS, load_scenario
+from vortex_ca.scenarios import PRESETS, load_scenario, scenario_from_dict
 
 KINDS = ("cooperative", "stationary", "attacking", "noncooperative", "inactive")
 coord = st.floats(-3.0, 3.0, allow_nan=False)
@@ -116,7 +116,7 @@ def test_array_pair_stage_matches_scalar_stage(world):
 def test_pair_stage_dispatch_follows_threshold():
     threshold = engine._ARRAY_MIN_ROBOTS
     for n, stage in ((threshold - 1, "_scalar_pair_stage"), (threshold, "_array_pair_stage")):
-        swarm = _Swarm(ring(n).sorted_robots(), PFParams())
+        swarm = _Swarm(ring_scenario(n).sorted_robots(), PFParams())
         assert swarm.pair_stage.__func__ is getattr(_Swarm, stage)
 
 
@@ -140,28 +140,15 @@ def test_run_on_array_stage_matches_scalar_engine(monkeypatch, name):
     assert log_bits(array) == log_bits(scalar)
 
 
-def ring(n, radius=3.0, lam=10.0, heading=None, t_max=8.0):
-    """n cooperative robots on a circle, each bound for the antipodal point;
-    with ``heading`` set, all of them move in parallel instead, each bound
-    for a point 5 m ahead."""
-    robots = []
-    for k in range(n):
-        angle = 2.0 * math.pi * k / n
-        cx, cy = radius * math.cos(angle), radius * math.sin(angle)
-        if heading is None:
-            phi, goal = angle + math.pi, PlanarVector(-cx, -cy)
-        else:
-            phi = heading
-            goal = PlanarVector(cx + 5.0 * math.cos(heading), cy + 5.0 * math.sin(heading))
-        robots.append(RobotState(
-            id=k + 1, position=PlanarVector(cx, cy), heading=phi, speed=0.17,
-            body_radius=0.1, behavior=BehaviorKind.COOPERATIVE, goal=goal,
-        ))
-    return Scenario(robots=tuple(robots), params=PFParams(lam=lam), t_max=t_max)
+def ring_scenario(n, **ring_args):
+    """``common_runs.ring(n)`` parsed, with bodies of 0.1 m, t_max 8 s and
+    the default scenario name unless ``ring_args`` set them."""
+    return scenario_from_dict(ring(n, **{"body_radius": 0.1, "t_max": 8.0, "name": "scenario",
+                                         **ring_args}))
 
 
 def test_identical_positions_raise_the_same_error(monkeypatch):
-    base = ring(16)
+    base = ring_scenario(16)
     robots = list(base.robots)
     # Two coincident pairs; (2, 14) comes first in upper-triangle order.
     for rid, twin in ((10, 5), (14, 2)):
@@ -178,7 +165,7 @@ def test_non_finite_pair_states_raise_the_same_error(monkeypatch):
     # velocity overflows, so the pair's vrel is not finite (every other
     # pair's is).  No robot is cooperative, so no input is formed that
     # could hand the step to the scalar stage on its own.
-    base = ring(16)
+    base = ring_scenario(16)
     robots = [replace(robot, behavior=BehaviorKind.NON_COOPERATIVE) for robot in base.robots]
     for rid, heading in ((3, 0.0), (11, math.pi)):
         robots[rid - 1] = replace(robots[rid - 1], heading=heading, speed=1e308)
@@ -189,7 +176,7 @@ def test_non_finite_pair_states_raise_the_same_error(monkeypatch):
 
 
 def test_overflowing_views_raise_the_same_error(monkeypatch):
-    scenario = ring(16, radius=1.0, lam=1e308)
+    scenario = ring_scenario(16, radius=1.0, lam=1e308)
     scalar, array = run_both(monkeypatch, scenario)
     assert scalar == array
     assert scalar[0] is SimulationFault
@@ -204,7 +191,7 @@ def test_overflowing_views_raise_the_same_error(monkeypatch):
 def test_underflowing_views_raise_the_same_error(monkeypatch):
     # Robots 3 and 9 meet head-on 1e-170 m apart at the ring's centre, where
     # vrel * r * r underflows to 0.0: both stages report it as robot 3's fault.
-    base = ring(16)
+    base = ring_scenario(16)
     robots = list(base.robots)
     for rid, x, heading in ((3, 0.0, 0.0), (9, 1e-170, math.pi)):
         robots[rid - 1] = RobotState(
@@ -218,7 +205,7 @@ def test_underflowing_views_raise_the_same_error(monkeypatch):
 
 
 def test_parallel_ring_runs_without_numpy_warnings(monkeypatch):
-    scenario = ring(16, heading=0.4, t_max=1.0)
+    scenario = ring_scenario(16, heading=0.4, t_max=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scalar, array = run_both(monkeypatch, scenario)
@@ -230,7 +217,8 @@ def test_parallel_ring_runs_without_numpy_warnings(monkeypatch):
 def test_non_closing_swarm_matches_scalar_bit_for_bit(monkeypatch):
     # No pair of a parallel ring is triggered, so every sum the array stage
     # forms is the +0.0 its accumulation starts from, as in the scalar stage.
-    scalar, array = run_both(monkeypatch, ring(engine._ARRAY_MIN_ROBOTS, heading=-2.0, t_max=1.0))
+    scenario = ring_scenario(engine._ARRAY_MIN_ROBOTS, heading=-2.0, t_max=1.0)
+    scalar, array = run_both(monkeypatch, scenario)
     assert not any(any(trace.triggered) for trace in array.pairs.values())
     assert log_bits(array) == log_bits(scalar)
     assert {value.hex() for trace in array.robots.values() for value in trace.rep_fx} == {

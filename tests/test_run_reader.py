@@ -8,7 +8,6 @@ raise the same RunFormatError text, at any chunk size.
 """
 
 import itertools
-import math
 import shutil
 import sys
 import tracemalloc
@@ -18,12 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from common_runs import ring
 from vortex_ca import cli
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind
 from vortex_ca.cli import RunFormatError, read_run, write_run_outputs
-from vortex_ca.engine import Scenario, pair_columns, run
-from vortex_ca.fields import PFParams
-from vortex_ca.kinematics import BehaviorKind, PlanarVector, RobotState
+from vortex_ca.engine import pair_columns, run
+from vortex_ca.scenarios import scenario_from_dict
 
 
 def whole_file_table(path):
@@ -191,26 +190,13 @@ def test_chunked_reader_reports_the_first_bad_column_in_read_order(tmp_path):
         assert outcome(chunked_columns, str(path), wanted, chunk_cells) == expected
 
 
-def ring(n=32, radius=3.0, t_max=2.0):
-    """n cooperative robots on a circle, each bound for the antipodal point,
-    recorded at every step."""
-    robots = []
-    for k in range(n):
-        angle = 2.0 * math.pi * k / n
-        cx, cy = radius * math.cos(angle), radius * math.sin(angle)
-        robots.append(RobotState(
-            id=k + 1, position=PlanarVector(cx, cy), heading=angle + math.pi, speed=0.17,
-            body_radius=0.1, behavior=BehaviorKind.COOPERATIVE, goal=PlanarVector(-cx, -cy),
-        ))
-    return Scenario(robots=tuple(robots), params=PFParams(), t_max=t_max)
-
-
 @pytest.fixture(scope="module")
 def ring_rundir(tmp_path_factory):
     """201 rows of a 32-robot ring: an 11 MB run directory, whose pairs.csv
     has 2977 columns, built once for the module."""
     rundir = tmp_path_factory.mktemp("ring") / "run"
-    write_run_outputs(run(ring()), str(rundir))
+    scenario = scenario_from_dict(ring(32, t_max=2.0, body_radius=0.1, name="scenario"))
+    write_run_outputs(run(scenario), str(rundir))
     return rundir
 
 
