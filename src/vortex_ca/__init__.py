@@ -4,8 +4,10 @@ potential fields, with analytic verification tooling and a scenario CLI.
 The package root exports what a program needs to build and run a scenario:
 the scenario and robot types, the parameters, the presets, ``run`` with its
 log and errors, and the angle and heading helpers.  The analytic oracles and
-run checks are imported from ``vortex_ca.analysis``; the package root does
-not load them, so a simulation never compiles them.
+run checks are imported from ``vortex_ca.analysis``, the run directory's
+reader from ``vortex_ca.rundir`` and the sweep spec from
+``vortex_ca.sweep_metrics``; the package root loads none of them, so a
+simulation never compiles them.
 """
 
 from .control import heading_controller

@@ -18,6 +18,7 @@ PROBE = Path(__file__).resolve().with_name("probe.py")
 ANALYSIS = ["vortex_ca.analysis"]
 SWEEP = ["vortex_ca.sweep_metrics"]
 FORKS = ["vortex_ca.forks"]
+RUNDIR = ["vortex_ca.rundir"]
 EXITED = ["exit", 0]
 
 # Preset -> (the regime it is analyzed under, its `run` exit code), as in the

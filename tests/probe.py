@@ -33,7 +33,7 @@ import vortex_ca
 from vortex_ca import cli, engine
 
 WATCHED = ("numpy", "vortex_ca.analysis", "vortex_ca.sweep_metrics", "vortex_ca.forks",
-           "multiprocessing", "concurrent.futures", "subprocess")
+           "vortex_ca.rundir", "multiprocessing", "concurrent.futures", "subprocess")
 
 HOOKS = {
     "cpus": 2,  # the usable CPUs (os.sched_getaffinity)

@@ -19,22 +19,15 @@ from common_runs import (
 )
 from scenario_strategies import fold_scenarios
 from vortex_ca import analysis, cli, engine
+from vortex_ca import rundir as reader
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind, analyze_log
 from vortex_ca.cli import main, read_run, write_run_outputs
 from vortex_ca.engine import (
     EVENT_OVERLAP, PAIR_COLUMNS, ROBOT_COLUMNS, ScenarioError, min_separation, run,
 )
 from vortex_ca.kinematics import CollisionSingularity, SimulationFault
-from vortex_ca.scenarios import (
-    PRESETS,
-    SWEEP_METRICS,
-    load_scenario,
-    load_sweep,
-    scenario_from_dict,
-    scenario_to_dict,
-    set_by_path,
-)
-from vortex_ca.sweep_metrics import MetricsFold
+from vortex_ca.scenarios import PRESETS, load_scenario, scenario_from_dict, scenario_to_dict
+from vortex_ca.sweep_metrics import SWEEP_METRICS, MetricsFold, load_sweep, set_by_path
 
 MINIMAL = {
     "robots": [
@@ -551,7 +544,7 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     assert main(["run", "coop_headon", "-o", out]) == 2
     assert main(["analyze", out, "--regime", "coop_pair"]) == 0
     assert main(["plotdata", out]) == 0
-    # plotdata streams its panels from the run's chunks (cli._read_traces),
+    # plotdata streams its panels from the run's chunks (rundir._read_traces),
     # so only analyze reads the run back through read_run
     assert calls == {"read_run": 1, "write_trajectory_csv": 1, "write_pairs_csv": 1,
                      "analyze_log": 1, "fold_metrics": 0}
@@ -1858,14 +1851,14 @@ def test_plotdata_names_a_panel_that_turned_into_a_directory(
     # read: its rename fails, and the error names the panel, not the staged file
     rundir = tmp_path / "run"
     shutil.copytree(headon_rundir, rundir, ignore=shutil.ignore_patterns(*cli.PANELS))
-    read_traces = cli._read_traces
+    read_traces = reader._read_traces
 
     def then_block(*args):
         read = read_traces(*args)
         (rundir / "vrvth.csv").mkdir()
         return read
 
-    monkeypatch.setattr(cli, "_read_traces", then_block)
+    monkeypatch.setattr(reader, "_read_traces", then_block)
     capsys.readouterr()
     assert main(["plotdata", str(rundir)]) == 1
     assert capsys.readouterr().err == f"error: {rundir / 'vrvth.csv'}: Is a directory\n"

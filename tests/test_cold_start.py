@@ -1,5 +1,5 @@
-"""Which commands load numpy and ``vortex_ca.analysis``, each checked in a
-fresh interpreter.
+"""Which commands load numpy, ``vortex_ca.analysis``, the run directory's
+reader and the sweep spec, each checked in a fresh interpreter.
 
 The engine uses numpy only on the array pair stage (swarms of at least
 ``engine._ARRAY_MIN_ROBOTS`` robots), and no other module imports it;
@@ -10,8 +10,10 @@ larger swarm loads it on first use and exits as before.
 
 ``analysis`` is imported by ``analyze`` and the ``max_lyap_derivative`` sweep
 metric only: importing the package or the CLI, ``run``, ``plotdata`` and the
-other sweeps never compile or execute it.  ``sweep_metrics`` is imported by
-sweeps only.
+other sweeps never compile or execute it.  ``sweep_metrics``, which holds
+the sweep spec, is imported by sweeps only, and ``rundir``, which holds the
+run directory's reader, by ``analyze`` and ``plotdata`` only: importing the
+CLI loads neither, and ``run`` neither, forked or not.
 
 No command loads ``multiprocessing``, ``concurrent.futures`` or
 ``subprocess``: a sweep below the fork threshold runs in one process, and
@@ -24,11 +26,14 @@ starts, sees two usable CPUs, so that both fork.
 """
 
 import ast
+import importlib
 import math
 import os
 
-from common_runs import ANALYSIS, EXITED, FORKS, PRESET_RUNS, SRC, SWEEP, fresh, ring, written
-from vortex_ca import cli, engine
+from common_runs import (
+    ANALYSIS, EXITED, FORKS, PRESET_RUNS, RUNDIR, SRC, SWEEP, fresh, ring, written,
+)
+from vortex_ca import cli, engine, scenarios
 from vortex_ca.cli import main
 from vortex_ca.scenarios import load_scenario, scenario_to_dict
 
@@ -83,15 +88,16 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
     runs_forked = [int(name != "attractive_only") for name in names]
     forked = runs_forked + [0] * len(names) + [1, 0, 0] + [0] * len(analyses)
     # the imports, then the plain commands, leave every watched module out but
-    # the sweeps' sweep_metrics and, from the first job that forks (the first
-    # run), forks; the max_lyap_derivative sweep and analyze load analysis
+    # forks, from the first job that forks (the first run), rundir from the
+    # first plotdata and the sweeps' sweep_metrics; the max_lyap_derivative
+    # sweep and analyze load analysis
     assert fresh(*plain, *analyses) == {
         "codes": [PRESET_RUNS[name][1] for name in names] + [0] * len(names)
         + [0, 0, ring_code] + [0] * len(analyses),
         "forked": forked, "ends": [EXITED] * sum(forked), "reaped": True,
-        "loaded": [[]] + [FORKS] * (2 * len(names))
-        + [SWEEP + FORKS] * (len(plain) - 2 * len(names))
-        + [ANALYSIS + SWEEP + FORKS] * len(analyses),
+        "loaded": [[]] + [FORKS] * len(names) + [FORKS + RUNDIR] * len(names)
+        + [SWEEP + FORKS + RUNDIR] * (len(plain) - 2 * len(names))
+        + [ANALYSIS + SWEEP + FORKS + RUNDIR] * len(analyses),
         "numpy": [False] * (len(plain) + len(analyses)),
         "thetas": [1 - fork for fork in runs_forked] + [0] * (len(names) + 2) + [1]
         + [0] * len(analyses),
@@ -101,6 +107,52 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
     assert main(["sweep", str(lyap_spec), "-o", str(tmp_path / "lyap_again")]) == 0
     results = (tmp_path / "lyap_out" / "results.csv").read_bytes()
     assert results == (tmp_path / "lyap_again" / "results.csv").read_bytes()
+
+
+def test_the_reader_and_the_sweep_spec_load_only_for_their_commands(tmp_path):
+    # importing the CLI loads no watched module; a forked and a serial run
+    # load neither the reader nor the sweep spec, and plotdata and analyze
+    # load the reader only
+    out = tmp_path / "coop_headon"
+    assert fresh(["run", "coop_headon", "-o", out],
+                 ["run", "attractive_only", "-o", tmp_path / "attractive_only"],
+                 ["plotdata", out], ["analyze", out, "--regime", "coop_pair"]) == {
+        "codes": [2, 0, 0, 0], "forked": [1, 0, 0, 0], "ends": [EXITED], "reaped": True,
+        "loaded": [[], FORKS, FORKS, FORKS + RUNDIR, ANALYSIS + FORKS + RUNDIR],
+        "numpy": [False] * 4, "thetas": [0, 1, 0, 0], "stderr": ""}
+    # a one-cell sweep runs in the parent, a two-cell one forks a worker:
+    # neither loads the reader
+    spec = {"base_scenario": "coop_triangle",
+            "axes": [{"path": "params.lambda", "values": [30.0]}]}
+    one = written(tmp_path / "one.json", spec)
+    spec["axes"][0]["values"].append(40.0)
+    two = written(tmp_path / "two.json", spec)
+    assert fresh(["sweep", one, "-o", tmp_path / "one"],
+                 ["sweep", two, "-o", tmp_path / "two"]) == {
+        "codes": [0, 0], "forked": [0, 1], "ends": [EXITED], "reaped": True,
+        "loaded": [[], SWEEP, SWEEP + FORKS], "numpy": [False] * 2, "thetas": [0, 0],
+        "stderr": ""}
+
+
+# The names that the run directory's reader and the sweep spec took with them
+# out of the modules every command imports.
+MOVED = {
+    "rundir": (cli, (
+        "_CHUNK_CELLS", "_parse_flag", "_parse_ids", "_each", "_kept_text", "_text", "_FLOATS",
+        "_FLAGS", "_FLOAT_TEXT", "_FLAG_TEXT", "_bad_cell", "_Table", "_read_columns",
+        "_parsers", "_appender", "_read_traces", "_write_lyapunov_csv", "_PLOT_PARSERS",
+        "_normed", "_plot_tables", "_panel_rows")),
+    "sweep_metrics": (scenarios, (
+        "SweepSpec", "_steps", "set_by_path", "_slot", "load_sweep", "SWEEP_METRICS",
+        "MAX_SWEEP_CELLS")),
+}
+
+
+def test_moved_names_are_defined_in_their_new_modules_only():
+    for new, (old, names) in MOVED.items():
+        module = importlib.import_module(f"vortex_ca.{new}")
+        assert [name for name in names if hasattr(old, name)] == [], old.__name__
+        assert [name for name in names if not hasattr(module, name)] == [], new
 
 
 def test_array_commands_load_numpy_on_first_use(tmp_path):
@@ -272,7 +324,9 @@ def test_one_process_jobs_never_load_forks(tmp_path):
 
 def test_every_fork_and_pipe_is_in_forks_and_every_run_file_format_in_cli():
     package = SRC / "vortex_ca"
-    for path in sorted(package.glob("*.py")):
+    paths = sorted(package.glob("*.py"))
+    assert package / "rundir.py" in paths  # the reader forks nothing either
+    for path in paths:
         nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
         calls = {f"os.{node.attr}" for node in nodes if isinstance(node, ast.Attribute)
                  and isinstance(node.value, ast.Name) and node.value.id == "os"}

@@ -1,4 +1,4 @@
-"""The chunked run-CSV reader (``cli._read_columns``) against the whole-file
+"""The chunked run-CSV reader (``rundir._read_columns``) against the whole-file
 reader it replaced, and the memory ``read_run`` and ``plotdata`` hold.
 
 ``whole_file_columns`` is the earlier reader, kept here as the oracle: it
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from common_runs import ring
 from vortex_ca import cli
+from vortex_ca import rundir as reader
 from vortex_ca.analysis import REGIME_COLUMNS, RegimeKind
 from vortex_ca.cli import RunFormatError, read_run, write_run_outputs
 from vortex_ca.engine import pair_columns, run
@@ -56,11 +57,11 @@ def whole_file_table(path):
 # Column kinds: the oracle's (cell parser, whether the text is kept) and the
 # chunked reader's column parser.
 KINDS = {
-    "float": ((float, False), cli._FLOATS),
-    "flag": ((cli._parse_flag, False), cli._FLAGS),
-    "float_text": ((float, True), cli._FLOAT_TEXT),
-    "flag_text": ((cli._parse_flag, True), cli._FLAG_TEXT),
-    "ids": ((cli._parse_ids, False), cli._each(cli._parse_ids)),
+    "float": ((float, False), reader._FLOATS),
+    "flag": ((reader._parse_flag, False), reader._FLAGS),
+    "float_text": ((float, True), reader._FLOAT_TEXT),
+    "flag_text": ((reader._parse_flag, True), reader._FLAG_TEXT),
+    "ids": ((reader._parse_ids, False), reader._each(reader._parse_ids)),
 }
 
 
@@ -83,9 +84,9 @@ def chunked_columns(path, wanted, chunk_cells):
     """``_read_columns`` with chunks of ``chunk_cells`` cells, or of its own
     size when None, each chunk's columns appended to one list per column."""
     columns = {name: [] for name in wanted}
-    with mock.patch.object(cli, "_CHUNK_CELLS", chunk_cells or cli._CHUNK_CELLS):
-        table = cli._read_columns(path, {name: KINDS[kind][1] for name, kind in wanted.items()},
-                                  cli._appender(columns))
+    with mock.patch.object(reader, "_CHUNK_CELLS", chunk_cells or reader._CHUNK_CELLS):
+        table = reader._read_columns(path, {name: KINDS[kind][1] for name, kind in wanted.items()},
+                                     reader._appender(columns))
     for name in wanted:
         table.check(name)
     return columns
@@ -241,8 +242,9 @@ def test_plotdata_holds_about_one_chunk(ring_rundir, tmp_path):
     tiny = tmp_path / "tiny"
     _first_rows(ring_rundir, tiny, 2)
     keys = cli._read_scenario(str(tiny)).pair_ids()
-    parsers = cli._parsers(pair_columns(keys), lambda col: cli._PLOT_PARSERS.get(col.attr))
-    _, chunk, _ = traced_peak(cli._read_columns, str(tiny / "pairs.csv"), parsers, lambda _: None)
+    parsers = reader._parsers(pair_columns(keys), lambda col: reader._PLOT_PARSERS.get(col.attr))
+    _, chunk, _ = traced_peak(reader._read_columns, str(tiny / "pairs.csv"), parsers,
+                              lambda _: None)
     with open(ring_rundir / "trajectory.csv", encoding="utf-8") as handle:
         t_text = [line.split(",", 1)[0] for line in itertools.islice(handle, 1, None)]
     t_column = sum(sys.getsizeof(cell) + sys.getsizeof(float(cell)) + 16 for cell in t_text)

@@ -17,7 +17,8 @@ from scenario_strategies import extreme_scenarios
 from vortex_ca import engine
 from vortex_ca.cli import REGIME_NAMES, main
 from vortex_ca.engine import Scenario, ScenarioError
-from vortex_ca.scenarios import SWEEP_METRICS, scenario_from_dict
+from vortex_ca.scenarios import scenario_from_dict
+from vortex_ca.sweep_metrics import SWEEP_METRICS
 
 # Every value json.load can return, Infinity and NaN included.
 JSON = st.recursive(
