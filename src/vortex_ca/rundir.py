@@ -2,8 +2,8 @@
 which alone import it.  Both read a run back chunk by chunk (``_read_traces``):
 ``analyze`` into a ``TrajectoryLog`` of the columns it parses (``read_run``),
 ``plotdata`` into its panels as each chunk arrives, holding one chunk and
-``t``.  They call ``read_run``, ``analyze_log`` and ``_read_scenario``
-through ``cli``, whose bindings benchmarks/tracer.py wraps for its spans.
+``t``.  They call ``read_run``, ``analyze_log`` and (in ``_read_scenario``)
+``scenario_from_dict`` through the ``cli`` bindings benchmarks/tracer.py wraps.
 """
 
 from __future__ import annotations

@@ -528,9 +528,10 @@ def test_analyze_fails_the_circle_check_on_an_engine_written_nan(tmp_path, capsy
 
 def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     # the benchmark tracer wraps these module-level bindings; a refactor that
-    # bypasses them would silently empty the read, write and analysis spans
+    # bypasses them would silently empty the read, parse, write and analysis
+    # spans (rundir reads a run's scenario through cli._read_scenario)
     calls = {"read_run": 0, "write_trajectory_csv": 0, "write_pairs_csv": 0,
-             "analyze_log": 0, "fold_metrics": 0}
+             "analyze_log": 0, "fold_metrics": 0, "scenario_from_dict": 0, "load_sweep": 0}
     for name in calls:
         original = getattr(cli, name)
 
@@ -547,15 +548,16 @@ def test_cli_io_spans_are_called_through_module_bindings(tmp_path, monkeypatch):
     # plotdata streams its panels from the run's chunks (rundir._read_traces),
     # so only analyze reads the run back through read_run
     assert calls == {"read_run": 1, "write_trajectory_csv": 1, "write_pairs_csv": 1,
-                     "analyze_log": 1, "fold_metrics": 0}
+                     "analyze_log": 1, "fold_metrics": 0, "scenario_from_dict": 2,
+                     "load_sweep": 0}
     spec = written(tmp_path / "sweep.json", {
         "base_scenario": "coop_headon",
         "axes": [{"path": "params.lambda", "values": [8.0, 10.0, 12.0]}],
         "metrics": ["max_lyap_derivative"],
     })
     assert main(["sweep", str(spec), "-o", str(tmp_path / "sweep")]) == 0
-    # each cell folds its metrics as it runs
-    assert calls["fold_metrics"] == 3
+    # each cell parses its scenario and folds its metrics as it runs
+    assert (calls["load_sweep"], calls["scenario_from_dict"], calls["fold_metrics"]) == (1, 5, 3)
     out = str(tmp_path / "triangle")
     assert main(["run", "coop_triangle", "-o", out]) == 0
     assert main(["analyze", out, "--regime", "multi_robot"]) == 0

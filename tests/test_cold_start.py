@@ -112,7 +112,9 @@ def test_small_swarm_commands_never_load_numpy(tmp_path):
 def test_the_reader_and_the_sweep_spec_load_only_for_their_commands(tmp_path):
     # importing the CLI loads no watched module; a forked and a serial run
     # load neither the reader nor the sweep spec, and plotdata and analyze
-    # load the reader only
+    # load the reader only.  test_one_process_jobs_never_load_forks (a serial
+    # sweep) and test_jobs_on_the_array_pair_stage_never_fork (a forked one)
+    # show that a sweep never loads the reader.
     out = tmp_path / "coop_headon"
     assert fresh(["run", "coop_headon", "-o", out],
                  ["run", "attractive_only", "-o", tmp_path / "attractive_only"],
@@ -120,18 +122,6 @@ def test_the_reader_and_the_sweep_spec_load_only_for_their_commands(tmp_path):
         "codes": [2, 0, 0, 0], "forked": [1, 0, 0, 0], "ends": [EXITED], "reaped": True,
         "loaded": [[], FORKS, FORKS, FORKS + RUNDIR, ANALYSIS + FORKS + RUNDIR],
         "numpy": [False] * 4, "thetas": [0, 1, 0, 0], "stderr": ""}
-    # a one-cell sweep runs in the parent, a two-cell one forks a worker:
-    # neither loads the reader
-    spec = {"base_scenario": "coop_triangle",
-            "axes": [{"path": "params.lambda", "values": [30.0]}]}
-    one = written(tmp_path / "one.json", spec)
-    spec["axes"][0]["values"].append(40.0)
-    two = written(tmp_path / "two.json", spec)
-    assert fresh(["sweep", one, "-o", tmp_path / "one"],
-                 ["sweep", two, "-o", tmp_path / "two"]) == {
-        "codes": [0, 0], "forked": [0, 1], "ends": [EXITED], "reaped": True,
-        "loaded": [[], SWEEP, SWEEP + FORKS], "numpy": [False] * 2, "thetas": [0, 0],
-        "stderr": ""}
 
 
 # The names that the run directory's reader and the sweep spec took with them
